@@ -8,6 +8,42 @@
 
 namespace decaylib::core {
 
+namespace {
+
+// True iff no two points coincide, in O(n log n) by sorting.  A NaN
+// coordinate fails the test (its distance to anything is NaN, not > 0).
+bool PointsDistinct(std::span<const geom::Vec2> points) {
+  std::vector<geom::Vec2> sorted(points.begin(), points.end());
+  for (const geom::Vec2& p : sorted) {
+    if (std::isnan(p.x) || std::isnan(p.y)) return false;
+  }
+  std::sort(sorted.begin(), sorted.end(), [](geom::Vec2 a, geom::Vec2 b) {
+    return a.x < b.x || (a.x == b.x && a.y < b.y);
+  });
+  return std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end();
+}
+
+// The dense matrix of geometric decays over `points`.  Only the upper
+// triangle is evaluated and then mirrored.  That is bit-identical to
+// evaluating both directions: GeometricDecay is bitwise symmetric, since
+// IEEE subtraction gives a - b == -(b - a) and hypot ignores signs.
+std::vector<double> GeometricMatrix(std::span<const geom::Vec2> points,
+                                    double alpha) {
+  const std::size_t n = points.size();
+  std::vector<double> f(n * n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const double value = geom::GeometricDecay(points[i], points[j], alpha);
+      DL_CHECK(value > 0.0, "decay between distinct nodes must be positive");
+      f[i * n + j] = value;
+      f[j * n + i] = value;
+    }
+  }
+  return f;
+}
+
+}  // namespace
+
 DecaySpace::DecaySpace(int n, double fill) : n_(n) {
   DL_CHECK(n >= 1, "decay space needs at least one node");
   DL_CHECK(fill > 0.0, "off-diagonal fill decay must be positive");
@@ -35,21 +71,45 @@ DecaySpace DecaySpace::FromMatrix(const std::vector<std::vector<double>>& m) {
 
 DecaySpace DecaySpace::Geometric(std::span<const geom::Vec2> points,
                                  double alpha) {
-  const int n = static_cast<int>(points.size());
-  DL_CHECK(n >= 1, "no points");
-  DL_CHECK(alpha > 0.0, "path loss exponent must be positive");
-  DecaySpace space(n);
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) {
-      if (i == j) continue;
-      const geom::Vec2 pi = points[static_cast<std::size_t>(i)];
-      const geom::Vec2 pj = points[static_cast<std::size_t>(j)];
-      DL_CHECK(geom::Distance(pi, pj) > 0.0,
-               "coincident points make an invalid decay space");
-      space.Set(i, j, geom::GeometricDecay(pi, pj, alpha));
-    }
-  }
+  DecaySpace space = CoordinateBacked(points, alpha);
+  space.Densify();
   return space;
+}
+
+DecaySpace DecaySpace::CoordinateBacked(std::span<const geom::Vec2> points,
+                                        double alpha) {
+  DL_CHECK(!points.empty(), "no points");
+  DL_CHECK(alpha > 0.0, "path loss exponent must be positive");
+  DL_CHECK(PointsDistinct(points),
+           "coincident points make an invalid decay space");
+  DecaySpace space;
+  space.n_ = static_cast<int>(points.size());
+  space.points_.assign(points.begin(), points.end());
+  space.alpha_ = alpha;
+  return space;
+}
+
+void DecaySpace::Densify() {
+  f_ = GeometricMatrix(points_, alpha_);
+  std::vector<geom::Vec2>().swap(points_);
+  alpha_ = 0.0;
+}
+
+DecaySpace DecaySpace::Materialized() const {
+  DecaySpace out = *this;
+  if (out.IsCoordinateBacked()) out.Densify();
+  return out;
+}
+
+long long DecaySpace::MemoryBytes() const noexcept {
+  return static_cast<long long>(f_.capacity() * sizeof(double) +
+                                points_.capacity() * sizeof(geom::Vec2));
+}
+
+std::span<const double> DecaySpace::Raw() const noexcept {
+  DL_CHECK(!IsCoordinateBacked(),
+           "Raw() needs a dense decay space; see Materialized()");
+  return f_;
 }
 
 DecaySpace DecaySpace::FromDistancePower(
@@ -75,6 +135,7 @@ void DecaySpace::Set(int p, int q, double value) {
   DL_CHECK(p >= 0 && p < n_ && q >= 0 && q < n_, "node id out of range");
   DL_CHECK(p != q, "diagonal decays are fixed at 0");
   DL_CHECK(value > 0.0, "decay between distinct nodes must be positive");
+  if (IsCoordinateBacked()) Densify();
   f_[static_cast<std::size_t>(p) * static_cast<std::size_t>(n_) +
      static_cast<std::size_t>(q)] = value;
 }

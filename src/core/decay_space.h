@@ -7,16 +7,30 @@
 // non-negativity and the identity of indiscernibles, but need *not* be
 // symmetric nor satisfy the triangle inequality -- they form a pre-metric.
 //
-// This class stores f as a dense row-major matrix; nodes are dense ids
-// 0..size()-1.  The diagonal is fixed at 0 (what happens "at a point" is
-// immaterial, Sec. 2.2 of the paper).
+// Nodes are dense ids 0..size()-1 and the diagonal is fixed at 0 (what
+// happens "at a point" is immaterial, Sec. 2.2 of the paper).  A space has
+// one of two representations, invisible through operator():
+//   * dense: f as a row-major n x n matrix, O(n^2) memory.  Every
+//     constructor except CoordinateBacked builds this one, including
+//     Geometric -- the naive oracles, QuasiMetric and the distributed
+//     simulator read each entry many times and want the matrix.
+//   * coordinate-backed: the planar points and alpha of a shadow-free
+//     geometric space, O(n) memory; f(p, q) is evaluated on demand with
+//     geom::GeometricDecay, the exact expression Geometric stores, so both
+//     representations of the same points agree bit for bit.  The scenario
+//     engine builds this one for every shadow-free topology
+//     (engine/scenario.h).
+// Raw() needs the dense form; Set/SetSymmetric densify a coordinate-backed
+// space in place first, and Materialized() returns a dense copy.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "core/check.h"
 #include "geom/point.h"
 
 namespace decaylib::core {
@@ -33,8 +47,14 @@ class DecaySpace {
 
   // Geometric decay space over planar points: f(p, q) = |p - q|^alpha.
   // This is the GEO-SINR special case; its metricity equals alpha when three
-  // collinear points exist, and is at most alpha in general.
+  // collinear points exist, and is at most alpha in general.  Dense.
+  // Aborts on coincident points.
   static DecaySpace Geometric(std::span<const geom::Vec2> points, double alpha);
+
+  // The same space, coordinate-backed: stores the points and alpha only and
+  // evaluates entries on demand, bit-identical to Geometric's.
+  static DecaySpace CoordinateBacked(std::span<const geom::Vec2> points,
+                                     double alpha);
 
   // Geometric decay space over an explicit distance matrix (any metric):
   // f = d^alpha.
@@ -45,12 +65,28 @@ class DecaySpace {
 
   // f(p, q): decay of a signal sent at p as received at q.
   double operator()(int p, int q) const noexcept {
-    return f_[static_cast<std::size_t>(p) * static_cast<std::size_t>(n_) +
-              static_cast<std::size_t>(q)];
+    if (points_.empty()) [[likely]] {
+      return f_[static_cast<std::size_t>(p) * static_cast<std::size_t>(n_) +
+                static_cast<std::size_t>(q)];
+    }
+    return Evaluate(p, q);
   }
 
+  // Representation queries.  points() is empty and alpha() is 0 for a
+  // dense space.
+  bool IsCoordinateBacked() const noexcept { return !points_.empty(); }
+  std::span<const geom::Vec2> points() const noexcept { return points_; }
+  double alpha() const noexcept { return alpha_; }
+
+  // Dense copy of the space (a plain copy when it is dense already).
+  DecaySpace Materialized() const;
+
+  // Bytes held by the representation: the matrix, or the points.
+  long long MemoryBytes() const noexcept;
+
   // Sets f(p, q).  Requires p != q and value > 0 (identity of
-  // indiscernibles: zero decay is reserved for p == q).
+  // indiscernibles: zero decay is reserved for p == q).  A coordinate-backed
+  // space is materialised first.
   void Set(int p, int q, double value);
 
   // Sets both f(p, q) and f(q, p).
@@ -85,13 +121,31 @@ class DecaySpace {
   // Restriction of the space to the given nodes (in the given order).
   DecaySpace Subspace(std::span<const int> nodes) const;
 
-  // Direct read-only access to the backing row-major matrix.
-  std::span<const double> Raw() const noexcept { return f_; }
+  // Direct read-only access to the backing row-major matrix.  Requires a
+  // dense space (DL_CHECK); see Materialized().
+  std::span<const double> Raw() const noexcept;
 
  private:
-  int n_;
-  std::vector<double> f_;  // row-major n_ x n_
+  DecaySpace() = default;
+
+  double Evaluate(int p, int q) const noexcept;
+  // Replaces the points by the dense matrix they define.
+  void Densify();
+
+  int n_ = 0;
+  std::vector<double> f_;           // row-major n_ x n_; empty if not dense
+  std::vector<geom::Vec2> points_;  // empty when dense
+  double alpha_ = 0.0;
 };
+
+inline double DecaySpace::Evaluate(int p, int q) const noexcept {
+  if (p == q) return 0.0;
+  const double value =
+      geom::GeometricDecay(points_[static_cast<std::size_t>(p)],
+                           points_[static_cast<std::size_t>(q)], alpha_);
+  DL_CHECK(value > 0.0, "decay between distinct nodes must be positive");
+  return value;
+}
 
 // The quasi-metric induced by a decay space (Sec. 2.2): d(p,q) = f(p,q)^{1/zeta}.
 // A thin view; does not copy the matrix.  When the decay space is symmetric,

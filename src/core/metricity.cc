@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -47,6 +48,14 @@ void ParallelChunks(int n, int workers, Fn fn) {
   for (auto& thread : threads) thread.join();
 }
 
+// The space's row-major matrix.  A coordinate-backed space is materialised
+// into `copy` first: O(n^2) against the O(n^3) scans that read it.
+const double* DenseEntries(const DecaySpace& space,
+                           std::optional<DecaySpace>& copy) {
+  if (!space.IsCoordinateBacked()) return space.Raw().data();
+  return copy.emplace(space.Materialized()).Raw().data();
+}
+
 }  // namespace
 
 double TripletZeta(double a, double b, double c, double tol) {
@@ -80,7 +89,8 @@ double TripletZeta(double a, double b, double c, double tol) {
 
 MetricityResult ComputeMetricity(const DecaySpace& space, double tol) {
   const int n = space.size();
-  const double* f = space.Raw().data();
+  std::optional<DecaySpace> dense_copy;
+  const double* f = DenseEntries(space, dense_copy);
   const std::size_t sn = static_cast<std::size_t>(n);
 
   // Prune slack: TripletZeta bisects to relative tolerance `tol`, so the
@@ -177,7 +187,8 @@ double Metricity(const DecaySpace& space, double tol) {
 
 PhiResult ComputePhi(const DecaySpace& space) {
   const int n = space.size();
-  const double* f = space.Raw().data();
+  std::optional<DecaySpace> dense_copy;
+  const double* f = DenseEntries(space, dense_copy);
   const std::size_t sn = static_cast<std::size_t>(n);
 
   // Transpose copy: the inner loop reads f(y, z) for fixed z over all y,

@@ -23,7 +23,8 @@
 // ComputeMetricity and ComputePhi are the dominant O(n^3) costs of the
 // experiment suite; the default entry points prune triples against the
 // running incumbent before solving them, iterate in flat row-major order
-// over the raw decay matrix, and split the outer loop across hardware
+// over the raw decay matrix (a local materialised copy when the space is
+// coordinate-backed), and split the outer loop across hardware
 // threads.  Pruning is sound because h(s) = (b/a)^s + (c/a)^s - 1 is
 // strictly decreasing: a triplet can only beat the incumbent zeta_best if
 // h(1/zeta_best) < 0, a two-pow test that replaces the full bisection for

@@ -156,7 +156,7 @@ bool WriteJsonReport(const std::string& id,
       id, obs::BenchHarness::Options{.write_json = true});
   for (const ScenarioResult& r : results) {
     harness.Record(r.spec.name + ".batch", r.spec.links, r.batch_wall_ms);
-    harness.Record(r.spec.name + ".kernel_build", r.spec.links,
+    harness.Record(r.spec.name + ".build_total", r.spec.links,
                    r.build_ms_total);
     harness.Record(r.spec.name + ".tasks", r.spec.links, r.task_ms_total);
   }

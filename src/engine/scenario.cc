@@ -41,60 +41,48 @@ std::uint64_t InstanceSeed(std::uint64_t base, int index) {
                          (static_cast<std::uint64_t>(index) + 1));
 }
 
-// A decay space plus the planar points it was sampled from; `points` stays
-// empty when the space is not coordinate-backed (no registered topology
-// produces such a space today, but the pairing dispatch is written for it).
-struct SampledSpace {
-  core::DecaySpace space;
-  std::vector<geom::Vec2> points;
-};
-
-// Geometric space over explicit points, with the spec's shadowing regime.
-core::DecaySpace SpaceFromPoints(const ScenarioSpec& spec,
-                                 const std::vector<geom::Vec2>& pts,
-                                 geom::Rng& rng) {
+// The spec's decay space over sampled points: coordinate-backed (O(n)
+// memory, entries evaluated on demand) when shadow-free, a dense shadowed
+// matrix otherwise.  Shadowing draws from `rng` after the points, exactly as
+// the spaces:: samplers do.
+std::shared_ptr<const core::DecaySpace> SpaceFromPoints(
+    const ScenarioSpec& spec, const std::vector<geom::Vec2>& pts,
+    geom::Rng& rng) {
   if (spec.sigma_db > 0.0) {
-    return spaces::ShadowedGeometric(pts, spec.alpha, spec.sigma_db, rng,
-                                     spec.symmetric_shadowing);
+    return std::make_shared<const core::DecaySpace>(spaces::ShadowedGeometric(
+        pts, spec.alpha, spec.sigma_db, rng, spec.symmetric_shadowing));
   }
-  return core::DecaySpace::Geometric(pts, spec.alpha);
+  return std::make_shared<const core::DecaySpace>(
+      core::DecaySpace::CoordinateBacked(pts, spec.alpha));
 }
 
 // --- topology generators ---------------------------------------------------
 //
-// Each produces a decay space over `points` nodes at roughly constant
-// density, so instance difficulty scales with size rather than crowding.
+// Each samples `points` planar nodes at roughly constant density, so
+// instance difficulty scales with size rather than crowding.
 
-SampledSpace UniformTopology(const ScenarioSpec& spec, int points,
-                             geom::Rng& rng) {
+std::vector<geom::Vec2> UniformTopology(const ScenarioSpec&, int points,
+                                        geom::Rng& rng) {
   const double box = 2.0 * std::sqrt(static_cast<double>(points));
-  std::vector<geom::Vec2> pts = geom::SampleUniform(points, box, box, rng);
-  core::DecaySpace space = SpaceFromPoints(spec, pts, rng);
-  return {std::move(space), std::move(pts)};
+  return geom::SampleUniform(points, box, box, rng);
 }
 
-SampledSpace ClusteredTopology(const ScenarioSpec& spec, int points,
-                               geom::Rng& rng) {
+std::vector<geom::Vec2> ClusteredTopology(const ScenarioSpec& spec, int points,
+                                          geom::Rng& rng) {
+  DL_CHECK(spec.hotspots >= 1, "clustered topology needs >= 1 hotspot");
   const double box = 2.0 * std::sqrt(static_cast<double>(points));
-  std::vector<geom::Vec2> pts;
-  core::DecaySpace space = spaces::ClusteredGeometric(
-      points, spec.hotspots, box, spec.cluster_sigma, spec.alpha,
-      spec.sigma_db, rng, spec.symmetric_shadowing, &pts);
-  return {std::move(space), std::move(pts)};
+  return geom::SampleClusters(points, spec.hotspots, box, box,
+                              spec.cluster_sigma, rng);
 }
 
-SampledSpace CorridorTopology(const ScenarioSpec& spec, int points,
-                              geom::Rng& rng) {
+std::vector<geom::Vec2> CorridorTopology(const ScenarioSpec& spec, int points,
+                                         geom::Rng& rng) {
   const double length = 2.0 * static_cast<double>(points);
-  std::vector<geom::Vec2> pts;
-  core::DecaySpace space = spaces::CorridorSpace(
-      points, length, spec.corridor_width, spec.alpha, spec.sigma_db, rng,
-      spec.symmetric_shadowing, &pts);
-  return {std::move(space), std::move(pts)};
+  return spaces::CorridorPoints(points, length, spec.corridor_width, rng);
 }
 
-SampledSpace GridTopology(const ScenarioSpec& spec, int points,
-                          geom::Rng& rng) {
+std::vector<geom::Vec2> GridTopology(const ScenarioSpec&, int points,
+                                     geom::Rng& rng) {
   // Cell centers on a regular grid (spacing ~2), each jittered inside its
   // cell: a cellular layout with one node per cell.
   const double side = 2.0 * std::ceil(std::sqrt(static_cast<double>(points)));
@@ -103,12 +91,11 @@ SampledSpace GridTopology(const ScenarioSpec& spec, int points,
     p.x += rng.Uniform(-0.5, 0.5);
     p.y += rng.Uniform(-0.5, 0.5);
   }
-  core::DecaySpace space = SpaceFromPoints(spec, pts, rng);
-  return {std::move(space), std::move(pts)};
+  return pts;
 }
 
-using TopologyGenerator = SampledSpace (*)(const ScenarioSpec&, int,
-                                           geom::Rng&);
+using TopologyGenerator = std::vector<geom::Vec2> (*)(const ScenarioSpec&, int,
+                                                      geom::Rng&);
 
 const std::vector<std::pair<std::string, TopologyGenerator>>& TopologyTable() {
   static const std::vector<std::pair<std::string, TopologyGenerator>> table = {
@@ -296,6 +283,12 @@ std::vector<sinr::Link> PairLinksByDecayGrid(
   DL_CHECK(static_cast<int>(points.size()) == n,
            "grid pairing needs one point per node");
   DL_CHECK(alpha > 0.0, "grid pairing needs a positive decay exponent");
+  // The precondition space == Geometric(points, alpha), checked wherever the
+  // space carries its coordinates.
+  DL_CHECK(!space.IsCoordinateBacked() ||
+               (space.alpha() == alpha &&
+                std::ranges::equal(points, space.points())),
+           "grid pairing needs the space's own points and alpha");
 
   std::vector<int> alive(static_cast<std::size_t>(n));
   std::iota(alive.begin(), alive.end(), 0);
@@ -331,7 +324,9 @@ std::vector<sinr::Link> PairLinksByDecayGrid(
         }
         const bool any_cell = grid.VisitRing(p, ring, [&](int j) {
           if (j == i) return;
-          const double w = std::min(space(i, j), space(j, i));
+          // The precondition's space is symmetric: one read is the
+          // symmetrised weight.
+          const double w = space(i, j);
           if (best_j < 0 || w < best_w) {
             best_w = w;
             best_j = j;
@@ -353,7 +348,7 @@ std::vector<sinr::Link> PairLinksByDecayGrid(
     for (const int i : alive) {
       const int j = best[static_cast<std::size_t>(i)];
       if (j > i && best[static_cast<std::size_t>(j)] == i) {
-        matched.emplace_back(std::min(space(i, j), space(j, i)), i, j);
+        matched.emplace_back(space(i, j), i, j);
         used[static_cast<std::size_t>(i)] = 1;
         used[static_cast<std::size_t>(j)] = 1;
       }
@@ -391,21 +386,15 @@ ScenarioGeometry BuildGeometry(const ScenarioSpec& spec, int index,
   DL_CHECK(generator != nullptr, "unknown scenario topology");
 
   geom::Rng rng(InstanceSeed(spec.seed, index));
-  const int points = 2 * spec.links;
-  SampledSpace sampled = generator(spec, points, rng);
-
   ScenarioGeometry geometry;
-  geometry.space = std::make_shared<const core::DecaySpace>(
-      std::move(sampled.space));
-  geometry.points = std::move(sampled.points);
+  geometry.points = generator(spec, 2 * spec.links, rng);
+  geometry.space = SpaceFromPoints(spec, geometry.points, rng);
 
   // Grid/MNN pairing requires decay to be a monotone function of point
   // distance, which shadowing destroys (the matrix is then arbitrary even
   // though points exist); both routes produce the identical matching.
-  const bool monotone_geometry =
-      !geometry.points.empty() && spec.sigma_db == 0.0;
   geometry.links =
-      (pairing == PairingMode::kAuto && monotone_geometry)
+      (pairing == PairingMode::kAuto && spec.sigma_db == 0.0)
           ? PairLinksByDecayGrid(*geometry.space, geometry.points, spec.alpha)
           : PairLinksByDecay(*geometry.space);
   return geometry;

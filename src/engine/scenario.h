@@ -10,10 +10,10 @@
 //
 // Instance construction is split along the axis the sweep layer exploits:
 //   * BuildGeometry samples everything that consumes randomness or scales
-//     super-linearly -- the decay space (with its planar points, when the
-//     topology is coordinate-backed), the greedy link pairing, and the
-//     lazily measured metricity.  Geometry depends only on the spec fields
-//     collected in GeometryKey plus the instance index.
+//     super-linearly -- the planar points and the decay space over them,
+//     the greedy link pairing, and the lazily measured metricity.  Geometry
+//     depends only on the spec fields collected in GeometryKey plus the
+//     instance index.
 //   * ConfigureInstance applies the cheap per-cell knobs (beta, noise,
 //     power_tau, the zeta policy) to a geometry, costing O(links).
 // BuildInstance is exactly BuildGeometry + ConfigureInstance; GeometryCache
@@ -23,10 +23,16 @@
 //
 // Topology generators are looked up in a registry by name; the built-in
 // kinds cover uniform boxes, Matérn-style clustered hotspots, line/highway
-// corridors and jittered grid cells (spaces/samplers.h provides the
-// underlying decay-space samplers).  A generator produces a decay space
-// over 2 * links nodes (plus the sampled coordinates, when it is
-// geometric); links are then formed by a topology-agnostic greedy pairing
+// corridors and jittered grid cells (geom/samplers.h and spaces/samplers.h
+// provide the underlying point samplers).  A generator samples 2 * links
+// planar points; the decay space over them then takes one of the two
+// core::DecaySpace representations:
+//   * shadow-free (sigma_db == 0): coordinate-backed -- the points and
+//     alpha, O(links) memory, entries evaluated on demand, bit-identical
+//     to the dense DecaySpace::Geometric matrix;
+//   * shadowed (sigma_db > 0): a dense matrix, since the shadowing draws
+//     make every entry independent of the points.
+// Links are then formed by a topology-agnostic greedy pairing
 // that repeatedly matches the two unused nodes with the smallest
 // symmetrised decay, so every topology yields short, plausible
 // sender/receiver pairs without bespoke per-topology link logic.  For
@@ -153,14 +159,15 @@ enum class PairingMode {
 };
 
 // The sampled, cell-invariant part of an instance: the decay space, the
-// planar points behind it (empty for matrix-only spaces), the greedy link
-// pairing, and -- measured lazily, only when a spec's zeta policy asks --
-// the metricity of the space.  Everything downstream of the spec's
-// GeometryKey and the instance index; nothing here depends on beta, noise,
-// power_tau or the (explicit) zeta.
+// planar points behind it, the greedy link pairing, and -- measured lazily,
+// only when a spec's zeta policy asks -- the metricity of the space.
+// Everything downstream of the spec's GeometryKey and the instance index;
+// nothing here depends on beta, noise, power_tau or the (explicit) zeta.
+// A shadow-free geometry is O(links) in memory (its space is
+// coordinate-backed); a shadowed one holds the dense (2 links)^2 matrix.
 struct ScenarioGeometry {
   std::shared_ptr<const core::DecaySpace> space;
-  std::vector<geom::Vec2> points;  // 2 * links entries when coordinate-backed
+  std::vector<geom::Vec2> points;  // 2 * links entries, one per node
   std::vector<sinr::Link> links;
   double measured_zeta = 0.0;  // valid iff zeta_measured
   bool zeta_measured = false;
@@ -263,10 +270,13 @@ std::vector<sinr::Link> PairLinksByDecay(const core::DecaySpace& space);
 // the sorted greedy before anything else touches its endpoints, so matching
 // all mutual-best pairs and recursing on the remainder reproduces the
 // greedy matching exactly; candidate weights are read from the decay
-// matrix itself and the grid only *prunes* via pow's weak monotonicity
-// (decay >= pow(ring distance bound, alpha)).  Requires space ==
-// DecaySpace::Geometric(points, alpha) -- i.e. symmetric, shadowing-free
-// decays; BuildGeometry dispatches here exactly when that holds.
+// space itself and the grid only *prunes* via pow's weak monotonicity
+// (decay >= pow(ring distance bound, alpha)).  Requires space to hold the
+// entries of DecaySpace::Geometric(points, alpha) -- i.e. symmetric,
+// shadowing-free decays; BuildGeometry dispatches here exactly when that
+// holds.  A coordinate-backed space is checked against points and alpha
+// (DL_CHECK); a dense one is trusted.  Reads O(n) entries for the typical
+// constant-density deployment, so an on-demand space costs no more.
 std::vector<sinr::Link> PairLinksByDecayGrid(const core::DecaySpace& space,
                                              std::span<const geom::Vec2> points,
                                              double alpha);

@@ -89,18 +89,38 @@ void KernelCache::Build(const LinkSystem& system, PowerAssignment power,
     }
   }
 
-  // Endpoint index arrays.  Every pass below reads *rows* of the decay
-  // matrix with contiguous writes; the one inherently transposed quantity,
-  // the cross-decay f(s_w, r_v) indexed v-major, is produced by a blocked
-  // n x n transpose of the w-major cross matrix rather than by stride-m
-  // column walks over the (potentially much larger) node matrix.
-  const std::size_t sm = static_cast<std::size_t>(space.size());
-  const double* fd = space.Raw().data();
+  // Endpoint index arrays.  The slabs read the space through one accessor:
+  // a dense space's matrix in place, a coordinate-backed one's on-demand
+  // evaluation -- one build algorithm, instantiated per representation so
+  // the dense reads stay branch-free.  The one inherently transposed
+  // quantity, the cross-decay f(s_w, r_v) indexed v-major, is produced by a
+  // blocked n x n transpose of the w-major cross matrix rather than by a
+  // second column-order pass over the space.
   std::vector<int> snd(n), rcv(n);
   for (int v = 0; v < n_; ++v) {
     snd[static_cast<std::size_t>(v)] = system.link(v).sender;
     rcv[static_cast<std::size_t>(v)] = system.link(v).receiver;
   }
+  if (space.IsCoordinateBacked()) {
+    FillSlabs(space, /*mirror_legs=*/true, snd, rcv, scratch, path);
+  } else {
+    const double* f = space.Raw().data();
+    const std::size_t m = static_cast<std::size_t>(space.size());
+    FillSlabs(
+        [f, m](int p, int q) {
+          return f[static_cast<std::size_t>(p) * m +
+                   static_cast<std::size_t>(q)];
+        },
+        /*mirror_legs=*/false, snd, rcv, scratch, path);
+  }
+}
+
+template <class Decay>
+void KernelCache::FillSlabs(const Decay& decay, bool mirror_legs,
+                            std::span<const int> snd, std::span<const int> rcv,
+                            std::vector<double>& scratch,
+                            KernelBuildPath path) {
+  const std::size_t n = static_cast<std::size_t>(n_);
 
   // cross_decay_[w*n + v] = f(s_w, r_v) = CrossDecay(w, v), plus its
   // transpose into the arena scratch.  The cross matrix is kept as a member:
@@ -125,6 +145,28 @@ void KernelCache::Build(const LinkSystem& system, PowerAssignment power,
   double* cross = cross_decay_.data();
   double* cross_t = scratch.data();
 
+  // The endpoint legs of MinPairDecay(v, w), min(f(s_v, s_w), f(r_v, r_w)).
+  // A coordinate-backed space is symmetric by construction, so its legs are
+  // evaluated once per unordered pair and mirrored into min_pair_decay_
+  // ahead of the passes below, which combine them in place: n^2 cross
+  // decays plus n^2 leg decays in all, against the (2n)^2 of a dense fill.
+  // A dense space's legs are read per ordered pair (f may be asymmetric).
+  if (mirror_legs) {
+    for (std::size_t v = 0; v < n; ++v) {
+      for (std::size_t w = v + 1; w < n; ++w) {
+        const double legs =
+            std::min(decay(snd[v], snd[w]), decay(rcv[v], rcv[w]));
+        min_pair_decay_[v * n + w] = legs;
+        min_pair_decay_[w * n + v] = legs;
+      }
+    }
+  }
+  const auto endpoint_legs = [&](std::size_t v, std::size_t w) {
+    return mirror_legs
+               ? min_pair_decay_[v * n + w]
+               : std::min(decay(snd[v], snd[w]), decay(rcv[v], rcv[w]));
+  };
+
   const auto transpose_cross = [&] {
     constexpr std::size_t kTile = 32;
     for (std::size_t wb = 0; wb < n; wb += kTile) {
@@ -145,11 +187,9 @@ void KernelCache::Build(const LinkSystem& system, PowerAssignment power,
     // oracle the fused path is tested against (tests/kernel_test.cc).
     for (int w = 0; w < n_; ++w) {
       double* out = cross + static_cast<std::size_t>(w) * n;
-      const double* row_sw =
-          fd + static_cast<std::size_t>(snd[static_cast<std::size_t>(w)]) * sm;
+      const int sw = snd[static_cast<std::size_t>(w)];
       for (int v = 0; v < n_; ++v) {
-        out[v] =
-            row_sw[static_cast<std::size_t>(rcv[static_cast<std::size_t>(v)])];
+        out[v] = decay(sw, rcv[static_cast<std::size_t>(v)]);
       }
     }
     transpose_cross();
@@ -198,32 +238,25 @@ void KernelCache::Build(const LinkSystem& system, PowerAssignment power,
     }
 
     // Min-endpoint-decay matrix (zeta-independent part of the link
-    // quasi-distance).  The decay matrix stores 0 on the diagonal, which is
-    // exactly the naive d(p, p) = 0 special case, so no branch is needed.
-    // The matrix is stored for ordered (v, w): in an asymmetric space the
-    // sender-sender and receiver-receiver legs are ordered pairs, so
-    // d(l_v, l_w) need not equal d(l_w, l_v).
+    // quasi-distance).  f(p, p) = 0 on the diagonal is exactly the naive
+    // d(p, p) = 0 special case, so no branch is needed.  The matrix is
+    // stored for ordered (v, w): in an asymmetric space the sender-sender
+    // and receiver-receiver legs are ordered pairs, so d(l_v, l_w) need not
+    // equal d(l_w, l_v).
     for (int v = 0; v < n_; ++v) {
       const std::size_t sv = static_cast<std::size_t>(v);
       double* out = min_pair_decay_.data() + sv * n;
-      const double* row_sv = fd + static_cast<std::size_t>(snd[sv]) * sm;
-      const double* row_rv = fd + static_cast<std::size_t>(rcv[sv]) * sm;
-      const double* cross_v = cross_t + sv * n;  // f(s_w, r_v) over w
+      const double* cross_row_v = cross + sv * n;  // f(s_v, r_w) over w
+      const double* cross_v = cross_t + sv * n;    // f(s_w, r_v) over w
       for (int w = 0; w < n_; ++w) {
         if (w == v) {
           out[static_cast<std::size_t>(w)] = 0.0;
           continue;
         }
-        const std::size_t w_snd =
-            static_cast<std::size_t>(snd[static_cast<std::size_t>(w)]);
-        const std::size_t w_rcv =
-            static_cast<std::size_t>(rcv[static_cast<std::size_t>(w)]);
-        const double sv_rw = row_sv[w_rcv];                        // f(s_v, r_w)
-        const double sw_rv = cross_v[static_cast<std::size_t>(w)];  // f(s_w, r_v)
-        const double sv_sw = row_sv[w_snd];                        // f(s_v, s_w)
-        const double rv_rw = row_rv[w_rcv];                        // f(r_v, r_w)
-        out[static_cast<std::size_t>(w)] =
-            std::min(std::min(sv_rw, sw_rv), std::min(sv_sw, rv_rw));
+        const std::size_t sw = static_cast<std::size_t>(w);
+        const double sv_rw = cross_row_v[sw];  // f(s_v, r_w)
+        const double sw_rv = cross_v[sw];      // f(s_w, r_v)
+        out[sw] = std::min(std::min(sv_rw, sw_rv), endpoint_legs(sv, sw));
       }
     }
     return;
@@ -239,13 +272,11 @@ void KernelCache::Build(const LinkSystem& system, PowerAssignment power,
     const std::size_t sw = static_cast<std::size_t>(w);
     double* out_cross = cross + sw * n;
     double* out_aff = aff_raw_.data() + sw * n;
-    const double* row_sw =
-        fd + static_cast<std::size_t>(snd[sw]) * sm;
+    const int s_w = snd[sw];
     const double pw = power_[sw];
     for (int v = 0; v < n_; ++v) {
       const std::size_t sv = static_cast<std::size_t>(v);
-      const double cross_wv =
-          row_sw[static_cast<std::size_t>(rcv[sv])];
+      const double cross_wv = decay(s_w, rcv[sv]);
       out_cross[sv] = cross_wv;
       if (v == w || !can_overcome_[sv]) {
         out_aff[sv] = 0.0;
@@ -262,9 +293,8 @@ void KernelCache::Build(const LinkSystem& system, PowerAssignment power,
     const std::size_t sv = static_cast<std::size_t>(v);
     double* out_t = aff_raw_t_.data() + sv * n;
     double* out_min = min_pair_decay_.data() + sv * n;
-    const double* cross_v = cross_t + sv * n;  // f(s_w, r_v) over w
-    const double* row_sv = fd + static_cast<std::size_t>(snd[sv]) * sm;
-    const double* row_rv = fd + static_cast<std::size_t>(rcv[sv]) * sm;
+    const double* cross_row_v = cross + sv * n;  // f(s_v, r_w) over w
+    const double* cross_v = cross_t + sv * n;    // f(s_w, r_v) over w
     const bool overcomes = can_overcome_[sv] != 0;
     const double cv = noise_factor_[sv];
     const double fvv = link_decay_[sv];
@@ -284,12 +314,8 @@ void KernelCache::Build(const LinkSystem& system, PowerAssignment power,
       } else {
         out_t[sw] = cv * (power_[sw] / pv * fvv / sw_rv);
       }
-      const std::size_t w_snd = static_cast<std::size_t>(snd[sw]);
-      const std::size_t w_rcv = static_cast<std::size_t>(rcv[sw]);
-      const double sv_rw = row_sv[w_rcv];  // f(s_v, r_w)
-      const double sv_sw = row_sv[w_snd];  // f(s_v, s_w)
-      const double rv_rw = row_rv[w_rcv];  // f(r_v, r_w)
-      out_min[sw] = std::min(std::min(sv_rw, sw_rv), std::min(sv_sw, rv_rw));
+      const double sv_rw = cross_row_v[sw];  // f(s_v, r_w)
+      out_min[sw] = std::min(std::min(sv_rw, sw_rv), endpoint_legs(sv, sw));
     }
   }
 }

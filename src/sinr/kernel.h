@@ -57,7 +57,9 @@ enum class KernelBuildPath { kTiled, kScalar };
 
 // Precomputed affectance/distance kernels for one (LinkSystem, power) pair.
 // Holds a reference to the system; the system (and its decay space) must
-// outlive the cache.  Construction costs O(n^2) time and memory.
+// outlive the cache.  Construction costs O(n^2) time and memory; over a
+// coordinate-backed space it evaluates ~2 n^2 decays (see Build), and the
+// resulting matrices are bit-identical to those over the dense space.
 class KernelCache {
  public:
   KernelCache(const LinkSystem& system, PowerAssignment power,
@@ -173,6 +175,15 @@ class KernelCache {
   void Build(const LinkSystem& system, PowerAssignment power,
              std::vector<double>& scratch,
              KernelBuildPath path = KernelBuildPath::kTiled);
+
+  // Build's n x n slabs, reading the decay space through decay(p, q): a
+  // dense matrix read in place, or a coordinate-backed space's on-demand
+  // evaluation (`mirror_legs`: the space is symmetric, so MinPairDecay's
+  // endpoint legs are evaluated once per unordered pair).
+  template <class Decay>
+  void FillSlabs(const Decay& decay, bool mirror_legs,
+                 std::span<const int> snd, std::span<const int> rcv,
+                 std::vector<double>& scratch, KernelBuildPath path);
 
   const LinkSystem* system_ = nullptr;
   PowerAssignment power_;

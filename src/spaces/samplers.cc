@@ -90,22 +90,17 @@ core::DecaySpace HyperGridSpace(int m, int k, double alpha) {
 core::DecaySpace ClusteredGeometric(int n, int hotspots, double box,
                                     double sigma, double alpha,
                                     double sigma_db, geom::Rng& rng,
-                                    bool symmetric,
-                                    std::vector<geom::Vec2>* points_out) {
+                                    bool symmetric) {
   DL_CHECK(n >= 1 && hotspots >= 1, "need n >= 1 points, >= 1 hotspot");
-  std::vector<geom::Vec2> pts =
+  const std::vector<geom::Vec2> pts =
       geom::SampleClusters(n, hotspots, box, box, sigma, rng);
-  core::DecaySpace space =
-      sigma_db > 0.0 ? ShadowedGeometric(pts, alpha, sigma_db, rng, symmetric)
-                     : core::DecaySpace::Geometric(pts, alpha);
-  if (points_out != nullptr) *points_out = std::move(pts);
-  return space;
+  return sigma_db > 0.0
+             ? ShadowedGeometric(pts, alpha, sigma_db, rng, symmetric)
+             : core::DecaySpace::Geometric(pts, alpha);
 }
 
-core::DecaySpace CorridorSpace(int n, double length, double width,
-                               double alpha, double sigma_db, geom::Rng& rng,
-                               bool symmetric,
-                               std::vector<geom::Vec2>* points_out) {
+std::vector<geom::Vec2> CorridorPoints(int n, double length, double width,
+                                       geom::Rng& rng) {
   DL_CHECK(n >= 1 && length > 0.0 && width >= 0.0,
            "need n >= 1 points in a positive-length corridor");
   std::vector<geom::Vec2> pts;
@@ -114,11 +109,16 @@ core::DecaySpace CorridorSpace(int n, double length, double width,
     const double lateral = width > 0.0 ? rng.Uniform(0.0, width) : 0.0;
     pts.push_back({rng.Uniform(0.0, length), lateral});
   }
-  core::DecaySpace space =
-      sigma_db > 0.0 ? ShadowedGeometric(pts, alpha, sigma_db, rng, symmetric)
-                     : core::DecaySpace::Geometric(pts, alpha);
-  if (points_out != nullptr) *points_out = std::move(pts);
-  return space;
+  return pts;
+}
+
+core::DecaySpace CorridorSpace(int n, double length, double width,
+                               double alpha, double sigma_db, geom::Rng& rng,
+                               bool symmetric) {
+  const std::vector<geom::Vec2> pts = CorridorPoints(n, length, width, rng);
+  return sigma_db > 0.0
+             ? ShadowedGeometric(pts, alpha, sigma_db, rng, symmetric)
+             : core::DecaySpace::Geometric(pts, alpha);
 }
 
 }  // namespace decaylib::spaces

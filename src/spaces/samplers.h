@@ -47,16 +47,17 @@ core::DecaySpace HyperGridSpace(int m, int k, double alpha);
 // hence zeta ~ alpha) overwhelmingly likely even at small n.  Shadowing
 // multiplies ratios by up to 10^{+-k sigma_db/10}, so zeta can exceed alpha
 // by ~ lg of that factor; the quasi-metric keeps doubling dimension ~ 2.
-//
-// When `points_out` is non-null it receives the sampled coordinates (one
-// per node, in node-id order) -- callers like the scenario engine use them
-// for grid-accelerated pairing; passing nullptr changes nothing.
 core::DecaySpace ClusteredGeometric(int n, int hotspots, double box,
                                     double sigma, double alpha,
                                     double sigma_db, geom::Rng& rng,
-                                    bool symmetric = true,
-                                    std::vector<geom::Vec2>* points_out =
-                                        nullptr);
+                                    bool symmetric = true);
+
+// The corridor's coordinates: n points uniform in a length x width strip
+// (width = 0 collapses to a pure line), in node-id order.  CorridorSpace
+// samples exactly these, so a caller holding the points (the scenario
+// engine) consumes the identical random stream.
+std::vector<geom::Vec2> CorridorPoints(int n, double length, double width,
+                                       geom::Rng& rng);
 
 // Line/highway corridor deployment: n points uniform in a length x width
 // strip with width << length (width = 0 collapses to a pure line), decay =
@@ -66,11 +67,8 @@ core::DecaySpace ClusteredGeometric(int n, int hotspots, double box,
 // zeta <= alpha with near-equality witnessed by the abundant almost-evenly
 // split collinear triplets (the bound zeta = alpha is exact for a point
 // midway between two others); the quasi-metric has doubling dimension ~ 1.
-//
-// `points_out`, when non-null, receives the sampled coordinates as above.
 core::DecaySpace CorridorSpace(int n, double length, double width,
                                double alpha, double sigma_db, geom::Rng& rng,
-                               bool symmetric = true,
-                               std::vector<geom::Vec2>* points_out = nullptr);
+                               bool symmetric = true);
 
 }  // namespace decaylib::spaces

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "core/decay_space.h"
 #include "core/status.h"
 #include "engine/report.h"
 #include "engine/scenario.h"
@@ -23,6 +25,26 @@ ScenarioSpec Small(ScenarioSpec spec, int links = 12, int instances = 3) {
   spec.links = links;
   spec.instances = instances;
   return spec;
+}
+
+// Entry-for-entry bitwise equality of two decay spaces, whichever
+// representation each one has.
+::testing::AssertionResult SameEntries(const core::DecaySpace& a,
+                                       const core::DecaySpace& b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure()
+           << "sizes " << a.size() << " vs " << b.size();
+  }
+  for (int p = 0; p < a.size(); ++p) {
+    for (int q = 0; q < a.size(); ++q) {
+      if (a(p, q) != b(p, q)) {
+        return ::testing::AssertionFailure()
+               << "entry (" << p << ", " << q << "): " << a(p, q) << " vs "
+               << b(p, q);
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
 }
 
 TEST(ScenarioRegistryTest, TopologiesRegistered) {
@@ -50,12 +72,7 @@ TEST(ScenarioInstanceTest, BuildIsDeterministic) {
   const ScenarioSpec spec = Small(BuiltinScenarios().at(1), 10, 2);
   const ScenarioInstance a = BuildInstance(spec, 1);
   const ScenarioInstance b = BuildInstance(spec, 1);
-  ASSERT_EQ(a.space().size(), b.space().size());
-  const auto raw_a = a.space().Raw();
-  const auto raw_b = b.space().Raw();
-  for (std::size_t i = 0; i < raw_a.size(); ++i) {
-    EXPECT_EQ(raw_a[i], raw_b[i]) << "entry " << i;
-  }
+  EXPECT_TRUE(SameEntries(a.space(), b.space()));
   EXPECT_EQ(a.system().links(), b.system().links());
   EXPECT_EQ(a.power(), b.power());
   EXPECT_EQ(a.zeta(), b.zeta());
@@ -65,8 +82,7 @@ TEST(ScenarioInstanceTest, DistinctIndicesGiveDistinctInstances) {
   const ScenarioSpec spec = Small(BuiltinScenarios().front(), 10, 2);
   const ScenarioInstance a = BuildInstance(spec, 0);
   const ScenarioInstance b = BuildInstance(spec, 1);
-  EXPECT_NE(std::vector<double>(a.space().Raw().begin(), a.space().Raw().end()),
-            std::vector<double>(b.space().Raw().begin(), b.space().Raw().end()));
+  EXPECT_FALSE(SameEntries(a.space(), b.space()));
 }
 
 TEST(ScenarioInstanceTest, PairingCoversEveryNodeExactlyOnce) {
@@ -132,6 +148,48 @@ TEST(ScenarioPairingTest, ShadowedSpecsFallBackToSortGreedy) {
   EXPECT_EQ(a.links, b.links);
 }
 
+// Shadow-free geometry is coordinate-backed, and its entries are exactly the
+// dense Geometric space's over the same points -- as are its materialised
+// copy and the matrix a Set densifies it into -- for every topology.
+TEST(ScenarioGeometryTest, ShadowFreeSpacesAreCoordinateBackedAndExact) {
+  for (const std::string& topology : RegisteredTopologies()) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      ScenarioSpec spec;
+      spec.name = "coordinate_backed";
+      spec.topology = topology;
+      spec.links = 20;
+      spec.alpha = 2.5 + 0.5 * static_cast<double>(seed);
+      spec.seed = seed;
+      const ScenarioGeometry geometry = BuildGeometry(spec, 1);
+      ASSERT_TRUE(geometry.space->IsCoordinateBacked()) << topology;
+      const core::DecaySpace dense =
+          core::DecaySpace::Geometric(geometry.points, spec.alpha);
+      EXPECT_TRUE(SameEntries(*geometry.space, dense)) << topology;
+      EXPECT_TRUE(SameEntries(geometry.space->Materialized(), dense))
+          << topology;
+      core::DecaySpace densified = *geometry.space;
+      densified.SetSymmetric(0, 1, dense(0, 1));
+      EXPECT_FALSE(densified.IsCoordinateBacked());
+      EXPECT_TRUE(SameEntries(densified, dense)) << topology;
+    }
+  }
+  // Shadowing makes the matrix arbitrary: that route stays dense.
+  ScenarioSpec shadowed = Small(BuiltinScenarios().front(), 10, 1);
+  shadowed.sigma_db = 6.0;
+  EXPECT_FALSE(BuildGeometry(shadowed, 0).space->IsCoordinateBacked());
+}
+
+// The engine's shadow-free geometry holds O(n) memory: the dense matrix of
+// a 16384-link instance would be (2n)^2 * 8 B = 8 GiB.
+TEST(ScenarioGeometryTest, ShadowFreeSpaceMemoryIsLinear) {
+  ScenarioSpec spec = *FindBuiltinScenario("uniform_dense");
+  spec.links = 16384;
+  const ScenarioGeometry geometry = BuildGeometry(spec, 0);
+  EXPECT_EQ(geometry.space->size(), 2 * spec.links);
+  EXPECT_EQ(geometry.links.size(), static_cast<std::size_t>(spec.links));
+  EXPECT_LT(geometry.space->MemoryBytes(), 2LL * 1024 * 1024);
+}
+
 // The geometry key collects exactly the sampling-relevant fields.
 TEST(GeometryKeyTest, NonGeometricFieldsShareAKey) {
   ScenarioSpec spec = Small(BuiltinScenarios().front(), 10, 2);
@@ -173,12 +231,7 @@ TEST(GeometryCacheTest, ReuseIsBitIdenticalAndKeyed) {
     const ScenarioInstance direct = BuildInstance(spec, i);
     const ScenarioInstance cached =
         ConfigureInstance(spec, cache.Acquire(spec, i));
-    ASSERT_EQ(cached.space().size(), direct.space().size());
-    const auto raw_a = cached.space().Raw();
-    const auto raw_b = direct.space().Raw();
-    for (std::size_t k = 0; k < raw_a.size(); ++k) {
-      ASSERT_EQ(raw_a[k], raw_b[k]);
-    }
+    ASSERT_TRUE(SameEntries(cached.space(), direct.space()));
     EXPECT_EQ(cached.system().links(), direct.system().links());
     EXPECT_EQ(cached.power(), direct.power());
     EXPECT_EQ(cached.zeta(), direct.zeta());
@@ -266,10 +319,7 @@ TEST(GeometryCacheTest, LruGenerationsHitAndEvictDeterministically) {
   deep.Prepare(k1);
   const ScenarioInstance direct = BuildInstance(k1, 1);
   const ScenarioInstance warm = ConfigureInstance(k1, deep.Acquire(k1, 1));
-  const auto raw_a = warm.space().Raw();
-  const auto raw_b = direct.space().Raw();
-  ASSERT_EQ(raw_a.size(), raw_b.size());
-  for (std::size_t k = 0; k < raw_a.size(); ++k) ASSERT_EQ(raw_a[k], raw_b[k]);
+  ASSERT_TRUE(SameEntries(warm.space(), direct.space()));
   EXPECT_EQ(warm.system().links(), direct.system().links());
 
   // Shrinking evicts the excess least recently used generation (k2; k1 was
@@ -294,19 +344,14 @@ TEST(GeometryCacheTest, WarmSlotReferencesSurviveSplices) {
   cache.SetGenerations(2);
   cache.Prepare(k1);
   const ScenarioGeometry& pinned = cache.Acquire(k1, 0);
-  const std::vector<double> raw_before(pinned.space->Raw().begin(),
-                                       pinned.space->Raw().end());
+  const core::DecaySpace before = *pinned.space;
 
   cache.Prepare(k2);
   (void)cache.Acquire(k2, 0);
   cache.Prepare(k1);  // splices k1 back to the front
   (void)cache.Acquire(k1, 1);
 
-  const auto raw_after = pinned.space->Raw();
-  ASSERT_EQ(raw_after.size(), raw_before.size());
-  for (std::size_t k = 0; k < raw_before.size(); ++k) {
-    EXPECT_EQ(raw_after[k], raw_before[k]);
-  }
+  EXPECT_TRUE(SameEntries(*pinned.space, before));
 }
 
 // The engine's core contract: the deterministic aggregate report of a batch

@@ -5,6 +5,7 @@
 // added with the arena (CrossDecay, NormalizedGain).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "core/decay_space.h"
@@ -31,6 +32,10 @@ Instance MakeInstance(std::uint64_t seed, int link_count, double beta,
   return inst;
 }
 
+// All four n x n matrices agree entry for entry: the affectance matrix, its
+// transpose (read back through a one-member accumulator, whose OutRaw(u) is
+// exactly the transpose entry a_u(v)), the cross decays and the min-pair
+// decays.
 void ExpectBitIdentical(const KernelCache& fresh, const KernelCache& rebuilt) {
   ASSERT_EQ(fresh.NumLinks(), rebuilt.NumLinks());
   const int n = fresh.NumLinks();
@@ -39,8 +44,13 @@ void ExpectBitIdentical(const KernelCache& fresh, const KernelCache& rebuilt) {
     EXPECT_EQ(fresh.LinkDecay(v), rebuilt.LinkDecay(v));
     EXPECT_EQ(fresh.CanOvercomeNoise(v), rebuilt.CanOvercomeNoise(v));
     EXPECT_EQ(fresh.NoiseFactor(v), rebuilt.NoiseFactor(v));
+    AffectanceAccumulator from_fresh(fresh);
+    AffectanceAccumulator from_rebuilt(rebuilt);
+    from_fresh.Add(v);
+    from_rebuilt.Add(v);
     for (int w = 0; w < n; ++w) {
       EXPECT_EQ(fresh.AffectanceRaw(w, v), rebuilt.AffectanceRaw(w, v));
+      EXPECT_EQ(from_fresh.OutRaw(w), from_rebuilt.OutRaw(w));
       EXPECT_EQ(fresh.MinPairDecay(v, w), rebuilt.MinPairDecay(v, w));
       EXPECT_EQ(fresh.CrossDecay(w, v), rebuilt.CrossDecay(w, v));
       EXPECT_EQ(fresh.NormalizedGain(v, w), rebuilt.NormalizedGain(v, w));
@@ -113,6 +123,38 @@ TEST(KernelArenaTest, AggregateQueriesMatchThroughArena) {
     EXPECT_EQ(fresh.OutAffectance(v, all), kernel.OutAffectance(v, all));
   }
   EXPECT_EQ(fresh.OrderByDecay(), kernel.OrderByDecay());
+}
+
+// A kernel built over a coordinate-backed space is the kernel of the dense
+// Geometric space over the same points, on both build paths and through a
+// warm arena slot, under uniform and power-law powers.
+TEST(KernelArenaTest, CoordinateBackedSpaceBuildsTheDenseKernel) {
+  for (std::uint64_t seed = 51; seed <= 54; ++seed) {
+    geom::Rng rng(seed);
+    const auto pts = geom::SampleUniform(2 * 18, 12.0, 12.0, rng);
+    const core::DecaySpace dense = core::DecaySpace::Geometric(pts, 3.0);
+    const core::DecaySpace coords =
+        core::DecaySpace::CoordinateBacked(pts, 3.0);
+    std::vector<Link> links;
+    for (int i = 0; i < 18; ++i) links.push_back({2 * i, 2 * i + 1});
+    const SinrConfig config{1.5, seed % 2 == 0 ? 0.02 : 0.0};
+    const LinkSystem dense_system(dense, links, config);
+    const LinkSystem coord_system(coords, links, config);
+    const PowerAssignment power = seed % 2 == 0
+                                      ? PowerLaw(dense_system, 0.5)
+                                      : UniformPower(dense_system);
+
+    KernelArena arena;
+    for (const KernelBuildPath path :
+         {KernelBuildPath::kScalar, KernelBuildPath::kTiled}) {
+      const KernelCache reference(dense_system, power, path);
+      ExpectBitIdentical(reference, KernelCache(coord_system, power, path));
+      // Warm slot: the same shape was just built over the dense space.
+      arena.Rebuild(dense_system, power, path);
+      ExpectBitIdentical(reference, arena.Rebuild(coord_system, power, path));
+    }
+    EXPECT_EQ(arena.warm_skips(), 3);
+  }
 }
 
 TEST(KernelArenaTest, RebuildCounterStartsAtZero) {

@@ -7,6 +7,7 @@
 #include "core/fading.h"
 #include "core/metricity.h"
 #include "core/numerics.h"
+#include "engine/scenario.h"
 #include "geom/rng.h"
 #include "graph/graph.h"
 #include "sinr/link_system.h"
@@ -41,6 +42,29 @@ TEST(DecaySpaceDeathTest, RejectsEmptySpace) {
 TEST(DecaySpaceDeathTest, GeometricRejectsCoincidentPoints) {
   const std::vector<geom::Vec2> pts{{1.0, 1.0}, {1.0, 1.0}};
   EXPECT_DEATH(core::DecaySpace::Geometric(pts, 2.0), "coincident");
+}
+
+TEST(DecaySpaceDeathTest, CoordinateBackedRejectsCoincidentPoints) {
+  const std::vector<geom::Vec2> pts{{0.0, 0.0}, {2.0, 1.0}, {0.0, 0.0}};
+  EXPECT_DEATH(core::DecaySpace::CoordinateBacked(pts, 3.0), "coincident");
+}
+
+TEST(DecaySpaceDeathTest, RawNeedsADenseSpace) {
+  const std::vector<geom::Vec2> pts{{0.0, 0.0}, {2.0, 1.0}};
+  const core::DecaySpace space = core::DecaySpace::CoordinateBacked(pts, 3.0);
+  EXPECT_DEATH((void)space.Raw(), "dense");
+}
+
+TEST(GridPairingDeathTest, RejectsASpaceOfOtherPointsOrAlpha) {
+  const std::vector<geom::Vec2> pts{{0.0, 0.0}, {1.0, 0.0}, {5.0, 5.0},
+                                    {6.0, 5.0}};
+  const core::DecaySpace space = core::DecaySpace::CoordinateBacked(pts, 3.0);
+  EXPECT_DEATH(engine::PairLinksByDecayGrid(space, pts, 2.5),
+               "own points and alpha");
+  std::vector<geom::Vec2> moved = pts;
+  moved[3] = {7.0, 5.0};
+  EXPECT_DEATH(engine::PairLinksByDecayGrid(space, moved, 3.0),
+               "own points and alpha");
 }
 
 TEST(QuasiMetricDeathTest, RejectsNonPositiveZeta) {
