@@ -13,18 +13,22 @@
 // earlier link's in-affectance past the admission margin; Markov's
 // inequality guarantees |S| >= |X| / 2 (Eqn. 5 in the proof of Theorem 5).
 //
-// The default entry points run on the cached SINR kernel (sinr::KernelCache):
-// separation tests become decay-domain comparisons and the in/out-affectance
-// budgets incremental accumulator reads, so a run costs O(n^2) cache build
-// plus O(n |X|) admission work with no pow on the hot path.  The *Naive
-// variants recompute every kernel entry through the LinkSystem methods; they
-// are kept as the reference path that property tests compare against.
+// The admission loop is one template over the kernel tier
+// (sinr/kernel_tier.h).  On the dense KernelCache, separation tests become
+// decay-domain comparisons and the in/out-affectance budgets incremental
+// accumulator reads, so a run costs O(n^2) cache build plus O(n |X|)
+// admission work with no pow on the hot path; on the FarFieldKernel the same
+// decisions come from certified pooled bounds.  The *Naive variants
+// recompute every kernel entry through the LinkSystem methods; they are kept
+// as the reference path that property tests compare against.
 #pragma once
 
 #include <span>
 #include <vector>
 
+#include "core/check.h"
 #include "sinr/kernel.h"
+#include "sinr/kernel_tier.h"
 #include "sinr/link_system.h"
 
 namespace decaylib::capacity {
@@ -41,19 +45,45 @@ Algorithm1Result RunAlgorithm1(const sinr::LinkSystem& system, double zeta,
 
 Algorithm1Result RunAlgorithm1(const sinr::LinkSystem& system, double zeta);
 
-// Cached-kernel entry points: reuse a prebuilt kernel (e.g. across the slots
-// of a schedule).  The kernel's power assignment is used as-is; build it
-// with UniformPower for the paper's algorithm.
-Algorithm1Result RunAlgorithm1(const sinr::KernelCache& kernel, double zeta,
-                               std::span<const int> candidates);
-
-Algorithm1Result RunAlgorithm1(const sinr::KernelCache& kernel, double zeta);
-
 // The admission loop + Markov filter over an explicit candidate order
 // (already sorted by the caller).  Shared by RunAlgorithm1 (decay order) and
 // WeightedAlgorithm1 (weight order).
-Algorithm1Result GreedyAdmission(const sinr::KernelCache& kernel, double zeta,
-                                 std::span<const int> order);
+template <sinr::KernelTier K>
+Algorithm1Result GreedyAdmission(const K& kernel, double zeta,
+                                 std::span<const int> order) {
+  DL_CHECK(zeta > 0.0, "zeta must be positive");
+  typename K::Accumulator acc(kernel);
+  for (int v : order) {
+    // A candidate listed twice is admitted at most once (the naive
+    // reference would duplicate it in X on such degenerate input).
+    if (acc.Contains(v)) continue;
+    if (!kernel.CanOvercomeNoise(v)) continue;
+    if (!acc.IsSeparatedFromMembers(v, zeta / 2.0, zeta)) continue;
+    // a_v(X) and a_X(v) summed in admission order -- the same order the
+    // naive path sums them in.
+    if (acc.BudgetWithinHalf(v)) acc.Add(v);
+  }
+  Algorithm1Result result;
+  result.admitted = acc.members();
+  for (int v : result.admitted) {
+    if (acc.In(v) <= 1.0) result.selected.push_back(v);
+  }
+  return result;
+}
+
+// Kernel-tier entry points: reuse a prebuilt kernel (e.g. across the slots
+// of a schedule).  The kernel's power assignment is used as-is; build it
+// with UniformPower for the paper's algorithm.
+template <sinr::KernelTier K>
+Algorithm1Result RunAlgorithm1(const K& kernel, double zeta,
+                               std::span<const int> candidates) {
+  return GreedyAdmission(kernel, zeta, sinr::DecayOrder(kernel, candidates));
+}
+
+template <sinr::KernelTier K>
+Algorithm1Result RunAlgorithm1(const K& kernel, double zeta) {
+  return RunAlgorithm1(kernel, zeta, sinr::AllLinks(kernel));
+}
 
 // Reference implementation on the naive LinkSystem methods; recomputes every
 // affectance and separation from scratch.  Kept for property tests and

@@ -1,43 +1,8 @@
 #include "capacity/baselines.h"
 
-#include <algorithm>
-
 #include "sinr/power.h"
 
 namespace decaylib::capacity {
-
-namespace {
-
-std::vector<int> DecayOrder(const sinr::KernelCache& kernel,
-                            std::span<const int> candidates) {
-  std::vector<int> order(candidates.begin(), candidates.end());
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return kernel.LinkDecay(a) < kernel.LinkDecay(b);
-  });
-  return order;
-}
-
-// Admit each link of `order` in turn while the set stays feasible.  The
-// incremental check against the accumulator reproduces, bit for bit, the
-// naive push-IsFeasible-pop loop: in-affectance sums accumulate in the same
-// admission order, and the candidate's own row adds a trailing 0.
-std::vector<int> AdmitWhileFeasible(const sinr::KernelCache& kernel,
-                                    const std::vector<int>& order) {
-  sinr::AffectanceAccumulator acc(kernel);
-  for (int v : order) {
-    if (acc.Contains(v)) continue;  // duplicate candidate ids admit once
-    if (!kernel.CanOvercomeNoise(v)) continue;
-    if (acc.CanAddFeasibly(v)) acc.Add(v);
-  }
-  return acc.members();
-}
-
-}  // namespace
-
-std::vector<int> GreedyFeasible(const sinr::KernelCache& kernel,
-                                std::span<const int> candidates) {
-  return AdmitWhileFeasible(kernel, DecayOrder(kernel, candidates));
-}
 
 std::vector<int> GreedyFeasible(const sinr::LinkSystem& system,
                                 std::span<const int> candidates) {
@@ -53,11 +18,10 @@ std::vector<int> GreedyFeasible(const sinr::LinkSystem& system) {
 std::vector<int> GreedyHalfAffectance(const sinr::KernelCache& kernel,
                                       std::span<const int> candidates) {
   sinr::AffectanceAccumulator acc(kernel);
-  for (int v : DecayOrder(kernel, candidates)) {
+  for (int v : sinr::DecayOrder(kernel, candidates)) {
     if (acc.Contains(v)) continue;
     if (!kernel.CanOvercomeNoise(v)) continue;
-    const double budget = acc.Out(v) + acc.In(v);
-    if (budget <= 0.5) acc.Add(v);
+    if (acc.BudgetWithinHalf(v)) acc.Add(v);
   }
   std::vector<int> selected;
   for (int v : acc.members()) {

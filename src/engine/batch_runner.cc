@@ -217,11 +217,22 @@ InstanceRecord RunInstance(const ScenarioSpec& spec, int index,
   const std::vector<int> all = sinr::AllLinks(instance.system());
   const double zeta = instance.zeta();
 
+  // The admission pipelines are templates over the kernel tier: they run on
+  // the far-field kernel when the spec built one, on the dense kernel
+  // otherwise.  Every other task needs the dense kernel.
+  const auto on_admission_tier = [&](const auto& task) {
+    return farfield ? task(*farfield) : task(ensure_kernel());
+  };
+
   // Algorithm 1's feasible set feeds the partition task too; run it at most
   // once per instance.
   std::optional<capacity::Algorithm1Result> alg1;
   const auto ensure_alg1 = [&] {
-    if (!alg1) alg1 = capacity::RunAlgorithm1(ensure_kernel(), zeta);
+    if (!alg1) {
+      alg1 = on_admission_tier([&](const auto& kernel) {
+        return capacity::RunAlgorithm1(kernel, zeta);
+      });
+    }
   };
 
   for (const TaskKind task : tasks) {
@@ -231,26 +242,20 @@ InstanceRecord RunInstance(const ScenarioSpec& spec, int index,
     const auto kind_start = std::chrono::steady_clock::now();
     switch (task) {
       case TaskKind::kAlgorithm1: {
-        if (farfield) {
-          const sinr::FarFieldAlg1Result res =
-              sinr::FarFieldRunAlgorithm1(*farfield, zeta);
-          rec.alg1_size = static_cast<int>(res.selected.size());
-          rec.alg1_admitted = static_cast<int>(res.admitted.size());
-          rec.alg1_feasible = res.selected.size() <= 1 ||
-                              farfield->IsFeasibleCertified(res.selected);
-        } else {
-          ensure_alg1();
-          rec.alg1_size = static_cast<int>(alg1->selected.size());
-          rec.alg1_admitted = static_cast<int>(alg1->admitted.size());
-          rec.alg1_feasible = alg1->selected.size() <= 1 ||
-                              ensure_kernel().IsFeasible(alg1->selected);
-        }
+        ensure_alg1();
+        rec.alg1_size = static_cast<int>(alg1->selected.size());
+        rec.alg1_admitted = static_cast<int>(alg1->admitted.size());
+        rec.alg1_feasible =
+            alg1->selected.size() <= 1 ||
+            on_admission_tier([&](const auto& kernel) {
+              return kernel.IsFeasible(alg1->selected);
+            });
         break;
       }
       case TaskKind::kGreedyBaseline: {
-        rec.greedy_size = static_cast<int>(
-            farfield ? sinr::FarFieldGreedyFeasible(*farfield).size()
-                     : capacity::GreedyFeasible(ensure_kernel(), all).size());
+        rec.greedy_size = on_admission_tier([&](const auto& kernel) {
+          return static_cast<int>(capacity::GreedyFeasible(kernel, all).size());
+        });
         break;
       }
       case TaskKind::kWeighted: {
@@ -270,20 +275,13 @@ InstanceRecord RunInstance(const ScenarioSpec& spec, int index,
         break;
       }
       case TaskKind::kSchedule: {
-        if (farfield) {
-          const sinr::FarFieldSchedule schedule =
-              sinr::FarFieldScheduleLinks(*farfield, zeta);
-          rec.schedule_slots = static_cast<int>(schedule.slots.size());
-          rec.schedule_valid =
-              sinr::FarFieldValidateSchedule(*farfield, schedule, all);
-        } else {
-          const sinr::KernelCache& kernel = ensure_kernel();
+        on_admission_tier([&](const auto& kernel) {
           const scheduling::Schedule schedule = scheduling::ScheduleLinks(
               kernel, zeta, scheduling::Extractor::kAlgorithm1, all);
           rec.schedule_slots = schedule.Length();
           rec.schedule_valid =
               scheduling::ValidateSchedule(kernel, schedule, all);
-        }
+        });
         break;
       }
       case TaskKind::kPowerControl: {

@@ -1,51 +1,8 @@
 #include "scheduling/scheduler.h"
 
-#include <algorithm>
-#include <set>
-
-#include "capacity/algorithm1.h"
-#include "capacity/baselines.h"
-#include "core/check.h"
-#include "sinr/kernel.h"
 #include "sinr/power.h"
 
 namespace decaylib::scheduling {
-
-Schedule ScheduleLinks(const sinr::KernelCache& kernel, double zeta,
-                       Extractor extractor, std::span<const int> candidates) {
-  Schedule schedule;
-  std::vector<int> remaining(candidates.begin(), candidates.end());
-  while (!remaining.empty()) {
-    std::vector<int> slot;
-    switch (extractor) {
-      case Extractor::kAlgorithm1:
-        slot = capacity::RunAlgorithm1(kernel, zeta, remaining).selected;
-        break;
-      case Extractor::kGreedyFeasible:
-        slot = capacity::GreedyFeasible(kernel, remaining);
-        break;
-    }
-    if (slot.empty()) {
-      // Fall back to scheduling the shortest remaining link alone so the
-      // schedule always completes (e.g. links that fail noise-margin tests
-      // inside the extractor still occupy a slot of their own).
-      const auto shortest = std::min_element(
-          remaining.begin(), remaining.end(), [&](int a, int b) {
-            return kernel.LinkDecay(a) < kernel.LinkDecay(b);
-          });
-      slot.push_back(*shortest);
-    }
-    std::set<int> scheduled(slot.begin(), slot.end());
-    std::vector<int> rest;
-    rest.reserve(remaining.size() - slot.size());
-    for (int v : remaining) {
-      if (scheduled.find(v) == scheduled.end()) rest.push_back(v);
-    }
-    remaining.swap(rest);
-    schedule.slots.push_back(std::move(slot));
-  }
-  return schedule;
-}
 
 Schedule ScheduleLinks(const sinr::LinkSystem& system, double zeta,
                        Extractor extractor, std::span<const int> candidates) {
@@ -59,17 +16,6 @@ Schedule ScheduleLinks(const sinr::LinkSystem& system, double zeta,
                        Extractor extractor) {
   const std::vector<int> all = sinr::AllLinks(system);
   return ScheduleLinks(system, zeta, extractor, all);
-}
-
-bool ValidateSchedule(const sinr::KernelCache& kernel, const Schedule& schedule,
-                      std::span<const int> candidates) {
-  std::multiset<int> scheduled;
-  for (const auto& slot : schedule.slots) {
-    if (slot.size() > 1 && !kernel.IsFeasible(slot)) return false;
-    scheduled.insert(slot.begin(), slot.end());
-  }
-  std::multiset<int> wanted(candidates.begin(), candidates.end());
-  return scheduled == wanted;
 }
 
 bool ValidateSchedule(const sinr::LinkSystem& system, const Schedule& schedule,

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <set>
 
 #include "core/check.h"
 #include "obs/registry.h"
@@ -94,20 +93,20 @@ FarFieldKernel::FarFieldKernel(std::vector<geom::Vec2> senders,
       power_(std::move(power)),
       senders_(std::move(senders)),
       receivers_(std::move(receivers)),
-      sender_grid_(MakeGrid(senders_, farfield.target_per_cell)),
-      receiver_grid_(MakeGrid(receivers_, farfield.target_per_cell)) {
-  Init(farfield);
+      sender_grid_(MakeGrid(senders_, kTargetPerCell)),
+      receiver_grid_(MakeGrid(receivers_, kTargetPerCell)) {
+  Init(farfield.epsilon);
 }
 
-void FarFieldKernel::Init(FarFieldConfig farfield) {
+void FarFieldKernel::Init(double epsilon) {
   DL_CHECK(senders_.size() == receivers_.size(),
            "one sender and one receiver per link");
   DL_CHECK(n_ >= 1, "far-field kernel needs at least one link");
   DL_CHECK(alpha_ > 0.0, "path loss exponent must be positive");
-  DL_CHECK(std::isfinite(farfield.epsilon) && farfield.epsilon >= 0.0,
+  DL_CHECK(std::isfinite(epsilon) && epsilon >= 0.0,
            "far-field epsilon must be finite and >= 0");
   DL_CHECK(static_cast<int>(power_.size()) == n_, "one power entry per link");
-  epsilon_ = farfield.epsilon;
+  epsilon_ = epsilon;
   alpha_int_ = (alpha_ == std::rint(alpha_) && alpha_ >= 1.0 && alpha_ <= 16.0)
                    ? static_cast<int>(alpha_)
                    : 0;
@@ -225,35 +224,6 @@ double FarFieldKernel::AffectanceExact(int w, int v) const {
          (power_[sw] / power_[sv] * link_decay_[sv] / cross);
 }
 
-FarFieldKernel::Interval FarFieldKernel::AffectanceBounds(int w, int v) const {
-  const std::size_t sv = static_cast<std::size_t>(v);
-  if (w == v || !can_overcome_[sv]) return {0.0, 0.0};
-  if (uniform_power_ && epsilon_ > 0.0) {
-    const CellAgg& cell =
-        sender_cells_[static_cast<std::size_t>(
-            sender_cell_of_[static_cast<std::size_t>(w)])];
-    double lo = 0.0;
-    double hi = 0.0;
-    BoxDistance(cell, receivers_[sv], &lo, &hi);
-    if (lo > sender_near_) {
-      const double k = cf_[sv];
-      const double upper = k / BoundPow(lo) * (1.0 + kGuard);
-      const double lower = k / BoundPow(hi) * (1.0 - kGuard);
-      if (upper - lower <= epsilon_ * lower) return {lower, upper};
-    }
-  }
-  const double e = AffectanceExact(w, v);
-  return {e, e};
-}
-
-double FarFieldKernel::AffectanceUpper(int w, int v) const {
-  return AffectanceBounds(w, v).upper;
-}
-
-double FarFieldKernel::AffectanceLower(int w, int v) const {
-  return AffectanceBounds(w, v).lower;
-}
-
 double FarFieldKernel::InAffectanceRawExact(std::span<const int> S,
                                             int v) const {
   // Same fold as the dense IsKFeasible row pass: entries at w == v are 0.
@@ -353,7 +323,7 @@ FarFieldKernel::Interval FarFieldKernel::CertifiedInAffectance(
   return out;
 }
 
-bool FarFieldKernel::IsFeasibleCertified(std::span<const int> S) const {
+bool FarFieldKernel::IsFeasible(std::span<const int> S) const {
   for (int v : S) {
     if (!CanOvercomeNoise(v)) return false;
     if (epsilon_ > 0.0 && uniform_power_) {
@@ -371,15 +341,6 @@ bool FarFieldKernel::IsFeasibleCertified(std::span<const int> S) const {
     if (InAffectanceRawExact(S, v) > 1.0) return false;
   }
   return true;
-}
-
-std::vector<int> FarFieldKernel::OrderByDecay() const {
-  std::vector<int> order(static_cast<std::size_t>(n_));
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return LinkDecay(a) < LinkDecay(b);
-  });
-  return order;
 }
 
 long long FarFieldKernel::MemoryBytes() const noexcept {
@@ -401,8 +362,6 @@ FarFieldAccumulator::FarFieldAccumulator(const FarFieldKernel& kernel)
   in_set_.assign(n, 0);
   in_m_.assign(n, 0.0);
   in_raw_m_.assign(n, 0.0);
-  out_m_.assign(n, 0.0);
-  out_raw_m_.assign(n, 0.0);
   upto_.assign(n, 0);
   in_lo_.assign(n, 0.0);
   in_hi_.assign(n, 0.0);
@@ -426,8 +385,6 @@ void FarFieldAccumulator::Add(int v) {
     // cell with no libm call on the hot path.
     in_raw_m_[sv] = 0.0;
     in_m_[sv] = 0.0;
-    out_raw_m_[sv] = 0.0;
-    out_m_[sv] = 0.0;
     upto_[sv] = 0;
     const FarFieldKernel::Interval b = CandidateInRawBounds(v);
     in_lo_[sv] = b.lower;
@@ -459,32 +416,24 @@ void FarFieldAccumulator::Add(int v) {
       }
     }
   } else {
-    // Fold the new member's four sums over the existing members in
+    // Fold the new member's in-sums over the existing members in
     // insertion order, and push its pressure onto each existing member's
     // running sums -- the same association order the dense accumulator
     // produces (the dense version also adds the member's own +0.0 entry,
     // which cannot change an IEEE sum of non-negative terms).
     double in_raw = 0.0;
     double in = 0.0;
-    double out_raw = 0.0;
-    double out = 0.0;
     for (int w : members_) {
       const std::size_t sw = static_cast<std::size_t>(w);
       const double aw_v = k.AffectanceExact(w, v);  // w's pressure on v
       const double av_w = k.AffectanceExact(v, w);  // v's pressure on w
       in_raw += aw_v;
       in += aw_v < 1.0 ? aw_v : 1.0;
-      out_raw += av_w;
-      out += av_w < 1.0 ? av_w : 1.0;
       in_raw_m_[sw] += av_w;
       in_m_[sw] += av_w < 1.0 ? av_w : 1.0;
-      out_raw_m_[sw] += aw_v;
-      out_m_[sw] += aw_v < 1.0 ? aw_v : 1.0;
     }
     in_raw_m_[sv] = in_raw;
     in_m_[sv] = in;
-    out_raw_m_[sv] = out_raw;
-    out_m_[sv] = out;
   }
   members_.push_back(v);
   in_set_[sv] = 1;
@@ -512,34 +461,6 @@ void FarFieldAccumulator::Add(int v) {
   }
 }
 
-void FarFieldAccumulator::Clear() {
-  for (int v : members_) {
-    const std::size_t sv = static_cast<std::size_t>(v);
-    in_set_[sv] = 0;
-    in_m_[sv] = 0.0;
-    in_raw_m_[sv] = 0.0;
-    out_m_[sv] = 0.0;
-    out_raw_m_[sv] = 0.0;
-    upto_[sv] = 0;
-    in_lo_[sv] = 0.0;
-    in_hi_[sv] = 0.0;
-  }
-  members_.clear();
-  for (int c : scell_touched_) {
-    scell_members_[static_cast<std::size_t>(c)].clear();
-  }
-  scell_touched_.clear();
-  for (int c : rcell_touched_) {
-    rcell_members_[static_cast<std::size_t>(c)].clear();
-    rcell_cf_sum_[static_cast<std::size_t>(c)] = 0.0;
-    rcell_cf_max_[static_cast<std::size_t>(c)] = 0.0;
-  }
-  rcell_touched_.clear();
-  t2_pass_.clear();
-  t2_fail_.clear();
-  pass_limit_.clear();
-}
-
 void FarFieldAccumulator::CatchUp(int w) const {
   const FarFieldKernel& k = *kernel_;
   if (!k.uniform_power_ || k.epsilon_ == 0.0) return;  // eager modes
@@ -552,13 +473,9 @@ void FarFieldAccumulator::CatchUp(int w) const {
   // exactly that sequence, and w's own entry contributes a +0.0 that
   // cannot change an IEEE sum of non-negative terms.
   for (std::size_t j = static_cast<std::size_t>(upto_[sw]); j < end; ++j) {
-    const int u = members_[j];
-    const double au_w = k.AffectanceExact(u, w);
-    const double aw_u = k.AffectanceExact(w, u);
+    const double au_w = k.AffectanceExact(members_[j], w);
     in_raw_m_[sw] += au_w;
     in_m_[sw] += au_w < 1.0 ? au_w : 1.0;
-    out_raw_m_[sw] += aw_u;
-    out_m_[sw] += aw_u < 1.0 ? aw_u : 1.0;
   }
   upto_[sw] = static_cast<int>(end);
   // The exact fold is the tightest certificate there is: collapse the
@@ -571,24 +488,6 @@ double FarFieldAccumulator::In(int v) const {
   DL_CHECK(Contains(v), "far-field sums are member-only");
   CatchUp(v);
   return in_m_[static_cast<std::size_t>(v)];
-}
-
-double FarFieldAccumulator::InRaw(int v) const {
-  DL_CHECK(Contains(v), "far-field sums are member-only");
-  CatchUp(v);
-  return in_raw_m_[static_cast<std::size_t>(v)];
-}
-
-double FarFieldAccumulator::Out(int v) const {
-  DL_CHECK(Contains(v), "far-field sums are member-only");
-  CatchUp(v);
-  return out_m_[static_cast<std::size_t>(v)];
-}
-
-double FarFieldAccumulator::OutRaw(int v) const {
-  DL_CHECK(Contains(v), "far-field sums are member-only");
-  CatchUp(v);
-  return out_raw_m_[static_cast<std::size_t>(v)];
 }
 
 FarFieldKernel::Interval FarFieldAccumulator::CandidateInRawBounds(
@@ -688,12 +587,6 @@ FarFieldKernel::Interval FarFieldAccumulator::CandidateOutClampedBounds(
           (near_sum + far_hi) * (1.0 + FarFieldKernel::kGuard)};
 }
 
-double FarFieldAccumulator::ExactInRaw(int v) const {
-  double total = 0.0;
-  for (int w : members_) total += kernel_->AffectanceExact(w, v);
-  return total;
-}
-
 double FarFieldAccumulator::ExactBudget(int v) const {
   // Out(v) + In(v) of the dense accumulator: two clamped folds in member
   // insertion order, then one add.
@@ -732,7 +625,7 @@ bool FarFieldAccumulator::CanAddFeasibly(int v) const {
       FarFieldExactFallbackCounter().Add();
     }
   }
-  if (!decided && ExactInRaw(v) > 1.0) return false;
+  if (!decided && k.InAffectanceRawExact(members_, v) > 1.0) return false;
 
   // (b) every member's headroom vs the candidate's pressure (dense:
   // InRaw(w) + AffectanceRaw(v, w) > 1.0).  The pooled path certifies each
@@ -917,111 +810,6 @@ bool FarFieldAccumulator::IsSeparatedFromMembers(int v, double eta,
     }
   }
   return separated;
-}
-
-// --- far-field admission pipelines ------------------------------------------
-
-namespace {
-
-std::vector<int> FarDecayOrder(const FarFieldKernel& kernel,
-                               std::span<const int> candidates) {
-  std::vector<int> order(candidates.begin(), candidates.end());
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return kernel.LinkDecay(a) < kernel.LinkDecay(b);
-  });
-  return order;
-}
-
-std::vector<int> FarAllLinks(const FarFieldKernel& kernel) {
-  std::vector<int> all(static_cast<std::size_t>(kernel.NumLinks()));
-  std::iota(all.begin(), all.end(), 0);
-  return all;
-}
-
-}  // namespace
-
-FarFieldAlg1Result FarFieldRunAlgorithm1(const FarFieldKernel& kernel,
-                                         double zeta,
-                                         std::span<const int> candidates) {
-  DL_CHECK(zeta > 0.0, "zeta must be positive");
-  const std::vector<int> order = FarDecayOrder(kernel, candidates);
-  FarFieldAccumulator acc(kernel);
-  const double eta = zeta / 2.0;
-  for (int v : order) {
-    if (acc.Contains(v)) continue;
-    if (!kernel.CanOvercomeNoise(v)) continue;
-    if (!acc.IsSeparatedFromMembers(v, eta, zeta)) continue;
-    if (acc.BudgetWithinHalf(v)) acc.Add(v);
-  }
-  FarFieldAlg1Result result;
-  result.admitted = acc.members();
-  for (int v : result.admitted) {
-    if (acc.In(v) <= 1.0) result.selected.push_back(v);
-  }
-  return result;
-}
-
-FarFieldAlg1Result FarFieldRunAlgorithm1(const FarFieldKernel& kernel,
-                                         double zeta) {
-  return FarFieldRunAlgorithm1(kernel, zeta, FarAllLinks(kernel));
-}
-
-std::vector<int> FarFieldGreedyFeasible(const FarFieldKernel& kernel,
-                                        std::span<const int> candidates) {
-  FarFieldAccumulator acc(kernel);
-  for (int v : FarDecayOrder(kernel, candidates)) {
-    if (acc.Contains(v)) continue;
-    if (!kernel.CanOvercomeNoise(v)) continue;
-    if (acc.CanAddFeasibly(v)) acc.Add(v);
-  }
-  return acc.members();
-}
-
-std::vector<int> FarFieldGreedyFeasible(const FarFieldKernel& kernel) {
-  return FarFieldGreedyFeasible(kernel, FarAllLinks(kernel));
-}
-
-FarFieldSchedule FarFieldScheduleLinks(const FarFieldKernel& kernel,
-                                       double zeta,
-                                       std::span<const int> candidates) {
-  FarFieldSchedule schedule;
-  std::vector<int> remaining(candidates.begin(), candidates.end());
-  while (!remaining.empty()) {
-    std::vector<int> slot = FarFieldRunAlgorithm1(kernel, zeta, remaining).selected;
-    if (slot.empty()) {
-      const auto shortest = std::min_element(
-          remaining.begin(), remaining.end(), [&](int a, int b) {
-            return kernel.LinkDecay(a) < kernel.LinkDecay(b);
-          });
-      slot.push_back(*shortest);
-    }
-    std::set<int> scheduled(slot.begin(), slot.end());
-    std::vector<int> rest;
-    rest.reserve(remaining.size() - slot.size());
-    for (int v : remaining) {
-      if (scheduled.find(v) == scheduled.end()) rest.push_back(v);
-    }
-    remaining.swap(rest);
-    schedule.slots.push_back(std::move(slot));
-  }
-  return schedule;
-}
-
-FarFieldSchedule FarFieldScheduleLinks(const FarFieldKernel& kernel,
-                                       double zeta) {
-  return FarFieldScheduleLinks(kernel, zeta, FarAllLinks(kernel));
-}
-
-bool FarFieldValidateSchedule(const FarFieldKernel& kernel,
-                              const FarFieldSchedule& schedule,
-                              std::span<const int> candidates) {
-  std::multiset<int> scheduled;
-  for (const auto& slot : schedule.slots) {
-    if (slot.size() > 1 && !kernel.IsFeasibleCertified(slot)) return false;
-    scheduled.insert(slot.begin(), slot.end());
-  }
-  std::multiset<int> wanted(candidates.begin(), candidates.end());
-  return scheduled == wanted;
 }
 
 }  // namespace decaylib::sinr

@@ -26,11 +26,17 @@
 //   * CertifiedInAffectance refines until upper - lower <= epsilon * lower;
 //     the guard adds at most ~3e-9 * upper of slack on top.
 //
+// FarFieldKernel + FarFieldAccumulator satisfy the KernelTier concept
+// (kernel_tier.h), so the admission pipelines -- capacity::RunAlgorithm1,
+// capacity::GreedyFeasible, scheduling::ScheduleLinks / ValidateSchedule --
+// run on this tier through the same templates as on the dense one.
+//
 // Decision contract vs the dense path (what the engine's signature gate
 // relies on):
-//   * epsilon = 0: every query and admission loop below runs the exact
+//   * epsilon = 0: every query and accumulator decision below runs the exact
 //     expressions in the dense iteration order -- results are bit-identical
-//     to KernelCache / AffectanceAccumulator / RunAlgorithm1 / ScheduleLinks.
+//     to KernelCache / AffectanceAccumulator, hence every pipeline's output
+//     is bit-identical to its dense run.
 //   * epsilon > 0: threshold *decisions* (feasibility vs 1, Algorithm 1's
 //     budget vs 0.5, separation) are taken from the certified interval only
 //     when it clears the threshold by an absolute 1e-9 band; inside the band
@@ -51,8 +57,12 @@
 #include <span>
 #include <vector>
 
+#include "capacity/algorithm1.h"
+#include "capacity/baselines.h"
 #include "geom/grid.h"
 #include "geom/point.h"
+#include "scheduling/scheduler.h"
+#include "sinr/kernel_tier.h"
 #include "sinr/link_system.h"
 
 namespace decaylib::sinr {
@@ -61,15 +71,17 @@ struct FarFieldConfig {
   // Certified relative width target for bound queries; 0 disables pooling
   // entirely and makes every path exact (bit-identical to dense).
   double epsilon = 1e-3;
-  // Grid occupancy target; coarser cells mean fewer cells to pool but a
-  // larger exact near ring.
-  int target_per_cell = 8;
 };
+
+class FarFieldAccumulator;
 
 // Matrix-free SINR kernel over link endpoint geometry.  Holds copies of the
 // endpoint positions; O(n + cells) memory.
 class FarFieldKernel {
  public:
+  // The far-field tier's running sums (the KernelTier concept).
+  using Accumulator = FarFieldAccumulator;
+
   // Endpoints drawn from a node point set (the engine's shape): link v runs
   // senders[links[v].sender] -> points[links[v].receiver].
   FarFieldKernel(std::span<const geom::Vec2> points, std::span<const Link> links,
@@ -84,14 +96,9 @@ class FarFieldKernel {
 
   int NumLinks() const noexcept { return n_; }
   double alpha() const noexcept { return alpha_; }
-  double epsilon() const noexcept { return epsilon_; }
   const SinrConfig& config() const noexcept { return config_; }
   const PowerAssignment& power() const noexcept { return power_; }
   bool HasUniformPower() const noexcept { return uniform_power_; }
-  geom::Vec2 Sender(int v) const { return senders_[static_cast<std::size_t>(v)]; }
-  geom::Vec2 Receiver(int v) const {
-    return receivers_[static_cast<std::size_t>(v)];
-  }
 
   // f_vv, c_v and the noise test -- same expressions as KernelCache, so the
   // values are bit-identical to the dense ones over the same geometry.
@@ -109,23 +116,17 @@ class FarFieldKernel {
   // expression (bit-identical to KernelCache::AffectanceRaw).
   double AffectanceExact(int w, int v) const;
 
-  // Certified interval for a_w(v): Lower <= AffectanceExact(w, v) <= Upper,
-  // with Upper - Lower <= epsilon * Lower (+ ~3e-9 * Upper of fp guard).
-  // Pairs whose pooled cell bound cannot meet the width target collapse to
-  // the exact value (both ends equal).
-  double AffectanceUpper(int w, int v) const;
-  double AffectanceLower(int w, int v) const;
-
   struct Interval {
     double lower = 0.0;
     double upper = 0.0;
   };
-  Interval AffectanceBounds(int w, int v) const;
 
   // Certified interval for the raw in-affectance sum_{w in S} a_w(v)
-  // (entries equal to v contribute 0, as in the dense row).  Pools whole
-  // sender cells beyond the near ring and adaptively refines the widest
-  // pooled cell until the interval meets the epsilon width target.
+  // (entries equal to v contribute 0, as in the dense row):
+  // lower <= exact <= upper with upper - lower <= epsilon * lower (+ ~3e-9 *
+  // upper of fp guard).  Pools whole sender cells beyond the near ring and
+  // adaptively refines the widest pooled cell until the interval meets the
+  // epsilon width target.
   Interval CertifiedInAffectance(std::span<const int> S, int v) const;
 
   // Raw in-affectance summed exactly in S order: bit-identical to the dense
@@ -136,11 +137,13 @@ class FarFieldKernel {
   // certified interval, falling back to the exact fold only when the
   // interval straddles the 1e-9 threshold band.  epsilon = 0 runs the exact
   // fold unconditionally and is bit-identical to KernelCache::IsFeasible.
-  bool IsFeasibleCertified(std::span<const int> S) const;
+  bool IsFeasible(std::span<const int> S) const;
 
-  // Link ids sorted by non-decreasing f_vv (ties by id), as OrderByDecay on
-  // the dense cache.
-  std::vector<int> OrderByDecay() const;
+  // Forward kept only until the next benchmark change can drop it
+  // (enginebench/replay.cc still calls this name).
+  bool IsFeasibleCertified(std::span<const int> S) const {
+    return IsFeasible(S);
+  }
 
   long long MemoryBytes() const noexcept;
 
@@ -167,8 +170,11 @@ class FarFieldKernel {
   // (box distances, pow, pooled products); the real-valued bound is
   // widened by this factor before use so certificates stay honest.
   static constexpr double kGuard = 1e-9;
+  // Grid occupancy target; coarser cells mean fewer cells to pool but a
+  // larger exact near ring.
+  static constexpr int kTargetPerCell = 8;
 
-  void Init(FarFieldConfig farfield);
+  void Init(double epsilon);
   static void Compact(const geom::UniformGrid& grid,
                       std::span<const geom::Vec2> pts,
                       std::vector<CellAgg>* cells, std::vector<int>* grouped,
@@ -236,14 +242,15 @@ class FarFieldKernel {
   double receiver_near_ = 0.0;
 };
 
-// Running exact affectance sums over a growing admitted set, plus certified
-// candidate checks against the member set pooled by grid cell.  The member
-// sums accumulate in insertion order with the dense entry expressions, so
-// for members they are bit-identical to AffectanceAccumulator's (a
-// non-member contributes +0.0 at its own Add in the dense version, which
-// cannot change an IEEE sum of non-negative terms).  There is deliberately
-// no Remove: the admission loops only ever grow, and removal would reopen
-// the ulp-drift caveat the dense accumulator documents.
+// Running exact in-affectance sums over a growing admitted set, plus
+// certified candidate checks against the member set pooled by grid cell.
+// The member sums accumulate in insertion order with the dense entry
+// expressions, so for members they are bit-identical to
+// AffectanceAccumulator's (a non-member contributes +0.0 at its own Add in
+// the dense version, which cannot change an IEEE sum of non-negative
+// terms).  There is deliberately no Remove or Clear: the admission loops
+// only ever grow a fresh accumulator, and removal would reopen the ulp-drift
+// caveat the dense accumulator documents.
 class FarFieldAccumulator {
  public:
   explicit FarFieldAccumulator(const FarFieldKernel& kernel);
@@ -251,20 +258,15 @@ class FarFieldAccumulator {
   // O(|members|) exact updates (one distance + pow per member and
   // direction).  The caller must have checked kernel.CanOvercomeNoise(v).
   void Add(int v);
-  void Clear();
 
   const std::vector<int>& members() const noexcept { return members_; }
-  int size() const noexcept { return static_cast<int>(members_.size()); }
   bool Contains(int v) const {
     return in_set_[static_cast<std::size_t>(v)] != 0;
   }
 
-  // Member-only sums (DL_CHECKed): clamped and raw, bit-identical to the
-  // dense accumulator's for the same insertion sequence.
+  // Member-only clamped in-sum (DL_CHECKed), bit-identical to the dense
+  // accumulator's for the same insertion sequence.
   double In(int v) const;
-  double InRaw(int v) const;
-  double Out(int v) const;
-  double OutRaw(int v) const;
 
   // Dense AffectanceAccumulator::CanAddFeasibly decisions: candidate raw
   // in-sum vs 1, then every member's headroom vs the candidate's pressure.
@@ -287,7 +289,6 @@ class FarFieldAccumulator {
   FarFieldKernel::Interval CandidateInRawBounds(int v) const;
   FarFieldKernel::Interval CandidateInClampedBounds(int v) const;
   FarFieldKernel::Interval CandidateOutClampedBounds(int v) const;
-  double ExactInRaw(int v) const;
   double ExactBudget(int v) const;
   // Recomputes member i's certified d^2 headroom thresholds.  Called for
   // the new member on Add and lazily from CanAddFeasibly when a member's
@@ -310,7 +311,7 @@ class FarFieldAccumulator {
   // in_lo_/in_hi_ of the raw in-sum ARE maintained eagerly -- cheaply,
   // pooled per receiver cell with no libm -- so headroom thresholds and
   // their staleness triggers never force an exact fold.
-  mutable std::vector<double> in_m_, in_raw_m_, out_m_, out_raw_m_;
+  mutable std::vector<double> in_m_, in_raw_m_;
   mutable std::vector<int> upto_;
   mutable std::vector<double> in_lo_, in_hi_;
   // Members grouped by kernel cell, for pooled candidate bounds.
@@ -335,40 +336,32 @@ class FarFieldAccumulator {
   mutable std::vector<char> sep_mark_;
 };
 
-// Far-field ports of the admission pipelines.  Each replicates its dense
-// counterpart's control flow decision for decision; at epsilon = 0 the
-// outputs are bit-identical to the dense functions over the same geometry.
-struct FarFieldAlg1Result {
-  std::vector<int> admitted;  // X: links admitted by the 1/2-budget loop
-  std::vector<int> selected;  // S: admitted links with In(v) <= 1
-};
+// Far-field names of the tier-generic admission pipelines.  They hold no
+// logic and stay only until the next benchmark change can drop them
+// (enginebench/replay.cc still calls them); new code calls the templates.
+using FarFieldAlg1Result = capacity::Algorithm1Result;
+using FarFieldSchedule = scheduling::Schedule;
 
-// capacity::RunAlgorithm1 (decay-ordered greedy with zeta/2-separation and
-// the 1/2 budget) against the far-field kernel.
-FarFieldAlg1Result FarFieldRunAlgorithm1(const FarFieldKernel& kernel,
-                                         double zeta,
-                                         std::span<const int> candidates);
-FarFieldAlg1Result FarFieldRunAlgorithm1(const FarFieldKernel& kernel,
-                                         double zeta);
+inline FarFieldAlg1Result FarFieldRunAlgorithm1(const FarFieldKernel& kernel,
+                                                double zeta) {
+  return capacity::RunAlgorithm1(kernel, zeta);
+}
 
-// capacity::GreedyFeasible: decay-ordered admit-while-feasible.
-std::vector<int> FarFieldGreedyFeasible(const FarFieldKernel& kernel,
-                                        std::span<const int> candidates);
-std::vector<int> FarFieldGreedyFeasible(const FarFieldKernel& kernel);
+inline std::vector<int> FarFieldGreedyFeasible(const FarFieldKernel& kernel) {
+  return capacity::GreedyFeasible(kernel, AllLinks(kernel));
+}
 
-// scheduling::ScheduleLinks with the Algorithm 1 extractor.
-struct FarFieldSchedule {
-  std::vector<std::vector<int>> slots;
-};
-FarFieldSchedule FarFieldScheduleLinks(const FarFieldKernel& kernel,
-                                       double zeta,
-                                       std::span<const int> candidates);
-FarFieldSchedule FarFieldScheduleLinks(const FarFieldKernel& kernel,
-                                       double zeta);
-// Multislot validity: every multi-link slot certified feasible and the slots
-// partition the candidates (multiset equality), as ValidateSchedule.
-bool FarFieldValidateSchedule(const FarFieldKernel& kernel,
-                              const FarFieldSchedule& schedule,
-                              std::span<const int> candidates);
+inline FarFieldSchedule FarFieldScheduleLinks(const FarFieldKernel& kernel,
+                                              double zeta) {
+  return scheduling::ScheduleLinks(kernel, zeta,
+                                   scheduling::Extractor::kAlgorithm1,
+                                   AllLinks(kernel));
+}
+
+inline bool FarFieldValidateSchedule(const FarFieldKernel& kernel,
+                                     const FarFieldSchedule& schedule,
+                                     std::span<const int> candidates) {
+  return scheduling::ValidateSchedule(kernel, schedule, candidates);
+}
 
 }  // namespace decaylib::sinr

@@ -39,7 +39,7 @@
 #include <span>
 #include <vector>
 
-#include "core/status.h"
+#include "sinr/kernel_tier.h"
 #include "sinr/link_system.h"
 
 namespace decaylib::sinr {
@@ -55,6 +55,8 @@ namespace decaylib::sinr {
 //     kept as the oracle the tiled path is tested against.
 enum class KernelBuildPath { kTiled, kScalar };
 
+class AffectanceAccumulator;
+
 // Precomputed affectance/distance kernels for one (LinkSystem, power) pair.
 // Holds a reference to the system; the system (and its decay space) must
 // outlive the cache.  Construction costs O(n^2) time and memory; over a
@@ -62,6 +64,9 @@ enum class KernelBuildPath { kTiled, kScalar };
 // resulting matrices are bit-identical to those over the dense space.
 class KernelCache {
  public:
+  // The dense tier's running sums (the KernelTier concept, kernel_tier.h).
+  using Accumulator = AffectanceAccumulator;
+
   KernelCache(const LinkSystem& system, PowerAssignment power,
               KernelBuildPath path = KernelBuildPath::kTiled);
 
@@ -150,7 +155,9 @@ class KernelCache {
 
   // Link ids sorted by non-decreasing f_vv (ties by id), as
   // LinkSystem::OrderByDecay but against the cached decay array.
-  std::vector<int> OrderByDecay() const;
+  std::vector<int> OrderByDecay() const {
+    return DecayOrder(*this, AllLinks(system()));
+  }
 
   // True when every power entry is bitwise identical (enables the
   // ratio-elision fast path during construction; queries are unaffected).
@@ -163,7 +170,6 @@ class KernelCache {
  private:
   friend class AffectanceAccumulator;
   friend class KernelArena;
-  friend class Float32Kernel;
 
   // Empty cache (n = 0, no system): every query but NumLinks would
   // dereference the null system, so only KernelArena -- which always
@@ -268,6 +274,13 @@ class AffectanceAccumulator {
   // The caller must have checked kernel.CanOvercomeNoise(v).
   bool CanAddFeasibly(int v) const;
 
+  // Algorithm 1's admission budget a_v(X) + a_X(v) <= 1/2 over the members
+  // X, summed in admission order as the naive path sums them.
+  bool BudgetWithinHalf(int v) const { return Out(v) + In(v) <= 0.5; }
+
+  // SeparationOracle(kernel, eta, zeta).IsSeparatedFrom(v, members()).
+  bool IsSeparatedFromMembers(int v, double eta, double zeta) const;
+
  private:
   const KernelCache* kernel_;
   std::vector<int> members_;
@@ -303,50 +316,6 @@ class SeparationOracle {
   double inv_zeta_;
   double eta_pow_;  // eta^zeta
   static constexpr double kBand = 1e-9;
-};
-
-// Opt-in float32 copy of the dense affectance/distance kernels: half the
-// memory and bandwidth of the double cache for read-heavy consumers that
-// can tolerate a certified precision loss.  FromDouble is the exactness
-// gate: it rejects the conversion (StatusOr error, no partial kernel)
-// unless EVERY entry of both matrices round-trips within `tol` relative
-// error -- in particular any overflow to inf or underflow of a nonzero
-// entry to 0 (decay spreads beyond float range are exactly the
-// ill-conditioned instances the gate exists for).  Aggregate queries
-// accumulate in double, so the only loss is the per-entry rounding the
-// gate just certified.
-class Float32Kernel {
- public:
-  static core::StatusOr<Float32Kernel> FromDouble(const KernelCache& kernel,
-                                                  double tol);
-
-  int NumLinks() const noexcept { return n_; }
-  // Largest relative per-entry deviation the conversion actually incurred
-  // (always <= the tol it was gated at).
-  double MaxRelativeError() const noexcept { return max_rel_error_; }
-
-  float AffectanceRaw(int w, int v) const {
-    return aff_raw_[static_cast<std::size_t>(w) * static_cast<std::size_t>(n_) +
-                    static_cast<std::size_t>(v)];
-  }
-  float MinPairDecay(int v, int w) const {
-    return min_pair_[static_cast<std::size_t>(v) * static_cast<std::size_t>(n_) +
-                     static_cast<std::size_t>(w)];
-  }
-
-  // Raw in-affectance over S (transpose row read, double accumulation).
-  double InAffectanceRaw(std::span<const int> S, int v) const;
-
-  long long MemoryBytes() const noexcept;
-
- private:
-  Float32Kernel() = default;
-
-  int n_ = 0;
-  double max_rel_error_ = 0.0;
-  std::vector<float> aff_raw_;    // [w*n + v]
-  std::vector<float> aff_raw_t_;  // [v*n + w]
-  std::vector<float> min_pair_;   // [v*n + w]
 };
 
 }  // namespace decaylib::sinr

@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "core/check.h"
+#include "sinr/kernel_tier.h"
 
 namespace decaylib::sinr {
 
@@ -148,12 +149,7 @@ bool LinkSystem::IsSeparatedSet(std::span<const int> L, double eta,
 }
 
 std::vector<int> LinkSystem::OrderByDecay() const {
-  std::vector<int> order(static_cast<std::size_t>(NumLinks()));
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return LinkDecay(a) < LinkDecay(b);
-  });
-  return order;
+  return DecayOrder(*this, AllLinks(*this));
 }
 
 std::vector<Link> LinksFromPairs(std::span<const std::pair<int, int>> pairs) {

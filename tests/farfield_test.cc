@@ -2,13 +2,15 @@
 //
 // Three contracts under test:
 //  * the certificate itself -- for every queried in-affectance sum,
-//    AffectanceLower <= exact <= AffectanceUpper with relative width at
+//    CertifiedInAffectance's lower <= exact <= upper with relative width at
 //    most epsilon (plus the documented ~3e-9 fp guard), across topologies,
-//    seeds, decay exponents and subset shapes;
+//    seeds, decay exponents and subset shapes, on deployments large enough
+//    that most intervals really pool (a minimum pooled share is asserted);
 //  * exactness anchoring -- the far-field exact expressions are
 //    bit-identical to the dense KernelCache entries over the same
 //    geometry (EXPECT_EQ on doubles, not EXPECT_NEAR), and at epsilon = 0
-//    every far-field pipeline reproduces its dense counterpart verbatim;
+//    every admission pipeline run on the far-field tier reproduces its
+//    dense run verbatim;
 //  * engine integration -- kernel_mode = kFarField at epsilon = 0 yields
 //    the dense batch signature bit-for-bit, and ValidateScenarioSpec
 //    rejects far-field specs whose decay is not a pure distance function.
@@ -33,6 +35,10 @@
 
 namespace decaylib::sinr {
 namespace {
+
+// Both tiers run the admission templates.
+static_assert(KernelTier<KernelCache>);
+static_assert(KernelTier<FarFieldKernel>);
 
 struct Deployment {
   std::vector<geom::Vec2> points;
@@ -74,24 +80,28 @@ std::vector<int> RandomSubset(int n, double p, geom::Rng& rng) {
   return S;
 }
 
-std::vector<int> AllLinks(int n) {
-  std::vector<int> all;
-  for (int v = 0; v < n; ++v) all.push_back(v);
-  return all;
+// An interval wider than the fp guard alone pooled at least one cell.
+bool IsPooled(const FarFieldKernel::Interval& b) {
+  return b.upper - b.lower > 1e-8 * b.upper;
 }
 
+// Side of the constant-density box for n links (16 area units per link).
+double DensityBox(int n) { return 4.0 * std::sqrt(static_cast<double>(n)); }
+
 TEST(FarFieldCertificateTest, BoundsBracketExactWithinEpsilon) {
-  for (const std::uint64_t seed : {11u, 12u, 13u}) {
-    for (const double alpha : {2.5, 3.5}) {
-      for (const bool clustered : {false, true}) {
-        for (const double eps : {1e-2, 1e-3}) {
+  const int n = 512;
+  for (const double alpha : {2.5, 3.5}) {
+    for (const bool clustered : {false, true}) {
+      for (const double eps : {1e-2, 1e-3}) {
+        int queries = 0;
+        int pooled = 0;
+        for (const std::uint64_t seed : {11u, 12u, 13u}) {
           geom::Rng rng(seed);
-          const int n = 48;
-          Deployment dep = MakeDeployment(n, 28.0, clustered, rng);
+          Deployment dep = MakeDeployment(n, DensityBox(n), clustered, rng);
           const SinrConfig config{1.0, 0.0};
           const PowerAssignment power(static_cast<std::size_t>(n), 1.0);
           const FarFieldKernel ff(dep.points, dep.links, alpha, config, power,
-                                  {eps, 4});
+                                  {eps});
           SCOPED_TRACE("seed=" + std::to_string(seed) +
                        " alpha=" + std::to_string(alpha) +
                        " clustered=" + std::to_string(clustered) +
@@ -107,9 +117,16 @@ TEST(FarFieldCertificateTest, BoundsBracketExactWithinEpsilon) {
               // Relative width target plus the documented fp guard slack.
               EXPECT_LE(bounds.upper - bounds.lower,
                         eps * bounds.lower + 1e-8 * bounds.upper + 1e-300);
+              ++queries;
+              if (IsPooled(bounds)) ++pooled;
             }
           }
         }
+        // Most queries must really pool, or the bracket checks above would
+        // only be testing the exact fallback.
+        EXPECT_GE(2 * pooled, queries)
+            << "alpha=" << alpha << " clustered=" << clustered
+            << " eps=" << eps << ": " << pooled << "/" << queries << " pooled";
       }
     }
   }
@@ -127,7 +144,7 @@ TEST(FarFieldCertificateTest, ExactExpressionsMatchDenseBitwise) {
       const LinkSystem system(space, dep.links, config);
       const KernelCache dense(system, UniformPower(system));
       const FarFieldKernel ff(dep.points, dep.links, alpha, config,
-                              UniformPower(system), {1e-3, 4});
+                              UniformPower(system), {1e-3});
       SCOPED_TRACE("seed=" + std::to_string(seed) +
                    " alpha=" + std::to_string(alpha));
       for (int v = 0; v < n; ++v) {
@@ -160,26 +177,32 @@ TEST(FarFieldPipelineTest, EpsilonZeroBitIdenticalToDense) {
       const LinkSystem system(space, dep.links, config);
       const KernelCache dense(system, UniformPower(system));
       const FarFieldKernel ff(dep.points, dep.links, alpha, config,
-                              UniformPower(system), {0.0, 4});
+                              UniformPower(system), {0.0});
       SCOPED_TRACE("seed=" + std::to_string(seed) +
                    " alpha=" + std::to_string(alpha));
 
-      const std::vector<int> all = AllLinks(n);
-      EXPECT_EQ(FarFieldGreedyFeasible(ff, all),
+      const std::vector<int> all = AllLinks(ff);
+      EXPECT_EQ(capacity::GreedyFeasible(ff, all),
                 capacity::GreedyFeasible(dense, all));
 
       const double zeta = 3.0;
       const capacity::Algorithm1Result alg1 =
           capacity::RunAlgorithm1(dense, zeta);
-      const FarFieldAlg1Result ff_alg1 = FarFieldRunAlgorithm1(ff, zeta);
+      const capacity::Algorithm1Result ff_alg1 =
+          capacity::RunAlgorithm1(ff, zeta);
       EXPECT_EQ(ff_alg1.admitted, alg1.admitted);
       EXPECT_EQ(ff_alg1.selected, alg1.selected);
 
-      const scheduling::Schedule dense_sched = scheduling::ScheduleLinks(
-          dense, zeta, scheduling::Extractor::kAlgorithm1, all);
-      const FarFieldSchedule ff_sched = FarFieldScheduleLinks(ff, zeta);
-      EXPECT_EQ(ff_sched.slots, dense_sched.slots);
-      EXPECT_TRUE(FarFieldValidateSchedule(ff, ff_sched, all));
+      for (const scheduling::Extractor extractor :
+           {scheduling::Extractor::kAlgorithm1,
+            scheduling::Extractor::kGreedyFeasible}) {
+        const scheduling::Schedule dense_sched =
+            scheduling::ScheduleLinks(dense, zeta, extractor, all);
+        const scheduling::Schedule ff_sched =
+            scheduling::ScheduleLinks(ff, zeta, extractor, all);
+        EXPECT_EQ(ff_sched.slots, dense_sched.slots);
+        EXPECT_TRUE(scheduling::ValidateSchedule(ff, ff_sched, all));
+      }
     }
   }
 }
@@ -187,23 +210,26 @@ TEST(FarFieldPipelineTest, EpsilonZeroBitIdenticalToDense) {
 TEST(FarFieldPipelineTest, CertifiedDecisionsMatchDenseAtPositiveEpsilon) {
   // Random instances sit nowhere near the 1e-9 decision band, so certified
   // decisions at epsilon > 0 must reproduce the dense sets exactly even
-  // though the certified sums are only epsilon-close.
+  // though the certified sums are only epsilon-close.  The deployment is
+  // large enough that the feasibility queries really pool.
+  const int n = 512;
+  int queries = 0;
+  int pooled = 0;
   for (const std::uint64_t seed : {41u, 42u, 43u}) {
     geom::Rng rng(seed);
-    const int n = 56;
-    Deployment dep = MakeDeployment(n, 30.0, false, rng);
+    Deployment dep = MakeDeployment(n, DensityBox(n), false, rng);
     const core::DecaySpace space = core::DecaySpace::Geometric(dep.points, 3.0);
     const SinrConfig config{1.0, 0.0};
     const LinkSystem system(space, dep.links, config);
     const KernelCache dense(system, UniformPower(system));
     const FarFieldKernel ff(dep.points, dep.links, 3.0, config,
-                            UniformPower(system), {1e-3, 4});
+                            UniformPower(system), {1e-3});
     SCOPED_TRACE("seed=" + std::to_string(seed));
 
-    const std::vector<int> all = AllLinks(n);
-    EXPECT_EQ(FarFieldGreedyFeasible(ff, all),
+    const std::vector<int> all = AllLinks(ff);
+    EXPECT_EQ(capacity::GreedyFeasible(ff, all),
               capacity::GreedyFeasible(dense, all));
-    const FarFieldAlg1Result ff_alg1 = FarFieldRunAlgorithm1(ff, 3.0);
+    const capacity::Algorithm1Result ff_alg1 = capacity::RunAlgorithm1(ff, 3.0);
     const capacity::Algorithm1Result alg1 = capacity::RunAlgorithm1(dense, 3.0);
     EXPECT_EQ(ff_alg1.admitted, alg1.admitted);
     EXPECT_EQ(ff_alg1.selected, alg1.selected);
@@ -211,9 +237,14 @@ TEST(FarFieldPipelineTest, CertifiedDecisionsMatchDenseAtPositiveEpsilon) {
     geom::Rng sets(seed + 5);
     for (int round = 0; round < 8; ++round) {
       const std::vector<int> S = RandomSubset(n, 0.4, sets);
-      EXPECT_EQ(ff.IsFeasibleCertified(S), dense.IsFeasible(S));
+      EXPECT_EQ(ff.IsFeasible(S), dense.IsFeasible(S));
+      for (int v : S) {
+        ++queries;
+        if (IsPooled(ff.CertifiedInAffectance(S, v))) ++pooled;
+      }
     }
   }
+  EXPECT_GE(2 * pooled, queries) << pooled << "/" << queries << " pooled";
 }
 
 TEST(FarFieldPipelineTest, NonUniformPowerFallsBackToExactPaths) {
@@ -226,10 +257,10 @@ TEST(FarFieldPipelineTest, NonUniformPowerFallsBackToExactPaths) {
   const PowerAssignment power = PowerLaw(system, 0.5);
   const KernelCache dense(system, power);
   const FarFieldKernel ff(dep.points, dep.links, 3.0, config, power,
-                          {1e-3, 4});
+                          {1e-3});
   EXPECT_FALSE(ff.HasUniformPower());
-  const std::vector<int> all = AllLinks(n);
-  EXPECT_EQ(FarFieldGreedyFeasible(ff, all),
+  const std::vector<int> all = AllLinks(ff);
+  EXPECT_EQ(capacity::GreedyFeasible(ff, all),
             capacity::GreedyFeasible(dense, all));
   for (int v = 0; v < n; ++v) {
     for (int w = 0; w < n; ++w) {

@@ -273,79 +273,6 @@ TEST_P(KernelBitExactness, TiledBuildBitIdenticalToScalar) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelBitExactness, ::testing::Range(1, 9));
 
-// --- float32 kernel gate ----------------------------------------------------
-
-TEST(Float32KernelTest, AcceptsWellConditionedInstance) {
-  geom::Rng rng(17);
-  const auto pts = geom::SampleUniform(24, 14.0, 14.0, rng);
-  const core::DecaySpace space = core::DecaySpace::Geometric(pts, 3.0);
-  const auto links = PairedLinks(12);
-  const LinkSystem system(space, links, {1.5, 0.0});
-  const KernelCache kernel(system, UniformPower(system));
-
-  const auto f32 = Float32Kernel::FromDouble(kernel, 1e-5);
-  ASSERT_TRUE(f32.ok()) << f32.status().ToString();
-  EXPECT_EQ(f32->NumLinks(), kernel.NumLinks());
-  EXPECT_LE(f32->MaxRelativeError(), 1e-5);
-  EXPECT_GT(f32->MemoryBytes(), 0);
-  EXPECT_LT(f32->MemoryBytes(), kernel.MemoryBytes());
-
-  // Each stored entry is the float round-trip of the double entry, and the
-  // double-accumulated aggregate stays within the certified bound.
-  const int n = kernel.NumLinks();
-  std::vector<int> all;
-  for (int v = 0; v < n; ++v) all.push_back(v);
-  for (int v = 0; v < n; ++v) {
-    double dense = 0.0;
-    for (int w = 0; w < n; ++w) {
-      EXPECT_EQ(f32->AffectanceRaw(w, v),
-                static_cast<float>(kernel.AffectanceRaw(w, v)));
-      dense += kernel.AffectanceRaw(w, v);
-    }
-    EXPECT_NEAR(f32->InAffectanceRaw(all, v), dense,
-                1e-5 * dense * n + 1e-12);
-  }
-}
-
-TEST(Float32KernelTest, RejectsIllConditionedInstance) {
-  // Kilometre-scale senders with picometre links: affectances span more
-  // decades than a float holds, so nonzero doubles underflow to 0.0f and
-  // the gate must refuse rather than silently drop the far field.  (The
-  // offset must survive double rounding against ~4e3 coordinates -- ulp
-  // there is ~4.5e-13 -- while keeping f_vv / crossdecay below float's
-  // subnormal floor.)
-  geom::Rng rng(18);
-  std::vector<geom::Vec2> pts;
-  for (int i = 0; i < 10; ++i) {
-    const geom::Vec2 s{rng.Uniform(0.0, 4000.0), rng.Uniform(0.0, 4000.0)};
-    pts.push_back(s);
-    pts.push_back(s + geom::Vec2{1e-12, 0.0});
-  }
-  const core::DecaySpace space = core::DecaySpace::Geometric(pts, 3.0);
-  const auto links = PairedLinks(10);
-  const LinkSystem system(space, links, {1.0, 0.0});
-  const KernelCache kernel(system, UniformPower(system));
-
-  const auto f32 = Float32Kernel::FromDouble(kernel, 1e-3);
-  ASSERT_FALSE(f32.ok());
-  EXPECT_EQ(f32.status().code(), core::StatusCode::kNumericError);
-}
-
-TEST(Float32KernelTest, ZeroToleranceRejectsAnyDeviation) {
-  // Generic doubles do not round-trip through float, so tol = 0 must fail
-  // on any instance whose entries are not exactly representable.
-  geom::Rng rng(19);
-  const auto pts = geom::SampleUniform(16, 10.0, 10.0, rng);
-  const core::DecaySpace space = core::DecaySpace::Geometric(pts, 2.5);
-  const auto links = PairedLinks(8);
-  const LinkSystem system(space, links, {1.0, 0.0});
-  const KernelCache kernel(system, UniformPower(system));
-
-  const auto f32 = Float32Kernel::FromDouble(kernel, 0.0);
-  ASSERT_FALSE(f32.ok());
-  EXPECT_EQ(f32.status().code(), core::StatusCode::kNumericError);
-}
-
 // --- algorithm-level agreement ---------------------------------------------
 
 class CachedAlgorithmAgreement : public ::testing::TestWithParam<int> {};
