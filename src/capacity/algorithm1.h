@@ -66,7 +66,7 @@ Algorithm1Result GreedyAdmission(const K& kernel, double zeta,
   Algorithm1Result result;
   result.admitted = acc.members();
   for (int v : result.admitted) {
-    if (acc.In(v) <= 1.0) result.selected.push_back(v);
+    if (acc.InWithinOne(v)) result.selected.push_back(v);
   }
   return result;
 }

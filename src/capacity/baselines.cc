@@ -25,7 +25,7 @@ std::vector<int> GreedyHalfAffectance(const sinr::KernelCache& kernel,
   }
   std::vector<int> selected;
   for (int v : acc.members()) {
-    if (acc.In(v) <= 1.0) selected.push_back(v);
+    if (acc.InWithinOne(v)) selected.push_back(v);
   }
   return selected;
 }

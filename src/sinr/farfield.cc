@@ -232,6 +232,119 @@ double FarFieldKernel::InAffectanceRawExact(std::span<const int> S,
   return total;
 }
 
+struct FarFieldKernel::SenderBins {
+  std::vector<int> offset;   // cell c: grouped[offset[c], offset[c + 1])
+  std::vector<int> grouped;  // S's entries, grouped by sender cell
+  std::vector<int> cells;    // occupied cells, ascending
+  // Refinement scratch: one pooled cell's index and bounds, reused by every
+  // member pass over these bins.
+  struct Pooled {
+    int cell;
+    double lo;
+    double hi;
+  };
+  std::vector<Pooled> far;
+  std::vector<double> suffix_lo, suffix_hi;
+};
+
+FarFieldKernel::SenderBins FarFieldKernel::BinBySenderCell(
+    std::span<const int> S) const {
+  SenderBins bins;
+  const std::size_t num_cells = sender_cells_.size();
+  bins.offset.assign(num_cells + 1, 0);
+  for (int w : S) {
+    ++bins.offset[static_cast<std::size_t>(
+                      sender_cell_of_[static_cast<std::size_t>(w)]) +
+                  1];
+  }
+  for (std::size_t c = 0; c < num_cells; ++c) {
+    if (bins.offset[c + 1] > 0) bins.cells.push_back(static_cast<int>(c));
+    bins.offset[c + 1] += bins.offset[c];
+  }
+  bins.grouped.resize(S.size());
+  std::vector<int> cursor(bins.offset.begin(), bins.offset.end() - 1);
+  for (int w : S) {
+    const std::size_t c = static_cast<std::size_t>(
+        sender_cell_of_[static_cast<std::size_t>(w)]);
+    bins.grouped[static_cast<std::size_t>(cursor[c]++)] = w;
+  }
+  return bins;
+}
+
+FarFieldKernel::Interval FarFieldKernel::RefinedInAffectance(
+    SenderBins& bins, int v, bool decide) const {
+  const std::size_t sv = static_cast<std::size_t>(v);
+  const geom::Vec2 p = receivers_[sv];
+  const double k = cf_[sv];
+  const int own = sender_cell_of_[sv];
+  // Sums a cell's entries pairwise through the cheap bound spelling
+  // (AffectanceNear, 0 at w == v): the sum only feeds the guarded certified
+  // interval, and threshold-straddling callers re-fold exactly anyway.
+  const auto pairwise = [&](int c) {
+    double sum = 0.0;
+    for (int i = bins.offset[static_cast<std::size_t>(c)];
+         i < bins.offset[static_cast<std::size_t>(c) + 1]; ++i) {
+      sum += AffectanceNear(bins.grouped[static_cast<std::size_t>(i)], v);
+    }
+    return sum;
+  };
+  double near_sum = 0.0;
+  double far_lo = 0.0;
+  double far_hi = 0.0;
+  bins.far.clear();
+  for (int c : bins.cells) {
+    double lo = 0.0;
+    double hi = 0.0;
+    BoxDistance(sender_cells_[static_cast<std::size_t>(c)], p, &lo, &hi);
+    // v's own cell is never pooled, so its own entries need no count
+    // correction.
+    if (lo <= sender_near_ || c == own) {
+      near_sum += pairwise(c);
+      continue;
+    }
+    const double cnt = static_cast<double>(
+        bins.offset[static_cast<std::size_t>(c) + 1] -
+        bins.offset[static_cast<std::size_t>(c)]);
+    bins.far.push_back({c, cnt * (k / BoundPow(hi)), cnt * (k / BoundPow(lo))});
+    far_lo += bins.far.back().lo;
+    far_hi += bins.far.back().hi;
+  }
+
+  const auto done = [&](const Interval& b) {
+    if (decide) return b.upper <= 1.0 - kBand || b.lower > 1.0 + kBand;
+    return b.upper - b.lower <= epsilon_ * b.lower;
+  };
+  Interval out{(near_sum + far_lo) * (1.0 - kGuard),
+               (near_sum + far_hi) * (1.0 + kGuard)};
+  if (bins.far.empty() || done(out)) return out;
+
+  // Adaptive refinement: convert pooled cells to pairwise, widest first,
+  // until done.  The remaining pooled totals are suffix sums over the
+  // widest-first order, each a fresh sum, so the bounds never inherit
+  // subtraction cancellation.
+  auto& far = bins.far;
+  std::sort(far.begin(), far.end(),
+            [](const SenderBins::Pooled& a, const SenderBins::Pooled& b) {
+              const double wa = a.hi - a.lo;
+              const double wb = b.hi - b.lo;
+              return wa != wb ? wa > wb : a.cell < b.cell;
+            });
+  bins.suffix_lo.assign(far.size() + 1, 0.0);
+  bins.suffix_hi.assign(far.size() + 1, 0.0);
+  for (std::size_t i = far.size(); i-- > 0;) {
+    bins.suffix_lo[i] = bins.suffix_lo[i + 1] + far[i].lo;
+    bins.suffix_hi[i] = bins.suffix_hi[i + 1] + far[i].hi;
+  }
+  for (std::size_t i = 0; i < far.size(); ++i) {
+    near_sum += pairwise(far[i].cell);
+    FarFieldRefinedCellCounter().Add();
+    out = {(near_sum + bins.suffix_lo[i + 1]) * (1.0 - kGuard),
+           (near_sum + bins.suffix_hi[i + 1]) * (1.0 + kGuard)};
+    if (done(out)) break;
+  }
+  return out;
+}
+
 FarFieldKernel::Interval FarFieldKernel::CertifiedInAffectance(
     std::span<const int> S, int v) const {
   const std::size_t sv = static_cast<std::size_t>(v);
@@ -240,94 +353,18 @@ FarFieldKernel::Interval FarFieldKernel::CertifiedInAffectance(
     const double e = InAffectanceRawExact(S, v);
     return {e, e};
   }
-
-  // Group S by occupied sender cell (CSR over the compact cell index).
-  const int num_cells = static_cast<int>(sender_cells_.size());
-  std::vector<int> offset(static_cast<std::size_t>(num_cells) + 1, 0);
-  for (int w : S) {
-    if (w == v) continue;
-    ++offset[static_cast<std::size_t>(
-                 sender_cell_of_[static_cast<std::size_t>(w)]) +
-             1];
-  }
-  for (int c = 0; c < num_cells; ++c) {
-    offset[static_cast<std::size_t>(c) + 1] +=
-        offset[static_cast<std::size_t>(c)];
-  }
-  std::vector<int> grouped(static_cast<std::size_t>(offset[num_cells]));
-  std::vector<int> cursor(offset.begin(), offset.end() - 1);
-  for (int w : S) {
-    if (w == v) continue;
-    const int c = sender_cell_of_[static_cast<std::size_t>(w)];
-    grouped[static_cast<std::size_t>(cursor[static_cast<std::size_t>(c)]++)] =
-        w;
-  }
-
-  const geom::Vec2 p = receivers_[sv];
-  const double k = cf_[sv];
-  // Near + refined cells, summed pairwise through the cheap bound spelling
-  // (AffectanceNear): the sum only feeds the guarded certified interval,
-  // and threshold-straddling callers re-fold with the exact path anyway.
-  double near_sum = 0.0;
-  struct Pooled {
-    int cell;
-    double lo;
-    double hi;
-  };
-  std::vector<Pooled> far;
-  for (int c = 0; c < num_cells; ++c) {
-    const int b = offset[static_cast<std::size_t>(c)];
-    const int e = offset[static_cast<std::size_t>(c) + 1];
-    if (b == e) continue;
-    double lo = 0.0;
-    double hi = 0.0;
-    BoxDistance(sender_cells_[static_cast<std::size_t>(c)], p, &lo, &hi);
-    if (lo <= sender_near_) {
-      for (int i = b; i < e; ++i) {
-        near_sum += AffectanceNear(grouped[static_cast<std::size_t>(i)], v);
-      }
-      continue;
-    }
-    const double cnt = static_cast<double>(e - b);
-    far.push_back(
-        {c, cnt * (k / BoundPow(hi)), cnt * (k / BoundPow(lo))});
-  }
-
-  // Adaptive refinement: convert the widest pooled cell to exact until the
-  // certified interval meets the epsilon width target.  Totals are resummed
-  // per round so the bounds never inherit subtraction cancellation.
-  Interval out;
-  for (;;) {
-    double far_lo = 0.0;
-    double far_hi = 0.0;
-    for (const Pooled& f : far) {
-      far_lo += f.lo;
-      far_hi += f.hi;
-    }
-    out.lower = (near_sum + far_lo) * (1.0 - kGuard);
-    out.upper = (near_sum + far_hi) * (1.0 + kGuard);
-    if (far.empty() || out.upper - out.lower <= epsilon_ * out.lower) break;
-    std::size_t widest = 0;
-    for (std::size_t i = 1; i < far.size(); ++i) {
-      if (far[i].hi - far[i].lo > far[widest].hi - far[widest].lo) widest = i;
-    }
-    const int c = far[widest].cell;
-    far[widest] = far.back();
-    far.pop_back();
-    for (int i = offset[static_cast<std::size_t>(c)];
-         i < offset[static_cast<std::size_t>(c) + 1]; ++i) {
-      near_sum += AffectanceNear(grouped[static_cast<std::size_t>(i)], v);
-    }
-    FarFieldRefinedCellCounter().Add();
-  }
-  return out;
+  SenderBins bins = BinBySenderCell(S);
+  return RefinedInAffectance(bins, v, /*decide=*/false);
 }
 
 bool FarFieldKernel::IsFeasible(std::span<const int> S) const {
+  const bool pooled = epsilon_ > 0.0 && uniform_power_;
+  SenderBins bins;
+  if (pooled) bins = BinBySenderCell(S);
   for (int v : S) {
     if (!CanOvercomeNoise(v)) return false;
-    if (epsilon_ > 0.0 && uniform_power_) {
-      const Interval b = CertifiedInAffectance(S, v);
+    if (pooled) {
+      const Interval b = RefinedInAffectance(bins, v, /*decide=*/true);
       if (b.upper <= 1.0 - kBand) {
         FarFieldCertifiedAcceptCounter().Add();
         continue;
@@ -484,10 +521,21 @@ void FarFieldAccumulator::CatchUp(int w) const {
   in_hi_[sw] = in_raw_m_[sw];
 }
 
-double FarFieldAccumulator::In(int v) const {
+bool FarFieldAccumulator::InWithinOne(int v) const {
   DL_CHECK(Contains(v), "far-field sums are member-only");
+  const FarFieldKernel& k = *kernel_;
+  const std::size_t sv = static_cast<std::size_t>(v);
+  // The clamped in-sum never exceeds the raw one, so a raw bracket clear of
+  // the band certifies the dense decision: every term is then < 1, and the
+  // dense clamped fold equals its raw fold.
+  if (k.uniform_power_ && k.epsilon_ > 0.0 &&
+      in_hi_[sv] <= 1.0 - FarFieldKernel::kBand) {
+    FarFieldCertifiedAcceptCounter().Add();
+    return true;
+  }
+  // The caught-up clamped fold, bit-identical to the dense In(v).
   CatchUp(v);
-  return in_m_[static_cast<std::size_t>(v)];
+  return in_m_[sv] <= 1.0;
 }
 
 FarFieldKernel::Interval FarFieldAccumulator::CandidateInRawBounds(

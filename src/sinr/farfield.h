@@ -38,13 +38,16 @@
 //     to KernelCache / AffectanceAccumulator, hence every pipeline's output
 //     is bit-identical to its dense run.
 //   * epsilon > 0: threshold *decisions* (feasibility vs 1, Algorithm 1's
-//     budget vs 0.5, separation) are taken from the certified interval only
-//     when it clears the threshold by an absolute 1e-9 band; inside the band
-//     the decision falls back to the exact dense expression in the dense
-//     summation order.  Decisions therefore still match the dense path
-//     except for inputs engineered to sit within ~1e-9 of a threshold (the
-//     same caveat SeparationOracle already carries), while the *reported
-//     aggregate sums* may differ by the certified epsilon.
+//     budget vs 0.5 and final filter vs 1, separation) are taken from the
+//     certified interval only when it clears the threshold by an absolute
+//     1e-9 band; inside the band the decision falls back to the exact dense
+//     expression in the dense summation order.  Decisions therefore still
+//     match the dense path except for inputs engineered to sit within ~1e-9
+//     of a threshold (the same caveat SeparationOracle already carries),
+//     while the *reported aggregate sums* may differ by the certified
+//     epsilon.  Decisions refine certified bounds only until they clear the
+//     band -- never to the epsilon width, which only CertifiedInAffectance's
+//     reported interval promises.
 //
 // Pooling requires uniform power (the per-pair factor P_w / P_v would
 // otherwise vary inside a cell); non-uniform assignments silently use the
@@ -133,10 +136,13 @@ class FarFieldKernel {
   // IsKFeasible row fold over S.
   double InAffectanceRawExact(std::span<const int> S, int v) const;
 
-  // Feasibility of S (every member's raw in-sum <= 1) decided through the
-  // certified interval, falling back to the exact fold only when the
-  // interval straddles the 1e-9 threshold band.  epsilon = 0 runs the exact
-  // fold unconditionally and is bit-identical to KernelCache::IsFeasible.
+  // Feasibility of S (every member's raw in-sum <= 1), decided rather than
+  // measured: S is binned by sender cell once per call, and each member's
+  // pooled interval is refined (widest cell first) only until it clears the
+  // 1e-9 band around 1 -- not to the epsilon width.  Only an interval that
+  // still straddles the band with every cell refined falls back to the
+  // exact fold.  epsilon = 0 runs the exact fold unconditionally and is
+  // bit-identical to KernelCache::IsFeasible.
   bool IsFeasible(std::span<const int> S) const;
 
   // Forward kept only until the next benchmark change can drop it
@@ -173,6 +179,17 @@ class FarFieldKernel {
   // Grid occupancy target; coarser cells mean fewer cells to pool but a
   // larger exact near ring.
   static constexpr int kTargetPerCell = 8;
+
+  // S grouped by occupied sender cell (CSR over the compact cell index),
+  // plus the refinement scratch of the member passes that read it.
+  struct SenderBins;
+  SenderBins BinBySenderCell(std::span<const int> S) const;
+  // v's pooled raw in-affectance interval over the binned S: near cells and
+  // v's own sender cell pairwise (its own entries contribute 0), the rest
+  // pooled, then the widest pooled cells converted to pairwise until the
+  // interval meets the epsilon width (`decide` false) or clears the
+  // decision band around 1 (`decide` true).
+  Interval RefinedInAffectance(SenderBins& bins, int v, bool decide) const;
 
   void Init(double epsilon);
   static void Compact(const geom::UniformGrid& grid,
@@ -264,9 +281,12 @@ class FarFieldAccumulator {
     return in_set_[static_cast<std::size_t>(v)] != 0;
   }
 
-  // Member-only clamped in-sum (DL_CHECKed), bit-identical to the dense
-  // accumulator's for the same insertion sequence.
-  double In(int v) const;
+  // Algorithm 1's final filter for member v: its clamped in-sum from the
+  // members is <= 1, the dense accumulator's In(v) <= 1.0 decision.  The
+  // in-raw bracket Add maintains accepts outright when its upper end clears
+  // the 1e-9 band (clamped sum <= raw sum); only the remaining members pay
+  // the exact dense-order fold.
+  bool InWithinOne(int v) const;
 
   // Dense AffectanceAccumulator::CanAddFeasibly decisions: candidate raw
   // in-sum vs 1, then every member's headroom vs the candidate's pressure.

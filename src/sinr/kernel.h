@@ -267,6 +267,9 @@ class AffectanceAccumulator {
   double InRaw(int v) const { return in_raw_[static_cast<std::size_t>(v)]; }
   double OutRaw(int v) const { return out_raw_[static_cast<std::size_t>(v)]; }
 
+  // Algorithm 1's final filter a_X(v) <= 1 (the KernelTier concept).
+  bool InWithinOne(int v) const { return In(v) <= 1.0; }
+
   // True iff members() + {v} is feasible, deciding exactly as the naive
   // push-IsFeasible-pop loop does: the candidate's in-affectance is the
   // running raw sum (its own entry contributes a trailing +0), and each

@@ -22,14 +22,20 @@
 
 namespace decaylib::sinr {
 
-// A kernel tier K exposes per-link queries and set feasibility, plus an
-// associated running-sum accumulator K::Accumulator over a growing admitted
-// set:
-//   * In(v): clamped in-affectance of member v from the members;
+// A kernel tier K exposes per-link queries and set feasibility (every
+// member's raw in-affectance <= 1), plus an associated running-sum
+// accumulator K::Accumulator over a growing admitted set:
+//   * InWithinOne(v): member v's clamped in-affectance from the members is
+//     <= 1 (Algorithm 1's final filter);
 //   * CanAddFeasibly(v): members() + {v} is feasible;
 //   * BudgetWithinHalf(v): Algorithm 1's Out(v) + In(v) <= 1/2;
 //   * IsSeparatedFromMembers(v, eta, zeta): d(l_v, l_w) >= eta * d_vv for
 //     every member w.
+// Feasibility and every accumulator query are yes/no threshold tests, never
+// sums: the pipelines only compare affectance against 1 or 1/2, so a tier
+// may stop evaluating as soon as the answer is certain.  The dense tier reads its exact sums;
+// the far-field tier stops refining certified bounds once they clear the
+// threshold.
 template <class K>
 concept KernelTier =
     requires(const K& kernel, std::span<const int> S, int v) {
@@ -43,7 +49,7 @@ concept KernelTier =
       acc.Add(v);
       { acc.Contains(v) } -> std::convertible_to<bool>;
       { acc.members() } -> std::convertible_to<std::span<const int>>;
-      { acc.In(v) } -> std::convertible_to<double>;
+      { acc.InWithinOne(v) } -> std::convertible_to<bool>;
       { acc.CanAddFeasibly(v) } -> std::convertible_to<bool>;
       { acc.BudgetWithinHalf(v) } -> std::convertible_to<bool>;
       { acc.IsSeparatedFromMembers(v, eta, zeta) } -> std::convertible_to<bool>;

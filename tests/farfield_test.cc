@@ -1,6 +1,6 @@
 // Property tests for the certified far-field kernel (sinr/farfield.h).
 //
-// Three contracts under test:
+// Four contracts under test:
 //  * the certificate itself -- for every queried in-affectance sum,
 //    CertifiedInAffectance's lower <= exact <= upper with relative width at
 //    most epsilon (plus the documented ~3e-9 fp guard), across topologies,
@@ -11,6 +11,10 @@
 //    geometry (EXPECT_EQ on doubles, not EXPECT_NEAR), and at epsilon = 0
 //    every admission pipeline run on the far-field tier reproduces its
 //    dense run verbatim;
+//  * decisions at epsilon > 0 -- feasibility (on the feasible sets the
+//    pipelines validate and on random subsets), Algorithm 1's final filter
+//    and every pipeline's output equal the dense ones, and feasibility stops
+//    refining once its answer is certain;
 //  * engine integration -- kernel_mode = kFarField at epsilon = 0 yields
 //    the dense batch signature bit-for-bit, and ValidateScenarioSpec
 //    rejects far-field specs whose decay is not a pure distance function.
@@ -18,8 +22,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,6 +35,7 @@
 #include "engine/batch_runner.h"
 #include "engine/scenario.h"
 #include "geom/rng.h"
+#include "obs/registry.h"
 #include "scheduling/scheduler.h"
 #include "sinr/kernel.h"
 #include "sinr/power.h"
@@ -87,6 +94,22 @@ bool IsPooled(const FarFieldKernel::Interval& b) {
 
 // Side of the constant-density box for n links (16 area units per link).
 double DensityBox(int n) { return 4.0 * std::sqrt(static_cast<double>(n)); }
+
+// The dense and far-field tiers over one deployment: uniform power 1, no
+// noise, far-field epsilon `eps`.
+struct TwinTiers {
+  TwinTiers(const Deployment& dep, double alpha, double eps)
+      : space(core::DecaySpace::Geometric(dep.points, alpha)),
+        system(space, dep.links, SinrConfig{1.0, 0.0}),
+        dense(system, UniformPower(system)),
+        ff(dep.points, dep.links, alpha, SinrConfig{1.0, 0.0},
+           UniformPower(system), {eps}) {}
+
+  core::DecaySpace space;
+  LinkSystem system;
+  KernelCache dense;
+  FarFieldKernel ff;
+};
 
 TEST(FarFieldCertificateTest, BoundsBracketExactWithinEpsilon) {
   const int n = 512;
@@ -209,42 +232,178 @@ TEST(FarFieldPipelineTest, EpsilonZeroBitIdenticalToDense) {
 
 TEST(FarFieldPipelineTest, CertifiedDecisionsMatchDenseAtPositiveEpsilon) {
   // Random instances sit nowhere near the 1e-9 decision band, so certified
-  // decisions at epsilon > 0 must reproduce the dense sets exactly even
-  // though the certified sums are only epsilon-close.  The deployment is
-  // large enough that the feasibility queries really pool.
+  // decisions at epsilon > 0 must reproduce the dense ones exactly even
+  // though the certified sums are only epsilon-close.  Feasibility is
+  // compared on the sets the pipelines actually validate -- Algorithm 1's
+  // output and every schedule slot, all feasible -- on maximal greedy sets
+  // with and without one more link, and on random subsets from sparse
+  // (often feasible) to dense (rejected at the first member).  The
+  // deployments are large enough that the queries really pool.  Random
+  // subsets of the clustered deployments are never feasible (links of one
+  // hub conflict), so both answers are asserted per epsilon over both
+  // deployment kinds.
   const int n = 512;
-  int queries = 0;
-  int pooled = 0;
-  for (const std::uint64_t seed : {41u, 42u, 43u}) {
-    geom::Rng rng(seed);
-    Deployment dep = MakeDeployment(n, DensityBox(n), false, rng);
-    const core::DecaySpace space = core::DecaySpace::Geometric(dep.points, 3.0);
-    const SinrConfig config{1.0, 0.0};
-    const LinkSystem system(space, dep.links, config);
-    const KernelCache dense(system, UniformPower(system));
-    const FarFieldKernel ff(dep.points, dep.links, 3.0, config,
-                            UniformPower(system), {1e-3});
-    SCOPED_TRACE("seed=" + std::to_string(seed));
+  for (const double eps : {1e-2, 1e-3}) {
+    int feasible = 0;
+    int infeasible = 0;
+    for (const bool clustered : {false, true}) {
+      int queries = 0;
+      int pooled = 0;
+      for (const std::uint64_t seed : {41u, 42u, 43u}) {
+        geom::Rng rng(seed);
+        const Deployment dep =
+            MakeDeployment(n, DensityBox(n), clustered, rng);
+        const TwinTiers t(dep, 3.0, eps);
+        SCOPED_TRACE("seed=" + std::to_string(seed) +
+                     " clustered=" + std::to_string(clustered) +
+                     " eps=" + std::to_string(eps));
 
-    const std::vector<int> all = AllLinks(ff);
-    EXPECT_EQ(capacity::GreedyFeasible(ff, all),
-              capacity::GreedyFeasible(dense, all));
-    const capacity::Algorithm1Result ff_alg1 = capacity::RunAlgorithm1(ff, 3.0);
-    const capacity::Algorithm1Result alg1 = capacity::RunAlgorithm1(dense, 3.0);
-    EXPECT_EQ(ff_alg1.admitted, alg1.admitted);
-    EXPECT_EQ(ff_alg1.selected, alg1.selected);
+        const std::vector<int> all = AllLinks(t.ff);
+        const std::vector<int> greedy = capacity::GreedyFeasible(t.ff, all);
+        EXPECT_EQ(greedy, capacity::GreedyFeasible(t.dense, all));
+        // A maximal greedy set packs its members' sums close to 1, and
+        // adding any further link tips some member just over it: the sets
+        // where feasibility is decided nearest the threshold.
+        EXPECT_TRUE(t.ff.IsFeasible(greedy));
+        for (int u = 0, tried = 0; u < n && tried < 16; ++u) {
+          if (std::find(greedy.begin(), greedy.end(), u) != greedy.end()) {
+            continue;
+          }
+          std::vector<int> over = greedy;
+          over.push_back(u);
+          EXPECT_EQ(t.ff.IsFeasible(over), t.dense.IsFeasible(over))
+              << "greedy + " << u;
+          ++tried;
+        }
+        const capacity::Algorithm1Result ff_alg1 =
+            capacity::RunAlgorithm1(t.ff, 3.0);
+        const capacity::Algorithm1Result alg1 =
+            capacity::RunAlgorithm1(t.dense, 3.0);
+        EXPECT_EQ(ff_alg1.admitted, alg1.admitted);
+        EXPECT_EQ(ff_alg1.selected, alg1.selected);
+        ASSERT_GT(alg1.selected.size(), 1u);
+        EXPECT_TRUE(t.ff.IsFeasible(ff_alg1.selected));
+        EXPECT_TRUE(t.dense.IsFeasible(alg1.selected));
+        // A repeated member counts twice in the others' sums and never in
+        // its own, on both tiers.
+        std::vector<int> repeated = alg1.selected;
+        repeated.push_back(repeated.front());
+        EXPECT_EQ(t.ff.IsFeasible(repeated), t.dense.IsFeasible(repeated));
 
-    geom::Rng sets(seed + 5);
-    for (int round = 0; round < 8; ++round) {
-      const std::vector<int> S = RandomSubset(n, 0.4, sets);
-      EXPECT_EQ(ff.IsFeasible(S), dense.IsFeasible(S));
-      for (int v : S) {
-        ++queries;
-        if (IsPooled(ff.CertifiedInAffectance(S, v))) ++pooled;
+        const scheduling::Schedule ff_sched = scheduling::ScheduleLinks(
+            t.ff, 3.0, scheduling::Extractor::kAlgorithm1, all);
+        const scheduling::Schedule dense_sched = scheduling::ScheduleLinks(
+            t.dense, 3.0, scheduling::Extractor::kAlgorithm1, all);
+        EXPECT_EQ(ff_sched.slots, dense_sched.slots);
+        for (const std::vector<int>& slot : ff_sched.slots) {
+          EXPECT_EQ(t.ff.IsFeasible(slot), t.dense.IsFeasible(slot));
+        }
+
+        geom::Rng sets(seed + 5);
+        for (const double p : {0.02, 0.05, 0.1, 0.4}) {
+          for (int round = 0; round < 4; ++round) {
+            const std::vector<int> S = RandomSubset(n, p, sets);
+            const bool dense_feasible = t.dense.IsFeasible(S);
+            EXPECT_EQ(t.ff.IsFeasible(S), dense_feasible) << "p=" << p;
+            ++(dense_feasible ? feasible : infeasible);
+            if (p < 0.4) continue;
+            for (int v : S) {
+              ++queries;
+              if (IsPooled(t.ff.CertifiedInAffectance(S, v))) ++pooled;
+            }
+          }
+        }
+      }
+      // Most queries must really pool, or the parity checks above would
+      // only be testing the exact fallback.
+      EXPECT_GE(2 * pooled, queries)
+          << "clustered=" << clustered << " eps=" << eps << ": " << pooled
+          << "/" << queries << " pooled";
+    }
+    EXPECT_GT(feasible, 0) << "eps=" << eps;
+    EXPECT_GT(infeasible, 0) << "eps=" << eps;
+  }
+}
+
+TEST(FarFieldPipelineTest, FinalFilterMatchesDenseOnEveryMember) {
+  // InWithinOne certifies from the in-raw bracket and folds exactly only
+  // when the bracket does not clear the band; either way it must decide as
+  // the dense In(v) <= 1.0 does.  Besides Algorithm 1's admitted sets,
+  // greedy sets and random member sets run through the same check, so the
+  // filter also sees members over 1.
+  const int n = 512;
+  int kept = 0;
+  int dropped = 0;
+  const auto check = [&](const TwinTiers& t, std::span<const int> members) {
+    FarFieldAccumulator acc(t.ff);
+    AffectanceAccumulator dense_acc(t.dense);
+    for (int v : members) {
+      if (!t.ff.CanOvercomeNoise(v) || acc.Contains(v)) continue;
+      acc.Add(v);
+      dense_acc.Add(v);
+    }
+    for (int v : acc.members()) {
+      const bool within = dense_acc.In(v) <= 1.0;
+      EXPECT_EQ(acc.InWithinOne(v), within) << "member " << v;
+      ++(within ? kept : dropped);
+    }
+  };
+  for (const bool clustered : {false, true}) {
+    for (const double eps : {1e-2, 1e-3}) {
+      for (const std::uint64_t seed : {61u, 62u}) {
+        geom::Rng rng(seed);
+        const Deployment dep =
+            MakeDeployment(n, DensityBox(n), clustered, rng);
+        const TwinTiers t(dep, 3.0, eps);
+        SCOPED_TRACE("seed=" + std::to_string(seed) +
+                     " clustered=" + std::to_string(clustered) +
+                     " eps=" + std::to_string(eps));
+        check(t, capacity::RunAlgorithm1(t.ff, 3.0).admitted);
+        check(t, capacity::GreedyFeasible(t.ff, AllLinks(t.ff)));
+        geom::Rng sets(seed + 9);
+        for (const double p : {0.05, 0.2}) {
+          check(t, RandomSubset(n, p, sets));
+        }
       }
     }
   }
-  EXPECT_GE(2 * pooled, queries) << pooled << "/" << queries << " pooled";
+  EXPECT_GT(kept, 0);
+  EXPECT_GT(dropped, 0);
+}
+
+class FarFieldObsTest : public ::testing::Test {
+ protected:
+  void SetUp() override { obs::SetEnabled(true); }
+  void TearDown() override { obs::SetEnabled(false); }
+};
+
+TEST_F(FarFieldObsTest, FeasibilityStopsRefiningAtTheThreshold) {
+  // IsFeasible refines each member only until its interval clears the band
+  // around 1; CertifiedInAffectance refines the same (S, v) queries to the
+  // epsilon width.  The decision must convert strictly fewer cells.
+  const obs::Counter& refined =
+      obs::Registry::Global().GetCounter("sinr.farfield_refined_cells");
+  // Uniform deployments: a clustered Algorithm 1 set holds a few links per
+  // hub, too few for any cell to pool.
+  const int n = 512;
+  for (const std::uint64_t seed : {71u, 72u, 73u}) {
+    geom::Rng rng(seed);
+    const Deployment dep = MakeDeployment(n, DensityBox(n), false, rng);
+    const PowerAssignment power(static_cast<std::size_t>(n), 1.0);
+    const FarFieldKernel ff(dep.points, dep.links, 3.0, SinrConfig{1.0, 0.0},
+                            power, {1e-3});
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    const std::vector<int> S = capacity::RunAlgorithm1(ff, 3.0).selected;
+    ASSERT_GT(S.size(), 1u);
+
+    long long before = refined.value();
+    EXPECT_TRUE(ff.IsFeasible(S));
+    const long long decided = refined.value() - before;
+    before = refined.value();
+    for (int v : S) ff.CertifiedInAffectance(S, v);
+    const long long measured = refined.value() - before;
+    EXPECT_LT(decided, measured);
+  }
 }
 
 TEST(FarFieldPipelineTest, NonUniformPowerFallsBackToExactPaths) {
