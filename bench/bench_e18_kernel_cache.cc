@@ -8,7 +8,10 @@
 //       ScheduleLinks does across slots;
 //   (b) full scheduling (ScheduleLinks = one kernel, many extractions);
 //   (c) ComputeMetricity / ComputePhi (pruned + flattened + parallel) vs
-//       the exhaustive naive scans.
+//       the exhaustive naive scans;
+//   (d) the power-control oracle: decay-order greedy prefixes through the
+//       cached FeasibleWithPowerControl at noise 0 and noise > 0 (phase
+//       power_control_greedy, the engine's power-control task budget).
 // The cached/pruned results are asserted identical to the naive ones before
 // any timing is reported.
 //
@@ -27,6 +30,7 @@
 #include "capacity/algorithm1.h"
 #include "core/metricity.h"
 #include "obs/bench_harness.h"
+#include "sinr/power_control.h"
 #include "scheduling/scheduler.h"
 #include "sinr/kernel.h"
 #include "sinr/power.h"
@@ -39,6 +43,32 @@ namespace {
 bool SameResult(const capacity::Algorithm1Result& a,
                 const capacity::Algorithm1Result& b) {
   return a.admitted == b.admitted && a.selected == b.selected;
+}
+
+// The engine's power-control task budget (engine/batch_runner.cc).
+constexpr int kPowerControlIterations = 300;
+constexpr double kPowerControlTol = 1e-7;
+
+struct PowerControlGreedyResult {
+  std::vector<int> kept;
+  long long iterations = 0;  // fixed-point iterations over all oracle calls
+};
+
+// Walks `order` and keeps a link when the grown prefix still admits some
+// power assignment: one oracle call per link, on sets that grow to the
+// greedy size.  Runs on a LinkSystem (naive) or a KernelCache (cached).
+template <typename Oracle>
+PowerControlGreedyResult PowerControlGreedy(const Oracle& oracle,
+                                            const std::vector<int>& order) {
+  PowerControlGreedyResult result;
+  for (const int v : order) {
+    result.kept.push_back(v);
+    const sinr::PowerControlResult pc = sinr::FeasibleWithPowerControl(
+        oracle, result.kept, kPowerControlIterations, kPowerControlTol);
+    result.iterations += pc.iterations;
+    if (!pc.feasible) result.kept.pop_back();
+  }
+  return result;
 }
 
 }  // namespace
@@ -175,6 +205,53 @@ int main(int argc, char** argv) {
     std::printf("zeta = %s (witness %d,%d,%d), phi = %s\n",
                 bench::Fmt(pruned.zeta).c_str(), pruned.arg_x, pruned.arg_y,
                 pruned.arg_z, bench::Fmt(fast_phi.phi).c_str());
+  }
+
+  {
+    std::printf("\n(d) Power-control greedy, %d links (alpha = 3)\n\n",
+                n_links);
+    geom::Rng rng(24);
+    // One link per unit area: the greedy set keeps about a third of the
+    // links (k ~ 44 at n = 128), near the set sizes of the engine's
+    // power-control task, and noise-0 calls often run to the budget.
+    const double box = std::sqrt(static_cast<double>(n_links));
+    bench::PlanarDeployment dep(n_links, box, 0.5, 1.5, rng);
+    const core::DecaySpace space = core::DecaySpace::Geometric(dep.points, 3.0);
+    const sinr::LinkSystem quiet(space, dep.links, {1.0, 0.0});
+    const sinr::LinkSystem noisy(space, dep.links, {1.0, 1e-3});
+    const sinr::KernelCache quiet_kernel(quiet, sinr::UniformPower(quiet));
+    const sinr::KernelCache noisy_kernel(noisy, sinr::UniformPower(noisy));
+    const sinr::LinkSystem* systems[2] = {&quiet, &noisy};
+    const sinr::KernelCache* kernels[2] = {&quiet_kernel, &noisy_kernel};
+    const std::vector<int> order = quiet_kernel.OrderByDecay();
+
+    PowerControlGreedyResult cached[2];
+    const obs::SampleStats stats =
+        report.Time("power_control_greedy", n_links, [&] {
+          for (int t = 0; t < 2; ++t) {
+            cached[t] = PowerControlGreedy(*kernels[t], order);
+          }
+        });
+
+    bench::Table table({"noise", "greedy |S|", "oracle calls",
+                        "mean iterations"});
+    for (int t = 0; t < 2; ++t) {
+      if (PowerControlGreedy(*systems[t], order).kept != cached[t].kept) {
+        std::printf(
+            "ERROR: cached power-control greedy diverged from the naive "
+            "path\n");
+        return 1;
+      }
+      table.AddRow(
+          {bench::Fmt(systems[t]->config().noise),
+           bench::FmtInt(static_cast<long long>(cached[t].kept.size())),
+           bench::FmtInt(n_links),
+           bench::Fmt(static_cast<double>(cached[t].iterations) / n_links,
+                      1)});
+    }
+    table.Print();
+    std::printf("both noise levels in %s ms\n",
+                bench::Fmt(stats.min_ms, 2).c_str());
   }
 
   std::printf(

@@ -78,7 +78,8 @@ int main(int argc, char** argv) {
   // Pin the PR-2 task set (everything except kPowerControl, which joined
   // AllTasks later): BENCH_E19.json is a longitudinal throughput record,
   // and growing its workload would read as a perf regression.  The
-  // power-control task has its own bench (E20) and CI gates.
+  // power-control oracle is timed by E18's power_control_greedy phase,
+  // which CI's bench_compare step gates.
   pooled.tasks = {engine::TaskKind::kAlgorithm1,
                   engine::TaskKind::kGreedyBaseline,
                   engine::TaskKind::kWeighted,

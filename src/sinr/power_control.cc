@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <vector>
 
 #include "core/check.h"
 
@@ -9,35 +11,66 @@ namespace decaylib::sinr {
 
 namespace {
 
-// The Foschini-Miljanic loop over a prebuilt normalised-gain matrix B
-// (row-major k x k, flat: the loop runs per admitted link per sweep cell,
-// so the matrix avoids per-row allocations and indirection) and constant
-// term c.  Both the naive and the cached front ends fill (B, c)
-// entry-by-entry with the identical floating-point expression and then call
-// this, so the two paths return bit-identical results by construction.
-PowerControlResult RunFixedPoint(const std::vector<double>& B,
-                                 const std::vector<double>& c, double noise,
+void CheckIterationBudget(int max_iterations, double tol) {
+  DL_CHECK(max_iterations >= 1 && std::isfinite(tol) && tol > 0.0,
+           "power control needs max_iterations >= 1 and a finite tol > 0");
+}
+
+// next[i] = c[i] + B[i][0] p[0] + B[i][1] p[1] + ... + B[i][k-1] p[k-1],
+// summed left to right for every row.  Rows go four at a time, each with
+// its own accumulator, so one pass over p feeds four independent add chains
+// instead of one serial chain; the remainder goes one row at a time.  Every
+// row's chain is the same sequence of operations either way, so next[i]
+// does not depend on the blocking.
+void SumRows(const double* B, const double* c, const double* p,
+             std::size_t k, double* next) {
+  std::size_t i = 0;
+  for (; i + 4 <= k; i += 4) {
+    const double* r0 = B + i * k;
+    const double* r1 = r0 + k;
+    const double* r2 = r1 + k;
+    const double* r3 = r2 + k;
+    double a0 = c[i];
+    double a1 = c[i + 1];
+    double a2 = c[i + 2];
+    double a3 = c[i + 3];
+    for (std::size_t j = 0; j < k; ++j) {
+      const double pj = p[j];
+      a0 += r0[j] * pj;
+      a1 += r1[j] * pj;
+      a2 += r2[j] * pj;
+      a3 += r3[j] * pj;
+    }
+    next[i] = a0;
+    next[i + 1] = a1;
+    next[i + 2] = a2;
+    next[i + 3] = a3;
+  }
+  for (; i < k; ++i) {
+    const double* row = B + i * k;
+    double acc = c[i];
+    for (std::size_t j = 0; j < k; ++j) acc += row[j] * p[j];
+    next[i] = acc;
+  }
+}
+
+}  // namespace
+
+PowerControlResult RunFixedPoint(std::span<const double> B,
+                                 std::span<const double> c, double noise,
                                  int max_iterations, double tol) {
+  CheckIterationBudget(max_iterations, tol);
   PowerControlResult result;
   const std::size_t k = c.size();
+  DL_CHECK(B.size() == k * k, "B must be a row-major k x k matrix");
   std::vector<double> p(k, 1.0);
   std::vector<double> next(k, 0.0);
-  double growth = 0.0;
   for (int iter = 0; iter < max_iterations; ++iter) {
     result.iterations = iter + 1;
+    SumRows(B.data(), c.data(), p.data(), k, next.data());
+    // The folds visit i in order (std::max folds are order-free anyway).
     double max_next = 0.0;
-    double max_rel_change = 0.0;
-    for (std::size_t i = 0; i < k; ++i) {
-      double acc = c[i];
-      const double* row = B.data() + i * k;
-      for (std::size_t j = 0; j < k; ++j) acc += row[j] * p[j];
-      next[i] = acc;
-      max_next = std::max(max_next, acc);
-      if (p[i] > 0.0) {
-        max_rel_change = std::max(max_rel_change,
-                                  std::abs(acc - p[i]) / std::max(p[i], 1e-300));
-      }
-    }
+    for (std::size_t i = 0; i < k; ++i) max_next = std::max(max_next, next[i]);
     if (max_next == 0.0) {
       // No interference and no noise at all: any positive power works.
       result.feasible = true;
@@ -45,11 +78,19 @@ PowerControlResult RunFixedPoint(const std::vector<double>& B,
       result.spectral_radius_estimate = 0.0;
       break;
     }
-    growth = max_next / *std::max_element(p.begin(), p.end());
-    result.spectral_radius_estimate = growth;
     if (noise > 0.0) {
       // Affine iteration: converges iff rho(B) < 1; detect by stabilisation
       // or blow-up.
+      result.spectral_radius_estimate =
+          max_next / *std::max_element(p.begin(), p.end());
+      double max_rel_change = 0.0;
+      for (std::size_t i = 0; i < k; ++i) {
+        if (p[i] > 0.0) {
+          max_rel_change =
+              std::max(max_rel_change,
+                       std::abs(next[i] - p[i]) / std::max(p[i], 1e-300));
+        }
+      }
       if (max_rel_change < tol) {
         result.feasible = true;
         result.power = next;
@@ -70,8 +111,8 @@ PowerControlResult RunFixedPoint(const std::vector<double>& B,
         next[i] += p[i];
         shifted_max = std::max(shifted_max, next[i]);
       }
-      growth = shifted_max;  // max(p) is 1 after normalisation
-      result.spectral_radius_estimate = growth - 1.0;
+      // max(p) is 1 after normalisation, so shifted_max is the growth rate.
+      result.spectral_radius_estimate = shifted_max - 1.0;
       for (std::size_t i = 0; i < k; ++i) next[i] /= shifted_max;
       double drift = 0.0;
       for (std::size_t i = 0; i < k; ++i) drift += std::abs(next[i] - p[i]);
@@ -86,9 +127,7 @@ PowerControlResult RunFixedPoint(const std::vector<double>& B,
       // Did not settle: judge by the last growth rate (for the affine/noise
       // iteration growth ~ 1 means near-convergence; for the shifted linear
       // iteration the estimate is rho(B) itself).
-      const double rate =
-          noise > 0.0 ? growth : result.spectral_radius_estimate;
-      result.feasible = rate <= 1.0 + 10.0 * tol;
+      result.feasible = result.spectral_radius_estimate <= 1.0 + 10.0 * tol;
       result.power = p;
     }
   }
@@ -104,11 +143,10 @@ PowerControlResult RunFixedPoint(const std::vector<double>& B,
   return result;
 }
 
-}  // namespace
-
 PowerControlResult FeasibleWithPowerControl(const LinkSystem& system,
                                             std::span<const int> S,
                                             int max_iterations, double tol) {
+  CheckIterationBudget(max_iterations, tol);
   PowerControlResult result;
   const auto k = S.size();
   if (k == 0) {
@@ -139,6 +177,7 @@ PowerControlResult FeasibleWithPowerControl(const LinkSystem& system,
 PowerControlResult FeasibleWithPowerControl(const KernelCache& kernel,
                                             std::span<const int> S,
                                             int max_iterations, double tol) {
+  CheckIterationBudget(max_iterations, tol);
   PowerControlResult result;
   const auto k = S.size();
   if (k == 0) {

@@ -18,8 +18,15 @@
 //
 // Every oracle has a cached overload running on sinr::KernelCache (the
 // normalised-gain and cross-decay kernels turn the per-call matrix build
-// into O(1) loads); both paths share one fixed-point loop and return
-// bit-identical results.
+// into O(1) loads); both paths share one fixed-point loop, RunFixedPoint,
+// and return bit-identical results.
+//
+// The loop is throughput-bound, not latency-bound: each sweep computes
+// B p + c four rows at a time, one accumulator per row, instead of one
+// serial add chain per row.  Every row still adds c[i] and then
+// B[i][j] p[j] in j order, and the max folds over the sweep are order-free,
+// so the output is bit-identical to a one-row-at-a-time loop (see
+// docs/performance.md, "Power-control oracle").
 #pragma once
 
 #include <optional>
@@ -40,7 +47,8 @@ struct PowerControlResult {
 // Runs the Foschini-Miljanic iteration on the links in S.  With noise = 0
 // the recursion is linear and the growth rate of ||P|| estimates the
 // spectral radius; feasibility is declared when the iteration contracts
-// (radius < 1 - tol) and denied when it expands.
+// (radius < 1 - tol) and denied when it expands.  Requires
+// max_iterations >= 1 and a finite tol > 0 (DL_CHECK).
 PowerControlResult FeasibleWithPowerControl(const LinkSystem& system,
                                             std::span<const int> S,
                                             int max_iterations = 10000,
@@ -49,6 +57,16 @@ PowerControlResult FeasibleWithPowerControl(const KernelCache& kernel,
                                             std::span<const int> S,
                                             int max_iterations = 10000,
                                             double tol = 1e-9);
+
+// The fixed point both overloads above run, on the row-major k x k
+// normalised-gain matrix B (zero diagonal) and the constant term
+// c[i] = beta * N * f_ii.  With noise > 0 it iterates p <- B p + c until the
+// relative change drops below tol (feasible) or max(p) passes 1e30
+// (infeasible); with noise = 0 it runs the shifted power iteration on B + I.
+// At max_iterations the verdict is the last growth rate <= 1 + 10 tol.
+PowerControlResult RunFixedPoint(std::span<const double> B,
+                                 std::span<const double> c, double noise,
+                                 int max_iterations, double tol);
 
 // The power-invariant pairwise product beta^2 f_vv f_ww / (f_vw f_wv).
 // > beta^2 (strictly, in the no-noise model) implies l_v and l_w cannot

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "core/decay_space.h"
 #include "geom/rng.h"
 #include "geom/samplers.h"
@@ -204,6 +210,212 @@ TEST(CachedPowerControlTest, CrossedPairInfeasibleThroughCache) {
   EXPECT_GT(PairwiseAffectanceProduct(kernel, 0, 1), 1.0);
   EXPECT_TRUE(HasPairwiseObstruction(kernel, AllLinks(system)));
   EXPECT_FALSE(FeasibleWithPowerControl(kernel, AllLinks(system)).feasible);
+}
+
+// --- RunFixedPoint vs the scalar one-row-at-a-time loop ----------------------
+//
+// Both front ends share RunFixedPoint, so CachedPowerControlTest cannot see
+// drift inside the loop itself.  ReferenceFixedPoint is the loop as it was
+// before rows were summed in blocks -- one serial add chain per row -- kept
+// here verbatim as the bit-level contract: every output field must match
+// with EXPECT_EQ on doubles.
+
+PowerControlResult ReferenceFixedPoint(const std::vector<double>& B,
+                                       const std::vector<double>& c,
+                                       double noise, int max_iterations,
+                                       double tol) {
+  PowerControlResult result;
+  const std::size_t k = c.size();
+  std::vector<double> p(k, 1.0);
+  std::vector<double> next(k, 0.0);
+  double growth = 0.0;
+  for (int iter = 0; iter < max_iterations; ++iter) {
+    result.iterations = iter + 1;
+    double max_next = 0.0;
+    double max_rel_change = 0.0;
+    for (std::size_t i = 0; i < k; ++i) {
+      double acc = c[i];
+      const double* row = B.data() + i * k;
+      for (std::size_t j = 0; j < k; ++j) acc += row[j] * p[j];
+      next[i] = acc;
+      max_next = std::max(max_next, acc);
+      if (p[i] > 0.0) {
+        max_rel_change = std::max(max_rel_change,
+                                  std::abs(acc - p[i]) / std::max(p[i], 1e-300));
+      }
+    }
+    if (max_next == 0.0) {
+      // No interference and no noise at all: any positive power works.
+      result.feasible = true;
+      result.power.assign(k, 1.0);
+      result.spectral_radius_estimate = 0.0;
+      break;
+    }
+    growth = max_next / *std::max_element(p.begin(), p.end());
+    result.spectral_radius_estimate = growth;
+    if (noise > 0.0) {
+      // Affine iteration: converges iff rho(B) < 1; detect by stabilisation
+      // or blow-up.
+      if (max_rel_change < tol) {
+        result.feasible = true;
+        result.power = next;
+        break;
+      }
+      if (max_next > 1e30) {
+        result.feasible = false;
+        break;
+      }
+      p.swap(next);
+    } else {
+      // Linear iteration: shifted power iteration on B + I.  The shift makes
+      // the matrix aperiodic (plain iteration on B oscillates on 2-cycles,
+      // e.g. a pair of links), converging to the Perron vector with growth
+      // 1 + rho(B).
+      double shifted_max = 0.0;
+      for (std::size_t i = 0; i < k; ++i) {
+        next[i] += p[i];
+        shifted_max = std::max(shifted_max, next[i]);
+      }
+      growth = shifted_max;  // max(p) is 1 after normalisation
+      result.spectral_radius_estimate = growth - 1.0;
+      for (std::size_t i = 0; i < k; ++i) next[i] /= shifted_max;
+      double drift = 0.0;
+      for (std::size_t i = 0; i < k; ++i) drift += std::abs(next[i] - p[i]);
+      p.swap(next);
+      if (drift < tol && result.iterations > 3) {
+        result.feasible = result.spectral_radius_estimate <= 1.0 + 10.0 * tol;
+        result.power = p;
+        break;
+      }
+    }
+    if (result.iterations == max_iterations) {
+      // Did not settle: judge by the last growth rate (for the affine/noise
+      // iteration growth ~ 1 means near-convergence; for the shifted linear
+      // iteration the estimate is rho(B) itself).
+      const double rate =
+          noise > 0.0 ? growth : result.spectral_radius_estimate;
+      result.feasible = rate <= 1.0 + 10.0 * tol;
+      result.power = p;
+    }
+  }
+  if (result.feasible && !result.power.empty()) {
+    const double top = *std::max_element(result.power.begin(),
+                                         result.power.end());
+    if (top > 0.0) {
+      for (double& x : result.power) x /= top;
+    } else {
+      result.power.assign(k, 1.0);
+    }
+  }
+  return result;
+}
+
+
+// A random non-negative k x k matrix with zero diagonal whose row sums
+// average `scale` (so its spectral radius sits near `scale`), and a
+// positive constant term when noise > 0.
+struct FixedPointInput {
+  std::vector<double> B;
+  std::vector<double> c;
+};
+
+FixedPointInput RandomInput(std::size_t k, double scale, double noise,
+                            geom::Rng& rng) {
+  FixedPointInput in;
+  in.B.assign(k * k, 0.0);
+  in.c.assign(k, 0.0);
+  const double hi = k > 1 ? 2.0 * scale / static_cast<double>(k - 1) : 0.0;
+  for (std::size_t i = 0; i < k; ++i) {
+    for (std::size_t j = 0; j < k; ++j) {
+      if (i != j) in.B[i * k + j] = rng.Uniform(0.0, hi);
+    }
+    if (noise > 0.0) in.c[i] = noise * rng.Uniform(0.5, 2.0);
+  }
+  return in;
+}
+
+TEST(FixedPointTest, MatchesScalarReferenceLoopBitForBit) {
+  std::vector<std::size_t> sizes;
+  for (std::size_t k = 1; k <= 13; ++k) sizes.push_back(k);
+  sizes.push_back(64);
+  sizes.push_back(97);
+  geom::Rng rng(15);
+  int converged = 0;
+  int capped = 0;
+  int blown_up = 0;
+  int feasible = 0;
+  int infeasible = 0;
+  for (const std::size_t k : sizes) {
+    for (const double noise : {0.0, 1e-3}) {
+      for (const double scale : {0.3, 0.95, 1.02, 3.0}) {
+        for (const int max_iterations : {5, 300}) {
+          const FixedPointInput in = RandomInput(k, scale, noise, rng);
+          const double tol = 1e-7;
+          const PowerControlResult want =
+              ReferenceFixedPoint(in.B, in.c, noise, max_iterations, tol);
+          const PowerControlResult got =
+              RunFixedPoint(in.B, in.c, noise, max_iterations, tol);
+          const std::string where = "k=" + std::to_string(k) +
+                                    " noise=" + std::to_string(noise) +
+                                    " scale=" + std::to_string(scale) +
+                                    " cap=" + std::to_string(max_iterations);
+          EXPECT_EQ(got.feasible, want.feasible) << where;
+          EXPECT_EQ(got.iterations, want.iterations) << where;
+          EXPECT_EQ(got.spectral_radius_estimate,
+                    want.spectral_radius_estimate)
+              << where;
+          ASSERT_EQ(got.power.size(), want.power.size()) << where;
+          for (std::size_t i = 0; i < want.power.size(); ++i) {
+            EXPECT_EQ(got.power[i], want.power[i]) << where << " entry " << i;
+          }
+          if (want.feasible) {
+            ++feasible;
+          } else {
+            ++infeasible;
+          }
+          if (want.iterations == max_iterations) {
+            ++capped;
+          } else if (noise > 0.0 && !want.feasible) {
+            ++blown_up;
+          } else {
+            ++converged;
+          }
+        }
+      }
+    }
+  }
+  // Every exit of the loop was exercised.
+  EXPECT_GT(converged, 0);
+  EXPECT_GT(capped, 0);
+  EXPECT_GT(blown_up, 0);
+  EXPECT_GT(feasible, 0);
+  EXPECT_GT(infeasible, 0);
+}
+
+// A budget that never enters the loop would report even a singleton
+// infeasible after 0 iterations, and a tol <= 0 or NaN can never settle.
+TEST(PowerControlDeathTest, RejectsBadIterationBudget) {
+  core::DecaySpace space(2, 5.0);
+  space.SetSymmetric(0, 1, 2.0);
+  const LinkSystem system(space, {{0, 1}}, {2.0, 0.0});
+  const KernelCache kernel(system, UniformPower(system));
+  const std::vector<int> one{0};
+  EXPECT_DEATH(FeasibleWithPowerControl(system, one, 0), "max_iterations");
+  EXPECT_DEATH(FeasibleWithPowerControl(kernel, one, -3), "max_iterations");
+  EXPECT_DEATH(FeasibleWithPowerControl(system, one, 100, 0.0),
+               "max_iterations");
+  EXPECT_DEATH(FeasibleWithPowerControl(kernel, one, 100, -1e-9),
+               "max_iterations");
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_DEATH(FeasibleWithPowerControl(system, one, 100, nan),
+               "max_iterations");
+  EXPECT_DEATH(FeasibleWithPowerControl(kernel, one, 100, inf),
+               "max_iterations");
+  // The empty set returns before any iteration, but the budget is still
+  // checked.
+  const std::vector<int> empty;
+  EXPECT_DEATH(FeasibleWithPowerControl(system, empty, 0), "max_iterations");
 }
 
 }  // namespace
