@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <optional>
 #include <thread>
 
@@ -443,27 +444,28 @@ void Aggregate(ScenarioResult& result) {
   };
 }
 
+// The task table: every task's stable name, indexed by TaskKind.  Index
+// order is also the canonical execution order AllTasks() returns.
+constexpr const char* kTaskNames[] = {
+    "algorithm1", "greedy",        "weighted", "partitions",
+    "schedule",   "power_control", "queue",    "regret"};
+static_assert(std::size(kTaskNames) == kNumTaskKinds);
+static_assert(static_cast<int>(TaskKind::kRegret) + 1 == kNumTaskKinds);
+
 }  // namespace
 
 const char* TaskKindName(TaskKind kind) {
-  switch (kind) {
-    case TaskKind::kAlgorithm1: return "algorithm1";
-    case TaskKind::kGreedyBaseline: return "greedy";
-    case TaskKind::kWeighted: return "weighted";
-    case TaskKind::kPartitions: return "partitions";
-    case TaskKind::kSchedule: return "schedule";
-    case TaskKind::kPowerControl: return "power_control";
-    case TaskKind::kQueue: return "queue";
-    case TaskKind::kRegret: return "regret";
-  }
-  return "unknown";
+  const auto k = static_cast<std::size_t>(kind);
+  return k < std::size(kTaskNames) ? kTaskNames[k] : "unknown";
 }
 
 std::vector<TaskKind> AllTasks() {
-  return {TaskKind::kAlgorithm1, TaskKind::kGreedyBaseline,
-          TaskKind::kWeighted,   TaskKind::kPartitions,
-          TaskKind::kSchedule,   TaskKind::kPowerControl,
-          TaskKind::kQueue,      TaskKind::kRegret};
+  std::vector<TaskKind> tasks;
+  tasks.reserve(kNumTaskKinds);
+  for (int k = 0; k < kNumTaskKinds; ++k) {
+    tasks.push_back(static_cast<TaskKind>(k));
+  }
+  return tasks;
 }
 
 int ResolveThreads(int requested) {

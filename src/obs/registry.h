@@ -13,8 +13,8 @@
 // Inertness contract, carried from every runner in the library: nothing in
 // this module reads or influences randomness, iteration order or
 // floating-point results.  Metrics on vs off is invisible in every
-// deterministic statistic (AggregateSignature / SweepSignature); tests and
-// the sweep_runner --smoke gate assert it.
+// deterministic statistic (AggregateSignature / SweepSignature);
+// SweepRunnerTest.ObservabilityInertAcrossThreadsAndStageStats asserts it.
 //
 // Snapshots serialise through io::Json (MetricsJson / Registry::ToJson), so
 // a dumped --metrics file round-trips through the same strict parser the

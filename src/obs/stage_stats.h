@@ -9,7 +9,7 @@
 // fields, so it needs no synchronisation and -- like every *_ms field --
 // is explicitly non-deterministic: it never enters AggregateSignature or
 // SweepSignature, and populating it cannot perturb any result
-// (the observability-inertness contract, gated in --smoke).
+// (the observability-inertness contract, gated in tests/sweep_test.cc).
 //
 // Stage totals are *worker-summed* CPU-side wall time: under a T-thread
 // pool they can legitimately exceed the batch's wall clock by up to T; on

@@ -25,8 +25,8 @@
 //  * geometry reuse and the pairing route are invisible too -- a cached
 //    geometry is the bit-identical output of the same BuildGeometry call,
 //    and grid/MNN pairing provably reproduces the sort-greedy matching.
-// SweepSignature serialises the deterministic part of a whole grid; tests,
-// the sweep_runner CLI --smoke gate and bench_e20 assert every invariance.
+// SweepSignature serialises the deterministic part of a whole grid;
+// tests/sweep_test.cc and bench_e20 assert every invariance.
 //
 // Fault tolerance (the robustness layer):
 //  * a cell whose batch throws -- invalid runtime input, an injected
@@ -42,7 +42,7 @@
 //    its SweepSignature equals an uninterrupted run's at any thread count;
 //  * FaultPlan injects deterministic failures (cell i, first k attempts)
 //    through the real worker pool, so the recovery paths above are
-//    exercised end to end by tests and the CLI --smoke gate.
+//    exercised end to end by tests/fault_tolerance_test.cc.
 #pragma once
 
 #include <cstdint>
@@ -90,7 +90,7 @@ struct SweepConfig {
 
   // Robustness knobs.
   int max_attempts = 2;  // tries per cell before it is recorded failed
-  FaultPlan fault;       // deterministic injected failures (tests, --smoke)
+  FaultPlan fault;       // deterministic injected failures (tests, CLI)
   std::string checkpoint_path;  // empty = no checkpointing
   bool resume = false;   // restore completed cells from checkpoint_path
   int checkpoint_every = 1;  // save after every N completed cells (+ final)

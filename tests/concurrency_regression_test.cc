@@ -1,6 +1,6 @@
 // Concurrency regression schedules for the TSan CI gate.
 //
-// The full ctest suite and the pooled sweep smoke run race-free under
+// The full ctest suite, pooled CLI runs included, runs race-free under
 // ThreadSanitizer (PR 10's audit), but TSan can only indict schedules that
 // actually execute.  These tests pin the three shared-state paths the audit
 // called out, each driven through a barrier so every run maximises

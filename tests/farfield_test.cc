@@ -33,6 +33,7 @@
 #include "capacity/baselines.h"
 #include "core/decay_space.h"
 #include "engine/batch_runner.h"
+#include "engine/report.h"
 #include "engine/scenario.h"
 #include "geom/rng.h"
 #include "obs/registry.h"
@@ -469,15 +470,21 @@ TEST(FarFieldEngineTest, CertifiedModeAggregatesStayWithinEpsilon) {
   const std::vector<engine::ScenarioResult> farfield =
       runner.Run(std::vector<engine::ScenarioSpec>{ff_spec});
   ASSERT_EQ(dense.size(), farfield.size());
+  EXPECT_EQ(engine::ViolationCount(farfield), 0);
   ASSERT_EQ(dense[0].aggregate.size(), farfield[0].aggregate.size());
+  // Relative epsilon with a unit floor; equal values (including the +-inf
+  // sentinels of an empty summary) always pass.
+  const auto within_eps = [](double d, double f) {
+    return d == f || std::abs(d - f) <= 1e-3 * std::max(std::abs(d), 1.0);
+  };
   for (std::size_t i = 0; i < dense[0].aggregate.size(); ++i) {
     const auto& [name, ds] = dense[0].aggregate[i];
     const auto& [fname, fs] = farfield[0].aggregate[i];
     EXPECT_EQ(name, fname);
     EXPECT_EQ(ds.count, fs.count) << name;
-    EXPECT_NEAR(ds.sum, fs.sum,
-                1e-3 * std::max(std::abs(ds.sum), 1.0))
-        << name;
+    EXPECT_PRED2(within_eps, ds.sum, fs.sum) << name;
+    EXPECT_PRED2(within_eps, ds.min, fs.min) << name;
+    EXPECT_PRED2(within_eps, ds.max, fs.max) << name;
   }
 }
 

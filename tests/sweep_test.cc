@@ -198,16 +198,23 @@ TEST(SweepRunnerTest, SignatureInvariantAcrossThreadsAndArena) {
   EXPECT_EQ(a.geometry_reuses, 0);
 }
 
-// Geometry reuse and the pairing route are invisible in the signature --
-// across thread counts, cache on/off, and grid/MNN vs sort-greedy pairing
-// -- and the accounting matches the grid structure exactly.
+// Geometry reuse, arenas and the pairing route are invisible in the
+// signature -- across thread counts, cache on/off, arena on/off and
+// grid/MNN vs sort-greedy pairing -- and the accounting matches the grid
+// structure exactly.
 TEST(SweepRunnerTest, SignatureInvariantAcrossGeometryCacheAndPairing) {
-  SweepSpec spec = TinySweep();
-  // alpha re-samples geometry, power_tau and beta do not; with the
-  // non-geometric axes fastest, each alpha generation serves 4 cells.
-  spec.axes = {{"alpha", {2.5, 3.0}},
-               {"power_tau", {0.0, 0.5}},
-               {"beta", {1.0, 1.5}}};
+  // Non-geometric axes (power_tau, beta) run fastest, so each geometry
+  // generation is sampled once and served warm to the rest of its row.
+  // The second grid's links axis also makes the arenas re-grow between
+  // warm generations.
+  const struct {
+    std::vector<SweepAxis> axes;
+    int generations;  // distinct geometric coordinates
+  } grids[] = {
+      {{{"alpha", {2.5, 3.0}}, {"power_tau", {0.0, 0.5}}, {"beta", {1.0, 1.5}}},
+       2},
+      {{{"links", {10, 14}}, {"alpha", {2.5, 3.0}}, {"beta", {1.0, 1.5}}}, 4},
+  };
 
   SweepConfig cached_serial;
   cached_serial.threads = 1;
@@ -219,36 +226,49 @@ TEST(SweepRunnerTest, SignatureInvariantAcrossGeometryCacheAndPairing) {
   uncached_sort.pairing = engine::PairingMode::kSortGreedy;
   SweepConfig cached_sort = cached_pooled;
   cached_sort.pairing = engine::PairingMode::kSortGreedy;
+  SweepConfig no_arena = cached_pooled;
+  no_arena.reuse_arena = false;
 
-  const SweepResult a = SweepRunner(cached_serial).Run(spec);
-  const SweepResult b = SweepRunner(cached_pooled).Run(spec);
-  const SweepResult c = SweepRunner(uncached).Run(spec);
-  const SweepResult d = SweepRunner(uncached_sort).Run(spec);
-  const SweepResult e = SweepRunner(cached_sort).Run(spec);
+  for (const auto& [axes, generations] : grids) {
+    SweepSpec spec = TinySweep();
+    spec.axes = axes;
+    SCOPED_TRACE(axes.front().field + "-major grid");
 
-  ASSERT_EQ(a.cells.size(), 8u);
-  const std::string sig = SweepSignature(a);
-  EXPECT_EQ(sig, SweepSignature(b));
-  EXPECT_EQ(sig, SweepSignature(c));
-  EXPECT_EQ(sig, SweepSignature(d));
-  EXPECT_EQ(sig, SweepSignature(e));
-  EXPECT_EQ(SweepViolationCount(a), 0);
+    const SweepResult a = SweepRunner(cached_serial).Run(spec);
+    const SweepResult b = SweepRunner(cached_pooled).Run(spec);
+    const SweepResult c = SweepRunner(uncached).Run(spec);
+    const SweepResult d = SweepRunner(uncached_sort).Run(spec);
+    const SweepResult e = SweepRunner(cached_sort).Run(spec);
+    const SweepResult f = SweepRunner(no_arena).Run(spec);
 
-  // 2 alpha generations x 2 instances sampled once each; the other 6 cells
-  // of each generation reuse them.  Identical accounting on every cached
-  // run, independent of the thread count.
-  EXPECT_EQ(a.geometry_builds, 2 * 2);
-  EXPECT_EQ(a.geometry_reuses, 6 * 2);
-  EXPECT_EQ(b.geometry_builds, 2 * 2);
-  EXPECT_EQ(b.geometry_reuses, 6 * 2);
-  EXPECT_EQ(c.geometry_builds, 0);
-  EXPECT_EQ(c.geometry_reuses, 0);
+    ASSERT_EQ(a.cells.size(), 8u);
+    const std::string sig = SweepSignature(a);
+    EXPECT_EQ(sig, SweepSignature(b));
+    EXPECT_EQ(sig, SweepSignature(c));
+    EXPECT_EQ(sig, SweepSignature(d));
+    EXPECT_EQ(sig, SweepSignature(e));
+    EXPECT_EQ(sig, SweepSignature(f));
+    EXPECT_EQ(SweepViolationCount(a), 0);
+
+    // Each generation's 2 instances are sampled once; the other cells of
+    // the generation reuse them.  Identical accounting on every cached
+    // run, independent of the thread count.
+    const int reuses = 8 - generations;
+    EXPECT_EQ(a.geometry_builds, generations * 2);
+    EXPECT_EQ(a.geometry_reuses, reuses * 2);
+    EXPECT_EQ(b.geometry_builds, generations * 2);
+    EXPECT_EQ(b.geometry_reuses, reuses * 2);
+    EXPECT_EQ(c.geometry_builds, 0);
+    EXPECT_EQ(c.geometry_reuses, 0);
+    EXPECT_EQ(f.arena_rebuilds, 0);
+  }
 }
 
 // A dynamics grid (lambda x regret_penalty, both non-geometric) keeps the
-// sweep contract: thread-count-invariant signatures, one geometry
-// generation serving every cell, and the queue/regret metrics present in
-// every cell's aggregate and in the CSV export.
+// sweep contract: signatures invariant across thread counts and geometry
+// cache on/off, one geometry generation serving every cell, and the
+// queue/regret metrics present in every cell's aggregate and in the CSV
+// export.
 TEST(SweepRunnerTest, DynamicsAxesShareGeometryAndStayDeterministic) {
   SweepSpec spec = TinySweep();
   spec.base.links = 10;
@@ -261,15 +281,20 @@ TEST(SweepRunnerTest, DynamicsAxesShareGeometryAndStayDeterministic) {
   serial.threads = 1;
   SweepConfig pooled;
   pooled.threads = 4;
+  SweepConfig uncached = pooled;
+  uncached.reuse_geometry = false;
 
   const SweepResult a = SweepRunner(serial).Run(spec);
   const SweepResult b = SweepRunner(pooled).Run(spec);
+  const SweepResult c = SweepRunner(uncached).Run(spec);
   ASSERT_EQ(a.cells.size(), 4u);
   EXPECT_EQ(SweepSignature(a), SweepSignature(b));
+  EXPECT_EQ(SweepSignature(a), SweepSignature(c));
   // Both axes are non-geometric: the first cell samples each instance once
   // and every other cell reuses them.
   EXPECT_EQ(a.geometry_builds, 2);
   EXPECT_EQ(a.geometry_reuses, 3 * 2);
+  EXPECT_EQ(c.geometry_reuses, 0);
   for (const SweepCellResult& cell : a.cells) {
     for (const char* metric :
          {"queue_throughput", "queue_unstable", "regret_successes"}) {

@@ -2,7 +2,6 @@
 // multi-instance engine.
 //
 //   $ scenario_runner --list
-//   $ scenario_runner --smoke [--json] [--trace F] [--metrics F]
 //   $ scenario_runner [--scenario NAME] [--links N] [--instances K]
 //                     [--alpha A] [--beta B] [--lambda L] [--scheduler S]
 //                     [--set FIELD=VALUE] [--threads T] [--seed S] [--json]
@@ -35,12 +34,9 @@
 // either enables the otherwise-inert observability layer (results are
 // bit-identical on or off; docs/observability.md).
 //
-// --smoke is the CI entry point: it shrinks every builtin to a small size,
-// runs the batch once single-threaded and once multi-threaded, and fails
-// (exit 1) unless the two deterministic aggregate reports are bit-identical
-// -- a fast end-to-end check of the whole engine stack.
+// The engine's determinism contracts (aggregates invariant across thread
+// counts, every builtin running clean) are gated by tests/engine_test.cc.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -61,7 +57,7 @@ namespace {
 
 int Usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--list] [--smoke] [--scenario NAME] [--links N]\n"
+               "usage: %s [--list] [--scenario NAME] [--links N]\n"
                "          [--instances K] [--alpha A] [--beta B] [--lambda L]\n"
                "          [--scheduler lqf|greedy|random] [--set FIELD=VALUE]\n"
                "          [--threads T] [--seed S] [--json]\n"
@@ -116,7 +112,6 @@ int ListScenarios() {
 
 int main(int argc, char** argv) {
   bool list = false;
-  bool smoke = false;
   bool json = false;
   std::string scenario;
   int links = 0;       // 0 = keep the preset's value
@@ -137,8 +132,6 @@ int main(int argc, char** argv) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--list") == 0) {
       list = true;
-    } else if (std::strcmp(arg, "--smoke") == 0) {
-      smoke = true;
     } else if (std::strcmp(arg, "--json") == 0) {
       json = true;
     } else if (tools::MatchStringFlag("--scenario", argc, argv, &i, &scenario,
@@ -195,16 +188,6 @@ int main(int argc, char** argv) {
   }
 
   if (list) return ListScenarios();
-  // The smoke determinism gate runs the builtins at canonical small sizes;
-  // decay-model overrides would silently change what the gate certifies
-  // (same policy as sweep_runner --smoke: a usage error, not a drop).
-  if (smoke && (alpha > 0.0 || beta > 0.0 || lambda >= 0.0 ||
-                scheduler >= 0 || !set_bindings.empty())) {
-    std::fprintf(stderr,
-                 "--smoke runs the canonical decay and traffic models; it "
-                 "does not take --alpha/--beta/--lambda/--scheduler/--set\n");
-    return 2;
-  }
 
   std::vector<engine::ScenarioSpec> specs;
   if (!scenario.empty()) {
@@ -219,10 +202,6 @@ int main(int argc, char** argv) {
     specs = engine::BuiltinScenarios();
   }
   for (engine::ScenarioSpec& spec : specs) {
-    if (smoke) {
-      spec.links = 24;
-      spec.instances = 4;
-    }
     if (links > 0) spec.links = links;
     if (instances > 0) spec.instances = instances;
     if (alpha > 0.0) spec.alpha = alpha;
@@ -275,11 +254,6 @@ int main(int argc, char** argv) {
 
   engine::BatchConfig config;
   config.threads = threads;
-  // In smoke mode the pooled side is pinned to >= 4 workers so the
-  // determinism gate below compares genuinely different interleavings even
-  // on single-core runners (where hardware_concurrency() would make both
-  // runs serial and the check vacuous).
-  if (smoke && config.threads < 4) config.threads = 4;
   const engine::BatchRunner runner(config);
   tools::EnableObservability(trace_path, metrics_path);
   std::vector<engine::ScenarioResult> results;
@@ -290,29 +264,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   engine::PrintReport(results);
-
-  if (smoke) {
-    // Health gate: any infeasible set or invalid schedule fails the smoke
-    // even when it is perfectly deterministic.
-    if (engine::ViolationCount(results) != 0) {
-      std::fprintf(stderr,
-                   "FAIL: feasibility/validation violations in smoke run\n");
-      return 1;
-    }
-    // Determinism gate: the deterministic aggregate must not depend on the
-    // thread count.  Compare the pooled run against a single-threaded one.
-    engine::BatchConfig serial = config;
-    serial.threads = 1;
-    const std::vector<engine::ScenarioResult> reference =
-        engine::BatchRunner(serial).Run(specs);
-    if (engine::AggregateSignature(results) !=
-        engine::AggregateSignature(reference)) {
-      std::fprintf(stderr,
-                   "FAIL: aggregate report differs between thread counts\n");
-      return 1;
-    }
-    std::printf("smoke: aggregates bit-identical across thread counts\n");
-  }
 
   if (json && !engine::WriteJsonReport("SCENARIO", results)) return 1;
   if (!tools::WriteObservabilityFiles(trace_path, metrics_path)) return 1;

@@ -2,7 +2,6 @@
 // shared kernel arenas.
 //
 //   $ sweep_runner --list
-//   $ sweep_runner --smoke [--json] [--trace F] [--metrics F]
 //   $ sweep_runner [--sweep NAME] [--instances K] [--alpha A] [--beta B]
 //                  [--lambda L] [--scheduler S] [--threads T] [--no-arena]
 //                  [--no-geometry-cache] [--geometry-generations G]
@@ -45,31 +44,12 @@
 // the obs::Registry snapshot.  Both artifacts are re-parsed through
 // io::Json before the tool exits -- a malformed file is a run failure.
 // Either flag enables the otherwise-inert observability layer; results are
-// bit-identical on or off (the --smoke gate below proves it every CI run).
+// bit-identical on or off.
 //
-// --smoke is the CI entry point, two fixed grids:
-//  * a tiny 2x2x2 capacity grid (links x alpha x beta; the trailing beta
-//    axis is non-geometric, so it exercises geometry reuse) runs pooled,
-//    single-threaded, arena-less, geometry-cache-less and sort-paired, and
-//    the run fails (exit 1) unless all five deterministic sweep signatures
-//    are bit-identical and no feasibility/validation violations occurred;
-//  * a 2x2 dynamics grid (alpha x lambda, TaskKind::kQueue + kRegret) runs
-//    pooled vs single-threaded vs geometry-cache-less, gating that the
-//    queue/regret task statistics are thread-count deterministic and that
-//    every cell actually produced them;
-//  * a 2x2 LRU grid with the *geometric* axis fastest (keys interleave, the
-//    worst case for a single-generation cache) runs at depth 1 vs depth 2,
-//    gating that deeper generations change nothing but the hit/evict
-//    accounting;
-//  * a 2x2 far-field grid (links x alpha, the tasks with far-field
-//    pipelines) gates the certified kernel tier: kernel_mode=farfield at
-//    epsilon=0 must reproduce the dense sweep signature bit-exactly, and at
-//    epsilon=1e-3 every aggregate must agree with dense within the
-//    certified bound (docs/performance.md, "scaling past dense").
-// Together they are a fast end-to-end check of the sweep -> batch ->
-// geometry-cache -> kernel-arena stack, dynamics tasks and the far-field
-// kernel tier included.
-#include <cmath>
+// The sweep contracts (signatures invariant across threads, arenas, the
+// geometry cache, pairing, obs and kernel tier; fault isolation, retry,
+// halt-then-resume) are gated by tests/sweep_test.cc,
+// tests/fault_tolerance_test.cc and tests/farfield_test.cc.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -78,11 +58,7 @@
 
 #include "core/status.h"
 #include "dynamics/queue_system.h"
-#include "engine/report.h"
-#include "obs/registry.h"
-#include "obs/trace.h"
 #include "obs_output.h"
-#include "sweep/checkpoint.h"
 #include "sweep/sweep.h"
 #include "sweep/sweep_report.h"
 #include "sweep/sweep_runner.h"
@@ -94,7 +70,7 @@ namespace {
 
 int Usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--list] [--smoke] [--sweep NAME] [--instances K]\n"
+               "usage: %s [--list] [--sweep NAME] [--instances K]\n"
                "          [--alpha A] [--beta B] [--lambda L]\n"
                "          [--scheduler lqf|greedy|random] [--threads T]\n"
                "          [--no-arena] [--no-geometry-cache]\n"
@@ -169,472 +145,10 @@ int ListSweeps() {
   return 0;
 }
 
-// The --smoke grid: tiny, fixed, and axis-diverse enough to cross cell
-// shapes (two link counts force the arenas to re-grow mid-sweep) *and*
-// geometry generations (the trailing beta axis is non-geometric, so every
-// links x alpha geometry is reused across its beta pair when the cache is
-// on).
-sweep::SweepSpec SmokeSweep() {
-  sweep::SweepSpec spec;
-  spec.name = "smoke";
-  spec.base.name = "smoke";
-  spec.base.topology = "uniform";
-  spec.base.links = 12;
-  spec.base.instances = 3;
-  spec.base.seed = 9901;
-  spec.axes = {{"links", {10, 14}}, {"alpha", {2.5, 3.0}}, {"beta", {1.0, 1.5}}};
-  return spec;
-}
-
-// The --smoke dynamics grid: alpha x lambda with the queue + regret tasks,
-// small enough to stay fast in CI yet crossing a geometry boundary (alpha)
-// and an arrival-rate row (lambda, non-geometric).
-sweep::SweepSpec SmokeDynamicsSweep() {
-  sweep::SweepSpec spec;
-  spec.name = "smoke_dynamics";
-  spec.base.name = "smoke_dynamics";
-  spec.base.topology = "uniform";
-  spec.base.links = 10;
-  spec.base.instances = 2;
-  spec.base.seed = 9902;
-  spec.base.dynamics.queue_slots = 150;
-  spec.base.dynamics.regret_rounds = 150;
-  spec.axes = {{"alpha", {2.5, 3.0}}, {"lambda", {0.05, 0.3}}};
-  spec.tasks = {engine::TaskKind::kQueue, engine::TaskKind::kRegret};
-  return spec;
-}
-
-// Dynamics determinism gate: queue/regret statistics must be bit-identical
-// across thread counts and geometry-cache modes, and every cell must have
-// actually produced them (a silently skipped task would pass a pure
-// signature comparison).
-int RunDynamicsSmoke(const sweep::SweepConfig& pooled,
-                     sweep::SweepResult* out) {
-  const sweep::SweepSpec spec = SmokeDynamicsSweep();
-  sweep::SweepConfig serial = pooled;
-  serial.threads = 1;
-  sweep::SweepConfig no_geometry = pooled;
-  no_geometry.reuse_geometry = false;
-
-  const sweep::SweepResult a = sweep::SweepRunner(pooled).Run(spec);
-  const sweep::SweepResult b = sweep::SweepRunner(serial).Run(spec);
-  const sweep::SweepResult c = sweep::SweepRunner(no_geometry).Run(spec);
-  sweep::PrintSweepReport(a);
-
-  const std::string sig = sweep::SweepSignature(a);
-  if (sig != sweep::SweepSignature(b)) {
-    std::fprintf(stderr,
-                 "FAIL: dynamics sweep signature differs between thread "
-                 "counts\n");
-    return 1;
-  }
-  if (sig != sweep::SweepSignature(c)) {
-    std::fprintf(stderr,
-                 "FAIL: dynamics sweep signature differs with the geometry "
-                 "cache disabled\n");
-    return 1;
-  }
-  for (const sweep::SweepCellResult& cell : a.cells) {
-    for (const char* metric : {"queue_throughput", "queue_unstable",
-                               "regret_successes"}) {
-      const engine::MetricSummary* m =
-          engine::FindAggregateMetric(cell.result, metric);
-      if (m == nullptr ||
-          m->count != static_cast<long long>(cell.result.instances.size())) {
-        std::fprintf(stderr,
-                     "FAIL: cell %d did not produce %s for every instance\n",
-                     cell.cell.index, metric);
-        return 1;
-      }
-    }
-  }
-  std::printf(
-      "smoke: dynamics sweep signatures bit-identical across thread counts "
-      "and geometry cache on/off (%zu cells, queue + regret tasks)\n",
-      a.cells.size());
-  *out = a;
-  return 0;
-}
-
-// The --smoke LRU grid: the geometric axis (alpha) varies *fastest*, so
-// the geometry-key sequence interleaves K1 K2 K1 K2 -- a single-generation
-// cache thrashes (every Prepare evicts), while depth 2 turns every revisit
-// into a warm generation hit.
-sweep::SweepSpec SmokeLruSweep() {
-  sweep::SweepSpec spec;
-  spec.name = "smoke_lru";
-  spec.base.name = "smoke_lru";
-  spec.base.topology = "uniform";
-  spec.base.links = 10;
-  spec.base.instances = 2;
-  spec.base.seed = 9903;
-  spec.axes = {{"beta", {1.0, 1.5}}, {"alpha", {2.5, 3.0}}};
-  spec.tasks = {engine::TaskKind::kAlgorithm1,
-                engine::TaskKind::kGreedyBaseline};
-  return spec;
-}
-
-// LRU-depth gate: deeper geometry generations must be invisible in the
-// results and visible in the accounting (hits up, builds and evictions
-// down) on an interleaved-key grid.
-int RunLruSmoke(const sweep::SweepConfig& pooled) {
-  const sweep::SweepSpec spec = SmokeLruSweep();
-  sweep::SweepConfig deep = pooled;
-  deep.geometry_generations = 2;
-  const sweep::SweepResult shallow = sweep::SweepRunner(pooled).Run(spec);
-  const sweep::SweepResult warm = sweep::SweepRunner(deep).Run(spec);
-  if (sweep::SweepSignature(shallow) != sweep::SweepSignature(warm)) {
-    std::fprintf(stderr,
-                 "FAIL: sweep signature differs between geometry LRU depths\n");
-    return 1;
-  }
-  if (warm.geometry_generation_hits < 2 || warm.geometry_evictions != 0 ||
-      warm.geometry_builds >= shallow.geometry_builds ||
-      shallow.geometry_evictions < 3) {
-    std::fprintf(stderr,
-                 "FAIL: geometry LRU accounting (depth 2: %lld hits / %lld "
-                 "evictions / %lld builds; depth 1: %lld evictions / %lld "
-                 "builds)\n",
-                 warm.geometry_generation_hits, warm.geometry_evictions,
-                 warm.geometry_builds, shallow.geometry_evictions,
-                 shallow.geometry_builds);
-    return 1;
-  }
-  std::printf(
-      "smoke: geometry LRU depth 2 bit-identical to depth 1 on interleaved "
-      "keys (%lld generation hits, %lld -> %lld builds)\n",
-      warm.geometry_generation_hits, shallow.geometry_builds,
-      warm.geometry_builds);
-  return 0;
-}
-
-// The --smoke far-field grid: small capacity cells through the three tasks
-// with far-field pipelines.  Uniform topology, no shadowing, uniform power
-// -- the preconditions kernel_mode=farfield validates.
-sweep::SweepSpec SmokeFarFieldSweep() {
-  sweep::SweepSpec spec;
-  spec.name = "smoke_farfield";
-  spec.base.name = "smoke_farfield";
-  spec.base.topology = "uniform";
-  spec.base.links = 12;
-  spec.base.instances = 2;
-  spec.base.seed = 9904;
-  spec.axes = {{"links", {10, 14}}, {"alpha", {2.5, 3.0}}};
-  spec.tasks = {engine::TaskKind::kAlgorithm1,
-                engine::TaskKind::kGreedyBaseline,
-                engine::TaskKind::kSchedule};
-  return spec;
-}
-
-// |x - y| within a relative tolerance (absolute 1e-12 floor for zeros).
-bool CloseEnough(double x, double y, double tol) {
-  if (x == y) return true;  // covers the +-inf sentinels of empty summaries
-  return std::abs(x - y) <=
-         tol * std::max(std::abs(x), std::abs(y)) + 1e-12;
-}
-
-// Far-field kernel gate: kernel_mode=farfield must reproduce the dense
-// sweep bit-exactly at epsilon = 0, and every deterministic aggregate must
-// agree with dense within the certified epsilon otherwise.
-int RunFarFieldSmoke(const sweep::SweepConfig& pooled) {
-  sweep::SweepSpec spec = SmokeFarFieldSweep();
-  const sweep::SweepResult dense = sweep::SweepRunner(pooled).Run(spec);
-  if (sweep::SweepViolationCount(dense) != 0) {
-    std::fprintf(stderr, "FAIL: violations in the dense far-field grid\n");
-    return 1;
-  }
-
-  spec.base.kernel_mode = engine::KernelMode::kFarField;
-  spec.base.farfield_epsilon = 0.0;
-  const sweep::SweepResult exact = sweep::SweepRunner(pooled).Run(spec);
-  if (sweep::SweepSignature(exact) != sweep::SweepSignature(dense)) {
-    std::fprintf(stderr,
-                 "FAIL: kernel_mode=farfield at epsilon=0 is not "
-                 "bit-identical to the dense sweep\n");
-    return 1;
-  }
-
-  const double eps = 1e-3;
-  spec.base.farfield_epsilon = eps;
-  const sweep::SweepResult approx = sweep::SweepRunner(pooled).Run(spec);
-  if (sweep::SweepViolationCount(approx) != 0 ||
-      approx.cells.size() != dense.cells.size()) {
-    std::fprintf(stderr,
-                 "FAIL: certified far-field grid lost cells or produced "
-                 "violations\n");
-    return 1;
-  }
-  for (std::size_t i = 0; i < dense.cells.size(); ++i) {
-    const auto& da = dense.cells[i].result.aggregate;
-    const auto& fa = approx.cells[i].result.aggregate;
-    if (da.size() != fa.size()) {
-      std::fprintf(stderr,
-                   "FAIL: cell %d aggregate shape differs dense vs "
-                   "far-field\n",
-                   dense.cells[i].cell.index);
-      return 1;
-    }
-    for (std::size_t j = 0; j < da.size(); ++j) {
-      const auto& [name, ds] = da[j];
-      const auto& [fname, fs] = fa[j];
-      if (name != fname || ds.count != fs.count ||
-          !CloseEnough(ds.sum, fs.sum, eps) ||
-          !CloseEnough(ds.min, fs.min, eps) ||
-          !CloseEnough(ds.max, fs.max, eps)) {
-        std::fprintf(stderr,
-                     "FAIL: cell %d metric %s disagrees beyond the "
-                     "certified epsilon (dense sum=%.17g count=%lld "
-                     "min=%.17g max=%.17g; far-field sum=%.17g count=%lld "
-                     "min=%.17g max=%.17g)\n",
-                     dense.cells[i].cell.index, name.c_str(), ds.sum,
-                     ds.count, ds.min, ds.max, fs.sum, fs.count, fs.min,
-                     fs.max);
-        return 1;
-      }
-    }
-  }
-  std::printf(
-      "smoke: far-field kernel bit-identical to dense at epsilon=0 and "
-      "within the certified epsilon=%g at every aggregate (%zu cells, "
-      "alg1 + greedy + schedule)\n",
-      eps, dense.cells.size());
-  return 0;
-}
-
-int RunSmoke(int threads, bool json) {
-  const sweep::SweepSpec spec = SmokeSweep();
-
-  // Baselines run with observability off even under --trace / --metrics,
-  // so the inertness gate below genuinely compares off vs on.  Restored on
-  // the success path; failures exit the process.
-  const bool obs_was_enabled = obs::Enabled();
-  obs::SetEnabled(false);
-
-  // Pin the pooled side to >= 4 workers so the determinism gate compares
-  // genuinely different interleavings even on single-core runners.
-  sweep::SweepConfig pooled;
-  pooled.threads = threads >= 4 ? threads : 4;
-  sweep::SweepConfig serial = pooled;
-  serial.threads = 1;
-  sweep::SweepConfig no_arena = pooled;
-  no_arena.reuse_arena = false;
-  sweep::SweepConfig no_geometry = pooled;
-  no_geometry.reuse_geometry = false;
-  sweep::SweepConfig sort_paired = pooled;
-  sort_paired.pairing = engine::PairingMode::kSortGreedy;
-
-  const sweep::SweepResult a = sweep::SweepRunner(pooled).Run(spec);
-  const sweep::SweepResult b = sweep::SweepRunner(serial).Run(spec);
-  const sweep::SweepResult c = sweep::SweepRunner(no_arena).Run(spec);
-  const sweep::SweepResult d = sweep::SweepRunner(no_geometry).Run(spec);
-  const sweep::SweepResult e = sweep::SweepRunner(sort_paired).Run(spec);
-  sweep::PrintSweepReport(a);
-
-  if (sweep::SweepViolationCount(a) != 0) {
-    std::fprintf(stderr,
-                 "FAIL: feasibility/validation violations in smoke sweep\n");
-    return 1;
-  }
-  const std::string sig = sweep::SweepSignature(a);
-  if (sig != sweep::SweepSignature(b)) {
-    std::fprintf(stderr,
-                 "FAIL: sweep signature differs between thread counts\n");
-    return 1;
-  }
-  if (sig != sweep::SweepSignature(c)) {
-    std::fprintf(stderr,
-                 "FAIL: sweep signature differs with arena reuse disabled\n");
-    return 1;
-  }
-  if (sig != sweep::SweepSignature(d)) {
-    std::fprintf(stderr,
-                 "FAIL: sweep signature differs with the geometry cache "
-                 "disabled\n");
-    return 1;
-  }
-  if (sig != sweep::SweepSignature(e)) {
-    std::fprintf(stderr,
-                 "FAIL: sweep signature differs between grid/MNN and "
-                 "sort-greedy pairing\n");
-    return 1;
-  }
-  // The gate must actually exercise the cache: the beta axis guarantees
-  // one warm generation per links x alpha coordinate.
-  if (a.geometry_reuses <= 0 || d.geometry_reuses != 0) {
-    std::fprintf(stderr,
-                 "FAIL: geometry cache accounting (reuses on=%lld off=%lld)\n",
-                 a.geometry_reuses, d.geometry_reuses);
-    return 1;
-  }
-  std::printf(
-      "smoke: sweep signatures bit-identical across thread counts, arena "
-      "reuse, geometry cache on/off and pairing modes (%lld kernels through "
-      "arenas, %lld geometries built / %lld reused)\n",
-      a.arena_rebuilds, a.geometry_builds, a.geometry_reuses);
-
-  // Observability-inertness gate: with metrics and tracing live the grid
-  // must reproduce the obs-off signature bit-for-bit, pooled and serial --
-  // and must actually capture events (a dead layer would pass the equality
-  // vacuously).
-  {
-    obs::TraceSink& sink = obs::TraceSink::Global();
-    const bool sink_was_active = sink.active();
-    obs::SetEnabled(true);
-    if (!sink_was_active) sink.Start();
-    const sweep::SweepResult ta = sweep::SweepRunner(pooled).Run(spec);
-    const sweep::SweepResult tb = sweep::SweepRunner(serial).Run(spec);
-    const std::size_t events = sink.EventCount();
-    if (!sink_was_active) sink.Stop();
-    obs::SetEnabled(false);
-    if (sweep::SweepSignature(ta) != sig ||
-        sweep::SweepSignature(tb) != sig) {
-      std::fprintf(stderr,
-                   "FAIL: sweep signature differs with metrics/tracing "
-                   "enabled\n");
-      return 1;
-    }
-    if (events == 0) {
-      std::fprintf(stderr,
-                   "FAIL: observability gate captured no trace events\n");
-      return 1;
-    }
-    std::printf(
-        "smoke: metrics + tracing inert (signatures bit-identical with "
-        "observability on, %zu trace events captured)\n",
-        events);
-  }
-
-  // Robustness gate 1 -- failure isolation: a cell that fails every
-  // attempt is recorded failed while every other cell still matches the
-  // clean run bit-for-bit.
-  {
-    sweep::SweepConfig faulty = pooled;
-    faulty.fault.fail_cell = 2;
-    faulty.fault.fail_attempts = -1;  // exhaust the retry budget
-    const sweep::SweepResult f = sweep::SweepRunner(faulty).Run(spec);
-    if (f.cells.size() != a.cells.size() || f.cells_failed != 1) {
-      std::fprintf(stderr,
-                   "FAIL: fault isolation (cells=%zu of %zu, failed=%d)\n",
-                   f.cells.size(), a.cells.size(), f.cells_failed);
-      return 1;
-    }
-    for (std::size_t i = 0; i < f.cells.size(); ++i) {
-      const sweep::SweepCellResult& cell = f.cells[i];
-      if (cell.cell.index == 2) {
-        if (cell.outcome.ok) {
-          std::fprintf(stderr, "FAIL: injected-fault cell completed\n");
-          return 1;
-        }
-        continue;
-      }
-      if (!cell.outcome.ok ||
-          engine::AggregateSignature(std::span(&cell.result, 1)) !=
-              engine::AggregateSignature(std::span(&a.cells[i].result, 1))) {
-        std::fprintf(stderr,
-                     "FAIL: cell %d diverged from the clean run under a "
-                     "fault in cell 2\n",
-                     cell.cell.index);
-        return 1;
-      }
-    }
-  }
-
-  // Robustness gate 2 -- retry: a cell that fails only its first attempt
-  // recovers transparently; the whole-grid signature equals the clean one.
-  {
-    sweep::SweepConfig flaky = pooled;
-    flaky.fault.fail_cell = 2;
-    flaky.fault.fail_attempts = 1;
-    const sweep::SweepResult f = sweep::SweepRunner(flaky).Run(spec);
-    if (f.cells_failed != 0 || f.cells_retried != 1 ||
-        sweep::SweepSignature(f) != sig) {
-      std::fprintf(stderr,
-                   "FAIL: retry recovery (failed=%d retried=%d, signature %s)"
-                   "\n",
-                   f.cells_failed, f.cells_retried,
-                   sweep::SweepSignature(f) == sig ? "equal" : "differs");
-      return 1;
-    }
-  }
-
-  // Robustness gate 3 -- checkpoint/resume: halt after half the grid, then
-  // resume; the resumed run's signature must equal the uninterrupted one,
-  // including at a different thread count.
-  {
-    const std::string ckpt = "SWEEP_smoke_checkpoint.json";
-    std::remove(ckpt.c_str());
-    sweep::SweepConfig half = pooled;
-    half.checkpoint_path = ckpt;
-    half.halt_after_cells = 4;
-    const sweep::SweepResult partial = sweep::SweepRunner(half).Run(spec);
-    if (partial.cells.size() >= a.cells.size()) {
-      std::fprintf(stderr, "FAIL: halt-after did not truncate the grid\n");
-      std::remove(ckpt.c_str());
-      return 1;
-    }
-    // A completed resume rewrites the sidecar to the full grid; snapshot
-    // the half-grid document so every iteration resumes the same kill.
-    core::StatusOr<sweep::SweepCheckpoint> half_doc =
-        sweep::LoadCheckpoint(ckpt);
-    if (!half_doc.ok() || half_doc->cells.size() != 4) {
-      std::fprintf(stderr, "FAIL: halt-after checkpoint unreadable or not "
-                           "4 cells\n");
-      std::remove(ckpt.c_str());
-      return 1;
-    }
-    bool ok = true;
-    for (const int resume_threads : {pooled.threads, 1}) {
-      if (!sweep::SaveCheckpoint(ckpt, *half_doc).ok()) {
-        std::fprintf(stderr, "FAIL: cannot rewrite smoke checkpoint\n");
-        ok = false;
-        break;
-      }
-      sweep::SweepConfig resumed = pooled;
-      resumed.threads = resume_threads;
-      resumed.checkpoint_path = ckpt;
-      resumed.resume = true;
-      const sweep::SweepResult r = sweep::SweepRunner(resumed).Run(spec);
-      if (r.cells_resumed != 4 || r.cells_failed != 0 ||
-          sweep::SweepSignature(r) != sig) {
-        std::fprintf(stderr,
-                     "FAIL: resume at %d threads (resumed=%d failed=%d, "
-                     "signature %s)\n",
-                     resume_threads, r.cells_resumed, r.cells_failed,
-                     sweep::SweepSignature(r) == sig ? "equal" : "differs");
-        ok = false;
-        break;
-      }
-    }
-    std::remove(ckpt.c_str());
-    if (!ok) return 1;
-  }
-  std::printf(
-      "smoke: fault isolation, retry recovery and checkpoint/resume "
-      "reproduce the clean signature bit-exactly\n");
-
-  if (const int lru_rc = RunLruSmoke(pooled); lru_rc != 0) return lru_rc;
-  if (const int ff_rc = RunFarFieldSmoke(pooled); ff_rc != 0) return ff_rc;
-
-  std::printf("\n");
-  sweep::SweepResult dynamics;
-  if (const int dynamics_rc = RunDynamicsSmoke(pooled, &dynamics);
-      dynamics_rc != 0) {
-    return dynamics_rc;
-  }
-
-  // Both smoke grids land in the artifact: the capacity cells and the
-  // dynamics (queue/regret) cells.
-  const sweep::SweepResult results[] = {a, std::move(dynamics)};
-  if (json && !sweep::WriteSweepJsonReport("SWEEP", results)) return 1;
-  obs::SetEnabled(obs_was_enabled);
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bool list = false;
-  bool smoke = false;
   bool csv = false;
   bool json = false;
   bool no_arena = false;
@@ -663,8 +177,6 @@ int main(int argc, char** argv) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--list") == 0) {
       list = true;
-    } else if (std::strcmp(arg, "--smoke") == 0) {
-      smoke = true;
     } else if (std::strcmp(arg, "--csv") == 0) {
       csv = true;
     } else if (std::strcmp(arg, "--json") == 0) {
@@ -754,25 +266,6 @@ int main(int argc, char** argv) {
   }
 
   if (list) return ListSweeps();
-  if (smoke) {
-    // The smoke grid is fixed (it IS the determinism gate); flags that
-    // would alter it are a usage error, not something to silently drop.
-    if (csv || no_arena || no_geometry_cache || geometry_generations > 0 ||
-        instances > 0 ||
-        alpha > 0.0 || beta > 0.0 || lambda >= 0.0 || scheduler >= 0 ||
-        !sweep_name.empty() || !extra_axes.empty() ||
-        !checkpoint_path.empty() || resume || strict || retries > 0 ||
-        halt_after > 0 || fail_cell >= 0) {
-      std::fprintf(stderr,
-                   "--smoke runs a fixed grid; it takes only --threads, "
-                   "--json, --trace and --metrics\n");
-      return 2;
-    }
-    tools::EnableObservability(trace_path, metrics_path);
-    const int rc = RunSmoke(threads, json);
-    if (rc != 0) return rc;
-    return tools::WriteObservabilityFiles(trace_path, metrics_path) ? 0 : 1;
-  }
 
   std::vector<sweep::SweepSpec> sweeps;
   if (!sweep_name.empty()) {
