@@ -141,16 +141,10 @@ int main(int argc, char** argv) {
         "determinism check skipped: --threads 1 makes both runs serial\n");
   }
 
-  // One phase per scenario (batch wall / worker-summed build time -- the
+  // Three phases per scenario (batch wall / worker-summed build time -- the
   // geometry, metricity and kernel stages together -- / task time, the
   // longitudinal throughput record), plus the deterministic aggregates as
   // the "scenarios" extra member.
-  for (const engine::ScenarioResult& r : results) {
-    report.Record(r.spec.name + ".batch", r.spec.links, r.batch_wall_ms);
-    report.Record(r.spec.name + ".build_total", r.spec.links,
-                  r.build_ms_total);
-    report.Record(r.spec.name + ".tasks", r.spec.links, r.task_ms_total);
-  }
-  report.SetExtra("scenarios", engine::ScenariosJson(results));
+  engine::RecordScenarioPhases(report, results);
   return report.Close();
 }

@@ -23,6 +23,4 @@ double RiemannZeta(double x) {
   return sum;
 }
 
-double Lg(double x) { return std::log2(x); }
-
 }  // namespace decaylib::core

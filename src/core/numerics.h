@@ -9,7 +9,4 @@ namespace decaylib::core {
 // error below 1e-12 for x >= 1.05.
 double RiemannZeta(double x);
 
-// log base 2.
-double Lg(double x);
-
 }  // namespace decaylib::core

@@ -1,14 +1,7 @@
 #include "engine/batch_runner.h"
 
-// decay-lint: allowlist-file(clock-read) -- the engine's timing surfaces
-// (geometry_ms/kernel_ms/task_kind_ms/build_ms, PR 7) are measured here as
-// plain clocks by design.  Every reading flows only into *_ms report fields
-// and StageStats; none may feed signatures, task logic, or retry decisions
-// (the determinism gates in engine_test would catch it if one did).
-
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <iterator>
@@ -35,8 +28,8 @@ namespace decaylib::engine {
 namespace {
 
 // Registry handles of the engine layer, resolved once.  Counters/histograms
-// only tick when obs::Enabled(); the stage breakdown in ScenarioResult is
-// populated always (it is plain wall clock, like build_ms/task_ms).
+// only tick when obs::Enabled(); the stage breakdown in the results is
+// populated always (from the same spans' Finish() values).
 // Metric name catalogue: docs/observability.md.
 struct EngineInstruments {
   obs::Counter& instances;
@@ -65,12 +58,6 @@ struct EngineInstruments {
     return *instruments;
   }
 };
-
-double ElapsedMs(std::chrono::steady_clock::time_point since) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - since)
-      .count();
-}
 
 // Per-task rng streams: independent of the instance builder's stream and of
 // each other (distinct salts), deterministic in (spec.seed, index) -- a
@@ -144,12 +131,9 @@ InstanceRecord RunInstance(const ScenarioSpec& spec, int index,
   InstanceRecord rec;
   rec.index = index;
 
-  // The record's stage timers (geometry_ms / kernel_ms / task_kind_ms) are
-  // plain clocks, measured always -- they feed the StageStats breakdown the
-  // reports show.  The obs::Spans alongside them are the opt-in layer:
-  // trace events + registry histograms, inert and near-free when disabled.
+  // Each stage's obs::Span times it once: Finish() feeds rec.stages always,
+  // and the trace + registry histograms only when observability is on.
   obs::Span instance_span("instance");
-  const auto build_start = std::chrono::steady_clock::now();
   // The geometry is kept alive alongside the configured instance: the
   // far-field kernel is built from its planar points (matrix-free), which
   // ConfigureInstance does not carry over.
@@ -169,27 +153,29 @@ InstanceRecord RunInstance(const ScenarioSpec& spec, int index,
       geom_ptr = &*local_geom;
     }
     built.emplace(ConfigureInstance(spec, *geom_ptr));
-    rec.geometry_ms = ElapsedMs(build_start);
+    rec.stages.Record(rec.geometry_reused ? "geometry_reuse" : "geometry_build",
+                      span.Finish());
   }
   const ScenarioInstance& instance = *built;
 
-  // The dense kernel: built eagerly under kDense (the historical layout --
-  // build_ms covers it), lazily under kFarField (only a task without a
-  // far-field path pays the O(n^2) slabs; its wall time then lands in that
-  // task's bucket).
+  // The dense kernel: built eagerly under kDense, lazily under kFarField
+  // (only a task without a far-field path pays the O(n^2) slabs).  A lazy
+  // build is charged to kernel_build alone: kernel_ms lets the triggering
+  // task subtract it from its own stage.
   std::optional<sinr::KernelCache> local;
   const sinr::KernelCache* kernel_ptr = nullptr;
+  double kernel_ms = 0.0;
   const auto ensure_kernel = [&]() -> const sinr::KernelCache& {
     if (kernel_ptr == nullptr) {
       obs::Span span("kernel_build", &EngineInstruments::Get().kernel_build_ms);
-      const auto kernel_start = std::chrono::steady_clock::now();
       if (arena != nullptr) {
         kernel_ptr = &arena->Rebuild(instance.system(), instance.power());
       } else {
         local.emplace(instance.system(), instance.power());
         kernel_ptr = &*local;
       }
-      rec.kernel_ms = ElapsedMs(kernel_start);
+      kernel_ms = span.Finish();
+      rec.stages.Record("kernel_build", kernel_ms);
       rec.kernel_built = true;
     }
     return *kernel_ptr;
@@ -201,20 +187,17 @@ InstanceRecord RunInstance(const ScenarioSpec& spec, int index,
              "kernel_mode=farfield needs a coordinate-backed topology");
     obs::Span span("farfield_build",
                    &EngineInstruments::Get().farfield_build_ms);
-    const auto ff_start = std::chrono::steady_clock::now();
     sinr::FarFieldConfig fc;
     fc.epsilon = spec.farfield_epsilon;
     farfield.emplace(geom_ptr->points, instance.system().links(), spec.alpha,
                      instance.system().config(), instance.power(), fc);
-    rec.farfield_ms = ElapsedMs(ff_start);
+    rec.stages.Record("farfield_build", span.Finish());
   } else {
     ensure_kernel();
   }
-  rec.build_ms = ElapsedMs(build_start);
   rec.links = instance.NumLinks();
   rec.zeta = instance.zeta();
 
-  const auto task_start = std::chrono::steady_clock::now();
   const std::vector<int> all = sinr::AllLinks(instance.system());
   const double zeta = instance.zeta();
 
@@ -237,10 +220,10 @@ InstanceRecord RunInstance(const ScenarioSpec& spec, int index,
   };
 
   for (const TaskKind task : tasks) {
-    const std::size_t kind = static_cast<std::size_t>(task);
-    obs::Span task_span(std::string("task.") + TaskKindName(task),
-                        &EngineInstruments::Get().instance_task_ms, "task");
-    const auto kind_start = std::chrono::steady_clock::now();
+    const std::string stage = std::string("task.") + TaskKindName(task);
+    obs::Span task_span(stage, &EngineInstruments::Get().instance_task_ms,
+                        "task");
+    const double kernel_ms_before = kernel_ms;
     switch (task) {
       case TaskKind::kAlgorithm1: {
         ensure_alg1();
@@ -336,41 +319,22 @@ InstanceRecord RunInstance(const ScenarioSpec& spec, int index,
         break;
       }
     }
-    // A kind listed twice in the task set accumulates; -1 stays reserved
-    // for "never ran".
-    if (rec.task_kind_ms[kind] < 0.0) rec.task_kind_ms[kind] = 0.0;
-    rec.task_kind_ms[kind] += ElapsedMs(kind_start);
+    // A kernel built lazily inside this task is kernel_build's time only.
+    const double lazy_kernel_ms = kernel_ms - kernel_ms_before;
+    rec.stages.Record(stage, task_span.Finish() - lazy_kernel_ms);
   }
-  rec.task_ms = ElapsedMs(task_start);
   return rec;
 }
 
-// Folds the per-instance stage timers into the result's StageStats (always)
-// and the process-wide registry (when enabled).  Runs in the sequential
-// post-pool reduction, so no synchronisation is needed.
+// Merges the per-instance stage breakdowns into the result's StageStats
+// (always) and ticks the process-wide registry (when enabled).  Runs in the
+// sequential post-pool reduction, so no synchronisation is needed.
 void AggregateStages(ScenarioResult& result) {
   EngineInstruments& ins = EngineInstruments::Get();
   ins.instances.Add(static_cast<long long>(result.instances.size()));
   for (const InstanceRecord& rec : result.instances) {
-    if (rec.geometry_reused) {
-      result.stage_stats.Record("geometry_reuse", rec.geometry_ms);
-      ins.geometry_reuses.Add();
-    } else {
-      result.stage_stats.Record("geometry_build", rec.geometry_ms);
-      ins.geometry_builds.Add();
-    }
-    if (rec.kernel_built) {
-      result.stage_stats.Record("kernel_build", rec.kernel_ms);
-    }
-    if (rec.farfield_ms >= 0.0) {
-      result.stage_stats.Record("farfield_build", rec.farfield_ms);
-    }
-    for (int k = 0; k < kNumTaskKinds; ++k) {
-      const double ms = rec.task_kind_ms[static_cast<std::size_t>(k)];
-      if (ms < 0.0) continue;
-      result.stage_stats.Record(
-          std::string("task.") + TaskKindName(static_cast<TaskKind>(k)), ms);
-    }
+    result.stage_stats.Merge(rec.stages);
+    (rec.geometry_reused ? ins.geometry_reuses : ins.geometry_builds).Add();
   }
 }
 
@@ -514,7 +478,6 @@ ScenarioResult BatchRunner::RunOne(const ScenarioSpec& spec) const {
 
   EngineInstruments::Get().threads.Set(threads);
   obs::Span batch_span("batch." + spec.name, nullptr, "batch");
-  const auto batch_start = std::chrono::steady_clock::now();
   // Work stealing over instance indices; records land in their own slot, so
   // nothing about the interleaving survives into the results.  A worker
   // that throws records the failure in its instance's slot and keeps
@@ -550,7 +513,7 @@ ScenarioResult BatchRunner::RunOne(const ScenarioSpec& spec) const {
     for (int t = 0; t < threads; ++t) pool.emplace_back(worker, t);
     for (std::thread& t : pool) t.join();
   }
-  result.batch_wall_ms = ElapsedMs(batch_start);
+  result.batch_wall_ms = batch_span.Finish();
 
   for (int i = 0; i < spec.instances; ++i) {
     if (failed[static_cast<std::size_t>(i)]) {
@@ -560,10 +523,6 @@ ScenarioResult BatchRunner::RunOne(const ScenarioSpec& spec) const {
     }
   }
 
-  for (const InstanceRecord& rec : result.instances) {
-    result.build_ms_total += rec.build_ms;
-    result.task_ms_total += rec.task_ms;
-  }
   AggregateStages(result);
   Aggregate(result);
   return result;

@@ -16,11 +16,11 @@
 //     drains, so floating-point sums always associate the same way.
 // AggregateSignature() serialises exactly the deterministic part of a
 // report; tests and benches assert it is bit-identical between 1-thread and
-// N-thread runs.  Wall-clock fields (build/task/batch times, throughput)
-// are measured per run and are the only non-deterministic outputs.
+// N-thread runs.  Wall-clock fields (stage breakdowns, batch time,
+// throughput) are measured per run and are the only non-deterministic
+// outputs.
 #pragma once
 
-#include <array>
 #include <limits>
 #include <span>
 #include <stdexcept>
@@ -61,8 +61,8 @@ enum class TaskKind {
 // All tasks, in the canonical execution order.
 std::vector<TaskKind> AllTasks();
 
-// Number of TaskKind values (the per-kind timing arrays below are indexed
-// by static_cast<int>(kind)).
+// Number of TaskKind values (per-kind tables are indexed by
+// static_cast<int>(kind)).
 inline constexpr int kNumTaskKinds = 8;
 
 // Short stable name of a task kind ("algorithm1", "queue", ...): the
@@ -106,7 +106,7 @@ struct InjectedFault : std::runtime_error {
 };
 
 // Per-instance outcome.  Algorithm fields are -1 when the task was not in
-// the batch's task set; everything except the *_ms fields is deterministic.
+// the batch's task set; everything except `stages` is deterministic.
 struct InstanceRecord {
   int index = -1;
   int links = 0;
@@ -134,26 +134,22 @@ struct InstanceRecord {
   double regret_successes = -1.0;     // mean concurrent successes in the tail
   double regret_transmit_rate = -1.0; // mean fraction of links transmitting
 
-  // Wall clock, non-deterministic: instance + kernel build, then all tasks.
-  double build_ms = 0.0;
-  double task_ms = 0.0;
-  // Stage-resolved wall clock (build_ms = geometry_ms + kernel_ms [+
-  // farfield_ms] up to clock overhead; task_kind_ms entries sum to
-  // task_ms).  -1 marks a task kind that was not in the batch's task set.
-  // The sequential reduction folds these into ScenarioResult::stage_stats.
   // Under KernelMode::kFarField the dense kernel is built lazily, only when
-  // a task without a far-field path runs: kernel_built records whether it
-  // was, and kernel_ms then lands inside the triggering task's wall time.
-  double geometry_ms = 0.0;  // sampling / cache acquire + ConfigureInstance
-  double kernel_ms = 0.0;    // KernelCache build or arena rebuild
-  double farfield_ms = -1.0;  // FarFieldKernel build; -1 under kDense
+  // a task without a far-field path runs; kernel_built records whether it
+  // was.
   bool kernel_built = false;  // dense kernel was built for this instance
   bool geometry_reused = false;  // served from a warm GeometryCache slot
-  std::array<double, kNumTaskKinds> task_kind_ms = [] {
-    std::array<double, kNumTaskKinds> ms{};
-    ms.fill(-1.0);
-    return ms;
-  }();
+
+  // Wall clock, non-deterministic: one entry per stage the instance ran,
+  // each the Finish() of the obs::Span that timed it -- geometry_build or
+  // geometry_reuse (sampling / cache acquire + ConfigureInstance),
+  // kernel_build (KernelCache build or arena rebuild; only when
+  // kernel_built), farfield_build (kFarField only) and task.<kind> per task
+  // run.  A task that builds the dense kernel lazily is charged its own time
+  // only; the build goes to kernel_build.  A task kind that did not run has
+  // no entry.  The sequential reduction merges these into
+  // ScenarioResult::stage_stats.
+  obs::StageStats stages;
 };
 
 // Running sum/min/max/count of one metric, reduced in instance order.
@@ -177,13 +173,10 @@ struct ScenarioResult {
   std::vector<std::pair<std::string, MetricSummary>> aggregate;
 
   // Non-deterministic timing.
-  double build_ms_total = 0.0;
-  double task_ms_total = 0.0;
-  double batch_wall_ms = 0.0;  // wall time of the whole batch section
-  // Worker-summed per-stage breakdown (geometry_build / geometry_reuse /
-  // kernel_build / task.<kind>), reduced sequentially from the instance
-  // records after the pool drains.  Like every *_ms field it is
-  // non-deterministic and never enters AggregateSignature.
+  double batch_wall_ms = 0.0;  // the batch.<name> span: the pooled section
+  // Worker-summed per-stage breakdown: every instance record's stages
+  // merged in instance order after the pool drains.  Like every *_ms field
+  // it is non-deterministic and never enters AggregateSignature.
   obs::StageStats stage_stats;
 
   double Throughput() const {  // instances per second of batch wall time

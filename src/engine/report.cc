@@ -150,17 +150,23 @@ io::Json ScenariosJson(std::span<const ScenarioResult> results) {
   return scenarios;
 }
 
+void RecordScenarioPhases(obs::BenchHarness& harness,
+                          std::span<const ScenarioResult> results) {
+  for (const ScenarioResult& r : results) {
+    const double task_ms = r.stage_stats.TotalMs("task.");
+    harness.Record(r.spec.name + ".batch", r.spec.links, r.batch_wall_ms);
+    harness.Record(r.spec.name + ".build_total", r.spec.links,
+                   r.stage_stats.TotalMs() - task_ms);
+    harness.Record(r.spec.name + ".tasks", r.spec.links, task_ms);
+  }
+  harness.SetExtra("scenarios", ScenariosJson(results));
+}
+
 bool WriteJsonReport(const std::string& id,
                      std::span<const ScenarioResult> results) {
   obs::BenchHarness harness(
       id, obs::BenchHarness::Options{.write_json = true});
-  for (const ScenarioResult& r : results) {
-    harness.Record(r.spec.name + ".batch", r.spec.links, r.batch_wall_ms);
-    harness.Record(r.spec.name + ".build_total", r.spec.links,
-                   r.build_ms_total);
-    harness.Record(r.spec.name + ".tasks", r.spec.links, r.task_ms_total);
-  }
-  harness.SetExtra("scenarios", ScenariosJson(results));
+  RecordScenarioPhases(harness, results);
   return harness.Close() == 0;
 }
 

@@ -16,6 +16,10 @@
 #include "engine/batch_runner.h"
 #include "io/json.h"
 
+namespace decaylib::obs {
+class BenchHarness;
+}  // namespace decaylib::obs
+
 namespace decaylib::engine {
 
 // Fixed-point formatting helper shared by the report layers.
@@ -44,6 +48,13 @@ long long ViolationCount(std::span<const ScenarioResult> results);
 // stage wall-time totals per scenario.  Attached to the BENCH record as the
 // "scenarios" member; also usable standalone.
 io::Json ScenariosJson(std::span<const ScenarioResult> results);
+
+// Records three phases per scenario into `harness` -- <name>.batch (batch
+// wall time), <name>.build_total (worker-summed geometry and kernel stages)
+// and <name>.tasks (worker-summed task.<kind> stages) -- and attaches
+// ScenariosJson as the "scenarios" extra member.
+void RecordScenarioPhases(obs::BenchHarness& harness,
+                          std::span<const ScenarioResult> results);
 
 // Writes BENCH_<id>.json (schema v2, re-parse-validated through io::Json)
 // in the working directory.  Returns false (and prints to stderr) when the

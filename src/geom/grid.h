@@ -36,8 +36,6 @@ class UniformGrid {
   // Side length of a cell.
   double CellSize() const noexcept { return cell_; }
 
-  int Cols() const noexcept { return cols_; }
-  int Rows() const noexcept { return rows_; }
   int NumCells() const noexcept { return cols_ * rows_; }
 
   // Row-major index of the cell containing p.  Points outside the bounding
@@ -54,11 +52,6 @@ class UniformGrid {
     const std::size_t c = static_cast<std::size_t>(cell);
     return {bucket_ids_.data() + starts_[c], starts_[c + 1] - starts_[c]};
   }
-
-  // Number of Chebyshev rings that can intersect the grid from the cell
-  // containing p; rings beyond this are empty for every query point inside
-  // the grid's bounding box.
-  int MaxRings() const noexcept { return cols_ > rows_ ? cols_ : rows_; }
 
   // Lower bound on |p - q| for q stored in any cell at Chebyshev ring
   // `ring` around p's cell: 0 for rings 0 and 1 (q may share a cell border

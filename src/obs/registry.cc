@@ -178,13 +178,6 @@ std::map<std::string, long long> Registry::CounterValues() const {
   return out;
 }
 
-void Registry::ResetAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, counter] : counters_) counter->Reset();
-  for (auto& [name, gauge] : gauges_) gauge->Reset();
-  for (auto& [name, histogram] : histograms_) histogram->Reset();
-}
-
 io::Json Registry::ToJson() const {
   std::lock_guard<std::mutex> lock(mu_);
   io::Json counters = io::Json::Object();

@@ -139,11 +139,6 @@ class Registry {
   Histogram& GetHistogram(const std::string& name,
                           std::span<const double> bounds = {});
 
-  // Zeroes every registered instrument (names stay registered; handles
-  // stay valid).  CLI runs call this before the measured section so a
-  // --metrics dump covers exactly one run.
-  void ResetAll();
-
   // Snapshot of every registered counter's current value, in name order.
   // The bench harness diffs two of these around a phase to attribute a
   // timing shift to a behavioural change (obs/bench_harness.h).

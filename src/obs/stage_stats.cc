@@ -49,9 +49,11 @@ const StageStats::Stage* StageStats::Find(std::string_view name) const {
   return nullptr;
 }
 
-double StageStats::TotalMs() const {
+double StageStats::TotalMs(std::string_view prefix) const {
   double total = 0.0;
-  for (const Stage& stage : stages) total += stage.total_ms;
+  for (const Stage& stage : stages) {
+    if (stage.name.starts_with(prefix)) total += stage.total_ms;
+  }
   return total;
 }
 

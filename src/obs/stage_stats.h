@@ -2,19 +2,22 @@
 //
 // A StageStats is the result-local sibling of the global registry: where
 // Registry aggregates over the whole process, a StageStats rides inside one
-// ScenarioResult / SweepResult and answers "where did *this* batch's time
-// go" -- count / total / min / max milliseconds per named stage (geometry
-// build vs reuse, kernel build, each TaskKind, checkpoint writes).  It is
-// built by the sequential post-pool reduction from per-instance wall-clock
-// fields, so it needs no synchronisation and -- like every *_ms field --
-// is explicitly non-deterministic: it never enters AggregateSignature or
-// SweepSignature, and populating it cannot perturb any result
-// (the observability-inertness contract, gated in tests/sweep_test.cc).
+// InstanceRecord / ScenarioResult / SweepResult and answers "where did
+// *this* run's time go" -- count / total / min / max milliseconds per named
+// stage (geometry build vs reuse, kernel build, each TaskKind, checkpoint
+// writes).  Every observation is the Finish() value of the obs::Span that
+// timed the stage.  A worker fills its own instance's record; the
+// sequential post-pool reduction merges the records, so nothing here needs
+// synchronisation.  Like every *_ms field it is explicitly
+// non-deterministic: it never enters AggregateSignature or SweepSignature,
+// and populating it cannot perturb any result (the observability-inertness
+// contract, gated in tests/sweep_test.cc).
 //
-// Stage totals are *worker-summed* CPU-side wall time: under a T-thread
-// pool they can legitimately exceed the batch's wall clock by up to T; on
-// one thread they sum to it (within measurement overhead -- sweep_report
-// prints the coverage ratio per cell).
+// Stages never overlap: a stage nested inside another (the dense kernel a
+// far-field task builds lazily) is charged to the inner stage only.  Stage
+// totals are *worker-summed* wall time: under a T-thread pool they can
+// legitimately exceed the batch's wall clock by up to T; on one thread they
+// sum to at most it (sweep_report prints both per cell).
 #pragma once
 
 #include <limits>
@@ -47,7 +50,9 @@ struct StageStats {
   void Merge(const StageStats& other);
 
   const Stage* Find(std::string_view name) const;
-  double TotalMs() const;  // sum over all stages
+  // Sum of total_ms over the stages whose name starts with `prefix` (all
+  // stages by default).
+  double TotalMs(std::string_view prefix = {}) const;
   bool empty() const { return stages.empty(); }
 };
 

@@ -101,16 +101,16 @@ Span::Span(std::string name, Histogram* histogram, const char* category)
     : name_(std::move(name)),
       histogram_(histogram),
       category_(category),
-      armed_(Enabled()) {
-  if (armed_) start_ = std::chrono::steady_clock::now();
-}
+      observed_(Enabled()),
+      start_(std::chrono::steady_clock::now()) {}
 
 double Span::Finish() {
-  if (!armed_) return 0.0;
-  armed_ = false;
+  if (finished_) return 0.0;
+  finished_ = true;
   const auto end = std::chrono::steady_clock::now();
   const double dur_ms =
       std::chrono::duration<double, std::milli>(end - start_).count();
+  if (!observed_) return dur_ms;
   if (histogram_ != nullptr) histogram_->Observe(dur_ms);
   TraceSink& sink = TraceSink::Global();
   if (sink.active()) {

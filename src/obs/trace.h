@@ -1,21 +1,23 @@
 // Scoped stage timers emitting Chrome trace_event JSON, viewable in
 // Perfetto (ui.perfetto.dev) or chrome://tracing.
 //
-// obs::Span is an RAII timer: construction snapshots the steady clock,
-// destruction (or Finish) computes the duration and
+// obs::Span is the library's one stage timer.  Construction snapshots the
+// steady clock; destruction (or Finish) computes the duration, returns it
+// from Finish, and -- when obs::Enabled() was true at construction --
 //   * appends one complete ("ph": "X") trace event -- name, ts/dur in
 //     microseconds since the process trace epoch, pid, and a small stable
 //     per-thread tid -- to the global TraceSink when a trace is active, and
 //   * observes the duration (in ms) into an optional obs::Histogram.
+// The engine records every Finish() value into the StageStats its results
+// carry, so the per-stage breakdowns and the trace read the same clock.
 // Same-thread spans nest by construction order, so Perfetto renders the
 // engine's geometry -> kernel -> task stack as nested slices per worker.
 //
-// Cost model: when obs::Enabled() is false at construction the span takes
-// no clock snapshot and its destructor is a dead branch; when enabled but
-// no trace is active, it costs two clock reads and a histogram update.
-// Event capture takes one mutex acquisition per span *end* -- span
-// granularity in this library is per instance / per cell, so the lock is
-// far off any inner loop.
+// Cost model: every span costs two clock reads.  When obs::Enabled() is
+// false at construction that is all it costs; when enabled but no trace is
+// active, it adds a histogram update.  Event capture takes one mutex
+// acquisition per span *end* -- span granularity in this library is per
+// instance / per cell, so the lock is far off any inner loop.
 //
 // The exported document is {"traceEvents": [...], "displayTimeUnit": "ms"},
 // serialised via io::Json so tests (and the CLI itself) can re-parse what
@@ -88,15 +90,16 @@ class Span {
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
-  // Ends the span early (idempotent); returns the measured duration in ms
-  // (0 when the span was constructed disabled).
+  // Ends the span early and returns the measured duration in ms, enabled
+  // or not.  Idempotent: a second call records nothing and returns 0.
   double Finish();
 
  private:
   std::string name_;
   Histogram* histogram_;
   const char* category_;
-  bool armed_;
+  bool observed_;  // obs::Enabled() at construction: histogram + trace
+  bool finished_ = false;
   std::chrono::steady_clock::time_point start_;
 };
 

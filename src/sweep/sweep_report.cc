@@ -87,9 +87,12 @@ void PrintSweepReport(const SweepResult& result) {
     }
     std::printf("\n");
   }
-  if (result.checkpoint_write_ms > 0.0 || result.resume_restore_ms > 0.0) {
+  const double checkpoint_write_ms =
+      result.stage_stats.TotalMs("checkpoint_write");
+  const double resume_restore_ms = result.stage_stats.TotalMs("resume_restore");
+  if (checkpoint_write_ms > 0.0 || resume_restore_ms > 0.0) {
     std::printf("checkpointing: %.1f ms writing, %.1f ms restoring\n",
-                result.checkpoint_write_ms, result.resume_restore_ms);
+                checkpoint_write_ms, resume_restore_ms);
   }
   std::printf("\n");
 
@@ -133,16 +136,10 @@ void PrintSweepReport(const SweepResult& result) {
     if (!cell.outcome.ok || cell.outcome.resumed) continue;
     const obs::StageStats& stats = cell.result.stage_stats;
     if (stats.empty()) continue;
-    double geometry_ms = 0.0, kernel_ms = 0.0, task_ms = 0.0;
-    for (const obs::StageStats::Stage& s : stats.stages) {
-      if (s.name == "geometry_build" || s.name == "geometry_reuse") {
-        geometry_ms += s.total_ms;
-      } else if (s.name == "kernel_build" || s.name == "farfield_build") {
-        kernel_ms += s.total_ms;
-      } else if (s.name.rfind("task.", 0) == 0) {
-        task_ms += s.total_ms;
-      }
-    }
+    const double geometry_ms = stats.TotalMs("geometry_");
+    const double kernel_ms =
+        stats.TotalMs("kernel_build") + stats.TotalMs("farfield_build");
+    const double task_ms = stats.TotalMs("task.");
     timing_rows.push_back(
         {std::to_string(cell.cell.index), std::to_string(cell.outcome.attempts),
          FmtFixed(cell.outcome.attempt_ms, 1),

@@ -1,13 +1,6 @@
 #include "sweep/sweep_runner.h"
 
-// decay-lint: allowlist-file(clock-read) -- per-cell attempt/checkpoint/
-// restore timing surfaces (attempt_ms, checkpoint_write_ms,
-// resume_restore_ms, wall_ms) are plain clocks by design (PR 7).  Readings
-// flow only into report fields; SweepSignature and cell scheduling must
-// never consume them (sweep_test's cross-thread-count gates enforce it).
-
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <utility>
 
@@ -26,8 +19,9 @@ using core::Status;
 using core::StatusError;
 
 // Registry handles of the sweep layer, resolved once.  Everything here only
-// ticks when obs::Enabled(); the SweepResult accounting fields are plain
-// wall clock and are populated always.  Catalogue: docs/observability.md.
+// ticks when obs::Enabled(); the SweepResult timing fields come from the
+// same spans' Finish() values and are populated always.  Catalogue:
+// docs/observability.md.
 struct SweepInstruments {
   obs::Counter& cells;
   obs::Counter& cell_attempts;
@@ -55,12 +49,6 @@ struct SweepInstruments {
     return *instruments;
   }
 };
-
-double ElapsedMs(std::chrono::steady_clock::time_point since) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - since)
-      .count();
-}
 
 // Restored cells come back index-keyed from the sidecar; map them for the
 // grid walk.  The sidecar is trusted only after its spec-hash matched.
@@ -92,7 +80,7 @@ SweepResult SweepRunner::Run(const SweepSpec& spec) const {
   engine::GeometryCache geometry;
   geometry.SetGenerations(std::max(1, config_.geometry_generations));
 
-  const auto start = std::chrono::steady_clock::now();
+  obs::Span sweep_span("sweep." + spec.name, nullptr, "sweep");
   std::vector<SweepCell> cells = ExpandGrid(spec);
 
   // Resume: load the sidecar (if any) and index its cells.  A missing file
@@ -106,7 +94,6 @@ SweepResult SweepRunner::Run(const SweepSpec& spec) const {
   if (config_.resume && !config_.checkpoint_path.empty() &&
       FileExists(config_.checkpoint_path)) {
     obs::Span restore_span("resume_restore", nullptr, "sweep");
-    const auto restore_start = std::chrono::steady_clock::now();
     core::StatusOr<SweepCheckpoint> loaded =
         LoadCheckpoint(config_.checkpoint_path);
     if (!loaded.ok()) {
@@ -125,8 +112,7 @@ SweepResult SweepRunner::Run(const SweepSpec& spec) const {
         restored.by_index[static_cast<std::size_t>(cell.index)] = &cell;
       }
     }
-    out.resume_restore_ms = ElapsedMs(restore_start);
-    out.stage_stats.Record("resume_restore", out.resume_restore_ms);
+    out.stage_stats.Record("resume_restore", restore_span.Finish());
   }
 
   // The checkpoint being (re)written this run: starts from the restored
@@ -145,11 +131,8 @@ SweepResult SweepRunner::Run(const SweepSpec& spec) const {
     // checkpointed cells don't report sidecar I/O as batch time.
     obs::Span save_span("checkpoint_write",
                         &SweepInstruments::Get().checkpoint_write_ms, "sweep");
-    const auto save_start = std::chrono::steady_clock::now();
     core::ThrowIfError(SaveCheckpoint(config_.checkpoint_path, save_doc));
-    const double save_ms = ElapsedMs(save_start);
-    out.checkpoint_write_ms += save_ms;
-    out.stage_stats.Record("checkpoint_write", save_ms);
+    out.stage_stats.Record("checkpoint_write", save_span.Finish());
     SweepInstruments::Get().checkpoint_writes.Add();
     completed_since_save = 0;
   };
@@ -191,7 +174,6 @@ SweepResult SweepRunner::Run(const SweepSpec& spec) const {
       outcome.attempts = attempt;
       obs::Span attempt_span("cell_attempt", nullptr, "cell");
       SweepInstruments::Get().cell_attempts.Add();
-      const auto attempt_start = std::chrono::steady_clock::now();
       // Per-cell BatchRunner: the fault plan arms instance 0 of the
       // targeted cell for this attempt only, and a throwing cell cannot
       // leave state behind in the runner (arenas and the geometry cache
@@ -235,7 +217,7 @@ SweepResult SweepRunner::Run(const SweepSpec& spec) const {
       // attempt_ms is the *final* attempt's wall time: overwritten each
       // round, so a retried cell reports the run that produced its result.
       // Checkpoint writes happen outside this window (see maybe_save).
-      outcome.attempt_ms = ElapsedMs(attempt_start);
+      outcome.attempt_ms = attempt_span.Finish();
       outcome.total_attempt_ms += outcome.attempt_ms;
       if (outcome.ok || permanent ||
           attempt >= std::max(1, config_.max_attempts)) {
@@ -275,9 +257,7 @@ SweepResult SweepRunner::Run(const SweepSpec& spec) const {
   }
   maybe_save(true);
 
-  out.wall_ms = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
+  out.wall_ms = sweep_span.Finish();
   for (const sinr::KernelArena& arena : arenas) {
     out.arena_rebuilds += arena.rebuilds();
     out.arena_warm_skips += arena.warm_skips();

@@ -64,7 +64,6 @@ struct FaultPlan {
   int fail_cell = -1;     // flat grid index; -1 disarms the plan
   int fail_attempts = 1;  // attempts 1..k fail; -1 = all attempts fail
 
-  bool Armed() const { return fail_cell >= 0; }
   bool Trips(int cell, int attempt) const {  // attempt is 1-based
     return cell == fail_cell &&
            (fail_attempts < 0 || attempt <= fail_attempts);
@@ -106,9 +105,10 @@ struct CellOutcome {
   std::string error;   // status/exception text of the *last* attempt
   int attempts = 1;    // attempts consumed (1 = first try succeeded)
   bool resumed = false;  // restored from a checkpoint, not executed
-  // Wall time of the *final* attempt alone -- batch execution only, with
-  // checkpoint writes excluded, so a retried or checkpointed cell reports
-  // what the surviving run actually cost.  Resumed cells report 0.
+  // Wall time of the *final* attempt alone (its cell_attempt span) --
+  // batch execution only, with checkpoint writes excluded, so a retried or
+  // checkpointed cell reports what the surviving run actually cost.
+  // Resumed cells report 0.
   double attempt_ms = 0.0;
   // Wall time summed over every attempt (failed ones included).
   double total_attempt_ms = 0.0;
@@ -130,17 +130,16 @@ struct SweepResult {
   int cells_resumed = 0;  // cells restored from the checkpoint
 
   // Non-deterministic timing/accounting.
-  double wall_ms = 0.0;         // whole-grid wall time
+  double wall_ms = 0.0;         // whole-grid wall time: the sweep.<name> span
   long long arena_rebuilds = 0; // kernel builds that went through an arena
   long long arena_warm_skips = 0; // rebuilds into an already-right-sized slab
   long long geometry_builds = 0; // instance geometries sampled fresh
   long long geometry_reuses = 0; // instance geometries served from cache
   long long geometry_generation_hits = 0;  // Prepares served by a warm key
   long long geometry_evictions = 0;        // generations dropped by LRU
-  double checkpoint_write_ms = 0.0;  // total time in SaveCheckpoint
-  double resume_restore_ms = 0.0;    // time loading/verifying the sidecar
-  // Per-stage breakdown merged from every ok cell's batch (plus the
-  // sweep-level checkpoint_write / resume_restore stages).  Wall clock;
+  // Per-stage breakdown merged from every ok cell's batch, plus the
+  // sweep-level checkpoint_write (time in SaveCheckpoint) and
+  // resume_restore (loading/verifying the sidecar) stages.  Wall clock;
   // never enters SweepSignature.
   obs::StageStats stage_stats;
 

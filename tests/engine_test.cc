@@ -653,7 +653,7 @@ TEST(BatchRunnerTest, ObservabilityOnOffLeavesSignatureBitIdentical) {
   EXPECT_EQ(AggregateSignature(on_serial), sig);
 }
 
-// Stage stats are plain wall clock, populated with observability off: one
+// Stage stats are span wall clock, populated with observability off: one
 // kernel_build and one geometry stage entry per instance, one task.<kind>
 // entry per configured task per instance.
 TEST(BatchRunnerTest, StageStatsCoverEveryInstanceAndTask) {
@@ -677,20 +677,23 @@ TEST(BatchRunnerTest, StageStatsCoverEveryInstanceAndTask) {
     ASSERT_NE(stage, nullptr) << key;
     EXPECT_EQ(stage->count, n) << key;
   }
-  // Per-record: every configured task ran, so no -1 sentinel survives, and
-  // the per-kind timers account for the record's task wall time.
+  // Per record: one entry per stage the instance ran, none negative.
   for (const InstanceRecord& rec : r.instances) {
-    double task_sum = 0.0;
-    for (int k = 0; k < kNumTaskKinds; ++k) {
-      EXPECT_GE(rec.task_kind_ms[static_cast<std::size_t>(k)], 0.0);
-      task_sum += rec.task_kind_ms[static_cast<std::size_t>(k)];
+    ASSERT_NE(rec.stages.Find("kernel_build"), nullptr);
+    EXPECT_EQ(rec.stages.Find("kernel_build")->count, 1);
+    ASSERT_NE(rec.stages.Find("geometry_build"), nullptr);
+    EXPECT_EQ(rec.stages.Find("geometry_build")->count, 1);
+    for (const TaskKind task : AllTasks()) {
+      const obs::StageStats::Stage* stage =
+          rec.stages.Find(std::string("task.") + TaskKindName(task));
+      ASSERT_NE(stage, nullptr) << TaskKindName(task);
+      EXPECT_EQ(stage->count, 1) << TaskKindName(task);
+      EXPECT_GE(stage->min_ms, 0.0) << TaskKindName(task);
     }
-    EXPECT_LE(task_sum, rec.task_ms + 1.0);
-    EXPECT_GE(rec.build_ms, rec.geometry_ms + rec.kernel_ms - 1.0);
   }
 }
 
-// A task subset leaves the unrun kinds' timers at the -1 sentinel.
+// A task subset leaves the unrun kinds without a stage entry.
 TEST(BatchRunnerTest, TaskSubsetKeepsUnrunTimerSentinels) {
   BatchConfig config;
   config.threads = 1;
@@ -698,11 +701,11 @@ TEST(BatchRunnerTest, TaskSubsetKeepsUnrunTimerSentinels) {
   const ScenarioSpec spec = Small(BuiltinScenarios().front(), 10, 2);
   const ScenarioResult r = BatchRunner(config).RunOne(spec);
   for (const InstanceRecord& rec : r.instances) {
-    EXPECT_GE(rec.task_kind_ms[static_cast<std::size_t>(
-                  TaskKind::kGreedyBaseline)],
-              0.0);
-    EXPECT_EQ(rec.task_kind_ms[static_cast<std::size_t>(TaskKind::kQueue)],
-              -1.0);
+    const obs::StageStats::Stage* greedy = rec.stages.Find("task.greedy");
+    ASSERT_NE(greedy, nullptr);
+    EXPECT_EQ(greedy->count, 1);
+    EXPECT_GE(greedy->total_ms, 0.0);
+    EXPECT_EQ(rec.stages.Find("task.queue"), nullptr);
   }
   EXPECT_EQ(r.stage_stats.Find("task.queue"), nullptr);
   EXPECT_NE(r.stage_stats.Find("task.greedy"), nullptr);

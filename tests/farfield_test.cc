@@ -16,8 +16,10 @@
 //    and every pipeline's output equal the dense ones, and feasibility stops
 //    refining once its answer is certain;
 //  * engine integration -- kernel_mode = kFarField at epsilon = 0 yields
-//    the dense batch signature bit-for-bit, and ValidateScenarioSpec
-//    rejects far-field specs whose decay is not a pure distance function.
+//    the dense batch signature bit-for-bit, a lazily built dense kernel is
+//    timed once (kernel_build, not also its triggering task), and
+//    ValidateScenarioSpec rejects far-field specs whose decay is not a pure
+//    distance function.
 #include "sinr/farfield.h"
 
 #include <gtest/gtest.h>
@@ -486,6 +488,45 @@ TEST(FarFieldEngineTest, CertifiedModeAggregatesStayWithinEpsilon) {
     EXPECT_PRED2(within_eps, ds.min, fs.min) << name;
     EXPECT_PRED2(within_eps, ds.max, fs.max) << name;
   }
+}
+
+// Under kernel_mode=farfield the dense kernel is built lazily, inside the
+// first task without a far-field path.  Its build time is charged to
+// kernel_build alone -- the triggering task's stage excludes it -- so a
+// serial run's stage table still sums to (at most) the batch wall time.
+// 256 links keeps the build well above the clock-skew slack.
+TEST(FarFieldEngineTest, LazyKernelChargedOnce) {
+  engine::ScenarioSpec spec;
+  spec.name = "farfield_lazy_kernel";
+  spec.topology = "uniform";
+  spec.links = 256;
+  spec.instances = 4;
+  spec.seed = 779;
+  spec.kernel_mode = engine::KernelMode::kFarField;
+  engine::BatchConfig config;
+  config.threads = 1;
+  config.tasks = {engine::TaskKind::kAlgorithm1,
+                  engine::TaskKind::kGreedyBaseline,
+                  engine::TaskKind::kSchedule};
+  const long long n = spec.instances;
+
+  const engine::ScenarioResult admission =
+      engine::BatchRunner(config).RunOne(spec);
+  for (const engine::InstanceRecord& rec : admission.instances) {
+    EXPECT_FALSE(rec.kernel_built) << rec.index;
+  }
+  EXPECT_EQ(admission.stage_stats.Find("kernel_build"), nullptr);
+  const obs::StageStats::Stage* farfield =
+      admission.stage_stats.Find("farfield_build");
+  ASSERT_NE(farfield, nullptr);
+  EXPECT_EQ(farfield->count, n);
+
+  config.tasks.push_back(engine::TaskKind::kPartitions);
+  const engine::ScenarioResult lazy = engine::BatchRunner(config).RunOne(spec);
+  const obs::StageStats::Stage* kernel = lazy.stage_stats.Find("kernel_build");
+  ASSERT_NE(kernel, nullptr);
+  EXPECT_EQ(kernel->count, n);
+  EXPECT_LE(lazy.stage_stats.TotalMs(), lazy.batch_wall_ms * 1.02 + 0.5);
 }
 
 TEST(FarFieldEngineTest, ValidationRejectsNonDistanceDecay) {

@@ -105,10 +105,20 @@ TEST_F(ObsTest, DisabledInstrumentsStayInert) {
   EXPECT_EQ(gauge.value(), 0.0);
   EXPECT_EQ(histogram.count(), 0);
 
-  // A span constructed disabled records nothing even into an active sink.
+  // A span constructed disabled records nothing even into an active sink,
+  // yet still times its region: Finish() is the stage timer either way.
   TraceSink::Global().Start();
   { Span span("disabled_span"); }
   EXPECT_EQ(TraceSink::Global().EventCount(), 0u);
+  {
+    Span span("disabled_timed", &histogram);
+    volatile double sink = 0.0;
+    for (int i = 0; i < 100000; ++i) sink = sink + 1.0;
+    EXPECT_GT(span.Finish(), 0.0);
+    EXPECT_EQ(span.Finish(), 0.0);
+  }
+  EXPECT_EQ(TraceSink::Global().EventCount(), 0u);
+  EXPECT_EQ(histogram.count(), 0);
 }
 
 TEST_F(ObsTest, DefaultLatencyBoundsAreAscending) {

@@ -465,7 +465,7 @@ TEST(SweepRunnerTest, ObservabilityInertAcrossThreadsAndStageStats) {
   EXPECT_EQ(SweepSignature(on_pooled), sig);
   EXPECT_EQ(SweepSignature(on_serial), sig);
 
-  // Timing surfaces are plain wall clock, independent of the obs flag.
+  // Timing surfaces are span wall clock, independent of the obs flag.
   EXPECT_FALSE(on_serial.stage_stats.empty());
   for (const SweepCellResult& cell : on_serial.cells) {
     ASSERT_TRUE(cell.outcome.ok) << cell.cell.spec.name;
@@ -507,11 +507,13 @@ TEST(SweepRunnerTest, AttemptTimingExcludesCheckpointAndResume) {
   first.checkpoint_path = path;
   first.halt_after_cells = 2;
   const SweepResult partial = SweepRunner(first).Run(spec);
-  EXPECT_GT(partial.checkpoint_write_ms, 0.0);
-  ASSERT_NE(partial.stage_stats.Find("checkpoint_write"), nullptr);
+  const obs::StageStats::Stage* write =
+      partial.stage_stats.Find("checkpoint_write");
+  ASSERT_NE(write, nullptr);
+  EXPECT_GT(write->total_ms, 0.0);
   // Two per-cell saves plus the final save at the halt.
-  EXPECT_GE(partial.stage_stats.Find("checkpoint_write")->count, 2);
-  EXPECT_EQ(partial.resume_restore_ms, 0.0);
+  EXPECT_GE(write->count, 2);
+  EXPECT_EQ(partial.stage_stats.Find("resume_restore"), nullptr);
 
   SweepConfig second = first;
   second.halt_after_cells = 0;
@@ -520,8 +522,11 @@ TEST(SweepRunnerTest, AttemptTimingExcludesCheckpointAndResume) {
   EXPECT_EQ(std::remove(path.c_str()), 0);
 
   EXPECT_EQ(resumed.cells_resumed, 2);
-  EXPECT_GT(resumed.resume_restore_ms, 0.0);
-  ASSERT_NE(resumed.stage_stats.Find("resume_restore"), nullptr);
+  const obs::StageStats::Stage* restore =
+      resumed.stage_stats.Find("resume_restore");
+  ASSERT_NE(restore, nullptr);
+  EXPECT_EQ(restore->count, 1);
+  EXPECT_GT(restore->total_ms, 0.0);
   int fresh = 0;
   for (const SweepCellResult& cell : resumed.cells) {
     ASSERT_TRUE(cell.outcome.ok) << cell.cell.spec.name;

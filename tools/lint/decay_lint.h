@@ -27,8 +27,8 @@
 //                        is a static query and stays legal.)
 //   clock-read           no clock reads outside src/obs/: wall time observed
 //                        inside algorithm code would make checkpoint/resume
-//                        and replay non-deterministic.  Timing surfaces in
-//                        the engine/sweep layers carry explicit annotations.
+//                        and replay non-deterministic.  The engine/sweep
+//                        layers time every stage through obs::Span.
 //
 // Suppression works at two granularities, always inside comments:
 //   // decay-lint: allow(<rule>) -- <reason>            same or previous line

@@ -1,6 +1,6 @@
 // decay-lint-path: src/engine/cell_timing.cc
-// Timing surfaces measured as plain clocks are a sanctioned exception; the
-// annotation records the reviewed decision and its rationale in place.
+// A reviewed exception to a rule is annotated at the offending line; the
+// annotation records the decision and its rationale in place.
 #include <chrono>
 #include <cmath>
 
