@@ -1,15 +1,15 @@
-// E22 -- scaling the kernel layer past dense O(n^2): tiled builds and
-// certified far-field affectance aggregation.
+// E22 -- scaling the kernel layer past dense O(n^2): the one-pass dense
+// build and certified far-field affectance aggregation.
 //
 // A/B of the two kernel tiers on constant-density planar deployments
 // (docs/performance.md, "scaling past dense"):
-//   (a) n ~ 1k: dense KernelCache built through the scalar reference path
-//       vs the fused tiled path (bit-identical entries, asserted over every
-//       matrix), the far-field kernel build, and the greedy admission
-//       workload dense vs far-field -- one GreedyFeasible template on both
-//       tiers (identical admitted sets, asserted);
-//   (b) n ~ 4k: the headline speedups -- dense tiled build vs far-field
-//       build, dense greedy vs certified far-field greedy;
+//   (a) n ~ 1k: the dense KernelCache build (every entry bit-identical to
+//       the naive LinkSystem methods, asserted), the far-field kernel
+//       build, and the greedy admission workload dense vs far-field -- one
+//       GreedyFeasible template on both tiers (identical admitted sets,
+//       asserted);
+//   (b) n ~ 4k: the headline speedups -- dense build vs far-field build,
+//       dense greedy vs certified far-field greedy;
 //   (c) n ~ 16k: far-field only; the dense matrices would need ~8.6 GB
 //       while the far-field kernel stays O(n + cells);
 //   (d) the engine: spec -> ScenarioResult through BatchRunner::RunOne
@@ -32,6 +32,7 @@
 //
 // Run in a Release build; the committed bench/baselines/BENCH_E22.json was
 // recorded with the CI invocation (reduced n, see .github/workflows/ci.yml).
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -85,17 +86,26 @@ struct FarFieldCounters {
   }
 };
 
-// Every dense matrix entry bitwise-equal between two builds of the same
-// system (the tiled/scalar contract).
-bool BitIdenticalKernels(const sinr::KernelCache& a,
-                         const sinr::KernelCache& b) {
-  const int n = a.NumLinks();
-  if (b.NumLinks() != n) return false;
-  for (int w = 0; w < n; ++w) {
-    for (int v = 0; v < n; ++v) {
-      if (a.AffectanceRaw(w, v) != b.AffectanceRaw(w, v) ||
-          a.CrossDecay(w, v) != b.CrossDecay(w, v) ||
-          a.MinPairDecay(v, w) != b.MinPairDecay(v, w)) {
+// Every dense matrix entry bitwise-equal to the naive LinkSystem value (the
+// kernel's contract): cross decays, raw affectances and the four-way
+// min-endpoint decays.
+bool MatchesNaive(const sinr::KernelCache& kernel,
+                  const sinr::LinkSystem& system) {
+  const int n = kernel.NumLinks();
+  if (system.NumLinks() != n) return false;
+  const core::DecaySpace& f = system.space();
+  for (int v = 0; v < n; ++v) {
+    if (!system.CanOvercomeNoise(v, kernel.power())) return false;
+    const sinr::Link& lv = system.link(v);
+    for (int w = 0; w < n; ++w) {
+      const sinr::Link& lw = system.link(w);
+      const double min_pair = std::min(
+          std::min(f(lv.sender, lw.receiver), f(lw.sender, lv.receiver)),
+          std::min(f(lv.sender, lw.sender), f(lv.receiver, lw.receiver)));
+      if (kernel.CrossDecay(w, v) != system.CrossDecay(w, v) ||
+          kernel.AffectanceRaw(w, v) !=
+              system.AffectanceRaw(w, v, kernel.power()) ||
+          kernel.MinPairDecay(v, w) != min_pair) {
         return false;
       }
     }
@@ -150,8 +160,7 @@ int main(int argc, char** argv) {
 
   // ---- (a) small tier: every path, every exactness assertion ----
   {
-    std::printf("\n(a) n = %d: tiled vs scalar vs far-field\n\n",
-                n_small);
+    std::printf("\n(a) n = %d: dense vs far-field\n\n", n_small);
     geom::Rng rng(61);
     const double box = 4.0 * std::sqrt(static_cast<double>(n_small));
     bench::PlanarDeployment dep(n_small, box, 0.5, 1.5, rng);
@@ -159,23 +168,14 @@ int main(int argc, char** argv) {
         core::DecaySpace::Geometric(dep.points, kAlpha);
     const sinr::LinkSystem system(space, dep.links, kConfig);
 
-    sinr::KernelCache scalar(system, sinr::UniformPower(system),
-                             sinr::KernelBuildPath::kScalar);
-    const obs::SampleStats scalar_stats =
-        report.Time("build_scalar_small", n_small, [&] {
-          scalar = sinr::KernelCache(system, sinr::UniformPower(system),
-                                     sinr::KernelBuildPath::kScalar);
+    sinr::KernelCache dense(system, sinr::UniformPower(system));
+    const obs::SampleStats dense_stats =
+        report.Time("kernel_build_small", n_small, [&] {
+          dense = sinr::KernelCache(system, sinr::UniformPower(system));
         });
-
-    sinr::KernelCache tiled(system, sinr::UniformPower(system));
-    const obs::SampleStats tiled_stats =
-        report.Time("build_tiled_small", n_small, [&] {
-          tiled = sinr::KernelCache(system, sinr::UniformPower(system),
-                                    sinr::KernelBuildPath::kTiled);
-        });
-    if (!BitIdenticalKernels(scalar, tiled)) {
-      std::printf("ERROR: tiled kernel build diverged from the scalar "
-                  "reference\n");
+    if (!MatchesNaive(dense, system)) {
+      std::printf("ERROR: dense kernel build diverged from the naive "
+                  "LinkSystem entries\n");
       return 1;
     }
 
@@ -191,9 +191,9 @@ int main(int argc, char** argv) {
         });
 
     std::vector<int> dense_greedy;
-    const obs::SampleStats gd_stats =
-        report.Time("greedy_dense_small", n_small,
-                    [&] { dense_greedy = capacity::GreedyFeasible(tiled, all); });
+    const obs::SampleStats gd_stats = report.Time(
+        "greedy_dense_small", n_small,
+        [&] { dense_greedy = capacity::GreedyFeasible(dense, all); });
     std::vector<int> ff_greedy;
     const FarFieldCounters before = FarFieldCounters::Snapshot();
     const obs::SampleStats gf_stats =
@@ -206,16 +206,13 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    bench::Table table({"path", "wall ms", "speedup vs scalar", "memory MB"});
+    bench::Table table({"path", "wall ms", "speedup vs dense", "memory MB"});
     const double mb = 1.0 / (1024.0 * 1024.0);
-    table.AddRow({"dense build (scalar)", bench::Fmt(scalar_stats.min_ms, 2),
-                  "1.00",
-                  bench::Fmt(static_cast<double>(tiled.MemoryBytes()) * mb, 1)});
-    table.AddRow({"dense build (tiled)", bench::Fmt(tiled_stats.min_ms, 2),
-                  bench::Fmt(scalar_stats.min_ms / tiled_stats.min_ms, 2),
-                  bench::Fmt(static_cast<double>(tiled.MemoryBytes()) * mb, 1)});
+    table.AddRow(
+        {"dense build", bench::Fmt(dense_stats.min_ms, 2), "1.00",
+         bench::Fmt(static_cast<double>(dense.MemoryBytes()) * mb, 1)});
     table.AddRow({"far-field build", bench::Fmt(ff_stats.min_ms, 2),
-                  bench::Fmt(scalar_stats.min_ms / ff_stats.min_ms, 2),
+                  bench::Fmt(dense_stats.min_ms / ff_stats.min_ms, 2),
                   bench::Fmt(static_cast<double>(ff.MemoryBytes()) * mb, 1)});
     table.Print();
     std::printf("greedy: dense %s ms, far-field %s ms (|S| = %zu, "
@@ -238,9 +235,8 @@ int main(int argc, char** argv) {
 
     sinr::KernelCache dense(system, sinr::UniformPower(system));
     const obs::SampleStats dense_stats =
-        report.Time("build_tiled_large", n_large, [&] {
-          dense = sinr::KernelCache(system, sinr::UniformPower(system),
-                                    sinr::KernelBuildPath::kTiled);
+        report.Time("kernel_build_large", n_large, [&] {
+          dense = sinr::KernelCache(system, sinr::UniformPower(system));
         });
 
     sinr::FarFieldKernel ff(dep.points, dep.links, kAlpha, kConfig,

@@ -5,6 +5,8 @@
 #include <limits>
 
 #include "core/check.h"
+#include "core/decay_space.h"
+#include "geom/point.h"
 #include "obs/registry.h"
 
 namespace decaylib::sinr {
@@ -43,16 +45,31 @@ obs::Counter& AdmissionCheckCounter() {
   return counter;
 }
 
+constexpr std::size_t kBlock = 32;
+using Tile = double[kBlock][kBlock];
+
+// One block of link pairs, v in [v0, v1) and w in [w0, w1), as tiles
+// indexed [v - v0][w - w0]: the cross decays f(s_v, r_w) and f(s_w, r_v),
+// and MinPairDecay(v, w) and MinPairDecay(w, v).  Build reads only the
+// entries with v < w.
+struct BlockDecays {
+  std::size_t v0 = 0, v1 = 0, w0 = 0, w1 = 0;
+  Tile cross_vw;
+  Tile cross_wv;
+  Tile min_vw;
+  Tile min_wv;
+};
+
+// Relative guard band of the distance-domain leg decision (Build).
+constexpr double kLegBand = 1e-9;
+
 }  // namespace
 
-KernelCache::KernelCache(const LinkSystem& system, PowerAssignment power,
-                         KernelBuildPath path) {
-  std::vector<double> scratch;
-  Build(system, std::move(power), scratch, path);
+KernelCache::KernelCache(const LinkSystem& system, PowerAssignment power) {
+  Build(system, std::move(power));
 }
 
-void KernelCache::Build(const LinkSystem& system, PowerAssignment power,
-                        std::vector<double>& scratch, KernelBuildPath path) {
+void KernelCache::Build(const LinkSystem& system, PowerAssignment power) {
   KernelBuildCounter().Add();
   system_ = &system;
   power_ = std::move(power);
@@ -88,247 +105,188 @@ void KernelCache::Build(const LinkSystem& system, PowerAssignment power,
     }
   }
 
-  // Endpoint index arrays.  The slabs read the space through one accessor:
-  // a dense space's matrix in place, a coordinate-backed one's on-demand
-  // evaluation -- one build algorithm, instantiated per representation so
-  // the dense reads stay branch-free.  The one inherently transposed
-  // quantity, the cross-decay f(s_w, r_v) indexed v-major, is produced by a
-  // blocked n x n transpose of the w-major cross matrix rather than by a
-  // second column-order pass over the space.
+  // The slabs read the space through one per-block accessor, instantiated
+  // per representation so the dense reads stay branch-free.
   std::vector<int> snd(n), rcv(n);
   for (int v = 0; v < n_; ++v) {
     snd[static_cast<std::size_t>(v)] = system.link(v).sender;
     rcv[static_cast<std::size_t>(v)] = system.link(v).receiver;
   }
-  if (space.IsCoordinateBacked()) {
-    FillSlabs(space, /*mirror_legs=*/true, snd, rcv, scratch, path);
-  } else {
+  if (!space.IsCoordinateBacked()) {
+    // A dense space may be asymmetric: both ordered endpoint legs are read.
+    // The v-major sweep reads rows s_v and r_v of f, the w-major sweep rows
+    // s_w and r_w, so no read walks a column of the node matrix.
     const double* f = space.Raw().data();
     const std::size_t m = static_cast<std::size_t>(space.size());
-    FillSlabs(
-        [f, m](int p, int q) {
-          return f[static_cast<std::size_t>(p) * m +
-                   static_cast<std::size_t>(q)];
-        },
-        /*mirror_legs=*/false, snd, rcv, scratch, path);
+    const auto at = [f, m](int p, int q) {
+      return f[static_cast<std::size_t>(p) * m + static_cast<std::size_t>(q)];
+    };
+    FillSlabs([&](BlockDecays& b) {
+      for (std::size_t v = b.v0; v < b.v1; ++v) {
+        for (std::size_t w = b.w0; w < b.w1; ++w) {
+          b.cross_vw[v - b.v0][w - b.w0] = at(snd[v], rcv[w]);
+          b.min_vw[v - b.v0][w - b.w0] =
+              std::min(at(snd[v], snd[w]), at(rcv[v], rcv[w]));
+        }
+      }
+      for (std::size_t w = b.w0; w < b.w1; ++w) {
+        for (std::size_t v = b.v0; v < b.v1; ++v) {
+          const std::size_t i = v - b.v0, j = w - b.w0;
+          const double sv_rw = b.cross_vw[i][j];
+          const double sw_rv = at(snd[w], rcv[v]);
+          b.cross_wv[i][j] = sw_rv;
+          b.min_vw[i][j] = std::min(std::min(sv_rw, sw_rv), b.min_vw[i][j]);
+          b.min_wv[i][j] =
+              std::min(std::min(sw_rv, sv_rw),
+                       std::min(at(snd[w], snd[v]), at(rcv[w], rcv[v])));
+        }
+      }
+    });
+    return;
   }
+
+  // A coordinate-backed space is f = d^alpha, symmetric and monotone in
+  // distance, so an endpoint leg f(s_v, s_w) or f(r_v, r_w) is needed only
+  // where it can be the minimum -- decided on squared distances before any
+  // pow, with a relative guard band and the exact evaluation inside it.
+  // Every decay is taken from the difference vector d = p - q as
+  // pow(hypot(d), alpha) -- DecaySpace::Evaluate's expression
+  // (geom::GeometricDecay), 0 when p == q -- so a NormSq and the decay it
+  // stands for see the same rounded coordinate differences.
+  // Bit-identity: say the leg's NormSq exceeds m2 (1 + 1e-9), where m2 >=
+  // DBL_MIN is the smaller cross NormSq.  Each NormSq is within 2 ulp of
+  // the exact squared length of its d (m2 is normal, so no product's
+  // underflow matters), so the exact leg length beats the nearer cross
+  // length by a relative ~5e-10; hypot errs below 1 ulp, so the computed
+  // leg length is strictly the larger, and pow, weakly monotone (the
+  // identity LinkDistance already rests on; the gap exceeds pow's sub-ulp
+  // error for any alpha > ~1e-6 anyway), keeps the leg's decay >= that
+  // cross decay.  Skipping the leg therefore leaves the minimum -- a
+  // selection, not an arithmetic result -- bit-identical.  Inside the band
+  // (exact ties, as on lattices), with a subnormal or zero m2 (shared
+  // endpoints), or on NaN, the leg is evaluated exactly as the naive
+  // LinkDistance does.
+  const std::span<const geom::Vec2> pts = space.points();
+  const double alpha = space.alpha();
+  const auto diff = [pts](int p, int q) {
+    return pts[static_cast<std::size_t>(p)] - pts[static_cast<std::size_t>(q)];
+  };
+  const auto decay = [alpha](geom::Vec2 d) {
+    const double value = std::pow(d.Norm(), alpha);
+    DL_CHECK(value > 0.0 || d == geom::Vec2{},
+             "decay between distinct nodes must be positive");
+    return value;
+  };
+  FillSlabs([&](BlockDecays& b) {
+    for (std::size_t v = b.v0; v < b.v1; ++v) {
+      for (std::size_t w = std::max(b.w0, v + 1); w < b.w1; ++w) {
+        const int s_v = snd[v], r_v = rcv[v], s_w = snd[w], r_w = rcv[w];
+        const geom::Vec2 sv_rw_d = diff(s_v, r_w), sw_rv_d = diff(s_w, r_v);
+        const double sv_rw = decay(sv_rw_d);
+        const double sw_rv = decay(sw_rv_d);
+        double min_pair = std::min(sv_rw, sw_rv);
+        const double m2 = std::min(sv_rw_d.NormSq(), sw_rv_d.NormSq());
+        const double keep = m2 >= std::numeric_limits<double>::min()
+                                ? m2 * (1.0 + kLegBand)
+                                : std::numeric_limits<double>::infinity();
+        for (const geom::Vec2 leg : {diff(s_v, s_w), diff(r_v, r_w)}) {
+          if (!(leg.NormSq() > keep)) {
+            min_pair = std::min(min_pair, decay(leg));
+          }
+        }
+        const std::size_t i = v - b.v0, j = w - b.w0;
+        b.cross_vw[i][j] = sv_rw;
+        b.cross_wv[i][j] = sw_rv;
+        b.min_vw[i][j] = min_pair;
+        b.min_wv[i][j] = min_pair;
+      }
+    }
+  });
 }
 
-template <class Decay>
-void KernelCache::FillSlabs(const Decay& decay, bool mirror_legs,
-                            std::span<const int> snd, std::span<const int> rcv,
-                            std::vector<double>& scratch,
-                            KernelBuildPath path) {
+template <class BlockFn>
+void KernelCache::FillSlabs(const BlockFn& fill_block) {
+  // One pass over 32 x 32 blocks of unordered link pairs v < w: each block
+  // is gathered into tiles, then written to all four matrices in both
+  // orientations as row segments -- row v over w, then row w over v -- so
+  // no matrix is transposed, re-read or written a column at a time.
+  // Entries are bit-identical to the naive LinkSystem methods: a_w(v) is
+  // LinkSystem::AffectanceRaw's expression with c_v and f_vv hoisted, and
+  // under uniform power the P_w / P_v factor equals exactly 1.0 (IEEE
+  // x / x == 1.0), so those two ops are skipped without changing the
+  // rounded result.  aff_raw_t_[v][w] is the very a_w(v) double written to
+  // aff_raw_[w][v].  The diagonal is written explicitly -- f(s_v, r_v) =
+  // f_vv, a_v(v) = 0 and MinPairDecay(v, v) = 0, the naive d(p, p) = 0 --
+  // so with every entry written no matrix needs pre-clearing: a fresh slab
+  // is left unzeroed (Slab) and a warm arena slab's resize is a no-op.
   const std::size_t n = static_cast<std::size_t>(n_);
-
-  // cross_decay_[w*n + v] = f(s_w, r_v) = CrossDecay(w, v), plus its
-  // transpose into the arena scratch.  The cross matrix is kept as a member:
-  // it backs the CrossDecay query and the power-control kernels below.
-  //
-  // Both build paths write the same entries from the same expressions in the
-  // same order within each entry, so the resulting matrices are
-  // bit-identical; the paths differ only in how many sweeps over the n x n
-  // slabs they take.  Entries are bit-identical to LinkSystem::AffectanceRaw
-  // -- same expression, with c_v and f_vv hoisted.  Under uniform power the
-  // P_w / P_v factor equals exactly 1.0 (IEEE x / x == 1.0), so the two
-  // extra ops can be skipped without changing the rounded result.  Every
-  // n x n matrix writes its zero entries explicitly instead of pre-clearing
-  // with assign: on a warm arena slab the resize is then a no-op, saving one
-  // full memset pass per matrix per rebuild (a fresh vector still
-  // zero-initialises, so the cold path is unchanged).
   cross_decay_.resize(n * n);
   aff_raw_.resize(n * n);
   aff_raw_t_.resize(n * n);
   min_pair_decay_.resize(n * n);
-  scratch.resize(n * n);
   double* cross = cross_decay_.data();
-  double* cross_t = scratch.data();
+  double* aff = aff_raw_.data();
+  double* aff_t = aff_raw_t_.data();
+  double* min_pair = min_pair_decay_.data();
 
-  // The endpoint legs of MinPairDecay(v, w), min(f(s_v, s_w), f(r_v, r_w)).
-  // A coordinate-backed space is symmetric by construction, so its legs are
-  // evaluated once per unordered pair and mirrored into min_pair_decay_
-  // ahead of the passes below, which combine them in place: n^2 cross
-  // decays plus n^2 leg decays in all, against the (2n)^2 of a dense fill.
-  // A dense space's legs are read per ordered pair (f may be asymmetric).
-  if (mirror_legs) {
-    for (std::size_t v = 0; v < n; ++v) {
-      for (std::size_t w = v + 1; w < n; ++w) {
-        const double legs =
-            std::min(decay(snd[v], snd[w]), decay(rcv[v], rcv[w]));
-        min_pair_decay_[v * n + w] = legs;
-        min_pair_decay_[w * n + v] = legs;
-      }
-    }
-  }
-  const auto endpoint_legs = [&](std::size_t v, std::size_t w) {
-    return mirror_legs
-               ? min_pair_decay_[v * n + w]
-               : std::min(decay(snd[v], snd[w]), decay(rcv[v], rcv[w]));
+  // a_w(v), w != v, from f(s_w, r_v).
+  const auto affectance = [&](std::size_t w, std::size_t v, double cross_wv) {
+    if (!can_overcome_[v]) return 0.0;
+    if (uniform_power_) return noise_factor_[v] * (link_decay_[v] / cross_wv);
+    return noise_factor_[v] *
+           (power_[w] / power_[v] * link_decay_[v] / cross_wv);
   };
 
-  const auto transpose_cross = [&] {
-    constexpr std::size_t kTile = 32;
-    for (std::size_t wb = 0; wb < n; wb += kTile) {
-      for (std::size_t vb = 0; vb < n; vb += kTile) {
-        const std::size_t we = std::min(n, wb + kTile);
-        const std::size_t ve = std::min(n, vb + kTile);
-        for (std::size_t w = wb; w < we; ++w) {
-          for (std::size_t v = vb; v < ve; ++v) {
-            cross_t[v * n + w] = cross[w * n + v];
-          }
-        }
+  BlockDecays b;
+  Tile a_vw;  // a_v(w)
+  Tile a_wv;  // a_w(v)
+  // Rows w over v of one matrix from a block tile, one matrix at a time.
+  const auto write_lower = [&](double* out, const Tile& tile) {
+    for (std::size_t w = b.w0; w < b.w1; ++w) {
+      for (std::size_t v = b.v0; v < std::min(b.v1, w); ++v) {
+        out[w * n + v] = tile[v - b.v0][w - b.w0];
       }
     }
   };
-
-  if (path == KernelBuildPath::kScalar) {
-    // Reference structure: one matrix per sweep.  Kept as the bit-identity
-    // oracle the fused path is tested against (tests/kernel_test.cc).
-    for (int w = 0; w < n_; ++w) {
-      double* out = cross + static_cast<std::size_t>(w) * n;
-      const int sw = snd[static_cast<std::size_t>(w)];
-      for (int v = 0; v < n_; ++v) {
-        out[v] = decay(sw, rcv[static_cast<std::size_t>(v)]);
-      }
-    }
-    transpose_cross();
-
-    // Raw affectance matrices: aff_raw_ row w = a_w(.), filled w-major (the
-    // factors depending on the *target* v are O(n) arrays); the transpose
-    // row v = a_.(v), filled v-major from cross_t.
-    for (int w = 0; w < n_; ++w) {
-      const std::size_t sw = static_cast<std::size_t>(w);
-      double* out = aff_raw_.data() + sw * n;
-      const double* cross_w = cross + sw * n;
-      const double pw = power_[sw];
-      for (int v = 0; v < n_; ++v) {
-        const std::size_t sv = static_cast<std::size_t>(v);
-        if (v == w || !can_overcome_[sv]) {
-          out[sv] = 0.0;
-        } else if (uniform_power_) {
-          out[sv] = noise_factor_[sv] * (link_decay_[sv] / cross_w[sv]);
-        } else {
-          out[sv] = noise_factor_[sv] *
-                    (pw / power_[sv] * link_decay_[sv] / cross_w[sv]);
+  for (b.v0 = 0; b.v0 < n; b.v0 += kBlock) {
+    b.v1 = std::min(n, b.v0 + kBlock);
+    for (b.w0 = b.v0; b.w0 < n; b.w0 += kBlock) {
+      b.w1 = std::min(n, b.w0 + kBlock);
+      fill_block(b);
+      for (std::size_t v = b.v0; v < b.v1; ++v) {
+        for (std::size_t w = std::max(b.w0, v + 1); w < b.w1; ++w) {
+          const std::size_t i = v - b.v0, j = w - b.w0;
+          a_vw[i][j] = affectance(v, w, b.cross_vw[i][j]);
+          a_wv[i][j] = affectance(w, v, b.cross_wv[i][j]);
+          cross[v * n + w] = b.cross_vw[i][j];
+          aff[v * n + w] = a_vw[i][j];
+          aff_t[v * n + w] = a_wv[i][j];
+          min_pair[v * n + w] = b.min_vw[i][j];
         }
       }
-    }
-    for (int v = 0; v < n_; ++v) {
-      const std::size_t sv = static_cast<std::size_t>(v);
-      double* out = aff_raw_t_.data() + sv * n;
-      if (!can_overcome_[sv]) {
-        std::fill(out, out + n, 0.0);
-        continue;
-      }
-      const double* cross_v = cross_t + sv * n;
-      const double cv = noise_factor_[sv];
-      const double fvv = link_decay_[sv];
-      const double pv = power_[sv];
-      for (int w = 0; w < n_; ++w) {
-        const std::size_t sw = static_cast<std::size_t>(w);
-        if (w == v) {
-          out[sw] = 0.0;
-        } else if (uniform_power_) {
-          out[sw] = cv * (fvv / cross_v[sw]);
-        } else {
-          out[sw] = cv * (power_[sw] / pv * fvv / cross_v[sw]);
-        }
-      }
-    }
-
-    // Min-endpoint-decay matrix (zeta-independent part of the link
-    // quasi-distance).  f(p, p) = 0 on the diagonal is exactly the naive
-    // d(p, p) = 0 special case, so no branch is needed.  The matrix is
-    // stored for ordered (v, w): in an asymmetric space the sender-sender
-    // and receiver-receiver legs are ordered pairs, so d(l_v, l_w) need not
-    // equal d(l_w, l_v).
-    for (int v = 0; v < n_; ++v) {
-      const std::size_t sv = static_cast<std::size_t>(v);
-      double* out = min_pair_decay_.data() + sv * n;
-      const double* cross_row_v = cross + sv * n;  // f(s_v, r_w) over w
-      const double* cross_v = cross_t + sv * n;    // f(s_w, r_v) over w
-      for (int w = 0; w < n_; ++w) {
-        if (w == v) {
-          out[static_cast<std::size_t>(w)] = 0.0;
-          continue;
-        }
-        const std::size_t sw = static_cast<std::size_t>(w);
-        const double sv_rw = cross_row_v[sw];  // f(s_v, r_w)
-        const double sw_rv = cross_v[sw];      // f(s_w, r_v)
-        out[sw] = std::min(std::min(sv_rw, sw_rv), endpoint_legs(sv, sw));
-      }
-    }
-    return;
-  }
-
-  // Fused tiled path (default).  Pass 1 (w-major) derives the aff_raw row
-  // from the cross row while the freshly written cross values are still in
-  // registers/L1 -- at n = 16k each n x n slab is 2 GB, so a second sweep
-  // re-reads it all from DRAM.  Pass 2 (v-major, after the blocked
-  // transpose) fills aff_raw_t and min_pair_decay from one read of the
-  // cross_t row.
-  for (int w = 0; w < n_; ++w) {
-    const std::size_t sw = static_cast<std::size_t>(w);
-    double* out_cross = cross + sw * n;
-    double* out_aff = aff_raw_.data() + sw * n;
-    const int s_w = snd[sw];
-    const double pw = power_[sw];
-    for (int v = 0; v < n_; ++v) {
-      const std::size_t sv = static_cast<std::size_t>(v);
-      const double cross_wv = decay(s_w, rcv[sv]);
-      out_cross[sv] = cross_wv;
-      if (v == w || !can_overcome_[sv]) {
-        out_aff[sv] = 0.0;
-      } else if (uniform_power_) {
-        out_aff[sv] = noise_factor_[sv] * (link_decay_[sv] / cross_wv);
-      } else {
-        out_aff[sv] =
-            noise_factor_[sv] * (pw / power_[sv] * link_decay_[sv] / cross_wv);
-      }
+      write_lower(cross, b.cross_wv);
+      write_lower(aff, a_wv);
+      write_lower(aff_t, a_vw);
+      write_lower(min_pair, b.min_wv);
     }
   }
-  transpose_cross();
-  for (int v = 0; v < n_; ++v) {
-    const std::size_t sv = static_cast<std::size_t>(v);
-    double* out_t = aff_raw_t_.data() + sv * n;
-    double* out_min = min_pair_decay_.data() + sv * n;
-    const double* cross_row_v = cross + sv * n;  // f(s_v, r_w) over w
-    const double* cross_v = cross_t + sv * n;    // f(s_w, r_v) over w
-    const bool overcomes = can_overcome_[sv] != 0;
-    const double cv = noise_factor_[sv];
-    const double fvv = link_decay_[sv];
-    const double pv = power_[sv];
-    for (int w = 0; w < n_; ++w) {
-      const std::size_t sw = static_cast<std::size_t>(w);
-      if (w == v) {
-        out_t[sw] = 0.0;
-        out_min[sw] = 0.0;
-        continue;
-      }
-      const double sw_rv = cross_v[sw];  // f(s_w, r_v)
-      if (!overcomes) {
-        out_t[sw] = 0.0;
-      } else if (uniform_power_) {
-        out_t[sw] = cv * (fvv / sw_rv);
-      } else {
-        out_t[sw] = cv * (power_[sw] / pv * fvv / sw_rv);
-      }
-      const double sv_rw = cross_row_v[sw];  // f(s_v, r_w)
-      out_min[sw] = std::min(std::min(sv_rw, sw_rv), endpoint_legs(sv, sw));
-    }
+  for (std::size_t v = 0; v < n; ++v) {
+    cross[v * n + v] = link_decay_[v];
+    aff[v * n + v] = 0.0;
+    aff_t[v * n + v] = 0.0;
+    min_pair[v * n + v] = 0.0;
   }
 }
 
 // --- KernelArena -------------------------------------------------------------
 
 const KernelCache& KernelArena::Rebuild(const LinkSystem& system,
-                                        PowerAssignment power,
-                                        KernelBuildPath path) {
+                                        PowerAssignment power) {
   // Warm iff the slot already holds matrices of this link count: every
   // resize inside Build is then a no-op and no allocation happens.
   const bool warm =
       slot_.system_ != nullptr && slot_.n_ == system.NumLinks();
-  slot_.Build(system, std::move(power), scratch_, path);
+  slot_.Build(system, std::move(power));
   ++rebuilds_;
   if (warm) ++warm_skips_;
   ArenaRebuildCounter().Add();

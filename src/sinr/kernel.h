@@ -21,13 +21,17 @@
 // here returns *bit-for-bit* the same double as the corresponding naive
 // LinkSystem method.  The cached entries are computed with the identical
 // floating-point expression (same association order), and aggregate sums run
-// in the same iteration order.  Two non-obvious identities make this work:
+// in the same iteration order.  Three non-obvious identities make this work:
 //   * min over the four endpoint quasi-distances commutes with pow:
 //     pow is weakly monotone, so min_i pow(f_i, s) == pow(min_i f_i, s) --
 //     the distance matrix therefore needs one pow per pair, not four;
 //   * x / x == 1.0 exactly in IEEE arithmetic, so under uniform power the
 //     ratio P_w / P_v can be elided from the affectance expression without
 //     changing the rounded result.
+//   * a min is a selection, not a rounding: over a coordinate-backed space
+//     an endpoint leg whose squared distance clearly exceeds a cross leg's
+//     cannot be selected, so Build skips its pow (guard-band argument in
+//     Build).
 // The only deliberate deviation is SeparationOracle's fast path, which
 // compares in the decay domain (m >= eta^zeta * f_vv instead of
 // m^{1/zeta} >= eta * f_vv^{1/zeta}); the two forms are equivalent in exact
@@ -36,6 +40,8 @@
 // inputs engineered to sit within ~1e-9 of a separation threshold.
 #pragma once
 
+#include <memory>
+#include <new>
 #include <span>
 #include <vector>
 
@@ -44,31 +50,21 @@
 
 namespace decaylib::sinr {
 
-// How KernelCache::Build sweeps the matrices.  Entry expressions are
-// identical either way -- the paths are bit-identical and differ only in
-// how many times each cache line is re-fetched:
-//   * kTiled (default): fused sweeps -- the w-major pass derives the
-//     aff_raw row from the cross row while it is still in cache, and the
-//     v-major pass fills aff_raw_t and min_pair_decay from one cross_t
-//     row read; the transpose itself is blocked 32x32.
-//   * kScalar: one matrix per sweep, the original reference structure,
-//     kept as the oracle the tiled path is tested against.
-enum class KernelBuildPath { kTiled, kScalar };
-
 class AffectanceAccumulator;
 
 // Precomputed affectance/distance kernels for one (LinkSystem, power) pair.
 // Holds a reference to the system; the system (and its decay space) must
-// outlive the cache.  Construction costs O(n^2) time and memory; over a
-// coordinate-backed space it evaluates ~2 n^2 decays (see Build), and the
-// resulting matrices are bit-identical to those over the dense space.
+// outlive the cache.  Construction costs O(n^2) time and memory: four n x n
+// matrices, filled in one pass over unordered link pairs.  Over a
+// coordinate-backed space it evaluates the n^2 cross decays and only those
+// endpoint legs that can be a pair's minimum (see Build), and the resulting
+// matrices are bit-identical to those over the dense space.
 class KernelCache {
  public:
   // The dense tier's running sums (the KernelTier concept, kernel_tier.h).
   using Accumulator = AffectanceAccumulator;
 
-  KernelCache(const LinkSystem& system, PowerAssignment power,
-              KernelBuildPath path = KernelBuildPath::kTiled);
+  KernelCache(const LinkSystem& system, PowerAssignment power);
 
   int NumLinks() const noexcept { return n_; }
   const LinkSystem& system() const noexcept { return *system_; }
@@ -171,25 +167,38 @@ class KernelCache {
   friend class AffectanceAccumulator;
   friend class KernelArena;
 
+  // The n x n matrices.  Build writes every entry, so resize leaves new
+  // doubles unwritten instead of zero-filling them: a fresh cache touches
+  // each slab once, not twice.
+  template <class T>
+  struct UnzeroedAllocator : std::allocator<T> {
+    using std::allocator<T>::allocator;
+    template <class U>
+    struct rebind {
+      using other = UnzeroedAllocator<U>;
+    };
+    template <class U>
+    void construct(U* p) noexcept {
+      ::new (static_cast<void*>(p)) U;
+    }
+  };
+  using Slab = std::vector<double, UnzeroedAllocator<double>>;
+
   // Empty cache (n = 0, no system): every query but NumLinks would
   // dereference the null system, so only KernelArena -- which always
   // Rebuilds before handing the cache out -- may construct one.
   KernelCache() = default;
 
-  // (Re)builds every matrix for (system, power); `scratch` provides the
-  // transpose workspace so arena rebuilds allocate nothing once warm.
-  void Build(const LinkSystem& system, PowerAssignment power,
-             std::vector<double>& scratch,
-             KernelBuildPath path = KernelBuildPath::kTiled);
+  // (Re)builds every matrix for (system, power) in place, so arena
+  // rebuilds of the same shape allocate nothing.
+  void Build(const LinkSystem& system, PowerAssignment power);
 
-  // Build's n x n slabs, reading the decay space through decay(p, q): a
-  // dense matrix read in place, or a coordinate-backed space's on-demand
-  // evaluation (`mirror_legs`: the space is symmetric, so MinPairDecay's
-  // endpoint legs are evaluated once per unordered pair).
-  template <class Decay>
-  void FillSlabs(const Decay& decay, bool mirror_legs,
-                 std::span<const int> snd, std::span<const int> rcv,
-                 std::vector<double>& scratch, KernelBuildPath path);
+  // Build's n x n slabs, in one pass over blocks of unordered link pairs;
+  // `fill_block` gathers a block's cross decays and MinPairDecay in both
+  // orientations, read from a dense matrix or evaluated over a
+  // coordinate-backed space.
+  template <class BlockFn>
+  void FillSlabs(const BlockFn& fill_block);
 
   const LinkSystem* system_ = nullptr;
   PowerAssignment power_;
@@ -198,20 +207,21 @@ class KernelCache {
   std::vector<double> link_decay_;    // f_vv
   std::vector<char> can_overcome_;    // P_v / f_vv > beta N
   std::vector<double> noise_factor_;  // c_v (0 when !can_overcome_)
-  std::vector<double> aff_raw_;       // [w*n + v] = a_w(v), unclamped
-  std::vector<double> aff_raw_t_;     // [v*n + w] = a_w(v)  (transpose)
-  std::vector<double> min_pair_decay_;  // [v*n + w], symmetric
-  std::vector<double> cross_decay_;     // [w*n + v] = f(s_w, r_v)
+  Slab aff_raw_;         // [w*n + v] = a_w(v), unclamped
+  Slab aff_raw_t_;       // [v*n + w] = a_w(v)  (transpose)
+  Slab min_pair_decay_;  // [v*n + w], symmetric
+  Slab cross_decay_;     // [w*n + v] = f(s_w, r_v)
 };
 
-// Reusable KernelCache storage: one cache slot plus the build scratch,
-// rebuilt in place instead of reallocated.  Same-shape rebuilds (the batch
-// and sweep runners build thousands of caches of identical n) touch the
-// allocator zero times once the slot is warm; different shapes simply
-// re-grow.  The rebuilt cache is bit-identical to a freshly constructed
-// KernelCache over the same (system, power) -- Build overwrites every
-// entry, so nothing of the previous instance survives.  One arena per
-// worker thread; the returned reference is valid until the next Rebuild.
+// Reusable KernelCache storage: one cache slot, rebuilt in place instead of
+// reallocated (the build needs no workspace beyond the cache's own
+// matrices).  Same-shape rebuilds (the batch and sweep runners build
+// thousands of caches of identical n) touch the allocator zero times once
+// the slot is warm; different shapes simply re-grow.  The rebuilt cache is
+// bit-identical to a freshly constructed KernelCache over the same
+// (system, power) -- Build overwrites every entry, so nothing of the
+// previous instance survives.  One arena per worker thread; the returned
+// reference is valid until the next Rebuild.
 class KernelArena {
  public:
   // The returned reference is invalidated by the next Rebuild, and the
@@ -219,20 +229,17 @@ class KernelArena {
   // beyond the system's lifetime (there is deliberately no accessor for
   // the last-built cache: it would dangle once the batch's instances are
   // destroyed).
-  const KernelCache& Rebuild(const LinkSystem& system, PowerAssignment power,
-                             KernelBuildPath path = KernelBuildPath::kTiled);
+  const KernelCache& Rebuild(const LinkSystem& system, PowerAssignment power);
 
   long long rebuilds() const noexcept { return rebuilds_; }
   // Rebuilds whose link count matched the warm slot's, so every matrix
-  // resize was a no-op and the allocator (and, for same-shape slabs, the
-  // pre-clearing memsets) were skipped entirely -- the case the arena
-  // exists for.  rebuilds() - warm_skips() is the number of cold/grow
+  // resize was a no-op and the allocator was skipped entirely -- the case
+  // the arena exists for.  rebuilds() - warm_skips() is the number of cold/grow
   // builds (first touch, or a cell-shape change mid-sweep).
   long long warm_skips() const noexcept { return warm_skips_; }
 
  private:
   KernelCache slot_;
-  std::vector<double> scratch_;
   long long rebuilds_ = 0;
   long long warm_skips_ = 0;
 };

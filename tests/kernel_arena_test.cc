@@ -126,8 +126,8 @@ TEST(KernelArenaTest, AggregateQueriesMatchThroughArena) {
 }
 
 // A kernel built over a coordinate-backed space is the kernel of the dense
-// Geometric space over the same points, on both build paths and through a
-// warm arena slot, under uniform and power-law powers.
+// Geometric space over the same points, fresh and through a warm arena
+// slot, under uniform and power-law powers.
 TEST(KernelArenaTest, CoordinateBackedSpaceBuildsTheDenseKernel) {
   for (std::uint64_t seed = 51; seed <= 54; ++seed) {
     geom::Rng rng(seed);
@@ -144,17 +144,38 @@ TEST(KernelArenaTest, CoordinateBackedSpaceBuildsTheDenseKernel) {
                                       ? PowerLaw(dense_system, 0.5)
                                       : UniformPower(dense_system);
 
+    const KernelCache reference(dense_system, power);
+    ExpectBitIdentical(reference, KernelCache(coord_system, power));
+    // Warm slot: the same shape was just built over the dense space.
     KernelArena arena;
-    for (const KernelBuildPath path :
-         {KernelBuildPath::kScalar, KernelBuildPath::kTiled}) {
-      const KernelCache reference(dense_system, power, path);
-      ExpectBitIdentical(reference, KernelCache(coord_system, power, path));
-      // Warm slot: the same shape was just built over the dense space.
-      arena.Rebuild(dense_system, power, path);
-      ExpectBitIdentical(reference, arena.Rebuild(coord_system, power, path));
-    }
-    EXPECT_EQ(arena.warm_skips(), 3);
+    arena.Rebuild(dense_system, power);
+    ExpectBitIdentical(reference, arena.Rebuild(coord_system, power));
+    EXPECT_EQ(arena.warm_skips(), 1);
   }
+}
+
+// The cache holds exactly four n x n double matrices (affectance, its
+// transpose, cross decays, min-pair decays) plus the per-link arrays (f_vv,
+// c_v, the noise flag) -- the build keeps no workspace of its own -- and a
+// warm arena rebuild of the same shape retains exactly that.
+TEST(KernelArenaTest, MemoryIsFourSlabsPlusPerLinkArrays) {
+  const auto expected = [](long long n) {
+    return 4 * n * n * 8 + n * (8 + 8 + 1);
+  };
+  const Instance inst = MakeInstance(61, 40, 1.0, 0.01);
+  const LinkSystem system(inst.space, inst.links, inst.config);
+  EXPECT_EQ(KernelCache(system, UniformPower(system)).MemoryBytes(),
+            expected(40));
+
+  KernelArena arena;
+  EXPECT_EQ(arena.Rebuild(system, UniformPower(system)).MemoryBytes(),
+            expected(40));
+  const Instance other = MakeInstance(62, 40, 1.5, 0.0);
+  const LinkSystem other_system(other.space, other.links, other.config);
+  EXPECT_EQ(arena.Rebuild(other_system, PowerLaw(other_system, 0.5))
+                .MemoryBytes(),
+            expected(40));
+  EXPECT_EQ(arena.warm_skips(), 1);
 }
 
 TEST(KernelArenaTest, RebuildCounterStartsAtZero) {

@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -89,6 +91,92 @@ std::vector<Instance> MakeInstances(std::uint64_t seed, int link_count) {
     instances.push_back(std::move(inst));
   }
   return instances;
+}
+
+// Coordinate-backed instances for the entry-wise check.  Over these the
+// build decides each endpoint leg on squared distances before any pow
+// (KernelCache::Build), so the link sets are chosen to put legs on both
+// sides of the decision band and inside it: uniform random points, an
+// integer lattice (exact leg/cross distance ties), links sharing endpoints
+// (zero cross and leg distances), and a near tie whose leg is the longer
+// by NormSq but the shorter by pow(hypot).
+std::vector<Instance> MakeCoordinateInstances(std::uint64_t seed,
+                                              int link_count) {
+  std::vector<Instance> instances;
+  const auto add = [&](std::string name, std::vector<geom::Vec2> pts,
+                       double alpha, std::vector<Link> links,
+                       SinrConfig config, double tau) {
+    Instance inst{std::move(name),
+                  core::DecaySpace::CoordinateBacked(pts, alpha),
+                  std::move(links), config, {}};
+    const LinkSystem system(inst.space, inst.links, inst.config);
+    inst.power = tau == 0.0 ? UniformPower(system) : PowerLaw(system, tau);
+    instances.push_back(std::move(inst));
+  };
+  {
+    geom::Rng rng(seed + 5);
+    add("coords/uniform", geom::SampleUniform(2 * link_count, 14.0, 14.0, rng),
+        3.0, PairedLinks(link_count), SinrConfig{1.5, 0.0}, 0.0);
+  }
+  {
+    // A 5 x 5 lattice, paired at random: integer squared distances collide.
+    geom::Rng rng(seed + 6);
+    std::vector<geom::Vec2> pts;
+    for (int i = 0; i < 25; ++i) pts.push_back({i % 5 * 1.0, i / 5 * 1.0});
+    std::vector<int> order(pts.size());
+    for (int i = 0; i < 25; ++i) order[static_cast<std::size_t>(i)] = i;
+    rng.Shuffle(order);
+    std::vector<Link> links;
+    for (std::size_t i = 0; i + 1 < order.size(); i += 2) {
+      links.push_back({order[i], order[i + 1]});
+    }
+    add("coords/lattice", std::move(pts), 2.5, std::move(links),
+        SinrConfig{1.0, 0.01}, 0.5);
+  }
+  {
+    // A chain (r_v == s_{v+1}) and a star sharing the chain's first sender.
+    geom::Rng rng(seed + 7);
+    std::vector<Link> links;
+    for (int i = 0; i < link_count / 2; ++i) links.push_back({i, i + 1});
+    for (int j = link_count / 2 + 1; j <= link_count; ++j) {
+      links.push_back({0, j});
+    }
+    add("coords/shared-endpoint",
+        geom::SampleUniform(link_count + 1, 14.0, 14.0, rng), 3.0,
+        std::move(links), SinrConfig{1.0, 0.0}, 0.0);
+  }
+  {
+    // Link 0 runs from the origin; its sender-sender leg to link 1 (length
+    // |leg|) ties the cross leg s_0 -> r_1 (length |c|) to rounding: leg is
+    // a rotation of c with NormSq(leg) > NormSq(c) yet a smaller decay.
+    geom::Rng rng(seed + 8);
+    const geom::Vec2 origin{0.0, 0.0};
+    for (int trial = 0; trial < 100000; ++trial) {
+      const geom::Vec2 c{rng.Uniform(1.0, 10.0), rng.Uniform(1.0, 10.0)};
+      const geom::Vec2 leg = c.Rotated(rng.Uniform(0.0, 1.0));
+      if (leg.NormSq() > c.NormSq() &&
+          geom::GeometricDecay(origin, leg, 3.0) <
+              geom::GeometricDecay(origin, c, 3.0)) {
+        add("coords/near-tie", {origin, {-40.0, -40.0}, leg, c}, 3.0,
+            {{0, 1}, {2, 3}}, SinrConfig{1.0, 0.0}, 0.0);
+        break;
+      }
+    }
+    EXPECT_EQ(instances.back().name, "coords/near-tie");
+  }
+  return instances;
+}
+
+// MinPairDecay(v, w) straight from the space: the naive four-way min.
+double NaiveMinPairDecay(const LinkSystem& system, int v, int w) {
+  const core::DecaySpace& f = system.space();
+  const Link& lv = system.link(v);
+  const Link& lw = system.link(w);
+  const double sv_rw = f(lv.sender, lw.receiver);
+  const double sw_rv = f(lw.sender, lv.receiver);
+  const double sv_sw = f(lv.sender, lw.sender);
+  const double rv_rw = f(lv.receiver, lw.receiver);
+  return std::min(std::min(sv_rw, sw_rv), std::min(sv_sw, rv_rw));
 }
 
 std::vector<int> RandomSubset(int n, double p, geom::Rng& rng) {
@@ -239,36 +327,71 @@ TEST_P(KernelBitExactness, AccumulatorMatchesNaivePrefixSums) {
   }
 }
 
-TEST_P(KernelBitExactness, TiledBuildBitIdenticalToScalar) {
-  // The fused tiled build is the default; the scalar path is the reference
-  // oracle.  Every matrix entry must be the identical double across all
-  // four instance families (asymmetric spaces and non-uniform powers
-  // included), or the tiling reordered a floating-point operation.
+TEST_P(KernelBitExactness, EntriesMatchNaiveOnEveryRepresentation) {
+  // Every matrix entry against the naive LinkSystem methods, over dense
+  // spaces (asymmetric ones and non-uniform powers included) and over
+  // coordinate-backed ones, where the build skips endpoint legs that
+  // cannot be a pair's minimum.  Legs of the coordinate-backed pairs are
+  // counted by the build's decision -- beyond the band above the nearer
+  // cross distance (skipped), clearly below it (evaluated), or inside the
+  // band (evaluated exactly) -- and each kind must occur.
   const auto seed = static_cast<std::uint64_t>(GetParam());
-  for (const Instance& inst : MakeInstances(seed, 12)) {
+  std::vector<Instance> instances = MakeInstances(seed, 12);
+  for (Instance& inst : MakeCoordinateInstances(seed, 12)) {
+    instances.push_back(std::move(inst));
+  }
+  long long skipped = 0, below = 0, in_band = 0;
+  for (const Instance& inst : instances) {
     SCOPED_TRACE(inst.name);
     const LinkSystem system(inst.space, inst.links, inst.config);
-    const KernelCache scalar(system, inst.power, KernelBuildPath::kScalar);
-    const KernelCache tiled(system, inst.power, KernelBuildPath::kTiled);
+    const KernelCache kernel(system, inst.power);
     const int n = system.NumLinks();
-    ASSERT_EQ(scalar.NumLinks(), n);
-    ASSERT_EQ(tiled.NumLinks(), n);
+    ASSERT_EQ(kernel.NumLinks(), n);
     for (int v = 0; v < n; ++v) {
-      EXPECT_EQ(tiled.LinkDecay(v), scalar.LinkDecay(v));
-      EXPECT_EQ(tiled.CanOvercomeNoise(v), scalar.CanOvercomeNoise(v));
-      if (tiled.CanOvercomeNoise(v)) {
-        EXPECT_EQ(tiled.NoiseFactor(v), scalar.NoiseFactor(v));
-      }
+      // Row v of the transpose, read back through a one-member accumulator:
+      // OutRaw(w) is exactly the stored a_w(v).
+      AffectanceAccumulator acc(kernel);
+      acc.Add(v);
+      const bool overcomes = system.CanOvercomeNoise(v, inst.power);
       for (int w = 0; w < n; ++w) {
-        EXPECT_EQ(tiled.AffectanceRaw(w, v), scalar.AffectanceRaw(w, v));
-        EXPECT_EQ(tiled.CrossDecay(w, v), scalar.CrossDecay(w, v));
-        EXPECT_EQ(tiled.MinPairDecay(v, w), scalar.MinPairDecay(v, w));
-        if (tiled.CanOvercomeNoise(v)) {
-          EXPECT_EQ(tiled.Affectance(w, v), scalar.Affectance(w, v));
+        EXPECT_EQ(kernel.CrossDecay(w, v), system.CrossDecay(w, v));
+        EXPECT_EQ(kernel.MinPairDecay(v, w), NaiveMinPairDecay(system, v, w));
+        const double naive =
+            overcomes ? system.AffectanceRaw(w, v, inst.power) : 0.0;
+        EXPECT_EQ(kernel.AffectanceRaw(w, v), naive);
+        EXPECT_EQ(acc.OutRaw(w), naive);
+      }
+    }
+    if (!inst.space.IsCoordinateBacked()) continue;
+    const auto pts = inst.space.points();
+    const auto norm_sq = [&](int p, int q) {
+      return (pts[static_cast<std::size_t>(p)] -
+              pts[static_cast<std::size_t>(q)])
+          .NormSq();
+    };
+    for (int v = 0; v < n; ++v) {
+      for (int w = v + 1; w < n; ++w) {
+        const Link& lv = system.link(v);
+        const Link& lw = system.link(w);
+        const double m2 = std::min(norm_sq(lv.sender, lw.receiver),
+                                   norm_sq(lw.sender, lv.receiver));
+        for (const double leg2 : {norm_sq(lv.sender, lw.sender),
+                                  norm_sq(lv.receiver, lw.receiver)}) {
+          if (m2 < std::numeric_limits<double>::min() ||
+              leg2 < m2 * (1.0 - 1e-9)) {
+            ++below;
+          } else if (leg2 > m2 * (1.0 + 1e-9)) {
+            ++skipped;
+          } else {
+            ++in_band;
+          }
         }
       }
     }
   }
+  EXPECT_GT(skipped, 0);
+  EXPECT_GT(below, 0);
+  EXPECT_GT(in_band, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelBitExactness, ::testing::Range(1, 9));
