@@ -117,7 +117,7 @@ void PrintHitRates(const char* tag, const FarFieldCounters& d) {
   const double denom = d.checks > 0 ? static_cast<double>(d.checks) : 1.0;
   std::printf(
       "%s: %lld certified checks (%.1f%% accept / %.1f%% reject via the "
-      "pooled interval, %.1f%% exact fallbacks), %lld cells refined\n",
+      "pooled interval, %.1f%% exact fallbacks), %lld blocks refined\n",
       tag, d.checks, 100.0 * static_cast<double>(d.accepts) / denom,
       100.0 * static_cast<double>(d.rejects) / denom,
       100.0 * static_cast<double>(d.fallbacks) / denom, d.refined);

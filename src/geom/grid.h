@@ -36,6 +36,8 @@ class UniformGrid {
   // Side length of a cell.
   double CellSize() const noexcept { return cell_; }
 
+  int Cols() const noexcept { return cols_; }
+  int Rows() const noexcept { return rows_; }
   int NumCells() const noexcept { return cols_ * rows_; }
 
   // Row-major index of the cell containing p.  Points outside the bounding
@@ -91,6 +93,13 @@ class UniformGrid {
       }
     }
     return any_cell;
+  }
+
+  // Heap bytes held: the CSR offsets and the grouped ids.
+  long long MemoryBytes() const noexcept {
+    return static_cast<long long>(starts_.capacity() * sizeof(starts_[0]) +
+                                  bucket_ids_.capacity() *
+                                      sizeof(bucket_ids_[0]));
   }
 
  private:

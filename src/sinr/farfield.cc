@@ -1,6 +1,7 @@
 #include "sinr/farfield.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -56,6 +57,18 @@ geom::UniformGrid MakeGrid(std::span<const geom::Vec2> pts, int target) {
   return geom::UniformGrid(pts, ids, target);
 }
 
+template <typename V>
+long long Bytes(const V& v) {
+  return static_cast<long long>(v.capacity() * sizeof(v[0]));
+}
+
+// A grid side has at most 2^31 cells, so a hierarchy has at most 32 levels.
+constexpr std::size_t kMaxLevels = 32;
+
+// Tolerance that pools every block whose bounds are finite: the split step
+// of refinement opens one block and pools its children where it can.
+constexpr double kPoolAll = std::numeric_limits<double>::max();
+
 std::vector<geom::Vec2> GatherEndpoints(std::span<const geom::Vec2> points,
                                         std::span<const Link> links,
                                         bool sender_side) {
@@ -72,6 +85,148 @@ std::vector<geom::Vec2> GatherEndpoints(std::span<const geom::Vec2> points,
 constexpr double kSepBand = 1e-9;
 
 }  // namespace
+
+// --- Block hierarchy ---------------------------------------------------------
+
+FarFieldKernel::EndpointGrid::EndpointGrid(std::span<const geom::Vec2> pts,
+                                           int target_per_cell)
+    : grid(MakeGrid(pts, target_per_cell)) {
+  const int num = grid.NumCells();
+  cell_of.assign(pts.size(), -1);
+  cell_of_leaf.assign(static_cast<std::size_t>(num), -1);
+  int occupied = 0;
+  for (int c = 0; c < num; ++c) {
+    if (!grid.CellContents(c).empty()) ++occupied;
+  }
+  cell_box.reserve(static_cast<std::size_t>(occupied));
+  leaf_of_cell.reserve(static_cast<std::size_t>(occupied));
+  for (int c = 0; c < num; ++c) {
+    const std::span<const int> ids = grid.CellContents(c);
+    if (ids.empty()) continue;
+    const int cell = static_cast<int>(cell_box.size());
+    Box box;
+    for (const int id : ids) {
+      box.Extend(pts[static_cast<std::size_t>(id)]);
+      cell_of[static_cast<std::size_t>(id)] = cell;
+    }
+    cell_box.push_back(box);
+    leaf_of_cell.push_back(c);
+    cell_of_leaf[static_cast<std::size_t>(c)] = cell;
+  }
+  Level level{grid.Cols(), grid.Rows(), 0};
+  levels.push_back(level);
+  while (level.cols > 1 || level.rows > 1) {
+    level.offset += level.cols * level.rows;
+    level.cols = (level.cols + 1) / 2;
+    level.rows = (level.rows + 1) / 2;
+    levels.push_back(level);
+  }
+  DL_CHECK(levels.size() <= kMaxLevels, "block hierarchy too deep");
+}
+
+void FarFieldKernel::EndpointGrid::AddToBlocks(
+    int cell, geom::Vec2 p, double cf, std::vector<Block>& blocks) const {
+  const int leaf = leaf_of_cell[static_cast<std::size_t>(cell)];
+  const int x = leaf % levels[0].cols;
+  const int y = leaf / levels[0].cols;
+  for (std::size_t l = 0; l < levels.size(); ++l) {
+    const Level& lv = levels[l];
+    Block& b = blocks[static_cast<std::size_t>(
+        lv.offset + (y >> l) * lv.cols + (x >> l))];
+    b.box.Extend(p);
+    ++b.count;
+    b.cf_sum += cf;
+    b.cf_max = std::max(b.cf_max, cf);
+  }
+}
+
+long long FarFieldKernel::EndpointGrid::MemoryBytes() const noexcept {
+  return grid.MemoryBytes() + Bytes(cell_box) + Bytes(cell_of) +
+         Bytes(leaf_of_cell) + Bytes(cell_of_leaf) + Bytes(levels);
+}
+
+template <typename Fn>
+void FarFieldKernel::ForEachChild(const EndpointGrid& side, Frame f,
+                                  Fn&& fn) {
+  const Level& child =
+      side.levels[static_cast<std::size_t>(f.level - 1)];
+  const int x_end = std::min(2 * f.x + 2, child.cols);
+  const int y_end = std::min(2 * f.y + 2, child.rows);
+  for (int y = 2 * f.y; y < y_end; ++y) {
+    for (int x = 2 * f.x; x < x_end; ++x) fn(Frame{f.level - 1, x, y});
+  }
+}
+
+template <typename Visit, typename Leaf>
+void FarFieldKernel::Walk(const EndpointGrid& side,
+                          const std::vector<Block>& blocks, Frame start,
+                          Visit&& visit, Leaf&& leaf) {
+  // Depth first: an opened block pushes at most four children, so the
+  // stack never holds more than three per level plus one.
+  std::array<Frame, 3 * kMaxLevels + 1> stack;
+  std::size_t top = 0;
+  stack[top++] = start;
+  while (top > 0) {
+    const Frame f = stack[--top];
+    const Level& lv =
+        side.levels[static_cast<std::size_t>(f.level)];
+    const int id = lv.offset + f.y * lv.cols + f.x;
+    if (blocks[static_cast<std::size_t>(id)].count == 0 || visit(f, id)) {
+      continue;
+    }
+    if (f.level == 0) {
+      leaf(side.cell_of_leaf[static_cast<std::size_t>(id)]);
+      continue;
+    }
+    ForEachChild(side, f, [&](Frame c) { stack[top++] = c; });
+  }
+}
+
+template <typename Bounds, typename Pool, typename Pairwise>
+void FarFieldKernel::Scan(const EndpointGrid& side,
+                          const std::vector<Block>& blocks, Frame start,
+                          geom::Vec2 p, double tol, Bounds&& bounds,
+                          Pool&& pool, Pairwise&& pairwise) {
+  Walk(
+      side, blocks, start,
+      [&](const Frame& f, int id) {
+        if (f.level == 0 &&
+            InNearRing(side, side.cell_of_leaf[static_cast<std::size_t>(id)],
+                       p)) {
+          return false;
+        }
+        const Block& b = blocks[static_cast<std::size_t>(id)];
+        double lo = 0.0;
+        double hi = 0.0;
+        BoxDistance(b.box, p, &lo, &hi);
+        double dn = 0.0;
+        double up = 0.0;
+        if (!bounds(f, b, lo, hi, &dn, &up)) return false;
+        // `!(<=)` also opens a block whose width is inf or NaN (a box
+        // touching p).
+        if (f.level > 0 && !(up - dn <= tol)) return false;
+        pool(f, dn, up);
+        return true;
+      },
+      pairwise);
+}
+
+template <typename Bounds, typename Pairwise>
+FarFieldKernel::Interval FarFieldKernel::PooledInterval(
+    const EndpointGrid& side, const std::vector<Block>& blocks, geom::Vec2 p,
+    double tol, Bounds&& bounds, Pairwise&& pairwise) {
+  double near_sum = 0.0;  // cheap bound spelling; in-band callers re-fold exact
+  double far_lo = 0.0;
+  double far_hi = 0.0;
+  Scan(
+      side, blocks, Root(side), p, tol, bounds,
+      [&](const Frame&, double dn, double up) {
+        far_lo += dn;
+        far_hi += up;
+      },
+      [&](int cell) { near_sum += pairwise(cell); });
+  return Guarded(near_sum, far_lo, far_hi);
+}
 
 // --- FarFieldKernel ----------------------------------------------------------
 
@@ -93,8 +248,8 @@ FarFieldKernel::FarFieldKernel(std::vector<geom::Vec2> senders,
       power_(std::move(power)),
       senders_(std::move(senders)),
       receivers_(std::move(receivers)),
-      sender_grid_(MakeGrid(senders_, kTargetPerCell)),
-      receiver_grid_(MakeGrid(receivers_, kTargetPerCell)) {
+      sender_(senders_, kTargetPerCell),
+      receiver_(receivers_, kTargetPerCell) {
   Init(farfield.epsilon);
 }
 
@@ -141,70 +296,32 @@ void FarFieldKernel::Init(double epsilon) {
     }
   }
 
-  Compact(sender_grid_, senders_, &sender_cells_, &sender_cell_ids_,
-          &sender_cell_of_);
-  Compact(receiver_grid_, receivers_, &receiver_cells_, &receiver_cell_ids_,
-          &receiver_cell_of_);
-
   // Exact near ring radius R0 = diag / (2^{1/alpha} - 1): beyond it,
-  // d_hi <= d_lo + diag <= d_lo * 2^{1/alpha}, so a pooled cell's
+  // d_hi <= d_lo + diag <= d_lo * 2^{1/alpha}, so a pooled level-0 block's
   // upper/lower contribution ratio (d_hi/d_lo)^alpha is at most 2 and
   // refinement halves the residual width geometrically.
   const double ring =
       std::sqrt(2.0) / (std::pow(2.0, 1.0 / alpha_) - 1.0);
-  sender_near_ = sender_grid_.CellSize() * ring;
-  receiver_near_ = receiver_grid_.CellSize() * ring;
+  sender_.near = sender_.grid.CellSize() * ring;
+  receiver_.near = receiver_.grid.CellSize() * ring;
 }
 
-void FarFieldKernel::Compact(const geom::UniformGrid& grid,
-                             std::span<const geom::Vec2> pts,
-                             std::vector<CellAgg>* cells,
-                             std::vector<int>* grouped,
-                             std::vector<int>* cell_of) {
-  cells->clear();
-  grouped->clear();
-  grouped->reserve(pts.size());
-  cell_of->assign(pts.size(), -1);
-  const int num = grid.NumCells();
-  for (int c = 0; c < num; ++c) {
-    const std::span<const int> ids = grid.CellContents(c);
-    if (ids.empty()) continue;
-    CellAgg agg;
-    agg.first = static_cast<int>(grouped->size());
-    agg.count = static_cast<int>(ids.size());
-    const geom::Vec2 p0 = pts[static_cast<std::size_t>(ids[0])];
-    agg.min_x = agg.max_x = p0.x;
-    agg.min_y = agg.max_y = p0.y;
-    const int index = static_cast<int>(cells->size());
-    for (const int id : ids) {
-      const geom::Vec2 p = pts[static_cast<std::size_t>(id)];
-      agg.min_x = std::min(agg.min_x, p.x);
-      agg.min_y = std::min(agg.min_y, p.y);
-      agg.max_x = std::max(agg.max_x, p.x);
-      agg.max_y = std::max(agg.max_y, p.y);
-      grouped->push_back(id);
-      (*cell_of)[static_cast<std::size_t>(id)] = index;
-    }
-    cells->push_back(agg);
-  }
-}
-
-void FarFieldKernel::BoxDistance(const CellAgg& c, geom::Vec2 p, double* lo,
+void FarFieldKernel::BoxDistance(const Box& b, geom::Vec2 p, double* lo,
                                  double* hi) {
   // sqrt of the squared sum, not hypot: this feeds bound arithmetic only
   // (kGuard absorbs the ulp-level difference) and hypot's overflow-safe
   // scaling is several times slower on the admission hot loop.
-  const double dx_lo = std::max({0.0, c.min_x - p.x, p.x - c.max_x});
-  const double dy_lo = std::max({0.0, c.min_y - p.y, p.y - c.max_y});
+  const double dx_lo = std::max({0.0, b.min_x - p.x, p.x - b.max_x});
+  const double dy_lo = std::max({0.0, b.min_y - p.y, p.y - b.max_y});
   *lo = std::sqrt(dx_lo * dx_lo + dy_lo * dy_lo);
-  const double dx_hi = std::max(p.x - c.min_x, c.max_x - p.x);
-  const double dy_hi = std::max(p.y - c.min_y, c.max_y - p.y);
+  const double dx_hi = std::max(p.x - b.min_x, b.max_x - p.x);
+  const double dy_hi = std::max(p.y - b.min_y, b.max_y - p.y);
   *hi = std::sqrt(dx_hi * dx_hi + dy_hi * dy_hi);
 }
 
-double FarFieldKernel::BoxDistanceSqLower(const CellAgg& c, geom::Vec2 p) {
-  const double dx = std::max({0.0, c.min_x - p.x, p.x - c.max_x});
-  const double dy = std::max({0.0, c.min_y - p.y, p.y - c.max_y});
+double FarFieldKernel::BoxDistanceSqLower(const Box& b, geom::Vec2 p) {
+  const double dx = std::max({0.0, b.min_x - p.x, p.x - b.max_x});
+  const double dy = std::max({0.0, b.min_y - p.y, p.y - b.max_y});
   return dx * dx + dy * dy;
 }
 
@@ -234,39 +351,40 @@ double FarFieldKernel::InAffectanceRawExact(std::span<const int> S,
 
 struct FarFieldKernel::SenderBins {
   std::vector<int> offset;   // cell c: grouped[offset[c], offset[c + 1])
-  std::vector<int> grouped;  // S's entries, grouped by sender cell
-  std::vector<int> cells;    // occupied cells, ascending
-  // Refinement scratch: one pooled cell's index and bounds, reused by every
-  // member pass over these bins.
+  std::vector<int> grouped;  // S's entries, grouped by occupied sender cell
+  std::vector<Block> blocks;  // S's entries in the sender hierarchy
+  // Refinement scratch: the pooled blocks of one member pass, reused by
+  // every member pass over these bins.
   struct Pooled {
-    int cell;
+    Frame frame;
     double lo;
     double hi;
   };
   std::vector<Pooled> far;
-  std::vector<double> suffix_lo, suffix_hi;
 };
 
-FarFieldKernel::SenderBins FarFieldKernel::BinBySenderCell(
+FarFieldKernel::SenderBins FarFieldKernel::BinBySender(
     std::span<const int> S) const {
   SenderBins bins;
-  const std::size_t num_cells = sender_cells_.size();
+  const std::size_t num_cells = sender_.cell_box.size();
   bins.offset.assign(num_cells + 1, 0);
   for (int w : S) {
     ++bins.offset[static_cast<std::size_t>(
-                      sender_cell_of_[static_cast<std::size_t>(w)]) +
+                      sender_.cell_of[static_cast<std::size_t>(w)]) +
                   1];
   }
   for (std::size_t c = 0; c < num_cells; ++c) {
-    if (bins.offset[c + 1] > 0) bins.cells.push_back(static_cast<int>(c));
     bins.offset[c + 1] += bins.offset[c];
   }
   bins.grouped.resize(S.size());
+  bins.blocks.assign(static_cast<std::size_t>(sender_.NumBlocks()), Block{});
   std::vector<int> cursor(bins.offset.begin(), bins.offset.end() - 1);
   for (int w : S) {
-    const std::size_t c = static_cast<std::size_t>(
-        sender_cell_of_[static_cast<std::size_t>(w)]);
-    bins.grouped[static_cast<std::size_t>(cursor[c]++)] = w;
+    const std::size_t sw = static_cast<std::size_t>(w);
+    const int c = sender_.cell_of[sw];
+    bins.grouped[static_cast<std::size_t>(
+        cursor[static_cast<std::size_t>(c)]++)] = w;
+    sender_.AddToBlocks(c, senders_[sw], cf_[sw], bins.blocks);
   }
   return bins;
 }
@@ -276,73 +394,76 @@ FarFieldKernel::Interval FarFieldKernel::RefinedInAffectance(
   const std::size_t sv = static_cast<std::size_t>(v);
   const geom::Vec2 p = receivers_[sv];
   const double k = cf_[sv];
-  const int own = sender_cell_of_[sv];
-  // Sums a cell's entries pairwise through the cheap bound spelling
+  const int own_leaf = sender_.leaf_of_cell[static_cast<std::size_t>(
+      sender_.cell_of[sv])];
+  const int own_x = own_leaf % sender_.levels[0].cols;
+  const int own_y = own_leaf / sender_.levels[0].cols;
+  // Sums a leaf's entries pairwise through the cheap bound spelling
   // (AffectanceNear, 0 at w == v): the sum only feeds the guarded certified
   // interval, and threshold-straddling callers re-fold exactly anyway.
-  const auto pairwise = [&](int c) {
+  const auto pairwise = [&](int cell) {
     double sum = 0.0;
-    for (int i = bins.offset[static_cast<std::size_t>(c)];
-         i < bins.offset[static_cast<std::size_t>(c) + 1]; ++i) {
+    for (int i = bins.offset[static_cast<std::size_t>(cell)];
+         i < bins.offset[static_cast<std::size_t>(cell) + 1]; ++i) {
       sum += AffectanceNear(bins.grouped[static_cast<std::size_t>(i)], v);
     }
     return sum;
   };
+  // A block holding v's own sender is never pooled (a level-0 one goes
+  // pairwise), so v's own entries need no count correction.
+  const auto bounds = [&](const Frame& f, const Block& b, double lo,
+                          double hi, double* dn, double* up) {
+    if ((own_x >> f.level) == f.x && (own_y >> f.level) == f.y) return false;
+    const double cnt = static_cast<double>(b.count);
+    *dn = cnt * (k / BoundPow(hi));
+    *up = cnt * (k / BoundPow(lo));
+    return true;
+  };
   double near_sum = 0.0;
-  double far_lo = 0.0;
-  double far_hi = 0.0;
   bins.far.clear();
-  for (int c : bins.cells) {
-    double lo = 0.0;
-    double hi = 0.0;
-    BoxDistance(sender_cells_[static_cast<std::size_t>(c)], p, &lo, &hi);
-    // v's own cell is never pooled, so its own entries need no count
-    // correction.
-    if (lo <= sender_near_ || c == own) {
-      near_sum += pairwise(c);
-      continue;
-    }
-    const double cnt = static_cast<double>(
-        bins.offset[static_cast<std::size_t>(c) + 1] -
-        bins.offset[static_cast<std::size_t>(c)]);
-    bins.far.push_back({c, cnt * (k / BoundPow(hi)), cnt * (k / BoundPow(lo))});
-    far_lo += bins.far.back().lo;
-    far_hi += bins.far.back().hi;
-  }
+  const auto scan = [&](Frame start, double tol) {
+    Scan(
+        sender_, bins.blocks, start, p, tol, bounds,
+        [&](const Frame& f, double dn, double up) {
+          bins.far.push_back({f, dn, up});
+        },
+        [&](int cell) { near_sum += pairwise(cell); });
+  };
+  scan(Root(sender_), kDecideTol);
 
   const auto done = [&](const Interval& b) {
     if (decide) return b.upper <= 1.0 - kBand || b.lower > 1.0 + kBand;
     return b.upper - b.lower <= epsilon_ * b.lower;
   };
-  Interval out{(near_sum + far_lo) * (1.0 - kGuard),
-               (near_sum + far_hi) * (1.0 + kGuard)};
-  if (bins.far.empty() || done(out)) return out;
-
-  // Adaptive refinement: convert pooled cells to pairwise, widest first,
-  // until done.  The remaining pooled totals are suffix sums over the
-  // widest-first order, each a fresh sum, so the bounds never inherit
+  // Adaptive refinement: split the widest pooled block into its children
+  // (a level-0 block into its pairwise entries) until done.  The pooled
+  // totals are fresh sums every round, so the bounds never inherit
   // subtraction cancellation.
   auto& far = bins.far;
-  std::sort(far.begin(), far.end(),
-            [](const SenderBins::Pooled& a, const SenderBins::Pooled& b) {
-              const double wa = a.hi - a.lo;
-              const double wb = b.hi - b.lo;
-              return wa != wb ? wa > wb : a.cell < b.cell;
-            });
-  bins.suffix_lo.assign(far.size() + 1, 0.0);
-  bins.suffix_hi.assign(far.size() + 1, 0.0);
-  for (std::size_t i = far.size(); i-- > 0;) {
-    bins.suffix_lo[i] = bins.suffix_lo[i + 1] + far[i].lo;
-    bins.suffix_hi[i] = bins.suffix_hi[i + 1] + far[i].hi;
-  }
-  for (std::size_t i = 0; i < far.size(); ++i) {
-    near_sum += pairwise(far[i].cell);
+  for (;;) {
+    double far_lo = 0.0;
+    double far_hi = 0.0;
+    std::size_t widest = 0;
+    for (std::size_t i = 0; i < far.size(); ++i) {
+      far_lo += far[i].lo;
+      far_hi += far[i].hi;
+      if (far[i].hi - far[i].lo > far[widest].hi - far[widest].lo) {
+        widest = i;
+      }
+    }
+    const Interval out = Guarded(near_sum, far_lo, far_hi);
+    if (far.empty() || done(out)) return out;
+    const Frame f = far[widest].frame;
+    far[widest] = far.back();
+    far.pop_back();
     FarFieldRefinedCellCounter().Add();
-    out = {(near_sum + bins.suffix_lo[i + 1]) * (1.0 - kGuard),
-           (near_sum + bins.suffix_hi[i + 1]) * (1.0 + kGuard)};
-    if (done(out)) break;
+    if (f.level == 0) {
+      near_sum += pairwise(sender_.cell_of_leaf[static_cast<std::size_t>(
+          f.y * sender_.levels[0].cols + f.x)]);
+    } else {
+      ForEachChild(sender_, f, [&](Frame c) { scan(c, kPoolAll); });
+    }
   }
-  return out;
 }
 
 FarFieldKernel::Interval FarFieldKernel::CertifiedInAffectance(
@@ -353,14 +474,14 @@ FarFieldKernel::Interval FarFieldKernel::CertifiedInAffectance(
     const double e = InAffectanceRawExact(S, v);
     return {e, e};
   }
-  SenderBins bins = BinBySenderCell(S);
+  SenderBins bins = BinBySender(S);
   return RefinedInAffectance(bins, v, /*decide=*/false);
 }
 
 bool FarFieldKernel::IsFeasible(std::span<const int> S) const {
   const bool pooled = epsilon_ > 0.0 && uniform_power_;
   SenderBins bins;
-  if (pooled) bins = BinBySenderCell(S);
+  if (pooled) bins = BinBySender(S);
   for (int v : S) {
     if (!CanOvercomeNoise(v)) return false;
     if (pooled) {
@@ -381,14 +502,9 @@ bool FarFieldKernel::IsFeasible(std::span<const int> S) const {
 }
 
 long long FarFieldKernel::MemoryBytes() const noexcept {
-  auto bytes = [](const auto& v) {
-    return static_cast<long long>(v.capacity() * sizeof(v[0]));
-  };
-  return bytes(senders_) + bytes(receivers_) + bytes(link_decay_) +
-         bytes(can_overcome_) + bytes(noise_factor_) + bytes(cf_) +
-         bytes(sender_cells_) + bytes(receiver_cells_) +
-         bytes(sender_cell_ids_) + bytes(receiver_cell_ids_) +
-         bytes(sender_cell_of_) + bytes(receiver_cell_of_);
+  return Bytes(senders_) + Bytes(receivers_) + Bytes(link_decay_) +
+         Bytes(can_overcome_) + Bytes(noise_factor_) + Bytes(cf_) +
+         Bytes(power_) + sender_.MemoryBytes() + receiver_.MemoryBytes();
 }
 
 // --- FarFieldAccumulator -----------------------------------------------------
@@ -402,10 +518,12 @@ FarFieldAccumulator::FarFieldAccumulator(const FarFieldKernel& kernel)
   upto_.assign(n, 0);
   in_lo_.assign(n, 0.0);
   in_hi_.assign(n, 0.0);
-  scell_members_.resize(kernel.sender_cells_.size());
-  rcell_members_.resize(kernel.receiver_cells_.size());
-  rcell_cf_sum_.assign(kernel.receiver_cells_.size(), 0.0);
-  rcell_cf_max_.assign(kernel.receiver_cells_.size(), 0.0);
+  scell_members_.resize(kernel.sender_.cell_box.size());
+  rcell_members_.resize(kernel.receiver_.cell_box.size());
+  sblocks_.assign(static_cast<std::size_t>(kernel.sender_.NumBlocks()),
+                  FarFieldKernel::Block{});
+  rblocks_.assign(static_cast<std::size_t>(kernel.receiver_.NumBlocks()),
+                  FarFieldKernel::Block{});
   sep_mark_.assign(n, 0);
 }
 
@@ -419,39 +537,14 @@ void FarFieldAccumulator::Add(int v) {
     // (CatchUp replays the dense accumulator's additions on demand), and
     // the existing members' exact folds are simply left behind -- only
     // their certified in-raw brackets advance here, pooled per receiver
-    // cell with no libm call on the hot path.
+    // block with no libm call on the hot path.
     in_raw_m_[sv] = 0.0;
     in_m_[sv] = 0.0;
     upto_[sv] = 0;
-    const FarFieldKernel::Interval b = CandidateInRawBounds(v);
+    const Interval b = CandidateInRawBounds(v, FarFieldKernel::kBracketTol);
     in_lo_[sv] = b.lower;
     in_hi_[sv] = b.upper;
-    constexpr double g = FarFieldKernel::kGuard;
-    const geom::Vec2 s = k.senders_[sv];
-    for (int c : rcell_touched_) {
-      const std::size_t sc = static_cast<std::size_t>(c);
-      const auto& mem = rcell_members_[sc];
-      double lo = 0.0;
-      double hi = 0.0;
-      FarFieldKernel::BoxDistance(k.receiver_cells_[sc], s, &lo, &hi);
-      if (lo <= k.receiver_near_) {
-        for (int w : mem) {
-          const std::size_t sw = static_cast<std::size_t>(w);
-          const double a = k.AffectanceNear(v, w);
-          in_lo_[sw] += a * (1.0 - g);
-          in_hi_[sw] += a * (1.0 + g);
-        }
-        continue;
-      }
-      const double inv_lo = 1.0 / k.BoundPow(hi);
-      const double inv_hi = 1.0 / k.BoundPow(lo);
-      for (int w : mem) {
-        const std::size_t sw = static_cast<std::size_t>(w);
-        const double cf = k.cf_[sw];
-        in_lo_[sw] += cf * inv_lo * (1.0 - g);
-        in_hi_[sw] += cf * inv_hi * (1.0 + g);
-      }
-    }
+    AddPressureBrackets(v);
   } else {
     // Fold the new member's in-sums over the existing members in
     // insertion order, and push its pressure onto each existing member's
@@ -475,27 +568,69 @@ void FarFieldAccumulator::Add(int v) {
   members_.push_back(v);
   in_set_[sv] = 1;
 
-  const int sc = k.sender_cell_of_[sv];
-  if (scell_members_[static_cast<std::size_t>(sc)].empty()) {
-    scell_touched_.push_back(sc);
-  }
+  const int sc = k.sender_.cell_of[sv];
   scell_members_[static_cast<std::size_t>(sc)].push_back(v);
-  const int rc = k.receiver_cell_of_[sv];
-  if (rcell_members_[static_cast<std::size_t>(rc)].empty()) {
-    rcell_touched_.push_back(rc);
-  }
+  k.sender_.AddToBlocks(sc, k.senders_[sv], k.cf_[sv], sblocks_);
+  const int rc = k.receiver_.cell_of[sv];
   rcell_members_[static_cast<std::size_t>(rc)].push_back(v);
-  const double cf = k.cf_[sv];
-  rcell_cf_sum_[static_cast<std::size_t>(rc)] += cf;
-  if (cf > rcell_cf_max_[static_cast<std::size_t>(rc)]) {
-    rcell_cf_max_[static_cast<std::size_t>(rc)] = cf;
-  }
+  k.receiver_.AddToBlocks(rc, k.receivers_[sv], k.cf_[sv], rblocks_);
   if (pooled) {
     t2_pass_.push_back(0.0);
     t2_fail_.push_back(0.0);
     pass_limit_.push_back(0.0);
     RefreshHeadroom(members_.size() - 1);
   }
+}
+
+void FarFieldAccumulator::AddPressureBrackets(int v) {
+  const FarFieldKernel& k = *kernel_;
+  constexpr double g = FarFieldKernel::kGuard;
+  const geom::Vec2 s = k.senders_[static_cast<std::size_t>(v)];
+  // Member w in a pooled block feels cf_w / d^alpha for d in the block's
+  // distance range [lo, hi]; bounds() leaves the block's 1 / d^alpha range
+  // here for pool(), which Scan calls right after it for the same block.
+  double inv_lo = 0.0;
+  double inv_hi = 0.0;
+  const auto add_range = [&](int cell) {
+    for (int w : rcell_members_[static_cast<std::size_t>(cell)]) {
+      const std::size_t sw = static_cast<std::size_t>(w);
+      const double cf = k.cf_[sw];
+      in_lo_[sw] += cf * inv_lo * (1.0 - g);
+      in_hi_[sw] += cf * inv_hi * (1.0 + g);
+    }
+  };
+  FarFieldKernel::Scan(
+      k.receiver_, rblocks_, FarFieldKernel::Root(k.receiver_), s,
+      FarFieldKernel::kBracketTol,
+      [&](const FarFieldKernel::Frame&, const FarFieldKernel::Block& b,
+          double lo, double hi, double* dn, double* up) {
+        inv_lo = 1.0 / k.BoundPow(hi);
+        inv_hi = 1.0 / k.BoundPow(lo);
+        *dn = b.cf_sum * inv_lo;
+        *up = b.cf_sum * inv_hi;
+        return true;
+      },
+      [&](const FarFieldKernel::Frame& f, double, double) {
+        // The block's level-0 cells: a rectangle of the grid, clipped.
+        const FarFieldKernel::Level& grid = k.receiver_.levels[0];
+        const int x_end = std::min((f.x + 1) << f.level, grid.cols);
+        const int y_end = std::min((f.y + 1) << f.level, grid.rows);
+        for (int y = f.y << f.level; y < y_end; ++y) {
+          for (int x = f.x << f.level; x < x_end; ++x) {
+            const int cell = k.receiver_.cell_of_leaf[static_cast<std::size_t>(
+                y * grid.cols + x)];
+            if (cell >= 0) add_range(cell);
+          }
+        }
+      },
+      [&](int cell) {
+        for (int w : rcell_members_[static_cast<std::size_t>(cell)]) {
+          const std::size_t sw = static_cast<std::size_t>(w);
+          const double a = k.AffectanceNear(v, w);
+          in_lo_[sw] += a * (1.0 - g);
+          in_hi_[sw] += a * (1.0 + g);
+        }
+      });
 }
 
 void FarFieldAccumulator::CatchUp(int w) const {
@@ -539,100 +674,78 @@ bool FarFieldAccumulator::InWithinOne(int v) const {
 }
 
 FarFieldKernel::Interval FarFieldAccumulator::CandidateInRawBounds(
-    int v) const {
+    int v, double tol) const {
   const FarFieldKernel& k = *kernel_;
-  const geom::Vec2 p = k.receivers_[static_cast<std::size_t>(v)];
   const double kv = k.cf_[static_cast<std::size_t>(v)];
-  double near_sum = 0.0;  // cheap bound spelling; in-band callers re-fold exact
-  double far_lo = 0.0;
-  double far_hi = 0.0;
-  for (int c : scell_touched_) {
-    const auto& cell = k.sender_cells_[static_cast<std::size_t>(c)];
-    const auto& mem = scell_members_[static_cast<std::size_t>(c)];
-    double lo = 0.0;
-    double hi = 0.0;
-    FarFieldKernel::BoxDistance(cell, p, &lo, &hi);
-    if (lo <= k.sender_near_) {
-      for (int w : mem) near_sum += k.AffectanceNear(w, v);
-      continue;
-    }
-    const double cnt = static_cast<double>(mem.size());
-    far_hi += cnt * (kv / k.BoundPow(lo));
-    far_lo += cnt * (kv / k.BoundPow(hi));
-  }
-  return {(near_sum + far_lo) * (1.0 - FarFieldKernel::kGuard),
-          (near_sum + far_hi) * (1.0 + FarFieldKernel::kGuard)};
+  return FarFieldKernel::PooledInterval(
+      k.sender_, sblocks_, k.receivers_[static_cast<std::size_t>(v)], tol,
+      [&](const FarFieldKernel::Frame&, const FarFieldKernel::Block& b,
+          double lo, double hi, double* dn, double* up) {
+        const double cnt = static_cast<double>(b.count);
+        *dn = cnt * (kv / k.BoundPow(hi));
+        *up = cnt * (kv / k.BoundPow(lo));
+        return true;
+      },
+      [&](int cell) {
+        double sum = 0.0;
+        for (int w : scell_members_[static_cast<std::size_t>(cell)]) {
+          sum += k.AffectanceNear(w, v);
+        }
+        return sum;
+      });
 }
 
 FarFieldKernel::Interval FarFieldAccumulator::CandidateInClampedBounds(
-    int v) const {
+    int v, double tol) const {
   const FarFieldKernel& k = *kernel_;
-  const geom::Vec2 p = k.receivers_[static_cast<std::size_t>(v)];
   const double kv = k.cf_[static_cast<std::size_t>(v)];
-  double near_sum = 0.0;  // cheap bound spelling; in-band callers re-fold exact
-  double far_lo = 0.0;
-  double far_hi = 0.0;
-  for (int c : scell_touched_) {
-    const auto& cell = k.sender_cells_[static_cast<std::size_t>(c)];
-    const auto& mem = scell_members_[static_cast<std::size_t>(c)];
-    double lo = 0.0;
-    double hi = 0.0;
-    FarFieldKernel::BoxDistance(cell, p, &lo, &hi);
-    if (lo <= k.sender_near_) {
-      for (int w : mem) {
-        const double a = k.AffectanceNear(w, v);
-        near_sum += a < 1.0 ? a : 1.0;
-      }
-      continue;
-    }
-    const double cnt = static_cast<double>(mem.size());
-    const double phi = kv / k.BoundPow(lo);
-    const double plo = kv / k.BoundPow(hi);
-    far_hi += cnt * (phi < 1.0 ? phi : 1.0);
-    far_lo += cnt * (plo < 1.0 ? plo : 1.0);
-  }
-  return {(near_sum + far_lo) * (1.0 - FarFieldKernel::kGuard),
-          (near_sum + far_hi) * (1.0 + FarFieldKernel::kGuard)};
+  return FarFieldKernel::PooledInterval(
+      k.sender_, sblocks_, k.receivers_[static_cast<std::size_t>(v)], tol,
+      [&](const FarFieldKernel::Frame&, const FarFieldKernel::Block& b,
+          double lo, double hi, double* dn, double* up) {
+        const double cnt = static_cast<double>(b.count);
+        const double phi = kv / k.BoundPow(lo);
+        const double plo = kv / k.BoundPow(hi);
+        *dn = cnt * (plo < 1.0 ? plo : 1.0);
+        *up = cnt * (phi < 1.0 ? phi : 1.0);
+        return true;
+      },
+      [&](int cell) {
+        double sum = 0.0;
+        for (int w : scell_members_[static_cast<std::size_t>(cell)]) {
+          const double a = k.AffectanceNear(w, v);
+          sum += a < 1.0 ? a : 1.0;
+        }
+        return sum;
+      });
 }
 
 FarFieldKernel::Interval FarFieldAccumulator::CandidateOutClampedBounds(
-    int v) const {
+    int v, double tol) const {
   const FarFieldKernel& k = *kernel_;
-  const geom::Vec2 q = k.senders_[static_cast<std::size_t>(v)];
-  double near_sum = 0.0;  // cheap bound spelling; in-band callers re-fold exact
-  double far_lo = 0.0;
-  double far_hi = 0.0;
-  for (int c : rcell_touched_) {
-    const std::size_t sc = static_cast<std::size_t>(c);
-    const auto& cell = k.receiver_cells_[sc];
-    const auto& mem = rcell_members_[sc];
-    double lo = 0.0;
-    double hi = 0.0;
-    FarFieldKernel::BoxDistance(cell, q, &lo, &hi);
-    // A cell pools only when the per-member *lower* ends cannot clamp
-    // (cf_max / d_hi^alpha <= 1); otherwise sum-and-max aggregates cannot
-    // bound sum-of-min from below and the cell is evaluated pairwise.
-    bool pairwise = lo <= k.receiver_near_;
-    if (!pairwise) {
-      const double inv_hi = 1.0 / k.BoundPow(hi);
-      if (rcell_cf_max_[sc] * inv_hi > 1.0) {
-        pairwise = true;
-      } else {
-        const double cnt = static_cast<double>(mem.size());
-        const double phi_sum = rcell_cf_sum_[sc] / k.BoundPow(lo);
-        far_hi += phi_sum < cnt ? phi_sum : cnt;
-        far_lo += rcell_cf_sum_[sc] * inv_hi;
-      }
-    }
-    if (pairwise) {
-      for (int w : mem) {
-        const double a = k.AffectanceNear(v, w);
-        near_sum += a < 1.0 ? a : 1.0;
-      }
-    }
-  }
-  return {(near_sum + far_lo) * (1.0 - FarFieldKernel::kGuard),
-          (near_sum + far_hi) * (1.0 + FarFieldKernel::kGuard)};
+  return FarFieldKernel::PooledInterval(
+      k.receiver_, rblocks_, k.senders_[static_cast<std::size_t>(v)], tol,
+      [&](const FarFieldKernel::Frame&, const FarFieldKernel::Block& b,
+          double lo, double hi, double* dn, double* up) {
+        // A block pools only when the per-member *lower* ends cannot clamp
+        // (cf_max / d_hi^alpha <= 1); otherwise sum-and-max aggregates
+        // cannot bound sum-of-min from below and the block is opened.
+        const double inv_hi = 1.0 / k.BoundPow(hi);
+        if (b.cf_max * inv_hi > 1.0) return false;
+        const double cnt = static_cast<double>(b.count);
+        const double phi_sum = b.cf_sum / k.BoundPow(lo);
+        *dn = b.cf_sum * inv_hi;
+        *up = phi_sum < cnt ? phi_sum : cnt;
+        return true;
+      },
+      [&](int cell) {
+        double sum = 0.0;
+        for (int w : rcell_members_[static_cast<std::size_t>(cell)]) {
+          const double a = k.AffectanceNear(v, w);
+          sum += a < 1.0 ? a : 1.0;
+        }
+        return sum;
+      });
 }
 
 double FarFieldAccumulator::ExactBudget(int v) const {
@@ -658,10 +771,12 @@ bool FarFieldAccumulator::CanAddFeasibly(int v) const {
   const FarFieldKernel& k = *kernel_;
   const bool pooled = k.uniform_power_ && k.epsilon_ > 0.0;
 
-  // (a) candidate's raw in-sum vs 1 (dense: InRaw(v) > 1.0).
+  // (a) candidate's raw in-sum vs 1 (dense: InRaw(v) > 1.0): the coarse
+  // walk, then leaf resolution if that still straddles the band.
   bool decided = false;
   if (pooled) {
-    const FarFieldKernel::Interval b = CandidateInRawBounds(v);
+    Interval b = CandidateInRawBounds(v, FarFieldKernel::kDecideTol);
+    if (FarFieldKernel::Straddles(b, 1.0)) b = CandidateInRawBounds(v, 0.0);
     if (b.lower > 1.0 + FarFieldKernel::kBand) {
       FarFieldCertifiedRejectCounter().Add();
       return false;
@@ -709,7 +824,6 @@ bool FarFieldAccumulator::CanAddFeasibly(int v) const {
   }
   return true;
 }
-
 void FarFieldAccumulator::RefreshHeadroom(std::size_t i) const {
   // Member w rejects a candidate at real pressure a > h and passes at
   // a < h for headroom h = 1 - InRaw(w); in the distance domain
@@ -764,15 +878,20 @@ void FarFieldAccumulator::RefreshHeadroom(std::size_t i) const {
 bool FarFieldAccumulator::BudgetWithinHalf(int v) const {
   const FarFieldKernel& k = *kernel_;
   if (k.uniform_power_ && k.epsilon_ > 0.0) {
-    const FarFieldKernel::Interval in_b = CandidateInClampedBounds(v);
-    const FarFieldKernel::Interval out_b = CandidateOutClampedBounds(v);
-    const double lower = in_b.lower + out_b.lower;
-    const double upper = in_b.upper + out_b.upper;
-    if (upper <= 0.5 - FarFieldKernel::kBand) {
+    // The coarse walks, then leaf resolution if their sum still straddles
+    // the band around 1/2.
+    const auto bounds = [&](double tol) {
+      const Interval in_b = CandidateInClampedBounds(v, tol);
+      const Interval out_b = CandidateOutClampedBounds(v, tol);
+      return Interval{in_b.lower + out_b.lower, in_b.upper + out_b.upper};
+    };
+    Interval b = bounds(FarFieldKernel::kDecideTol);
+    if (FarFieldKernel::Straddles(b, 0.5)) b = bounds(0.0);
+    if (b.upper <= 0.5 - FarFieldKernel::kBand) {
       FarFieldCertifiedAcceptCounter().Add();
       return true;
     }
-    if (lower > 0.5 + FarFieldKernel::kBand) {
+    if (b.lower > 0.5 + FarFieldKernel::kBand) {
       FarFieldCertifiedRejectCounter().Add();
       return false;
     }
@@ -801,30 +920,33 @@ bool FarFieldAccumulator::IsSeparatedFromMembers(int v, double eta,
   const geom::Vec2 sv_pos = k.senders_[static_cast<std::size_t>(v)];
   const geom::Vec2 rv_pos = k.receivers_[static_cast<std::size_t>(v)];
 
-  // Whole member cells beyond the certification radius from both of the
-  // candidate's endpoints are separated wholesale; only members of nearer
-  // cells (by sender or receiver) run a per-member verdict.
+  // Whole member blocks beyond the certification radius from both of the
+  // candidate's endpoints are separated wholesale; only members of leaves
+  // reached by either walk (by sender or receiver) run a per-member verdict.
   sep_scratch_.clear();
-  const auto collect = [&](const std::vector<int>& touched,
-                           const std::vector<std::vector<int>>& cell_members,
-                           const std::vector<FarFieldKernel::CellAgg>& cells) {
-    for (int c : touched) {
-      const auto& cell = cells[static_cast<std::size_t>(c)];
-      if (FarFieldKernel::BoxDistanceSqLower(cell, sv_pos) > r2_hi &&
-          FarFieldKernel::BoxDistanceSqLower(cell, rv_pos) > r2_hi) {
-        continue;
-      }
-      for (int w : cell_members[static_cast<std::size_t>(c)]) {
-        const std::size_t sw = static_cast<std::size_t>(w);
-        if (!sep_mark_[sw]) {
-          sep_mark_[sw] = 1;
-          sep_scratch_.push_back(w);
-        }
-      }
-    }
+  const auto collect = [&](const FarFieldKernel::EndpointGrid& side,
+                           const std::vector<FarFieldKernel::Block>& blocks,
+                           const std::vector<std::vector<int>>& cell_members) {
+    FarFieldKernel::Walk(
+        side, blocks, FarFieldKernel::Root(side),
+        [&](const FarFieldKernel::Frame&, int id) {
+          const FarFieldKernel::Box& box =
+              blocks[static_cast<std::size_t>(id)].box;
+          return FarFieldKernel::BoxDistanceSqLower(box, sv_pos) > r2_hi &&
+                 FarFieldKernel::BoxDistanceSqLower(box, rv_pos) > r2_hi;
+        },
+        [&](int cell) {
+          for (int w : cell_members[static_cast<std::size_t>(cell)]) {
+            const std::size_t sw = static_cast<std::size_t>(w);
+            if (!sep_mark_[sw]) {
+              sep_mark_[sw] = 1;
+              sep_scratch_.push_back(w);
+            }
+          }
+        });
   };
-  collect(scell_touched_, scell_members_, k.sender_cells_);
-  collect(rcell_touched_, rcell_members_, k.receiver_cells_);
+  collect(k.sender_, sblocks_, scell_members_);
+  collect(k.receiver_, rblocks_, rcell_members_);
 
   bool separated = true;
   for (int w : sep_scratch_) {

@@ -5,24 +5,33 @@
 // FarFieldKernel replaces the matrices with the geometry they were derived
 // from: for geometric decay f(p, q) = |p - q|^alpha and uniform power, the
 // affectance a_w(v) = c_v * f_vv / |s_w - r_v|^alpha is a monotone function
-// of one distance, so the contribution of every sender in a distant grid
-// cell can be *pooled* -- bounded above and below through the cell's tight
+// of one distance, so the contribution of every sender in a distant region
+// can be *pooled* -- bounded above and below through the region's tight
 // bounding box -- instead of evaluated pairwise.
 //
+// The regions are the blocks of a hierarchy over each endpoint grid: level
+// 0 is the grid's cells, and each level above merges 2x2 blocks of the one
+// below until a single root remains.  Every pooled query is one top-down
+// walk that pools a block whole once its interval is narrow enough and
+// opens it otherwise, so a query costs O(near ring + blocks visited) --
+// O(log) blocks in the far field -- not O(cells touched by the set).
+//
 // Error certification (never trusted, always carried):
-//   * Per cell, the box distance range [d_lo, d_hi] from the receiver gives
-//     count * K / d_hi^alpha  <=  sum of contributions  <=  count * K / d_lo^alpha,
+//   * Per block, the box distance range [d_lo, d_hi] from the receiver
+//     gives
+//       count * K / d_hi^alpha <= sum of contributions <= count * K / d_lo^alpha,
 //     with a multiplicative 1e-9 guard absorbing the fp rounding of the
 //     bound arithmetic itself.  Bounds are on the *raw* (unclamped)
 //     affectance, the feasibility form.
-//   * The near field is exact: cells whose box comes closer than the ring
-//     radius R0 = diag / (2^{1/alpha} - 1) (diag = cell * sqrt(2)) are
-//     evaluated pairwise with geom::GeometricDecay -- the same expression
-//     DecaySpace::Geometric feeds the dense path, so the exact terms are
-//     bit-identical to the dense matrix entries.  Beyond R0 a cell's
-//     upper/lower contribution ratio is at most (1 + diag/d_lo)^alpha <= 2,
-//     so adaptive refinement (converting the widest pooled cell to exact)
-//     converges geometrically to any requested width.
+//   * The near field is exact: level-0 blocks whose cell box comes closer
+//     than the ring radius R0 = diag / (2^{1/alpha} - 1) (diag = cell *
+//     sqrt(2)) are evaluated pairwise with geom::GeometricDecay -- the same
+//     expression DecaySpace::Geometric feeds the dense path, so the exact
+//     terms are bit-identical to the dense matrix entries.  Beyond R0 a
+//     cell's upper/lower contribution ratio is at most
+//     (1 + diag/d_lo)^alpha <= 2, so adaptive refinement (splitting the
+//     widest pooled block into its children, a cell into its pairwise
+//     entries) converges geometrically to any requested width.
 //   * CertifiedInAffectance refines until upper - lower <= epsilon * lower;
 //     the guard adds at most ~3e-9 * upper of slack on top.
 //
@@ -50,13 +59,15 @@
 //     reported interval promises.
 //
 // Pooling requires uniform power (the per-pair factor P_w / P_v would
-// otherwise vary inside a cell); non-uniform assignments silently use the
+// otherwise vary inside a block); non-uniform assignments silently use the
 // exact path everywhere, staying correct, just dense-speed.  The engine
 // additionally rejects kFarField specs with shadowing (sigma_db != 0), whose
 // decay is no longer a function of distance -- see ValidateScenarioSpec.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -127,9 +138,9 @@ class FarFieldKernel {
   // Certified interval for the raw in-affectance sum_{w in S} a_w(v)
   // (entries equal to v contribute 0, as in the dense row):
   // lower <= exact <= upper with upper - lower <= epsilon * lower (+ ~3e-9 *
-  // upper of fp guard).  Pools whole sender cells beyond the near ring and
-  // adaptively refines the widest pooled cell until the interval meets the
-  // epsilon width target.
+  // upper of fp guard).  Pools whole sender blocks beyond the near ring
+  // and adaptively splits the widest pooled block until the interval meets
+  // the epsilon width target.
   Interval CertifiedInAffectance(std::span<const int> S, int v) const;
 
   // Raw in-affectance summed exactly in S order: bit-identical to the dense
@@ -137,12 +148,13 @@ class FarFieldKernel {
   double InAffectanceRawExact(std::span<const int> S, int v) const;
 
   // Feasibility of S (every member's raw in-sum <= 1), decided rather than
-  // measured: S is binned by sender cell once per call, and each member's
-  // pooled interval is refined (widest cell first) only until it clears the
-  // 1e-9 band around 1 -- not to the epsilon width.  Only an interval that
-  // still straddles the band with every cell refined falls back to the
-  // exact fold.  epsilon = 0 runs the exact fold unconditionally and is
-  // bit-identical to KernelCache::IsFeasible.
+  // measured: S is binned into the sender hierarchy once per call, and
+  // each member's pooled interval is refined (widest block first) only
+  // until it clears the 1e-9 band around 1 -- not to the epsilon width.
+  // Only an interval that still straddles the band with every block split
+  // down to pairwise entries falls back to the exact fold.  epsilon = 0
+  // runs the exact fold unconditionally and is bit-identical to
+  // KernelCache::IsFeasible.
   bool IsFeasible(std::span<const int> S) const;
 
   // Forward kept only until the next benchmark change can drop it
@@ -151,19 +163,80 @@ class FarFieldKernel {
     return IsFeasible(S);
   }
 
+  // One level of a block hierarchy: cols x rows blocks, numbered from
+  // `offset` in row-major order.
+  struct Level {
+    int cols = 1;
+    int rows = 1;
+    int offset = 0;
+  };
+  // The block hierarchies over the sender and receiver grids: level 0 (the
+  // grid's cells) first, the 1x1 root last.
+  std::span<const Level> SenderLevels() const noexcept {
+    return sender_.levels;
+  }
+  std::span<const Level> ReceiverLevels() const noexcept {
+    return receiver_.levels;
+  }
+
+  // Heap bytes: endpoint copies, per-link factors, both grids and both
+  // block hierarchies.  O(n + cells).
   long long MemoryBytes() const noexcept;
 
  private:
   friend class FarFieldAccumulator;
 
-  // Tight bounding box + id range of one occupied grid cell.
-  struct CellAgg {
-    double min_x = 0.0;
-    double min_y = 0.0;
-    double max_x = 0.0;
-    double max_y = 0.0;
-    int first = 0;  // offset into the grouped id array
+  // Axis-aligned box; the default is empty (every distance to it is +inf).
+  struct Box {
+    double min_x = std::numeric_limits<double>::infinity();
+    double min_y = std::numeric_limits<double>::infinity();
+    double max_x = -std::numeric_limits<double>::infinity();
+    double max_y = -std::numeric_limits<double>::infinity();
+    void Extend(geom::Vec2 p) {
+      min_x = std::min(min_x, p.x);
+      min_y = std::min(min_y, p.y);
+      max_x = std::max(max_x, p.x);
+      max_y = std::max(max_y, p.y);
+    }
+  };
+
+  // The running sums of one block of a hierarchy over some link set (the
+  // accumulator's members, or the S of one feasibility call): how many
+  // links, the tight box of their endpoints on this side, and the sum and
+  // max of their c_w * f_ww.
+  struct Block {
+    Box box;
     int count = 0;
+    double cf_sum = 0.0;
+    double cf_max = 0.0;
+  };
+
+  // One endpoint set (senders or receivers): its uniform grid, the grid's
+  // occupied cells, and the block hierarchy over the grid.  Level 0 is the
+  // grid's cells in row-major order; level L + 1 merges 2x2 blocks of level
+  // L (odd sides round up) until one root block remains.  Blocks are
+  // numbered level by level: levels[L].offset + y * levels[L].cols + x, and
+  // level-0 cell (x, y) lies in level-L block (x >> L, y >> L).
+  struct EndpointGrid {
+    EndpointGrid(std::span<const geom::Vec2> pts, int target_per_cell);
+    int NumBlocks() const noexcept {
+      return levels.back().offset + levels.back().cols * levels.back().rows;
+    }
+    // Adds endpoint p (of a link in the occupied cell `cell`, with factor
+    // cf) to the leaf-to-root chain of blocks holding it: O(levels).
+    void AddToBlocks(int cell, geom::Vec2 p, double cf,
+                     std::vector<Block>& blocks) const;
+    long long MemoryBytes() const noexcept;
+
+    geom::UniformGrid grid;
+    std::vector<Box> cell_box;      // occupied cell -> tight box of all points
+    std::vector<int> cell_of;       // link -> occupied cell
+    std::vector<int> leaf_of_cell;  // occupied cell -> level-0 block
+    std::vector<int> cell_of_leaf;  // level-0 block -> occupied cell, or -1
+    std::vector<Level> levels;      // levels.back() is the 1x1 root
+    // Exact near ring radius: a level-0 block whose cell box comes within
+    // it is always evaluated pairwise.
+    double near = 0.0;
   };
 
   // Absolute decision band around thresholds (1.0 feasibility, 0.5 budget):
@@ -175,38 +248,125 @@ class FarFieldKernel {
   // Multiplicative guard absorbing the fp rounding of bound arithmetic
   // (box distances, pow, pooled products); the real-valued bound is
   // widened by this factor before use so certificates stay honest.
+  //
+  // The pooled sums add their terms in traversal order, not in any fixed
+  // cell order, and that is fine: a sum of m non-negative terms carries a
+  // relative rounding error of at most (m - 1) * 2^-53 in *every* order,
+  // and each term (a count or cf sum times a guarded BoundPow quotient) at
+  // most a few ulps more.  m is at most the number of links plus the
+  // number of blocks, so the error stays below kGuard for any instance up
+  // to millions of links.
   static constexpr double kGuard = 1e-9;
+  // Absolute width tolerances of the block traversal.  A block above level
+  // 0 is pooled whole when its certified interval is at most this wide, and
+  // opened into its children otherwise; level-0 blocks pool at any width
+  // (the near ring bounds their width, see Init).  The tolerance only
+  // trades how many blocks a walk visits against how wide its interval
+  // comes out -- every pooled interval is a valid certificate, so no
+  // decision depends on it:
+  //   * kDecideTol: the first walk of every decision (admission, budget,
+  //     feasibility).  A coarse interval that clears the 1e-9 band around
+  //     the threshold decides.  One that does not is recomputed at
+  //     tolerance 0 (admission, budget) -- leaf resolution, where every far
+  //     cell pools on its own through its members' tight box -- or split
+  //     widest block first down to pairwise entries (feasibility) before
+  //     the exact fold runs, so exact fallbacks cannot rise.  A coarse
+  //     interval is a few tolerances wider than the leaf one, so only
+  //     candidates that close to a threshold (1 or 1/2) pay the second
+  //     walk.
+  //   * kBracketTol: Add's in-raw brackets (the new member's own and its
+  //     pressure on the others).  A pooled block widens the brackets of all
+  //     its members by at most this much in total.  Brackets only gate the
+  //     lazy headroom thresholds, whose in-band cases fold exactly, so a
+  //     wider bracket costs refreshes, never a decision.
+  // The values are the fastest pair of 2^-3 .. 2^-10 on the 4096-link
+  // uniform_dense engine workload (Algorithm 1 + greedy + schedule); 2^-10
+  // for both ran ~40% slower.
+  static constexpr double kDecideTol = 0x1p-7;
+  static constexpr double kBracketTol = 0x1p-5;
   // Grid occupancy target; coarser cells mean fewer cells to pool but a
   // larger exact near ring.
   static constexpr int kTargetPerCell = 8;
 
-  // S grouped by occupied sender cell (CSR over the compact cell index),
-  // plus the refinement scratch of the member passes that read it.
+  // A position in a hierarchy's top-down walk: level and block coordinates.
+  struct Frame {
+    int level = 0;
+    int x = 0;
+    int y = 0;
+  };
+  // The one top-down traversal behind every pooled scan (candidate bounds,
+  // Add's brackets, feasibility) and the separation collect.  Walks the
+  // non-empty blocks under `start`: visit(frame, block_id) returns true when
+  // it consumed the block whole (pooled or pruned) and false to open it;
+  // an opened level-0 block goes to leaf(occupied_cell).
+  template <typename Visit, typename Leaf>
+  static void Walk(const EndpointGrid& side, const std::vector<Block>& blocks,
+                   Frame start, Visit&& visit, Leaf&& leaf);
+  static Frame Root(const EndpointGrid& side) {
+    return {static_cast<int>(side.levels.size()) - 1, 0, 0};
+  }
+  // Calls fn(child) for each of block f's (up to four) children.
+  template <typename Fn>
+  static void ForEachChild(const EndpointGrid& side, Frame f, Fn&& fn);
+  // The pooled walk for a query point p.  A level-0 block in p's near ring
+  // goes to pairwise(cell).  Any other block gets its certified range
+  // from bounds(frame, block, lo, hi, &dn, &up), [lo, hi] being p's
+  // distance range to the block's box; false means it cannot pool and is
+  // opened (a level-0 block: pairwise).  A block that can pool is pooled --
+  // pool(frame, dn, up) -- at level 0 or when up - dn <= tol, and opened
+  // otherwise.
+  template <typename Bounds, typename Pool, typename Pairwise>
+  static void Scan(const EndpointGrid& side, const std::vector<Block>& blocks,
+                   Frame start, geom::Vec2 p, double tol, Bounds&& bounds,
+                   Pool&& pool, Pairwise&& pairwise);
+  // Scan from the root, summed into a guarded interval; pairwise(cell)
+  // returns the leaf's pairwise sum.
+  template <typename Bounds, typename Pairwise>
+  static Interval PooledInterval(const EndpointGrid& side,
+                                 const std::vector<Block>& blocks,
+                                 geom::Vec2 p, double tol, Bounds&& bounds,
+                                 Pairwise&& pairwise);
+  static Interval Guarded(double near_sum, double far_lo, double far_hi) {
+    return {(near_sum + far_lo) * (1.0 - kGuard),
+            (near_sum + far_hi) * (1.0 + kGuard)};
+  }
+  // Whether interval b leaves threshold t undecided: it neither clears
+  // t - kBand from below nor t + kBand from above.
+  static bool Straddles(const Interval& b, double t) {
+    return b.upper > t - kBand && b.lower <= t + kBand;
+  }
+
+  // S binned by sender cell and into the sender hierarchy, plus the
+  // refinement scratch of the member passes that read it.
   struct SenderBins;
-  SenderBins BinBySenderCell(std::span<const int> S) const;
-  // v's pooled raw in-affectance interval over the binned S: near cells and
-  // v's own sender cell pairwise (its own entries contribute 0), the rest
-  // pooled, then the widest pooled cells converted to pairwise until the
-  // interval meets the epsilon width (`decide` false) or clears the
-  // decision band around 1 (`decide` true).
+  SenderBins BinBySender(std::span<const int> S) const;
+  // v's raw in-affectance interval over the binned S: a walk at kDecideTol
+  // pools distant blocks (near-ring cells and v's own sender cell go
+  // pairwise, its own entries contributing 0, and no block holding that
+  // cell pools), then the widest pooled block is split into its children
+  // -- a level-0 block into its pairwise entries -- until the interval
+  // meets the epsilon width (`decide` false) or clears the decision band
+  // around 1 (`decide` true).
   Interval RefinedInAffectance(SenderBins& bins, int v, bool decide) const;
 
   void Init(double epsilon);
-  static void Compact(const geom::UniformGrid& grid,
-                      std::span<const geom::Vec2> pts,
-                      std::vector<CellAgg>* cells, std::vector<int>* grouped,
-                      std::vector<int>* cell_of);
-  // Euclidean distance range from p to cell c's tight box (lo = 0 when p is
-  // inside the box).
-  static void BoxDistance(const CellAgg& c, geom::Vec2 p, double* lo,
-                          double* hi);
-  // Squared distance lower bound to the box, pow-free (cell pruning).
-  static double BoxDistanceSqLower(const CellAgg& c, geom::Vec2 p);
+  // Euclidean distance range from p to box b (lo = 0 when p is inside).
+  static void BoxDistance(const Box& b, geom::Vec2 p, double* lo, double* hi);
+  // Squared distance lower bound to the box, pow-free (block pruning).
+  static double BoxDistanceSqLower(const Box& b, geom::Vec2 p);
+  // Whether occupied cell `cell` must go pairwise for a query at p: its
+  // cell box (all points, not only the current members) comes within the
+  // side's near ring.
+  static bool InNearRing(const EndpointGrid& side, int cell, geom::Vec2 p) {
+    return std::sqrt(BoxDistanceSqLower(
+               side.cell_box[static_cast<std::size_t>(cell)], p)) <=
+           side.near;
+  }
 
   // pow(d, alpha) for the *bound* arithmetic only: integral alpha (the
   // common 2..8 path-loss exponents) runs as repeated multiplication --
   // roughly an order of magnitude cheaper than std::pow on the admission
-  // hot loop, where it executes twice per pooled cell per check.  The
+  // hot loop, where it executes twice per pooled block per check.  The
   // <= few-ulp deviation from pow's correctly-rounded result is absorbed
   // by kGuard (any valid interval certifies the same decision), so this
   // must never feed an exact path -- those stay on geom::GeometricDecay's
@@ -244,23 +404,12 @@ class FarFieldKernel {
   std::vector<double> noise_factor_;  // c_v (0 when !can_overcome_)
   std::vector<double> cf_;            // c_v * f_vv (0 when !can_overcome_)
 
-  // Occupied-cell aggregates over both endpoint sets.  The grids themselves
-  // are kept only for CellIndex addressing.
-  geom::UniformGrid sender_grid_;
-  geom::UniformGrid receiver_grid_;
-  std::vector<CellAgg> sender_cells_;
-  std::vector<CellAgg> receiver_cells_;
-  std::vector<int> sender_cell_ids_;    // link ids grouped by occupied cell
-  std::vector<int> receiver_cell_ids_;
-  std::vector<int> sender_cell_of_;     // link -> occupied sender cell index
-  std::vector<int> receiver_cell_of_;
-  // Exact near ring radii: within them a cell is always evaluated pairwise.
-  double sender_near_ = 0.0;
-  double receiver_near_ = 0.0;
+  EndpointGrid sender_;
+  EndpointGrid receiver_;
 };
 
 // Running exact in-affectance sums over a growing admitted set, plus
-// certified candidate checks against the member set pooled by grid cell.
+// certified candidate checks against the member set pooled by block.
 // The member sums accumulate in insertion order with the dense entry
 // expressions, so for members they are bit-identical to
 // AffectanceAccumulator's (a non-member contributes +0.0 at its own Add in
@@ -296,19 +445,23 @@ class FarFieldAccumulator {
   bool CanAddFeasibly(int v) const;
 
   // Algorithm 1's admission budget Out(v) + In(v) <= 0.5, certified the
-  // same way (clamped sums pooled per cell with clamp-safe bounds).
+  // same way (clamped sums pooled per block with clamp-safe bounds).
   bool BudgetWithinHalf(int v) const;
 
-  // Dense SeparationOracle::IsSeparatedFrom(v, members()) decisions: cells
-  // whose box clears the candidate's separation radius are skipped whole;
-  // members in nearer cells run the dense knife-edge expressions.  Always
-  // bit-identical to the dense oracle's decision.
+  // Dense SeparationOracle::IsSeparatedFrom(v, members()) decisions: member
+  // blocks (by sender and by receiver) whose box clears the candidate's
+  // separation radius from both its endpoints are skipped whole; members
+  // of the leaves either walk reaches run the dense knife-edge
+  // expressions.  Always bit-identical to the dense oracle's decision.
   bool IsSeparatedFromMembers(int v, double eta, double zeta) const;
 
  private:
-  FarFieldKernel::Interval CandidateInRawBounds(int v) const;
-  FarFieldKernel::Interval CandidateInClampedBounds(int v) const;
-  FarFieldKernel::Interval CandidateOutClampedBounds(int v) const;
+  using Interval = FarFieldKernel::Interval;
+  // Certified candidate bounds against the members, each one walk of a
+  // hierarchy that pools blocks at most `tol` wide (0: leaf resolution).
+  Interval CandidateInRawBounds(int v, double tol) const;
+  Interval CandidateInClampedBounds(int v, double tol) const;
+  Interval CandidateOutClampedBounds(int v, double tol) const;
   double ExactBudget(int v) const;
   // Recomputes member i's certified d^2 headroom thresholds.  Called for
   // the new member on Add and lazily from CanAddFeasibly when a member's
@@ -320,6 +473,11 @@ class FarFieldAccumulator {
   // bit-identical.  No-op in the exact (non-pooled) modes, where Add
   // maintains the sums eagerly.
   void CatchUp(int w) const;
+  // Advances every member's in-raw bracket by the new member v's pressure,
+  // in one walk of the receiver hierarchy at kBracketTol: the members of a
+  // pooled block get its certified per-member range, those of a near-ring
+  // leaf the pairwise value.
+  void AddPressureBrackets(int v);
 
   const FarFieldKernel* kernel_;
   std::vector<int> members_;
@@ -329,19 +487,17 @@ class FarFieldAccumulator {
   // the first upto_[w] entries of members_, and CatchUp(w) extends it on
   // demand (mutable for that reason).  The certified brackets
   // in_lo_/in_hi_ of the raw in-sum ARE maintained eagerly -- cheaply,
-  // pooled per receiver cell with no libm -- so headroom thresholds and
+  // pooled per receiver block with no libm -- so headroom thresholds and
   // their staleness triggers never force an exact fold.
   mutable std::vector<double> in_m_, in_raw_m_;
   mutable std::vector<int> upto_;
   mutable std::vector<double> in_lo_, in_hi_;
-  // Members grouped by kernel cell, for pooled candidate bounds.
+  // Members by occupied kernel cell, and the member sums of every block of
+  // both hierarchies (maintained by Add along the leaf-to-root chains).
   std::vector<std::vector<int>> scell_members_;
   std::vector<std::vector<int>> rcell_members_;
-  std::vector<int> scell_touched_;
-  std::vector<int> rcell_touched_;
-  // Per receiver cell: running sum / max of members' c_w * f_ww.
-  std::vector<double> rcell_cf_sum_;
-  std::vector<double> rcell_cf_max_;
+  std::vector<FarFieldKernel::Block> sblocks_;
+  std::vector<FarFieldKernel::Block> rblocks_;
   // Per member (parallel to members_): d^2 thresholds certifying the
   // headroom test each way outside the decision band.  Maintained lazily
   // (mutable): a member's in-raw sum only grows, so a stale fail

@@ -1,6 +1,6 @@
 // Property tests for the certified far-field kernel (sinr/farfield.h).
 //
-// Four contracts under test:
+// Five contracts under test:
 //  * the certificate itself -- for every queried in-affectance sum,
 //    CertifiedInAffectance's lower <= exact <= upper with relative width at
 //    most epsilon (plus the documented ~3e-9 fp guard), across topologies,
@@ -12,9 +12,12 @@
 //    every admission pipeline run on the far-field tier reproduces its
 //    dense run verbatim;
 //  * decisions at epsilon > 0 -- feasibility (on the feasible sets the
-//    pipelines validate and on random subsets), Algorithm 1's final filter
-//    and every pipeline's output equal the dense ones, and feasibility stops
-//    refining once its answer is certain;
+//    pipelines validate and on random subsets), Algorithm 1's final filter,
+//    the separation test and every pipeline's output equal the dense ones
+//    on every block-hierarchy shape (deep uniform, corridor, single cell),
+//    feasibility stops refining once its answer is certain, and exact
+//    fallbacks never exceed the flat per-cell scans' counts;
+//  * memory -- the kernel, its grids and its hierarchies stay O(n);
 //  * engine integration -- kernel_mode = kFarField at epsilon = 0 yields
 //    the dense batch signature bit-for-bit, a lazily built dense kernel is
 //    timed once (kernel_build, not also its triggering task), and
@@ -29,6 +32,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "capacity/algorithm1.h"
@@ -78,6 +82,35 @@ Deployment MakeDeployment(int n, double box, bool clustered, geom::Rng& rng) {
     dep.points.push_back(s);
     dep.points.push_back(s + geom::Vec2{len, 0.0}.Rotated(angle));
     dep.links.push_back({2 * i, 2 * i + 1});
+  }
+  return dep;
+}
+
+// A corridor much longer than wide: link i = nodes (2i, 2i+1) as in
+// MakeDeployment, senders uniform over length x width.  The grids get many
+// more columns than rows, with odd sides on the way up the hierarchy.
+Deployment MakeCorridor(int n, double length, double width, geom::Rng& rng) {
+  Deployment dep;
+  for (int i = 0; i < n; ++i) {
+    const geom::Vec2 s{rng.Uniform(0.0, length), rng.Uniform(0.0, width)};
+    const double angle = rng.Uniform(0.0, 6.283185307179586);
+    const double len = rng.Uniform(0.5, 1.5);
+    dep.points.push_back(s);
+    dep.points.push_back(s + geom::Vec2{len, 0.0}.Rotated(angle));
+    dep.links.push_back({2 * i, 2 * i + 1});
+  }
+  return dep;
+}
+
+// Every link shares node 0 -- as its sender (`hub_sends`) or as its
+// receiver -- and its other endpoint is uniform in a box: that endpoint
+// side's grid is a single cell, a hierarchy with one level.
+Deployment MakeStar(int n, double box, bool hub_sends, geom::Rng& rng) {
+  Deployment dep;
+  dep.points.push_back({0.5 * box, 0.5 * box});
+  for (int i = 0; i < n; ++i) {
+    dep.points.push_back({rng.Uniform(0.0, box), rng.Uniform(0.0, box)});
+    dep.links.push_back(hub_sends ? Link{0, i + 1} : Link{i + 1, 0});
   }
   return dep;
 }
@@ -409,6 +442,37 @@ TEST_F(FarFieldObsTest, FeasibilityStopsRefiningAtTheThreshold) {
   }
 }
 
+TEST_F(FarFieldObsTest, NoMoreExactFallbacksThanFlatCellScans) {
+  // The coarse walks hand anything undecided to a leaf-resolution walk
+  // (at least as tight as a flat per-cell scan) before folding exactly,
+  // so a run never falls back more often than the flat scans did.  The
+  // ceilings are the counts the flat per-cell implementation produced on
+  // these fixed 1024-link uniform instances (Algorithm 1 + greedy +
+  // schedule, epsilon 1e-3).
+  const obs::Counter& fallbacks =
+      obs::Registry::Global().GetCounter("sinr.farfield_exact_fallbacks");
+  const std::vector<std::pair<std::uint64_t, long long>> flat_counts = {
+      {1, 1}, {5, 2}, {6, 2}};
+  for (const auto& [seed, flat] : flat_counts) {
+    engine::ScenarioSpec spec = *engine::FindBuiltinScenario("uniform_dense");
+    spec.links = 1024;
+    spec.instances = 1;
+    spec.seed = seed;
+    spec.kernel_mode = engine::KernelMode::kFarField;
+    spec.farfield_epsilon = 1e-3;
+    engine::BatchConfig config;
+    config.threads = 1;
+    config.tasks = {engine::TaskKind::kAlgorithm1,
+                    engine::TaskKind::kGreedyBaseline,
+                    engine::TaskKind::kSchedule};
+    const long long before = fallbacks.value();
+    const engine::ScenarioResult result =
+        engine::BatchRunner(config).RunOne(spec);
+    EXPECT_EQ(engine::ViolationCount(std::span(&result, 1)), 0);
+    EXPECT_LE(fallbacks.value() - before, flat) << "seed " << seed;
+  }
+}
+
 TEST(FarFieldPipelineTest, NonUniformPowerFallsBackToExactPaths) {
   geom::Rng rng(51);
   const int n = 30;
@@ -429,6 +493,174 @@ TEST(FarFieldPipelineTest, NonUniformPowerFallsBackToExactPaths) {
       EXPECT_EQ(ff.AffectanceExact(w, v), dense.AffectanceRaw(w, v));
     }
   }
+}
+
+// Level L + 1 of a hierarchy halves level L's sides, rounding up, and the
+// last level is the 1x1 root.
+void ExpectCeilHalving(std::span<const FarFieldKernel::Level> levels) {
+  ASSERT_FALSE(levels.empty());
+  for (std::size_t l = 0; l + 1 < levels.size(); ++l) {
+    EXPECT_GT(levels[l].cols * levels[l].rows, 1) << "level " << l;
+    EXPECT_EQ(levels[l + 1].cols, (levels[l].cols + 1) / 2) << "level " << l;
+    EXPECT_EQ(levels[l + 1].rows, (levels[l].rows + 1) / 2) << "level " << l;
+    EXPECT_EQ(levels[l + 1].offset,
+              levels[l].offset + levels[l].cols * levels[l].rows);
+  }
+  EXPECT_EQ(levels.back().cols, 1);
+  EXPECT_EQ(levels.back().rows, 1);
+}
+
+TEST(FarFieldHierarchyTest, DecisionsMatchDenseOnEveryShape) {
+  // Every admission pipeline and feasibility on the far-field tier equals
+  // the dense tier on three hierarchy shapes: a 2048-link uniform
+  // deployment, whose grid is deep enough that blocks above level 0 pool;
+  // a corridor, whose grid has many more columns than rows and odd sides
+  // up the hierarchy; and the two stars, whose sender (resp. receiver)
+  // grid is one cell -- a hierarchy of one level.
+  struct Shape {
+    std::string name;
+    Deployment dep;
+  };
+  std::vector<Shape> shapes;
+  {
+    geom::Rng rng(91);
+    shapes.push_back({"uniform", MakeDeployment(2048, DensityBox(2048),
+                                                false, rng)});
+  }
+  {
+    geom::Rng rng(92);
+    shapes.push_back({"corridor", MakeCorridor(512, 600.0, 40.0, rng)});
+  }
+  {
+    geom::Rng rng(93);
+    shapes.push_back({"star_out", MakeStar(48, 60.0, true, rng)});
+  }
+  {
+    geom::Rng rng(94);
+    shapes.push_back({"star_in", MakeStar(48, 60.0, false, rng)});
+  }
+  const double zeta = 3.0;
+  for (const Shape& shape : shapes) {
+    const int n = static_cast<int>(shape.dep.links.size());
+    const core::DecaySpace space =
+        core::DecaySpace::Geometric(shape.dep.points, 3.0);
+    const LinkSystem system(space, shape.dep.links, SinrConfig{1.0, 0.0});
+    const KernelCache dense(system, UniformPower(system));
+    const std::vector<int> all = AllLinks(dense);
+    const capacity::Algorithm1Result alg1 =
+        capacity::RunAlgorithm1(dense, zeta);
+    const std::vector<int> greedy = capacity::GreedyFeasible(dense, all);
+    const scheduling::Schedule sched = scheduling::ScheduleLinks(
+        dense, zeta, scheduling::Extractor::kAlgorithm1, all);
+    for (const double eps : {1e-3, 1e-2}) {
+      const FarFieldKernel ff(shape.dep.points, shape.dep.links, 3.0,
+                              SinrConfig{1.0, 0.0}, UniformPower(system),
+                              {eps});
+      SCOPED_TRACE(shape.name + " eps=" + std::to_string(eps));
+      ExpectCeilHalving(ff.SenderLevels());
+      ExpectCeilHalving(ff.ReceiverLevels());
+      const FarFieldKernel::Level grid = ff.SenderLevels().front();
+      if (shape.name == "uniform") {
+        EXPECT_GE(ff.SenderLevels().size(), 5u);
+      } else if (shape.name == "corridor") {
+        EXPECT_GE(grid.cols, 8 * grid.rows);
+        EXPECT_GT(grid.rows, 1);
+        const auto odd = [](const FarFieldKernel::Level& l) {
+          return (l.cols > 1 && l.cols % 2 == 1) ||
+                 (l.rows > 1 && l.rows % 2 == 1);
+        };
+        EXPECT_TRUE(std::any_of(ff.SenderLevels().begin(),
+                                ff.SenderLevels().end(), odd));
+      } else if (shape.name == "star_out") {
+        EXPECT_EQ(ff.SenderLevels().size(), 1u);
+      } else {
+        EXPECT_EQ(ff.ReceiverLevels().size(), 1u);
+      }
+
+      const capacity::Algorithm1Result ff_alg1 =
+          capacity::RunAlgorithm1(ff, zeta);
+      EXPECT_EQ(ff_alg1.admitted, alg1.admitted);
+      EXPECT_EQ(ff_alg1.selected, alg1.selected);
+      EXPECT_EQ(capacity::GreedyFeasible(ff, all), greedy);
+      const scheduling::Schedule ff_sched = scheduling::ScheduleLinks(
+          ff, zeta, scheduling::Extractor::kAlgorithm1, all);
+      EXPECT_EQ(ff_sched.slots, sched.slots);
+
+      std::vector<std::vector<int>> sets = {alg1.selected, alg1.admitted,
+                                            greedy};
+      for (int u = 0, tried = 0; u < n && tried < 8; ++u) {
+        if (std::find(greedy.begin(), greedy.end(), u) != greedy.end()) {
+          continue;
+        }
+        sets.push_back(greedy);
+        sets.back().push_back(u);
+        ++tried;
+      }
+      geom::Rng subsets(static_cast<std::uint64_t>(n) + 7);
+      for (const double p : {0.02, 0.1}) {
+        sets.push_back(RandomSubset(n, p, subsets));
+      }
+      int feasible = 0;
+      for (const std::vector<int>& S : sets) {
+        const bool dense_feasible = dense.IsFeasible(S);
+        EXPECT_EQ(ff.IsFeasible(S), dense_feasible) << "|S|=" << S.size();
+        feasible += dense_feasible ? 1 : 0;
+      }
+      EXPECT_GT(feasible, 0);
+      EXPECT_LT(feasible, static_cast<int>(sets.size()));
+    }
+  }
+}
+
+TEST(FarFieldHierarchyTest, SeparationMatchesDenseOracle) {
+  // Algorithm 1's separation test against its growing member set: for
+  // every candidate the far-field walk -- which prunes a member block only
+  // when its box clears the radius from *both* candidate endpoints -- must
+  // decide as the dense oracle does over the same members.
+  const double zeta = 3.0;
+  int separated = 0;
+  int too_close = 0;
+  for (const int kind : {0, 1, 2}) {
+    geom::Rng rng(95 + static_cast<std::uint64_t>(kind));
+    const int n = 512;
+    const Deployment dep =
+        kind == 2 ? MakeCorridor(n, 600.0, 40.0, rng)
+                  : MakeDeployment(n, DensityBox(n), kind == 1, rng);
+    const TwinTiers t(dep, 3.0, 1e-3);
+    const SeparationOracle oracle(t.dense, zeta / 2.0, zeta);
+    SCOPED_TRACE("kind=" + std::to_string(kind));
+    FarFieldAccumulator acc(t.ff);
+    for (int v : DecayOrder(t.ff, AllLinks(t.ff))) {
+      if (!t.ff.CanOvercomeNoise(v)) continue;
+      const bool sep = acc.IsSeparatedFromMembers(v, zeta / 2.0, zeta);
+      EXPECT_EQ(sep, oracle.IsSeparatedFrom(v, acc.members()))
+          << "candidate " << v;
+      ++(sep ? separated : too_close);
+      if (sep && acc.BudgetWithinHalf(v)) acc.Add(v);
+    }
+    EXPECT_GT(acc.members().size(), 1u);
+  }
+  EXPECT_GT(separated, 0);
+  EXPECT_GT(too_close, 0);
+}
+
+TEST(FarFieldHierarchyTest, MemoryStaysLinear) {
+  // Both grids and both hierarchies are O(n + cells): four times the
+  // links at the same density costs at most ~4x the bytes.
+  const auto bytes = [](int n) {
+    geom::Rng rng(97);
+    const Deployment dep = MakeDeployment(n, DensityBox(n), false, rng);
+    const PowerAssignment power(static_cast<std::size_t>(n), 1.0);
+    return FarFieldKernel(dep.points, dep.links, 3.0, SinrConfig{1.0, 0.0},
+                          power, {1e-3})
+        .MemoryBytes();
+  };
+  const long long small = bytes(2048);
+  const long long large = bytes(4 * 2048);
+  // The endpoint copies alone are 2 * 16 bytes per link; the grids and
+  // hierarchies add more on top.
+  EXPECT_GT(small, 2048LL * 64);
+  EXPECT_LE(static_cast<double>(large), 4.5 * static_cast<double>(small));
 }
 
 TEST(FarFieldEngineTest, FarFieldModeAtEpsilonZeroMatchesDenseSignature) {
