@@ -39,11 +39,14 @@ int main() {
           core::DecaySpace::FromDistancePower(d.Matrix(), zeta);
       const sinr::LinkSystem sys_a(noisy, dep.links, {1.0, 0.0});
       const sinr::LinkSystem sys_b(rebuilt, dep.links, {1.0, 0.0});
+      const sinr::KernelCache kernel_a(sys_a, sinr::UniformPower(sys_a));
+      const sinr::KernelCache kernel_b(sys_b, sinr::UniformPower(sys_b));
+      const std::vector<int> all = sinr::AllLinks(sys_a);
       const bool alg1_same =
-          capacity::RunAlgorithm1(sys_a, zeta).selected ==
-          capacity::RunAlgorithm1(sys_b, zeta).selected;
-      const bool greedy_same =
-          capacity::GreedyFeasible(sys_a) == capacity::GreedyFeasible(sys_b);
+          capacity::RunAlgorithm1(kernel_a, zeta).selected ==
+          capacity::RunAlgorithm1(kernel_b, zeta).selected;
+      const bool greedy_same = capacity::GreedyFeasible(kernel_a, all) ==
+                               capacity::GreedyFeasible(kernel_b, all);
       table.AddRow({bench::FmtInt(static_cast<long long>(seed)),
                     bench::Fmt(zeta), alg1_same ? "yes" : "NO",
                     greedy_same ? "yes" : "NO"});
@@ -84,9 +87,11 @@ int main() {
         const double zeta = std::max(1.0, core::Metricity(space));
         zeta_sum += zeta;
         const sinr::LinkSystem system(space, dep.links, {1.0, 0.0});
+        const sinr::KernelCache kernel(system, sinr::UniformPower(system));
         const auto opt = capacity::ExactCapacityUniform(system);
-        const auto alg1 = capacity::RunAlgorithm1(system, zeta).selected;
-        const auto greedy = capacity::GreedyFeasible(system);
+        const auto alg1 = capacity::RunAlgorithm1(kernel, zeta).selected;
+        const auto greedy =
+            capacity::GreedyFeasible(kernel, sinr::AllLinks(kernel));
         ratio_alg1 += static_cast<double>(opt.size()) /
                       std::max<std::size_t>(1, alg1.size());
         ratio_greedy += static_cast<double>(opt.size()) /

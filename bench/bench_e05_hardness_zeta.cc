@@ -71,7 +71,9 @@ int main() {
                                         sinr::LinksFromPairs(instance.links),
                                         {1.0, 0.0});
           const auto opt = capacity::ExactCapacityUniform(system);
-          const auto greedy = capacity::GreedyFeasible(system);
+          const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+          const auto greedy =
+              capacity::GreedyFeasible(kernel, sinr::AllLinks(kernel));
           worst = std::max(worst, static_cast<double>(opt.size()) /
                                       std::max<std::size_t>(1, greedy.size()));
           zeta = core::Metricity(instance.space);

@@ -33,10 +33,10 @@ int main() {
         core::DecaySpace::Geometric(dep.points, 3.0);
     const sinr::LinkSystem system(space, dep.links, {1.0, 0.0});
     const auto power = sinr::UniformPower(system);
-    const auto S = capacity::GreedyFeasible(system);
+    const sinr::KernelCache kernel(system, power);
+    const auto S = capacity::GreedyFeasible(kernel, sinr::AllLinks(kernel));
     for (const double q : {2.0, 4.0, 8.0, 16.0}) {
-      const auto classes =
-          capacity::SignalStrengthen(system, S, power, 1.0, q);
+      const auto classes = capacity::SignalStrengthen(kernel, S, 1.0, q);
       bool all_ok = true;
       for (const auto& cls : classes) {
         if (!system.IsKFeasible(cls, q, power)) all_ok = false;
@@ -74,8 +74,9 @@ int main() {
       }
       const bool b2 = system.IsSeparatedSet(strong, 1.0 / zeta, zeta);
 
-      const auto S = capacity::GreedyFeasible(system);
-      const auto classes = capacity::Lemma41Partition(system, S, zeta);
+      const sinr::KernelCache kernel(system, power);
+      const auto S = capacity::GreedyFeasible(kernel, sinr::AllLinks(kernel));
+      const auto classes = capacity::Lemma41Partition(kernel, S, zeta);
       bool all_sep = true;
       for (const auto& cls : classes) {
         if (!system.IsSeparatedSet(cls, zeta, zeta)) all_sep = false;

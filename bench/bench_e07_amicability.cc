@@ -42,7 +42,8 @@ int main() {
             core::DecaySpace::Geometric(dep.points, alpha);
         const double zeta = std::max(1.0, core::Metricity(space));
         const sinr::LinkSystem system(space, dep.links, {1.0, 0.0});
-        const auto S = capacity::GreedyFeasible(system);
+        const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+        const auto S = capacity::GreedyFeasible(kernel, sinr::AllLinks(kernel));
         const auto witness =
             capacity::BuildAmicabilityWitness(system, S, zeta);
         zeta_acc += zeta;
@@ -81,7 +82,9 @@ int main() {
       const core::DecaySpace space =
           core::DecaySpace::Geometric(dep.points, alpha);
       const sinr::LinkSystem system(space, dep.links, {2.0, 0.0});
-      const auto greedy = capacity::GreedyFeasible(system);
+      const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+      const auto greedy =
+          capacity::GreedyFeasible(kernel, sinr::AllLinks(kernel));
       distributed::RegretConfig config;
       config.rounds = 3000;
       config.measure_tail = 500;

@@ -42,14 +42,16 @@ int main(int argc, char** argv) {
         const core::DecaySpace space =
             core::DecaySpace::Geometric(dep.points, alpha);
         const sinr::LinkSystem system(space, dep.links, {1.0, 0.0});
+        const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+        const std::vector<int> all = sinr::AllLinks(kernel);
         opt_acc += static_cast<double>(
             capacity::ExactCapacityUniform(system).size());
         alg1_acc += static_cast<double>(
-            capacity::RunAlgorithm1(system, alpha).selected.size());
+            capacity::RunAlgorithm1(kernel, alpha).selected.size());
         half_acc += static_cast<double>(
-            capacity::GreedyHalfAffectance(system).size());
+            capacity::GreedyHalfAffectance(kernel, all).size());
         greedy_acc += static_cast<double>(
-            capacity::GreedyFeasible(system).size());
+            capacity::GreedyFeasible(kernel, all).size());
       }
       table.AddRow(
           {bench::Fmt(alpha, 1), bench::Fmt(opt_acc / trials, 2),
@@ -74,9 +76,11 @@ int main(int argc, char** argv) {
       const core::DecaySpace space =
           core::DecaySpace::Geometric(dep.points, alpha);
       const sinr::LinkSystem system(space, dep.links, {1.0, 0.0});
-      const auto alg1 = capacity::RunAlgorithm1(system, alpha).selected;
-      const auto half = capacity::GreedyHalfAffectance(system);
-      const auto greedy = capacity::GreedyFeasible(system);
+      const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+      const std::vector<int> all = sinr::AllLinks(kernel);
+      const auto alg1 = capacity::RunAlgorithm1(kernel, alpha).selected;
+      const auto half = capacity::GreedyHalfAffectance(kernel, all);
+      const auto greedy = capacity::GreedyFeasible(kernel, all);
       table.AddRow({bench::Fmt(alpha, 1),
                     bench::FmtInt(static_cast<long long>(alg1.size())),
                     bench::FmtInt(static_cast<long long>(half.size())),

@@ -64,7 +64,9 @@ int main() {
                                     {1.0, 0.0});
       const core::PhiResult phi = core::ComputePhi(instance.space);
       const auto opt = capacity::ExactCapacityUniform(system);
-      const auto greedy = capacity::GreedyFeasible(system);
+      const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+      const auto greedy =
+          capacity::GreedyFeasible(kernel, sinr::AllLinks(kernel));
       table.AddRow({bench::FmtInt(n), bench::Fmt(phi.phi_factor, 2),
                     bench::Fmt(phi.phi, 3), bench::Fmt(std::log2(2.0 * n), 3),
                     bench::Fmt(static_cast<double>(opt.size()) /

@@ -32,13 +32,14 @@ int main() {
           core::DecaySpace::Geometric(dep.points, alpha);
       const double zeta = std::max(1.0, core::Metricity(space));
       const sinr::LinkSystem system(space, dep.links, {1.0, 0.0});
+      const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+      const auto all = sinr::AllLinks(kernel);
       const auto s1 = scheduling::ScheduleLinks(
-          system, zeta, scheduling::Extractor::kAlgorithm1);
+          kernel, zeta, scheduling::Extractor::kAlgorithm1, all);
       const auto s2 = scheduling::ScheduleLinks(
-          system, zeta, scheduling::Extractor::kGreedyFeasible);
-      const auto all = sinr::AllLinks(system);
-      const bool valid = scheduling::ValidateSchedule(system, s1, all) &&
-                         scheduling::ValidateSchedule(system, s2, all);
+          kernel, zeta, scheduling::Extractor::kGreedyFeasible, all);
+      const bool valid = scheduling::ValidateSchedule(kernel, s1, all) &&
+                         scheduling::ValidateSchedule(kernel, s2, all);
       table.AddRow({bench::Fmt(alpha, 1), bench::Fmt(zeta),
                     bench::FmtInt(s1.Length()), bench::FmtInt(s2.Length()),
                     valid ? "yes" : "NO"});
@@ -63,8 +64,11 @@ int main() {
           environment, config, env::PlaceIsotropic(dep.points));
       const double zeta = std::max(1.0, core::Metricity(space));
       const sinr::LinkSystem system(space, dep.links, {2.0, 0.0});
-      const auto schedule = scheduling::ScheduleLinks(
-          system, zeta, scheduling::Extractor::kGreedyFeasible);
+      const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+      const auto schedule =
+          scheduling::ScheduleLinks(kernel, zeta,
+                                    scheduling::Extractor::kGreedyFeasible,
+                                    sinr::AllLinks(kernel));
       distributed::ContentionConfig contention;
       contention.max_slots = 200000;
       geom::Rng crng(31);

@@ -34,8 +34,10 @@ int main() {
       env::BuildDecaySpace(office, config, env::PlaceIsotropic(dep.points));
   const double zeta_truth = core::Metricity(truth);
   const sinr::LinkSystem truth_system(truth, dep.links, {1.0, 0.0});
+  const sinr::KernelCache truth_kernel(truth_system,
+                                      sinr::UniformPower(truth_system));
   const auto chosen_truth =
-      capacity::RunAlgorithm1(truth_system, std::max(1.0, zeta_truth))
+      capacity::RunAlgorithm1(truth_kernel, std::max(1.0, zeta_truth))
           .selected;
 
   std::printf("\nGround truth: zeta = %.3f, capacity choice |S| = %zu\n",
@@ -58,10 +60,10 @@ int main() {
           measurement::InferDecayFromRssi(table_rssi, rssi);
       const double zeta = core::Metricity(inferred);
       const sinr::LinkSystem system(inferred, dep.links, {1.0, 0.0});
+      const sinr::KernelCache kernel(system, sinr::UniformPower(system));
       const auto chosen =
-          capacity::RunAlgorithm1(system, std::max(1.0, zeta)).selected;
-      const bool feasible_on_truth = truth_system.IsFeasible(
-          chosen, sinr::UniformPower(truth_system));
+          capacity::RunAlgorithm1(kernel, std::max(1.0, zeta)).selected;
+      const bool feasible_on_truth = truth_kernel.IsFeasible(chosen);
       table.AddRow({bench::Fmt(quant, 1), bench::Fmt(rssi.noise_sigma_db, 1),
                     bench::Fmt(zeta),
                     bench::Fmt(100.0 * std::abs(zeta - zeta_truth) /

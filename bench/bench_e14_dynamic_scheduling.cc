@@ -46,7 +46,7 @@ int main() {
   for (const SpaceCase& c : cases) {
     const sinr::LinkSystem system(c.space, dep.links, {2.0, 0.0});
     // One kernel per space serves every (lambda, scheduler) simulation
-    // below; the LinkSystem entry point would rebuild it per call.
+    // below.
     const sinr::KernelCache kernel(system, sinr::UniformPower(system));
     const double zeta = std::max(1.0, core::Metricity(c.space));
     const auto rho = capacity::EstimateInductiveIndependence(

@@ -40,7 +40,8 @@ int main() {
                                         shadow, true);
     const sinr::LinkSystem system(space, dep.links, {2.0, 0.0});
     const auto power = sinr::UniformPower(system);
-    const auto S = capacity::GreedyFeasible(system);
+    const sinr::KernelCache kernel(system, power);
+    const auto S = capacity::GreedyFeasible(kernel, sinr::AllLinks(kernel));
     double min_p = 1.0;
     double sum_p = 0.0;
     double min_lb = 1.0;

@@ -41,8 +41,9 @@ int main() {
         for (int i = 0; i < 14; ++i) weights.push_back(rng.Uniform(1.0, 10.0));
         const double zeta = std::max(1.0, core::Metricity(space));
         opt += capacity::ExactWeightedCapacity(system, weights).weight;
-        greedy += capacity::WeightedGreedy(system, weights).weight;
-        alg1 += capacity::WeightedAlgorithm1(system, weights, zeta).weight;
+        const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+        greedy += capacity::WeightedGreedy(kernel, weights).weight;
+        alg1 += capacity::WeightedAlgorithm1(kernel, weights, zeta).weight;
       }
       table.AddRow({bench::Fmt(alpha, 1), bench::Fmt(opt / trials, 1),
                     bench::Fmt(greedy / trials, 1),
@@ -70,7 +71,8 @@ int main() {
       const core::DecaySpace space = env::BuildDecaySpace(
           environment, config, env::PlaceIsotropic(dep.points));
       const sinr::LinkSystem system(space, dep.links, {2.0, 0.0});
-      const auto result = auction::RunAuction(system, bids);
+      const auto result = auction::RunAuction(
+          sinr::KernelCache(system, sinr::UniformPower(system)), bids);
       char name[32];
       std::snprintf(name, sizeof(name),
                     rooms == 0 ? "free space" : "office %dx%d", rooms, rooms);

@@ -113,9 +113,11 @@ int main(int argc, char** argv) {
         [&] { naive = capacity::RunAlgorithm1Naive(system, zeta); });
 
     capacity::Algorithm1Result cached;
-    const obs::SampleStats cold_stats = report.Time(
-        "alg1_cached_cold", n_links,
-        [&] { cached = capacity::RunAlgorithm1(system, zeta); });
+    const obs::SampleStats cold_stats =
+        report.Time("alg1_cached_cold", n_links, [&] {
+          const sinr::KernelCache cold(system, sinr::UniformPower(system));
+          cached = capacity::RunAlgorithm1(cold, zeta);
+        });
 
     const sinr::KernelCache kernel(system, sinr::UniformPower(system));
     capacity::Algorithm1Result warm;
@@ -154,8 +156,11 @@ int main(int argc, char** argv) {
     scheduling::Schedule schedule;
     const obs::SampleStats sched_stats = report.Time(
         "schedule_alg1", n_sched, [&] {
-          schedule = scheduling::ScheduleLinks(
-              system, 3.0, scheduling::Extractor::kAlgorithm1);
+          const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+          schedule =
+              scheduling::ScheduleLinks(kernel, 3.0,
+                                        scheduling::Extractor::kAlgorithm1,
+                                        sinr::AllLinks(kernel));
         });
     std::printf("%zu slots in %s ms\n", schedule.slots.size(),
                 bench::Fmt(sched_stats.min_ms, 2).c_str());

@@ -12,6 +12,7 @@
 
 #include "core/check.h"
 #include "core/decay_space.h"
+#include "engine/report.h"
 #include "geom/rng.h"
 #include "sinr/link_system.h"
 
@@ -20,7 +21,8 @@ namespace decaylib::bench {
 // M_PI is a POSIX extension, not standard C++; keep a local constant.
 inline constexpr double kPi = 3.14159265358979323846;
 
-// Prints a markdown table row-by-row with right-aligned cells.
+// Collects the rows of a markdown table and prints it with right-aligned
+// cells (engine::PrintMarkdownTable, the layout the engine reports use).
 class Table {
  public:
   explicit Table(std::vector<std::string> headers)
@@ -32,36 +34,9 @@ class Table {
     rows_.push_back(std::move(cells));
   }
 
-  void Print() const {
-    std::vector<std::size_t> width(headers_.size());
-    for (std::size_t c = 0; c < headers_.size(); ++c) {
-      width[c] = headers_[c].size();
-    }
-    for (const auto& row : rows_) {
-      for (std::size_t c = 0; c < row.size() && c < width.size(); ++c) {
-        width[c] = std::max(width[c], row[c].size());
-      }
-    }
-    PrintRow(headers_, width);
-    std::string sep = "|";
-    for (std::size_t c = 0; c < headers_.size(); ++c) {
-      sep += std::string(width[c] + 2, '-') + "|";
-    }
-    std::printf("%s\n", sep.c_str());
-    for (const auto& row : rows_) PrintRow(row, width);
-  }
+  void Print() const { engine::PrintMarkdownTable(headers_, rows_); }
 
  private:
-  static void PrintRow(const std::vector<std::string>& row,
-                       const std::vector<std::size_t>& width) {
-    std::string line = "|";
-    for (std::size_t c = 0; c < width.size(); ++c) {
-      const std::string cell = c < row.size() ? row[c] : "";
-      line += " " + std::string(width[c] - cell.size(), ' ') + cell + " |";
-    }
-    std::printf("%s\n", line.c_str());
-  }
-
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;
 };

@@ -70,14 +70,17 @@ int main() {
                 system.CanOvercomeNoise(v, power) ? "yes" : "NO");
   }
 
-  const auto chosen = capacity::RunAlgorithm1(system, zeta).selected;
-  const auto greedy = capacity::GreedyFeasible(system);
+  // One uniform-power kernel serves every algorithm below.
+  const sinr::KernelCache kernel(system, power);
+  const std::vector<int> all = sinr::AllLinks(kernel);
+  const auto chosen = capacity::RunAlgorithm1(kernel, zeta).selected;
+  const auto greedy = capacity::GreedyFeasible(kernel, all);
   std::printf("\none-shot capacity: Algorithm 1 -> %zu links, greedy -> %zu "
               "links (of %d)\n",
               chosen.size(), greedy.size(), system.NumLinks());
 
   const auto schedule = scheduling::ScheduleLinks(
-      system, zeta, scheduling::Extractor::kAlgorithm1);
+      kernel, zeta, scheduling::Extractor::kAlgorithm1, all);
   std::printf("full traffic schedule: %d slots\n", schedule.Length());
   for (int s = 0; s < schedule.Length(); ++s) {
     std::printf("  slot %d:", s);

@@ -59,12 +59,14 @@ int main() {
   //    Its separation test is deliberately conservative -- that is what buys
   //    the worst-case guarantee; the greedy baseline shows the typical-case
   //    headroom.
-  const auto result = capacity::RunAlgorithm1(system, zeta);
+  //    Both run on one precomputed uniform-power kernel.
+  const sinr::KernelCache kernel(system, power);
+  const auto result = capacity::RunAlgorithm1(kernel, zeta);
   std::printf("Algorithm 1 selected %zu links:", result.selected.size());
   for (int v : result.selected) std::printf(" %d", v);
   std::printf("\nmax in-affectance of the selection: %.3f (must be <= 1)\n",
               system.MaxInAffectance(result.selected, power));
-  const auto greedy = capacity::GreedyFeasible(system);
+  const auto greedy = capacity::GreedyFeasible(kernel, everyone);
   std::printf("greedy baseline selected %zu links (no worst-case guarantee "
               "in decay spaces)\n",
               greedy.size());

@@ -169,26 +169,6 @@ AuctionResult RunAuction(const sinr::KernelCache& kernel,
       });
 }
 
-// --- LinkSystem entry points (uniform power, one kernel build) ---------------
-
-std::vector<int> DetermineWinners(const sinr::LinkSystem& system,
-                                  std::span<const double> bids) {
-  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
-  return DetermineWinners(kernel, bids);
-}
-
-double CriticalBid(const sinr::LinkSystem& system,
-                   std::span<const double> bids, int link, double tol) {
-  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
-  return CriticalBid(kernel, bids, link, tol);
-}
-
-AuctionResult RunAuction(const sinr::LinkSystem& system,
-                         std::span<const double> bids, double tol) {
-  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
-  return RunAuction(kernel, bids, tol);
-}
-
 // --- naive references --------------------------------------------------------
 
 std::vector<int> DetermineWinnersNaive(const sinr::LinkSystem& system,

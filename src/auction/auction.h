@@ -19,13 +19,12 @@
 // through an AffectanceAccumulator (O(n) per admission instead of the
 // naive O(|S| n) re-summation), and the payment bisection re-runs the rule
 // ~50 times per winner against the *same* warm kernel, so the whole
-// mechanism builds the O(n^2) kernels exactly once.  The LinkSystem entry
-// points keep their historical uniform-power semantics by building one
-// uniform-power kernel and delegating; the original per-query
-// implementations survive as the *Naive references, and the cached path is
-// bit-exact against them (the kernel admission test decides exactly as the
-// naive push-IsFeasible-pop loop -- see kernel.h's bit-exactness contract
-// -- so winner sets, critical bids and payments are identical doubles).
+// mechanism reads one O(n^2) kernel, built once by the caller.  The
+// original per-query implementations survive as the *Naive references, and
+// on a uniform-power kernel the cached path is bit-exact against them (the
+// kernel admission test decides exactly as the naive push-IsFeasible-pop
+// loop -- see kernel.h's bit-exactness contract -- so winner sets, critical
+// bids and payments are identical doubles).
 #pragma once
 
 #include <span>
@@ -77,16 +76,6 @@ double CriticalBid(const sinr::KernelCache& kernel,
 double CriticalBidRescan(const sinr::KernelCache& kernel,
                          std::span<const double> bids, int link,
                          double tol = 1e-6);
-
-// Historical entry points (uniform power): build one uniform-power kernel
-// for `system` and delegate to the cached overloads above.  Bit-identical
-// to the naive references below.
-std::vector<int> DetermineWinners(const sinr::LinkSystem& system,
-                                  std::span<const double> bids);
-AuctionResult RunAuction(const sinr::LinkSystem& system,
-                         std::span<const double> bids, double tol = 1e-6);
-double CriticalBid(const sinr::LinkSystem& system,
-                   std::span<const double> bids, int link, double tol = 1e-6);
 
 // Naive reference implementations (per-query LinkSystem feasibility under
 // uniform power): kept as the test oracles for the cached path, exactly the

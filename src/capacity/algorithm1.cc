@@ -5,17 +5,6 @@
 
 namespace decaylib::capacity {
 
-Algorithm1Result RunAlgorithm1(const sinr::LinkSystem& system, double zeta,
-                               std::span<const int> candidates) {
-  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
-  return RunAlgorithm1(kernel, zeta, candidates);
-}
-
-Algorithm1Result RunAlgorithm1(const sinr::LinkSystem& system, double zeta) {
-  const std::vector<int> all = sinr::AllLinks(system);
-  return RunAlgorithm1(system, zeta, all);
-}
-
 Algorithm1Result RunAlgorithm1Naive(const sinr::LinkSystem& system,
                                     double zeta,
                                     std::span<const int> candidates) {

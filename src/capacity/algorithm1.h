@@ -38,13 +38,6 @@ struct Algorithm1Result {
   std::vector<int> admitted;   // X, before the final affectance filter
 };
 
-// Runs Algorithm 1 on the candidate links (defaults to all links) with the
-// given metricity zeta of the underlying space.  Uses uniform power 1.
-Algorithm1Result RunAlgorithm1(const sinr::LinkSystem& system, double zeta,
-                               std::span<const int> candidates);
-
-Algorithm1Result RunAlgorithm1(const sinr::LinkSystem& system, double zeta);
-
 // The admission loop + Markov filter over an explicit candidate order
 // (already sorted by the caller).  Shared by RunAlgorithm1 (decay order) and
 // WeightedAlgorithm1 (weight order).
@@ -71,9 +64,11 @@ Algorithm1Result GreedyAdmission(const K& kernel, double zeta,
   return result;
 }
 
-// Kernel-tier entry points: reuse a prebuilt kernel (e.g. across the slots
-// of a schedule).  The kernel's power assignment is used as-is; build it
-// with UniformPower for the paper's algorithm.
+// Runs Algorithm 1 on the candidate links (defaults to all links) with the
+// given metricity zeta of the underlying space.  The kernel's power
+// assignment is used as-is; build it with UniformPower for the paper's
+// algorithm, once per system (e.g. one kernel serves every slot of a
+// schedule).
 template <sinr::KernelTier K>
 Algorithm1Result RunAlgorithm1(const K& kernel, double zeta,
                                std::span<const int> candidates) {

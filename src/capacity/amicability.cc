@@ -15,7 +15,8 @@ AmicabilityWitness BuildAmicabilityWitness(const sinr::LinkSystem& system,
   const sinr::PowerAssignment power = sinr::UniformPower(system);
 
   // Largest zeta-separated class from the Lemma 4.1 partition.
-  const auto classes = Lemma41Partition(system, S, zeta);
+  const auto classes =
+      Lemma41Partition(sinr::KernelCache(system, power), S, zeta);
   std::size_t best = 0;
   for (std::size_t i = 1; i < classes.size(); ++i) {
     if (classes[i].size() > classes[best].size()) best = i;

@@ -11,11 +11,12 @@
 //    separation condition (the source of the plane's polynomial bound).
 //  * RandomFeasible: admit in random order while feasible; a sanity floor.
 //
-// All baselines use uniform power and return feasible sets.  Each has a
-// cached-kernel overload (incremental feasibility: O(|S|) per candidate
-// instead of O(|S|^2) re-summation) -- GreedyFeasible over any kernel tier
-// (sinr/kernel_tier.h), the others on sinr::KernelCache; the LinkSystem
-// overloads build the dense kernel internally and produce identical results.
+// All baselines return feasible sets under the kernel's power assignment
+// (uniform power for the comparisons above: build the kernel with
+// UniformPower, once per system).  Each runs on a prebuilt kernel with
+// incremental feasibility (O(|S|) per candidate instead of O(|S|^2)
+// re-summation) -- GreedyFeasible and RandomFeasible over any kernel tier
+// (sinr/kernel_tier.h), GreedyHalfAffectance on sinr::KernelCache.
 #pragma once
 
 #include <span>
@@ -24,7 +25,6 @@
 #include "geom/rng.h"
 #include "sinr/kernel.h"
 #include "sinr/kernel_tier.h"
-#include "sinr/link_system.h"
 
 namespace decaylib::capacity {
 
@@ -49,18 +49,18 @@ std::vector<int> GreedyFeasible(const K& kernel,
                                 std::span<const int> candidates) {
   return AdmitWhileFeasible(kernel, sinr::DecayOrder(kernel, candidates));
 }
-std::vector<int> GreedyFeasible(const sinr::LinkSystem& system,
-                                std::span<const int> candidates);
-std::vector<int> GreedyFeasible(const sinr::LinkSystem& system);
 
 std::vector<int> GreedyHalfAffectance(const sinr::KernelCache& kernel,
                                       std::span<const int> candidates);
-std::vector<int> GreedyHalfAffectance(const sinr::LinkSystem& system,
-                                      std::span<const int> candidates);
-std::vector<int> GreedyHalfAffectance(const sinr::LinkSystem& system);
 
-std::vector<int> RandomFeasible(const sinr::LinkSystem& system,
+// Shuffles the candidates with `rng`, then admits in that order.
+template <sinr::KernelTier K>
+std::vector<int> RandomFeasible(const K& kernel,
                                 std::span<const int> candidates,
-                                geom::Rng& rng);
+                                geom::Rng& rng) {
+  std::vector<int> order(candidates.begin(), candidates.end());
+  rng.Shuffle(order);
+  return AdmitWhileFeasible(kernel, order);
+}
 
 }  // namespace decaylib::capacity

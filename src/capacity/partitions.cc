@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/check.h"
-#include "sinr/power.h"
 
 // (Lemma B.3's colouring is implemented directly below rather than through
 // graph::DegeneracyColoring, because the conflict test needs link geometry.)
@@ -65,13 +64,6 @@ std::vector<std::vector<int>> SignalStrengthen(const sinr::KernelCache& kernel,
   return result;
 }
 
-std::vector<std::vector<int>> SignalStrengthen(
-    const sinr::LinkSystem& system, std::span<const int> S,
-    const sinr::PowerAssignment& power, double p, double q) {
-  const sinr::KernelCache kernel(system, power);
-  return SignalStrengthen(kernel, S, p, q);
-}
-
 std::vector<std::vector<int>> SeparationPartition(
     const sinr::KernelCache& kernel, std::span<const int> S, double eta,
     double zeta) {
@@ -106,13 +98,6 @@ std::vector<std::vector<int>> SeparationPartition(
   return classes;
 }
 
-std::vector<std::vector<int>> SeparationPartition(
-    const sinr::LinkSystem& system, std::span<const int> S, double eta,
-    double zeta) {
-  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
-  return SeparationPartition(kernel, S, eta, zeta);
-}
-
 std::vector<std::vector<int>> Lemma41Partition(const sinr::KernelCache& kernel,
                                                std::span<const int> S,
                                                double zeta) {
@@ -128,13 +113,6 @@ std::vector<std::vector<int>> Lemma41Partition(const sinr::KernelCache& kernel,
     for (auto& group : fine) result.push_back(std::move(group));
   }
   return result;
-}
-
-std::vector<std::vector<int>> Lemma41Partition(const sinr::LinkSystem& system,
-                                               std::span<const int> S,
-                                               double zeta) {
-  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
-  return Lemma41Partition(kernel, S, zeta);
 }
 
 }  // namespace decaylib::capacity

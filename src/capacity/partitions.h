@@ -15,16 +15,16 @@
 //  * Lemma 4.1: composition of B.1 + B.2 + B.3 -- a feasible set partitions
 //    into O(zeta^{2A'}) zeta-separated sets.
 //
-// All partitions run on the cached SINR kernel; the LinkSystem signatures
-// build the kernel internally, the KernelCache overloads reuse a prebuilt
-// one (e.g. when chaining B.1 and B.3 as Lemma41Partition does).
+// All partitions run on a prebuilt sinr::KernelCache, so chaining B.1 and
+// B.3 (as Lemma41Partition does) reads one kernel.  Lemma B.1 holds under
+// the kernel's power assignment; B.2, B.3 and Lemma 4.1 are stated for a
+// uniform-power kernel.
 #pragma once
 
 #include <span>
 #include <vector>
 
 #include "sinr/kernel.h"
-#include "sinr/link_system.h"
 
 namespace decaylib::capacity {
 
@@ -33,9 +33,6 @@ namespace decaylib::capacity {
 std::vector<std::vector<int>> SignalStrengthen(const sinr::KernelCache& kernel,
                                                std::span<const int> S,
                                                double p, double q);
-std::vector<std::vector<int>> SignalStrengthen(
-    const sinr::LinkSystem& system, std::span<const int> S,
-    const sinr::PowerAssignment& power, double p, double q);
 
 // Lemma B.3.  Partitions a set of links into eta-separated classes by
 // first-fit colouring along non-increasing link length; conflict between two
@@ -45,17 +42,11 @@ std::vector<std::vector<int>> SignalStrengthen(
 std::vector<std::vector<int>> SeparationPartition(
     const sinr::KernelCache& kernel, std::span<const int> S, double eta,
     double zeta);
-std::vector<std::vector<int>> SeparationPartition(
-    const sinr::LinkSystem& system, std::span<const int> S, double eta,
-    double zeta);
 
 // Lemma 4.1.  Partitions a feasible set S (uniform power) into zeta-separated
 // sets: signal-strengthen to e^2/beta-feasible classes, then separation-
 // partition each to zeta-separated classes.
 std::vector<std::vector<int>> Lemma41Partition(const sinr::KernelCache& kernel,
-                                               std::span<const int> S,
-                                               double zeta);
-std::vector<std::vector<int>> Lemma41Partition(const sinr::LinkSystem& system,
                                                std::span<const int> S,
                                                double zeta);
 

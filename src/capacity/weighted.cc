@@ -54,12 +54,6 @@ WeightedResult WeightedGreedy(const sinr::KernelCache& kernel,
   return result;
 }
 
-WeightedResult WeightedGreedy(const sinr::LinkSystem& system,
-                              std::span<const double> weights) {
-  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
-  return WeightedGreedy(kernel, weights);
-}
-
 WeightedResult WeightedAlgorithm1(const sinr::KernelCache& kernel,
                                   std::span<const double> weights,
                                   double zeta) {
@@ -84,13 +78,6 @@ WeightedResult WeightedAlgorithm1(const sinr::KernelCache& kernel,
   result.selected = admission.selected;
   result.weight = TotalWeight(result.selected, weights);
   return result;
-}
-
-WeightedResult WeightedAlgorithm1(const sinr::LinkSystem& system,
-                                  std::span<const double> weights,
-                                  double zeta) {
-  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
-  return WeightedAlgorithm1(kernel, weights, zeta);
 }
 
 namespace {

@@ -14,10 +14,9 @@
 //   * ExactWeightedCapacity -- branch and bound (hereditary feasibility with
 //                            a weight-sum bound).
 //
-// WeightedGreedy and WeightedAlgorithm1 have cached-kernel overloads that
-// reuse a prebuilt sinr::KernelCache (e.g. across the tasks of a batched
-// scenario run); the LinkSystem signatures build a uniform-power kernel
-// internally and produce identical results.
+// WeightedGreedy and WeightedAlgorithm1 run on a prebuilt sinr::KernelCache
+// (uniform power for the guarantees above), so one kernel build serves every
+// weight vector and every task of a batched scenario run.
 #pragma once
 
 #include <span>
@@ -38,15 +37,10 @@ double TotalWeight(std::span<const int> S, std::span<const double> weights);
 // Greedy by weight-to-interference density, kept feasible (uniform power).
 WeightedResult WeightedGreedy(const sinr::KernelCache& kernel,
                               std::span<const double> weights);
-WeightedResult WeightedGreedy(const sinr::LinkSystem& system,
-                              std::span<const double> weights);
 
 // Algorithm 1 admission (zeta/2-separation + affectance margin), scanning
 // links by decreasing weight; the final filter keeps a_X(v) <= 1.
 WeightedResult WeightedAlgorithm1(const sinr::KernelCache& kernel,
-                                  std::span<const double> weights,
-                                  double zeta);
-WeightedResult WeightedAlgorithm1(const sinr::LinkSystem& system,
                                   std::span<const double> weights,
                                   double zeta);
 

@@ -197,12 +197,6 @@ QueueStats RunQueueSimulation(const sinr::KernelCache& kernel,
   return RunQueueLoop(n, config, rng, schedule);
 }
 
-QueueStats RunQueueSimulation(const sinr::LinkSystem& system,
-                              const QueueConfig& config, geom::Rng& rng) {
-  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
-  return RunQueueSimulation(kernel, config, rng);
-}
-
 QueueStats RunQueueSimulationNaive(const sinr::LinkSystem& system,
                                    const QueueConfig& config, geom::Rng& rng) {
   const int n = system.NumLinks();

@@ -19,16 +19,15 @@
 //                            backlogged link transmits w.p. min(1, c/contention)
 //                            independently; collisions serve nothing.
 //
-// The hot path runs on a sinr::KernelCache (one O(n^2) kernel build per
-// instance): greedy admission goes through an AffectanceAccumulator (O(n)
-// per admission instead of the naive O(|S|^2) re-summation) and the random-
-// access success checks read the cached cross-decay matrix.  The LinkSystem
-// entry point keeps its historical uniform-power semantics by building one
-// kernel and delegating; the original per-slot implementation survives as
-// RunQueueSimulationNaive, and the cached path is bit-exact against it at a
-// fixed seed (admission decides exactly as the naive push-IsFeasible-pop
-// loop, the Sinr checks are the identical expression, and both paths draw
-// the same randomness stream).
+// The simulation runs on a prebuilt sinr::KernelCache (one O(n^2) kernel
+// build per instance, by the caller): greedy admission goes through an
+// AffectanceAccumulator (O(n) per admission instead of the naive O(|S|^2)
+// re-summation) and the random-access success checks read the cached
+// cross-decay matrix.  The original per-slot implementation survives as
+// RunQueueSimulationNaive, and on a uniform-power kernel the cached path is
+// bit-exact against it at a fixed seed (admission decides exactly as the
+// naive push-IsFeasible-pop loop, the Sinr checks are the identical
+// expression, and both paths draw the same randomness stream).
 //
 // Statistics semantics: `*_total` counters cover the WHOLE run including
 // warmup slots; `*_measured` counters and every derived rate (throughput,
@@ -103,14 +102,9 @@ struct QueueStats {
 };
 
 // Runs the queueing simulation against a warm kernel (and its power
-// assignment).  One kernel build serves any number of simulations.
+// assignment).  One kernel build serves any number of simulations; over a
+// uniform-power kernel it is bit-identical to the naive reference below.
 QueueStats RunQueueSimulation(const sinr::KernelCache& kernel,
-                              const QueueConfig& config, geom::Rng& rng);
-
-// Historical entry point (uniform power): builds one uniform-power kernel
-// and delegates to the cached overload.  Bit-identical to the naive
-// reference below.
-QueueStats RunQueueSimulation(const sinr::LinkSystem& system,
                               const QueueConfig& config, geom::Rng& rng);
 
 // Naive reference (per-slot LinkSystem feasibility/SINR queries under

@@ -27,6 +27,12 @@ ParseResult ReadDecayCsv(std::istream& in) {
     ++line_number;
     const std::string trimmed = Trim(line);
     if (trimmed.empty() || trimmed.front() == '#') continue;
+    // getline drops an empty final field, so a trailing comma never reaches
+    // the per-cell check below.
+    if (trimmed.back() == ',') {
+      return {std::nullopt,
+              "line " + std::to_string(line_number) + ": empty cell"};
+    }
     std::vector<double> row;
     std::stringstream ss(trimmed);
     std::string cell;

@@ -16,9 +16,7 @@
 
 #include "capacity/algorithm1.h"
 #include "capacity/baselines.h"
-#include "sinr/kernel.h"
 #include "sinr/kernel_tier.h"
-#include "sinr/link_system.h"
 
 namespace decaylib::scheduling {
 
@@ -32,13 +30,13 @@ struct Schedule {
   int Length() const noexcept { return static_cast<int>(slots.size()); }
 };
 
-// Schedules all candidate links (uniform power).  `zeta` is the metricity of
-// the underlying space (used by Algorithm 1's separation test).  Guarantees
+// Schedules all candidate links on a prebuilt kernel of either tier (build
+// it with UniformPower for the reduction above); one kernel serves every
+// slot extraction, since the affectance and distance kernels do not depend
+// on the shrinking candidate set.  `zeta` is the metricity of the
+// underlying space (used by Algorithm 1's separation test).  Guarantees
 // termination: if an extraction round returns an empty set while links
-// remain, the shortest remaining link is scheduled alone.  The kernel-tier
-// overload reuses a prebuilt kernel of either tier (e.g. across the tasks of
-// a batched scenario run); the LinkSystem signatures build a uniform-power
-// dense kernel internally and produce identical schedules.
+// remain, the shortest remaining link is scheduled alone.
 template <sinr::KernelTier K>
 Schedule ScheduleLinks(const K& kernel, double zeta, Extractor extractor,
                        std::span<const int> candidates) {
@@ -76,12 +74,6 @@ Schedule ScheduleLinks(const K& kernel, double zeta, Extractor extractor,
   return schedule;
 }
 
-Schedule ScheduleLinks(const sinr::LinkSystem& system, double zeta,
-                       Extractor extractor, std::span<const int> candidates);
-
-Schedule ScheduleLinks(const sinr::LinkSystem& system, double zeta,
-                       Extractor extractor);
-
 // True iff every multi-link slot is feasible on the kernel and the slots
 // partition exactly the given candidate set (multiset equality).
 template <sinr::KernelTier K>
@@ -95,7 +87,5 @@ bool ValidateSchedule(const K& kernel, const Schedule& schedule,
   std::multiset<int> wanted(candidates.begin(), candidates.end());
   return scheduled == wanted;
 }
-bool ValidateSchedule(const sinr::LinkSystem& system, const Schedule& schedule,
-                      std::span<const int> candidates);
 
 }  // namespace decaylib::scheduling

@@ -415,8 +415,8 @@ class FarFieldKernel {
 // AffectanceAccumulator's (a non-member contributes +0.0 at its own Add in
 // the dense version, which cannot change an IEEE sum of non-negative
 // terms).  There is deliberately no Remove or Clear: the admission loops
-// only ever grow a fresh accumulator, and removal would reopen the ulp-drift
-// caveat the dense accumulator documents.
+// only ever grow a fresh accumulator, and like the dense accumulator every
+// sum stays an insertion-order fold, never a subtraction.
 class FarFieldAccumulator {
  public:
   explicit FarFieldAccumulator(const FarFieldKernel& kernel);

@@ -159,13 +159,13 @@ void KernelCache::Build(const LinkSystem& system, PowerAssignment power) {
   // underflow matters), so the exact leg length beats the nearer cross
   // length by a relative ~5e-10; hypot errs below 1 ulp, so the computed
   // leg length is strictly the larger, and pow, weakly monotone (the
-  // identity LinkDistance already rests on; the gap exceeds pow's sub-ulp
+  // min-commutes-with-pow identity of kernel.h; the gap exceeds pow's sub-ulp
   // error for any alpha > ~1e-6 anyway), keeps the leg's decay >= that
   // cross decay.  Skipping the leg therefore leaves the minimum -- a
   // selection, not an arithmetic result -- bit-identical.  Inside the band
   // (exact ties, as on lattices), with a subnormal or zero m2 (shared
   // endpoints), or on NaN, the leg is evaluated exactly as the naive
-  // LinkDistance does.
+  // LinkSystem::LinkDistance does.
   const std::span<const geom::Vec2> pts = space.points();
   const double alpha = space.alpha();
   const auto diff = [pts](int p, int q) {
@@ -300,12 +300,6 @@ double KernelCache::InAffectance(std::span<const int> S, int v) const {
   return total;
 }
 
-double KernelCache::OutAffectance(int v, std::span<const int> S) const {
-  double total = 0.0;
-  for (int w : S) total += Affectance(v, w);
-  return total;
-}
-
 bool KernelCache::IsFeasible(std::span<const int> S) const {
   return IsKFeasible(S, 1.0);
 }
@@ -336,33 +330,6 @@ double KernelCache::Sinr(int v, std::span<const int> S) const {
   return signal / interference;
 }
 
-double KernelCache::MaxInAffectance(std::span<const int> S) const {
-  double worst = 0.0;
-  for (int v : S) worst = std::max(worst, InAffectance(S, v));
-  return worst;
-}
-
-double KernelCache::LinkLength(int v, double zeta) const {
-  return std::pow(LinkDecay(v), 1.0 / zeta);
-}
-
-double KernelCache::LinkDistance(int v, int w, double zeta) const {
-  // pow is weakly monotone, so pow(min f, s) == min pow(f, s): one pow per
-  // pair reproduces the naive min over four quasi-distances bit-for-bit.
-  return std::pow(MinPairDecay(v, w), 1.0 / zeta);
-}
-
-bool KernelCache::IsSeparatedFrom(int v, std::span<const int> L, double eta,
-                                  double zeta) const {
-  const double needed = eta * LinkLength(v, zeta);
-  const double inv_zeta = 1.0 / zeta;
-  for (int w : L) {
-    if (w == v) continue;
-    if (std::pow(MinPairDecay(v, w), inv_zeta) < needed) return false;
-  }
-  return true;
-}
-
 // --- AffectanceAccumulator -------------------------------------------------
 
 AffectanceAccumulator::AffectanceAccumulator(const KernelCache& kernel)
@@ -372,7 +339,6 @@ AffectanceAccumulator::AffectanceAccumulator(const KernelCache& kernel)
   in_.assign(n, 0.0);
   out_.assign(n, 0.0);
   in_raw_.assign(n, 0.0);
-  out_raw_.assign(n, 0.0);
 }
 
 void AffectanceAccumulator::Add(int v) {
@@ -387,29 +353,10 @@ void AffectanceAccumulator::Add(int v) {
     const double au_v = into_v[su];  // a_u(v): u's pressure on v
     in_raw_[su] += av_u;
     in_[su] += av_u < 1.0 ? av_u : 1.0;
-    out_raw_[su] += au_v;
     out_[su] += au_v < 1.0 ? au_v : 1.0;
   }
   members_.push_back(v);
   in_set_[static_cast<std::size_t>(v)] = 1;
-}
-
-void AffectanceAccumulator::Remove(int v) {
-  DL_CHECK(Contains(v), "link not in the accumulator");
-  const int n = kernel_->NumLinks();
-  const double* from_v = kernel_->aff_raw_.data() + Idx(v, 0, n);
-  const double* into_v = kernel_->aff_raw_t_.data() + Idx(v, 0, n);
-  for (int u = 0; u < n; ++u) {
-    const std::size_t su = static_cast<std::size_t>(u);
-    const double av_u = from_v[su];
-    const double au_v = into_v[su];
-    in_raw_[su] -= av_u;
-    in_[su] -= av_u < 1.0 ? av_u : 1.0;
-    out_raw_[su] -= au_v;
-    out_[su] -= au_v < 1.0 ? au_v : 1.0;
-  }
-  members_.erase(std::find(members_.begin(), members_.end(), v));
-  in_set_[static_cast<std::size_t>(v)] = 0;
 }
 
 bool AffectanceAccumulator::CanAddFeasibly(int v) const {
@@ -431,7 +378,6 @@ void AffectanceAccumulator::Clear() {
   std::fill(in_.begin(), in_.end(), 0.0);
   std::fill(out_.begin(), out_.end(), 0.0);
   std::fill(in_raw_.begin(), in_raw_.end(), 0.0);
-  std::fill(out_raw_.begin(), out_raw_.end(), 0.0);
   members_.clear();
 }
 
@@ -444,22 +390,6 @@ SeparationOracle::SeparationOracle(const KernelCache& kernel, double eta,
       inv_zeta_(1.0 / zeta),
       eta_pow_(std::pow(eta, zeta)) {
   DL_CHECK(eta > 0.0 && zeta > 0.0, "eta and zeta must be positive");
-}
-
-// Decides min_pair^{1/zeta} >= needed where needed = eta * scale^{1/zeta}
-// for scale = scale_decay, comparing in the decay domain when the values are
-// clearly on one side of the threshold and replicating the naive pow
-// expression inside the guard band.
-bool SeparationOracle::Decide(double min_pair, double scale_decay) const {
-  const double thr = eta_pow_ * scale_decay;
-  if (min_pair > thr * (1.0 + kBand)) return true;
-  if (min_pair < thr * (1.0 - kBand)) return false;
-  return std::pow(min_pair, inv_zeta_) >=
-         eta_ * std::pow(scale_decay, inv_zeta_);
-}
-
-bool SeparationOracle::IsSeparated(int v, int w) const {
-  return Decide(kernel_->MinPairDecay(v, w), kernel_->LinkDecay(v));
 }
 
 bool SeparationOracle::IsSeparatedFrom(int v, std::span<const int> L) const {

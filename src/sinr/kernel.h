@@ -130,10 +130,8 @@ class KernelCache {
   // --- aggregate queries, bit-identical to the LinkSystem versions -------
 
   double InAffectance(std::span<const int> S, int v) const;
-  double OutAffectance(int v, std::span<const int> S) const;
   bool IsFeasible(std::span<const int> S) const;
   bool IsKFeasible(std::span<const int> S, double K) const;
-  double MaxInAffectance(std::span<const int> S) const;
 
   // Raw SINR of l_v when exactly the links in S transmit, against the
   // cache's power assignment: the interference sum runs over S in order,
@@ -142,12 +140,6 @@ class KernelCache {
   // slot success checks of the dynamics simulators (random access, the
   // regret game) run on this.
   double Sinr(int v, std::span<const int> S) const;
-
-  // d_vv^{1/zeta} and d(l_v, l_w); one pow per call against cached decays.
-  double LinkLength(int v, double zeta) const;
-  double LinkDistance(int v, int w, double zeta) const;
-  bool IsSeparatedFrom(int v, std::span<const int> L, double eta,
-                       double zeta) const;
 
   // Link ids sorted by non-decreasing f_vv (ties by id), as
   // LinkSystem::OrderByDecay but against the cached decay array.
@@ -244,21 +236,20 @@ class KernelArena {
   long long warm_skips_ = 0;
 };
 
-// Running in/out-affectance sums over a growing (or shrinking) set of links.
-// Add/Remove are O(n); queries are O(1).  Sums accumulate in insertion
-// order, so after Add(s_1), ..., Add(s_k):
-//     In(v)  == system.InAffectance({s_1..s_k}, v, power)   bit-for-bit,
-//     Out(v) == system.OutAffectance(v, {s_1..s_k}, power)  bit-for-bit,
-// and likewise for the unclamped Raw variants.  Remove subtracts the entry
-// that Add added; note that floating-point subtraction does not perfectly
-// undo earlier absorption, so heavy add/remove churn can drift by ulps from
-// a from-scratch sum (the greedy admission loops only ever Add).
+// Running in/out-affectance sums over a growing set of links.  Add is O(n);
+// queries are O(1).  Sums accumulate in insertion order, so after
+// Add(s_1), ..., Add(s_k):
+//     In(v)    == system.InAffectance({s_1..s_k}, v, power)   bit-for-bit,
+//     Out(v)   == system.OutAffectance(v, {s_1..s_k}, power)  bit-for-bit,
+// and InRaw(v) is the unclamped in-sum (the feasibility form).  There is
+// no Remove: the admission loops only ever Add (or Clear and start over),
+// so every sum is a from-scratch fold, never a subtraction that could drift
+// by ulps.
 class AffectanceAccumulator {
  public:
   explicit AffectanceAccumulator(const KernelCache& kernel);
 
   void Add(int v);
-  void Remove(int v);
   void Clear();
 
   const std::vector<int>& members() const noexcept { return members_; }
@@ -270,9 +261,8 @@ class AffectanceAccumulator {
   // Sum over current members w of min(1, a_w(v)) resp. min(1, a_v(w)).
   double In(int v) const { return in_[static_cast<std::size_t>(v)]; }
   double Out(int v) const { return out_[static_cast<std::size_t>(v)]; }
-  // Unclamped sums (the feasibility form).
+  // Unclamped in-sum (the feasibility form).
   double InRaw(int v) const { return in_raw_[static_cast<std::size_t>(v)]; }
-  double OutRaw(int v) const { return out_raw_[static_cast<std::size_t>(v)]; }
 
   // Algorithm 1's final filter a_X(v) <= 1 (the KernelTier concept).
   bool InWithinOne(int v) const { return In(v) <= 1.0; }
@@ -295,7 +285,7 @@ class AffectanceAccumulator {
   const KernelCache* kernel_;
   std::vector<int> members_;
   std::vector<char> in_set_;
-  std::vector<double> in_, out_, in_raw_, out_raw_;
+  std::vector<double> in_, out_, in_raw_;
 };
 
 // Separation predicates for fixed (eta, zeta), evaluated in the decay
@@ -308,10 +298,8 @@ class SeparationOracle {
  public:
   SeparationOracle(const KernelCache& kernel, double eta, double zeta);
 
-  // d(l_v, l_w) >= eta * d_vv (asymmetric: v's length sets the scale).
-  bool IsSeparated(int v, int w) const;
-
-  // True iff IsSeparated(v, w) for every w in L (entries equal to v skip).
+  // True iff d(l_v, l_w) >= eta * d_vv for every w in L (asymmetric: v's
+  // length sets the scale; entries equal to v skip).
   bool IsSeparatedFrom(int v, std::span<const int> L) const;
 
   // d(l_v, l_w) < eta * max(d_vv, d_ww): the conflict test of the
@@ -319,8 +307,6 @@ class SeparationOracle {
   bool ConflictMaxLength(int v, int w) const;
 
  private:
-  bool Decide(double min_pair, double scale_decay) const;
-
   const KernelCache* kernel_;
   double eta_;
   double inv_zeta_;

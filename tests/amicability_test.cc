@@ -37,7 +37,9 @@ TEST(AmicabilityTest, WitnessStructure) {
   const Instance inst(30, 20.0, 3.0, 1);
   const sinr::LinkSystem system(inst.space, inst.links, {1.0, 0.0});
   const double zeta = std::max(1.0, core::Metricity(inst.space));
-  const auto S = GreedyFeasible(system);
+  const auto S = GreedyFeasible(
+      sinr::KernelCache(system, sinr::UniformPower(system)),
+      sinr::AllLinks(system));
   ASSERT_GE(S.size(), 3u);
   const auto witness = BuildAmicabilityWitness(system, S, zeta);
 
@@ -67,7 +69,9 @@ TEST(AmicabilityTest, OutAffectanceBoundedByTheorem4Constant) {
     const Instance inst(24, 18.0, 3.0, seed);
     const sinr::LinkSystem system(inst.space, inst.links, {1.0, 0.0});
     const double zeta = std::max(1.0, core::Metricity(inst.space));
-    const auto S = GreedyFeasible(system);
+    const auto S = GreedyFeasible(
+        sinr::KernelCache(system, sinr::UniformPower(system)),
+        sinr::AllLinks(system));
     if (S.size() < 2) continue;
     const auto witness = BuildAmicabilityWitness(system, S, zeta);
     EXPECT_LE(witness.max_out_affectance, kBound) << "seed " << seed;
@@ -90,7 +94,9 @@ TEST(AmicabilityTest, ShrinkFactorIsModest) {
   const Instance inst(40, 22.0, 4.0, 2);
   const sinr::LinkSystem system(inst.space, inst.links, {1.0, 0.0});
   const double zeta = std::max(1.0, core::Metricity(inst.space));
-  const auto S = GreedyFeasible(system);
+  const auto S = GreedyFeasible(
+      sinr::KernelCache(system, sinr::UniformPower(system)),
+      sinr::AllLinks(system));
   ASSERT_GE(S.size(), 4u);
   const auto witness = BuildAmicabilityWitness(system, S, zeta);
   ASSERT_FALSE(witness.s_prime.empty());

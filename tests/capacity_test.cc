@@ -44,8 +44,9 @@ struct Instance {
 TEST(Algorithm1Test, OutputIsFeasible) {
   const Instance inst(20, 25.0, 3.0, 1);
   const sinr::LinkSystem system(inst.space, inst.links, {1.0, 0.0});
-  const auto result = RunAlgorithm1(system, 3.0);
   const auto power = sinr::UniformPower(system);
+  const sinr::KernelCache kernel(system, power);
+  const auto result = RunAlgorithm1(kernel, 3.0);
   EXPECT_TRUE(system.IsFeasible(result.selected, power));
   EXPECT_FALSE(result.selected.empty());
 }
@@ -53,7 +54,8 @@ TEST(Algorithm1Test, OutputIsFeasible) {
 TEST(Algorithm1Test, SelectedSubsetOfAdmitted) {
   const Instance inst(20, 25.0, 3.0, 2);
   const sinr::LinkSystem system(inst.space, inst.links, {1.0, 0.0});
-  const auto result = RunAlgorithm1(system, 3.0);
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+  const auto result = RunAlgorithm1(kernel, 3.0);
   const std::set<int> admitted(result.admitted.begin(), result.admitted.end());
   for (int v : result.selected) EXPECT_TRUE(admitted.count(v));
 }
@@ -63,7 +65,8 @@ TEST(Algorithm1Test, MarkovHalfSurvives) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const Instance inst(24, 20.0, 3.5, seed);
     const sinr::LinkSystem system(inst.space, inst.links, {1.0, 0.0});
-    const auto result = RunAlgorithm1(system, 3.5);
+    const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+    const auto result = RunAlgorithm1(kernel, 3.5);
     EXPECT_GE(2 * result.selected.size(), result.admitted.size())
         << "seed " << seed;
   }
@@ -73,7 +76,8 @@ TEST(Algorithm1Test, AdmittedSetIsSeparated) {
   const Instance inst(24, 20.0, 3.0, 3);
   const sinr::LinkSystem system(inst.space, inst.links, {1.0, 0.0});
   const double zeta = 3.0;
-  const auto result = RunAlgorithm1(system, zeta);
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+  const auto result = RunAlgorithm1(kernel, zeta);
   EXPECT_TRUE(system.IsSeparatedSet(result.admitted, zeta / 2.0, zeta));
 }
 
@@ -81,7 +85,8 @@ TEST(Algorithm1Test, EmptyCandidatesGiveEmptyResult) {
   const Instance inst(5, 10.0, 3.0, 4);
   const sinr::LinkSystem system(inst.space, inst.links, {1.0, 0.0});
   const std::vector<int> none;
-  const auto result = RunAlgorithm1(system, 3.0, none);
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+  const auto result = RunAlgorithm1(kernel, 3.0, none);
   EXPECT_TRUE(result.selected.empty());
   EXPECT_TRUE(result.admitted.empty());
 }
@@ -89,8 +94,9 @@ TEST(Algorithm1Test, EmptyCandidatesGiveEmptyResult) {
 TEST(BaselinesTest, GreedyFeasibleIsFeasibleAndMaximal) {
   const Instance inst(18, 18.0, 3.0, 5);
   const sinr::LinkSystem system(inst.space, inst.links, {1.0, 0.0});
-  const auto chosen = GreedyFeasible(system);
   const auto power = sinr::UniformPower(system);
+  const sinr::KernelCache kernel(system, power);
+  const auto chosen = GreedyFeasible(kernel, sinr::AllLinks(system));
   EXPECT_TRUE(system.IsFeasible(chosen, power));
   // Maximality: adding any unchosen link breaks feasibility.
   std::set<int> in(chosen.begin(), chosen.end());
@@ -105,7 +111,8 @@ TEST(BaselinesTest, GreedyFeasibleIsFeasibleAndMaximal) {
 TEST(BaselinesTest, HalfAffectanceIsFeasible) {
   const Instance inst(18, 18.0, 3.0, 6);
   const sinr::LinkSystem system(inst.space, inst.links, {1.0, 0.0});
-  const auto chosen = GreedyHalfAffectance(system);
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+  const auto chosen = GreedyHalfAffectance(kernel, sinr::AllLinks(system));
   EXPECT_TRUE(system.IsFeasible(chosen, sinr::UniformPower(system)));
 }
 
@@ -114,7 +121,8 @@ TEST(BaselinesTest, RandomFeasibleIsFeasible) {
   const sinr::LinkSystem system(inst.space, inst.links, {1.0, 0.0});
   geom::Rng rng(8);
   const auto all = sinr::AllLinks(system);
-  const auto chosen = RandomFeasible(system, all, rng);
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+  const auto chosen = RandomFeasible(kernel, all, rng);
   EXPECT_TRUE(system.IsFeasible(chosen, sinr::UniformPower(system)));
 }
 
@@ -124,8 +132,10 @@ TEST(ExactTest, SmallInstanceDominatesHeuristics) {
     const sinr::LinkSystem system(inst.space, inst.links, {1.0, 0.0});
     const auto opt = ExactCapacityUniform(system);
     EXPECT_TRUE(system.IsFeasible(opt, sinr::UniformPower(system)));
-    EXPECT_GE(opt.size(), GreedyFeasible(system).size());
-    EXPECT_GE(opt.size(), RunAlgorithm1(system, 3.0).selected.size());
+    const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+    EXPECT_GE(opt.size(),
+              GreedyFeasible(kernel, sinr::AllLinks(system)).size());
+    EXPECT_GE(opt.size(), RunAlgorithm1(kernel, 3.0).selected.size());
   }
 }
 

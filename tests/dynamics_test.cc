@@ -48,10 +48,11 @@ struct DenseFixture {
 TEST(QueueSystemTest, SparseSystemIsStableAtHighLoad) {
   const SparseFixture fixture(6);
   const sinr::LinkSystem system(fixture.space, fixture.links, {2.0, 0.0});
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   geom::Rng rng(1);
   const auto config =
       UniformArrivals(system, 0.8, Scheduler::kLongestQueueFirst, 4000);
-  const QueueStats stats = RunQueueSimulation(system, config, rng);
+  const QueueStats stats = RunQueueSimulation(kernel, config, rng);
   EXPECT_LT(stats.mean_queue, 10.0);               // bounded backlog
   EXPECT_NEAR(stats.throughput, 6 * 0.8, 0.3);     // serves what arrives
   EXPECT_LT(stats.backlog_growth, 2.0);
@@ -60,11 +61,12 @@ TEST(QueueSystemTest, SparseSystemIsStableAtHighLoad) {
 TEST(QueueSystemTest, DenseSystemUnstableAboveOnePacketPerSlot) {
   const DenseFixture fixture(5);
   const sinr::LinkSystem system(fixture.space, fixture.links, {2.0, 0.0});
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   geom::Rng rng(2);
   // Offered load 5 * 0.5 = 2.5 packets/slot >> 1 servable.
   const auto config =
       UniformArrivals(system, 0.5, Scheduler::kLongestQueueFirst, 4000);
-  const QueueStats stats = RunQueueSimulation(system, config, rng);
+  const QueueStats stats = RunQueueSimulation(kernel, config, rng);
   EXPECT_NEAR(stats.throughput, 1.0, 0.1);  // capacity is one per slot
   EXPECT_GT(stats.backlog_growth, 1.2);     // queues keep growing
   EXPECT_GT(stats.mean_queue, 100.0);
@@ -73,11 +75,12 @@ TEST(QueueSystemTest, DenseSystemUnstableAboveOnePacketPerSlot) {
 TEST(QueueSystemTest, DenseSystemStableBelowCapacity) {
   const DenseFixture fixture(5);
   const sinr::LinkSystem system(fixture.space, fixture.links, {2.0, 0.0});
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   geom::Rng rng(3);
   // Offered load 5 * 0.15 = 0.75 < 1.
   const auto config =
       UniformArrivals(system, 0.15, Scheduler::kLongestQueueFirst, 6000);
-  const QueueStats stats = RunQueueSimulation(system, config, rng);
+  const QueueStats stats = RunQueueSimulation(kernel, config, rng);
   EXPECT_NEAR(stats.throughput, 0.75, 0.1);
   EXPECT_LT(stats.backlog_growth, 1.5);
 }
@@ -85,10 +88,11 @@ TEST(QueueSystemTest, DenseSystemStableBelowCapacity) {
 TEST(QueueSystemTest, ConservationLaw) {
   const SparseFixture fixture(4);
   const sinr::LinkSystem system(fixture.space, fixture.links, {2.0, 0.0});
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   geom::Rng rng(4);
   const auto config =
       UniformArrivals(system, 0.4, Scheduler::kGreedyByDecay, 2000);
-  const QueueStats stats = RunQueueSimulation(system, config, rng);
+  const QueueStats stats = RunQueueSimulation(kernel, config, rng);
   const long long remaining = std::accumulate(stats.final_queues.begin(),
                                               stats.final_queues.end(), 0LL);
   EXPECT_EQ(stats.arrived_total, stats.served_total + remaining);
@@ -97,10 +101,11 @@ TEST(QueueSystemTest, ConservationLaw) {
 TEST(QueueSystemTest, RandomAccessServesSparseTraffic) {
   const SparseFixture fixture(5);
   const sinr::LinkSystem system(fixture.space, fixture.links, {2.0, 0.0});
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   geom::Rng rng(5);
   auto config = UniformArrivals(system, 0.05, Scheduler::kRandomAccess, 6000);
   config.random_access_c = 1.0;
-  const QueueStats stats = RunQueueSimulation(system, config, rng);
+  const QueueStats stats = RunQueueSimulation(kernel, config, rng);
   EXPECT_GT(stats.throughput, 0.15);       // serves most of the 0.25 offered
   EXPECT_LT(stats.backlog_growth, 3.0);
 }
@@ -110,15 +115,16 @@ TEST(QueueSystemTest, LongestQueueFirstBeatsObliviousGreedyWhenAsymmetric) {
   // queue shorter than oblivious decay-order greedy does.
   const DenseFixture fixture(3);
   const sinr::LinkSystem system(fixture.space, fixture.links, {2.0, 0.0});
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   QueueConfig config;
   config.arrival_rates = {0.6, 0.05, 0.05};
   config.slots = 6000;
   config.scheduler = Scheduler::kLongestQueueFirst;
   geom::Rng rng_a(6);
-  const QueueStats lqf = RunQueueSimulation(system, config, rng_a);
+  const QueueStats lqf = RunQueueSimulation(kernel, config, rng_a);
   config.scheduler = Scheduler::kGreedyByDecay;
   geom::Rng rng_b(6);
-  const QueueStats greedy = RunQueueSimulation(system, config, rng_b);
+  const QueueStats greedy = RunQueueSimulation(kernel, config, rng_b);
   EXPECT_LE(lqf.mean_queue, greedy.mean_queue * 1.5);
   EXPECT_GT(lqf.throughput, 0.5);
 }
@@ -126,10 +132,11 @@ TEST(QueueSystemTest, LongestQueueFirstBeatsObliviousGreedyWhenAsymmetric) {
 TEST(QueueSystemTest, ZeroArrivalsZeroEverything) {
   const SparseFixture fixture(3);
   const sinr::LinkSystem system(fixture.space, fixture.links, {2.0, 0.0});
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   geom::Rng rng(7);
   const auto config =
       UniformArrivals(system, 0.0, Scheduler::kLongestQueueFirst, 500);
-  const QueueStats stats = RunQueueSimulation(system, config, rng);
+  const QueueStats stats = RunQueueSimulation(kernel, config, rng);
   EXPECT_EQ(stats.arrived_total, 0);
   EXPECT_EQ(stats.served_total, 0);
   EXPECT_DOUBLE_EQ(stats.mean_queue, 0.0);
@@ -142,10 +149,11 @@ TEST(QueueSystemTest, ZeroArrivalsZeroEverything) {
 TEST(QueueSystemTest, BacklogGrowthNeutralOnShortRuns) {
   const DenseFixture fixture(4);
   const sinr::LinkSystem system(fixture.space, fixture.links, {2.0, 0.0});
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   geom::Rng rng(11);
   const auto config =
       UniformArrivals(system, 0.9, Scheduler::kLongestQueueFirst, 3);
-  const QueueStats stats = RunQueueSimulation(system, config, rng);
+  const QueueStats stats = RunQueueSimulation(kernel, config, rng);
   EXPECT_GT(stats.arrived_total, 0);  // the run did see backlog
   EXPECT_DOUBLE_EQ(stats.backlog_growth, 1.0);
 }
@@ -155,14 +163,15 @@ TEST(QueueSystemTest, BacklogGrowthNeutralOnShortRuns) {
 TEST(QueueSystemDeathTest, ArrivalRatesOutsideUnitIntervalRejected) {
   const SparseFixture fixture(3);
   const sinr::LinkSystem system(fixture.space, fixture.links, {2.0, 0.0});
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   QueueConfig config;
   config.arrival_rates = {0.5, 1.5, 0.5};
   config.slots = 100;
   config.warmup = 10;
   geom::Rng rng(12);
-  EXPECT_DEATH(RunQueueSimulation(system, config, rng), "Bernoulli");
+  EXPECT_DEATH(RunQueueSimulation(kernel, config, rng), "Bernoulli");
   config.arrival_rates = {0.5, -0.1, 0.5};
-  EXPECT_DEATH(RunQueueSimulation(system, config, rng), "Bernoulli");
+  EXPECT_DEATH(RunQueueSimulation(kernel, config, rng), "Bernoulli");
   EXPECT_DEATH(
       UniformArrivals(system, 1.2, Scheduler::kLongestQueueFirst, 100),
       "Bernoulli");
@@ -174,11 +183,12 @@ TEST(QueueSystemDeathTest, ArrivalRatesOutsideUnitIntervalRejected) {
 TEST(QueueSystemTest, WarmupCountersAreConsistent) {
   const SparseFixture fixture(4);
   const sinr::LinkSystem system(fixture.space, fixture.links, {2.0, 0.0});
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   geom::Rng rng(13);
   const auto config =
       UniformArrivals(system, 0.5, Scheduler::kLongestQueueFirst, 2000);
   ASSERT_EQ(config.warmup, 200);
-  const QueueStats stats = RunQueueSimulation(system, config, rng);
+  const QueueStats stats = RunQueueSimulation(kernel, config, rng);
   EXPECT_GE(stats.served_total, stats.served_measured);
   EXPECT_GE(stats.arrived_total, stats.arrived_measured);
   EXPECT_GT(stats.served_measured, 0);
@@ -244,9 +254,6 @@ TEST(QueueSystemTest, CachedPathBitIdenticalToNaive) {
       geom::Rng rng_cached(21);
       const QueueStats cached = RunQueueSimulation(kernel, config, rng_cached);
       ExpectSameStats(naive, cached);
-      // The historical LinkSystem entry point delegates to the same path.
-      geom::Rng rng_entry(21);
-      ExpectSameStats(naive, RunQueueSimulation(system, config, rng_entry));
     }
   }
 }

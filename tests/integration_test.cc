@@ -57,9 +57,13 @@ TEST(TheoryTransferTest, AlgorithmsIdenticalOnQuasiMetricReembedding) {
 
   const sinr::LinkSystem sys_a(noisy, links, {1.0, 0.0});
   const sinr::LinkSystem sys_b(rebuilt, links, {1.0, 0.0});
-  EXPECT_EQ(capacity::RunAlgorithm1(sys_a, zeta).selected,
-            capacity::RunAlgorithm1(sys_b, zeta).selected);
-  EXPECT_EQ(capacity::GreedyFeasible(sys_a), capacity::GreedyFeasible(sys_b));
+  const sinr::KernelCache kernel_a(sys_a, sinr::UniformPower(sys_a));
+  const sinr::KernelCache kernel_b(sys_b, sinr::UniformPower(sys_b));
+  const auto all = sinr::AllLinks(sys_a);
+  EXPECT_EQ(capacity::RunAlgorithm1(kernel_a, zeta).selected,
+            capacity::RunAlgorithm1(kernel_b, zeta).selected);
+  EXPECT_EQ(capacity::GreedyFeasible(kernel_a, all),
+            capacity::GreedyFeasible(kernel_b, all));
 }
 
 TEST(EnvToCapacityPipelineTest, EndToEnd) {
@@ -86,13 +90,14 @@ TEST(EnvToCapacityPipelineTest, EndToEnd) {
   EXPECT_GT(zeta, 0.0);
 
   const sinr::LinkSystem system(space, links, {1.0, 1e-12});
-  const auto result = capacity::RunAlgorithm1(system, zeta);
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+  const auto result = capacity::RunAlgorithm1(kernel, zeta);
   EXPECT_TRUE(system.IsFeasible(result.selected, sinr::UniformPower(system)));
 
+  const auto all = sinr::AllLinks(system);
   const auto schedule = scheduling::ScheduleLinks(
-      system, zeta, scheduling::Extractor::kAlgorithm1);
-  EXPECT_TRUE(
-      scheduling::ValidateSchedule(system, schedule, sinr::AllLinks(system)));
+      kernel, zeta, scheduling::Extractor::kAlgorithm1, all);
+  EXPECT_TRUE(scheduling::ValidateSchedule(kernel, schedule, all));
 }
 
 TEST(HardnessPipelineTest, GreedyGapOnTheorem3Instances) {
@@ -107,7 +112,9 @@ TEST(HardnessPipelineTest, GreedyGapOnTheorem3Instances) {
                                 sinr::LinksFromPairs(instance.links),
                                 {1.0, 0.0});
   const auto opt = capacity::ExactCapacityUniform(system);
-  const auto greedy = capacity::GreedyFeasible(system);
+  const auto greedy = capacity::GreedyFeasible(
+      sinr::KernelCache(system, sinr::UniformPower(system)),
+      sinr::AllLinks(system));
   EXPECT_EQ(opt.size(), graph::MaxIndependentSet(g).size());
   EXPECT_LE(greedy.size(), opt.size());
   EXPECT_TRUE(system.IsFeasible(greedy, sinr::UniformPower(system)));
@@ -142,7 +149,9 @@ TEST(MeasurementPipelineTest, InferredSpaceSupportsCapacity) {
 
   const double zeta = std::max(1.0, core::Metricity(inferred));
   const sinr::LinkSystem measured_system(inferred, links, {1.0, 0.0});
-  const auto chosen = capacity::RunAlgorithm1(measured_system, zeta).selected;
+  const sinr::KernelCache measured_kernel(measured_system,
+                                         sinr::UniformPower(measured_system));
+  const auto chosen = capacity::RunAlgorithm1(measured_kernel, zeta).selected;
 
   const sinr::LinkSystem true_system(truth, links, {1.0, 0.0});
   EXPECT_TRUE(

@@ -60,6 +60,17 @@ TEST(CsvTest, RejectsRaggedRow) {
   EXPECT_FALSE(ReadDecayCsv(in).space.has_value());
 }
 
+TEST(CsvTest, RejectsEmptyCell) {
+  // A trailing empty cell ("0,1,") must fail like an inner one ("0,,1"),
+  // not parse as a square matrix of the remaining cells.
+  for (const char* text : {"0,,1\n1,0,1\n1,1,0\n", "0,1,\n1,0,\n"}) {
+    std::stringstream in(text);
+    const ParseResult parsed = ReadDecayCsv(in);
+    EXPECT_FALSE(parsed.space.has_value()) << text;
+    EXPECT_NE(parsed.error.find("empty cell"), std::string::npos) << text;
+  }
+}
+
 TEST(CsvTest, RejectsGarbageCell) {
   std::stringstream in("0, banana\n1, 0\n");
   const ParseResult parsed = ReadDecayCsv(in);

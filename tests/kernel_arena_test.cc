@@ -32,10 +32,12 @@ Instance MakeInstance(std::uint64_t seed, int link_count, double beta,
   return inst;
 }
 
-// All four n x n matrices agree entry for entry: the affectance matrix, its
-// transpose (read back through a one-member accumulator, whose OutRaw(u) is
-// exactly the transpose entry a_u(v)), the cross decays and the min-pair
-// decays.
+// All four n x n matrices agree entry for entry: the affectance matrix, the
+// cross decays and the min-pair decays directly, and the transpose through
+// both of its readers -- a one-member accumulator, whose Out(u) is exactly
+// the clamped transpose entry a_u(v), and IsKFeasible, which sums raw
+// transpose rows (over every pair {v, w}, at thresholds on both sides of
+// typical entries).
 void ExpectBitIdentical(const KernelCache& fresh, const KernelCache& rebuilt) {
   ASSERT_EQ(fresh.NumLinks(), rebuilt.NumLinks());
   const int n = fresh.NumLinks();
@@ -50,7 +52,11 @@ void ExpectBitIdentical(const KernelCache& fresh, const KernelCache& rebuilt) {
     from_rebuilt.Add(v);
     for (int w = 0; w < n; ++w) {
       EXPECT_EQ(fresh.AffectanceRaw(w, v), rebuilt.AffectanceRaw(w, v));
-      EXPECT_EQ(from_fresh.OutRaw(w), from_rebuilt.OutRaw(w));
+      EXPECT_EQ(from_fresh.Out(w), from_rebuilt.Out(w));
+      const std::vector<int> pair{v, w};
+      for (const double K : {0.5, 1.0, 2.0, 8.0}) {
+        EXPECT_EQ(fresh.IsKFeasible(pair, K), rebuilt.IsKFeasible(pair, K));
+      }
       EXPECT_EQ(fresh.MinPairDecay(v, w), rebuilt.MinPairDecay(v, w));
       EXPECT_EQ(fresh.CrossDecay(w, v), rebuilt.CrossDecay(w, v));
       EXPECT_EQ(fresh.NormalizedGain(v, w), rebuilt.NormalizedGain(v, w));
@@ -118,9 +124,15 @@ TEST(KernelArenaTest, AggregateQueriesMatchThroughArena) {
   const KernelCache fresh(system, power);
   const std::vector<int> all = AllLinks(system);
   EXPECT_EQ(fresh.IsFeasible(all), kernel.IsFeasible(all));
+  AffectanceAccumulator fresh_sums(fresh);
+  AffectanceAccumulator arena_sums(kernel);
+  for (int v : all) {
+    fresh_sums.Add(v);
+    arena_sums.Add(v);
+  }
   for (int v = 0; v < system.NumLinks(); ++v) {
     EXPECT_EQ(fresh.InAffectance(all, v), kernel.InAffectance(all, v));
-    EXPECT_EQ(fresh.OutAffectance(v, all), kernel.OutAffectance(v, all));
+    EXPECT_EQ(fresh_sums.Out(v), arena_sums.Out(v));
   }
   EXPECT_EQ(fresh.OrderByDecay(), kernel.OrderByDecay());
 }

@@ -209,13 +209,16 @@ TEST_P(KernelBitExactness, PairwiseEntriesMatchNaive) {
                   system.Affectance(w, v, inst.power));
       }
     }
+    // The separation oracle's guard-band fallback takes one pow of the
+    // cached decays: pow of the min endpoint decay == min of the endpoint
+    // pows, so it reproduces the naive lengths and distances.
     for (const double zeta : {1.0, 2.2, 3.0}) {
       for (int v = 0; v < n; ++v) {
-        EXPECT_EQ(kernel.LinkLength(v, zeta), system.LinkLength(v, zeta));
+        EXPECT_EQ(std::pow(kernel.LinkDecay(v), 1.0 / zeta),
+                  system.LinkLength(v, zeta));
         for (int w = 0; w < n; ++w) {
           if (w == v) continue;
-          // pow of the min endpoint decay == min of the endpoint pows.
-          EXPECT_EQ(kernel.LinkDistance(v, w, zeta),
+          EXPECT_EQ(std::pow(kernel.MinPairDecay(v, w), 1.0 / zeta),
                     system.LinkDistance(v, w, zeta));
         }
       }
@@ -233,32 +236,16 @@ TEST_P(KernelBitExactness, AggregateQueriesMatchNaive) {
     geom::Rng rng(seed * 977 + 5);
     for (int trial = 0; trial < 8; ++trial) {
       // S may contain links that cannot overcome noise (IsFeasible must
-      // reject such sets); S_ok keeps only noise-capable links, the only
-      // ones the naive OutAffectance / MaxInAffectance accept as targets.
+      // reject such sets).
       const std::vector<int> S = RandomSubset(n, 0.55, rng);
-      std::vector<int> S_ok;
-      for (int v : S) {
-        if (kernel.CanOvercomeNoise(v)) S_ok.push_back(v);
-      }
       for (int v = 0; v < n; ++v) {
         if (!kernel.CanOvercomeNoise(v)) continue;
         EXPECT_EQ(kernel.InAffectance(S, v),
                   system.InAffectance(S, v, inst.power));
-        EXPECT_EQ(kernel.OutAffectance(v, S_ok),
-                  system.OutAffectance(v, S_ok, inst.power));
       }
       EXPECT_EQ(kernel.IsFeasible(S), system.IsFeasible(S, inst.power));
       EXPECT_EQ(kernel.IsKFeasible(S, 2.5),
                 system.IsKFeasible(S, 2.5, inst.power));
-      EXPECT_EQ(kernel.MaxInAffectance(S_ok),
-                system.MaxInAffectance(S_ok, inst.power));
-      for (const double zeta : {1.7, 3.0}) {
-        const double eta = zeta / 2.0;
-        for (int v = 0; v < n; ++v) {
-          EXPECT_EQ(kernel.IsSeparatedFrom(v, S, eta, zeta),
-                    system.IsSeparatedFrom(v, S, eta, zeta));
-        }
-      }
     }
   }
 }
@@ -311,19 +298,7 @@ TEST_P(KernelBitExactness, AccumulatorMatchesNaivePrefixSums) {
         EXPECT_EQ(acc.Out(u), system.OutAffectance(u, members, inst.power));
       }
     }
-    // Remove is a floating-point subtraction, not an exact undo: compare
-    // against the fresh sum with a tolerance.
-    while (members.size() > order.size() / 2) {
-      const int victim = members[members.size() / 2];
-      acc.Remove(victim);
-      members.erase(members.begin() +
-                    static_cast<std::ptrdiff_t>(members.size() / 2));
-    }
-    EXPECT_EQ(acc.members().size(), members.size());
-    for (int u = 0; u < n; ++u) {
-      if (!kernel.CanOvercomeNoise(u)) continue;
-      EXPECT_NEAR(acc.In(u), kernel.InAffectance(acc.members(), u), 1e-9);
-    }
+    EXPECT_EQ(acc.members(), members);
   }
 }
 
@@ -349,7 +324,7 @@ TEST_P(KernelBitExactness, EntriesMatchNaiveOnEveryRepresentation) {
     ASSERT_EQ(kernel.NumLinks(), n);
     for (int v = 0; v < n; ++v) {
       // Row v of the transpose, read back through a one-member accumulator:
-      // OutRaw(w) is exactly the stored a_w(v).
+      // Out(w) is exactly the stored a_w(v), clamped.
       AffectanceAccumulator acc(kernel);
       acc.Add(v);
       const bool overcomes = system.CanOvercomeNoise(v, inst.power);
@@ -359,7 +334,7 @@ TEST_P(KernelBitExactness, EntriesMatchNaiveOnEveryRepresentation) {
         const double naive =
             overcomes ? system.AffectanceRaw(w, v, inst.power) : 0.0;
         EXPECT_EQ(kernel.AffectanceRaw(w, v), naive);
-        EXPECT_EQ(acc.OutRaw(w), naive);
+        EXPECT_EQ(acc.Out(w), std::min(naive, 1.0));
       }
     }
     if (!inst.space.IsCoordinateBacked()) continue;
@@ -409,7 +384,8 @@ TEST_P(CachedAlgorithmAgreement, RunAlgorithm1MatchesNaive) {
       const core::DecaySpace space = core::DecaySpace::Geometric(pts, alpha);
       const LinkSystem system(space, PairedLinks(24), {1.0, 1e-4});
       const double zeta = alpha;
-      const auto cached = capacity::RunAlgorithm1(system, zeta);
+      const KernelCache kernel(system, UniformPower(system));
+      const auto cached = capacity::RunAlgorithm1(kernel, zeta);
       const auto naive = capacity::RunAlgorithm1Naive(system, zeta);
       EXPECT_EQ(cached.admitted, naive.admitted)
           << "alpha=" << alpha << " box=" << box;
@@ -436,7 +412,8 @@ TEST_P(CachedAlgorithmAgreement, GreedyFeasibleMatchesNaiveReference) {
     if (!system.IsFeasible(reference, power)) reference.pop_back();
   }
 
-  EXPECT_EQ(capacity::GreedyFeasible(system), reference);
+  const KernelCache kernel(system, power);
+  EXPECT_EQ(capacity::GreedyFeasible(kernel, AllLinks(system)), reference);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CachedAlgorithmAgreement,

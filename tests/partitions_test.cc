@@ -45,10 +45,11 @@ TEST(SignalStrengthenTest, ClassesAreQFeasibleAndCountBounded) {
   const Instance inst(30, 20.0, 3.0, 1);
   const sinr::LinkSystem system(inst.space, inst.links, {1.0, 0.0});
   const auto power = sinr::UniformPower(system);
-  const auto S = GreedyFeasible(system);  // a 1-feasible set
+  const sinr::KernelCache kernel(system, power);
+  const auto S = GreedyFeasible(kernel, sinr::AllLinks(system));  // 1-feasible
   ASSERT_GE(S.size(), 3u);
   for (const double q : {2.0, 4.0, 8.0}) {
-    const auto classes = SignalStrengthen(system, S, power, 1.0, q);
+    const auto classes = SignalStrengthen(kernel, S, 1.0, q);
     ExpectPartition(classes, S);
     const auto bound =
         static_cast<std::size_t>(std::ceil(2.0 * q) * std::ceil(2.0 * q));
@@ -66,7 +67,8 @@ TEST(SignalStrengthenTest, AlreadyStrongSetStaysWhole) {
   const auto power = sinr::UniformPower(system);
   const auto all = sinr::AllLinks(system);
   if (system.IsKFeasible(all, 4.0, power)) {
-    const auto classes = SignalStrengthen(system, all, power, 4.0, 4.0);
+    const auto classes =
+        SignalStrengthen(sinr::KernelCache(system, power), all, 4.0, 4.0);
     EXPECT_EQ(classes.size(), 1u);
   }
 }
@@ -99,8 +101,9 @@ TEST(SeparationPartitionTest, ClassesAreSeparated) {
   const sinr::LinkSystem system(inst.space, inst.links, {1.0, 0.0});
   const double zeta = 3.0;
   const auto all = sinr::AllLinks(system);
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   for (const double eta : {1.0, 2.0, 3.0}) {
-    const auto classes = SeparationPartition(system, all, eta, zeta);
+    const auto classes = SeparationPartition(kernel, all, eta, zeta);
     ExpectPartition(classes, all);
     for (const auto& cls : classes) {
       EXPECT_TRUE(system.IsSeparatedSet(cls, eta, zeta)) << "eta=" << eta;
@@ -112,8 +115,9 @@ TEST(SeparationPartitionTest, LargerEtaNeedsMoreClasses) {
   const Instance inst(40, 15.0, 3.0, 5);
   const sinr::LinkSystem system(inst.space, inst.links, {1.0, 0.0});
   const auto all = sinr::AllLinks(system);
-  const auto coarse = SeparationPartition(system, all, 0.5, 3.0);
-  const auto fine = SeparationPartition(system, all, 4.0, 3.0);
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+  const auto coarse = SeparationPartition(kernel, all, 0.5, 3.0);
+  const auto fine = SeparationPartition(kernel, all, 4.0, 3.0);
   EXPECT_LE(coarse.size(), fine.size());
 }
 
@@ -121,9 +125,10 @@ TEST(Lemma41Test, FeasibleSetSplitsIntoZetaSeparatedClasses) {
   const Instance inst(30, 20.0, 3.0, 6);
   const sinr::LinkSystem system(inst.space, inst.links, {1.0, 0.0});
   const double zeta = std::max(1.0, core::Metricity(inst.space));
-  const auto S = GreedyFeasible(system);
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+  const auto S = GreedyFeasible(kernel, sinr::AllLinks(system));
   ASSERT_GE(S.size(), 2u);
-  const auto classes = Lemma41Partition(system, S, zeta);
+  const auto classes = Lemma41Partition(kernel, S, zeta);
   ExpectPartition(classes, S);
   for (const auto& cls : classes) {
     EXPECT_TRUE(system.IsSeparatedSet(cls, zeta, zeta));
@@ -138,10 +143,11 @@ TEST(Lemma41Test, ClassCountPolynomialInZeta) {
   for (const double alpha : {2.0, 4.0, 6.0}) {
     const Instance inst(40, 20.0, alpha, 7);
     const sinr::LinkSystem system(inst.space, inst.links, {1.0, 0.0});
-    const auto S = GreedyFeasible(system);
+    const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+    const auto S = GreedyFeasible(kernel, sinr::AllLinks(system));
     if (S.size() < 4) continue;
     const double zeta = std::max(1.0, core::Metricity(inst.space));
-    const auto classes = Lemma41Partition(system, S, zeta);
+    const auto classes = Lemma41Partition(kernel, S, zeta);
     EXPECT_LE(classes.size(), S.size());
     last = std::max(last, classes.size());
   }

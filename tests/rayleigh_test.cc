@@ -80,7 +80,8 @@ TEST(RayleighTest, FeasibleSetsKeepConstantSuccessProbability) {
     const Fixture fixture(10, 20.0, seed);
     const LinkSystem system(fixture.space, fixture.links, {2.0, 0.0});
     const PowerAssignment power = UniformPower(system);
-    const auto S = capacity::GreedyFeasible(system);
+    const auto S = capacity::GreedyFeasible(KernelCache(system, power),
+                                            AllLinks(system));
     for (int v : S) {
       const double p = RayleighSuccessProbability(system, v, S, power);
       EXPECT_GE(p, std::exp(-1.0) - 1e-9)

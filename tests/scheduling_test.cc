@@ -36,10 +36,11 @@ class SchedulerTest : public ::testing::TestWithParam<Extractor> {};
 TEST_P(SchedulerTest, ValidCompleteSchedule) {
   const Instance inst(25, 12.0, 3.0, 1);
   const sinr::LinkSystem system(inst.space, inst.links, {1.0, 0.0});
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   const double zeta = std::max(1.0, core::Metricity(inst.space));
-  const Schedule schedule = ScheduleLinks(system, zeta, GetParam());
   const auto all = sinr::AllLinks(system);
-  EXPECT_TRUE(ValidateSchedule(system, schedule, all));
+  const Schedule schedule = ScheduleLinks(kernel, zeta, GetParam(), all);
+  EXPECT_TRUE(ValidateSchedule(kernel, schedule, all));
   EXPECT_GE(schedule.Length(), 1);
   EXPECT_LE(schedule.Length(), system.NumLinks());
 }
@@ -51,8 +52,10 @@ INSTANTIATE_TEST_SUITE_P(Extractors, SchedulerTest,
 TEST(SchedulerTest, SingleLinkSchedulesInOneSlot) {
   const Instance inst(1, 5.0, 3.0, 2);
   const sinr::LinkSystem system(inst.space, inst.links, {1.0, 0.0});
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   const Schedule schedule =
-      ScheduleLinks(system, 3.0, Extractor::kGreedyFeasible);
+      ScheduleLinks(kernel, 3.0, Extractor::kGreedyFeasible,
+                    sinr::AllLinks(system));
   EXPECT_EQ(schedule.Length(), 1);
 }
 
@@ -67,8 +70,10 @@ TEST(SchedulerTest, WellSeparatedLinksFitOneSlot) {
   }
   const core::DecaySpace space = core::DecaySpace::Geometric(pts, 3.0);
   const sinr::LinkSystem system(space, links, {1.0, 0.0});
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   const Schedule schedule =
-      ScheduleLinks(system, 3.0, Extractor::kGreedyFeasible);
+      ScheduleLinks(kernel, 3.0, Extractor::kGreedyFeasible,
+                    sinr::AllLinks(system));
   EXPECT_EQ(schedule.Length(), 1);
 }
 
@@ -85,19 +90,22 @@ TEST(SchedulerTest, DenseCliqueNeedsManySlots) {
   }
   const core::DecaySpace space = core::DecaySpace::Geometric(pts, 3.0);
   const sinr::LinkSystem system(space, links, {1.0, 0.0});
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   const Schedule schedule =
-      ScheduleLinks(system, 3.0, Extractor::kGreedyFeasible);
+      ScheduleLinks(kernel, 3.0, Extractor::kGreedyFeasible,
+                    sinr::AllLinks(system));
   EXPECT_GE(schedule.Length(), 3);
-  EXPECT_TRUE(ValidateSchedule(system, schedule, sinr::AllLinks(system)));
+  EXPECT_TRUE(ValidateSchedule(kernel, schedule, sinr::AllLinks(system)));
 }
 
 TEST(SchedulerTest, ValidateRejectsIncompleteSchedule) {
   const Instance inst(4, 10.0, 3.0, 4);
   const sinr::LinkSystem system(inst.space, inst.links, {1.0, 0.0});
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   Schedule partial;
   partial.slots.push_back({0, 1});
   const auto all = sinr::AllLinks(system);
-  EXPECT_FALSE(ValidateSchedule(system, partial, all));
+  EXPECT_FALSE(ValidateSchedule(kernel, partial, all));
 }
 
 TEST(SchedulerTest, ValidateRejectsInfeasibleSlot) {
@@ -106,19 +114,21 @@ TEST(SchedulerTest, ValidateRejectsInfeasibleSlot) {
   std::vector<sinr::Link> links{{0, 1}, {2, 3}};
   const core::DecaySpace space = core::DecaySpace::Geometric(pts, 3.0);
   const sinr::LinkSystem system(space, links, {1.5, 0.0});
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   Schedule bad;
   bad.slots.push_back({0, 1});
   const auto all = sinr::AllLinks(system);
-  EXPECT_FALSE(ValidateSchedule(system, bad, all));
+  EXPECT_FALSE(ValidateSchedule(kernel, bad, all));
 }
 
 TEST(SchedulerTest, SubsetScheduling) {
   const Instance inst(10, 12.0, 3.0, 5);
   const sinr::LinkSystem system(inst.space, inst.links, {1.0, 0.0});
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   const std::vector<int> subset{1, 3, 5, 7};
   const Schedule schedule =
-      ScheduleLinks(system, 3.0, Extractor::kGreedyFeasible, subset);
-  EXPECT_TRUE(ValidateSchedule(system, schedule, subset));
+      ScheduleLinks(kernel, 3.0, Extractor::kGreedyFeasible, subset);
+  EXPECT_TRUE(ValidateSchedule(kernel, schedule, subset));
 }
 
 }  // namespace

@@ -39,7 +39,8 @@ TEST(WeightedTest, TotalWeightSums) {
 TEST(WeightedTest, GreedyIsFeasibleAndCountsWeight) {
   const Fixture fixture(14, 15.0, 1);
   const sinr::LinkSystem system(fixture.space, fixture.links, {1.0, 0.0});
-  const auto result = WeightedGreedy(system, fixture.weights);
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+  const auto result = WeightedGreedy(kernel, fixture.weights);
   EXPECT_TRUE(system.IsFeasible(result.selected,
                                 sinr::UniformPower(system)));
   EXPECT_NEAR(result.weight, TotalWeight(result.selected, fixture.weights),
@@ -51,7 +52,8 @@ TEST(WeightedTest, Algorithm1VariantIsFeasible) {
   const Fixture fixture(14, 15.0, 2);
   const sinr::LinkSystem system(fixture.space, fixture.links, {1.0, 0.0});
   const double zeta = std::max(1.0, core::Metricity(fixture.space));
-  const auto result = WeightedAlgorithm1(system, fixture.weights, zeta);
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+  const auto result = WeightedAlgorithm1(kernel, fixture.weights, zeta);
   EXPECT_TRUE(system.IsFeasible(result.selected,
                                 sinr::UniformPower(system)));
 }
@@ -61,9 +63,10 @@ TEST(WeightedTest, ExactDominatesHeuristics) {
     const Fixture fixture(12, 10.0, seed);
     const sinr::LinkSystem system(fixture.space, fixture.links, {1.0, 0.0});
     const auto exact = ExactWeightedCapacity(system, fixture.weights);
-    const auto greedy = WeightedGreedy(system, fixture.weights);
+    const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+    const auto greedy = WeightedGreedy(kernel, fixture.weights);
     const double zeta = std::max(1.0, core::Metricity(fixture.space));
-    const auto alg1 = WeightedAlgorithm1(system, fixture.weights, zeta);
+    const auto alg1 = WeightedAlgorithm1(kernel, fixture.weights, zeta);
     EXPECT_GE(exact.weight, greedy.weight - 1e-9) << "seed " << seed;
     EXPECT_GE(exact.weight, alg1.weight - 1e-9) << "seed " << seed;
     EXPECT_TRUE(system.IsFeasible(exact.selected,
@@ -98,7 +101,9 @@ TEST(WeightedTest, ZeroWeightLinksNeverSelected) {
   const sinr::LinkSystem system(fixture.space, fixture.links, {1.0, 0.0});
   std::vector<double> weights(8, 0.0);
   weights[3] = 2.0;
-  const auto greedy = WeightedGreedy(system, weights);
+  const auto greedy =
+      WeightedGreedy(sinr::KernelCache(system, sinr::UniformPower(system)),
+                     weights);
   EXPECT_EQ(greedy.selected, (std::vector<int>{3}));
   const auto exact = ExactWeightedCapacity(system, weights);
   EXPECT_EQ(exact.selected, (std::vector<int>{3}));
