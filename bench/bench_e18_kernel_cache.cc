@@ -7,8 +7,10 @@
 //       plus the warm-kernel variant that reuses a prebuilt cache the way
 //       ScheduleLinks does across slots;
 //   (b) full scheduling (ScheduleLinks = one kernel, many extractions);
-//   (c) ComputeMetricity / ComputePhi (pruned + flattened + parallel) vs
-//       the exhaustive naive scans;
+//   (c) ComputeMetricity / ComputePhi (pruned + flattened, serial) vs the
+//       exhaustive naive scans, plus ComputeMetricity alone on a shadowed
+//       engine geometry (phase metricity_shadowed, the engine's measured-zeta
+//       traffic);
 //   (d) the power-control oracle: decay-order greedy prefixes through the
 //       cached FeasibleWithPowerControl at noise 0 and noise > 0 (phase
 //       power_control_greedy, the engine's power-control task budget).
@@ -29,6 +31,7 @@
 #include "bench_util.h"
 #include "capacity/algorithm1.h"
 #include "core/metricity.h"
+#include "engine/scenario.h"
 #include "obs/bench_harness.h"
 #include "sinr/power_control.h"
 #include "scheduling/scheduler.h"
@@ -43,6 +46,12 @@ namespace {
 bool SameResult(const capacity::Algorithm1Result& a,
                 const capacity::Algorithm1Result& b) {
   return a.admitted == b.admitted && a.selected == b.selected;
+}
+
+bool SameMetricity(const core::MetricityResult& a,
+                   const core::MetricityResult& b) {
+  return a.zeta == b.zeta && a.arg_x == b.arg_x && a.arg_y == b.arg_y &&
+         a.arg_z == b.arg_z;
 }
 
 // The engine's power-control task budget (engine/batch_runner.cc).
@@ -192,7 +201,7 @@ int main(int argc, char** argv) {
         "phi_optimised", n_metricity,
         [&] { fast_phi = core::ComputePhi(space); });
 
-    if (pruned.zeta != naive.zeta ||
+    if (!SameMetricity(pruned, naive) ||
         fast_phi.phi_factor != naive_phi.phi_factor) {
       std::printf("ERROR: pruned metricity diverged from the naive path\n");
       return 1;
@@ -210,6 +219,27 @@ int main(int argc, char** argv) {
     std::printf("zeta = %s (witness %d,%d,%d), phi = %s\n",
                 bench::Fmt(pruned.zeta).c_str(), pruned.arg_x, pruned.arg_y,
                 pruned.arg_z, bench::Fmt(fast_phi.phi).c_str());
+
+    // The engine's measured-zeta traffic: shadowing lifts zeta far above
+    // alpha, and the incumbent climbs in steps across the scan.
+    engine::ScenarioSpec spec =
+        *engine::FindBuiltinScenario("shadowed_asymmetric");
+    spec.links = n_metricity / 2;
+    const engine::ScenarioGeometry geometry = engine::BuildGeometry(spec, 0);
+    const core::DecaySpace& shadowed = *geometry.space;
+    const core::MetricityResult shadowed_naive =
+        core::ComputeMetricityNaive(shadowed);
+    if (!SameMetricity(core::ComputeMetricity(shadowed), shadowed_naive)) {
+      std::printf("ERROR: pruned metricity diverged from the naive path on "
+                  "the shadowed space\n");
+      return 1;
+    }
+    const obs::SampleStats shadowed_stats = report.Time(
+        "metricity_shadowed", shadowed.size(),
+        [&] { (void)core::ComputeMetricity(shadowed); });
+    std::printf("shadowed_asymmetric, %d nodes: zeta = %s in %s ms\n",
+                shadowed.size(), bench::Fmt(shadowed_naive.zeta).c_str(),
+                bench::Fmt(shadowed_stats.min_ms, 1).c_str());
   }
 
   {

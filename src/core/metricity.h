@@ -21,19 +21,18 @@
 // Tests verify phi <= zeta on random spaces.
 //
 // ComputeMetricity and ComputePhi are the dominant O(n^3) costs of the
-// experiment suite; the default entry points prune triples against the
-// running incumbent before solving them, iterate in flat row-major order
-// over the raw decay matrix (a local materialised copy when the space is
-// coordinate-backed), and split the outer loop across hardware
-// threads.  Pruning is sound because h(s) = (b/a)^s + (c/a)^s - 1 is
-// strictly decreasing: a triplet can only beat the incumbent zeta_best if
-// h(1/zeta_best) < 0, a two-pow test that replaces the full bisection for
-// the overwhelming majority of triples.  Both prunes carry a tolerance
-// slack (and incumbents are chunk-local rather than shared across threads),
-// so the optimised scans return the *same* extremum and the same witness
-// triplet as the naive references -- exactly, not approximately; the
-// equality tests compare with EXPECT_EQ.  The *Naive variants keep the
-// original exhaustive scans as the reference path for those tests.
+// experiment suite.  Each is one serial scan in flat row-major order over
+// the raw decay matrix (a local materialised copy when the space is
+// coordinate-backed) that prunes triples against the running incumbent
+// before solving them; callers that want parallelism run several scans at
+// once (BatchRunner's pool measures one space per worker).  Pruning is
+// sound because h(s) = (b/a)^s + (c/a)^s - 1 is strictly decreasing: a
+// triplet can only beat the incumbent zeta_best if h(1/zeta_best) < 0.
+// Every prune carries a tolerance slack, so the optimised scans return the
+// *same* extremum and the same witness triplet as the naive references --
+// exactly, not approximately; the equality tests compare with EXPECT_EQ.
+// The *Naive variants keep the original exhaustive scans as the reference
+// path for those tests.
 #pragma once
 
 #include "core/decay_space.h"
@@ -55,14 +54,25 @@ struct MetricityResult {
 // a = f(x,y) > max(b, c), b = f(x,z), c = f(z,y), the function
 // h(s) = (b/a)^s + (c/a)^s - 1 is strictly decreasing with h(0) = 1, so the
 // triplet's constraint holds iff s = 1/zeta is at most its unique root;
-// zeta(D) is the max of 1/root over constraining triplets.  O(n^3) triplets;
-// only those that can beat the incumbent are solved by bisection to relative
-// tolerance `tol`.  Parallel over the outer loop; deterministic result.
+// zeta(D) is the max of 1/root over constraining triplets.  O(n^3) triplets,
+// serial and deterministic; only those that can beat the incumbent are
+// solved by bisection to relative tolerance `tol`.
+//
+// Most triples are decided without a pow, in the root space g = f^s0 of an
+// earlier exponent s0 >= s = slack/zeta_best: since b/a, c/a < 1,
+// (b/a)^s >= (b/a)^s0, so g(x,z) + g(z,y) >= g(x,y) gives h(s) > 0 and the
+// triple cannot win; a whole (x,y) row is skipped when the row minimum of
+// g at x plus the column minimum at y already clears g(x,y).  The test
+// carries a 1 + 1e-12 guard, far above the few ulp of rounding in the
+// three pows, the sum and the product, and is off whenever some entry of
+// g leaves the normal double range.  g is rebuilt (n^2 pows) only once s
+// falls below 0.9 s0: rebuilds stay logarithmic in the incumbent's growth
+// while g's exponent stays close enough to the live one to prune nearly as
+// much.  Survivors still take the live two-pow test and TripletZeta.
 MetricityResult ComputeMetricity(const DecaySpace& space, double tol = 1e-12);
 
-// Reference implementation: bisects every constraining triplet, single
-// threaded, in the original loop order.  Kept for equality tests and
-// speedup benchmarks.
+// Reference implementation: bisects every constraining triplet in the
+// original loop order.  Kept for equality tests and speedup benchmarks.
 MetricityResult ComputeMetricityNaive(const DecaySpace& space,
                                       double tol = 1e-12);
 
@@ -81,16 +91,16 @@ struct PhiResult {
   int arg_z = -1;
 };
 
-// Computes the variant metricity phi (Sec. 4.2).  O(n^3) with a per-(x,z)
-// row-min block prune (fxz / (min_y f(x,y) + min_y f(y,z)) bounds every
-// factor of the block exactly, by monotonicity of rounded + and /, so whole
-// inner loops are skipped once the incumbent warms), a multiplication-only
-// per-candidate prune inside surviving blocks, transposed row access for
-// cache locality, and the outer loop split across hardware threads;
-// deterministic result, identical to ComputePhiNaive's.
+// Computes the variant metricity phi (Sec. 4.2).  One serial O(n^3) scan
+// with a per-(x,z) row-min block prune (fxz / (min_y f(x,y) + min_y f(y,z))
+// bounds every factor of the block exactly, by monotonicity of rounded +
+// and /, so whole inner loops are skipped once the incumbent warms), a
+// multiplication-only per-candidate prune inside surviving blocks, and
+// transposed row access for cache locality; deterministic result,
+// identical to ComputePhiNaive's.
 PhiResult ComputePhi(const DecaySpace& space);
 
-// Reference single-threaded exhaustive scan, for tests and benchmarks.
+// Reference exhaustive scan, for tests and benchmarks.
 PhiResult ComputePhiNaive(const DecaySpace& space);
 
 // The a-priori upper bound lg(max f / min f) from the remark after Def. 2.2.

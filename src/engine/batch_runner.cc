@@ -461,15 +461,6 @@ ScenarioResult BatchRunner::RunOne(const ScenarioSpec& spec) const {
                static_cast<int>(config_.arenas.size()) >= threads,
            "arena span must cover every worker thread");
   threads = std::min(threads, spec.instances);
-  // Measured-zeta specs run ComputeMetricity per instance, which splits
-  // its outer loop across all hardware threads once the space reaches 64
-  // nodes (WorkerCount in core/metricity.cc); running those builds from a
-  // pool of workers would oversubscribe the machine quadratically.
-  // Serialise the instances instead and let each metricity scan use the
-  // cores (the aggregate is thread-count invariant either way).  Below the
-  // threshold the metricity scan is single-threaded, so the pool keeps its
-  // workers.
-  if (spec.zeta < 0.0 && 2 * spec.links >= 64) threads = 1;
 
   // Adopt the cell's geometry key before workers start: slots invalidate
   // exactly when a geometry field changed, and the pool join below orders

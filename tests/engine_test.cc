@@ -361,6 +361,9 @@ TEST(BatchRunnerTest, AggregateBitIdenticalAcrossThreadCounts) {
   for (const ScenarioSpec& spec : BuiltinScenarios()) {
     specs.push_back(Small(spec, 12, 4));
   }
+  // Measured zeta at 80 nodes: four ComputeMetricity scans run on the pool
+  // side by side under threads = 4.
+  specs.push_back(Small(*FindBuiltinScenario("shadowed_asymmetric"), 40, 4));
 
   BatchConfig serial;
   serial.threads = 1;

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "core/decay_space.h"
+#include "engine/scenario.h"
 #include "geom/rng.h"
 #include "geom/samplers.h"
 #include "spaces/constructions.h"
@@ -162,13 +165,28 @@ TEST(ZetaPhiTripleTest, PhiBoundedZetaGrows) {
   EXPECT_GT(last_zeta, 4.0);  // far above the phi bound
 }
 
-// --- pruned/parallel vs naive equality -------------------------------------
+// --- pruned vs naive equality ---------------------------------------------
 //
-// ComputeMetricity and ComputePhi prune against the incumbent and may split
-// work across threads; they must still return the same extremum *and the
-// same witness triplet* as the exhaustive reference scans (the prunes carry
-// a tolerance slack and incumbents are chunk-local, so the update sequence
-// is identical to the naive one).  Everything is compared exactly.
+// ComputeMetricity and ComputePhi prune against the incumbent; they must
+// still return the same extremum *and the same witness triplet* as the
+// exhaustive reference scans (the prunes carry a tolerance slack, so the
+// update sequence is identical to the naive one).  Everything is compared
+// exactly.
+
+void ExpectMatchesNaive(const DecaySpace& space) {
+  const MetricityResult pruned = ComputeMetricity(space);
+  const MetricityResult naive = ComputeMetricityNaive(space);
+  EXPECT_EQ(pruned.zeta, naive.zeta);
+  EXPECT_EQ(pruned.arg_x, naive.arg_x);
+  EXPECT_EQ(pruned.arg_y, naive.arg_y);
+  EXPECT_EQ(pruned.arg_z, naive.arg_z);
+  const PhiResult fast_phi = ComputePhi(space);
+  const PhiResult naive_phi = ComputePhiNaive(space);
+  EXPECT_EQ(fast_phi.phi_factor, naive_phi.phi_factor);
+  EXPECT_EQ(fast_phi.arg_x, naive_phi.arg_x);
+  EXPECT_EQ(fast_phi.arg_y, naive_phi.arg_y);
+  EXPECT_EQ(fast_phi.arg_z, naive_phi.arg_z);
+}
 
 class PrunedMetricityEquality : public ::testing::TestWithParam<int> {};
 
@@ -224,22 +242,39 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PrunedMetricityEquality,
                          ::testing::Range(1, 11));
 
 TEST(PrunedMetricityEquality, MatchesNaiveAcrossThreadChunks) {
-  // n >= 64 engages the multi-threaded path on machines with >1 core (and
-  // the chunked merge either way).
+  // The largest random fixture: 72 nodes of a shadow-free space, where the
+  // root space is built once and serves the whole scan.
   geom::Rng rng(99);
-  const DecaySpace space = spaces::RandomGeometric(72, 15.0, 15.0, 2.8, rng);
-  const MetricityResult pruned = ComputeMetricity(space);
-  const MetricityResult naive = ComputeMetricityNaive(space);
-  EXPECT_EQ(pruned.zeta, naive.zeta);
-  EXPECT_EQ(pruned.arg_x, naive.arg_x);
-  EXPECT_EQ(pruned.arg_y, naive.arg_y);
-  EXPECT_EQ(pruned.arg_z, naive.arg_z);
-  const PhiResult fast_phi = ComputePhi(space);
-  const PhiResult naive_phi = ComputePhiNaive(space);
-  EXPECT_EQ(fast_phi.phi_factor, naive_phi.phi_factor);
-  EXPECT_EQ(fast_phi.arg_x, naive_phi.arg_x);
-  EXPECT_EQ(fast_phi.arg_y, naive_phi.arg_y);
-  EXPECT_EQ(fast_phi.arg_z, naive_phi.arg_z);
+  ExpectMatchesNaive(spaces::RandomGeometric(72, 15.0, 15.0, 2.8, rng));
+}
+
+TEST(PrunedMetricityEquality, MatchesNaiveOnBuiltinGeometries) {
+  // The engine's own geometries.  The shadowed spaces are its measured-zeta
+  // traffic; their incumbent grows in steps that rebuild the root space
+  // several times mid-scan.
+  for (const char* name : {"shadowed_asymmetric", "shadowed_symmetric",
+                           "uniform_dense", "highway_corridor"}) {
+    std::optional<engine::ScenarioSpec> spec =
+        engine::FindBuiltinScenario(name);
+    ASSERT_TRUE(spec.has_value()) << name;
+    spec->links = 24;
+    for (int index = 0; index < 2; ++index) {
+      SCOPED_TRACE(std::string(name) + " #" + std::to_string(index));
+      ExpectMatchesNaive(*engine::BuildGeometry(*spec, index).space);
+    }
+  }
+}
+
+TEST(PrunedMetricityEquality, MatchesNaiveWhenRootSpaceLeavesDoubleRange) {
+  // The first constraining triple (0,1,2) is a near-tie with zeta ~ 0.0014,
+  // so the root space is built at s ~ 693, where every decay here
+  // overflows.  The only other constraining triple, (2,0,1) with zeta = 2,
+  // must not be pruned by inf + inf >= inf.
+  DecaySpace space(3, 1000.0);
+  space.Set(0, 1, 1001.0);
+  space.Set(2, 0, 4000.0);
+  ExpectMatchesNaive(space);
+  EXPECT_NEAR(ComputeMetricity(space).zeta, 2.0, 1e-9);
 }
 
 TEST(PrunedMetricityEquality, PhiBlockPruneMatchesNaiveOnAdversarialSpaces) {

@@ -61,6 +61,12 @@ int main(int argc, char** argv) {
     return 1;
   }
   const core::DecaySpace& space = *parsed.space;
+  if (space.size() < 2) {
+    // Every parameter below is defined over pairs of distinct nodes.
+    std::fprintf(stderr, "error: need at least two nodes, got %d\n",
+                 space.size());
+    return 1;
+  }
 
   std::printf("decay space report (%d nodes)\n", space.size());
   const auto problem = space.Validate();
