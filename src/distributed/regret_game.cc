@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/check.h"
+#include "sinr/gain_rows.h"
 #include "sinr/power.h"
 
 namespace decaylib::distributed {
@@ -13,11 +14,13 @@ namespace {
 // Shared game driver: sender sampling, the multiplicative-weights update and
 // the tail accounting are common code, so at a fixed seed the naive and
 // cached paths draw the identical randomness stream and can only differ
-// through `succeeds` -- the per-sender SINR success check each path
-// implements against its own machinery.
-template <typename SuccessCheck>
+// through `judge` -- the per-round SINR success checks, ok[i] for
+// senders[i], each path implements against its own machinery.  A round's
+// verdicts depend only on its sender set, so they are judged before any
+// weight moves.
+template <typename JudgeRound>
 RegretResult RunRegretLoop(int n, const RegretConfig& config, geom::Rng& rng,
-                           SuccessCheck&& succeeds) {
+                           JudgeRound&& judge) {
   DL_CHECK(config.rounds >= config.measure_tail && config.measure_tail >= 1,
            "rounds must cover the measurement tail");
   DL_CHECK(config.learning_rate > 0.0 && config.learning_rate < 1.0,
@@ -34,6 +37,7 @@ RegretResult RunRegretLoop(int n, const RegretConfig& config, geom::Rng& rng,
   long long tail_successes = 0;
   long long tail_transmissions = 0;
   std::vector<int> senders;
+  std::vector<char> ok;
   for (int round = 0; round < config.rounds; ++round) {
     senders.clear();
     for (int v = 0; v < n; ++v) {
@@ -42,11 +46,12 @@ RegretResult RunRegretLoop(int n, const RegretConfig& config, geom::Rng& rng,
                         w_idle[static_cast<std::size_t>(v)]);
       if (rng.Chance(p)) senders.push_back(v);
     }
+    judge(senders, ok);
     int successes = 0;
-    for (int v : senders) {
-      const bool ok = succeeds(v, senders);
-      if (ok) ++successes;
-      const double utility = ok ? 1.0 : -config.failure_penalty;
+    for (std::size_t i = 0; i < senders.size(); ++i) {
+      const int v = senders[i];
+      if (ok[i]) ++successes;
+      const double utility = ok[i] ? 1.0 : -config.failure_penalty;
       // Multiplicative weights on the realised utility of the played action;
       // idle always has utility 0, so only the transmit weight moves.
       w_tx[static_cast<std::size_t>(v)] *=
@@ -82,19 +87,18 @@ RegretResult RunRegretLoop(int n, const RegretConfig& config, geom::Rng& rng,
 
 RegretResult RunRegretGame(const sinr::KernelCache& kernel,
                            const RegretConfig& config, geom::Rng& rng) {
-  const double beta = kernel.system().config().beta;
+  sinr::GainRows gains(kernel);
   return RunRegretLoop(kernel.NumLinks(), config, rng,
-                       [&](int v, const std::vector<int>& senders) {
-                         return kernel.Sinr(v, senders) >= beta;
+                       [&](const std::vector<int>& senders,
+                           std::vector<char>& ok) {
+                         gains.Successes(senders, ok);
                        });
 }
 
 RegretResult RunRegretGame(const sinr::LinkSystem& system,
                            const RegretConfig& config, geom::Rng& rng) {
-  if (system.NumLinks() < kRegretKernelCrossover) {
-    return RunRegretGameNaive(system, config, rng);
-  }
-  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system),
+                                 sinr::KernelSlabs::kCrossDecay);
   return RunRegretGame(kernel, config, rng);
 }
 
@@ -103,8 +107,13 @@ RegretResult RunRegretGameNaive(const sinr::LinkSystem& system,
   const sinr::PowerAssignment power = sinr::UniformPower(system);
   const double beta = system.config().beta;
   return RunRegretLoop(system.NumLinks(), config, rng,
-                       [&](int v, const std::vector<int>& senders) {
-                         return system.Sinr(v, senders, power) >= beta;
+                       [&](const std::vector<int>& senders,
+                           std::vector<char>& ok) {
+                         ok.resize(senders.size());
+                         for (std::size_t i = 0; i < senders.size(); ++i) {
+                           ok[i] = system.Sinr(senders[i], senders, power) >=
+                                   beta;
+                         }
                        });
 }
 

@@ -7,19 +7,16 @@
 // OPT / h(zeta); bench e07/e08 compare the empirical average against
 // Algorithm 1 and OPT.
 //
-// The hot path runs on a sinr::KernelCache: the per-round success checks
-// read the cached cross-decay matrix instead of re-deriving every
-// interference term from the decay space, so one O(n^2) kernel build serves
-// the whole game.  The LinkSystem entry point keeps its historical
-// uniform-power semantics and dispatches on size: below
-// kRegretKernelCrossover links the O(n^2) kernel build costs more than the
-// direct Sinr evaluations it would save (BENCH_E21 measured the cached
-// route ~1.6x slower at n=96), so small systems take the naive route; at
-// and above the crossover it builds one kernel and delegates.  The two
-// routes are bit-identical at a fixed seed (the Sinr checks are the
-// identical expression and both paths draw the same randomness stream), so
-// the dispatch is result-invisible; the original per-round implementation
-// survives as RunRegretGameNaive, the test oracle and bench A/B baseline.
+// The game runs on a sinr::KernelCache built with KernelSlabs::kCrossDecay:
+// each round's success checks read receiver-major gain rows (sinr/
+// gain_rows.h) built once from the cached cross decays, so one O(n^2) build
+// serves the whole game and no check divides per interference term.  The
+// LinkSystem entry point keeps its historical uniform-power semantics and
+// builds such a kernel at every size.  Both routes are bit-identical to the
+// original per-round implementation at a fixed seed (the verdicts equal
+// LinkSystem::Sinr >= beta and every path draws the same randomness
+// stream); that implementation survives as RunRegretGameNaive, the test
+// oracle and bench A/B baseline.
 #pragma once
 
 #include <vector>
@@ -48,18 +45,13 @@ struct RegretResult {
   friend bool operator==(const RegretResult&, const RegretResult&) = default;
 };
 
-// Link count at which a one-off kernel build starts paying for itself for
-// a *single* game (callers that already hold a warm kernel should use the
-// KernelCache overload regardless of size).
-inline constexpr int kRegretKernelCrossover = 128;
-
-// Runs the game against a warm kernel (and its power assignment).
+// Runs the game against a warm kernel (and its power assignment); the
+// kernel must hold KernelSlabs::kCrossDecay.
 RegretResult RunRegretGame(const sinr::KernelCache& kernel,
                            const RegretConfig& config, geom::Rng& rng);
 
-// Historical entry point (uniform power): naive evaluation below
-// kRegretKernelCrossover links, one kernel build + the cached overload at
-// or above it.  Bit-identical to the naive reference either way.
+// Historical entry point (uniform power): one cross-decay kernel build,
+// then the kernel overload.  Bit-identical to the naive reference.
 RegretResult RunRegretGame(const sinr::LinkSystem& system,
                            const RegretConfig& config, geom::Rng& rng);
 

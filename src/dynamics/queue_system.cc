@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/check.h"
+#include "sinr/gain_rows.h"
 #include "sinr/power.h"
 
 namespace decaylib::dynamics {
@@ -147,19 +148,27 @@ std::optional<Scheduler> SchedulerFromName(std::string_view name) {
 QueueStats RunQueueSimulation(const sinr::KernelCache& kernel,
                               const QueueConfig& config, geom::Rng& rng) {
   const int n = kernel.NumLinks();
-  const double beta = kernel.system().config().beta;
   const std::vector<int> decay_order = kernel.OrderByDecay();
-  sinr::AffectanceAccumulator admitted(kernel);
+  // Each scheduler builds only what it reads: the admission schedulers the
+  // running affectance sums, random access the gain rows.
+  std::optional<sinr::AffectanceAccumulator> admitted;
+  std::optional<sinr::GainRows> gains;
+  if (config.scheduler == Scheduler::kRandomAccess) {
+    gains.emplace(kernel);
+  } else {
+    admitted.emplace(kernel);
+  }
   std::vector<int> backlogged;
   std::vector<int> senders;
+  std::vector<char> ok;
 
   // Greedy admission against the running affectance sums: O(|S|) per probe
   // and O(n) per admission, deciding exactly as the naive push-IsFeasible-
   // pop loop (kernel.h's CanAddFeasibly contract; the noise check is the
   // candidate's own clause of the naive feasibility scan).
   const auto admit = [&](int v) {
-    if (kernel.CanOvercomeNoise(v) && admitted.CanAddFeasibly(v)) {
-      admitted.Add(v);
+    if (kernel.CanOvercomeNoise(v) && admitted->CanAddFeasibly(v)) {
+      admitted->Add(v);
     }
   };
 
@@ -168,18 +177,18 @@ QueueStats RunQueueSimulation(const sinr::KernelCache& kernel,
     switch (config.scheduler) {
       case Scheduler::kLongestQueueFirst: {
         CollectLongestQueueFirst(queue, backlogged);
-        admitted.Clear();
+        admitted->Clear();
         for (int v : backlogged) admit(v);
-        chosen.assign(admitted.members().begin(), admitted.members().end());
+        chosen.assign(admitted->members().begin(), admitted->members().end());
         break;
       }
       case Scheduler::kGreedyByDecay: {
-        admitted.Clear();
+        admitted->Clear();
         for (int v : decay_order) {
           if (queue[static_cast<std::size_t>(v)] == 0) continue;
           admit(v);
         }
-        chosen.assign(admitted.members().begin(), admitted.members().end());
+        chosen.assign(admitted->members().begin(), admitted->members().end());
         break;
       }
       case Scheduler::kRandomAccess: {
@@ -187,8 +196,9 @@ QueueStats RunQueueSimulation(const sinr::KernelCache& kernel,
                                   senders);
         // Only links meeting the SINR threshold in the realised transmission
         // set are served.
-        for (int v : senders) {
-          if (kernel.Sinr(v, senders) >= beta) chosen.push_back(v);
+        gains->Successes(senders, ok);
+        for (std::size_t i = 0; i < senders.size(); ++i) {
+          if (ok[i]) chosen.push_back(senders[i]);
         }
         break;
       }

@@ -22,12 +22,14 @@
 // The simulation runs on a prebuilt sinr::KernelCache (one O(n^2) kernel
 // build per instance, by the caller): greedy admission goes through an
 // AffectanceAccumulator (O(n) per admission instead of the naive O(|S|^2)
-// re-summation) and the random-access success checks read the cached
-// cross-decay matrix.  The original per-slot implementation survives as
-// RunQueueSimulationNaive, and on a uniform-power kernel the cached path is
-// bit-exact against it at a fixed seed (admission decides exactly as the
-// naive push-IsFeasible-pop loop, the Sinr checks are the identical
-// expression, and both paths draw the same randomness stream).
+// re-summation; needs KernelSlabs::kAffectance) and the random-access
+// success checks read receiver-major gain rows built from the cached cross
+// decays (sinr/gain_rows.h; needs KernelSlabs::kCrossDecay).  The original
+// per-slot implementation survives as RunQueueSimulationNaive, and on a
+// uniform-power kernel the cached path is bit-exact against it at a fixed
+// seed (admission decides exactly as the naive push-IsFeasible-pop loop,
+// the gain-row verdicts equal LinkSystem::Sinr >= beta, and both paths draw
+// the same randomness stream).
 //
 // Statistics semantics: `*_total` counters cover the WHOLE run including
 // warmup slots; `*_measured` counters and every derived rate (throughput,

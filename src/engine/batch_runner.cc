@@ -115,6 +115,51 @@ std::vector<int> GreedyPowerControlFeasible(const sinr::KernelCache& kernel) {
   return S;
 }
 
+// The task table, indexed by TaskKind: every task's stable name (index
+// order is also the canonical execution order AllTasks() returns) and the
+// dense-kernel slabs it reads.  `admission_tier` marks the tasks that run
+// on the far-field kernel when the spec builds one; those read no dense
+// slab then.  The power-control oracle and the regret game read cross
+// decays; the queue's admission schedulers read affectances and its random
+// access the cross decays; Algorithm 1's separation tests (weighted,
+// partitions and the schedule run it too) read MinPairDecay.
+struct TaskEntry {
+  const char* name;
+  sinr::KernelSlabs slabs;
+  bool admission_tier;
+};
+constexpr sinr::KernelSlabs kAdmissionSlabs =
+    sinr::KernelSlabs::kAffectance | sinr::KernelSlabs::kMinPairDecay;
+constexpr TaskEntry kTasks[] = {
+    {"algorithm1", kAdmissionSlabs, true},
+    {"greedy", sinr::KernelSlabs::kAffectance, true},
+    {"weighted", kAdmissionSlabs, false},
+    {"partitions", kAdmissionSlabs, false},
+    {"schedule", kAdmissionSlabs, true},
+    {"power_control", sinr::KernelSlabs::kCrossDecay, false},
+    {"queue",
+     sinr::KernelSlabs::kAffectance | sinr::KernelSlabs::kCrossDecay, false},
+    {"regret", sinr::KernelSlabs::kCrossDecay, false},
+};
+static_assert(std::size(kTasks) == kNumTaskKinds);
+static_assert(static_cast<int>(TaskKind::kRegret) + 1 == kNumTaskKinds);
+
+const TaskEntry& Entry(TaskKind kind) {
+  return kTasks[static_cast<std::size_t>(kind)];
+}
+
+// The dense slabs `tasks` read: the union over the task list, skipping the
+// admission tasks when they run on a far-field kernel.
+sinr::KernelSlabs DenseSlabs(const std::vector<TaskKind>& tasks,
+                             bool farfield) {
+  sinr::KernelSlabs slabs = sinr::KernelSlabs::kNone;
+  for (const TaskKind task : tasks) {
+    if (farfield && Entry(task).admission_tier) continue;
+    slabs = slabs | Entry(task).slabs;
+  }
+  return slabs;
+}
+
 // Builds the instance, warms its kernel once, and runs every configured
 // task against it.  Deterministic in (spec, index, tasks); the arena and
 // geometry cache, when provided, only change where matrices live and
@@ -159,9 +204,12 @@ InstanceRecord RunInstance(const ScenarioSpec& spec, int index,
   const ScenarioInstance& instance = *built;
 
   // The dense kernel: built eagerly under kDense, lazily under kFarField
-  // (only a task without a far-field path pays the O(n^2) slabs).  A lazy
-  // build is charged to kernel_build alone: kernel_ms lets the triggering
-  // task subtract it from its own stage.
+  // (only a task without a far-field path pays the O(n^2) slabs), and with
+  // only the slabs the task list reads.  A lazy build is charged to
+  // kernel_build alone: kernel_ms lets the triggering task subtract it from
+  // its own stage.
+  const sinr::KernelSlabs slabs =
+      DenseSlabs(tasks, spec.kernel_mode == KernelMode::kFarField);
   std::optional<sinr::KernelCache> local;
   const sinr::KernelCache* kernel_ptr = nullptr;
   double kernel_ms = 0.0;
@@ -169,9 +217,10 @@ InstanceRecord RunInstance(const ScenarioSpec& spec, int index,
     if (kernel_ptr == nullptr) {
       obs::Span span("kernel_build", &EngineInstruments::Get().kernel_build_ms);
       if (arena != nullptr) {
-        kernel_ptr = &arena->Rebuild(instance.system(), instance.power());
+        kernel_ptr =
+            &arena->Rebuild(instance.system(), instance.power(), slabs);
       } else {
-        local.emplace(instance.system(), instance.power());
+        local.emplace(instance.system(), instance.power(), slabs);
         kernel_ptr = &*local;
       }
       kernel_ms = span.Finish();
@@ -408,19 +457,11 @@ void Aggregate(ScenarioResult& result) {
   };
 }
 
-// The task table: every task's stable name, indexed by TaskKind.  Index
-// order is also the canonical execution order AllTasks() returns.
-constexpr const char* kTaskNames[] = {
-    "algorithm1", "greedy",        "weighted", "partitions",
-    "schedule",   "power_control", "queue",    "regret"};
-static_assert(std::size(kTaskNames) == kNumTaskKinds);
-static_assert(static_cast<int>(TaskKind::kRegret) + 1 == kNumTaskKinds);
-
 }  // namespace
 
 const char* TaskKindName(TaskKind kind) {
   const auto k = static_cast<std::size_t>(kind);
-  return k < std::size(kTaskNames) ? kTaskNames[k] : "unknown";
+  return k < std::size(kTasks) ? kTasks[k].name : "unknown";
 }
 
 std::vector<TaskKind> AllTasks() {

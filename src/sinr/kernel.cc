@@ -50,8 +50,8 @@ using Tile = double[kBlock][kBlock];
 
 // One block of link pairs, v in [v0, v1) and w in [w0, w1), as tiles
 // indexed [v - v0][w - w0]: the cross decays f(s_v, r_w) and f(s_w, r_v),
-// and MinPairDecay(v, w) and MinPairDecay(w, v).  Build reads only the
-// entries with v < w.
+// and, when the min-pair slab is requested, MinPairDecay(v, w) and
+// MinPairDecay(w, v).  Build reads only the entries with v < w.
 struct BlockDecays {
   std::size_t v0 = 0, v1 = 0, w0 = 0, w1 = 0;
   Tile cross_vw;
@@ -65,15 +65,20 @@ constexpr double kLegBand = 1e-9;
 
 }  // namespace
 
-KernelCache::KernelCache(const LinkSystem& system, PowerAssignment power) {
-  Build(system, std::move(power));
+KernelCache::KernelCache(const LinkSystem& system, PowerAssignment power,
+                         KernelSlabs slabs) {
+  Build(system, std::move(power), slabs);
 }
 
-void KernelCache::Build(const LinkSystem& system, PowerAssignment power) {
+void KernelCache::Build(const LinkSystem& system, PowerAssignment power,
+                        KernelSlabs slabs) {
   KernelBuildCounter().Add();
   system_ = &system;
   power_ = std::move(power);
   n_ = system.NumLinks();
+  slabs_ = slabs;
+  // Only the min-pair slab reads the endpoint legs f(s_v, s_w), f(r_v, r_w).
+  const bool legs = Has(KernelSlabs::kMinPairDecay);
   DL_CHECK(static_cast<int>(power_.size()) == n_, "one power entry per link");
   const std::size_t n = static_cast<std::size_t>(n_);
   const core::DecaySpace& space = system.space();
@@ -125,19 +130,27 @@ void KernelCache::Build(const LinkSystem& system, PowerAssignment power) {
       for (std::size_t v = b.v0; v < b.v1; ++v) {
         for (std::size_t w = b.w0; w < b.w1; ++w) {
           b.cross_vw[v - b.v0][w - b.w0] = at(snd[v], rcv[w]);
-          b.min_vw[v - b.v0][w - b.w0] =
-              std::min(at(snd[v], snd[w]), at(rcv[v], rcv[w]));
+        }
+      }
+      for (std::size_t w = b.w0; w < b.w1; ++w) {
+        for (std::size_t v = b.v0; v < b.v1; ++v) {
+          b.cross_wv[v - b.v0][w - b.w0] = at(snd[w], rcv[v]);
+        }
+      }
+      if (!legs) return;
+      for (std::size_t v = b.v0; v < b.v1; ++v) {
+        for (std::size_t w = b.w0; w < b.w1; ++w) {
+          const std::size_t i = v - b.v0, j = w - b.w0;
+          b.min_vw[i][j] =
+              std::min(std::min(b.cross_vw[i][j], b.cross_wv[i][j]),
+                       std::min(at(snd[v], snd[w]), at(rcv[v], rcv[w])));
         }
       }
       for (std::size_t w = b.w0; w < b.w1; ++w) {
         for (std::size_t v = b.v0; v < b.v1; ++v) {
           const std::size_t i = v - b.v0, j = w - b.w0;
-          const double sv_rw = b.cross_vw[i][j];
-          const double sw_rv = at(snd[w], rcv[v]);
-          b.cross_wv[i][j] = sw_rv;
-          b.min_vw[i][j] = std::min(std::min(sv_rw, sw_rv), b.min_vw[i][j]);
           b.min_wv[i][j] =
-              std::min(std::min(sw_rv, sv_rw),
+              std::min(std::min(b.cross_wv[i][j], b.cross_vw[i][j]),
                        std::min(at(snd[w], snd[v]), at(rcv[w], rcv[v])));
         }
       }
@@ -184,6 +197,10 @@ void KernelCache::Build(const LinkSystem& system, PowerAssignment power) {
         const geom::Vec2 sv_rw_d = diff(s_v, r_w), sw_rv_d = diff(s_w, r_v);
         const double sv_rw = decay(sv_rw_d);
         const double sw_rv = decay(sw_rv_d);
+        const std::size_t i = v - b.v0, j = w - b.w0;
+        b.cross_vw[i][j] = sv_rw;
+        b.cross_wv[i][j] = sw_rv;
+        if (!legs) continue;
         double min_pair = std::min(sv_rw, sw_rv);
         const double m2 = std::min(sv_rw_d.NormSq(), sw_rv_d.NormSq());
         const double keep = m2 >= std::numeric_limits<double>::min()
@@ -194,9 +211,6 @@ void KernelCache::Build(const LinkSystem& system, PowerAssignment power) {
             min_pair = std::min(min_pair, decay(leg));
           }
         }
-        const std::size_t i = v - b.v0, j = w - b.w0;
-        b.cross_vw[i][j] = sv_rw;
-        b.cross_wv[i][j] = sw_rv;
         b.min_vw[i][j] = min_pair;
         b.min_wv[i][j] = min_pair;
       }
@@ -207,7 +221,7 @@ void KernelCache::Build(const LinkSystem& system, PowerAssignment power) {
 template <class BlockFn>
 void KernelCache::FillSlabs(const BlockFn& fill_block) {
   // One pass over 32 x 32 blocks of unordered link pairs v < w: each block
-  // is gathered into tiles, then written to all four matrices in both
+  // is gathered into tiles, then written to every requested matrix in both
   // orientations as row segments -- row v over w, then row w over v -- so
   // no matrix is transposed, re-read or written a column at a time.
   // Entries are bit-identical to the naive LinkSystem methods: a_w(v) is
@@ -218,16 +232,30 @@ void KernelCache::FillSlabs(const BlockFn& fill_block) {
   // aff_raw_[w][v].  The diagonal is written explicitly -- f(s_v, r_v) =
   // f_vv, a_v(v) = 0 and MinPairDecay(v, v) = 0, the naive d(p, p) = 0 --
   // so with every entry written no matrix needs pre-clearing: a fresh slab
-  // is left unzeroed (Slab) and a warm arena slab's resize is a no-op.
+  // is left unzeroed (Slab) and a warm arena slab's resize is a no-op.  A
+  // slab that is not requested is neither resized nor written.
   const std::size_t n = static_cast<std::size_t>(n_);
-  cross_decay_.resize(n * n);
-  aff_raw_.resize(n * n);
-  aff_raw_t_.resize(n * n);
-  min_pair_decay_.resize(n * n);
-  double* cross = cross_decay_.data();
-  double* aff = aff_raw_.data();
-  double* aff_t = aff_raw_t_.data();
-  double* min_pair = min_pair_decay_.data();
+  // The requested slabs, each with the tiles of its v < w and w < v halves.
+  struct Target {
+    double* out;
+    const Tile* upper;
+    const Tile* lower;
+  };
+  BlockDecays b;
+  Tile a_vw;  // a_v(w)
+  Tile a_wv;  // a_w(v)
+  const bool affectance_on = Has(KernelSlabs::kAffectance);
+  std::vector<Target> targets;
+  const auto add = [&](KernelSlabs slab, Slab& matrix, const Tile& upper,
+                       const Tile& lower) {
+    if (!Has(slab)) return;
+    matrix.resize(n * n);
+    targets.push_back({matrix.data(), &upper, &lower});
+  };
+  add(KernelSlabs::kCrossDecay, cross_decay_, b.cross_vw, b.cross_wv);
+  add(KernelSlabs::kAffectance, aff_raw_, a_vw, a_wv);
+  add(KernelSlabs::kAffectance, aff_raw_t_, a_wv, a_vw);
+  add(KernelSlabs::kMinPairDecay, min_pair_decay_, b.min_vw, b.min_wv);
 
   // a_w(v), w != v, from f(s_w, r_v).
   const auto affectance = [&](std::size_t w, std::size_t v, double cross_wv) {
@@ -237,56 +265,71 @@ void KernelCache::FillSlabs(const BlockFn& fill_block) {
            (power_[w] / power_[v] * link_decay_[v] / cross_wv);
   };
 
-  BlockDecays b;
-  Tile a_vw;  // a_v(w)
-  Tile a_wv;  // a_w(v)
-  // Rows w over v of one matrix from a block tile, one matrix at a time.
-  const auto write_lower = [&](double* out, const Tile& tile) {
-    for (std::size_t w = b.w0; w < b.w1; ++w) {
-      for (std::size_t v = b.v0; v < std::min(b.v1, w); ++v) {
-        out[w * n + v] = tile[v - b.v0][w - b.w0];
-      }
-    }
-  };
   for (b.v0 = 0; b.v0 < n; b.v0 += kBlock) {
     b.v1 = std::min(n, b.v0 + kBlock);
     for (b.w0 = b.v0; b.w0 < n; b.w0 += kBlock) {
       b.w1 = std::min(n, b.w0 + kBlock);
       fill_block(b);
-      for (std::size_t v = b.v0; v < b.v1; ++v) {
-        for (std::size_t w = std::max(b.w0, v + 1); w < b.w1; ++w) {
-          const std::size_t i = v - b.v0, j = w - b.w0;
-          a_vw[i][j] = affectance(v, w, b.cross_vw[i][j]);
-          a_wv[i][j] = affectance(w, v, b.cross_wv[i][j]);
-          cross[v * n + w] = b.cross_vw[i][j];
-          aff[v * n + w] = a_vw[i][j];
-          aff_t[v * n + w] = a_wv[i][j];
-          min_pair[v * n + w] = b.min_vw[i][j];
+      if (affectance_on) {
+        for (std::size_t v = b.v0; v < b.v1; ++v) {
+          for (std::size_t w = std::max(b.w0, v + 1); w < b.w1; ++w) {
+            const std::size_t i = v - b.v0, j = w - b.w0;
+            a_vw[i][j] = affectance(v, w, b.cross_vw[i][j]);
+            a_wv[i][j] = affectance(w, v, b.cross_wv[i][j]);
+          }
         }
       }
-      write_lower(cross, b.cross_wv);
-      write_lower(aff, a_wv);
-      write_lower(aff_t, a_vw);
-      write_lower(min_pair, b.min_wv);
+      for (const Target& t : targets) {
+        for (std::size_t v = b.v0; v < b.v1; ++v) {
+          for (std::size_t w = std::max(b.w0, v + 1); w < b.w1; ++w) {
+            t.out[v * n + w] = (*t.upper)[v - b.v0][w - b.w0];
+          }
+        }
+        for (std::size_t w = b.w0; w < b.w1; ++w) {
+          for (std::size_t v = b.v0; v < std::min(b.v1, w); ++v) {
+            t.out[w * n + v] = (*t.lower)[v - b.v0][w - b.w0];
+          }
+        }
+      }
     }
   }
-  for (std::size_t v = 0; v < n; ++v) {
-    cross[v * n + v] = link_decay_[v];
-    aff[v * n + v] = 0.0;
-    aff_t[v * n + v] = 0.0;
-    min_pair[v * n + v] = 0.0;
+  for (const Target& t : targets) {
+    for (std::size_t v = 0; v < n; ++v) t.out[v * n + v] = 0.0;
   }
+  if (Has(KernelSlabs::kCrossDecay)) {
+    for (std::size_t v = 0; v < n; ++v) {
+      cross_decay_[v * n + v] = link_decay_[v];
+    }
+  }
+}
+
+void KernelCache::Require(KernelSlabs slabs) const {
+  DL_CHECK(Has(slabs),
+           "kernel slab not built: build the KernelCache with every slab "
+           "this entry point reads");
 }
 
 // --- KernelArena -------------------------------------------------------------
 
 const KernelCache& KernelArena::Rebuild(const LinkSystem& system,
-                                        PowerAssignment power) {
-  // Warm iff the slot already holds matrices of this link count: every
-  // resize inside Build is then a no-op and no allocation happens.
+                                        PowerAssignment power,
+                                        KernelSlabs slabs) {
+  // Warm iff the slot already holds every requested matrix at this link
+  // count: every resize inside Build is then a no-op and no allocation
+  // happens.  A slab the slot holds but this build does not request keeps
+  // its capacity for a later build.
+  const std::size_t nn = static_cast<std::size_t>(system.NumLinks()) *
+                         static_cast<std::size_t>(system.NumLinks());
+  const auto sized = [&](KernelSlabs slab, const KernelCache::Slab& matrix) {
+    return !Includes(slabs, slab) || matrix.size() == nn;
+  };
   const bool warm =
-      slot_.system_ != nullptr && slot_.n_ == system.NumLinks();
-  slot_.Build(system, std::move(power));
+      slot_.system_ != nullptr && slot_.n_ == system.NumLinks() &&
+      sized(KernelSlabs::kAffectance, slot_.aff_raw_) &&
+      sized(KernelSlabs::kAffectance, slot_.aff_raw_t_) &&
+      sized(KernelSlabs::kMinPairDecay, slot_.min_pair_decay_) &&
+      sized(KernelSlabs::kCrossDecay, slot_.cross_decay_);
+  slot_.Build(system, std::move(power), slabs);
   ++rebuilds_;
   if (warm) ++warm_skips_;
   ArenaRebuildCounter().Add();
@@ -295,6 +338,7 @@ const KernelCache& KernelArena::Rebuild(const LinkSystem& system,
 }
 
 double KernelCache::InAffectance(std::span<const int> S, int v) const {
+  Require(KernelSlabs::kAffectance);
   double total = 0.0;
   for (int w : S) total += Affectance(w, v);
   return total;
@@ -305,6 +349,7 @@ bool KernelCache::IsFeasible(std::span<const int> S) const {
 }
 
 bool KernelCache::IsKFeasible(std::span<const int> S, double K) const {
+  Require(KernelSlabs::kAffectance);
   const double budget = 1.0 / K;
   for (int v : S) {
     if (!CanOvercomeNoise(v)) return false;
@@ -316,24 +361,11 @@ bool KernelCache::IsKFeasible(std::span<const int> S, double K) const {
   return true;
 }
 
-double KernelCache::Sinr(int v, std::span<const int> S) const {
-  // Same expression and summation order as LinkSystem::Sinr, with the decay
-  // lookups served from the cached matrices.
-  const double signal =
-      power_[static_cast<std::size_t>(v)] / LinkDecay(v);
-  double interference = system_->config().noise;
-  for (int u : S) {
-    if (u == v) continue;
-    interference += power_[static_cast<std::size_t>(u)] / CrossDecay(u, v);
-  }
-  if (interference == 0.0) return std::numeric_limits<double>::infinity();
-  return signal / interference;
-}
-
 // --- AffectanceAccumulator -------------------------------------------------
 
 AffectanceAccumulator::AffectanceAccumulator(const KernelCache& kernel)
     : kernel_(&kernel) {
+  kernel.Require(KernelSlabs::kAffectance);
   const std::size_t n = static_cast<std::size_t>(kernel.NumLinks());
   in_set_.assign(n, 0);
   in_.assign(n, 0.0);
@@ -389,6 +421,7 @@ SeparationOracle::SeparationOracle(const KernelCache& kernel, double eta,
       eta_(eta),
       inv_zeta_(1.0 / zeta),
       eta_pow_(std::pow(eta, zeta)) {
+  kernel.Require(KernelSlabs::kMinPairDecay);
   DL_CHECK(eta > 0.0 && zeta > 0.0, "eta and zeta must be positive");
 }
 

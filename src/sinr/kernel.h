@@ -7,15 +7,21 @@
 // sums.  The naive LinkSystem methods recompute every kernel entry on every
 // query -- AffectanceRaw re-derives the noise factor c_v per pair, and
 // LinkDistance performs four std::pow calls per pair per call.  KernelCache
-// materialises the n x n matrices once so that queries become O(1) lookups;
-// AffectanceAccumulator turns the O(|S|) re-summations of greedy admission
-// loops into O(1) reads with O(n) per-admission updates; SeparationOracle
-// evaluates eta/zeta separation predicates in the decay domain without any
-// pow on the hot path.  The cache also materialises the cross-decay kernel
-// and derives the normalised-gain kernel from it, which back the cached
-// power-control oracle (power_control.h overloads); KernelArena rebuilds a
-// cache slot in place so batched/swept runs stop paying the allocator per
-// instance.
+// materialises up to four n x n matrices once so that queries become O(1)
+// lookups; AffectanceAccumulator turns the O(|S|) re-summations of greedy
+// admission loops into O(1) reads with O(n) per-admission updates;
+// SeparationOracle evaluates eta/zeta separation predicates in the decay
+// domain without any pow on the hot path.  The cache also materialises the
+// cross-decay kernel, which backs the cached power-control oracle
+// (power_control.h overloads) and the SINR gain rows (gain_rows.h);
+// KernelArena rebuilds a cache slot in place so batched/swept runs stop
+// paying the allocator per instance.
+//
+// A build fills only the slabs it is asked for (KernelSlabs): capacity and
+// scheduling read the affectance and min-pair slabs, the SINR simulations
+// and power control read the cross-decay slab, so a caller that runs only
+// one family pays n^2 doubles per slab it reads and no more.  Every entry
+// point that reads a slab DL_CHECKs that it was built.
 //
 // Bit-exactness contract: for the same (system, power), every query method
 // here returns *bit-for-bit* the same double as the corresponding naive
@@ -52,21 +58,60 @@ namespace decaylib::sinr {
 
 class AffectanceAccumulator;
 
+// The n x n slabs a KernelCache can hold, as a bit set.  The per-link
+// arrays (link decay, noise factor) are always built.
+enum class KernelSlabs : unsigned {
+  kNone = 0,
+  // a_w(v) and its transpose: AffectanceAccumulator, IsKFeasible,
+  // InAffectance.
+  kAffectance = 1u << 0,
+  // MinPairDecay: SeparationOracle.
+  kMinPairDecay = 1u << 1,
+  // CrossDecay (and NormalizedGain): the power-control overloads and
+  // GainRows.
+  kCrossDecay = 1u << 2,
+  kAll = kAffectance | kMinPairDecay | kCrossDecay,
+};
+
+constexpr KernelSlabs operator|(KernelSlabs a, KernelSlabs b) {
+  return static_cast<KernelSlabs>(static_cast<unsigned>(a) |
+                                  static_cast<unsigned>(b));
+}
+
+// True iff every slab of `slabs` is in `set`.
+constexpr bool Includes(KernelSlabs set, KernelSlabs slabs) {
+  return (static_cast<unsigned>(set) & static_cast<unsigned>(slabs)) ==
+         static_cast<unsigned>(slabs);
+}
+
 // Precomputed affectance/distance kernels for one (LinkSystem, power) pair.
 // Holds a reference to the system; the system (and its decay space) must
-// outlive the cache.  Construction costs O(n^2) time and memory: four n x n
-// matrices, filled in one pass over unordered link pairs.  Over a
-// coordinate-backed space it evaluates the n^2 cross decays and only those
-// endpoint legs that can be a pair's minimum (see Build), and the resulting
-// matrices are bit-identical to those over the dense space.
+// outlive the cache.  Construction costs O(n^2) time and |slabs| * n^2
+// doubles of memory, the requested matrices filled in one pass over
+// unordered link pairs.  Over a coordinate-backed space it evaluates the
+// n^2 cross decays and, for the min-pair slab, only those endpoint legs
+// that can be a pair's minimum (see Build), and the resulting matrices are
+// bit-identical to those over the dense space.
 class KernelCache {
  public:
   // The dense tier's running sums (the KernelTier concept, kernel_tier.h).
   using Accumulator = AffectanceAccumulator;
 
-  KernelCache(const LinkSystem& system, PowerAssignment power);
+  // Builds the requested slabs; with no set, every slab.
+  KernelCache(const LinkSystem& system, PowerAssignment power,
+              KernelSlabs slabs = KernelSlabs::kAll);
 
   int NumLinks() const noexcept { return n_; }
+  // True iff this cache was built with every slab of `slabs`; the others
+  // must not be read.
+  bool Has(KernelSlabs slabs) const noexcept {
+    return Includes(slabs_, slabs);
+  }
+  // DL_CHECKs that `slabs` were built.  The entry points that read a slab
+  // (the accumulator and oracle constructors, the aggregate queries, the
+  // power-control overloads, GainRows) call it once, so the per-entry
+  // accessors stay branch-free.
+  void Require(KernelSlabs slabs) const;
   const LinkSystem& system() const noexcept { return *system_; }
   const PowerAssignment& power() const noexcept { return power_; }
 
@@ -133,14 +178,6 @@ class KernelCache {
   bool IsFeasible(std::span<const int> S) const;
   bool IsKFeasible(std::span<const int> S, double K) const;
 
-  // Raw SINR of l_v when exactly the links in S transmit, against the
-  // cache's power assignment: the interference sum runs over S in order,
-  // reading the cached cross-decay row instead of the decay matrix, so the
-  // result is bit-identical to LinkSystem::Sinr(v, S, power()).  The per-
-  // slot success checks of the dynamics simulators (random access, the
-  // regret game) run on this.
-  double Sinr(int v, std::span<const int> S) const;
-
   // Link ids sorted by non-decreasing f_vv (ties by id), as
   // LinkSystem::OrderByDecay but against the cached decay array.
   std::vector<int> OrderByDecay() const {
@@ -152,7 +189,8 @@ class KernelCache {
   bool HasUniformPower() const noexcept { return uniform_power_; }
 
   // Bytes held by the dense matrices and per-link arrays (capacity, so a
-  // warm arena slot reports what it actually retains).
+  // warm arena slot reports what it actually retains, including slabs a
+  // later build did not request).
   long long MemoryBytes() const noexcept;
 
  private:
@@ -181,20 +219,23 @@ class KernelCache {
   // Rebuilds before handing the cache out -- may construct one.
   KernelCache() = default;
 
-  // (Re)builds every matrix for (system, power) in place, so arena
-  // rebuilds of the same shape allocate nothing.
-  void Build(const LinkSystem& system, PowerAssignment power);
+  // (Re)builds the requested matrices for (system, power) in place, so
+  // arena rebuilds of the same shape allocate nothing.  Slabs not requested
+  // are left as they are (an arena slot keeps their capacity).
+  void Build(const LinkSystem& system, PowerAssignment power,
+             KernelSlabs slabs);
 
   // Build's n x n slabs, in one pass over blocks of unordered link pairs;
-  // `fill_block` gathers a block's cross decays and MinPairDecay in both
-  // orientations, read from a dense matrix or evaluated over a
-  // coordinate-backed space.
+  // `fill_block` gathers a block's cross decays in both orientations, and
+  // MinPairDecay too when that slab is requested, read from a dense matrix
+  // or evaluated over a coordinate-backed space.
   template <class BlockFn>
   void FillSlabs(const BlockFn& fill_block);
 
   const LinkSystem* system_ = nullptr;
   PowerAssignment power_;
   int n_ = 0;
+  KernelSlabs slabs_ = KernelSlabs::kNone;
   bool uniform_power_ = true;
   std::vector<double> link_decay_;    // f_vv
   std::vector<char> can_overcome_;    // P_v / f_vv > beta N
@@ -209,7 +250,8 @@ class KernelCache {
 // reallocated (the build needs no workspace beyond the cache's own
 // matrices).  Same-shape rebuilds (the batch and sweep runners build
 // thousands of caches of identical n) touch the allocator zero times once
-// the slot is warm; different shapes simply re-grow.  The rebuilt cache is
+// the slot is warm; different shapes, or a slab the slot has not held yet,
+// simply re-grow.  The rebuilt cache is
 // bit-identical to a freshly constructed KernelCache over the same
 // (system, power) -- Build overwrites every entry, so nothing of the
 // previous instance survives.  One arena per worker thread; the returned
@@ -221,12 +263,14 @@ class KernelArena {
   // beyond the system's lifetime (there is deliberately no accessor for
   // the last-built cache: it would dangle once the batch's instances are
   // destroyed).
-  const KernelCache& Rebuild(const LinkSystem& system, PowerAssignment power);
+  const KernelCache& Rebuild(const LinkSystem& system, PowerAssignment power,
+                             KernelSlabs slabs = KernelSlabs::kAll);
 
   long long rebuilds() const noexcept { return rebuilds_; }
-  // Rebuilds whose link count matched the warm slot's, so every matrix
-  // resize was a no-op and the allocator was skipped entirely -- the case
-  // the arena exists for.  rebuilds() - warm_skips() is the number of cold/grow
+  // Rebuilds whose link count matched the warm slot's and whose every
+  // requested slab was already sized, so every matrix resize was a no-op
+  // and the allocator was skipped entirely -- the case the arena exists
+  // for.  rebuilds() - warm_skips() is the number of cold/grow
   // builds (first touch, or a cell-shape change mid-sweep).
   long long warm_skips() const noexcept { return warm_skips_; }
 
@@ -236,8 +280,9 @@ class KernelArena {
   long long warm_skips_ = 0;
 };
 
-// Running in/out-affectance sums over a growing set of links.  Add is O(n);
-// queries are O(1).  Sums accumulate in insertion order, so after
+// Running in/out-affectance sums over a growing set of links, over a kernel
+// built with KernelSlabs::kAffectance (and kMinPairDecay for
+// IsSeparatedFromMembers).  Add is O(n); queries are O(1).  Sums accumulate in insertion order, so after
 // Add(s_1), ..., Add(s_k):
 //     In(v)    == system.InAffectance({s_1..s_k}, v, power)   bit-for-bit,
 //     Out(v)   == system.OutAffectance(v, {s_1..s_k}, power)  bit-for-bit,
@@ -293,7 +338,7 @@ class AffectanceAccumulator {
 // (exact arithmetic).  No pow on the hot path; a 1e-9 relative guard band
 // around the threshold falls back to the naive pow comparison, so decisions
 // are bit-compatible with LinkSystem::IsSeparatedFrom except for inputs
-// within the band of a threshold.
+// within the band of a threshold.  Needs KernelSlabs::kMinPairDecay.
 class SeparationOracle {
  public:
   SeparationOracle(const KernelCache& kernel, double eta, double zeta);

@@ -177,6 +177,7 @@ PowerControlResult FeasibleWithPowerControl(const LinkSystem& system,
 PowerControlResult FeasibleWithPowerControl(const KernelCache& kernel,
                                             std::span<const int> S,
                                             int max_iterations, double tol) {
+  kernel.Require(KernelSlabs::kCrossDecay);
   CheckIterationBudget(max_iterations, tol);
   PowerControlResult result;
   const auto k = S.size();
@@ -212,6 +213,7 @@ double PairwiseAffectanceProduct(const LinkSystem& system, int v, int w) {
 }
 
 double PairwiseAffectanceProduct(const KernelCache& kernel, int v, int w) {
+  kernel.Require(KernelSlabs::kCrossDecay);
   DL_CHECK(v != w, "need two distinct links");
   const double beta = kernel.system().config().beta;
   return beta * beta * kernel.LinkDecay(v) * kernel.LinkDecay(w) /
@@ -232,6 +234,7 @@ bool HasPairwiseObstruction(const LinkSystem& system, std::span<const int> S) {
 
 bool HasPairwiseObstruction(const KernelCache& kernel,
                             std::span<const int> S) {
+  kernel.Require(KernelSlabs::kCrossDecay);
   const double beta = kernel.system().config().beta;
   for (std::size_t i = 0; i < S.size(); ++i) {
     for (std::size_t j = i + 1; j < S.size(); ++j) {

@@ -16,10 +16,10 @@
 //    pair, no power assignment serves both links (the product is
 //    power-invariant).
 //
-// Every oracle has a cached overload running on sinr::KernelCache (the
-// normalised-gain and cross-decay kernels turn the per-call matrix build
-// into O(1) loads); both paths share one fixed-point loop, RunFixedPoint,
-// and return bit-identical results.
+// Every oracle has a cached overload running on a sinr::KernelCache built
+// with KernelSlabs::kCrossDecay (the normalised-gain and cross-decay
+// kernels turn the per-call matrix build into O(1) loads); both paths share
+// one fixed-point loop, RunFixedPoint, and return bit-identical results.
 //
 // The loop is throughput-bound, not latency-bound: each sweep computes
 // B p + c four rows at a time, one accumulator per row, instead of one

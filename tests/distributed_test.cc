@@ -232,28 +232,30 @@ TEST(RegretGameTest, CachedPathBitIdenticalToNaive) {
   }
 }
 
-// The 8-link fixtures above stay below kRegretKernelCrossover, where the
-// LinkSystem entry takes the naive route.  At exactly the crossover it
-// builds a kernel instead, and must still equal both paths bit for bit.
+// The LinkSystem entry builds a cross-decay kernel at every size -- small,
+// the size it once switched paths at, and large -- and must equal both the
+// naive and the cached paths bit for bit.
 TEST(RegretGameTest, CrossoverSizeEntryMatchesBothPaths) {
-  const LinkFixture fixture(kRegretKernelCrossover, 2.0);
-  const sinr::LinkSystem system(fixture.space, fixture.links, {2.0, 0.0});
-  ASSERT_EQ(system.NumLinks(), kRegretKernelCrossover);
-  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
-  RegretConfig config;
-  config.rounds = 200;
-  config.measure_tail = 50;
-  config.failure_penalty = 0.7;
+  for (const int links : {24, 128, 288}) {
+    const LinkFixture fixture(links, 2.0);
+    const sinr::LinkSystem system(fixture.space, fixture.links, {2.0, 0.0});
+    ASSERT_EQ(system.NumLinks(), links);
+    const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+    RegretConfig config;
+    config.rounds = 200;
+    config.measure_tail = 50;
+    config.failure_penalty = 0.7;
 
-  geom::Rng rng_naive(41);
-  const RegretResult naive = RunRegretGameNaive(system, config, rng_naive);
-  geom::Rng rng_cached(41);
-  const RegretResult cached = RunRegretGame(kernel, config, rng_cached);
-  geom::Rng rng_entry(41);
-  const RegretResult entry = RunRegretGame(system, config, rng_entry);
-  EXPECT_TRUE(entry == naive);
-  EXPECT_TRUE(entry == cached);
-  EXPECT_GT(naive.average_successes, 0.0);
+    geom::Rng rng_naive(41);
+    const RegretResult naive = RunRegretGameNaive(system, config, rng_naive);
+    geom::Rng rng_cached(41);
+    const RegretResult cached = RunRegretGame(kernel, config, rng_cached);
+    geom::Rng rng_entry(41);
+    const RegretResult entry = RunRegretGame(system, config, rng_entry);
+    EXPECT_TRUE(entry == naive) << links;
+    EXPECT_TRUE(entry == cached) << links;
+    EXPECT_GT(naive.average_successes, 0.0) << links;
+  }
 }
 
 }  // namespace

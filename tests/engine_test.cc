@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -521,6 +522,57 @@ ScenarioSpec SmallDynamics(ScenarioSpec spec, int links = 10,
   spec.dynamics.queue_slots = 150;
   spec.dynamics.regret_rounds = 150;
   return spec;
+}
+
+// Each task reads only the dense slabs the engine's task table names for
+// it.  Run alone, a task's kernel holds only those slabs, so an
+// under-declared slab trips a DL_CHECK at its entry point; and every
+// aggregate a task reports alone equals the all-tasks run's.  Dense mode
+// over every builtin plus a random-access queue, far-field mode (admission
+// tasks on the far-field kernel, the rest on a lazily built dense one), and
+// through warm arenas that cycle through the slab sets.
+TEST(BatchRunnerTest, EachTaskAloneMatchesAllTasksRun) {
+  std::vector<ScenarioSpec> specs;
+  for (const ScenarioSpec& spec : BuiltinScenarios()) {
+    specs.push_back(SmallDynamics(spec, 10, 2));
+  }
+  ScenarioSpec random_access = specs.front();
+  random_access.name = "random_access_queue";
+  random_access.dynamics.scheduler = dynamics::Scheduler::kRandomAccess;
+  specs.push_back(random_access);
+  ScenarioSpec farfield =
+      SmallDynamics(*FindBuiltinScenario("uniform_dense"), 10, 2);
+  farfield.name = "farfield";
+  farfield.kernel_mode = KernelMode::kFarField;
+  specs.push_back(farfield);
+
+  BatchConfig all;
+  all.threads = 1;
+  const auto reference = BatchRunner(all).Run(specs);
+  std::vector<sinr::KernelArena> arenas(1);
+  for (const TaskKind task : AllTasks()) {
+    BatchConfig alone;
+    alone.threads = 1;
+    alone.tasks = {task};
+    alone.arenas = std::span(arenas);
+    const auto results = BatchRunner(alone).Run(specs);
+    ASSERT_EQ(results.size(), reference.size());
+    for (std::size_t s = 0; s < results.size(); ++s) {
+      int reported = 0;
+      for (const auto& [name, m] : results[s].aggregate) {
+        if (m.count == 0 || name == "zeta") continue;
+        ++reported;
+        const auto& expected = reference[s].aggregate;
+        const auto it = std::find_if(
+            expected.begin(), expected.end(),
+            [&name = name](const auto& entry) { return entry.first == name; });
+        ASSERT_NE(it, expected.end()) << name;
+        EXPECT_EQ(m, it->second)
+            << TaskKindName(task) << " " << specs[s].name << " " << name;
+      }
+      EXPECT_GT(reported, 0) << TaskKindName(task) << " " << specs[s].name;
+    }
+  }
 }
 
 // The dynamics tasks obey the engine's core contract: their rng streams

@@ -1,8 +1,8 @@
 // KernelArena reuse tests: a cache rebuilt into a warm arena slot must be
 // bit-identical to a freshly constructed KernelCache over the same
 // (system, power) -- across same-shape rebuilds, shape changes (grow and
-// shrink), and every query surface including the power-control kernels
-// added with the arena (CrossDecay, NormalizedGain).
+// shrink), slab sets, and every query surface including the power-control
+// kernels added with the arena (CrossDecay, NormalizedGain).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,8 +11,10 @@
 #include "core/decay_space.h"
 #include "geom/rng.h"
 #include "geom/samplers.h"
+#include "sinr/gain_rows.h"
 #include "sinr/kernel.h"
 #include "sinr/power.h"
+#include "sinr/power_control.h"
 
 namespace decaylib::sinr {
 namespace {
@@ -188,6 +190,131 @@ TEST(KernelArenaTest, MemoryIsFourSlabsPlusPerLinkArrays) {
                 .MemoryBytes(),
             expected(40));
   EXPECT_EQ(arena.warm_skips(), 1);
+}
+
+// The slabs `part` was built with equal a full build entry for entry (the
+// transpose through a one-member accumulator's Out, as above; the cross
+// decays also the naive LinkSystem::CrossDecay), and so do the per-link
+// arrays every build fills.
+void ExpectBuiltSlabsMatch(const KernelCache& full, const KernelCache& part) {
+  ASSERT_EQ(full.NumLinks(), part.NumLinks());
+  const int n = full.NumLinks();
+  for (int v = 0; v < n; ++v) {
+    EXPECT_EQ(full.LinkDecay(v), part.LinkDecay(v));
+    EXPECT_EQ(full.CanOvercomeNoise(v), part.CanOvercomeNoise(v));
+    EXPECT_EQ(full.NoiseFactor(v), part.NoiseFactor(v));
+    if (part.Has(KernelSlabs::kAffectance)) {
+      AffectanceAccumulator from_full(full);
+      AffectanceAccumulator from_part(part);
+      from_full.Add(v);
+      from_part.Add(v);
+      for (int w = 0; w < n; ++w) {
+        EXPECT_EQ(full.AffectanceRaw(w, v), part.AffectanceRaw(w, v));
+        EXPECT_EQ(from_full.Out(w), from_part.Out(w));
+      }
+    }
+    for (int w = 0; w < n; ++w) {
+      if (part.Has(KernelSlabs::kMinPairDecay)) {
+        EXPECT_EQ(full.MinPairDecay(v, w), part.MinPairDecay(v, w));
+      }
+      if (part.Has(KernelSlabs::kCrossDecay)) {
+        EXPECT_EQ(full.CrossDecay(w, v), part.CrossDecay(w, v));
+        // Diagonal included: nothing reads f(s_v, r_v) from the slab, so
+        // only the naive value pins it.
+        EXPECT_EQ(part.system().CrossDecay(w, v), part.CrossDecay(w, v));
+        EXPECT_EQ(full.NormalizedGain(v, w), part.NormalizedGain(v, w));
+      }
+    }
+  }
+}
+
+// Every slab set, fresh and through one arena slot that cycles through all
+// of them, over a dense and a coordinate-backed space (whose build skips
+// the endpoint legs when no min-pair slab is requested), under uniform and
+// power-law powers.
+TEST(KernelArenaTest, EverySlabSetMatchesTheFullBuild) {
+  geom::Rng rng(71);
+  const auto pts = geom::SampleUniform(2 * 18, 12.0, 12.0, rng);
+  const core::DecaySpace dense = core::DecaySpace::Geometric(pts, 3.0);
+  const core::DecaySpace coords = core::DecaySpace::CoordinateBacked(pts, 3.0);
+  std::vector<Link> links;
+  for (int i = 0; i < 18; ++i) links.push_back({2 * i, 2 * i + 1});
+  for (const core::DecaySpace* space : {&dense, &coords}) {
+    const LinkSystem system(*space, links, {1.5, 0.02});
+    for (const PowerAssignment& power :
+         {UniformPower(system), PowerLaw(system, 0.5)}) {
+      const KernelCache full(system, power);
+      EXPECT_TRUE(full.Has(KernelSlabs::kAll));
+      KernelArena arena;
+      for (unsigned bits = 0; bits <= 7; ++bits) {
+        const auto slabs = static_cast<KernelSlabs>(bits);
+        const KernelCache fresh(system, power, slabs);
+        ExpectBuiltSlabsMatch(full, fresh);
+        const KernelCache& rebuilt = arena.Rebuild(system, power, slabs);
+        ExpectBuiltSlabsMatch(full, rebuilt);
+        for (const KernelSlabs one :
+             {KernelSlabs::kAffectance, KernelSlabs::kMinPairDecay,
+              KernelSlabs::kCrossDecay}) {
+          EXPECT_EQ(fresh.Has(one), Includes(slabs, one));
+          EXPECT_EQ(rebuilt.Has(one), Includes(slabs, one));
+        }
+      }
+    }
+  }
+}
+
+// An admission-only build (affectance, transpose, min-pair) holds three
+// slabs.  A warm rebuild needs every requested slab already sized:
+// admission then full grows the cross slab (cold); full then admission is
+// warm, and the unrequested cross slab keeps its capacity, so a later full
+// build is warm too.
+TEST(KernelArenaTest, SlabSetsDecideWarmRebuilds) {
+  const long long n = 40;
+  const Instance inst = MakeInstance(63, static_cast<int>(n), 1.0, 0.01);
+  const LinkSystem system(inst.space, inst.links, inst.config);
+  const PowerAssignment power = UniformPower(system);
+  const KernelSlabs admission =
+      KernelSlabs::kAffectance | KernelSlabs::kMinPairDecay;
+  const long long per_link = n * (8 + 8 + 1);
+  EXPECT_EQ(KernelCache(system, power, admission).MemoryBytes(),
+            3 * n * n * 8 + per_link);
+  EXPECT_EQ(KernelCache(system, power, KernelSlabs::kCrossDecay).MemoryBytes(),
+            n * n * 8 + per_link);
+
+  KernelArena arena;
+  arena.Rebuild(system, power, admission);
+  EXPECT_EQ(arena.Rebuild(system, power).MemoryBytes(),
+            4 * n * n * 8 + per_link);
+  EXPECT_EQ(arena.warm_skips(), 0);  // the cross slab had to grow
+  EXPECT_EQ(arena.Rebuild(system, power, admission).MemoryBytes(),
+            4 * n * n * 8 + per_link);
+  EXPECT_EQ(arena.warm_skips(), 1);
+  arena.Rebuild(system, power);
+  EXPECT_EQ(arena.warm_skips(), 2);
+  EXPECT_EQ(arena.rebuilds(), 4);
+}
+
+// Reading a slab the kernel was not built with is a programmer error,
+// caught once at every entry point that reads one.
+TEST(KernelSlabsDeathTest, EntryPointsRejectUnbuiltSlabs) {
+  const Instance inst = MakeInstance(64, 8, 1.0, 0.0);
+  const LinkSystem system(inst.space, inst.links, inst.config);
+  const PowerAssignment power = UniformPower(system);
+  const KernelCache cross_only(system, power, KernelSlabs::kCrossDecay);
+  const KernelCache affectance_only(system, power, KernelSlabs::kAffectance);
+  const KernelCache admission(
+      system, power, KernelSlabs::kAffectance | KernelSlabs::kMinPairDecay);
+  const std::vector<int> S{0, 1, 2};
+  EXPECT_DEATH(AffectanceAccumulator{cross_only}, "slab not built");
+  EXPECT_DEATH((void)cross_only.IsFeasible(S), "slab not built");
+  EXPECT_DEATH((void)cross_only.InAffectance(S, 0), "slab not built");
+  EXPECT_DEATH((SeparationOracle{affectance_only, 1.0, 3.0}),
+               "slab not built");
+  EXPECT_DEATH((void)FeasibleWithPowerControl(admission, S), "slab not built");
+  EXPECT_DEATH((void)PairwiseAffectanceProduct(admission, 0, 1),
+               "slab not built");
+  EXPECT_DEATH((void)HasPairwiseObstruction(admission, S), "slab not built");
+  EXPECT_DEATH(GainRows{admission}, "slab not built");
 }
 
 TEST(KernelArenaTest, RebuildCounterStartsAtZero) {
