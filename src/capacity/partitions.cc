@@ -14,7 +14,7 @@ namespace {
 
 // One first-fit pass: assign each link (scanned in `order`) to the first
 // class where its in-affectance from the links already in the class is at
-// most `budget`.
+// most `budget` (summed in class order, as LinkSystem::InAffectance).
 std::vector<std::vector<int>> FirstFitByInAffectance(
     const sinr::KernelCache& kernel, const std::vector<int>& order,
     double budget) {
@@ -22,7 +22,9 @@ std::vector<std::vector<int>> FirstFitByInAffectance(
   for (int v : order) {
     bool placed = false;
     for (auto& cls : classes) {
-      if (kernel.InAffectance(cls, v) <= budget) {
+      double in = 0.0;
+      for (int w : cls) in += kernel.Affectance(w, v);
+      if (in <= budget) {
         cls.push_back(v);
         placed = true;
         break;
@@ -39,6 +41,7 @@ std::vector<std::vector<int>> SignalStrengthen(const sinr::KernelCache& kernel,
                                                std::span<const int> S,
                                                double p, double q) {
   DL_CHECK(p > 0.0 && q >= p, "signal strengthening needs q >= p > 0");
+  kernel.Require(sinr::KernelSlabs::kAffectance);
   const double budget = 1.0 / (2.0 * q);
 
   // Pass A: increasing decay order; in-affectance from *shorter* links.

@@ -343,7 +343,7 @@ double FarFieldKernel::AffectanceExact(int w, int v) const {
 
 double FarFieldKernel::InAffectanceRawExact(std::span<const int> S,
                                             int v) const {
-  // Same fold as the dense IsKFeasible row pass: entries at w == v are 0.
+  // Same fold as the dense IsFeasible column pass: entries at w == v are 0.
   double total = 0.0;
   for (int w : S) total += AffectanceExact(w, v);
   return total;

@@ -144,7 +144,7 @@ class FarFieldKernel {
   Interval CertifiedInAffectance(std::span<const int> S, int v) const;
 
   // Raw in-affectance summed exactly in S order: bit-identical to the dense
-  // IsKFeasible row fold over S.
+  // IsFeasible column fold over S.
   double InAffectanceRawExact(std::span<const int> S, int v) const;
 
   // Feasibility of S (every member's raw in-sum <= 1), decided rather than

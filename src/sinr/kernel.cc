@@ -228,8 +228,7 @@ void KernelCache::FillSlabs(const BlockFn& fill_block) {
   // LinkSystem::AffectanceRaw's expression with c_v and f_vv hoisted, and
   // under uniform power the P_w / P_v factor equals exactly 1.0 (IEEE
   // x / x == 1.0), so those two ops are skipped without changing the
-  // rounded result.  aff_raw_t_[v][w] is the very a_w(v) double written to
-  // aff_raw_[w][v].  The diagonal is written explicitly -- f(s_v, r_v) =
+  // rounded result.  The diagonal is written explicitly -- f(s_v, r_v) =
   // f_vv, a_v(v) = 0 and MinPairDecay(v, v) = 0, the naive d(p, p) = 0 --
   // so with every entry written no matrix needs pre-clearing: a fresh slab
   // is left unzeroed (Slab) and a warm arena slab's resize is a no-op.  A
@@ -254,7 +253,6 @@ void KernelCache::FillSlabs(const BlockFn& fill_block) {
   };
   add(KernelSlabs::kCrossDecay, cross_decay_, b.cross_vw, b.cross_wv);
   add(KernelSlabs::kAffectance, aff_raw_, a_vw, a_wv);
-  add(KernelSlabs::kAffectance, aff_raw_t_, a_wv, a_vw);
   add(KernelSlabs::kMinPairDecay, min_pair_decay_, b.min_vw, b.min_wv);
 
   // a_w(v), w != v, from f(s_w, r_v).
@@ -326,7 +324,6 @@ const KernelCache& KernelArena::Rebuild(const LinkSystem& system,
   const bool warm =
       slot_.system_ != nullptr && slot_.n_ == system.NumLinks() &&
       sized(KernelSlabs::kAffectance, slot_.aff_raw_) &&
-      sized(KernelSlabs::kAffectance, slot_.aff_raw_t_) &&
       sized(KernelSlabs::kMinPairDecay, slot_.min_pair_decay_) &&
       sized(KernelSlabs::kCrossDecay, slot_.cross_decay_);
   slot_.Build(system, std::move(power), slabs);
@@ -337,26 +334,14 @@ const KernelCache& KernelArena::Rebuild(const LinkSystem& system,
   return slot_;
 }
 
-double KernelCache::InAffectance(std::span<const int> S, int v) const {
-  Require(KernelSlabs::kAffectance);
-  double total = 0.0;
-  for (int w : S) total += Affectance(w, v);
-  return total;
-}
-
 bool KernelCache::IsFeasible(std::span<const int> S) const {
-  return IsKFeasible(S, 1.0);
-}
-
-bool KernelCache::IsKFeasible(std::span<const int> S, double K) const {
   Require(KernelSlabs::kAffectance);
-  const double budget = 1.0 / K;
   for (int v : S) {
     if (!CanOvercomeNoise(v)) return false;
-    const double* row = aff_raw_t_.data() + Idx(v, 0, n_);
+    // Column v, a_.(v), in S order: LinkSystem::IsFeasible's sum.
     double total = 0.0;
-    for (int w : S) total += row[static_cast<std::size_t>(w)];
-    if (total > budget) return false;
+    for (int w : S) total += AffectanceRaw(w, v);
+    if (total > 1.0) return false;
   }
   return true;
 }
@@ -369,26 +354,29 @@ AffectanceAccumulator::AffectanceAccumulator(const KernelCache& kernel)
   const std::size_t n = static_cast<std::size_t>(kernel.NumLinks());
   in_set_.assign(n, 0);
   in_.assign(n, 0.0);
-  out_.assign(n, 0.0);
   in_raw_.assign(n, 0.0);
 }
 
 void AffectanceAccumulator::Add(int v) {
   DL_CHECK(!Contains(v), "link already in the accumulator");
   const int n = kernel_->NumLinks();
-  // Row v of the matrix is a_v(.), row v of the transpose is a_.(v).
+  // Row v of the matrix is a_v(.): v's pressure on every link.
   const double* from_v = kernel_->aff_raw_.data() + Idx(v, 0, n);
-  const double* into_v = kernel_->aff_raw_t_.data() + Idx(v, 0, n);
   for (int u = 0; u < n; ++u) {
     const std::size_t su = static_cast<std::size_t>(u);
-    const double av_u = from_v[su];  // a_v(u): v's pressure on u
-    const double au_v = into_v[su];  // a_u(v): u's pressure on v
+    const double av_u = from_v[su];
     in_raw_[su] += av_u;
     in_[su] += av_u < 1.0 ? av_u : 1.0;
-    out_[su] += au_v < 1.0 ? au_v : 1.0;
   }
   members_.push_back(v);
   in_set_[static_cast<std::size_t>(v)] = 1;
+}
+
+double AffectanceAccumulator::Out(int v) const {
+  // Members in admission order, as the naive OutAffectance sums them.
+  double total = 0.0;
+  for (int w : members_) total += kernel_->Affectance(v, w);
+  return total;
 }
 
 bool AffectanceAccumulator::CanAddFeasibly(int v) const {
@@ -408,7 +396,6 @@ bool AffectanceAccumulator::IsSeparatedFromMembers(int v, double eta,
 void AffectanceAccumulator::Clear() {
   std::fill(in_set_.begin(), in_set_.end(), 0);
   std::fill(in_.begin(), in_.end(), 0.0);
-  std::fill(out_.begin(), out_.end(), 0.0);
   std::fill(in_raw_.begin(), in_raw_.end(), 0.0);
   members_.clear();
 }
@@ -451,7 +438,7 @@ bool SeparationOracle::ConflictMaxLength(int v, int w) const {
 }
 
 long long KernelCache::MemoryBytes() const noexcept {
-  const std::size_t doubles = aff_raw_.capacity() + aff_raw_t_.capacity() +
+  const std::size_t doubles = aff_raw_.capacity() +
                               min_pair_decay_.capacity() +
                               cross_decay_.capacity() + link_decay_.capacity() +
                               noise_factor_.capacity();

@@ -7,9 +7,10 @@
 // sums.  The naive LinkSystem methods recompute every kernel entry on every
 // query -- AffectanceRaw re-derives the noise factor c_v per pair, and
 // LinkDistance performs four std::pow calls per pair per call.  KernelCache
-// materialises up to four n x n matrices once so that queries become O(1)
-// lookups; AffectanceAccumulator turns the O(|S|) re-summations of greedy
-// admission loops into O(1) reads with O(n) per-admission updates;
+// materialises up to three n x n matrices once so that queries become O(1)
+// lookups; AffectanceAccumulator turns the O(|S|) in-affectance
+// re-summations of greedy admission loops into O(1) reads with O(n)
+// per-admission updates;
 // SeparationOracle evaluates eta/zeta separation predicates in the decay
 // domain without any pow on the hot path.  The cache also materialises the
 // cross-decay kernel, which backs the cached power-control oracle
@@ -62,8 +63,7 @@ class AffectanceAccumulator;
 // arrays (link decay, noise factor) are always built.
 enum class KernelSlabs : unsigned {
   kNone = 0,
-  // a_w(v) and its transpose: AffectanceAccumulator, IsKFeasible,
-  // InAffectance.
+  // a_w(v): AffectanceAccumulator, IsFeasible.
   kAffectance = 1u << 0,
   // MinPairDecay: SeparationOracle.
   kMinPairDecay = 1u << 1,
@@ -174,9 +174,7 @@ class KernelCache {
 
   // --- aggregate queries, bit-identical to the LinkSystem versions -------
 
-  double InAffectance(std::span<const int> S, int v) const;
   bool IsFeasible(std::span<const int> S) const;
-  bool IsKFeasible(std::span<const int> S, double K) const;
 
   // Link ids sorted by non-decreasing f_vv (ties by id), as
   // LinkSystem::OrderByDecay but against the cached decay array.
@@ -241,7 +239,6 @@ class KernelCache {
   std::vector<char> can_overcome_;    // P_v / f_vv > beta N
   std::vector<double> noise_factor_;  // c_v (0 when !can_overcome_)
   Slab aff_raw_;         // [w*n + v] = a_w(v), unclamped
-  Slab aff_raw_t_;       // [v*n + w] = a_w(v)  (transpose)
   Slab min_pair_decay_;  // [v*n + w], symmetric
   Slab cross_decay_;     // [w*n + v] = f(s_w, r_v)
 };
@@ -280,10 +277,11 @@ class KernelArena {
   long long warm_skips_ = 0;
 };
 
-// Running in/out-affectance sums over a growing set of links, over a kernel
+// Running in-affectance sums over a growing set of links, over a kernel
 // built with KernelSlabs::kAffectance (and kMinPairDecay for
-// IsSeparatedFromMembers).  Add is O(n); queries are O(1).  Sums accumulate in insertion order, so after
-// Add(s_1), ..., Add(s_k):
+// IsSeparatedFromMembers).  Add is O(n) (row v of the one affectance
+// matrix); In is O(1) and Out O(|members|), a fold of row v over the
+// members.  Both sum in insertion order, so after Add(s_1), ..., Add(s_k):
 //     In(v)    == system.InAffectance({s_1..s_k}, v, power)   bit-for-bit,
 //     Out(v)   == system.OutAffectance(v, {s_1..s_k}, power)  bit-for-bit,
 // and InRaw(v) is the unclamped in-sum (the feasibility form).  There is
@@ -305,7 +303,7 @@ class AffectanceAccumulator {
 
   // Sum over current members w of min(1, a_w(v)) resp. min(1, a_v(w)).
   double In(int v) const { return in_[static_cast<std::size_t>(v)]; }
-  double Out(int v) const { return out_[static_cast<std::size_t>(v)]; }
+  double Out(int v) const;
   // Unclamped in-sum (the feasibility form).
   double InRaw(int v) const { return in_raw_[static_cast<std::size_t>(v)]; }
 
@@ -330,7 +328,7 @@ class AffectanceAccumulator {
   const KernelCache* kernel_;
   std::vector<int> members_;
   std::vector<char> in_set_;
-  std::vector<double> in_, out_, in_raw_;
+  std::vector<double> in_, in_raw_;
 };
 
 // Separation predicates for fixed (eta, zeta), evaluated in the decay

@@ -34,12 +34,11 @@ Instance MakeInstance(std::uint64_t seed, int link_count, double beta,
   return inst;
 }
 
-// All four n x n matrices agree entry for entry: the affectance matrix, the
-// cross decays and the min-pair decays directly, and the transpose through
-// both of its readers -- a one-member accumulator, whose Out(u) is exactly
-// the clamped transpose entry a_u(v), and IsKFeasible, which sums raw
-// transpose rows (over every pair {v, w}, at thresholds on both sides of
-// typical entries).
+// All three n x n matrices agree entry for entry: the affectance matrix, the
+// cross decays and the min-pair decays directly, and the affectance matrix
+// also through its readers -- a one-member accumulator, whose Out(u) is
+// exactly the clamped entry a_u(v), and IsFeasible, which sums raw columns
+// (over every pair {v, w}).
 void ExpectBitIdentical(const KernelCache& fresh, const KernelCache& rebuilt) {
   ASSERT_EQ(fresh.NumLinks(), rebuilt.NumLinks());
   const int n = fresh.NumLinks();
@@ -56,9 +55,7 @@ void ExpectBitIdentical(const KernelCache& fresh, const KernelCache& rebuilt) {
       EXPECT_EQ(fresh.AffectanceRaw(w, v), rebuilt.AffectanceRaw(w, v));
       EXPECT_EQ(from_fresh.Out(w), from_rebuilt.Out(w));
       const std::vector<int> pair{v, w};
-      for (const double K : {0.5, 1.0, 2.0, 8.0}) {
-        EXPECT_EQ(fresh.IsKFeasible(pair, K), rebuilt.IsKFeasible(pair, K));
-      }
+      EXPECT_EQ(fresh.IsFeasible(pair), rebuilt.IsFeasible(pair));
       EXPECT_EQ(fresh.MinPairDecay(v, w), rebuilt.MinPairDecay(v, w));
       EXPECT_EQ(fresh.CrossDecay(w, v), rebuilt.CrossDecay(w, v));
       EXPECT_EQ(fresh.NormalizedGain(v, w), rebuilt.NormalizedGain(v, w));
@@ -133,7 +130,8 @@ TEST(KernelArenaTest, AggregateQueriesMatchThroughArena) {
     arena_sums.Add(v);
   }
   for (int v = 0; v < system.NumLinks(); ++v) {
-    EXPECT_EQ(fresh.InAffectance(all, v), kernel.InAffectance(all, v));
+    EXPECT_EQ(fresh_sums.In(v), arena_sums.In(v));
+    EXPECT_EQ(fresh_sums.InRaw(v), arena_sums.InRaw(v));
     EXPECT_EQ(fresh_sums.Out(v), arena_sums.Out(v));
   }
   EXPECT_EQ(fresh.OrderByDecay(), kernel.OrderByDecay());
@@ -168,13 +166,13 @@ TEST(KernelArenaTest, CoordinateBackedSpaceBuildsTheDenseKernel) {
   }
 }
 
-// The cache holds exactly four n x n double matrices (affectance, its
-// transpose, cross decays, min-pair decays) plus the per-link arrays (f_vv,
-// c_v, the noise flag) -- the build keeps no workspace of its own -- and a
-// warm arena rebuild of the same shape retains exactly that.
-TEST(KernelArenaTest, MemoryIsFourSlabsPlusPerLinkArrays) {
+// The cache holds exactly three n x n double matrices (affectance, cross
+// decays, min-pair decays) plus the per-link arrays (f_vv, c_v, the noise
+// flag) -- the build keeps no workspace of its own -- and a warm arena
+// rebuild of the same shape retains exactly that.
+TEST(KernelArenaTest, MemoryIsThreeSlabsPlusPerLinkArrays) {
   const auto expected = [](long long n) {
-    return 4 * n * n * 8 + n * (8 + 8 + 1);
+    return 3 * n * n * 8 + n * (8 + 8 + 1);
   };
   const Instance inst = MakeInstance(61, 40, 1.0, 0.01);
   const LinkSystem system(inst.space, inst.links, inst.config);
@@ -193,9 +191,9 @@ TEST(KernelArenaTest, MemoryIsFourSlabsPlusPerLinkArrays) {
 }
 
 // The slabs `part` was built with equal a full build entry for entry (the
-// transpose through a one-member accumulator's Out, as above; the cross
-// decays also the naive LinkSystem::CrossDecay), and so do the per-link
-// arrays every build fills.
+// affectance matrix also through a one-member accumulator's Out, as above;
+// the cross decays also the naive LinkSystem::CrossDecay), and so do the
+// per-link arrays every build fills.
 void ExpectBuiltSlabsMatch(const KernelCache& full, const KernelCache& part) {
   ASSERT_EQ(full.NumLinks(), part.NumLinks());
   const int n = full.NumLinks();
@@ -263,11 +261,11 @@ TEST(KernelArenaTest, EverySlabSetMatchesTheFullBuild) {
   }
 }
 
-// An admission-only build (affectance, transpose, min-pair) holds three
-// slabs.  A warm rebuild needs every requested slab already sized:
-// admission then full grows the cross slab (cold); full then admission is
-// warm, and the unrequested cross slab keeps its capacity, so a later full
-// build is warm too.
+// An admission-only build (affectance, min-pair) holds two slabs.  A warm
+// rebuild needs every requested slab already sized: admission then full
+// grows the cross slab (cold); full then admission is warm, and the
+// unrequested cross slab keeps its capacity, so a later full build is warm
+// too.
 TEST(KernelArenaTest, SlabSetsDecideWarmRebuilds) {
   const long long n = 40;
   const Instance inst = MakeInstance(63, static_cast<int>(n), 1.0, 0.01);
@@ -277,17 +275,17 @@ TEST(KernelArenaTest, SlabSetsDecideWarmRebuilds) {
       KernelSlabs::kAffectance | KernelSlabs::kMinPairDecay;
   const long long per_link = n * (8 + 8 + 1);
   EXPECT_EQ(KernelCache(system, power, admission).MemoryBytes(),
-            3 * n * n * 8 + per_link);
+            2 * n * n * 8 + per_link);
   EXPECT_EQ(KernelCache(system, power, KernelSlabs::kCrossDecay).MemoryBytes(),
             n * n * 8 + per_link);
 
   KernelArena arena;
   arena.Rebuild(system, power, admission);
   EXPECT_EQ(arena.Rebuild(system, power).MemoryBytes(),
-            4 * n * n * 8 + per_link);
+            3 * n * n * 8 + per_link);
   EXPECT_EQ(arena.warm_skips(), 0);  // the cross slab had to grow
   EXPECT_EQ(arena.Rebuild(system, power, admission).MemoryBytes(),
-            4 * n * n * 8 + per_link);
+            3 * n * n * 8 + per_link);
   EXPECT_EQ(arena.warm_skips(), 1);
   arena.Rebuild(system, power);
   EXPECT_EQ(arena.warm_skips(), 2);
@@ -307,7 +305,6 @@ TEST(KernelSlabsDeathTest, EntryPointsRejectUnbuiltSlabs) {
   const std::vector<int> S{0, 1, 2};
   EXPECT_DEATH(AffectanceAccumulator{cross_only}, "slab not built");
   EXPECT_DEATH((void)cross_only.IsFeasible(S), "slab not built");
-  EXPECT_DEATH((void)cross_only.InAffectance(S, 0), "slab not built");
   EXPECT_DEATH((SeparationOracle{affectance_only, 1.0, 3.0}),
                "slab not built");
   EXPECT_DEATH((void)FeasibleWithPowerControl(admission, S), "slab not built");

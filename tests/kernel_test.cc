@@ -238,14 +238,35 @@ TEST_P(KernelBitExactness, AggregateQueriesMatchNaive) {
       // S may contain links that cannot overcome noise (IsFeasible must
       // reject such sets).
       const std::vector<int> S = RandomSubset(n, 0.55, rng);
+      // The accumulator's sums over S, added in S order, are the naive
+      // in-affectance sums; its raw sums decide K-feasibility as the naive
+      // IsKFeasible does.
+      AffectanceAccumulator acc(kernel);
+      for (int w : S) acc.Add(w);
+      bool k_feasible = true;
       for (int v = 0; v < n; ++v) {
         if (!kernel.CanOvercomeNoise(v)) continue;
-        EXPECT_EQ(kernel.InAffectance(S, v),
-                  system.InAffectance(S, v, inst.power));
+        EXPECT_EQ(acc.In(v), system.InAffectance(S, v, inst.power));
+      }
+      for (int v : S) {
+        if (!kernel.CanOvercomeNoise(v) || acc.InRaw(v) > 1.0 / 2.5) {
+          k_feasible = false;
+        }
       }
       EXPECT_EQ(kernel.IsFeasible(S), system.IsFeasible(S, inst.power));
-      EXPECT_EQ(kernel.IsKFeasible(S, 2.5),
-                system.IsKFeasible(S, 2.5, inst.power));
+      EXPECT_EQ(k_feasible, system.IsKFeasible(S, 2.5, inst.power));
+      // A random subset is almost always infeasible, whichever way its
+      // sums run; a set grown link by link sits at the threshold, where
+      // reading a_v(w) for a_w(v) flips verdicts.
+      std::vector<int> order = AllLinks(system);
+      rng.Shuffle(order);
+      std::vector<int> grown;
+      for (int v : order) {
+        grown.push_back(v);
+        const bool feasible = system.IsFeasible(grown, inst.power);
+        EXPECT_EQ(kernel.IsFeasible(grown), feasible);
+        if (!feasible) grown.pop_back();
+      }
     }
   }
 }
@@ -323,8 +344,8 @@ TEST_P(KernelBitExactness, EntriesMatchNaiveOnEveryRepresentation) {
     const int n = system.NumLinks();
     ASSERT_EQ(kernel.NumLinks(), n);
     for (int v = 0; v < n; ++v) {
-      // Row v of the transpose, read back through a one-member accumulator:
-      // Out(w) is exactly the stored a_w(v), clamped.
+      // Column v of the affectance matrix, read back through a one-member
+      // accumulator: Out(w) folds the single entry a_w(v), clamped.
       AffectanceAccumulator acc(kernel);
       acc.Add(v);
       const bool overcomes = system.CanOvercomeNoise(v, inst.power);
