@@ -70,19 +70,16 @@ struct FarFieldCounters {
   long long accepts = 0;
   long long rejects = 0;
   long long fallbacks = 0;
-  long long refined = 0;
 
   static FarFieldCounters Snapshot() {
     return {CounterValue("sinr.farfield_admission_checks"),
             CounterValue("sinr.farfield_certified_accepts"),
             CounterValue("sinr.farfield_certified_rejects"),
-            CounterValue("sinr.farfield_exact_fallbacks"),
-            CounterValue("sinr.farfield_refined_cells")};
+            CounterValue("sinr.farfield_exact_fallbacks")};
   }
   FarFieldCounters Delta(const FarFieldCounters& before) const {
     return {checks - before.checks, accepts - before.accepts,
-            rejects - before.rejects, fallbacks - before.fallbacks,
-            refined - before.refined};
+            rejects - before.rejects, fallbacks - before.fallbacks};
   }
 };
 
@@ -117,10 +114,10 @@ void PrintHitRates(const char* tag, const FarFieldCounters& d) {
   const double denom = d.checks > 0 ? static_cast<double>(d.checks) : 1.0;
   std::printf(
       "%s: %lld certified checks (%.1f%% accept / %.1f%% reject via the "
-      "pooled interval, %.1f%% exact fallbacks), %lld blocks refined\n",
+      "pooled interval, %.1f%% exact fallbacks)\n",
       tag, d.checks, 100.0 * static_cast<double>(d.accepts) / denom,
       100.0 * static_cast<double>(d.rejects) / denom,
-      100.0 * static_cast<double>(d.fallbacks) / denom, d.refined);
+      100.0 * static_cast<double>(d.fallbacks) / denom);
 }
 
 }  // namespace
@@ -152,8 +149,8 @@ int main(int argc, char** argv) {
   }
 
   bench::Banner("E22", "Far-field kernel tier",
-                "pooling distant cells' decay contributions with a "
-                "certified relative error bound turns the O(n^2) kernel "
+                "pooling distant cells' decay contributions into "
+                "certified bounds turns the O(n^2) kernel "
                 "build and the admission loops into near-linear passes");
 
   const sinr::FarFieldConfig ff_config{epsilon};

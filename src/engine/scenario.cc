@@ -205,7 +205,7 @@ core::Status ValidateScenarioSpec(const ScenarioSpec& spec) {
   }
   if (!(std::isfinite(spec.farfield_epsilon) && spec.farfield_epsilon >= 0.0)) {
     return Status::InvalidArgument(
-        "farfield_epsilon must be a non-negative finite relative error bound");
+        "farfield_epsilon must be non-negative and finite");
   }
   // The far-field kernel pools geometric decay contributions per cell; the
   // certificate needs decays that are a pure function of distance (no

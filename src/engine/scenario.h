@@ -90,9 +90,9 @@ struct DynamicsSpec {
 //     bit-exactness reference every other mode is gated against).
 //   * kFarField: the matrix-free sinr::FarFieldKernel for the tasks that
 //     support it (algorithm1, greedy, schedule) -- O(n) memory, pooled
-//     distant-cell affectance with certified relative error
-//     farfield_epsilon; at epsilon == 0 every query is exact and results
-//     are bit-identical to dense.  Requires a coordinate-backed,
+//     distant-cell affectance bounds whenever farfield_epsilon > 0; at
+//     epsilon == 0 every query is exact and results are bit-identical to
+//     dense.  Requires a coordinate-backed,
 //     shadowing-free spec with uniform base power (sigma_db == 0,
 //     power_tau == 0; ValidateScenarioSpec rejects the rest).  Tasks
 //     without a far-field path still build the dense kernel lazily.
@@ -132,9 +132,10 @@ struct ScenarioSpec {
   std::uint64_t seed = 1;
 
   // Kernel path (non-geometric: two specs differing only here share a
-  // GeometryKey).  farfield_epsilon is the certified relative error bound
-  // of pooled far-field affectance queries; 0 forces every query exact
-  // (dense-bit-identical results).  Ignored under kDense.
+  // GeometryKey).  farfield_epsilon switches pooled far-field bounds on:
+  // any value > 0 pools, and no decision or aggregate reads the value
+  // itself; 0 forces every query exact (dense-bit-identical results).
+  // Ignored under kDense.
   KernelMode kernel_mode = KernelMode::kDense;
   double farfield_epsilon = 1e-3;
 

@@ -45,12 +45,6 @@ obs::Counter& FarFieldExactFallbackCounter() {
   return counter;
 }
 
-obs::Counter& FarFieldRefinedCellCounter() {
-  static obs::Counter& counter =
-      obs::Registry::Global().GetCounter("sinr.farfield_refined_cells");
-  return counter;
-}
-
 geom::UniformGrid MakeGrid(std::span<const geom::Vec2> pts, int target) {
   std::vector<int> ids(pts.size());
   std::iota(ids.begin(), ids.end(), 0);
@@ -64,10 +58,6 @@ long long Bytes(const V& v) {
 
 // A grid side has at most 2^31 cells, so a hierarchy has at most 32 levels.
 constexpr std::size_t kMaxLevels = 32;
-
-// Tolerance that pools every block whose bounds are finite: the split step
-// of refinement opens one block and pools its children where it can.
-constexpr double kPoolAll = std::numeric_limits<double>::max();
 
 std::vector<geom::Vec2> GatherEndpoints(std::span<const geom::Vec2> points,
                                         std::span<const Link> links,
@@ -145,27 +135,15 @@ long long FarFieldKernel::EndpointGrid::MemoryBytes() const noexcept {
          Bytes(leaf_of_cell) + Bytes(cell_of_leaf) + Bytes(levels);
 }
 
-template <typename Fn>
-void FarFieldKernel::ForEachChild(const EndpointGrid& side, Frame f,
-                                  Fn&& fn) {
-  const Level& child =
-      side.levels[static_cast<std::size_t>(f.level - 1)];
-  const int x_end = std::min(2 * f.x + 2, child.cols);
-  const int y_end = std::min(2 * f.y + 2, child.rows);
-  for (int y = 2 * f.y; y < y_end; ++y) {
-    for (int x = 2 * f.x; x < x_end; ++x) fn(Frame{f.level - 1, x, y});
-  }
-}
-
 template <typename Visit, typename Leaf>
 void FarFieldKernel::Walk(const EndpointGrid& side,
-                          const std::vector<Block>& blocks, Frame start,
-                          Visit&& visit, Leaf&& leaf) {
+                          const std::vector<Block>& blocks, Visit&& visit,
+                          Leaf&& leaf) {
   // Depth first: an opened block pushes at most four children, so the
   // stack never holds more than three per level plus one.
   std::array<Frame, 3 * kMaxLevels + 1> stack;
   std::size_t top = 0;
-  stack[top++] = start;
+  stack[top++] = Frame{static_cast<int>(side.levels.size()) - 1, 0, 0};
   while (top > 0) {
     const Frame f = stack[--top];
     const Level& lv =
@@ -178,17 +156,24 @@ void FarFieldKernel::Walk(const EndpointGrid& side,
       leaf(side.cell_of_leaf[static_cast<std::size_t>(id)]);
       continue;
     }
-    ForEachChild(side, f, [&](Frame c) { stack[top++] = c; });
+    const Level& child = side.levels[static_cast<std::size_t>(f.level - 1)];
+    const int x_end = std::min(2 * f.x + 2, child.cols);
+    const int y_end = std::min(2 * f.y + 2, child.rows);
+    for (int y = 2 * f.y; y < y_end; ++y) {
+      for (int x = 2 * f.x; x < x_end; ++x) {
+        stack[top++] = Frame{f.level - 1, x, y};
+      }
+    }
   }
 }
 
 template <typename Bounds, typename Pool, typename Pairwise>
 void FarFieldKernel::Scan(const EndpointGrid& side,
-                          const std::vector<Block>& blocks, Frame start,
-                          geom::Vec2 p, double tol, Bounds&& bounds,
-                          Pool&& pool, Pairwise&& pairwise) {
+                          const std::vector<Block>& blocks, geom::Vec2 p,
+                          double tol, Bounds&& bounds, Pool&& pool,
+                          Pairwise&& pairwise) {
   Walk(
-      side, blocks, start,
+      side, blocks,
       [&](const Frame& f, int id) {
         if (f.level == 0 &&
             InNearRing(side, side.cell_of_leaf[static_cast<std::size_t>(id)],
@@ -219,13 +204,63 @@ FarFieldKernel::Interval FarFieldKernel::PooledInterval(
   double far_lo = 0.0;
   double far_hi = 0.0;
   Scan(
-      side, blocks, Root(side), p, tol, bounds,
+      side, blocks, p, tol, bounds,
       [&](const Frame&, double dn, double up) {
         far_lo += dn;
         far_hi += up;
       },
       [&](int cell) { near_sum += pairwise(cell); });
-  return Guarded(near_sum, far_lo, far_hi);
+  return {(near_sum + far_lo) * (1.0 - kGuard),
+          (near_sum + far_hi) * (1.0 + kGuard)};
+}
+
+template <typename MembersOf>
+FarFieldKernel::Interval FarFieldKernel::InBounds(
+    const std::vector<Block>& blocks, MembersOf&& members_of, int v,
+    double tol, bool clamp) const {
+  const std::size_t sv = static_cast<std::size_t>(v);
+  const double kv = cf_[sv];
+  const int own_leaf = sender_.leaf_of_cell[static_cast<std::size_t>(
+      sender_.cell_of[sv])];
+  const int own_x = own_leaf % sender_.levels[0].cols;
+  const int own_y = own_leaf / sender_.levels[0].cols;
+  const auto term = [clamp](double a) { return !clamp || a < 1.0 ? a : 1.0; };
+  return PooledInterval(
+      sender_, blocks, receivers_[sv], tol,
+      [&](const Frame& f, const Block& b, double lo, double hi, double* dn,
+          double* up) {
+        if ((own_x >> f.level) == f.x && (own_y >> f.level) == f.y) {
+          return false;
+        }
+        const double cnt = static_cast<double>(b.count);
+        *dn = cnt * term(kv / BoundPow(hi));
+        *up = cnt * term(kv / BoundPow(lo));
+        return true;
+      },
+      [&](int cell) {
+        double sum = 0.0;
+        for (int w : members_of(cell)) sum += term(AffectanceNear(w, v));
+        return sum;
+      });
+}
+
+template <typename BoundsAt>
+FarFieldKernel::Verdict FarFieldKernel::Decide(BoundsAt&& bounds_at,
+                                               double t) {
+  Interval b = bounds_at(kDecideTol);
+  // A coarse interval that neither clears t - kBand from below nor
+  // t + kBand from above gets the leaf-resolution walk.
+  if (b.upper > t - kBand && b.lower <= t + kBand) b = bounds_at(0.0);
+  if (b.upper <= t - kBand) {
+    FarFieldCertifiedAcceptCounter().Add();
+    return Verdict::kBelow;
+  }
+  if (b.lower > t + kBand) {
+    FarFieldCertifiedRejectCounter().Add();
+    return Verdict::kAbove;
+  }
+  FarFieldExactFallbackCounter().Add();
+  return Verdict::kUndecided;
 }
 
 // --- FarFieldKernel ----------------------------------------------------------
@@ -261,7 +296,6 @@ void FarFieldKernel::Init(double epsilon) {
   DL_CHECK(std::isfinite(epsilon) && epsilon >= 0.0,
            "far-field epsilon must be finite and >= 0");
   DL_CHECK(static_cast<int>(power_.size()) == n_, "one power entry per link");
-  epsilon_ = epsilon;
   alpha_int_ = (alpha_ == std::rint(alpha_) && alpha_ >= 1.0 && alpha_ <= 16.0)
                    ? static_cast<int>(alpha_)
                    : 0;
@@ -277,6 +311,7 @@ void FarFieldKernel::Init(double epsilon) {
       break;
     }
   }
+  pooled_ = epsilon > 0.0 && uniform_power_;
 
   link_decay_.resize(n);
   can_overcome_.resize(n);
@@ -298,8 +333,7 @@ void FarFieldKernel::Init(double epsilon) {
 
   // Exact near ring radius R0 = diag / (2^{1/alpha} - 1): beyond it,
   // d_hi <= d_lo + diag <= d_lo * 2^{1/alpha}, so a pooled level-0 block's
-  // upper/lower contribution ratio (d_hi/d_lo)^alpha is at most 2 and
-  // refinement halves the residual width geometrically.
+  // upper/lower contribution ratio (d_hi/d_lo)^alpha is at most 2.
   const double ring =
       std::sqrt(2.0) / (std::pow(2.0, 1.0 / alpha_) - 1.0);
   sender_.near = sender_.grid.CellSize() * ring;
@@ -353,14 +387,12 @@ struct FarFieldKernel::SenderBins {
   std::vector<int> offset;   // cell c: grouped[offset[c], offset[c + 1])
   std::vector<int> grouped;  // S's entries, grouped by occupied sender cell
   std::vector<Block> blocks;  // S's entries in the sender hierarchy
-  // Refinement scratch: the pooled blocks of one member pass, reused by
-  // every member pass over these bins.
-  struct Pooled {
-    Frame frame;
-    double lo;
-    double hi;
-  };
-  std::vector<Pooled> far;
+  std::span<const int> Members(int cell) const {
+    const std::size_t c = static_cast<std::size_t>(cell);
+    return std::span(grouped).subspan(
+        static_cast<std::size_t>(offset[c]),
+        static_cast<std::size_t>(offset[c + 1] - offset[c]));
+  }
 };
 
 FarFieldKernel::SenderBins FarFieldKernel::BinBySender(
@@ -389,112 +421,35 @@ FarFieldKernel::SenderBins FarFieldKernel::BinBySender(
   return bins;
 }
 
-FarFieldKernel::Interval FarFieldKernel::RefinedInAffectance(
-    SenderBins& bins, int v, bool decide) const {
-  const std::size_t sv = static_cast<std::size_t>(v);
-  const geom::Vec2 p = receivers_[sv];
-  const double k = cf_[sv];
-  const int own_leaf = sender_.leaf_of_cell[static_cast<std::size_t>(
-      sender_.cell_of[sv])];
-  const int own_x = own_leaf % sender_.levels[0].cols;
-  const int own_y = own_leaf / sender_.levels[0].cols;
-  // Sums a leaf's entries pairwise through the cheap bound spelling
-  // (AffectanceNear, 0 at w == v): the sum only feeds the guarded certified
-  // interval, and threshold-straddling callers re-fold exactly anyway.
-  const auto pairwise = [&](int cell) {
-    double sum = 0.0;
-    for (int i = bins.offset[static_cast<std::size_t>(cell)];
-         i < bins.offset[static_cast<std::size_t>(cell) + 1]; ++i) {
-      sum += AffectanceNear(bins.grouped[static_cast<std::size_t>(i)], v);
-    }
-    return sum;
-  };
-  // A block holding v's own sender is never pooled (a level-0 one goes
-  // pairwise), so v's own entries need no count correction.
-  const auto bounds = [&](const Frame& f, const Block& b, double lo,
-                          double hi, double* dn, double* up) {
-    if ((own_x >> f.level) == f.x && (own_y >> f.level) == f.y) return false;
-    const double cnt = static_cast<double>(b.count);
-    *dn = cnt * (k / BoundPow(hi));
-    *up = cnt * (k / BoundPow(lo));
-    return true;
-  };
-  double near_sum = 0.0;
-  bins.far.clear();
-  const auto scan = [&](Frame start, double tol) {
-    Scan(
-        sender_, bins.blocks, start, p, tol, bounds,
-        [&](const Frame& f, double dn, double up) {
-          bins.far.push_back({f, dn, up});
-        },
-        [&](int cell) { near_sum += pairwise(cell); });
-  };
-  scan(Root(sender_), kDecideTol);
-
-  const auto done = [&](const Interval& b) {
-    if (decide) return b.upper <= 1.0 - kBand || b.lower > 1.0 + kBand;
-    return b.upper - b.lower <= epsilon_ * b.lower;
-  };
-  // Adaptive refinement: split the widest pooled block into its children
-  // (a level-0 block into its pairwise entries) until done.  The pooled
-  // totals are fresh sums every round, so the bounds never inherit
-  // subtraction cancellation.
-  auto& far = bins.far;
-  for (;;) {
-    double far_lo = 0.0;
-    double far_hi = 0.0;
-    std::size_t widest = 0;
-    for (std::size_t i = 0; i < far.size(); ++i) {
-      far_lo += far[i].lo;
-      far_hi += far[i].hi;
-      if (far[i].hi - far[i].lo > far[widest].hi - far[widest].lo) {
-        widest = i;
-      }
-    }
-    const Interval out = Guarded(near_sum, far_lo, far_hi);
-    if (far.empty() || done(out)) return out;
-    const Frame f = far[widest].frame;
-    far[widest] = far.back();
-    far.pop_back();
-    FarFieldRefinedCellCounter().Add();
-    if (f.level == 0) {
-      near_sum += pairwise(sender_.cell_of_leaf[static_cast<std::size_t>(
-          f.y * sender_.levels[0].cols + f.x)]);
-    } else {
-      ForEachChild(sender_, f, [&](Frame c) { scan(c, kPoolAll); });
-    }
-  }
-}
-
 FarFieldKernel::Interval FarFieldKernel::CertifiedInAffectance(
     std::span<const int> S, int v) const {
   const std::size_t sv = static_cast<std::size_t>(v);
   if (!can_overcome_[sv]) return {0.0, 0.0};
-  if (!uniform_power_ || epsilon_ == 0.0) {
+  if (!pooled_) {
     const double e = InAffectanceRawExact(S, v);
     return {e, e};
   }
-  SenderBins bins = BinBySender(S);
-  return RefinedInAffectance(bins, v, /*decide=*/false);
+  const SenderBins bins = BinBySender(S);
+  return InBounds(
+      bins.blocks, [&](int cell) { return bins.Members(cell); }, v, 0.0,
+      /*clamp=*/false);
 }
 
 bool FarFieldKernel::IsFeasible(std::span<const int> S) const {
-  const bool pooled = epsilon_ > 0.0 && uniform_power_;
   SenderBins bins;
-  if (pooled) bins = BinBySender(S);
+  if (pooled_) bins = BinBySender(S);
+  const auto members_of = [&](int cell) { return bins.Members(cell); };
   for (int v : S) {
     if (!CanOvercomeNoise(v)) return false;
-    if (pooled) {
-      const Interval b = RefinedInAffectance(bins, v, /*decide=*/true);
-      if (b.upper <= 1.0 - kBand) {
-        FarFieldCertifiedAcceptCounter().Add();
-        continue;
-      }
-      if (b.lower > 1.0 + kBand) {
-        FarFieldCertifiedRejectCounter().Add();
-        return false;
-      }
-      FarFieldExactFallbackCounter().Add();
+    if (pooled_) {
+      const Verdict verdict = Decide(
+          [&](double tol) {
+            return InBounds(bins.blocks, members_of, v, tol,
+                            /*clamp=*/false);
+          },
+          1.0);
+      if (verdict == Verdict::kBelow) continue;
+      if (verdict == Verdict::kAbove) return false;
     }
     if (InAffectanceRawExact(S, v) > 1.0) return false;
   }
@@ -531,39 +486,17 @@ void FarFieldAccumulator::Add(int v) {
   DL_CHECK(!Contains(v), "link already in the accumulator");
   const FarFieldKernel& k = *kernel_;
   const std::size_t sv = static_cast<std::size_t>(v);
-  const bool pooled = k.uniform_power_ && k.epsilon_ > 0.0;
-  if (pooled) {
-    // Lazily-exact sums: the new member starts with an empty fold prefix
-    // (CatchUp replays the dense accumulator's additions on demand), and
-    // the existing members' exact folds are simply left behind -- only
-    // their certified in-raw brackets advance here, pooled per receiver
-    // block with no libm call on the hot path.
-    in_raw_m_[sv] = 0.0;
-    in_m_[sv] = 0.0;
-    upto_[sv] = 0;
-    const Interval b = CandidateInRawBounds(v, FarFieldKernel::kBracketTol);
+  // The member sums are lazily exact: the new member starts with an empty
+  // fold prefix (CatchUp replays the dense accumulator's additions on
+  // demand), and the existing members' exact folds are simply left behind.
+  // Pooled, only the certified in-raw brackets advance here, per receiver
+  // block with no libm call on the hot path.
+  if (k.pooled_) {
+    const Interval b = CandidateInBounds(v, FarFieldKernel::kBracketTol,
+                                         /*clamp=*/false);
     in_lo_[sv] = b.lower;
     in_hi_[sv] = b.upper;
     AddPressureBrackets(v);
-  } else {
-    // Fold the new member's in-sums over the existing members in
-    // insertion order, and push its pressure onto each existing member's
-    // running sums -- the same association order the dense accumulator
-    // produces (the dense version also adds the member's own +0.0 entry,
-    // which cannot change an IEEE sum of non-negative terms).
-    double in_raw = 0.0;
-    double in = 0.0;
-    for (int w : members_) {
-      const std::size_t sw = static_cast<std::size_t>(w);
-      const double aw_v = k.AffectanceExact(w, v);  // w's pressure on v
-      const double av_w = k.AffectanceExact(v, w);  // v's pressure on w
-      in_raw += aw_v;
-      in += aw_v < 1.0 ? aw_v : 1.0;
-      in_raw_m_[sw] += av_w;
-      in_m_[sw] += av_w < 1.0 ? av_w : 1.0;
-    }
-    in_raw_m_[sv] = in_raw;
-    in_m_[sv] = in;
   }
   members_.push_back(v);
   in_set_[sv] = 1;
@@ -574,7 +507,7 @@ void FarFieldAccumulator::Add(int v) {
   const int rc = k.receiver_.cell_of[sv];
   rcell_members_[static_cast<std::size_t>(rc)].push_back(v);
   k.receiver_.AddToBlocks(rc, k.receivers_[sv], k.cf_[sv], rblocks_);
-  if (pooled) {
+  if (k.pooled_) {
     t2_pass_.push_back(0.0);
     t2_fail_.push_back(0.0);
     pass_limit_.push_back(0.0);
@@ -600,7 +533,7 @@ void FarFieldAccumulator::AddPressureBrackets(int v) {
     }
   };
   FarFieldKernel::Scan(
-      k.receiver_, rblocks_, FarFieldKernel::Root(k.receiver_), s,
+      k.receiver_, rblocks_, s,
       FarFieldKernel::kBracketTol,
       [&](const FarFieldKernel::Frame&, const FarFieldKernel::Block& b,
           double lo, double hi, double* dn, double* up) {
@@ -635,7 +568,6 @@ void FarFieldAccumulator::AddPressureBrackets(int v) {
 
 void FarFieldAccumulator::CatchUp(int w) const {
   const FarFieldKernel& k = *kernel_;
-  if (!k.uniform_power_ || k.epsilon_ == 0.0) return;  // eager modes
   const std::size_t sw = static_cast<std::size_t>(w);
   const std::size_t end = members_.size();
   if (static_cast<std::size_t>(upto_[sw]) == end) return;
@@ -663,8 +595,7 @@ bool FarFieldAccumulator::InWithinOne(int v) const {
   // The clamped in-sum never exceeds the raw one, so a raw bracket clear of
   // the band certifies the dense decision: every term is then < 1, and the
   // dense clamped fold equals its raw fold.
-  if (k.uniform_power_ && k.epsilon_ > 0.0 &&
-      in_hi_[sv] <= 1.0 - FarFieldKernel::kBand) {
+  if (k.pooled_ && in_hi_[sv] <= 1.0 - FarFieldKernel::kBand) {
     FarFieldCertifiedAcceptCounter().Add();
     return true;
   }
@@ -673,51 +604,14 @@ bool FarFieldAccumulator::InWithinOne(int v) const {
   return in_m_[sv] <= 1.0;
 }
 
-FarFieldKernel::Interval FarFieldAccumulator::CandidateInRawBounds(
-    int v, double tol) const {
-  const FarFieldKernel& k = *kernel_;
-  const double kv = k.cf_[static_cast<std::size_t>(v)];
-  return FarFieldKernel::PooledInterval(
-      k.sender_, sblocks_, k.receivers_[static_cast<std::size_t>(v)], tol,
-      [&](const FarFieldKernel::Frame&, const FarFieldKernel::Block& b,
-          double lo, double hi, double* dn, double* up) {
-        const double cnt = static_cast<double>(b.count);
-        *dn = cnt * (kv / k.BoundPow(hi));
-        *up = cnt * (kv / k.BoundPow(lo));
-        return true;
+FarFieldKernel::Interval FarFieldAccumulator::CandidateInBounds(
+    int v, double tol, bool clamp) const {
+  return kernel_->InBounds(
+      sblocks_,
+      [&](int cell) -> const std::vector<int>& {
+        return scell_members_[static_cast<std::size_t>(cell)];
       },
-      [&](int cell) {
-        double sum = 0.0;
-        for (int w : scell_members_[static_cast<std::size_t>(cell)]) {
-          sum += k.AffectanceNear(w, v);
-        }
-        return sum;
-      });
-}
-
-FarFieldKernel::Interval FarFieldAccumulator::CandidateInClampedBounds(
-    int v, double tol) const {
-  const FarFieldKernel& k = *kernel_;
-  const double kv = k.cf_[static_cast<std::size_t>(v)];
-  return FarFieldKernel::PooledInterval(
-      k.sender_, sblocks_, k.receivers_[static_cast<std::size_t>(v)], tol,
-      [&](const FarFieldKernel::Frame&, const FarFieldKernel::Block& b,
-          double lo, double hi, double* dn, double* up) {
-        const double cnt = static_cast<double>(b.count);
-        const double phi = kv / k.BoundPow(lo);
-        const double plo = kv / k.BoundPow(hi);
-        *dn = cnt * (plo < 1.0 ? plo : 1.0);
-        *up = cnt * (phi < 1.0 ? phi : 1.0);
-        return true;
-      },
-      [&](int cell) {
-        double sum = 0.0;
-        for (int w : scell_members_[static_cast<std::size_t>(cell)]) {
-          const double a = k.AffectanceNear(w, v);
-          sum += a < 1.0 ? a : 1.0;
-        }
-        return sum;
-      });
+      v, tol, clamp);
 }
 
 FarFieldKernel::Interval FarFieldAccumulator::CandidateOutClampedBounds(
@@ -769,61 +663,46 @@ bool FarFieldAccumulator::CanAddFeasibly(int v) const {
   FarFieldAdmissionCheckCounter().Add();
   DL_CHECK(!Contains(v), "candidate already in the accumulator");
   const FarFieldKernel& k = *kernel_;
-  const bool pooled = k.uniform_power_ && k.epsilon_ > 0.0;
+  using Verdict = FarFieldKernel::Verdict;
 
-  // (a) candidate's raw in-sum vs 1 (dense: InRaw(v) > 1.0): the coarse
-  // walk, then leaf resolution if that still straddles the band.
-  bool decided = false;
-  if (pooled) {
-    Interval b = CandidateInRawBounds(v, FarFieldKernel::kDecideTol);
-    if (FarFieldKernel::Straddles(b, 1.0)) b = CandidateInRawBounds(v, 0.0);
-    if (b.lower > 1.0 + FarFieldKernel::kBand) {
-      FarFieldCertifiedRejectCounter().Add();
-      return false;
-    }
-    if (b.upper <= 1.0 - FarFieldKernel::kBand) {
-      FarFieldCertifiedAcceptCounter().Add();
-      decided = true;
-    } else {
-      FarFieldExactFallbackCounter().Add();
-    }
+  // (a) candidate's raw in-sum vs 1 (dense: InRaw(v) > 1.0).
+  const Verdict in_v =
+      k.pooled_ ? FarFieldKernel::Decide(
+                      [&](double tol) {
+                        return CandidateInBounds(v, tol, /*clamp=*/false);
+                      },
+                      1.0)
+                : Verdict::kUndecided;
+  if (in_v == Verdict::kAbove) return false;
+  if (in_v == Verdict::kUndecided && k.InAffectanceRawExact(members_, v) > 1.0) {
+    return false;
   }
-  if (!decided && k.InAffectanceRawExact(members_, v) > 1.0) return false;
 
   // (b) every member's headroom vs the candidate's pressure (dense:
-  // InRaw(w) + AffectanceRaw(v, w) > 1.0).  The pooled path certifies each
-  // member through its precomputed d^2 thresholds -- pow-free unless the
+  // InRaw(w) + AffectanceRaw(v, w) > 1.0).  Pooled, each member is first
+  // certified through its precomputed d^2 thresholds -- pow-free unless the
   // pressure lands inside the 1e-9 band of the member's headroom.
-  if (pooled) {
-    const geom::Vec2 s = k.senders_[static_cast<std::size_t>(v)];
-    for (std::size_t i = 0; i < members_.size(); ++i) {
-      const int w = members_[i];
-      const geom::Vec2 r = k.receivers_[static_cast<std::size_t>(w)];
-      const double d2 = (s - r).NormSq();
-      const std::size_t sw = static_cast<std::size_t>(w);
+  const geom::Vec2 s = k.senders_[static_cast<std::size_t>(v)];
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    const int w = members_[i];
+    const std::size_t sw = static_cast<std::size_t>(w);
+    if (k.pooled_) {
       if (in_hi_[sw] > pass_limit_[i]) RefreshHeadroom(i);
+      const double d2 = (s - k.receivers_[sw]).NormSq();
       if (d2 > t2_pass_[i]) continue;
       if (d2 < t2_fail_[i]) return false;
-      // Inside the certification band: the dense comparison, on the
-      // caught-up exact fold.  The catch-up collapses the member's
-      // brackets, so refresh its thresholds afterwards -- they may have
-      // been conservative from bracket slack.
-      CatchUp(w);
-      if (in_raw_m_[sw] + k.AffectanceExact(v, w) > 1.0) {
-        return false;
-      }
-      RefreshHeadroom(i);
     }
-  } else {
-    for (int w : members_) {
-      if (in_raw_m_[static_cast<std::size_t>(w)] + k.AffectanceExact(v, w) >
-          1.0) {
-        return false;
-      }
-    }
+    // The dense comparison, on the caught-up exact fold.  The catch-up
+    // collapses the member's brackets, so a pooled member's thresholds are
+    // refreshed afterwards -- they may have been conservative from bracket
+    // slack.
+    CatchUp(w);
+    if (in_raw_m_[sw] + k.AffectanceExact(v, w) > 1.0) return false;
+    if (k.pooled_) RefreshHeadroom(i);
   }
   return true;
 }
+
 void FarFieldAccumulator::RefreshHeadroom(std::size_t i) const {
   // Member w rejects a candidate at real pressure a > h and passes at
   // a < h for headroom h = 1 - InRaw(w); in the distance domain
@@ -876,26 +755,21 @@ void FarFieldAccumulator::RefreshHeadroom(std::size_t i) const {
 }
 
 bool FarFieldAccumulator::BudgetWithinHalf(int v) const {
-  const FarFieldKernel& k = *kernel_;
-  if (k.uniform_power_ && k.epsilon_ > 0.0) {
-    // The coarse walks, then leaf resolution if their sum still straddles
-    // the band around 1/2.
-    const auto bounds = [&](double tol) {
-      const Interval in_b = CandidateInClampedBounds(v, tol);
-      const Interval out_b = CandidateOutClampedBounds(v, tol);
-      return Interval{in_b.lower + out_b.lower, in_b.upper + out_b.upper};
-    };
-    Interval b = bounds(FarFieldKernel::kDecideTol);
-    if (FarFieldKernel::Straddles(b, 0.5)) b = bounds(0.0);
-    if (b.upper <= 0.5 - FarFieldKernel::kBand) {
-      FarFieldCertifiedAcceptCounter().Add();
-      return true;
+  if (kernel_->pooled_) {
+    switch (FarFieldKernel::Decide(
+        [&](double tol) {
+          const Interval in_b = CandidateInBounds(v, tol, /*clamp=*/true);
+          const Interval out_b = CandidateOutClampedBounds(v, tol);
+          return Interval{in_b.lower + out_b.lower, in_b.upper + out_b.upper};
+        },
+        0.5)) {
+      case FarFieldKernel::Verdict::kBelow:
+        return true;
+      case FarFieldKernel::Verdict::kAbove:
+        return false;
+      case FarFieldKernel::Verdict::kUndecided:
+        break;
     }
-    if (b.lower > 0.5 + FarFieldKernel::kBand) {
-      FarFieldCertifiedRejectCounter().Add();
-      return false;
-    }
-    FarFieldExactFallbackCounter().Add();
   }
   return ExactBudget(v) <= 0.5;
 }
@@ -928,7 +802,7 @@ bool FarFieldAccumulator::IsSeparatedFromMembers(int v, double eta,
                            const std::vector<FarFieldKernel::Block>& blocks,
                            const std::vector<std::vector<int>>& cell_members) {
     FarFieldKernel::Walk(
-        side, blocks, FarFieldKernel::Root(side),
+        side, blocks,
         [&](const FarFieldKernel::Frame&, int id) {
           const FarFieldKernel::Box& box =
               blocks[static_cast<std::size_t>(id)].box;

@@ -21,19 +21,19 @@
 //     gives
 //       count * K / d_hi^alpha <= sum of contributions <= count * K / d_lo^alpha,
 //     with a multiplicative 1e-9 guard absorbing the fp rounding of the
-//     bound arithmetic itself.  Bounds are on the *raw* (unclamped)
-//     affectance, the feasibility form.
-//   * The near field is exact: level-0 blocks whose cell box comes closer
-//     than the ring radius R0 = diag / (2^{1/alpha} - 1) (diag = cell *
-//     sqrt(2)) are evaluated pairwise with geom::GeometricDecay -- the same
-//     expression DecaySpace::Geometric feeds the dense path, so the exact
-//     terms are bit-identical to the dense matrix entries.  Beyond R0 a
-//     cell's upper/lower contribution ratio is at most
-//     (1 + diag/d_lo)^alpha <= 2, so adaptive refinement (splitting the
-//     widest pooled block into its children, a cell into its pairwise
-//     entries) converges geometrically to any requested width.
-//   * CertifiedInAffectance refines until upper - lower <= epsilon * lower;
-//     the guard adds at most ~3e-9 * upper of slack on top.
+//     bound arithmetic itself.  Bounds are on the *raw* affectance (the
+//     feasibility form) or, for Algorithm 1's budget, on its per-entry
+//     clamp at 1.
+//   * The near field is pairwise: level-0 blocks whose cell box comes
+//     closer than the ring radius R0 = diag / (2^{1/alpha} - 1) (diag =
+//     cell * sqrt(2)) are summed entry by entry.  Beyond R0 a cell's
+//     upper/lower contribution ratio is at most (1 + diag/d_lo)^alpha <= 2.
+//   * Every pooled sum is one walk at a width tolerance (see kDecideTol):
+//     a coarse walk first, leaf resolution only for a sum still within
+//     reach of its threshold, and the exact dense-order fold -- with
+//     geom::GeometricDecay, the expression DecaySpace::Geometric feeds the
+//     dense path, so its terms are bit-identical to the dense matrix
+//     entries -- only for a sum that straddles the threshold even then.
 //
 // FarFieldKernel + FarFieldAccumulator satisfy the KernelTier concept
 // (kernel_tier.h), so the admission pipelines -- capacity::RunAlgorithm1,
@@ -42,21 +42,18 @@
 //
 // Decision contract vs the dense path (what the engine's signature gate
 // relies on):
-//   * epsilon = 0: every query and accumulator decision below runs the exact
-//     expressions in the dense iteration order -- results are bit-identical
-//     to KernelCache / AffectanceAccumulator, hence every pipeline's output
-//     is bit-identical to its dense run.
-//   * epsilon > 0: threshold *decisions* (feasibility vs 1, Algorithm 1's
-//     budget vs 0.5 and final filter vs 1, separation) are taken from the
-//     certified interval only when it clears the threshold by an absolute
-//     1e-9 band; inside the band the decision falls back to the exact dense
-//     expression in the dense summation order.  Decisions therefore still
-//     match the dense path except for inputs engineered to sit within ~1e-9
-//     of a threshold (the same caveat SeparationOracle already carries),
-//     while the *reported aggregate sums* may differ by the certified
-//     epsilon.  Decisions refine certified bounds only until they clear the
-//     band -- never to the epsilon width, which only CertifiedInAffectance's
-//     reported interval promises.
+//   * pooling off (epsilon = 0): every query and accumulator decision below
+//     runs the exact expressions in the dense iteration order -- results
+//     are bit-identical to KernelCache / AffectanceAccumulator, hence every
+//     pipeline's output is bit-identical to its dense run.
+//   * pooling on (any epsilon > 0; nothing reads its value): threshold
+//     *decisions* (feasibility vs 1, Algorithm 1's budget vs 0.5 and final
+//     filter vs 1, separation) are taken from the certified interval only
+//     when it clears the threshold by an absolute 1e-9 band; inside the
+//     band the decision falls back to the exact dense expression in the
+//     dense summation order.  Decisions therefore still match the dense
+//     path except for inputs engineered to sit within ~1e-9 of a threshold
+//     (the same caveat SeparationOracle already carries).
 //
 // Pooling requires uniform power (the per-pair factor P_w / P_v would
 // otherwise vary inside a block); non-uniform assignments silently use the
@@ -82,8 +79,9 @@
 namespace decaylib::sinr {
 
 struct FarFieldConfig {
-  // Certified relative width target for bound queries; 0 disables pooling
-  // entirely and makes every path exact (bit-identical to dense).
+  // Pooling switch: any value > 0 turns pooling on, and no decision or
+  // aggregate reads the value itself; 0 disables pooling entirely and makes
+  // every path exact (bit-identical to dense).
   double epsilon = 1e-3;
 };
 
@@ -137,23 +135,20 @@ class FarFieldKernel {
 
   // Certified interval for the raw in-affectance sum_{w in S} a_w(v)
   // (entries equal to v contribute 0, as in the dense row):
-  // lower <= exact <= upper with upper - lower <= epsilon * lower (+ ~3e-9 *
-  // upper of fp guard).  Pools whole sender blocks beyond the near ring
-  // and adaptively splits the widest pooled block until the interval meets
-  // the epsilon width target.
+  // lower <= exact <= upper, from one walk of the sender hierarchy at leaf
+  // resolution.  Exact (lower == upper) when pooling is off.
   Interval CertifiedInAffectance(std::span<const int> S, int v) const;
 
   // Raw in-affectance summed exactly in S order: bit-identical to the dense
   // IsFeasible column fold over S.
   double InAffectanceRawExact(std::span<const int> S, int v) const;
 
-  // Feasibility of S (every member's raw in-sum <= 1), decided rather than
-  // measured: S is binned into the sender hierarchy once per call, and
-  // each member's pooled interval is refined (widest block first) only
-  // until it clears the 1e-9 band around 1 -- not to the epsilon width.
-  // Only an interval that still straddles the band with every block split
-  // down to pairwise entries falls back to the exact fold.  epsilon = 0
-  // runs the exact fold unconditionally and is bit-identical to
+  // Feasibility of S (every member's raw in-sum <= 1): S is binned into the
+  // sender hierarchy once per call, and each member is decided as
+  // FarFieldAccumulator::CanAddFeasibly decides a candidate -- the
+  // kDecideTol walk, leaf resolution if that straddles the 1e-9 band
+  // around 1, the exact fold if that still does.  Without pooling the exact
+  // fold runs unconditionally and is bit-identical to
   // KernelCache::IsFeasible.
   bool IsFeasible(std::span<const int> S) const;
 
@@ -264,16 +259,14 @@ class FarFieldKernel {
   // trades how many blocks a walk visits against how wide its interval
   // comes out -- every pooled interval is a valid certificate, so no
   // decision depends on it:
-  //   * kDecideTol: the first walk of every decision (admission, budget,
-  //     feasibility).  A coarse interval that clears the 1e-9 band around
-  //     the threshold decides.  One that does not is recomputed at
-  //     tolerance 0 (admission, budget) -- leaf resolution, where every far
-  //     cell pools on its own through its members' tight box -- or split
-  //     widest block first down to pairwise entries (feasibility) before
-  //     the exact fold runs, so exact fallbacks cannot rise.  A coarse
-  //     interval is a few tolerances wider than the leaf one, so only
-  //     candidates that close to a threshold (1 or 1/2) pay the second
-  //     walk.
+  //   * kDecideTol: the first walk of every decision (Decide: admission,
+  //     budget, feasibility).  A coarse interval that clears the 1e-9 band
+  //     around the threshold decides.  One that does not is recomputed at
+  //     tolerance 0 -- leaf resolution, where every far cell pools on its
+  //     own through its members' tight box -- before the exact fold runs,
+  //     so exact fallbacks cannot rise.  A coarse interval is a few
+  //     tolerances wider than the leaf one, so only candidates that close
+  //     to a threshold (1 or 1/2) pay the second walk.
   //   * kBracketTol: Add's in-raw brackets (the new member's own and its
   //     pressure on the others).  A pooled block widens the brackets of all
   //     its members by at most this much in total.  Brackets only gate the
@@ -294,20 +287,15 @@ class FarFieldKernel {
     int x = 0;
     int y = 0;
   };
-  // The one top-down traversal behind every pooled scan (candidate bounds,
-  // Add's brackets, feasibility) and the separation collect.  Walks the
-  // non-empty blocks under `start`: visit(frame, block_id) returns true when
-  // it consumed the block whole (pooled or pruned) and false to open it;
-  // an opened level-0 block goes to leaf(occupied_cell).
+  // The one top-down traversal behind every pooled scan (in-bounds, out
+  // bounds, Add's pressure brackets) and the separation collect.  Walks the
+  // non-empty blocks from the root down: visit(frame, block_id) returns
+  // true when it consumed the block whole (pooled or pruned) and false to
+  // open it into its (up to four) children; an opened level-0 block goes
+  // to leaf(occupied_cell).
   template <typename Visit, typename Leaf>
   static void Walk(const EndpointGrid& side, const std::vector<Block>& blocks,
-                   Frame start, Visit&& visit, Leaf&& leaf);
-  static Frame Root(const EndpointGrid& side) {
-    return {static_cast<int>(side.levels.size()) - 1, 0, 0};
-  }
-  // Calls fn(child) for each of block f's (up to four) children.
-  template <typename Fn>
-  static void ForEachChild(const EndpointGrid& side, Frame f, Fn&& fn);
+                   Visit&& visit, Leaf&& leaf);
   // The pooled walk for a query point p.  A level-0 block in p's near ring
   // goes to pairwise(cell).  Any other block gets its certified range
   // from bounds(frame, block, lo, hi, &dn, &up), [lo, hi] being p's
@@ -317,37 +305,36 @@ class FarFieldKernel {
   // otherwise.
   template <typename Bounds, typename Pool, typename Pairwise>
   static void Scan(const EndpointGrid& side, const std::vector<Block>& blocks,
-                   Frame start, geom::Vec2 p, double tol, Bounds&& bounds,
-                   Pool&& pool, Pairwise&& pairwise);
-  // Scan from the root, summed into a guarded interval; pairwise(cell)
-  // returns the leaf's pairwise sum.
+                   geom::Vec2 p, double tol, Bounds&& bounds, Pool&& pool,
+                   Pairwise&& pairwise);
+  // Scan summed into an interval widened by kGuard; pairwise(cell) returns
+  // the leaf's pairwise sum.
   template <typename Bounds, typename Pairwise>
   static Interval PooledInterval(const EndpointGrid& side,
                                  const std::vector<Block>& blocks,
                                  geom::Vec2 p, double tol, Bounds&& bounds,
                                  Pairwise&& pairwise);
-  static Interval Guarded(double near_sum, double far_lo, double far_hi) {
-    return {(near_sum + far_lo) * (1.0 - kGuard),
-            (near_sum + far_hi) * (1.0 + kGuard)};
-  }
-  // Whether interval b leaves threshold t undecided: it neither clears
-  // t - kBand from below nor t + kBand from above.
-  static bool Straddles(const Interval& b, double t) {
-    return b.upper > t - kBand && b.lower <= t + kBand;
-  }
 
-  // S binned by sender cell and into the sender hierarchy, plus the
-  // refinement scratch of the member passes that read it.
+  // v's in-affectance interval -- raw, or clamped per entry at 1 when
+  // `clamp` -- from the senders in `blocks`: one walk of the sender
+  // hierarchy at `tol`, members_of(cell) listing the set's links in
+  // occupied sender cell `cell` for the pairwise leaves.  A block that
+  // holds v's own sender never pools, so a set that contains v needs no
+  // count correction (v's own entry is 0).
+  template <typename MembersOf>
+  Interval InBounds(const std::vector<Block>& blocks, MembersOf&& members_of,
+                    int v, double tol, bool clamp) const;
+  // The one decision procedure of every pooled threshold test:
+  // bounds_at(kDecideTol), then bounds_at(0) if that straddles the band
+  // around t.  kBelow certifies sum <= t, kAbove sum > t; kUndecided leaves
+  // the decision to the caller's exact dense-order fold.  Counts the
+  // outcome (certified accept / reject / exact fallback).
+  enum class Verdict { kBelow, kAbove, kUndecided };
+  template <typename BoundsAt>
+  static Verdict Decide(BoundsAt&& bounds_at, double t);
+  // S binned by sender cell and into the sender hierarchy.
   struct SenderBins;
   SenderBins BinBySender(std::span<const int> S) const;
-  // v's raw in-affectance interval over the binned S: a walk at kDecideTol
-  // pools distant blocks (near-ring cells and v's own sender cell go
-  // pairwise, its own entries contributing 0, and no block holding that
-  // cell pools), then the widest pooled block is split into its children
-  // -- a level-0 block into its pairwise entries -- until the interval
-  // meets the epsilon width (`decide` false) or clears the decision band
-  // around 1 (`decide` true).
-  Interval RefinedInAffectance(SenderBins& bins, int v, bool decide) const;
 
   void Init(double epsilon);
   // Euclidean distance range from p to box b (lo = 0 when p is inside).
@@ -393,10 +380,12 @@ class FarFieldKernel {
   int n_ = 0;
   double alpha_ = 0.0;
   int alpha_int_ = 0;  // alpha when integral in [1, 16], else 0 (use pow)
-  double epsilon_ = 0.0;
   SinrConfig config_;
   PowerAssignment power_;
   bool uniform_power_ = true;
+  // Pooled bounds are on: epsilon > 0 and uniform power.  Otherwise every
+  // decision runs the exact dense expressions.
+  bool pooled_ = false;
   std::vector<geom::Vec2> senders_;
   std::vector<geom::Vec2> receivers_;
   std::vector<double> link_decay_;    // f_vv
@@ -440,8 +429,8 @@ class FarFieldAccumulator {
   // Dense AffectanceAccumulator::CanAddFeasibly decisions: candidate raw
   // in-sum vs 1, then every member's headroom vs the candidate's pressure.
   // Certified pooled bounds decide both tests outside the 1e-9 band; the
-  // exact dense expressions decide inside it (and everywhere at epsilon = 0
-  // or non-uniform power).
+  // exact dense expressions decide inside it (and everywhere when pooling
+  // is off).
   bool CanAddFeasibly(int v) const;
 
   // Algorithm 1's admission budget Out(v) + In(v) <= 0.5, certified the
@@ -458,9 +447,9 @@ class FarFieldAccumulator {
  private:
   using Interval = FarFieldKernel::Interval;
   // Certified candidate bounds against the members, each one walk of a
-  // hierarchy that pools blocks at most `tol` wide (0: leaf resolution).
-  Interval CandidateInRawBounds(int v, double tol) const;
-  Interval CandidateInClampedBounds(int v, double tol) const;
+  // hierarchy that pools blocks at most `tol` wide (0: leaf resolution):
+  // the in-sum (kernel InBounds, raw or clamped) and the clamped out-sum.
+  Interval CandidateInBounds(int v, double tol, bool clamp) const;
   Interval CandidateOutClampedBounds(int v, double tol) const;
   double ExactBudget(int v) const;
   // Recomputes member i's certified d^2 headroom thresholds.  Called for
@@ -470,8 +459,7 @@ class FarFieldAccumulator {
   // Extends member w's exact sums over the members appended since the
   // last catch-up, replaying the same additions in the same order the
   // dense accumulator performs eagerly -- the folded values are
-  // bit-identical.  No-op in the exact (non-pooled) modes, where Add
-  // maintains the sums eagerly.
+  // bit-identical.
   void CatchUp(int w) const;
   // Advances every member's in-raw bracket by the new member v's pressure,
   // in one walk of the receiver hierarchy at kBracketTol: the members of a
@@ -482,13 +470,13 @@ class FarFieldAccumulator {
   const FarFieldKernel* kernel_;
   std::vector<int> members_;
   std::vector<char> in_set_;
-  // Member sums, indexed by link id (valid only for members).  In the
-  // pooled mode they are lazily exact: each fold is current only through
-  // the first upto_[w] entries of members_, and CatchUp(w) extends it on
-  // demand (mutable for that reason).  The certified brackets
-  // in_lo_/in_hi_ of the raw in-sum ARE maintained eagerly -- cheaply,
-  // pooled per receiver block with no libm -- so headroom thresholds and
-  // their staleness triggers never force an exact fold.
+  // Member sums, indexed by link id (valid only for members).  They are
+  // lazily exact: each fold is current only through the first upto_[w]
+  // entries of members_, and CatchUp(w) extends it on demand (mutable for
+  // that reason).  Pooled, the certified brackets in_lo_/in_hi_ of the raw
+  // in-sum ARE maintained eagerly -- cheaply, pooled per receiver block
+  // with no libm -- so headroom thresholds and their staleness triggers
+  // never force an exact fold.
   mutable std::vector<double> in_m_, in_raw_m_;
   mutable std::vector<int> upto_;
   mutable std::vector<double> in_lo_, in_hi_;

@@ -17,16 +17,25 @@ using core::Status;
 struct FieldEntry {
   const char* name;
   Status (*apply)(engine::ScenarioSpec&, double);
-  bool integral;
 };
 
-Status CheckIntegral(double value, const char* field) {
+// Writes an integer field (links, instances): an integral value in
+// [1, INT_MAX], checked before the cast -- converting an out-of-range
+// double to int is undefined behaviour.
+Status ApplyCount(double value, const char* field, int* out) {
   if (!(std::isfinite(value) && value == std::floor(value))) {
     return Status::InvalidArgument(std::string(field) +
                                    ": integer sweep field needs an integral "
                                    "value, got " +
                                    FormatAxisValue(value));
   }
+  if (value < 1.0 || value > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument(
+        std::string(field) + " must be in [1, " +
+        std::to_string(std::numeric_limits<int>::max()) + "], got " +
+        FormatAxisValue(value));
+  }
+  *out = static_cast<int>(value);
   return Status::Ok();
 }
 
@@ -34,61 +43,42 @@ const std::vector<FieldEntry>& FieldTable() {
   static const std::vector<FieldEntry> table = {
       {"links",
        [](engine::ScenarioSpec& s, double v) {
-         if (Status st = CheckIntegral(v, "links"); !st.ok()) return st;
-         if (v < 1.0) {
-           return Status::InvalidArgument("links axis values must be >= 1");
-         }
-         s.links = static_cast<int>(v);
-         return Status::Ok();
-       },
-       true},
+         return ApplyCount(v, "links", &s.links);
+       }},
       {"instances",
        [](engine::ScenarioSpec& s, double v) {
-         if (Status st = CheckIntegral(v, "instances"); !st.ok()) return st;
-         if (v < 1.0) {
-           return Status::InvalidArgument(
-               "instances axis values must be >= 1");
-         }
-         s.instances = static_cast<int>(v);
-         return Status::Ok();
-       },
-       true},
+         return ApplyCount(v, "instances", &s.instances);
+       }},
       {"alpha",
        [](engine::ScenarioSpec& s, double v) {
          s.alpha = v;
          return Status::Ok();
-       },
-       false},
+       }},
       {"sigma_db",
        [](engine::ScenarioSpec& s, double v) {
          s.sigma_db = v;
          return Status::Ok();
-       },
-       false},
+       }},
       {"power_tau",
        [](engine::ScenarioSpec& s, double v) {
          s.power_tau = v;
          return Status::Ok();
-       },
-       false},
+       }},
       {"beta",
        [](engine::ScenarioSpec& s, double v) {
          s.beta = v;
          return Status::Ok();
-       },
-       false},
+       }},
       {"noise",
        [](engine::ScenarioSpec& s, double v) {
          s.noise = v;
          return Status::Ok();
-       },
-       false},
+       }},
       {"zeta",
        [](engine::ScenarioSpec& s, double v) {
          s.zeta = v;
          return Status::Ok();
-       },
-       false},
+       }},
       // Dynamics knobs (TaskKind::kQueue / kRegret).  Both are
       // non-geometric, so a trailing lambda or penalty axis reuses one
       // sampled geometry generation across its whole row.
@@ -101,8 +91,7 @@ const std::vector<FieldEntry>& FieldTable() {
          }
          s.dynamics.lambda = v;
          return Status::Ok();
-       },
-       false},
+       }},
       {"regret_penalty",
        [](engine::ScenarioSpec& s, double v) {
          if (!(v >= 0.0)) {
@@ -111,11 +100,11 @@ const std::vector<FieldEntry>& FieldTable() {
          }
          s.dynamics.regret_penalty = v;
          return Status::Ok();
-       },
-       false},
-      // Certified error bound of the far-field kernel (kernel_mode is set
-      // on the base spec; 0 means every query exact).  Non-geometric, like
-      // the dynamics knobs: an epsilon row reuses one sampled geometry.
+       }},
+      // The far-field kernel's pooling switch (kernel_mode is set on the
+      // base spec; 0 means every query exact, any value > 0 pools and no
+      // decision or aggregate reads it).  Non-geometric, like the dynamics
+      // knobs: an epsilon row reuses one sampled geometry.
       {"farfield_epsilon",
        [](engine::ScenarioSpec& s, double v) {
          if (!(std::isfinite(v) && v >= 0.0)) {
@@ -124,8 +113,7 @@ const std::vector<FieldEntry>& FieldTable() {
          }
          s.farfield_epsilon = v;
          return Status::Ok();
-       },
-       false},
+       }},
   };
   return table;
 }

@@ -44,14 +44,19 @@ struct SweepSpec {
 // The ScenarioSpec fields an axis may name, in canonical order:
 // links, instances, alpha, sigma_db, power_tau, beta, noise, zeta,
 // lambda, regret_penalty (these two write spec.dynamics), and
-// farfield_epsilon (the far-field kernel's certified error bound).
+// farfield_epsilon (the far-field kernel's pooling switch: any value > 0
+// pools, and no decision or aggregate reads the value itself).
 std::vector<std::string> SweepableFields();
 bool IsSweepableField(const std::string& field);
 
-// Writes one axis value into the spec.  Rejects an unknown field, a
-// non-integral value for an integer field, or an out-of-range value as
+// Writes one axis value into the spec.  Rejects an unknown field, an
+// integer field's value that is not an integer in [1, INT_MAX], or a
+// lambda, regret_penalty or farfield_epsilon value out of its range as
 // kInvalidArgument (the spec is untouched in that case) -- axis bindings
-// are runtime input (CLI flags, sweep files), not programmer state.
+// are runtime input (CLI flags, sweep files), not programmer state.  The
+// other fields are written as given: engine::ValidateScenarioSpec, which
+// both ValidateSweepSpec and scenario_runner run on every bound spec,
+// checks the composed spec.
 core::Status ApplyAxisValue(engine::ScenarioSpec& spec,
                             const std::string& field, double value);
 

@@ -82,6 +82,19 @@ TEST(SweepSpecTest, OutOfRangeAxisValuesRejectedAsStatus) {
   EXPECT_EQ(status.code(), core::StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("integral"), std::string::npos);
 
+  // Integer fields are range-checked before the double -> int cast, whose
+  // out-of-range result would be undefined behaviour.
+  for (const double value : {3e9, 4294967297.0, 0.0}) {
+    for (const std::string field : {"links", "instances"}) {
+      status = ApplyAxisValue(spec, field, value);
+      EXPECT_EQ(status.code(), core::StatusCode::kInvalidArgument)
+          << field << "=" << value;
+      EXPECT_EQ(status.message().rfind(field, 0), 0u) << status.message();
+    }
+  }
+  EXPECT_EQ(spec.links, before.links);
+  EXPECT_EQ(spec.instances, before.instances);
+
   status = ApplyAxisValue(spec, "no_such_field", 1.0);
   EXPECT_EQ(status.code(), core::StatusCode::kInvalidArgument);
   // The diagnostic lists the sweepable fields, so a CLI typo self-explains.
