@@ -11,9 +11,10 @@
 //       exhaustive naive scans, plus ComputeMetricity alone on a shadowed
 //       engine geometry (phase metricity_shadowed, the engine's measured-zeta
 //       traffic);
-//   (d) the power-control oracle: decay-order greedy prefixes through the
-//       cached FeasibleWithPowerControl at noise 0 and noise > 0 (phase
-//       power_control_greedy, the engine's power-control task budget).
+//   (d) the power-control oracle: sinr::GreedyPowerControlFeasible, the
+//       engine's power-control greedy and budget, on the cached kernel at
+//       noise 0 and noise > 0 (phase power_control_greedy), checked against
+//       the same greedy on the naive LinkSystem.
 // The cached/pruned results are asserted identical to the naive ones before
 // any timing is reported.
 //
@@ -52,32 +53,6 @@ bool SameMetricity(const core::MetricityResult& a,
                    const core::MetricityResult& b) {
   return a.zeta == b.zeta && a.arg_x == b.arg_x && a.arg_y == b.arg_y &&
          a.arg_z == b.arg_z;
-}
-
-// The engine's power-control task budget (engine/batch_runner.cc).
-constexpr int kPowerControlIterations = 300;
-constexpr double kPowerControlTol = 1e-7;
-
-struct PowerControlGreedyResult {
-  std::vector<int> kept;
-  long long iterations = 0;  // fixed-point iterations over all oracle calls
-};
-
-// Walks `order` and keeps a link when the grown prefix still admits some
-// power assignment: one oracle call per link, on sets that grow to the
-// greedy size.  Runs on a LinkSystem (naive) or a KernelCache (cached).
-template <typename Oracle>
-PowerControlGreedyResult PowerControlGreedy(const Oracle& oracle,
-                                            const std::vector<int>& order) {
-  PowerControlGreedyResult result;
-  for (const int v : order) {
-    result.kept.push_back(v);
-    const sinr::PowerControlResult pc = sinr::FeasibleWithPowerControl(
-        oracle, result.kept, kPowerControlIterations, kPowerControlTol);
-    result.iterations += pc.iterations;
-    if (!pc.feasible) result.kept.pop_back();
-  }
-  return result;
 }
 
 }  // namespace
@@ -258,31 +233,25 @@ int main(int argc, char** argv) {
     const sinr::KernelCache noisy_kernel(noisy, sinr::UniformPower(noisy));
     const sinr::LinkSystem* systems[2] = {&quiet, &noisy};
     const sinr::KernelCache* kernels[2] = {&quiet_kernel, &noisy_kernel};
-    const std::vector<int> order = quiet_kernel.OrderByDecay();
 
-    PowerControlGreedyResult cached[2];
+    std::vector<int> cached[2];
     const obs::SampleStats stats =
         report.Time("power_control_greedy", n_links, [&] {
           for (int t = 0; t < 2; ++t) {
-            cached[t] = PowerControlGreedy(*kernels[t], order);
+            cached[t] = sinr::GreedyPowerControlFeasible(*kernels[t]);
           }
         });
 
-    bench::Table table({"noise", "greedy |S|", "oracle calls",
-                        "mean iterations"});
+    bench::Table table({"noise", "greedy |S|"});
     for (int t = 0; t < 2; ++t) {
-      if (PowerControlGreedy(*systems[t], order).kept != cached[t].kept) {
+      if (sinr::GreedyPowerControlFeasible(*systems[t]) != cached[t]) {
         std::printf(
             "ERROR: cached power-control greedy diverged from the naive "
             "path\n");
         return 1;
       }
-      table.AddRow(
-          {bench::Fmt(systems[t]->config().noise),
-           bench::FmtInt(static_cast<long long>(cached[t].kept.size())),
-           bench::FmtInt(n_links),
-           bench::Fmt(static_cast<double>(cached[t].iterations) / n_links,
-                      1)});
+      table.AddRow({bench::Fmt(systems[t]->config().noise),
+                    bench::FmtInt(static_cast<long long>(cached[t].size()))});
     }
     table.Print();
     std::printf("both noise levels in %s ms\n",

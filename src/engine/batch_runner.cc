@@ -81,48 +81,15 @@ std::vector<double> InstanceWeights(const ScenarioSpec& spec, int index,
   return weights;
 }
 
-// Iteration/tolerance budget of the per-task power-control oracle: enough
-// to settle well-separated sets in tens of iterations while bounding the
-// near-threshold worst case (the verdict at the cap -- judge by the last
-// growth rate -- is deterministic either way).
-constexpr int kPowerControlIterations = 300;
-constexpr double kPowerControlTol = 1e-7;
-
-// Greedy admission in decay order with the cached power-control oracle: a
-// link joins when the grown set has no pairwise obstruction (the O(|S|)
-// certificate runs first) and the Foschini-Miljanic iteration contracts.
-// The power-control analogue of GreedyFeasible; comparing the two sizes is
-// the uniform-vs-power-control feasibility gap.
-std::vector<int> GreedyPowerControlFeasible(const sinr::KernelCache& kernel) {
-  const double beta = kernel.system().config().beta;
-  std::vector<int> S;
-  for (const int v : kernel.OrderByDecay()) {
-    bool obstructed = false;
-    for (const int w : S) {
-      if (sinr::PairwiseAffectanceProduct(kernel, v, w) > beta * beta) {
-        obstructed = true;
-        break;
-      }
-    }
-    if (obstructed) continue;
-    S.push_back(v);
-    if (!sinr::FeasibleWithPowerControl(kernel, S, kPowerControlIterations,
-                                        kPowerControlTol)
-             .feasible) {
-      S.pop_back();
-    }
-  }
-  return S;
-}
-
 // The task table, indexed by TaskKind: every task's stable name (index
 // order is also the canonical execution order AllTasks() returns) and the
 // dense-kernel slabs it reads.  `admission_tier` marks the tasks that run
 // on the far-field kernel when the spec builds one; those read no dense
 // slab then.  The power-control oracle and the regret game read cross
-// decays; the queue's admission schedulers read affectances and its random
-// access the cross decays; Algorithm 1's separation tests (weighted,
-// partitions and the schedule run it too) read MinPairDecay.
+// decays; the queue's admission schedulers read affectances (random access
+// reads the cross decays instead, see TaskSlabs); Algorithm 1's separation
+// tests (weighted, partitions and the schedule run it too) read
+// MinPairDecay.
 struct TaskEntry {
   const char* name;
   sinr::KernelSlabs slabs;
@@ -137,8 +104,7 @@ constexpr TaskEntry kTasks[] = {
     {"partitions", kAdmissionSlabs, false},
     {"schedule", kAdmissionSlabs, true},
     {"power_control", sinr::KernelSlabs::kCrossDecay, false},
-    {"queue",
-     sinr::KernelSlabs::kAffectance | sinr::KernelSlabs::kCrossDecay, false},
+    {"queue", sinr::KernelSlabs::kAffectance, false},
     {"regret", sinr::KernelSlabs::kCrossDecay, false},
 };
 static_assert(std::size(kTasks) == kNumTaskKinds);
@@ -148,15 +114,24 @@ const TaskEntry& Entry(TaskKind kind) {
   return kTasks[static_cast<std::size_t>(kind)];
 }
 
-// The dense slabs `tasks` read: the union over the task list, skipping the
-// admission tasks when they run on a far-field kernel.
-sinr::KernelSlabs DenseSlabs(const std::vector<TaskKind>& tasks,
-                             bool farfield) {
-  sinr::KernelSlabs slabs = sinr::KernelSlabs::kNone;
-  for (const TaskKind task : tasks) {
-    if (farfield && Entry(task).admission_tier) continue;
-    slabs = slabs | Entry(task).slabs;
+// The dense slabs `task` reads under `spec`: none for an admission task on a
+// far-field kernel, and for the queue those of its scheduler.
+sinr::KernelSlabs TaskSlabs(TaskKind task, const ScenarioSpec& spec) {
+  if (spec.kernel_mode == KernelMode::kFarField && Entry(task).admission_tier) {
+    return sinr::KernelSlabs::kNone;
   }
+  if (task == TaskKind::kQueue &&
+      spec.dynamics.scheduler == dynamics::Scheduler::kRandomAccess) {
+    return sinr::KernelSlabs::kCrossDecay;
+  }
+  return Entry(task).slabs;
+}
+
+// The dense slabs `tasks` read under `spec`: the union over the task list.
+sinr::KernelSlabs DenseSlabs(const std::vector<TaskKind>& tasks,
+                             const ScenarioSpec& spec) {
+  sinr::KernelSlabs slabs = sinr::KernelSlabs::kNone;
+  for (const TaskKind task : tasks) slabs = slabs | TaskSlabs(task, spec);
   return slabs;
 }
 
@@ -208,8 +183,7 @@ InstanceRecord RunInstance(const ScenarioSpec& spec, int index,
   // only the slabs the task list reads.  A lazy build is charged to
   // kernel_build alone: kernel_ms lets the triggering task subtract it from
   // its own stage.
-  const sinr::KernelSlabs slabs =
-      DenseSlabs(tasks, spec.kernel_mode == KernelMode::kFarField);
+  const sinr::KernelSlabs slabs = DenseSlabs(tasks, spec);
   std::optional<sinr::KernelCache> local;
   const sinr::KernelCache* kernel_ptr = nullptr;
   double kernel_ms = 0.0;
@@ -320,10 +294,11 @@ InstanceRecord RunInstance(const ScenarioSpec& spec, int index,
       case TaskKind::kPowerControl: {
         const sinr::KernelCache& kernel = ensure_kernel();
         rec.pc_greedy_size =
-            static_cast<int>(GreedyPowerControlFeasible(kernel).size());
+            static_cast<int>(sinr::GreedyPowerControlFeasible(kernel).size());
         rec.pc_all_feasible =
-            sinr::FeasibleWithPowerControl(kernel, all, kPowerControlIterations,
-                                           kPowerControlTol)
+            sinr::FeasibleWithPowerControl(kernel, all,
+                                           sinr::kGreedyPowerControlIterations,
+                                           sinr::kGreedyPowerControlTol)
                     .feasible
                 ? 1
                 : 0;

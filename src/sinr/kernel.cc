@@ -379,6 +379,19 @@ double AffectanceAccumulator::Out(int v) const {
   return total;
 }
 
+bool AffectanceAccumulator::BudgetWithinHalf(int v) const {
+  // Out(v)'s fold.  Its terms are non-negative and rounding is monotone, so
+  // the partial sums never shrink: once one plus In(v) exceeds 1/2, the
+  // full sum does too.
+  const double in = In(v);
+  double out = 0.0;
+  for (int w : members_) {
+    out += kernel_->Affectance(v, w);
+    if (out + in > 0.5) return false;
+  }
+  return out + in <= 0.5;
+}
+
 bool AffectanceAccumulator::CanAddFeasibly(int v) const {
   AdmissionCheckCounter().Add();
   if (InRaw(v) > 1.0) return false;

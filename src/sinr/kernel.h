@@ -13,10 +13,10 @@
 // per-admission updates;
 // SeparationOracle evaluates eta/zeta separation predicates in the decay
 // domain without any pow on the hot path.  The cache also materialises the
-// cross-decay kernel, which backs the cached power-control oracle
-// (power_control.h overloads) and the SINR gain rows (gain_rows.h);
-// KernelArena rebuilds a cache slot in place so batched/swept runs stop
-// paying the allocator per instance.
+// cross-decay kernel, which the power-control queries (power_control.h, one
+// body for this cache and LinkSystem) and the SINR gain rows (gain_rows.h)
+// read.  KernelArena rebuilds a cache slot in place so batched/swept runs
+// stop paying the allocator per instance.
 //
 // A build fills only the slabs it is asked for (KernelSlabs): capacity and
 // scheduling read the affectance and min-pair slabs, the SINR simulations
@@ -67,8 +67,7 @@ enum class KernelSlabs : unsigned {
   kAffectance = 1u << 0,
   // MinPairDecay: SeparationOracle.
   kMinPairDecay = 1u << 1,
-  // CrossDecay (and NormalizedGain): the power-control overloads and
-  // GainRows.
+  // CrossDecay: the power-control queries (power_control.h) and GainRows.
   kCrossDecay = 1u << 2,
   kAll = kAffectance | kMinPairDecay | kCrossDecay,
 };
@@ -109,10 +108,11 @@ class KernelCache {
   }
   // DL_CHECKs that `slabs` were built.  The entry points that read a slab
   // (the accumulator and oracle constructors, the aggregate queries, the
-  // power-control overloads, GainRows) call it once, so the per-entry
+  // power-control queries, GainRows) call it once, so the per-entry
   // accessors stay branch-free.
   void Require(KernelSlabs slabs) const;
   const LinkSystem& system() const noexcept { return *system_; }
+  const SinrConfig& config() const noexcept { return system_->config(); }
   const PowerAssignment& power() const noexcept { return power_; }
 
   // f_vv, hoisted out of the space.
@@ -148,18 +148,6 @@ class KernelCache {
     return cross_decay_[static_cast<std::size_t>(w) *
                             static_cast<std::size_t>(n_) +
                         static_cast<std::size_t>(v)];
-  }
-
-  // Normalised-gain kernel of the power-control fixed point (Foschini-
-  // Miljanic): B(v, w) = beta * f_vv / f(s_w, r_v), zero diagonal.
-  // Computed on demand from the cached decay/cross matrices with exactly
-  // the per-entry expression FeasibleWithPowerControl's naive path builds
-  // (beta * f_ii / CrossDecay), so the cached fixed point stays
-  // bit-identical -- without charging every KernelCache build an n x n
-  // matrix only the power-control oracle reads.
-  double NormalizedGain(int v, int w) const {
-    if (w == v) return 0.0;
-    return system_->config().beta * LinkDecay(v) / CrossDecay(w, v);
   }
 
   // min{f(s_v,r_w), f(s_w,r_v), f(s_v,s_w), f(r_v,r_w)}: the link
@@ -318,8 +306,10 @@ class AffectanceAccumulator {
   bool CanAddFeasibly(int v) const;
 
   // Algorithm 1's admission budget a_v(X) + a_X(v) <= 1/2 over the members
-  // X, summed in admission order as the naive path sums them.
-  bool BudgetWithinHalf(int v) const { return Out(v) + In(v) <= 0.5; }
+  // X, summed in admission order as the naive path sums them.  Decides as
+  // Out(v) + In(v) <= 0.5 but stops folding Out(v) once the partial sum
+  // already exceeds the budget.
+  bool BudgetWithinHalf(int v) const;
 
   // SeparationOracle(kernel, eta, zeta).IsSeparatedFrom(v, members()).
   bool IsSeparatedFromMembers(int v, double eta, double zeta) const;

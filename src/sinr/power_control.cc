@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <concepts>
 #include <cstddef>
 #include <vector>
 
@@ -14,6 +15,15 @@ namespace {
 void CheckIterationBudget(int max_iterations, double tol) {
   DL_CHECK(max_iterations >= 1 && std::isfinite(tol) && tol > 0.0,
            "power control needs max_iterations >= 1 and a finite tol > 0");
+}
+
+// The one slab a KernelCache source must have built; a LinkSystem
+// evaluates its space.
+template <DecaySource D>
+void RequireCrossDecay(const D& source) {
+  if constexpr (std::same_as<D, KernelCache>) {
+    source.Require(KernelSlabs::kCrossDecay);
+  }
 }
 
 // next[i] = c[i] + B[i][0] p[0] + B[i][1] p[1] + ... + B[i][k-1] p[k-1],
@@ -143,9 +153,11 @@ PowerControlResult RunFixedPoint(std::span<const double> B,
   return result;
 }
 
-PowerControlResult FeasibleWithPowerControl(const LinkSystem& system,
+template <DecaySource D>
+PowerControlResult FeasibleWithPowerControl(const D& source,
                                             std::span<const int> S,
                                             int max_iterations, double tol) {
+  RequireCrossDecay(source);
   CheckIterationBudget(max_iterations, tol);
   PowerControlResult result;
   const auto k = S.size();
@@ -153,78 +165,43 @@ PowerControlResult FeasibleWithPowerControl(const LinkSystem& system,
     result.feasible = true;
     return result;
   }
-  const double beta = system.config().beta;
-  const double noise = system.config().noise;
+  const double beta = source.config().beta;
+  const double noise = source.config().noise;
 
   // Local matrix B[i][j] = beta * G(S[j] -> S[i]) / G(S[i] -> S[i])
   //                      = beta * f_ii / f_ji  (decay form), zero diagonal.
   std::vector<double> B(k * k, 0.0);
   for (std::size_t i = 0; i < k; ++i) {
-    const double fii = system.LinkDecay(S[i]);
+    const double fii = source.LinkDecay(S[i]);
     for (std::size_t j = 0; j < k; ++j) {
       if (i == j) continue;
-      B[i * k + j] = beta * fii / system.CrossDecay(S[j], S[i]);
+      B[i * k + j] = beta * fii / source.CrossDecay(S[j], S[i]);
     }
   }
   // Constant term: beta * N * f_ii.
   std::vector<double> c(k, 0.0);
   for (std::size_t i = 0; i < k; ++i) {
-    c[i] = beta * noise * system.LinkDecay(S[i]);
+    c[i] = beta * noise * source.LinkDecay(S[i]);
   }
   return RunFixedPoint(B, c, noise, max_iterations, tol);
 }
 
-PowerControlResult FeasibleWithPowerControl(const KernelCache& kernel,
-                                            std::span<const int> S,
-                                            int max_iterations, double tol) {
-  kernel.Require(KernelSlabs::kCrossDecay);
-  CheckIterationBudget(max_iterations, tol);
-  PowerControlResult result;
-  const auto k = S.size();
-  if (k == 0) {
-    result.feasible = true;
-    return result;
-  }
-  const double beta = kernel.system().config().beta;
-  const double noise = kernel.system().config().noise;
-
-  // The kernel's normalised-gain entries are the naive per-call expression
-  // beta * f_ii / f_ji materialised once; gathering the S x S submatrix is
-  // pure loads.
-  std::vector<double> B(k * k, 0.0);
-  for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t j = 0; j < k; ++j) {
-      if (i == j) continue;
-      B[i * k + j] = kernel.NormalizedGain(S[i], S[j]);
-    }
-  }
-  std::vector<double> c(k, 0.0);
-  for (std::size_t i = 0; i < k; ++i) {
-    c[i] = beta * noise * kernel.LinkDecay(S[i]);
-  }
-  return RunFixedPoint(B, c, noise, max_iterations, tol);
-}
-
-double PairwiseAffectanceProduct(const LinkSystem& system, int v, int w) {
+template <DecaySource D>
+double PairwiseAffectanceProduct(const D& source, int v, int w) {
+  RequireCrossDecay(source);
   DL_CHECK(v != w, "need two distinct links");
-  const double beta = system.config().beta;
-  return beta * beta * system.LinkDecay(v) * system.LinkDecay(w) /
-         (system.CrossDecay(v, w) * system.CrossDecay(w, v));
+  const double beta = source.config().beta;
+  return beta * beta * source.LinkDecay(v) * source.LinkDecay(w) /
+         (source.CrossDecay(v, w) * source.CrossDecay(w, v));
 }
 
-double PairwiseAffectanceProduct(const KernelCache& kernel, int v, int w) {
-  kernel.Require(KernelSlabs::kCrossDecay);
-  DL_CHECK(v != w, "need two distinct links");
-  const double beta = kernel.system().config().beta;
-  return beta * beta * kernel.LinkDecay(v) * kernel.LinkDecay(w) /
-         (kernel.CrossDecay(v, w) * kernel.CrossDecay(w, v));
-}
-
-bool HasPairwiseObstruction(const LinkSystem& system, std::span<const int> S) {
-  const double beta = system.config().beta;
+template <DecaySource D>
+bool HasPairwiseObstruction(const D& source, std::span<const int> S) {
+  RequireCrossDecay(source);
+  const double beta = source.config().beta;
   for (std::size_t i = 0; i < S.size(); ++i) {
     for (std::size_t j = i + 1; j < S.size(); ++j) {
-      if (PairwiseAffectanceProduct(system, S[i], S[j]) > beta * beta) {
+      if (PairwiseAffectanceProduct(source, S[i], S[j]) > beta * beta) {
         return true;
       }
     }
@@ -232,18 +209,37 @@ bool HasPairwiseObstruction(const LinkSystem& system, std::span<const int> S) {
   return false;
 }
 
-bool HasPairwiseObstruction(const KernelCache& kernel,
-                            std::span<const int> S) {
-  kernel.Require(KernelSlabs::kCrossDecay);
-  const double beta = kernel.system().config().beta;
-  for (std::size_t i = 0; i < S.size(); ++i) {
-    for (std::size_t j = i + 1; j < S.size(); ++j) {
-      if (PairwiseAffectanceProduct(kernel, S[i], S[j]) > beta * beta) {
-        return true;
-      }
+template <DecaySource D>
+std::vector<int> GreedyPowerControlFeasible(const D& source) {
+  const double beta = source.config().beta;
+  std::vector<int> S;
+  for (const int v : source.OrderByDecay()) {
+    const bool obstructed = std::any_of(S.begin(), S.end(), [&](int w) {
+      return PairwiseAffectanceProduct(source, v, w) > beta * beta;
+    });
+    if (obstructed) continue;
+    S.push_back(v);
+    if (!FeasibleWithPowerControl(source, S, kGreedyPowerControlIterations,
+                                  kGreedyPowerControlTol)
+             .feasible) {
+      S.pop_back();
     }
   }
-  return false;
+  return S;
 }
+
+// The two decay sources.
+template PowerControlResult FeasibleWithPowerControl(const LinkSystem&,
+                                                     std::span<const int>, int,
+                                                     double);
+template PowerControlResult FeasibleWithPowerControl(const KernelCache&,
+                                                     std::span<const int>, int,
+                                                     double);
+template double PairwiseAffectanceProduct(const LinkSystem&, int, int);
+template double PairwiseAffectanceProduct(const KernelCache&, int, int);
+template bool HasPairwiseObstruction(const LinkSystem&, std::span<const int>);
+template bool HasPairwiseObstruction(const KernelCache&, std::span<const int>);
+template std::vector<int> GreedyPowerControlFeasible(const LinkSystem&);
+template std::vector<int> GreedyPowerControlFeasible(const KernelCache&);
 
 }  // namespace decaylib::sinr

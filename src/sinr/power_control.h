@@ -16,21 +16,24 @@
 //    pair, no power assignment serves both links (the product is
 //    power-invariant).
 //
-// Every oracle has a cached overload running on a sinr::KernelCache built
-// with KernelSlabs::kCrossDecay (the normalised-gain and cross-decay
-// kernels turn the per-call matrix build into O(1) loads); both paths share
-// one fixed-point loop, RunFixedPoint, and return bit-identical results.
+// Every query is written once, over a DecaySource: a LinkSystem evaluates
+// the decay space on each call, a KernelCache built with
+// KernelSlabs::kCrossDecay loads its cached cross decays.  Both run the
+// same expressions in the same order, so they return bit-identical
+// results.  GreedyPowerControlFeasible, the engine's power-control task, is
+// the decay-order greedy over these queries at a fixed iteration budget.
 //
-// The loop is throughput-bound, not latency-bound: each sweep computes
-// B p + c four rows at a time, one accumulator per row, instead of one
-// serial add chain per row.  Every row still adds c[i] and then
-// B[i][j] p[j] in j order, and the max folds over the sweep are order-free,
-// so the output is bit-identical to a one-row-at-a-time loop (see
-// docs/performance.md, "Power-control oracle").
+// The fixed-point loop, RunFixedPoint, is throughput-bound, not
+// latency-bound: each sweep computes B p + c four rows at a time, one
+// accumulator per row, instead of one serial add chain per row.  Every row
+// still adds c[i] and then B[i][j] p[j] in j order, and the max folds over
+// the sweep are order-free, so the output is bit-identical to a
+// one-row-at-a-time loop (see docs/performance.md, "Power-control oracle").
 #pragma once
 
-#include <optional>
+#include <concepts>
 #include <span>
+#include <vector>
 
 #include "sinr/kernel.h"
 #include "sinr/link_system.h"
@@ -44,21 +47,29 @@ struct PowerControlResult {
   double spectral_radius_estimate = 0.0;  // growth rate estimate at exit
 };
 
+// What the power-control queries read: link and cross decays, the decay
+// order and the SINR config.  The queries below are defined for LinkSystem
+// and KernelCache.
+template <class D>
+concept DecaySource = requires(const D& source, int v, int w) {
+  { source.LinkDecay(v) } -> std::convertible_to<double>;
+  { source.CrossDecay(w, v) } -> std::convertible_to<double>;
+  { source.OrderByDecay() } -> std::convertible_to<std::vector<int>>;
+  { source.config() } -> std::convertible_to<const SinrConfig&>;
+};
+
 // Runs the Foschini-Miljanic iteration on the links in S.  With noise = 0
 // the recursion is linear and the growth rate of ||P|| estimates the
 // spectral radius; feasibility is declared when the iteration contracts
 // (radius < 1 - tol) and denied when it expands.  Requires
 // max_iterations >= 1 and a finite tol > 0 (DL_CHECK).
-PowerControlResult FeasibleWithPowerControl(const LinkSystem& system,
-                                            std::span<const int> S,
-                                            int max_iterations = 10000,
-                                            double tol = 1e-9);
-PowerControlResult FeasibleWithPowerControl(const KernelCache& kernel,
+template <DecaySource D>
+PowerControlResult FeasibleWithPowerControl(const D& source,
                                             std::span<const int> S,
                                             int max_iterations = 10000,
                                             double tol = 1e-9);
 
-// The fixed point both overloads above run, on the row-major k x k
+// The fixed point FeasibleWithPowerControl runs, on the row-major k x k
 // normalised-gain matrix B (zero diagonal) and the constant term
 // c[i] = beta * N * f_ii.  With noise > 0 it iterates p <- B p + c until the
 // relative change drops below tol (feasible) or max(p) passes 1e30
@@ -71,12 +82,28 @@ PowerControlResult RunFixedPoint(std::span<const double> B,
 // The power-invariant pairwise product beta^2 f_vv f_ww / (f_vw f_wv).
 // > beta^2 (strictly, in the no-noise model) implies l_v and l_w cannot
 // coexist under any power assignment.
-double PairwiseAffectanceProduct(const LinkSystem& system, int v, int w);
-double PairwiseAffectanceProduct(const KernelCache& kernel, int v, int w);
+template <DecaySource D>
+double PairwiseAffectanceProduct(const D& source, int v, int w);
 
-// True iff some pair in S has PairwiseAffectanceProduct > threshold
-// (defaults to beta^2): a certificate that S is infeasible under any power.
-bool HasPairwiseObstruction(const LinkSystem& system, std::span<const int> S);
-bool HasPairwiseObstruction(const KernelCache& kernel, std::span<const int> S);
+// True iff some pair in S has PairwiseAffectanceProduct > beta^2: a
+// certificate that S is infeasible under any power.
+template <DecaySource D>
+bool HasPairwiseObstruction(const D& source, std::span<const int> S);
+
+// The budget of every oracle call GreedyPowerControlFeasible makes (the
+// engine also judges the whole link set at it): enough to settle
+// well-separated sets in tens of iterations while bounding the
+// near-threshold worst case.  The verdict at the cap -- judge by the last
+// growth rate -- is deterministic either way.
+inline constexpr int kGreedyPowerControlIterations = 300;
+inline constexpr double kGreedyPowerControlTol = 1e-7;
+
+// Greedy admission in decay order: a link joins when it has no pairwise
+// obstruction with a member (the O(|S|) certificate runs first) and the
+// Foschini-Miljanic iteration on the grown set contracts within the budget
+// above.  The power-control analogue of GreedyFeasible; comparing the two
+// sizes is the uniform-vs-power-control feasibility gap.
+template <DecaySource D>
+std::vector<int> GreedyPowerControlFeasible(const D& source);
 
 }  // namespace decaylib::sinr

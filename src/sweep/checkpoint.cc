@@ -62,6 +62,8 @@ std::string SweepSpecHash(const SweepSpec& spec) {
   h.Int(b.hotspots);
   h.Dbl(b.cluster_sigma);
   h.Dbl(b.corridor_width);
+  h.Int(static_cast<long long>(b.kernel_mode));
+  h.Dbl(b.farfield_epsilon);
   h.Dbl(b.dynamics.lambda);
   h.Int(static_cast<long long>(b.dynamics.scheduler));
   h.Int(b.dynamics.queue_slots);

@@ -122,11 +122,9 @@ SweepResult SweepRunner::Run(const SweepSpec& spec) const {
   save_doc.spec_hash = hash;
   save_doc.grid = static_cast<long long>(cells.size());
   const bool checkpointing = !config_.checkpoint_path.empty();
-  int completed_since_save = 0;
-  const auto maybe_save = [&](bool force) {
+  // Saved after every completed cell and once more at the end.
+  const auto save = [&] {
     if (!checkpointing) return;
-    if (!force && completed_since_save < std::max(1, config_.checkpoint_every))
-      return;
     // Timed separately from cell attempts (CellOutcome::attempt_ms), so
     // checkpointed cells don't report sidecar I/O as batch time.
     obs::Span save_span("checkpoint_write",
@@ -134,7 +132,6 @@ SweepResult SweepRunner::Run(const SweepSpec& spec) const {
     core::ThrowIfError(SaveCheckpoint(config_.checkpoint_path, save_doc));
     out.stage_stats.Record("checkpoint_write", save_span.Finish());
     SweepInstruments::Get().checkpoint_writes.Add();
-    completed_since_save = 0;
   };
 
   out.cells.reserve(cells.size());
@@ -216,7 +213,7 @@ SweepResult SweepRunner::Run(const SweepSpec& spec) const {
       }
       // attempt_ms is the *final* attempt's wall time: overwritten each
       // round, so a retried cell reports the run that produced its result.
-      // Checkpoint writes happen outside this window (see maybe_save).
+      // Checkpoint writes happen outside this window (see save).
       outcome.attempt_ms = attempt_span.Finish();
       outcome.total_attempt_ms += outcome.attempt_ms;
       if (outcome.ok || permanent ||
@@ -242,8 +239,7 @@ SweepResult SweepRunner::Run(const SweepSpec& spec) const {
       saved.instances = static_cast<int>(result.instances.size());
       saved.aggregate = result.aggregate;
       save_doc.cells.push_back(std::move(saved));
-      ++completed_since_save;
-      maybe_save(false);
+      save();
     }
     out.cells.push_back({std::move(cell), std::move(result), outcome});
 
@@ -255,7 +251,7 @@ SweepResult SweepRunner::Run(const SweepSpec& spec) const {
       halted = true;
     }
   }
-  maybe_save(true);
+  save();
 
   out.wall_ms = sweep_span.Finish();
   for (const sinr::KernelArena& arena : arenas) {

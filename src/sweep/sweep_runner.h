@@ -92,7 +92,6 @@ struct SweepConfig {
   FaultPlan fault;       // deterministic injected failures (tests, CLI)
   std::string checkpoint_path;  // empty = no checkpointing
   bool resume = false;   // restore completed cells from checkpoint_path
-  int checkpoint_every = 1;  // save after every N completed cells (+ final)
   // Test hook: stop executing after this many *fresh* (non-restored) cells
   // complete, returning a partial result -- simulates a kill mid-sweep
   // without process gymnastics.  0 = run the whole grid.

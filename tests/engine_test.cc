@@ -575,6 +575,32 @@ TEST(BatchRunnerTest, EachTaskAloneMatchesAllTasksRun) {
   }
 }
 
+// The queue's slabs follow its scheduler: an LQF queue reads affectances
+// only, so a dense queue-only run leaves its arena slot holding one n x n
+// slab -- a later affectance-only rebuild of that slot retains no cross
+// slab.
+TEST(BatchRunnerTest, AdmissionQueueBuildsNoCrossSlab) {
+  const ScenarioSpec spec =
+      SmallDynamics(*FindBuiltinScenario("uniform_dense"), 10, 2);
+  ASSERT_EQ(spec.kernel_mode, KernelMode::kDense);
+  ASSERT_EQ(spec.dynamics.scheduler, dynamics::Scheduler::kLongestQueueFirst);
+  std::vector<sinr::KernelArena> arenas(1);
+  BatchConfig config;
+  config.threads = 1;
+  config.tasks = {TaskKind::kQueue};
+  config.arenas = std::span(arenas);
+  (void)BatchRunner(config).RunOne(spec);
+  EXPECT_EQ(arenas[0].rebuilds(), 2);
+
+  const ScenarioInstance instance = BuildInstance(spec, 0);
+  const long long n = instance.NumLinks();
+  EXPECT_EQ(arenas[0]
+                .Rebuild(instance.system(), instance.power(),
+                         sinr::KernelSlabs::kAffectance)
+                .MemoryBytes(),
+            n * n * 8 + 17 * n);
+}
+
 // The dynamics tasks obey the engine's core contract: their rng streams
 // derive from (spec.seed, instance index) alone, so the aggregate is
 // bit-identical across worker-pool sizes.

@@ -202,8 +202,12 @@ TEST(CheckpointTest, SpecHashCoversEveryIdentityField) {
   tasks.tasks.push_back(engine::TaskKind::kSchedule);
   SweepSpec dynamics = spec;
   dynamics.base.dynamics.lambda = 0.4;
-  for (const SweepSpec& other :
-       {seed, axis_value, axis_field, tasks, dynamics}) {
+  SweepSpec kernel_mode = spec;
+  kernel_mode.base.kernel_mode = engine::KernelMode::kFarField;
+  SweepSpec epsilon = spec;
+  epsilon.base.farfield_epsilon *= 2.0;
+  for (const SweepSpec& other : {seed, axis_value, axis_field, tasks, dynamics,
+                                 kernel_mode, epsilon}) {
     EXPECT_NE(SweepSpecHash(other), hash) << other.name;
   }
 }

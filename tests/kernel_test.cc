@@ -294,6 +294,8 @@ TEST_P(KernelBitExactness, SeparationOracleMatchesNaivePredicates) {
 
 TEST_P(KernelBitExactness, AccumulatorMatchesNaivePrefixSums) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
+  int budget_within = 0;
+  int budget_over = 0;
   for (const Instance& inst : MakeInstances(seed, 12)) {
     SCOPED_TRACE(inst.name);
     const LinkSystem system(inst.space, inst.links, inst.config);
@@ -317,10 +319,19 @@ TEST_P(KernelBitExactness, AccumulatorMatchesNaivePrefixSums) {
         // Insertion order == naive iteration order: sums agree exactly.
         EXPECT_EQ(acc.In(u), system.InAffectance(members, u, inst.power));
         EXPECT_EQ(acc.Out(u), system.OutAffectance(u, members, inst.power));
+        // The budget stops its out-fold early but decides as the full sum.
+        if (!acc.Contains(u)) {
+          const bool within = acc.Out(u) + acc.In(u) <= 0.5;
+          EXPECT_EQ(acc.BudgetWithinHalf(u), within) << "link " << u;
+          ++(within ? budget_within : budget_over);
+        }
       }
     }
     EXPECT_EQ(acc.members(), members);
   }
+  // The sets grow past the budget: both verdicts occur.
+  EXPECT_GT(budget_within, 0);
+  EXPECT_GT(budget_over, 0);
 }
 
 TEST_P(KernelBitExactness, EntriesMatchNaiveOnEveryRepresentation) {

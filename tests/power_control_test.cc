@@ -126,10 +126,10 @@ TEST(PairwiseObstructionTest, CleanPairHasNoObstruction) {
 
 // --- cached (KernelCache) power control vs the naive LinkSystem path -------
 //
-// The cached oracles run on the kernel's normalised-gain / cross-decay
-// matrices; the contract is bit-for-bit agreement with the naive versions
-// (EXPECT_EQ on doubles), on random instances across noise regimes and
-// subset sizes.
+// One body per query serves both sources: the cached runs load the
+// kernel's cross decays where the naive ones evaluate the space.  The
+// contract is bit-for-bit agreement (EXPECT_EQ on doubles), on random
+// instances across noise regimes and subset sizes.
 
 TEST(CachedPowerControlTest, MatchesNaiveOnRandomInstances) {
   geom::Rng rng(7);
@@ -172,6 +172,9 @@ TEST(CachedPowerControlTest, MatchesNaiveOnRandomInstances) {
         EXPECT_EQ(naive.power[i], cached.power[i]) << "entry " << i;
       }
     }
+    EXPECT_EQ(GreedyPowerControlFeasible(system),
+              GreedyPowerControlFeasible(kernel))
+        << "trial " << trial;
   }
 }
 
