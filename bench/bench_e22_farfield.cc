@@ -10,7 +10,7 @@
 //       asserted);
 //   (b) n ~ 4k: the headline speedups -- dense build vs far-field build,
 //       dense greedy vs certified far-field greedy;
-//   (c) n ~ 16k: far-field only; the dense matrices would need ~8.6 GB
+//   (c) n ~ 16k: far-field only; the dense matrices would need ~4.3 GB
 //       while the far-field kernel stays O(n + cells);
 //   (d) the engine: spec -> ScenarioResult through BatchRunner::RunOne
 //       (uniform_dense, tasks algorithm1/greedy/schedule, 1 instance, 1
@@ -18,7 +18,7 @@
 //       signatures, asserted) and far-field at --n-xl.  These phases time
 //       every layer the engine runs (geometry, pairing, kernel, tasks), so
 //       the bench_compare gate sees engine time, not kernel time alone.
-//       Dense stops at --n-large because its kernel alone would need ~10 GB
+//       Dense stops at --n-large because its kernel alone would need ~4 GB
 //       at the default --n-xl.  The far-field run at the default --n-xl
 //       takes tens of seconds, almost all of it certified admission.
 // Certified-decision hit rates (accepts/rejects decided by the pooled
@@ -84,25 +84,17 @@ struct FarFieldCounters {
 };
 
 // Every dense matrix entry bitwise-equal to the naive LinkSystem value (the
-// kernel's contract): cross decays, raw affectances and the four-way
-// min-endpoint decays.
+// kernel's contract): cross decays and raw affectances.
 bool MatchesNaive(const sinr::KernelCache& kernel,
                   const sinr::LinkSystem& system) {
   const int n = kernel.NumLinks();
   if (system.NumLinks() != n) return false;
-  const core::DecaySpace& f = system.space();
   for (int v = 0; v < n; ++v) {
     if (!system.CanOvercomeNoise(v, kernel.power())) return false;
-    const sinr::Link& lv = system.link(v);
     for (int w = 0; w < n; ++w) {
-      const sinr::Link& lw = system.link(w);
-      const double min_pair = std::min(
-          std::min(f(lv.sender, lw.receiver), f(lw.sender, lv.receiver)),
-          std::min(f(lv.sender, lw.sender), f(lv.receiver, lw.receiver)));
       if (kernel.CrossDecay(w, v) != system.CrossDecay(w, v) ||
           kernel.AffectanceRaw(w, v) !=
-              system.AffectanceRaw(w, v, kernel.power()) ||
-          kernel.MinPairDecay(v, w) != min_pair) {
+              system.AffectanceRaw(w, v, kernel.power())) {
         return false;
       }
     }
@@ -290,7 +282,7 @@ int main(int argc, char** argv) {
     std::printf("\n(c) n = %d: far-field only (dense matrices would need "
                 "%.1f GB)\n\n",
                 n_xl,
-                4.0 * 8.0 * static_cast<double>(n_xl) *
+                2.0 * 8.0 * static_cast<double>(n_xl) *
                     static_cast<double>(n_xl) / (1024.0 * 1024.0 * 1024.0));
     geom::Rng rng(63);
     const double box = 4.0 * std::sqrt(static_cast<double>(n_xl));

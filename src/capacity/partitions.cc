@@ -70,7 +70,7 @@ std::vector<std::vector<int>> SignalStrengthen(const sinr::KernelCache& kernel,
 std::vector<std::vector<int>> SeparationPartition(
     const sinr::KernelCache& kernel, std::span<const int> S, double eta,
     double zeta) {
-  DL_CHECK(eta > 0.0 && zeta > 0.0, "eta and zeta must be positive");
+  const sinr::SeparationOracle oracle(kernel, eta, zeta);
   // Non-increasing link length: when v is placed, all previously placed
   // links are at least as long, so the conflict test against max(d_vv, d_ww)
   // bounds the back-degree by the packing argument of Lemma B.3.
@@ -78,7 +78,6 @@ std::vector<std::vector<int>> SeparationPartition(
   std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
     return kernel.LinkDecay(a) > kernel.LinkDecay(b);
   });
-  const sinr::SeparationOracle oracle(kernel, eta, zeta);
   std::vector<std::vector<int>> classes;
   for (int v : order) {
     bool placed = false;

@@ -87,22 +87,20 @@ std::vector<double> InstanceWeights(const ScenarioSpec& spec, int index,
 // on the far-field kernel when the spec builds one; those read no dense
 // slab then.  The power-control oracle and the regret game read cross
 // decays; the queue's admission schedulers read affectances (random access
-// reads the cross decays instead, see TaskSlabs); Algorithm 1's separation
-// tests (weighted, partitions and the schedule run it too) read
-// MinPairDecay.
+// reads the cross decays instead, see TaskSlabs); the capacity and
+// scheduling tasks read affectances, their separation tests no slab (they
+// are decided from the decay space).
 struct TaskEntry {
   const char* name;
   sinr::KernelSlabs slabs;
   bool admission_tier;
 };
-constexpr sinr::KernelSlabs kAdmissionSlabs =
-    sinr::KernelSlabs::kAffectance | sinr::KernelSlabs::kMinPairDecay;
 constexpr TaskEntry kTasks[] = {
-    {"algorithm1", kAdmissionSlabs, true},
+    {"algorithm1", sinr::KernelSlabs::kAffectance, true},
     {"greedy", sinr::KernelSlabs::kAffectance, true},
-    {"weighted", kAdmissionSlabs, false},
-    {"partitions", kAdmissionSlabs, false},
-    {"schedule", kAdmissionSlabs, true},
+    {"weighted", sinr::KernelSlabs::kAffectance, false},
+    {"partitions", sinr::KernelSlabs::kAffectance, false},
+    {"schedule", sinr::KernelSlabs::kAffectance, true},
     {"power_control", sinr::KernelSlabs::kCrossDecay, false},
     {"queue", sinr::KernelSlabs::kAffectance, false},
     {"regret", sinr::KernelSlabs::kCrossDecay, false},

@@ -49,6 +49,19 @@ double Json::AsNumber() const {
   return number_;
 }
 
+core::StatusOr<long long> Json::AsInteger(long long lo, long long hi) const {
+  // Integral and inside long long's range (2^63 itself is not): only then
+  // is the cast defined.
+  if (kind_ == Kind::kNumber && std::trunc(number_) == number_ &&
+      number_ >= -0x1p63 && number_ < 0x1p63) {
+    const long long value = static_cast<long long>(number_);
+    if (value >= lo && value <= hi) return value;
+  }
+  return core::Status::IoError("expected an integer in [" +
+                               std::to_string(lo) + ", " +
+                               std::to_string(hi) + "]");
+}
+
 const std::string& Json::AsString() const {
   DL_CHECK(kind_ == Kind::kString, "Json::AsString on a non-string value");
   return string_;

@@ -52,6 +52,10 @@ class Json {
   const std::string& AsString() const;
   const std::vector<Json>& Items() const;    // array elements
   const std::vector<Member>& Members() const;  // object members, in order
+  // A number that is an integer in [lo, hi], so casting it to a narrower
+  // integer type is defined; any other value (another kind, a fraction,
+  // out of range, inf) is an IoError, not a programmer error.
+  core::StatusOr<long long> AsInteger(long long lo, long long hi) const;
 
   // Array/object builders.
   void Append(Json value);                       // array

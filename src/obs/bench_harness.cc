@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "core/check.h"
@@ -75,6 +76,21 @@ const io::Json* RequireKind(const io::Json& obj, const char* key,
   return member;
 }
 
+constexpr long long kIntMax = std::numeric_limits<int>::max();
+
+// The field `key` (`value`, null when absent) as an integer in [lo, hi].
+core::StatusOr<long long> RequireInteger(
+    const io::Json* value, const std::string& context, const std::string& key,
+    long long lo = std::numeric_limits<long long>::min(),
+    long long hi = std::numeric_limits<long long>::max()) {
+  core::StatusOr<long long> out =
+      value != nullptr ? value->AsInteger(lo, hi)
+                       : core::Status::IoError("missing number field");
+  if (out.ok()) return out;
+  return SchemaError(context,
+                     ("'" + key + "': " + out.status().message()).c_str());
+}
+
 }  // namespace
 
 SampleStats SampleStats::FromSamples(std::span<const double> samples_ms) {
@@ -112,11 +128,10 @@ core::StatusOr<BenchReportData> ParseBenchReport(const io::Json& doc) {
     return SchemaError("document", "missing string field 'bench'");
   }
   data.bench = bench->AsString();
-  const io::Json* schema = RequireKind(doc, "schema", io::Json::Kind::kNumber);
-  if (schema == nullptr) {
-    return SchemaError(data.bench, "missing number field 'schema'");
-  }
-  data.schema = static_cast<int>(schema->AsNumber());
+  const core::StatusOr<long long> schema =
+      RequireInteger(doc.Find("schema"), data.bench, "schema", 0, kIntMax);
+  if (!schema.ok()) return schema.status();
+  data.schema = static_cast<int>(*schema);
   if (data.schema != 2) {
     return SchemaError(data.bench, "unsupported schema version (want 2)");
   }
@@ -143,17 +158,14 @@ core::StatusOr<BenchReportData> ParseBenchReport(const io::Json& doc) {
     }
     phase.name = name->AsString();
     const std::string context = data.bench + " phase '" + phase.name + "'";
-    const io::Json* n = RequireKind(entry, "n", io::Json::Kind::kNumber);
-    if (n == nullptr) return SchemaError(context, "missing number field 'n'");
-    phase.n = static_cast<long long>(n->AsNumber());
-    const io::Json* reps = RequireKind(entry, "reps", io::Json::Kind::kNumber);
-    if (reps == nullptr) {
-      return SchemaError(context, "missing number field 'reps'");
-    }
-    phase.stats.reps = static_cast<int>(reps->AsNumber());
-    if (phase.stats.reps < 1) {
-      return SchemaError(context, "'reps' must be >= 1");
-    }
+    const core::StatusOr<long long> n =
+        RequireInteger(entry.Find("n"), context, "n");
+    if (!n.ok()) return n.status();
+    phase.n = *n;
+    const core::StatusOr<long long> reps =
+        RequireInteger(entry.Find("reps"), context, "reps", 1, kIntMax);
+    if (!reps.ok()) return reps.status();
+    phase.stats.reps = static_cast<int>(*reps);
     const struct {
       const char* key;
       double* out;
@@ -222,10 +234,10 @@ core::StatusOr<BenchReportData> ParseBenchReport(const io::Json& doc) {
       return SchemaError(context, "missing object field 'counters'");
     }
     for (const auto& [key, value] : counters->Members()) {
-      if (value.kind() != io::Json::Kind::kNumber) {
-        return SchemaError(context, "'counters' values must be numbers");
-      }
-      phase.counters[key] = static_cast<long long>(value.AsNumber());
+      const core::StatusOr<long long> count =
+          RequireInteger(&value, context, key);
+      if (!count.ok()) return count.status();
+      phase.counters[key] = *count;
     }
     data.phases.push_back(std::move(phase));
   }

@@ -70,10 +70,6 @@ std::vector<geom::Vec2> GatherEndpoints(std::span<const geom::Vec2> points,
   return out;
 }
 
-// The dense SeparationOracle's guard band, replicated literal-for-literal
-// so knife-edge separation decisions use identical thresholds.
-constexpr double kSepBand = 1e-9;
-
 }  // namespace
 
 // --- Block hierarchy ---------------------------------------------------------
@@ -777,26 +773,16 @@ bool FarFieldAccumulator::BudgetWithinHalf(int v) const {
 bool FarFieldAccumulator::IsSeparatedFromMembers(int v, double eta,
                                                  double zeta) const {
   const FarFieldKernel& k = *kernel_;
-  const double inv_zeta = 1.0 / zeta;
-  const double eta_pow = std::pow(eta, zeta);  // as SeparationOracle's ctor
-  const double fvv = k.link_decay_[static_cast<std::size_t>(v)];
-  const double thr = eta_pow * fvv;
-  const double thr_lo = thr * (1.0 - kSepBand);
-  const double thr_hi = thr * (1.0 + kSepBand);
-  // d^2 certification radii with doubled bands: m = min d^alpha over the
-  // four endpoint pairs, so every pair distance^2 above r2_hi certifies the
-  // dense oracle's clearly-separated branch, and any pair below r2_lo its
-  // clearly-too-close branch.
-  const double r2_hi = std::pow(thr * (1.0 + 2.0 * kSepBand), 2.0 / k.alpha_) *
-                       (1.0 + FarFieldKernel::kGuard);
-  const double r2_lo = std::pow(thr * (1.0 - 2.0 * kSepBand), 2.0 / k.alpha_) *
-                       (1.0 - FarFieldKernel::kGuard);
-  const geom::Vec2 sv_pos = k.senders_[static_cast<std::size_t>(v)];
-  const geom::Vec2 rv_pos = k.receivers_[static_cast<std::size_t>(v)];
+  const std::size_t sv = static_cast<std::size_t>(v);
+  const SeparationTest test(eta, zeta, k.link_decay_[sv], k.alpha_);
+  const double r2_hi = test.RadiusSqHi();
+  const geom::Vec2 sv_pos = k.senders_[sv];
+  const geom::Vec2 rv_pos = k.receivers_[sv];
 
   // Whole member blocks beyond the certification radius from both of the
-  // candidate's endpoints are separated wholesale; only members of leaves
-  // reached by either walk (by sender or receiver) run a per-member verdict.
+  // candidate's endpoints are separated wholesale (every endpoint pair
+  // clears it); only members of leaves reached by either walk (by sender
+  // or receiver) get the per-pair verdict.
   sep_scratch_.clear();
   const auto collect = [&](const FarFieldKernel::EndpointGrid& side,
                            const std::vector<FarFieldKernel::Block>& blocks,
@@ -824,34 +810,11 @@ bool FarFieldAccumulator::IsSeparatedFromMembers(int v, double eta,
 
   bool separated = true;
   for (int w : sep_scratch_) {
-    sep_mark_[static_cast<std::size_t>(w)] = 0;  // reset while draining
+    const std::size_t sw = static_cast<std::size_t>(w);
+    sep_mark_[sw] = 0;  // reset while draining
     if (!separated || w == v) continue;
-    const geom::Vec2 sw_pos = k.senders_[static_cast<std::size_t>(w)];
-    const geom::Vec2 rw_pos = k.receivers_[static_cast<std::size_t>(w)];
-    const double m2 =
-        std::min(std::min((sv_pos - rw_pos).NormSq(), (sw_pos - rv_pos).NormSq()),
-                 std::min((sv_pos - sw_pos).NormSq(), (rv_pos - rw_pos).NormSq()));
-    if (m2 > r2_hi) continue;
-    if (m2 < r2_lo) {
-      separated = false;
-      continue;
-    }
-    // Inside the certification band: the dense oracle's exact expressions.
-    // MinPairDecay's entries are the space's pow(distance, alpha) values,
-    // min-nested exactly as KernelCache::Build stores them.
-    const double sv_rw = geom::GeometricDecay(sv_pos, rw_pos, k.alpha_);
-    const double sw_rv = geom::GeometricDecay(sw_pos, rv_pos, k.alpha_);
-    const double sv_sw = geom::GeometricDecay(sv_pos, sw_pos, k.alpha_);
-    const double rv_rw = geom::GeometricDecay(rv_pos, rw_pos, k.alpha_);
-    const double m = std::min(std::min(sv_rw, sw_rv), std::min(sv_sw, rv_rw));
-    if (m > thr_hi) continue;
-    if (m < thr_lo) {
-      separated = false;
-      continue;
-    }
-    if (std::pow(m, inv_zeta) < eta * std::pow(fvv, inv_zeta)) {
-      separated = false;
-    }
+    separated =
+        test.Separated(sv_pos, rv_pos, k.senders_[sw], k.receivers_[sw]);
   }
   return separated;
 }

@@ -53,7 +53,8 @@
 //     band the decision falls back to the exact dense expression in the
 //     dense summation order.  Decisions therefore still match the dense
 //     path except for inputs engineered to sit within ~1e-9 of a threshold
-//     (the same caveat SeparationOracle already carries).
+//     (the caveat the separation verdict both tiers share, SeparationTest,
+//     carries on every tier).
 //
 // Pooling requires uniform power (the per-pair factor P_w / P_v would
 // otherwise vary inside a block); non-uniform assignments silently use the
@@ -437,11 +438,12 @@ class FarFieldAccumulator {
   // same way (clamped sums pooled per block with clamp-safe bounds).
   bool BudgetWithinHalf(int v) const;
 
-  // Dense SeparationOracle::IsSeparatedFrom(v, members()) decisions: member
-  // blocks (by sender and by receiver) whose box clears the candidate's
-  // separation radius from both its endpoints are skipped whole; members
-  // of the leaves either walk reaches run the dense knife-edge
-  // expressions.  Always bit-identical to the dense oracle's decision.
+  // SeparationOracle::IsSeparatedFrom(v, members()), with the same
+  // per-pair SeparationTest (kernel_tier.h): member blocks (by sender and
+  // by receiver) whose box clears the test's certification radius from
+  // both candidate endpoints are skipped whole; each member of the leaves
+  // either walk reaches gets the test's coordinate verdict.  Always the
+  // dense oracle's decision.
   bool IsSeparatedFromMembers(int v, double eta, double zeta) const;
 
  private:

@@ -1,8 +1,6 @@
 #include "sinr/kernel.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "core/check.h"
 #include "core/decay_space.h"
@@ -49,19 +47,13 @@ constexpr std::size_t kBlock = 32;
 using Tile = double[kBlock][kBlock];
 
 // One block of link pairs, v in [v0, v1) and w in [w0, w1), as tiles
-// indexed [v - v0][w - w0]: the cross decays f(s_v, r_w) and f(s_w, r_v),
-// and, when the min-pair slab is requested, MinPairDecay(v, w) and
-// MinPairDecay(w, v).  Build reads only the entries with v < w.
+// indexed [v - v0][w - w0]: the cross decays f(s_v, r_w) and f(s_w, r_v).
+// Build reads only the entries with v < w.
 struct BlockDecays {
   std::size_t v0 = 0, v1 = 0, w0 = 0, w1 = 0;
   Tile cross_vw;
   Tile cross_wv;
-  Tile min_vw;
-  Tile min_wv;
 };
-
-// Relative guard band of the distance-domain leg decision (Build).
-constexpr double kLegBand = 1e-9;
 
 }  // namespace
 
@@ -77,8 +69,6 @@ void KernelCache::Build(const LinkSystem& system, PowerAssignment power,
   power_ = std::move(power);
   n_ = system.NumLinks();
   slabs_ = slabs;
-  // Only the min-pair slab reads the endpoint legs f(s_v, s_w), f(r_v, r_w).
-  const bool legs = Has(KernelSlabs::kMinPairDecay);
   DL_CHECK(static_cast<int>(power_.size()) == n_, "one power entry per link");
   const std::size_t n = static_cast<std::size_t>(n_);
   const core::DecaySpace& space = system.space();
@@ -118,9 +108,9 @@ void KernelCache::Build(const LinkSystem& system, PowerAssignment power,
     rcv[static_cast<std::size_t>(v)] = system.link(v).receiver;
   }
   if (!space.IsCoordinateBacked()) {
-    // A dense space may be asymmetric: both ordered endpoint legs are read.
-    // The v-major sweep reads rows s_v and r_v of f, the w-major sweep rows
-    // s_w and r_w, so no read walks a column of the node matrix.
+    // A dense space may be asymmetric: both orientations are read.  The
+    // v-major sweep reads row s_v of f, the w-major sweep row s_w, so no
+    // read walks a column of the node matrix.
     const double* f = space.Raw().data();
     const std::size_t m = static_cast<std::size_t>(space.size());
     const auto at = [f, m](int p, int q) {
@@ -137,82 +127,17 @@ void KernelCache::Build(const LinkSystem& system, PowerAssignment power,
           b.cross_wv[v - b.v0][w - b.w0] = at(snd[w], rcv[v]);
         }
       }
-      if (!legs) return;
-      for (std::size_t v = b.v0; v < b.v1; ++v) {
-        for (std::size_t w = b.w0; w < b.w1; ++w) {
-          const std::size_t i = v - b.v0, j = w - b.w0;
-          b.min_vw[i][j] =
-              std::min(std::min(b.cross_vw[i][j], b.cross_wv[i][j]),
-                       std::min(at(snd[v], snd[w]), at(rcv[v], rcv[w])));
-        }
-      }
-      for (std::size_t w = b.w0; w < b.w1; ++w) {
-        for (std::size_t v = b.v0; v < b.v1; ++v) {
-          const std::size_t i = v - b.v0, j = w - b.w0;
-          b.min_wv[i][j] =
-              std::min(std::min(b.cross_wv[i][j], b.cross_vw[i][j]),
-                       std::min(at(snd[w], snd[v]), at(rcv[w], rcv[v])));
-        }
-      }
     });
     return;
   }
 
-  // A coordinate-backed space is f = d^alpha, symmetric and monotone in
-  // distance, so an endpoint leg f(s_v, s_w) or f(r_v, r_w) is needed only
-  // where it can be the minimum -- decided on squared distances before any
-  // pow, with a relative guard band and the exact evaluation inside it.
-  // Every decay is taken from the difference vector d = p - q as
-  // pow(hypot(d), alpha) -- DecaySpace::Evaluate's expression
-  // (geom::GeometricDecay), 0 when p == q -- so a NormSq and the decay it
-  // stands for see the same rounded coordinate differences.
-  // Bit-identity: say the leg's NormSq exceeds m2 (1 + 1e-9), where m2 >=
-  // DBL_MIN is the smaller cross NormSq.  Each NormSq is within 2 ulp of
-  // the exact squared length of its d (m2 is normal, so no product's
-  // underflow matters), so the exact leg length beats the nearer cross
-  // length by a relative ~5e-10; hypot errs below 1 ulp, so the computed
-  // leg length is strictly the larger, and pow, weakly monotone (the
-  // min-commutes-with-pow identity of kernel.h; the gap exceeds pow's sub-ulp
-  // error for any alpha > ~1e-6 anyway), keeps the leg's decay >= that
-  // cross decay.  Skipping the leg therefore leaves the minimum -- a
-  // selection, not an arithmetic result -- bit-identical.  Inside the band
-  // (exact ties, as on lattices), with a subnormal or zero m2 (shared
-  // endpoints), or on NaN, the leg is evaluated exactly as the naive
-  // LinkSystem::LinkDistance does.
-  const std::span<const geom::Vec2> pts = space.points();
-  const double alpha = space.alpha();
-  const auto diff = [pts](int p, int q) {
-    return pts[static_cast<std::size_t>(p)] - pts[static_cast<std::size_t>(q)];
-  };
-  const auto decay = [alpha](geom::Vec2 d) {
-    const double value = std::pow(d.Norm(), alpha);
-    DL_CHECK(value > 0.0 || d == geom::Vec2{},
-             "decay between distinct nodes must be positive");
-    return value;
-  };
+  // A coordinate-backed space evaluates each decay on demand, once per
+  // ordered pair the build reads.
   FillSlabs([&](BlockDecays& b) {
     for (std::size_t v = b.v0; v < b.v1; ++v) {
       for (std::size_t w = std::max(b.w0, v + 1); w < b.w1; ++w) {
-        const int s_v = snd[v], r_v = rcv[v], s_w = snd[w], r_w = rcv[w];
-        const geom::Vec2 sv_rw_d = diff(s_v, r_w), sw_rv_d = diff(s_w, r_v);
-        const double sv_rw = decay(sv_rw_d);
-        const double sw_rv = decay(sw_rv_d);
-        const std::size_t i = v - b.v0, j = w - b.w0;
-        b.cross_vw[i][j] = sv_rw;
-        b.cross_wv[i][j] = sw_rv;
-        if (!legs) continue;
-        double min_pair = std::min(sv_rw, sw_rv);
-        const double m2 = std::min(sv_rw_d.NormSq(), sw_rv_d.NormSq());
-        const double keep = m2 >= std::numeric_limits<double>::min()
-                                ? m2 * (1.0 + kLegBand)
-                                : std::numeric_limits<double>::infinity();
-        for (const geom::Vec2 leg : {diff(s_v, s_w), diff(r_v, r_w)}) {
-          if (!(leg.NormSq() > keep)) {
-            min_pair = std::min(min_pair, decay(leg));
-          }
-        }
-        b.min_vw[i][j] = min_pair;
-        b.min_wv[i][j] = min_pair;
+        b.cross_vw[v - b.v0][w - b.w0] = space(snd[v], rcv[w]);
+        b.cross_wv[v - b.v0][w - b.w0] = space(snd[w], rcv[v]);
       }
     }
   });
@@ -229,10 +154,10 @@ void KernelCache::FillSlabs(const BlockFn& fill_block) {
   // under uniform power the P_w / P_v factor equals exactly 1.0 (IEEE
   // x / x == 1.0), so those two ops are skipped without changing the
   // rounded result.  The diagonal is written explicitly -- f(s_v, r_v) =
-  // f_vv, a_v(v) = 0 and MinPairDecay(v, v) = 0, the naive d(p, p) = 0 --
-  // so with every entry written no matrix needs pre-clearing: a fresh slab
-  // is left unzeroed (Slab) and a warm arena slab's resize is a no-op.  A
-  // slab that is not requested is neither resized nor written.
+  // f_vv and a_v(v) = 0 -- so with every entry written no matrix needs
+  // pre-clearing: a fresh slab is left unzeroed (Slab) and a warm arena
+  // slab's resize is a no-op.  A slab that is not requested is neither
+  // resized nor written.
   const std::size_t n = static_cast<std::size_t>(n_);
   // The requested slabs, each with the tiles of its v < w and w < v halves.
   struct Target {
@@ -253,7 +178,7 @@ void KernelCache::FillSlabs(const BlockFn& fill_block) {
   };
   add(KernelSlabs::kCrossDecay, cross_decay_, b.cross_vw, b.cross_wv);
   add(KernelSlabs::kAffectance, aff_raw_, a_vw, a_wv);
-  add(KernelSlabs::kMinPairDecay, min_pair_decay_, b.min_vw, b.min_wv);
+  if (targets.empty()) return;  // a build with no slab has no pair pass
 
   // a_w(v), w != v, from f(s_w, r_v).
   const auto affectance = [&](std::size_t w, std::size_t v, double cross_wv) {
@@ -324,7 +249,6 @@ const KernelCache& KernelArena::Rebuild(const LinkSystem& system,
   const bool warm =
       slot_.system_ != nullptr && slot_.n_ == system.NumLinks() &&
       sized(KernelSlabs::kAffectance, slot_.aff_raw_) &&
-      sized(KernelSlabs::kMinPairDecay, slot_.min_pair_decay_) &&
       sized(KernelSlabs::kCrossDecay, slot_.cross_decay_);
   slot_.Build(system, std::move(power), slabs);
   ++rebuilds_;
@@ -417,43 +341,47 @@ void AffectanceAccumulator::Clear() {
 
 SeparationOracle::SeparationOracle(const KernelCache& kernel, double eta,
                                    double zeta)
-    : kernel_(&kernel),
-      eta_(eta),
-      inv_zeta_(1.0 / zeta),
-      eta_pow_(std::pow(eta, zeta)) {
-  kernel.Require(KernelSlabs::kMinPairDecay);
+    : kernel_(&kernel), eta_(eta), zeta_(zeta) {
   DL_CHECK(eta > 0.0 && zeta > 0.0, "eta and zeta must be positive");
 }
 
-bool SeparationOracle::IsSeparatedFrom(int v, std::span<const int> L) const {
-  const double fvv = kernel_->LinkDecay(v);
-  const double thr_lo = eta_pow_ * fvv * (1.0 - kBand);
-  const double thr_hi = eta_pow_ * fvv * (1.0 + kBand);
+bool SeparationOracle::AllSeparated(double scale, int v,
+                                    std::span<const int> L) const {
+  const LinkSystem& system = kernel_->system();
+  const core::DecaySpace& f = system.space();
+  const SeparationTest test(eta_, zeta_, scale, f.alpha());
+  // Empty unless coordinate-backed, where f(p, q) would be a pow per call.
+  const std::span<const geom::Vec2> pts = f.points();
+  const auto at = [pts](int p) { return pts[static_cast<std::size_t>(p)]; };
+  const Link lv = system.link(v);
   for (int w : L) {
     if (w == v) continue;
-    const double m = kernel_->MinPairDecay(v, w);
-    if (m > thr_hi) continue;          // clearly separated
-    if (m < thr_lo) return false;      // clearly too close
-    if (std::pow(m, inv_zeta_) < eta_ * std::pow(fvv, inv_zeta_)) return false;
+    const Link lw = system.link(w);
+    const bool separated =
+        pts.empty()
+            ? test.Separated(std::min(std::min(f(lv.sender, lw.receiver),
+                                               f(lw.sender, lv.receiver)),
+                                      std::min(f(lv.sender, lw.sender),
+                                               f(lv.receiver, lw.receiver))))
+            : test.Separated(at(lv.sender), at(lv.receiver), at(lw.sender),
+                             at(lw.receiver));
+    if (!separated) return false;
   }
   return true;
 }
 
+bool SeparationOracle::IsSeparatedFrom(int v, std::span<const int> L) const {
+  return AllSeparated(kernel_->LinkDecay(v), v, L);
+}
+
 bool SeparationOracle::ConflictMaxLength(int v, int w) const {
-  const double m = kernel_->MinPairDecay(v, w);
   const double scale = std::max(kernel_->LinkDecay(v), kernel_->LinkDecay(w));
-  const double thr = eta_pow_ * scale;
-  if (m > thr * (1.0 + kBand)) return false;
-  if (m < thr * (1.0 - kBand)) return true;
-  // Knife edge: exactly the naive expression (max of pows == pow of max).
-  const double needed = eta_ * std::pow(scale, inv_zeta_);
-  return std::pow(m, inv_zeta_) < needed;
+  return !AllSeparated(scale, v, std::span<const int>(&w, 1));
 }
 
 long long KernelCache::MemoryBytes() const noexcept {
-  const std::size_t doubles = aff_raw_.capacity() +
-                              min_pair_decay_.capacity() +
-                              cross_decay_.capacity() + link_decay_.capacity() +
+  const std::size_t doubles = aff_raw_.capacity() + cross_decay_.capacity() +
+                              link_decay_.capacity() +
                               noise_factor_.capacity();
   return static_cast<long long>(doubles * sizeof(double) +
                                 can_overcome_.capacity() * sizeof(char));

@@ -7,44 +7,42 @@
 // sums.  The naive LinkSystem methods recompute every kernel entry on every
 // query -- AffectanceRaw re-derives the noise factor c_v per pair, and
 // LinkDistance performs four std::pow calls per pair per call.  KernelCache
-// materialises up to three n x n matrices once so that queries become O(1)
+// materialises up to two n x n matrices once so that queries become O(1)
 // lookups; AffectanceAccumulator turns the O(|S|) in-affectance
 // re-summations of greedy admission loops into O(1) reads with O(n)
 // per-admission updates;
-// SeparationOracle evaluates eta/zeta separation predicates in the decay
-// domain without any pow on the hot path.  The cache also materialises the
-// cross-decay kernel, which the power-control queries (power_control.h, one
-// body for this cache and LinkSystem) and the SINR gain rows (gain_rows.h)
-// read.  KernelArena rebuilds a cache slot in place so batched/swept runs
-// stop paying the allocator per instance.
+// SeparationOracle evaluates eta/zeta separation predicates with the
+// tiers' shared SeparationTest (kernel_tier.h), straight from the decay
+// space: no slab, and no pow on the hot path.  The cache also materialises
+// the cross-decay kernel, which the power-control queries (power_control.h,
+// one body for this cache and LinkSystem) and the SINR gain rows
+// (gain_rows.h) read.  KernelArena rebuilds a cache slot in place so
+// batched/swept runs stop paying the allocator per instance.
 //
 // A build fills only the slabs it is asked for (KernelSlabs): capacity and
-// scheduling read the affectance and min-pair slabs, the SINR simulations
-// and power control read the cross-decay slab, so a caller that runs only
-// one family pays n^2 doubles per slab it reads and no more.  Every entry
-// point that reads a slab DL_CHECKs that it was built.
+// scheduling read the affectance slab, the SINR simulations and power
+// control read the cross-decay slab, so a caller that runs only one family
+// pays n^2 doubles per slab it reads and no more.  Every entry point that
+// reads a slab DL_CHECKs that it was built.
 //
 // Bit-exactness contract: for the same (system, power), every query method
 // here returns *bit-for-bit* the same double as the corresponding naive
 // LinkSystem method.  The cached entries are computed with the identical
 // floating-point expression (same association order), and aggregate sums run
-// in the same iteration order.  Three non-obvious identities make this work:
+// in the same iteration order.  Two non-obvious identities make this work:
 //   * min over the four endpoint quasi-distances commutes with pow:
 //     pow is weakly monotone, so min_i pow(f_i, s) == pow(min_i f_i, s) --
-//     the distance matrix therefore needs one pow per pair, not four;
+//     a separation test therefore needs at most one pow per pair, not four;
 //   * x / x == 1.0 exactly in IEEE arithmetic, so under uniform power the
 //     ratio P_w / P_v can be elided from the affectance expression without
 //     changing the rounded result.
-//   * a min is a selection, not a rounding: over a coordinate-backed space
-//     an endpoint leg whose squared distance clearly exceeds a cross leg's
-//     cannot be selected, so Build skips its pow (guard-band argument in
-//     Build).
-// The only deliberate deviation is SeparationOracle's fast path, which
-// compares in the decay domain (m >= eta^zeta * f_vv instead of
-// m^{1/zeta} >= eta * f_vv^{1/zeta}); the two forms are equivalent in exact
-// arithmetic and the oracle falls back to the naive pow expression inside a
-// 1e-9 relative guard band, so decisions match the naive path except for
-// inputs engineered to sit within ~1e-9 of a separation threshold.
+// The only deliberate deviation is the separation verdict both tiers share
+// (SeparationTest, kernel_tier.h), which compares in the decay domain
+// (m >= eta^zeta * f_vv instead of m^{1/zeta} >= eta * f_vv^{1/zeta}) --
+// over a coordinate-backed space on squared distances first -- and falls
+// back to the naive pow expression inside a 1e-9 relative guard band, so
+// decisions match the naive path except for inputs engineered to sit
+// within ~1e-9 of a separation threshold.
 #pragma once
 
 #include <memory>
@@ -65,11 +63,9 @@ enum class KernelSlabs : unsigned {
   kNone = 0,
   // a_w(v): AffectanceAccumulator, IsFeasible.
   kAffectance = 1u << 0,
-  // MinPairDecay: SeparationOracle.
-  kMinPairDecay = 1u << 1,
   // CrossDecay: the power-control queries (power_control.h) and GainRows.
-  kCrossDecay = 1u << 2,
-  kAll = kAffectance | kMinPairDecay | kCrossDecay,
+  kCrossDecay = 1u << 1,
+  kAll = kAffectance | kCrossDecay,
 };
 
 constexpr KernelSlabs operator|(KernelSlabs a, KernelSlabs b) {
@@ -88,9 +84,8 @@ constexpr bool Includes(KernelSlabs set, KernelSlabs slabs) {
 // outlive the cache.  Construction costs O(n^2) time and |slabs| * n^2
 // doubles of memory, the requested matrices filled in one pass over
 // unordered link pairs.  Over a coordinate-backed space it evaluates the
-// n^2 cross decays and, for the min-pair slab, only those endpoint legs
-// that can be a pair's minimum (see Build), and the resulting matrices are
-// bit-identical to those over the dense space.
+// n^2 cross decays, and the resulting matrices are bit-identical to those
+// over the dense space.
 class KernelCache {
  public:
   // The dense tier's running sums (the KernelTier concept, kernel_tier.h).
@@ -107,7 +102,7 @@ class KernelCache {
     return Includes(slabs_, slabs);
   }
   // DL_CHECKs that `slabs` were built.  The entry points that read a slab
-  // (the accumulator and oracle constructors, the aggregate queries, the
+  // (the accumulator constructor, the aggregate queries, the
   // power-control queries, GainRows) call it once, so the per-entry
   // accessors stay branch-free.
   void Require(KernelSlabs slabs) const;
@@ -148,16 +143,6 @@ class KernelCache {
     return cross_decay_[static_cast<std::size_t>(w) *
                             static_cast<std::size_t>(n_) +
                         static_cast<std::size_t>(v)];
-  }
-
-  // min{f(s_v,r_w), f(s_w,r_v), f(s_v,s_w), f(r_v,r_w)}: the link
-  // quasi-distance before the ^{1/zeta}; zeta-independent.  Symmetric only
-  // when the decay space is (the sender-sender / receiver-receiver legs are
-  // ordered pairs).
-  double MinPairDecay(int v, int w) const {
-    return min_pair_decay_[static_cast<std::size_t>(v) *
-                               static_cast<std::size_t>(n_) +
-                           static_cast<std::size_t>(w)];
   }
 
   // --- aggregate queries, bit-identical to the LinkSystem versions -------
@@ -212,9 +197,8 @@ class KernelCache {
              KernelSlabs slabs);
 
   // Build's n x n slabs, in one pass over blocks of unordered link pairs;
-  // `fill_block` gathers a block's cross decays in both orientations, and
-  // MinPairDecay too when that slab is requested, read from a dense matrix
-  // or evaluated over a coordinate-backed space.
+  // `fill_block` gathers a block's cross decays in both orientations, read
+  // from a dense matrix or evaluated over a coordinate-backed space.
   template <class BlockFn>
   void FillSlabs(const BlockFn& fill_block);
 
@@ -226,9 +210,8 @@ class KernelCache {
   std::vector<double> link_decay_;    // f_vv
   std::vector<char> can_overcome_;    // P_v / f_vv > beta N
   std::vector<double> noise_factor_;  // c_v (0 when !can_overcome_)
-  Slab aff_raw_;         // [w*n + v] = a_w(v), unclamped
-  Slab min_pair_decay_;  // [v*n + w], symmetric
-  Slab cross_decay_;     // [w*n + v] = f(s_w, r_v)
+  Slab aff_raw_;      // [w*n + v] = a_w(v), unclamped
+  Slab cross_decay_;  // [w*n + v] = f(s_w, r_v)
 };
 
 // Reusable KernelCache storage: one cache slot, rebuilt in place instead of
@@ -266,10 +249,9 @@ class KernelArena {
 };
 
 // Running in-affectance sums over a growing set of links, over a kernel
-// built with KernelSlabs::kAffectance (and kMinPairDecay for
-// IsSeparatedFromMembers).  Add is O(n) (row v of the one affectance
-// matrix); In is O(1) and Out O(|members|), a fold of row v over the
-// members.  Both sum in insertion order, so after Add(s_1), ..., Add(s_k):
+// built with KernelSlabs::kAffectance.  Add is O(n) (row v of the one
+// affectance matrix); In is O(1) and Out O(|members|), a fold of row v over
+// the members.  Both sum in insertion order, so after Add(s_1), ..., Add(s_k):
 //     In(v)    == system.InAffectance({s_1..s_k}, v, power)   bit-for-bit,
 //     Out(v)   == system.OutAffectance(v, {s_1..s_k}, power)  bit-for-bit,
 // and InRaw(v) is the unclamped in-sum (the feasibility form).  There is
@@ -321,12 +303,12 @@ class AffectanceAccumulator {
   std::vector<double> in_, in_raw_;
 };
 
-// Separation predicates for fixed (eta, zeta), evaluated in the decay
-// domain: d(l_v, l_w) >= eta * d_vv  <=>  MinPairDecay >= eta^zeta * f_vv
-// (exact arithmetic).  No pow on the hot path; a 1e-9 relative guard band
-// around the threshold falls back to the naive pow comparison, so decisions
+// Separation predicates for fixed (eta, zeta), each pair decided by
+// SeparationTest (kernel_tier.h) from the kernel's decay space: from the
+// endpoint coordinates when it is coordinate-backed, from four matrix
+// entries otherwise.  Reads no slab, and construction is O(1).  Decisions
 // are bit-compatible with LinkSystem::IsSeparatedFrom except for inputs
-// within the band of a threshold.  Needs KernelSlabs::kMinPairDecay.
+// within ~1e-9 of a threshold.
 class SeparationOracle {
  public:
   SeparationOracle(const KernelCache& kernel, double eta, double zeta);
@@ -340,11 +322,13 @@ class SeparationOracle {
   bool ConflictMaxLength(int v, int w) const;
 
  private:
+  // SeparationTest's verdict at `scale` on (l_v, l_w) for every w in L
+  // other than v.
+  bool AllSeparated(double scale, int v, std::span<const int> L) const;
+
   const KernelCache* kernel_;
   double eta_;
-  double inv_zeta_;
-  double eta_pow_;  // eta^zeta
-  static constexpr double kBand = 1e-9;
+  double zeta_;
 };
 
 }  // namespace decaylib::sinr

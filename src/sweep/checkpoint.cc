@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "io/json.h"
@@ -118,6 +119,8 @@ std::string CheckpointToJson(const SweepCheckpoint& checkpoint) {
 
 namespace {
 
+constexpr long long kMaxInt = std::numeric_limits<int>::max();
+
 Status FieldError(const std::string& what) {
   return Status::IoError("checkpoint: " + what);
 }
@@ -136,12 +139,16 @@ StatusOr<double> ReadDouble17(const Json& obj, const std::string& key) {
   return value;
 }
 
-StatusOr<double> ReadNumber(const Json& obj, const std::string& key) {
+StatusOr<long long> ReadInteger(
+    const Json& obj, const std::string& key, long long lo,
+    long long hi = std::numeric_limits<long long>::max()) {
   const Json* v = obj.Find(key);
-  if (v == nullptr || v->kind() != Json::Kind::kNumber) {
-    return FieldError("missing number field '" + key + "'");
+  if (v == nullptr) return FieldError("missing number field '" + key + "'");
+  StatusOr<long long> value = v->AsInteger(lo, hi);
+  if (!value.ok()) {
+    return FieldError("field '" + key + "': " + value.status().message());
   }
-  return v->AsNumber();
+  return value;
 }
 
 StatusOr<std::string> ReadString(const Json& obj, const std::string& key) {
@@ -171,11 +178,9 @@ StatusOr<SweepCheckpoint> CheckpointFromJson(const std::string& text) {
   } else {
     return s.status();
   }
-  if (StatusOr<double> g = ReadNumber(doc, "grid"); g.ok()) {
-    out.grid = static_cast<long long>(*g);
-  } else {
-    return g.status();
-  }
+  const StatusOr<long long> grid = ReadInteger(doc, "grid", 0);
+  if (!grid.ok()) return grid.status();
+  out.grid = *grid;
   const Json* cells = doc.Find("cells");
   if (cells == nullptr || !cells->is_array()) {
     return FieldError("missing 'cells' array");
@@ -183,20 +188,18 @@ StatusOr<SweepCheckpoint> CheckpointFromJson(const std::string& text) {
   for (const Json& c : cells->Items()) {
     if (!c.is_object()) return FieldError("cell is not an object");
     CheckpointCell cell;
-    if (StatusOr<double> v = ReadNumber(c, "index"); v.ok()) {
-      cell.index = static_cast<int>(*v);
-    } else {
-      return v.status();
-    }
-    if (StatusOr<double> v = ReadNumber(c, "attempts"); v.ok()) {
-      cell.attempts = static_cast<int>(*v);
-    } else {
-      return v.status();
-    }
-    if (StatusOr<double> v = ReadNumber(c, "instances"); v.ok()) {
-      cell.instances = static_cast<int>(*v);
-    } else {
-      return v.status();
+    // Saved cells completed, so each took at least one attempt.
+    const struct {
+      const char* key;
+      long long lo;
+      int* out;
+    } int_fields[] = {{"index", 0, &cell.index},
+                      {"attempts", 1, &cell.attempts},
+                      {"instances", 0, &cell.instances}};
+    for (const auto& field : int_fields) {
+      StatusOr<long long> v = ReadInteger(c, field.key, field.lo, kMaxInt);
+      if (!v.ok()) return v.status();
+      *field.out = static_cast<int>(*v);
     }
     const Json* aggregate = c.Find("aggregate");
     if (aggregate == nullptr || !aggregate->is_array()) {
@@ -226,11 +229,9 @@ StatusOr<SweepCheckpoint> CheckpointFromJson(const std::string& text) {
       } else {
         return v.status();
       }
-      if (StatusOr<double> v = ReadNumber(e, "count"); v.ok()) {
-        m.count = static_cast<long long>(*v);
-      } else {
-        return v.status();
-      }
+      const StatusOr<long long> count = ReadInteger(e, "count", 0);
+      if (!count.ok()) return count.status();
+      m.count = *count;
       cell.aggregate.emplace_back(std::move(name), m);
     }
     out.cells.push_back(std::move(cell));

@@ -109,7 +109,14 @@ SweepResult SweepRunner::Run(const SweepSpec& spec) const {
     }
     for (const CheckpointCell& cell : restored_doc.cells) {
       if (cell.index >= 0 && cell.index < static_cast<int>(cells.size())) {
-        restored.by_index[static_cast<std::size_t>(cell.index)] = &cell;
+        const std::size_t i = static_cast<std::size_t>(cell.index);
+        // Only completed cells are saved: every instance of the spec ran.
+        if (cell.instances != cells[i].spec.instances) {
+          throw StatusError(Status::FailedPrecondition(
+              "resume: checkpoint cell " + std::to_string(cell.index) +
+              " does not hold its spec's instance count"));
+        }
+        restored.by_index[i] = &cell;
       }
     }
     out.stage_stats.Record("resume_restore", restore_span.Finish());

@@ -230,6 +230,37 @@ TEST_F(BenchHarnessTest, ParseBenchReportRejectsMalformedDocuments) {
   const io::Json empty_samples =
       WithMember(good, "phases", std::move(phases));
   EXPECT_FALSE(ParseBenchReport(empty_samples).ok());
+
+  // Integer fields that are fractional or beyond their type's range: a cast
+  // of them would be undefined (or, for reps 1.5 and schema 2.5, would
+  // truncate into a value that passes the later checks).
+  const auto with_phase_member = [&good](const std::string& key,
+                                         io::Json value) {
+    io::Json one = io::Json::Array();
+    one.Append(WithMember(good.Find("phases")->Items()[0], key,
+                          std::move(value)));
+    return WithMember(good, "phases", std::move(one));
+  };
+  const auto counter = [](double value) {
+    io::Json counters = io::Json::Object();
+    counters.Set("sinr.kernel_builds", io::Json::Number(value));
+    return counters;
+  };
+  const io::Json bad_integers[] = {
+      WithMember(good, "schema", io::Json::Number(2.5)),
+      WithMember(good, "schema", io::Json::Number(1e300)),
+      with_phase_member("n", io::Json::Number(8.5)),
+      with_phase_member("n", io::Json::Number(1e300)),
+      with_phase_member("reps", io::Json::Number(1.5)),
+      with_phase_member("reps", io::Json::Number(1e300)),
+      with_phase_member("counters", counter(0.5)),
+      with_phase_member("counters", counter(1e300)),
+  };
+  for (const io::Json& doc : bad_integers) {
+    EXPECT_FALSE(ParseBenchReport(doc).ok()) << doc.Dump();
+  }
+  ASSERT_TRUE(ParseBenchReport(with_phase_member("counters", counter(3.0)))
+                  .ok());
 }
 
 TEST_F(BenchHarnessTest, ReturnedStatsSurviveLaterPhases) {

@@ -582,11 +582,24 @@ TEST(FarFieldHierarchyTest, DecisionsMatchDenseOnEveryShape) {
 TEST(FarFieldHierarchyTest, SeparationMatchesDenseOracle) {
   // Algorithm 1's separation test against its growing member set: for
   // every candidate the far-field walk -- which prunes a member block only
-  // when its box clears the radius from *both* candidate endpoints -- must
-  // decide as the dense oracle does over the same members.
+  // when its box clears the radius from *both* candidate endpoints, then
+  // runs SeparationTest's coordinate form -- and the dense oracle -- the
+  // same test's matrix form -- must both decide as the naive
+  // LinkSystem::IsSeparatedFrom does over the same members.
   const double zeta = 3.0;
   int separated = 0;
   int too_close = 0;
+  const auto expect_naive = [&](const TwinTiers& t, int v,
+                                const FarFieldAccumulator& acc, double eta) {
+    const bool naive = t.system.IsSeparatedFrom(v, acc.members(), eta, zeta);
+    EXPECT_EQ(acc.IsSeparatedFromMembers(v, eta, zeta), naive)
+        << "candidate " << v << " eta " << eta;
+    EXPECT_EQ(SeparationOracle(t.dense, eta, zeta)
+                  .IsSeparatedFrom(v, acc.members()),
+              naive)
+        << "candidate " << v << " eta " << eta;
+    return naive;
+  };
   for (const int kind : {0, 1, 2}) {
     geom::Rng rng(95 + static_cast<std::uint64_t>(kind));
     const int n = 512;
@@ -594,14 +607,11 @@ TEST(FarFieldHierarchyTest, SeparationMatchesDenseOracle) {
         kind == 2 ? MakeCorridor(n, 600.0, 40.0, rng)
                   : MakeDeployment(n, DensityBox(n), kind == 1, rng);
     const TwinTiers t(dep, 3.0, 1e-3);
-    const SeparationOracle oracle(t.dense, zeta / 2.0, zeta);
     SCOPED_TRACE("kind=" + std::to_string(kind));
     FarFieldAccumulator acc(t.ff);
     for (int v : DecayOrder(t.ff, AllLinks(t.ff))) {
       if (!t.ff.CanOvercomeNoise(v)) continue;
-      const bool sep = acc.IsSeparatedFromMembers(v, zeta / 2.0, zeta);
-      EXPECT_EQ(sep, oracle.IsSeparatedFrom(v, acc.members()))
-          << "candidate " << v;
+      const bool sep = expect_naive(t, v, acc, zeta / 2.0);
       ++(sep ? separated : too_close);
       if (sep && acc.BudgetWithinHalf(v)) acc.Add(v);
     }
@@ -609,6 +619,36 @@ TEST(FarFieldHierarchyTest, SeparationMatchesDenseOracle) {
   }
   EXPECT_GT(separated, 0);
   EXPECT_GT(too_close, 0);
+
+  // A near tie: link 1's sender sits at `leg`, a rotation of its receiver
+  // `c` that is longer by NormSq yet smaller in decay, so the pair's min
+  // endpoint decay is the sender-sender leg, not the leg nearest by
+  // NormSq.  Thresholds at either decay put the pair in the exact band.
+  geom::Rng rng(96);
+  const geom::Vec2 origin{0.0, 0.0};
+  for (int trial = 0; trial < 100000; ++trial) {
+    const geom::Vec2 c{rng.Uniform(1.0, 10.0), rng.Uniform(1.0, 10.0)};
+    const geom::Vec2 leg = c.Rotated(rng.Uniform(0.0, 1.0));
+    const double leg_decay = geom::GeometricDecay(origin, leg, zeta);
+    const double c_decay = geom::GeometricDecay(origin, c, zeta);
+    if (!(leg.NormSq() > c.NormSq() && leg_decay < c_decay)) continue;
+    const TwinTiers t({{origin, {-40.0, -40.0}, leg, c}, {{0, 1}, {2, 3}}},
+                      zeta, 1e-3);
+    for (const int v : {0, 1}) {
+      FarFieldAccumulator acc(t.ff);
+      acc.Add(1 - v);
+      const double f_vv = t.ff.LinkDecay(v);
+      for (const double m : {leg_decay, c_decay}) {
+        const double eta = std::pow(m / f_vv, 1.0 / zeta);
+        for (const double e : {std::nextafter(eta, 0.0), eta,
+                               std::nextafter(eta, 2.0 * eta)}) {
+          expect_naive(t, v, acc, e);
+        }
+      }
+    }
+    return;
+  }
+  ADD_FAILURE() << "no near tie found";
 }
 
 TEST(FarFieldHierarchyTest, MemoryStaysLinear) {

@@ -8,6 +8,7 @@
 #include <limits>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/status.h"
@@ -166,6 +167,19 @@ TEST(CheckpointTest, JsonRoundTripIsBitExact) {
   EXPECT_EQ(std::remove(path.c_str()), 0);
 }
 
+// A one-cell sidecar, with `value` as the JSON text of the integer field
+// `key` (grid, index, attempts, instances or count) when one is named.
+std::string SidecarWith(const std::string& key, const std::string& value) {
+  const auto field = [&](const std::string& name, const char* fallback) {
+    return "\"" + name + "\":" + (name == key ? value : fallback);
+  };
+  return R"({"sweep":"x","spec_hash":"h",)" + field("grid", "4") +
+         R"(,"cells":[{)" + field("index", "0") + "," + field("attempts", "1") +
+         "," + field("instances", "2") +
+         R"(,"aggregate":[{"name":"m","sum":"1","min":"1","max":"1",)" +
+         field("count", "1") + "}]}]}";
+}
+
 TEST(CheckpointTest, MalformedSidecarIsIoErrorNotAbort) {
   const char* torn[] = {
       "",                                   // zero-byte file
@@ -177,6 +191,22 @@ TEST(CheckpointTest, MalformedSidecarIsIoErrorNotAbort) {
     const core::StatusOr<SweepCheckpoint> doc = CheckpointFromJson(text);
     EXPECT_FALSE(doc.ok()) << text;
     EXPECT_EQ(doc.status().code(), core::StatusCode::kIoError) << text;
+  }
+  // Integer fields that are fractional, negative or out of range: a cast of
+  // them would be undefined, or would size a result from garbage.
+  ASSERT_TRUE(CheckpointFromJson(SidecarWith("", "")).ok());
+  const std::pair<const char*, const char*> bad_integers[] = {
+      {"grid", "-1"},      {"grid", "1.5"},      {"index", "1e300"},
+      {"index", "0.5"},    {"index", "-1"},      {"attempts", "0"},
+      {"attempts", "2.5"}, {"instances", "-1"},  {"instances", "2.5"},
+      {"count", "-1"},     {"count", "0.5"},     {"count", "1e300"},
+  };
+  for (const auto& [key, value] : bad_integers) {
+    const core::StatusOr<SweepCheckpoint> doc =
+        CheckpointFromJson(SidecarWith(key, value));
+    EXPECT_FALSE(doc.ok()) << key << " " << value;
+    EXPECT_EQ(doc.status().code(), core::StatusCode::kIoError)
+        << key << " " << value;
   }
   const core::StatusOr<SweepCheckpoint> missing =
       LoadCheckpoint("FT_TEST_no_such_file.json");
@@ -286,6 +316,41 @@ TEST(FaultToleranceTest, ResumeRejectsCheckpointFromDifferentSpec) {
     EXPECT_NE(e.status().message().find("different sweep spec"),
               std::string::npos)
         << e.status().message();
+  }
+  EXPECT_EQ(std::remove(path.c_str()), 0);
+}
+
+// Only completed cells are saved, so a restored cell holds its spec's
+// instance count: a sidecar that says otherwise -- out of range (a parse
+// error) or merely different -- is refused before any cell runs.
+TEST(FaultToleranceTest, ResumeRejectsMismatchedInstanceCount) {
+  const SweepSpec spec = TinyGrid();
+  const std::string path = "FT_TEST_count_checkpoint.json";
+  SweepConfig halted;
+  halted.threads = 1;
+  halted.checkpoint_path = path;
+  halted.halt_after_cells = 1;
+  (void)SweepRunner(halted).Run(spec);
+  const core::StatusOr<SweepCheckpoint> saved = LoadCheckpoint(path);
+  ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+  ASSERT_EQ(saved->cells.size(), 1u);
+  const int instances = saved->cells[0].instances;
+  ASSERT_EQ(instances, spec.base.instances);  // no instances axis
+
+  for (const int bad : {-1, instances + 1}) {
+    SweepCheckpoint doc = *saved;
+    doc.cells[0].instances = bad;
+    ASSERT_TRUE(SaveCheckpoint(path, doc).ok());
+    SweepConfig resume = halted;
+    resume.halt_after_cells = 0;
+    resume.resume = true;
+    try {
+      (void)SweepRunner(resume).Run(spec);
+      ADD_FAILURE() << "expected StatusError for " << bad << " instances";
+    } catch (const core::StatusError& e) {
+      EXPECT_EQ(e.status().code(), core::StatusCode::kFailedPrecondition)
+          << e.status().ToString();
+    }
   }
   EXPECT_EQ(std::remove(path.c_str()), 0);
 }

@@ -34,11 +34,10 @@ Instance MakeInstance(std::uint64_t seed, int link_count, double beta,
   return inst;
 }
 
-// All three n x n matrices agree entry for entry: the affectance matrix, the
-// cross decays and the min-pair decays directly, and the affectance matrix
-// also through its readers -- a one-member accumulator, whose Out(u) is
-// exactly the clamped entry a_u(v), and IsFeasible, which sums raw columns
-// (over every pair {v, w}).
+// Both n x n matrices agree entry for entry: the affectance matrix and the
+// cross decays directly, and the affectance matrix also through its readers
+// -- a one-member accumulator, whose Out(u) is exactly the clamped entry
+// a_u(v), and IsFeasible, which sums raw columns (over every pair {v, w}).
 void ExpectBitIdentical(const KernelCache& fresh, const KernelCache& rebuilt) {
   ASSERT_EQ(fresh.NumLinks(), rebuilt.NumLinks());
   const int n = fresh.NumLinks();
@@ -56,7 +55,6 @@ void ExpectBitIdentical(const KernelCache& fresh, const KernelCache& rebuilt) {
       EXPECT_EQ(from_fresh.Out(w), from_rebuilt.Out(w));
       const std::vector<int> pair{v, w};
       EXPECT_EQ(fresh.IsFeasible(pair), rebuilt.IsFeasible(pair));
-      EXPECT_EQ(fresh.MinPairDecay(v, w), rebuilt.MinPairDecay(v, w));
       EXPECT_EQ(fresh.CrossDecay(w, v), rebuilt.CrossDecay(w, v));
     }
   }
@@ -165,13 +163,13 @@ TEST(KernelArenaTest, CoordinateBackedSpaceBuildsTheDenseKernel) {
   }
 }
 
-// The cache holds exactly three n x n double matrices (affectance, cross
-// decays, min-pair decays) plus the per-link arrays (f_vv, c_v, the noise
-// flag) -- the build keeps no workspace of its own -- and a warm arena
-// rebuild of the same shape retains exactly that.
-TEST(KernelArenaTest, MemoryIsThreeSlabsPlusPerLinkArrays) {
+// The cache holds exactly two n x n double matrices (affectance, cross
+// decays) plus the per-link arrays (f_vv, c_v, the noise flag) -- the build
+// keeps no workspace of its own -- and a warm arena rebuild of the same
+// shape retains exactly that.
+TEST(KernelArenaTest, MemoryIsTwoSlabsPlusPerLinkArrays) {
   const auto expected = [](long long n) {
-    return 3 * n * n * 8 + n * (8 + 8 + 1);
+    return 2 * n * n * 8 + n * (8 + 8 + 1);
   };
   const Instance inst = MakeInstance(61, 40, 1.0, 0.01);
   const LinkSystem system(inst.space, inst.links, inst.config);
@@ -211,9 +209,6 @@ void ExpectBuiltSlabsMatch(const KernelCache& full, const KernelCache& part) {
       }
     }
     for (int w = 0; w < n; ++w) {
-      if (part.Has(KernelSlabs::kMinPairDecay)) {
-        EXPECT_EQ(full.MinPairDecay(v, w), part.MinPairDecay(v, w));
-      }
       if (part.Has(KernelSlabs::kCrossDecay)) {
         EXPECT_EQ(full.CrossDecay(w, v), part.CrossDecay(w, v));
         // Diagonal included: nothing reads f(s_v, r_v) from the slab, so
@@ -225,8 +220,7 @@ void ExpectBuiltSlabsMatch(const KernelCache& full, const KernelCache& part) {
 }
 
 // Every slab set, fresh and through one arena slot that cycles through all
-// of them, over a dense and a coordinate-backed space (whose build skips
-// the endpoint legs when no min-pair slab is requested), under uniform and
+// of them, over a dense and a coordinate-backed space, under uniform and
 // power-law powers.
 TEST(KernelArenaTest, EverySlabSetMatchesTheFullBuild) {
   geom::Rng rng(71);
@@ -242,15 +236,14 @@ TEST(KernelArenaTest, EverySlabSetMatchesTheFullBuild) {
       const KernelCache full(system, power);
       EXPECT_TRUE(full.Has(KernelSlabs::kAll));
       KernelArena arena;
-      for (unsigned bits = 0; bits <= 7; ++bits) {
+      for (unsigned bits = 0; bits <= 3; ++bits) {
         const auto slabs = static_cast<KernelSlabs>(bits);
         const KernelCache fresh(system, power, slabs);
         ExpectBuiltSlabsMatch(full, fresh);
         const KernelCache& rebuilt = arena.Rebuild(system, power, slabs);
         ExpectBuiltSlabsMatch(full, rebuilt);
         for (const KernelSlabs one :
-             {KernelSlabs::kAffectance, KernelSlabs::kMinPairDecay,
-              KernelSlabs::kCrossDecay}) {
+             {KernelSlabs::kAffectance, KernelSlabs::kCrossDecay}) {
           EXPECT_EQ(fresh.Has(one), Includes(slabs, one));
           EXPECT_EQ(rebuilt.Has(one), Includes(slabs, one));
         }
@@ -259,31 +252,29 @@ TEST(KernelArenaTest, EverySlabSetMatchesTheFullBuild) {
   }
 }
 
-// An admission-only build (affectance, min-pair) holds two slabs.  A warm
-// rebuild needs every requested slab already sized: admission then full
-// grows the cross slab (cold); full then admission is warm, and the
-// unrequested cross slab keeps its capacity, so a later full build is warm
-// too.
+// An admission-only build (affectance) holds one slab.  A warm rebuild
+// needs every requested slab already sized: admission then full grows the
+// cross slab (cold); full then admission is warm, and the unrequested
+// cross slab keeps its capacity, so a later full build is warm too.
 TEST(KernelArenaTest, SlabSetsDecideWarmRebuilds) {
   const long long n = 40;
   const Instance inst = MakeInstance(63, static_cast<int>(n), 1.0, 0.01);
   const LinkSystem system(inst.space, inst.links, inst.config);
   const PowerAssignment power = UniformPower(system);
-  const KernelSlabs admission =
-      KernelSlabs::kAffectance | KernelSlabs::kMinPairDecay;
+  const KernelSlabs admission = KernelSlabs::kAffectance;
   const long long per_link = n * (8 + 8 + 1);
   EXPECT_EQ(KernelCache(system, power, admission).MemoryBytes(),
-            2 * n * n * 8 + per_link);
+            n * n * 8 + per_link);
   EXPECT_EQ(KernelCache(system, power, KernelSlabs::kCrossDecay).MemoryBytes(),
             n * n * 8 + per_link);
 
   KernelArena arena;
   arena.Rebuild(system, power, admission);
   EXPECT_EQ(arena.Rebuild(system, power).MemoryBytes(),
-            3 * n * n * 8 + per_link);
+            2 * n * n * 8 + per_link);
   EXPECT_EQ(arena.warm_skips(), 0);  // the cross slab had to grow
   EXPECT_EQ(arena.Rebuild(system, power, admission).MemoryBytes(),
-            3 * n * n * 8 + per_link);
+            2 * n * n * 8 + per_link);
   EXPECT_EQ(arena.warm_skips(), 1);
   arena.Rebuild(system, power);
   EXPECT_EQ(arena.warm_skips(), 2);
@@ -297,14 +288,10 @@ TEST(KernelSlabsDeathTest, EntryPointsRejectUnbuiltSlabs) {
   const LinkSystem system(inst.space, inst.links, inst.config);
   const PowerAssignment power = UniformPower(system);
   const KernelCache cross_only(system, power, KernelSlabs::kCrossDecay);
-  const KernelCache affectance_only(system, power, KernelSlabs::kAffectance);
-  const KernelCache admission(
-      system, power, KernelSlabs::kAffectance | KernelSlabs::kMinPairDecay);
+  const KernelCache admission(system, power, KernelSlabs::kAffectance);
   const std::vector<int> S{0, 1, 2};
   EXPECT_DEATH(AffectanceAccumulator{cross_only}, "slab not built");
   EXPECT_DEATH((void)cross_only.IsFeasible(S), "slab not built");
-  EXPECT_DEATH((SeparationOracle{affectance_only, 1.0, 3.0}),
-               "slab not built");
   EXPECT_DEATH((void)FeasibleWithPowerControl(admission, S), "slab not built");
   EXPECT_DEATH((void)PairwiseAffectanceProduct(admission, 0, 1),
                "slab not built");

@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -93,13 +92,13 @@ std::vector<Instance> MakeInstances(std::uint64_t seed, int link_count) {
   return instances;
 }
 
-// Coordinate-backed instances for the entry-wise check.  Over these the
-// build decides each endpoint leg on squared distances before any pow
-// (KernelCache::Build), so the link sets are chosen to put legs on both
-// sides of the decision band and inside it: uniform random points, an
-// integer lattice (exact leg/cross distance ties), links sharing endpoints
-// (zero cross and leg distances), and a near tie whose leg is the longer
-// by NormSq but the shorter by pow(hypot).
+// Coordinate-backed instances.  Over these the separation verdict
+// (SeparationTest) decides on squared distances before any pow, so the
+// link sets are chosen to put pairs on both sides of its certification
+// radii and between them: uniform random points, an integer lattice (exact
+// distance ties), links sharing endpoints (zero cross and leg distances),
+// and a near tie whose sender-sender leg is the longer by NormSq but the
+// shorter by pow(hypot).
 std::vector<Instance> MakeCoordinateInstances(std::uint64_t seed,
                                               int link_count) {
   std::vector<Instance> instances;
@@ -167,8 +166,9 @@ std::vector<Instance> MakeCoordinateInstances(std::uint64_t seed,
   return instances;
 }
 
-// MinPairDecay(v, w) straight from the space: the naive four-way min.
-double NaiveMinPairDecay(const LinkSystem& system, int v, int w) {
+// The min endpoint decay of (l_v, l_w) straight from the space: the naive
+// four-way min the separation verdict decides on.
+double NaiveMinEndpointDecay(const LinkSystem& system, int v, int w) {
   const core::DecaySpace& f = system.space();
   const Link& lv = system.link(v);
   const Link& lw = system.link(w);
@@ -209,16 +209,16 @@ TEST_P(KernelBitExactness, PairwiseEntriesMatchNaive) {
                   system.Affectance(w, v, inst.power));
       }
     }
-    // The separation oracle's guard-band fallback takes one pow of the
-    // cached decays: pow of the min endpoint decay == min of the endpoint
-    // pows, so it reproduces the naive lengths and distances.
+    // The separation verdict's guard-band fallback takes one pow of the
+    // min endpoint decay: pow of the min == min of the endpoint pows, so it
+    // reproduces the naive lengths and distances.
     for (const double zeta : {1.0, 2.2, 3.0}) {
       for (int v = 0; v < n; ++v) {
         EXPECT_EQ(std::pow(kernel.LinkDecay(v), 1.0 / zeta),
                   system.LinkLength(v, zeta));
         for (int w = 0; w < n; ++w) {
           if (w == v) continue;
-          EXPECT_EQ(std::pow(kernel.MinPairDecay(v, w), 1.0 / zeta),
+          EXPECT_EQ(std::pow(NaiveMinEndpointDecay(system, v, w), 1.0 / zeta),
                     system.LinkDistance(v, w, zeta));
         }
       }
@@ -271,12 +271,22 @@ TEST_P(KernelBitExactness, AggregateQueriesMatchNaive) {
   }
 }
 
+// Every instance family: the dense ones (matrix form of the separation
+// verdict) and the coordinate-backed ones (coordinate form).
+std::vector<Instance> AllInstances(std::uint64_t seed, int link_count) {
+  std::vector<Instance> instances = MakeInstances(seed, link_count);
+  for (Instance& inst : MakeCoordinateInstances(seed, link_count)) {
+    instances.push_back(std::move(inst));
+  }
+  return instances;
+}
+
 TEST_P(KernelBitExactness, SeparationOracleMatchesNaivePredicates) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
-  for (const Instance& inst : MakeInstances(seed, 12)) {
+  for (const Instance& inst : AllInstances(seed, 12)) {
     SCOPED_TRACE(inst.name);
     const LinkSystem system(inst.space, inst.links, inst.config);
-    const KernelCache kernel(system, inst.power);
+    const KernelCache kernel(system, inst.power, KernelSlabs::kNone);
     const int n = system.NumLinks();
     for (const double zeta : {1.3, 2.0, 3.5}) {
       const SeparationOracle oracle(kernel, zeta / 2.0, zeta);
@@ -290,6 +300,42 @@ TEST_P(KernelBitExactness, SeparationOracleMatchesNaivePredicates) {
       }
     }
   }
+}
+
+TEST_P(KernelBitExactness, ConflictMaxLengthMatchesNaive) {
+  // The separation partition's conflict test on every ordered pair of the
+  // dense, coordinate-backed and near-tie instances, at Algorithm 1's eta
+  // and at eta = 1, whose threshold is the longer link's own decay, which
+  // lattice distances tie exactly.
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  int conflicts = 0;
+  int clear = 0;
+  for (const Instance& inst : AllInstances(seed, 12)) {
+    SCOPED_TRACE(inst.name);
+    const LinkSystem system(inst.space, inst.links, inst.config);
+    const KernelCache kernel(system, inst.power, KernelSlabs::kNone);
+    const int n = system.NumLinks();
+    for (const double zeta : {1.3, 3.0}) {
+      for (const double eta : {zeta / 2.0, 1.0}) {
+        const SeparationOracle oracle(kernel, eta, zeta);
+        for (int v = 0; v < n; ++v) {
+          for (int w = 0; w < n; ++w) {
+            if (w == v) continue;
+            const bool naive =
+                system.LinkDistance(v, w, zeta) <
+                eta * std::max(system.LinkLength(v, zeta),
+                               system.LinkLength(w, zeta));
+            EXPECT_EQ(oracle.ConflictMaxLength(v, w), naive)
+                << "eta " << eta << " zeta " << zeta << " pair " << v << ","
+                << w;
+            ++(naive ? conflicts : clear);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(conflicts, 0);
+  EXPECT_GT(clear, 0);
 }
 
 TEST_P(KernelBitExactness, AccumulatorMatchesNaivePrefixSums) {
@@ -337,18 +383,14 @@ TEST_P(KernelBitExactness, AccumulatorMatchesNaivePrefixSums) {
 TEST_P(KernelBitExactness, EntriesMatchNaiveOnEveryRepresentation) {
   // Every matrix entry against the naive LinkSystem methods, over dense
   // spaces (asymmetric ones and non-uniform powers included) and over
-  // coordinate-backed ones, where the build skips endpoint legs that
-  // cannot be a pair's minimum.  Legs of the coordinate-backed pairs are
-  // counted by the build's decision -- beyond the band above the nearer
-  // cross distance (skipped), clearly below it (evaluated), or inside the
-  // band (evaluated exactly) -- and each kind must occur.
+  // coordinate-backed ones.  Over the coordinate-backed ones every pair's
+  // separation verdict is checked too, and counted by the branch of the
+  // shared SeparationTest that decides it -- the min endpoint NormSq above
+  // its radii (certified separated), below them (certified too close), or
+  // between them (exact legs) -- and each branch must occur.
   const auto seed = static_cast<std::uint64_t>(GetParam());
-  std::vector<Instance> instances = MakeInstances(seed, 12);
-  for (Instance& inst : MakeCoordinateInstances(seed, 12)) {
-    instances.push_back(std::move(inst));
-  }
-  long long skipped = 0, below = 0, in_band = 0;
-  for (const Instance& inst : instances) {
+  long long separated = 0, too_close = 0, exact = 0;
+  for (const Instance& inst : AllInstances(seed, 12)) {
     SCOPED_TRACE(inst.name);
     const LinkSystem system(inst.space, inst.links, inst.config);
     const KernelCache kernel(system, inst.power);
@@ -362,7 +404,6 @@ TEST_P(KernelBitExactness, EntriesMatchNaiveOnEveryRepresentation) {
       const bool overcomes = system.CanOvercomeNoise(v, inst.power);
       for (int w = 0; w < n; ++w) {
         EXPECT_EQ(kernel.CrossDecay(w, v), system.CrossDecay(w, v));
-        EXPECT_EQ(kernel.MinPairDecay(v, w), NaiveMinPairDecay(system, v, w));
         const double naive =
             overcomes ? system.AffectanceRaw(w, v, inst.power) : 0.0;
         EXPECT_EQ(kernel.AffectanceRaw(w, v), naive);
@@ -376,29 +417,40 @@ TEST_P(KernelBitExactness, EntriesMatchNaiveOnEveryRepresentation) {
               pts[static_cast<std::size_t>(q)])
           .NormSq();
     };
-    for (int v = 0; v < n; ++v) {
-      for (int w = v + 1; w < n; ++w) {
-        const Link& lv = system.link(v);
-        const Link& lw = system.link(w);
-        const double m2 = std::min(norm_sq(lv.sender, lw.receiver),
-                                   norm_sq(lw.sender, lv.receiver));
-        for (const double leg2 : {norm_sq(lv.sender, lw.sender),
-                                  norm_sq(lv.receiver, lw.receiver)}) {
-          if (m2 < std::numeric_limits<double>::min() ||
-              leg2 < m2 * (1.0 - 1e-9)) {
-            ++below;
-          } else if (leg2 > m2 * (1.0 + 1e-9)) {
-            ++skipped;
+    // eta = 1 puts the threshold at f_vv, which lattice distances tie.
+    for (const double eta : {0.5, 1.0, 1.5}) {
+      const double zeta = inst.space.alpha();
+      const SeparationOracle oracle(kernel, eta, zeta);
+      for (int v = 0; v < n; ++v) {
+        const SeparationTest test(eta, zeta, kernel.LinkDecay(v),
+                                  inst.space.alpha());
+        for (int w = 0; w < n; ++w) {
+          if (w == v) continue;
+          const std::vector<int> member{w};
+          EXPECT_EQ(oracle.IsSeparatedFrom(v, member),
+                    system.IsSeparatedFrom(v, member, eta, zeta))
+              << "eta " << eta << " pair " << v << "," << w;
+          const Link& lv = system.link(v);
+          const Link& lw = system.link(w);
+          const double m2 =
+              std::min(std::min(norm_sq(lv.sender, lw.receiver),
+                                norm_sq(lw.sender, lv.receiver)),
+                       std::min(norm_sq(lv.sender, lw.sender),
+                                norm_sq(lv.receiver, lw.receiver)));
+          if (m2 > test.RadiusSqHi()) {
+            ++separated;
+          } else if (m2 < test.RadiusSqLo()) {
+            ++too_close;
           } else {
-            ++in_band;
+            ++exact;
           }
         }
       }
     }
   }
-  EXPECT_GT(skipped, 0);
-  EXPECT_GT(below, 0);
-  EXPECT_GT(in_band, 0);
+  EXPECT_GT(separated, 0);
+  EXPECT_GT(too_close, 0);
+  EXPECT_GT(exact, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelBitExactness, ::testing::Range(1, 9));
