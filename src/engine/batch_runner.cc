@@ -89,7 +89,8 @@ std::vector<double> InstanceWeights(const ScenarioSpec& spec, int index,
 // decays; the queue's admission schedulers read affectances (random access
 // reads the cross decays instead, see TaskSlabs); the capacity and
 // scheduling tasks read affectances, their separation tests no slab (they
-// are decided from the decay space).
+// are decided from the decay space).  Each task's aggregate metrics are its
+// rows of the metric table (AggregateMetrics).
 struct TaskEntry {
   const char* name;
   sinr::KernelSlabs slabs;
@@ -108,21 +109,18 @@ constexpr TaskEntry kTasks[] = {
 static_assert(std::size(kTasks) == kNumTaskKinds);
 static_assert(static_cast<int>(TaskKind::kRegret) + 1 == kNumTaskKinds);
 
-const TaskEntry& Entry(TaskKind kind) {
-  return kTasks[static_cast<std::size_t>(kind)];
-}
-
 // The dense slabs `task` reads under `spec`: none for an admission task on a
 // far-field kernel, and for the queue those of its scheduler.
 sinr::KernelSlabs TaskSlabs(TaskKind task, const ScenarioSpec& spec) {
-  if (spec.kernel_mode == KernelMode::kFarField && Entry(task).admission_tier) {
+  const TaskEntry& entry = kTasks[static_cast<std::size_t>(task)];
+  if (spec.kernel_mode == KernelMode::kFarField && entry.admission_tier) {
     return sinr::KernelSlabs::kNone;
   }
   if (task == TaskKind::kQueue &&
       spec.dynamics.scheduler == dynamics::Scheduler::kRandomAccess) {
     return sinr::KernelSlabs::kCrossDecay;
   }
-  return Entry(task).slabs;
+  return entry.slabs;
 }
 
 // The dense slabs `tasks` read under `spec`: the union over the task list.
@@ -348,86 +346,47 @@ InstanceRecord RunInstance(const ScenarioSpec& spec, int index,
   return rec;
 }
 
-// Merges the per-instance stage breakdowns into the result's StageStats
-// (always) and ticks the process-wide registry (when enabled).  Runs in the
-// sequential post-pool reduction, so no synchronisation is needed.
-void AggregateStages(ScenarioResult& result) {
+// Metric-table readers: one InstanceRecord field, a pass/fail field as a
+// violation (1 when it failed), and the power-control gain over uniform
+// power, which needs the greedy baseline's size too.
+template <auto Field>
+std::optional<double> Read(const InstanceRecord& rec) {
+  return static_cast<double>(rec.*Field);
+}
+template <auto Passed>
+std::optional<double> Failed(const InstanceRecord& rec) {
+  return rec.*Passed ? 0.0 : 1.0;
+}
+std::optional<double> PcGainVsUniform(const InstanceRecord& rec) {
+  if (rec.greedy_size < 0) return std::nullopt;
+  return static_cast<double>(rec.pc_greedy_size - rec.greedy_size);
+}
+
+// The sequential, instance-ordered reduction after the pool drains: merges
+// the per-instance stage breakdowns into the result's StageStats (always),
+// ticks the process-wide registry (when enabled), and sums the
+// deterministic metrics -- zeta, then every table row whose task is in the
+// batch's task list (every instance ran that list); the other rows keep
+// empty summaries.
+void Aggregate(ScenarioResult& result, const std::vector<TaskKind>& tasks) {
   EngineInstruments& ins = EngineInstruments::Get();
   ins.instances.Add(static_cast<long long>(result.instances.size()));
+  MetricSummary zeta;
   for (const InstanceRecord& rec : result.instances) {
     result.stage_stats.Merge(rec.stages);
     (rec.geometry_reused ? ins.geometry_reuses : ins.geometry_builds).Add();
-  }
-}
-
-// Sequential, instance-ordered reduction of the deterministic metrics.
-void Aggregate(ScenarioResult& result) {
-  MetricSummary zeta, alg1_size, alg1_admitted, greedy_size, weighted_value,
-      weighted_size, partition_classes, schedule_slots, alg1_infeasible,
-      schedule_invalid, pc_greedy_size, pc_all_feasible, pc_obstructed,
-      pc_gain, queue_throughput, queue_mean_queue, queue_backlog_growth,
-      queue_unstable, regret_successes, regret_transmit_rate;
-  for (const InstanceRecord& rec : result.instances) {
     zeta.Add(rec.zeta);
-    if (rec.alg1_size >= 0) {
-      alg1_size.Add(rec.alg1_size);
-      alg1_admitted.Add(rec.alg1_admitted);
-      alg1_infeasible.Add(rec.alg1_feasible ? 0.0 : 1.0);
-    }
-    if (rec.greedy_size >= 0) greedy_size.Add(rec.greedy_size);
-    if (rec.weighted_size >= 0) {
-      weighted_value.Add(rec.weighted_value);
-      weighted_size.Add(rec.weighted_size);
-    }
-    if (rec.partition_classes >= 0) {
-      partition_classes.Add(rec.partition_classes);
-    }
-    if (rec.schedule_slots >= 0) {
-      schedule_slots.Add(rec.schedule_slots);
-      schedule_invalid.Add(rec.schedule_valid ? 0.0 : 1.0);
-    }
-    if (rec.pc_greedy_size >= 0) {
-      pc_greedy_size.Add(rec.pc_greedy_size);
-      pc_all_feasible.Add(rec.pc_all_feasible);
-      pc_obstructed.Add(rec.pc_obstructed);
-      // The feasibility gap, per instance, when the uniform greedy also ran.
-      if (rec.greedy_size >= 0) {
-        pc_gain.Add(rec.pc_greedy_size - rec.greedy_size);
+  }
+  result.aggregate = {{"zeta", zeta}};
+  for (const AggregateMetric& metric : AggregateMetrics()) {
+    MetricSummary summary;
+    if (std::find(tasks.begin(), tasks.end(), metric.task) != tasks.end()) {
+      for (const InstanceRecord& rec : result.instances) {
+        if (const std::optional<double> v = metric.read(rec)) summary.Add(*v);
       }
     }
-    if (rec.queue_throughput >= 0.0) {
-      queue_throughput.Add(rec.queue_throughput);
-      queue_mean_queue.Add(rec.queue_mean_queue);
-      queue_backlog_growth.Add(rec.queue_backlog_growth);
-      queue_unstable.Add(rec.queue_unstable);
-    }
-    if (rec.regret_successes >= 0.0) {
-      regret_successes.Add(rec.regret_successes);
-      regret_transmit_rate.Add(rec.regret_transmit_rate);
-    }
+    result.aggregate.emplace_back(metric.name, summary);
   }
-  result.aggregate = {
-      {"zeta", zeta},
-      {"alg1_size", alg1_size},
-      {"alg1_admitted", alg1_admitted},
-      {"alg1_infeasible", alg1_infeasible},
-      {"greedy_size", greedy_size},
-      {"weighted_value", weighted_value},
-      {"weighted_size", weighted_size},
-      {"partition_classes", partition_classes},
-      {"schedule_slots", schedule_slots},
-      {"schedule_invalid", schedule_invalid},
-      {"pc_greedy_size", pc_greedy_size},
-      {"pc_all_feasible", pc_all_feasible},
-      {"pc_obstructed", pc_obstructed},
-      {"pc_gain_vs_uniform", pc_gain},
-      {"queue_throughput", queue_throughput},
-      {"queue_mean_queue", queue_mean_queue},
-      {"queue_backlog_growth", queue_backlog_growth},
-      {"queue_unstable", queue_unstable},
-      {"regret_successes", regret_successes},
-      {"regret_transmit_rate", regret_transmit_rate},
-  };
 }
 
 }  // namespace
@@ -435,6 +394,38 @@ void Aggregate(ScenarioResult& result) {
 const char* TaskKindName(TaskKind kind) {
   const auto k = static_cast<std::size_t>(kind);
   return k < std::size(kTasks) ? kTasks[k].name : "unknown";
+}
+
+// The metric table: each task's aggregate metrics, one row each, with the
+// rows of a task together and the tasks in kTasks order.  The row order is
+// the order of every aggregate and signature: moving a row moves every
+// digest.
+std::span<const AggregateMetric> AggregateMetrics() {
+  using enum TaskKind;
+  using enum MetricRole;
+  using R = InstanceRecord;
+  static constexpr AggregateMetric kMetrics[] = {
+      {"alg1_size", kAlgorithm1, Read<&R::alg1_size>, kHeadline},
+      {"alg1_admitted", kAlgorithm1, Read<&R::alg1_admitted>, kPlain},
+      {"alg1_infeasible", kAlgorithm1, Failed<&R::alg1_feasible>, kViolation},
+      {"greedy_size", kGreedyBaseline, Read<&R::greedy_size>, kHeadline},
+      {"weighted_value", kWeighted, Read<&R::weighted_value>, kPlain},
+      {"weighted_size", kWeighted, Read<&R::weighted_size>, kPlain},
+      {"partition_classes", kPartitions, Read<&R::partition_classes>, kPlain},
+      {"schedule_slots", kSchedule, Read<&R::schedule_slots>, kHeadline},
+      {"schedule_invalid", kSchedule, Failed<&R::schedule_valid>, kViolation},
+      {"pc_greedy_size", kPowerControl, Read<&R::pc_greedy_size>, kHeadline},
+      {"pc_all_feasible", kPowerControl, Read<&R::pc_all_feasible>, kHeadline},
+      {"pc_obstructed", kPowerControl, Read<&R::pc_obstructed>, kPlain},
+      {"pc_gain_vs_uniform", kPowerControl, PcGainVsUniform, kHeadline},
+      {"queue_throughput", kQueue, Read<&R::queue_throughput>, kHeadline},
+      {"queue_mean_queue", kQueue, Read<&R::queue_mean_queue>, kPlain},
+      {"queue_backlog_growth", kQueue, Read<&R::queue_backlog_growth>, kPlain},
+      {"queue_unstable", kQueue, Read<&R::queue_unstable>, kHeadline},
+      {"regret_successes", kRegret, Read<&R::regret_successes>, kHeadline},
+      {"regret_transmit_rate", kRegret, Read<&R::regret_transmit_rate>, kPlain},
+  };
+  return kMetrics;
 }
 
 std::vector<TaskKind> AllTasks() {
@@ -528,8 +519,7 @@ ScenarioResult BatchRunner::RunOne(const ScenarioSpec& spec) const {
     }
   }
 
-  AggregateStages(result);
-  Aggregate(result);
+  Aggregate(result, config_.tasks);
   return result;
 }
 

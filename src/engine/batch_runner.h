@@ -22,6 +22,7 @@
 #pragma once
 
 #include <limits>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -165,11 +166,32 @@ struct MetricSummary {
   friend bool operator==(const MetricSummary&, const MetricSummary&) = default;
 };
 
+// How the reports read an aggregate metric: headline metrics are the
+// metric columns of the report tables, ViolationCount sums the violation
+// metrics, and plain ones reach only signatures, JSON and CSV.
+enum class MetricRole { kPlain, kHeadline, kViolation };
+
+// One row of the engine's metric table: a metric `task` reports, and the
+// reader of its per-instance value (nullopt: the instance adds nothing).
+struct AggregateMetric {
+  const char* name;
+  TaskKind task;
+  std::optional<double> (*read)(const InstanceRecord&);
+  MetricRole role;
+};
+
+// The metric table, in task order: every ScenarioResult::aggregate is zeta
+// and then one entry per row (count 0 when the row's task did not run).
+// A new metric is one row; a new task is a TaskKind, a task-table entry,
+// its InstanceRecord fields (-1 when not run), its RunInstance case and
+// its rows.
+std::span<const AggregateMetric> AggregateMetrics();
+
 // One scenario family's batch outcome.
 struct ScenarioResult {
   ScenarioSpec spec;
   std::vector<InstanceRecord> instances;  // ordered by instance index
-  // Deterministic aggregate: (metric name, summary) in a fixed order.
+  // Deterministic aggregate: (metric name, summary), see AggregateMetrics.
   std::vector<std::pair<std::string, MetricSummary>> aggregate;
 
   // Non-deterministic timing.

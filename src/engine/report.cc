@@ -52,32 +52,46 @@ void PrintMarkdownTable(const std::vector<std::string>& headers,
   for (const auto& row : rows) print_row(row);
 }
 
-namespace {
-
-std::string MeanOf(const ScenarioResult& r, const std::string& name,
-                   int digits = 1) {
-  const MetricSummary* m = FindAggregateMetric(r, name);
-  return m != nullptr ? FmtFixed(m->Mean(), digits) : "-";
+std::vector<std::string> PopulatedMetrics(
+    std::span<const ScenarioResult* const> results, bool headline_only) {
+  std::vector<std::string> names;
+  const auto keep_if_populated = [&](const std::string& name) {
+    if (std::any_of(results.begin(), results.end(), [&](const auto* r) {
+          return FindAggregateMetric(*r, name) != nullptr;
+        })) {
+      names.push_back(name);
+    }
+  };
+  if (!headline_only) keep_if_populated("zeta");
+  for (const AggregateMetric& metric : AggregateMetrics()) {
+    if (!headline_only || metric.role == MetricRole::kHeadline) {
+      keep_if_populated(metric.name);
+    }
+  }
+  return names;
 }
 
-}  // namespace
-
 void PrintReport(std::span<const ScenarioResult> results) {
+  std::vector<const ScenarioResult*> produced;
+  for (const ScenarioResult& r : results) produced.push_back(&r);
+  const std::vector<std::string> metrics = PopulatedMetrics(produced, true);
+  const auto mean = [](const ScenarioResult& r, const std::string& name) {
+    const MetricSummary* m = FindAggregateMetric(r, name);
+    return m != nullptr ? FmtFixed(m->Mean()) : std::string("-");
+  };
+  std::vector<std::string> headers = {"scenario", "topology", "links", "inst",
+                                      "zeta", "batch ms", "inst/s"};
+  headers.insert(headers.end(), metrics.begin(), metrics.end());
   std::vector<std::vector<std::string>> rows;
   for (const ScenarioResult& r : results) {
-    rows.push_back({r.spec.name, r.spec.topology, std::to_string(r.spec.links),
-                    std::to_string(r.instances.size()),
-                    MeanOf(r, "zeta", 2), MeanOf(r, "alg1_size"),
-                    MeanOf(r, "greedy_size"), MeanOf(r, "pc_greedy_size"),
-                    MeanOf(r, "schedule_slots"),
-                    MeanOf(r, "queue_throughput", 2),
-                    MeanOf(r, "regret_successes"),
-                    FmtFixed(r.batch_wall_ms, 1), FmtFixed(r.Throughput(), 1)});
+    std::vector<std::string> row = {
+        r.spec.name, r.spec.topology, std::to_string(r.spec.links),
+        std::to_string(r.instances.size()), mean(r, "zeta"),
+        FmtFixed(r.batch_wall_ms, 1), FmtFixed(r.Throughput(), 1)};
+    for (const std::string& name : metrics) row.push_back(mean(r, name));
+    rows.push_back(std::move(row));
   }
-  PrintMarkdownTable({"scenario", "topology", "links", "inst", "zeta",
-                      "|S| alg1", "|S| greedy", "|S| pc", "slots", "q tput",
-                      "regret", "batch ms", "inst/s"},
-                     rows);
+  PrintMarkdownTable(headers, rows);
 
   // Per-stage wall-time breakdown (worker-summed; totals can exceed batch
   // wall time when several workers overlap).
@@ -103,18 +117,26 @@ void PrintReport(std::span<const ScenarioResult> results) {
 long long ViolationCount(std::span<const ScenarioResult> results) {
   long long violations = 0;
   for (const ScenarioResult& r : results) {
-    for (const auto& [name, m] : r.aggregate) {
-      if (name == "alg1_infeasible" || name == "schedule_invalid") {
-        violations += static_cast<long long>(m.sum);
+    for (const AggregateMetric& metric : AggregateMetrics()) {
+      const MetricSummary* m = FindAggregateMetric(r, metric.name);
+      if (metric.role == MetricRole::kViolation && m != nullptr) {
+        violations += static_cast<long long>(m->sum);
       }
     }
   }
   return violations;
 }
 
-io::Json ScenariosJson(std::span<const ScenarioResult> results) {
+void RecordScenarioPhases(obs::BenchHarness& harness,
+                          std::span<const ScenarioResult> results) {
   io::Json scenarios = io::Json::Array();
   for (const ScenarioResult& r : results) {
+    const double task_ms = r.stage_stats.TotalMs("task.");
+    harness.Record(r.spec.name + ".batch", r.spec.links, r.batch_wall_ms);
+    harness.Record(r.spec.name + ".build_total", r.spec.links,
+                   r.stage_stats.TotalMs() - task_ms);
+    harness.Record(r.spec.name + ".tasks", r.spec.links, task_ms);
+
     io::Json entry = io::Json::Object();
     entry.Set("name", io::Json::String(r.spec.name));
     entry.Set("topology", io::Json::String(r.spec.topology));
@@ -147,19 +169,7 @@ io::Json ScenariosJson(std::span<const ScenarioResult> results) {
     entry.Set("stages", std::move(stages));
     scenarios.Append(std::move(entry));
   }
-  return scenarios;
-}
-
-void RecordScenarioPhases(obs::BenchHarness& harness,
-                          std::span<const ScenarioResult> results) {
-  for (const ScenarioResult& r : results) {
-    const double task_ms = r.stage_stats.TotalMs("task.");
-    harness.Record(r.spec.name + ".batch", r.spec.links, r.batch_wall_ms);
-    harness.Record(r.spec.name + ".build_total", r.spec.links,
-                   r.stage_stats.TotalMs() - task_ms);
-    harness.Record(r.spec.name + ".tasks", r.spec.links, task_ms);
-  }
-  harness.SetExtra("scenarios", ScenariosJson(results));
+  harness.SetExtra("scenarios", std::move(scenarios));
 }
 
 bool WriteJsonReport(const std::string& id,

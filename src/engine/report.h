@@ -34,25 +34,29 @@ const MetricSummary* FindAggregateMetric(const ScenarioResult& result,
 void PrintMarkdownTable(const std::vector<std::string>& headers,
                         const std::vector<std::vector<std::string>>& rows);
 
-// Prints one markdown table over all scenarios (per-family capacity,
-// rounds, throughput) followed by a per-metric aggregate block.
+// The aggregate metrics some result populated (count > 0), in aggregate
+// order -- zeta, then the rows of AggregateMetrics() -- or, with
+// `headline_only`, only the headline rows: the metric columns of
+// PrintReport, the sweep tables and the sweep CSV.
+std::vector<std::string> PopulatedMetrics(
+    std::span<const ScenarioResult* const> results, bool headline_only);
+
+// Prints one markdown table over all scenarios (spec context, the mean of
+// each headline column, batch wall time and throughput), the per-stage
+// wall-time breakdown, and the violation count.
 void PrintReport(std::span<const ScenarioResult> results);
 
-// Total number of feasibility/validation violations across all scenarios
-// (the alg1_infeasible + schedule_invalid counters); anything non-zero
+// Total number of feasibility/validation violations across all scenarios:
+// the sums of the violation rows of AggregateMetrics().  Anything non-zero
 // means an algorithm produced an infeasible set or an invalid schedule.
 long long ViolationCount(std::span<const ScenarioResult> results);
 
-// The per-scenario deterministic aggregates as a JSON array: name,
-// topology, links, instances, throughput, non-empty metric summaries and
-// stage wall-time totals per scenario.  Attached to the BENCH record as the
-// "scenarios" member; also usable standalone.
-io::Json ScenariosJson(std::span<const ScenarioResult> results);
-
 // Records three phases per scenario into `harness` -- <name>.batch (batch
 // wall time), <name>.build_total (worker-summed geometry and kernel stages)
-// and <name>.tasks (worker-summed task.<kind> stages) -- and attaches
-// ScenariosJson as the "scenarios" extra member.
+// and <name>.tasks (worker-summed task.<kind> stages) -- and attaches the
+// "scenarios" extra member: per scenario its name, topology, links,
+// instances, throughput, non-empty metric summaries and stage wall-time
+// totals.
 void RecordScenarioPhases(obs::BenchHarness& harness,
                           std::span<const ScenarioResult> results);
 

@@ -168,15 +168,11 @@ StatusOr<SweepCheckpoint> CheckpointFromJson(const std::string& text) {
   if (!doc.is_object()) return FieldError("document is not an object");
 
   SweepCheckpoint out;
-  if (StatusOr<std::string> s = ReadString(doc, "sweep"); s.ok()) {
-    out.sweep = *s;
-  } else {
-    return s.status();
-  }
-  if (StatusOr<std::string> s = ReadString(doc, "spec_hash"); s.ok()) {
-    out.spec_hash = *s;
-  } else {
-    return s.status();
+  for (const auto& [key, field] : {std::pair{"sweep", &out.sweep},
+                                   std::pair{"spec_hash", &out.spec_hash}}) {
+    StatusOr<std::string> s = ReadString(doc, key);
+    if (!s.ok()) return s.status();
+    *field = *s;
   }
   const StatusOr<long long> grid = ReadInteger(doc, "grid", 0);
   if (!grid.ok()) return grid.status();
@@ -214,20 +210,12 @@ StatusOr<SweepCheckpoint> CheckpointFromJson(const std::string& text) {
       } else {
         return s.status();
       }
-      if (StatusOr<double> v = ReadDouble17(e, "sum"); v.ok()) {
-        m.sum = *v;
-      } else {
-        return v.status();
-      }
-      if (StatusOr<double> v = ReadDouble17(e, "min"); v.ok()) {
-        m.min = *v;
-      } else {
-        return v.status();
-      }
-      if (StatusOr<double> v = ReadDouble17(e, "max"); v.ok()) {
-        m.max = *v;
-      } else {
-        return v.status();
+      for (const auto& [key, field] :
+           {std::pair{"sum", &m.sum}, std::pair{"min", &m.min},
+            std::pair{"max", &m.max}}) {
+        StatusOr<double> v = ReadDouble17(e, key);
+        if (!v.ok()) return v.status();
+        *field = *v;
       }
       const StatusOr<long long> count = ReadInteger(e, "count", 0);
       if (!count.ok()) return count.status();

@@ -1,6 +1,5 @@
 #include "sweep/sweep_report.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <utility>
 
@@ -15,35 +14,20 @@ using engine::FindAggregateMetric;
 using engine::FmtFixed;
 using engine::PrintMarkdownTable;
 
-// The metrics the human-readable tables lead with (the CSV export carries
-// all of them); each prints only when some cell produced it.
-const std::vector<std::string>& HeadlineMetrics() {
-  static const std::vector<std::string> metrics = {
-      "alg1_size",        "greedy_size",        "pc_greedy_size",
-      "pc_all_feasible",  "pc_gain_vs_uniform", "schedule_slots",
-      "queue_throughput", "queue_unstable",     "regret_successes",
-  };
-  return metrics;
-}
-
-// The headline metrics that actually occurred somewhere in the grid.
-std::vector<std::string> PresentHeadlines(const SweepResult& result) {
-  std::vector<std::string> present;
-  for (const std::string& name : HeadlineMetrics()) {
-    for (const SweepCellResult& cell : result.cells) {
-      if (FindAggregateMetric(cell.result, name) != nullptr) {
-        present.push_back(name);
-        break;
-      }
-    }
+// The aggregate metrics some cell populated (engine::PopulatedMetrics).
+std::vector<std::string> CellMetrics(const SweepResult& result,
+                                     bool headline_only) {
+  std::vector<const engine::ScenarioResult*> produced;
+  for (const SweepCellResult& cell : result.cells) {
+    produced.push_back(&cell.result);
   }
-  return present;
+  return engine::PopulatedMetrics(produced, headline_only);
 }
 
 }  // namespace
 
 void PrintSweepReport(const SweepResult& result) {
-  const std::vector<std::string> metrics = PresentHeadlines(result);
+  const std::vector<std::string> metrics = CellMetrics(result, true);
 
   std::printf("sweep %s: %zu cells, %s cells/s (%.1f ms",
               result.spec.name.c_str(), result.cells.size(),
@@ -165,8 +149,7 @@ void PrintSweepReport(const SweepResult& result) {
     for (std::size_t k = 0; k < axis.values.size(); ++k) {
       std::vector<std::string> row = {FormatAxisValue(axis.values[k]), ""};
       int matching = 0;
-      std::vector<double> sums(metrics.size(), 0.0);
-      std::vector<long long> counts(metrics.size(), 0);
+      std::vector<engine::MetricSummary> pooled(metrics.size());
       for (const SweepCellResult& cell : result.cells) {
         if (cell.cell.coords[a] != static_cast<int>(k)) continue;
         ++matching;
@@ -174,16 +157,14 @@ void PrintSweepReport(const SweepResult& result) {
           const engine::MetricSummary* summary =
               FindAggregateMetric(cell.result, metrics[m]);
           if (summary != nullptr) {
-            sums[m] += summary->sum;
-            counts[m] += summary->count;
+            pooled[m].sum += summary->sum;
+            pooled[m].count += summary->count;
           }
         }
       }
       row[1] = std::to_string(matching);
-      for (std::size_t m = 0; m < metrics.size(); ++m) {
-        row.push_back(counts[m] > 0
-                          ? FmtFixed(sums[m] / static_cast<double>(counts[m]))
-                          : "-");
+      for (const engine::MetricSummary& p : pooled) {
+        row.push_back(p.count > 0 ? FmtFixed(p.Mean()) : "-");
       }
       frows.push_back(std::move(row));
     }
@@ -200,9 +181,9 @@ bool HasAxis(const SweepSpec& spec, const std::string& field) {
   return false;
 }
 
-}  // namespace
-
-std::vector<std::string> SweepCsvHeader(const SweepResult& result) {
+// The CSV columns with the metric columns `metrics`.
+std::vector<std::string> CsvHeader(const SweepResult& result,
+                                   const std::vector<std::string>& metrics) {
   std::vector<std::string> header = {"sweep", "cell"};
   for (const SweepAxis& axis : result.spec.axes) header.push_back(axis.field);
   // links/instances context columns, except when the axis columns already
@@ -214,33 +195,15 @@ std::vector<std::string> SweepCsvHeader(const SweepResult& result) {
   header.push_back("ok");
   header.push_back("attempts");
   header.push_back("error");
-  // Every aggregate metric observed anywhere in the grid, first-seen order
-  // (aggregates list metrics in a fixed order, so this is stable).
-  for (const SweepCellResult& cell : result.cells) {
-    for (const auto& [name, m] : cell.result.aggregate) {
-      if (m.count == 0) continue;
-      const std::string column = name + "_mean";
-      if (std::find(header.begin(), header.end(), column) == header.end()) {
-        header.push_back(column);
-      }
-    }
-  }
+  for (const std::string& name : metrics) header.push_back(name + "_mean");
   return header;
 }
 
-namespace {
-
-// Rows for a header already computed by SweepCsvHeader (the header scan
-// walks every cell's aggregate map, so callers emitting both compute it
-// once and share it).
-std::vector<std::vector<std::string>> RowsForHeader(
-    const SweepResult& result, const std::vector<std::string>& header) {
+// The CSV rows for CsvHeader(result, metrics).
+std::vector<std::vector<std::string>> CsvRows(
+    const SweepResult& result, const std::vector<std::string>& metrics) {
   const bool links_column = !HasAxis(result.spec, "links");
   const bool instances_column = !HasAxis(result.spec, "instances");
-  const std::size_t fixed = 2 + result.spec.axes.size() +
-                            (links_column ? 1 : 0) +
-                            (instances_column ? 1 : 0) +
-                            3;  // ok, attempts, error
   std::vector<std::vector<std::string>> rows;
   rows.reserve(result.cells.size());
   char buf[64];
@@ -258,8 +221,7 @@ std::vector<std::vector<std::string>> RowsForHeader(
     row.push_back(cell.outcome.ok ? "1" : "0");
     row.push_back(std::to_string(cell.outcome.attempts));
     row.push_back(cell.outcome.ok ? "" : cell.outcome.error);
-    for (std::size_t c = fixed; c < header.size(); ++c) {
-      const std::string name = header[c].substr(0, header[c].size() - 5);
+    for (const std::string& name : metrics) {
       const engine::MetricSummary* m = FindAggregateMetric(cell.result, name);
       if (m != nullptr) {
         std::snprintf(buf, sizeof(buf), "%.10g", m->Mean());
@@ -275,14 +237,18 @@ std::vector<std::vector<std::string>> RowsForHeader(
 
 }  // namespace
 
+std::vector<std::string> SweepCsvHeader(const SweepResult& result) {
+  return CsvHeader(result, CellMetrics(result, false));
+}
+
 std::vector<std::vector<std::string>> SweepCsvRows(const SweepResult& result) {
-  return RowsForHeader(result, SweepCsvHeader(result));
+  return CsvRows(result, CellMetrics(result, false));
 }
 
 bool WriteSweepCsvFile(const SweepResult& result, const std::string& path) {
-  const std::vector<std::string> header = SweepCsvHeader(result);
-  const std::vector<std::vector<std::string>> rows =
-      RowsForHeader(result, header);
+  const std::vector<std::string> metrics = CellMetrics(result, false);
+  const std::vector<std::string> header = CsvHeader(result, metrics);
+  const std::vector<std::vector<std::string>> rows = CsvRows(result, metrics);
   if (!io::WriteCsvTableFile(header, rows, path)) {
     std::fprintf(stderr, "WriteSweepCsvFile: cannot write %s\n", path.c_str());
     return false;

@@ -11,17 +11,18 @@
 
 namespace decaylib::sweep {
 
-// Per-cell table (axis coordinates + headline means) followed by one
-// frontier table per axis: for each axis value, the mean of each headline
-// metric marginalised over every other axis -- the 1-D curves the paper
-// plots, read straight off the grid.
+// Per-cell table (axis coordinates + the means of the headline metrics
+// some cell produced, engine::PopulatedMetrics) followed by one frontier
+// table per axis: for each axis value, the mean of each headline metric
+// marginalised over every other axis -- the 1-D curves the paper plots,
+// read straight off the grid.
 void PrintSweepReport(const SweepResult& result);
 
 // CSV export: one row per cell.  Columns: sweep, cell, one column per axis
 // field, links/instances context columns (skipped when an axis already
-// carries them -- no duplicate header names), then "<metric>_mean" for
-// every aggregate metric observed in the grid (first-seen order, stable
-// across runs).
+// carries them -- no duplicate header names), ok/attempts/error, then
+// "<metric>_mean" for every aggregate metric some cell produced, in
+// aggregate order (engine::PopulatedMetrics).
 std::vector<std::string> SweepCsvHeader(const SweepResult& result);
 std::vector<std::vector<std::string>> SweepCsvRows(const SweepResult& result);
 bool WriteSweepCsvFile(const SweepResult& result, const std::string& path);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <ranges>
 #include <utility>
 
 #include "engine/report.h"
@@ -50,13 +51,27 @@ struct SweepInstruments {
   }
 };
 
-// Restored cells come back index-keyed from the sidecar; map them for the
-// grid walk.  The sidecar is trusted only after its spec-hash matched.
-struct RestoredCells {
-  std::vector<const CheckpointCell*> by_index;  // nullptr = not restored
-
-  explicit RestoredCells(std::size_t grid) : by_index(grid, nullptr) {}
-};
+// Why a restored cell cannot enter the grid ("" when it can).  A fresh run
+// saves only completed, healthy cells: every instance of the spec ran, and
+// the aggregate lists zeta and then the engine's metric table, finite
+// wherever populated.  Anything else would splice in a signature no run
+// produces.
+std::string RestoreFault(const CheckpointCell& cell, int instances) {
+  if (cell.instances != instances) {
+    return "does not hold its spec's instance count";
+  }
+  engine::ScenarioResult result;
+  result.aggregate = cell.aggregate;
+  if (result.aggregate.empty() || result.aggregate.front().first != "zeta" ||
+      !std::ranges::equal(
+          result.aggregate | std::views::drop(1), engine::AggregateMetrics(),
+          [](const auto& entry, const engine::AggregateMetric& metric) {
+            return entry.first == metric.name;
+          })) {
+    return "does not list zeta and the engine's aggregate metrics in order";
+  }
+  return engine::AggregateHealth(result).message();
+}
 
 }  // namespace
 
@@ -90,7 +105,8 @@ SweepResult SweepRunner::Run(const SweepSpec& spec) const {
   const std::string hash =
       config_.checkpoint_path.empty() ? std::string() : SweepSpecHash(spec);
   SweepCheckpoint restored_doc;
-  RestoredCells restored(cells.size());
+  // The restored cells by grid index (nullptr = not restored).
+  std::vector<const CheckpointCell*> restored(cells.size(), nullptr);
   if (config_.resume && !config_.checkpoint_path.empty() &&
       FileExists(config_.checkpoint_path)) {
     obs::Span restore_span("resume_restore", nullptr, "sweep");
@@ -110,13 +126,13 @@ SweepResult SweepRunner::Run(const SweepSpec& spec) const {
     for (const CheckpointCell& cell : restored_doc.cells) {
       if (cell.index >= 0 && cell.index < static_cast<int>(cells.size())) {
         const std::size_t i = static_cast<std::size_t>(cell.index);
-        // Only completed cells are saved: every instance of the spec ran.
-        if (cell.instances != cells[i].spec.instances) {
+        const std::string fault = RestoreFault(cell, cells[i].spec.instances);
+        if (!fault.empty()) {
           throw StatusError(Status::FailedPrecondition(
-              "resume: checkpoint cell " + std::to_string(cell.index) +
-              " does not hold its spec's instance count"));
+              "resume: checkpoint cell " + std::to_string(cell.index) + ": " +
+              fault));
         }
-        restored.by_index[i] = &cell;
+        restored[i] = &cell;
       }
     }
     out.stage_stats.Record("resume_restore", restore_span.Finish());
@@ -150,8 +166,7 @@ SweepResult SweepRunner::Run(const SweepSpec& spec) const {
     // Restored cell: rebuild its ScenarioResult from the sidecar.  Only
     // the aggregate and instance count are stored -- exactly the
     // deterministic surface SweepSignature reads.
-    if (const CheckpointCell* rc =
-            restored.by_index[static_cast<std::size_t>(index)]) {
+    if (const CheckpointCell* rc = restored[static_cast<std::size_t>(index)]) {
       engine::ScenarioResult result;
       result.spec = cell.spec;
       result.instances.resize(static_cast<std::size_t>(rc->instances));

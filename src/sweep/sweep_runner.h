@@ -39,7 +39,9 @@
 //  * with a checkpoint path set, completed healthy cells are persisted
 //    after every cell (sweep/checkpoint.h) and `resume` restores them
 //    bit-exactly, so an interrupted sweep re-runs only what it must and
-//    its SweepSignature equals an uninterrupted run's at any thread count;
+//    its SweepSignature equals an uninterrupted run's at any thread count
+//    (a restored cell whose instance count, metric names or health differ
+//    from what a fresh run saves is kFailedPrecondition);
 //  * FaultPlan injects deterministic failures (cell i, first k attempts)
 //    through the real worker pool, so the recovery paths above are
 //    exercised end to end by tests/fault_tolerance_test.cc.

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -526,8 +527,9 @@ ScenarioSpec SmallDynamics(ScenarioSpec spec, int links = 10,
 
 // Each task reads only the dense slabs the engine's task table names for
 // it.  Run alone, a task's kernel holds only those slabs, so an
-// under-declared slab trips a DL_CHECK at its entry point; and every
-// aggregate a task reports alone equals the all-tasks run's.  Dense mode
+// under-declared slab trips a DL_CHECK at its entry point.  A task alone
+// populates zeta and exactly its own rows of the metric table, each equal
+// to the all-tasks run's, and leaves every other row empty.  Dense mode
 // over every builtin plus a random-access queue, far-field mode (admission
 // tasks on the far-field kernel, the rest on a lazily built dense one), and
 // through warm arenas that cycle through the slab sets.
@@ -549,6 +551,15 @@ TEST(BatchRunnerTest, EachTaskAloneMatchesAllTasksRun) {
   BatchConfig all;
   all.threads = 1;
   const auto reference = BatchRunner(all).Run(specs);
+  // All tasks populate zeta and every row of the metric table.
+  const std::span<const AggregateMetric> metrics = AggregateMetrics();
+  for (const ScenarioResult& result : reference) {
+    ASSERT_EQ(result.aggregate.size(), metrics.size() + 1);
+    EXPECT_EQ(result.aggregate[0].first, "zeta");
+    for (const auto& [name, m] : result.aggregate) {
+      EXPECT_GT(m.count, 0) << result.spec.name << " " << name;
+    }
+  }
   std::vector<sinr::KernelArena> arenas(1);
   for (const TaskKind task : AllTasks()) {
     BatchConfig alone;
@@ -558,19 +569,23 @@ TEST(BatchRunnerTest, EachTaskAloneMatchesAllTasksRun) {
     const auto results = BatchRunner(alone).Run(specs);
     ASSERT_EQ(results.size(), reference.size());
     for (std::size_t s = 0; s < results.size(); ++s) {
-      int reported = 0;
-      for (const auto& [name, m] : results[s].aggregate) {
-        if (m.count == 0 || name == "zeta") continue;
-        ++reported;
-        const auto& expected = reference[s].aggregate;
-        const auto it = std::find_if(
-            expected.begin(), expected.end(),
-            [&name = name](const auto& entry) { return entry.first == name; });
-        ASSERT_NE(it, expected.end()) << name;
-        EXPECT_EQ(m, it->second)
+      const auto& aggregate = results[s].aggregate;
+      ASSERT_EQ(aggregate.size(), metrics.size() + 1);
+      EXPECT_EQ(aggregate[0].second, reference[s].aggregate[0].second);
+      for (std::size_t r = 0; r < metrics.size(); ++r) {
+        const auto& [name, m] = aggregate[r + 1];
+        EXPECT_EQ(name, metrics[r].name);
+        // The power-control gain also needs the greedy baseline's size, so
+        // power control alone leaves it empty.
+        const bool own =
+            metrics[r].task == task && name != "pc_gain_vs_uniform";
+        EXPECT_EQ(m.count > 0, own)
             << TaskKindName(task) << " " << specs[s].name << " " << name;
+        if (own) {
+          EXPECT_EQ(m, reference[s].aggregate[r + 1].second)
+              << TaskKindName(task) << " " << specs[s].name << " " << name;
+        }
       }
-      EXPECT_GT(reported, 0) << TaskKindName(task) << " " << specs[s].name;
     }
   }
 }
@@ -706,6 +721,31 @@ TEST(ReportTest, JsonReportRoundTrips) {
   ASSERT_NE(parsed->Find(spec.name + ".batch"), nullptr);
   EXPECT_EQ(parsed->Find(spec.name + ".batch")->n, spec.links);
   EXPECT_EQ(std::remove("BENCH_ENGINE_TEST.json"), 0);
+}
+
+// ViolationCount sums exactly the rows whose role is kViolation, whatever
+// the other rows hold.
+TEST(ReportTest, ViolationCountFollowsRoles) {
+  ScenarioResult result;
+  int violation_rows = 0;
+  for (const AggregateMetric& metric : AggregateMetrics()) {
+    MetricSummary summary;
+    if (metric.role == MetricRole::kViolation) {
+      ++violation_rows;
+      summary.Add(violation_rows == 1 ? 2.0 : 3.0);
+    } else {
+      summary.Add(100.0);  // would dominate the count if it leaked in
+    }
+    result.aggregate.emplace_back(metric.name, summary);
+  }
+  ASSERT_EQ(violation_rows, 2);
+  EXPECT_EQ(ViolationCount(std::span(&result, 1)), 5);
+  const std::vector<ScenarioResult> twice = {result, result};
+  EXPECT_EQ(ViolationCount(twice), 10);
+  for (auto& [name, m] : result.aggregate) {
+    if (name == "alg1_infeasible" || name == "schedule_invalid") m = {};
+  }
+  EXPECT_EQ(ViolationCount(std::span(&result, 1)), 0);
 }
 
 // The observability layer must be inert: the deterministic aggregate is

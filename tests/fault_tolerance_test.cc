@@ -355,6 +355,62 @@ TEST(FaultToleranceTest, ResumeRejectsMismatchedInstanceCount) {
   EXPECT_EQ(std::remove(path.c_str()), 0);
 }
 
+// A restored cell's aggregate must be one a fresh run saves: zeta and then
+// the engine's metric table, in order, finite wherever populated.  A
+// sidecar with the right spec hash but a dropped or renamed metric, or a
+// "nan" sum that parses through strtod, is refused before any cell runs
+// instead of splicing a signature no run produces into the grid.
+TEST(FaultToleranceTest, ResumeRejectsMutatedAggregate) {
+  const SweepSpec spec = TinyGrid();
+  const std::string path = "FT_TEST_mutated_checkpoint.json";
+  SweepConfig halted;
+  halted.threads = 1;
+  halted.checkpoint_path = path;
+  halted.halt_after_cells = 1;
+  (void)SweepRunner(halted).Run(spec);
+  const core::StatusOr<SweepCheckpoint> saved = LoadCheckpoint(path);
+  ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+  ASSERT_EQ(saved->cells.size(), 1u);
+  const auto& aggregate = saved->cells[0].aggregate;
+  ASSERT_EQ(aggregate.size(), engine::AggregateMetrics().size() + 1);
+  ASSERT_GT(aggregate[1].second.count, 0);  // alg1_size ran
+
+  SweepConfig resume = halted;
+  resume.halt_after_cells = 0;
+  resume.resume = true;
+  // The unmutated sidecar resumes.
+  EXPECT_EQ(SweepRunner(resume).Run(spec).cells_resumed, 1);
+
+  SweepCheckpoint dropped = *saved;
+  dropped.cells[0].aggregate.pop_back();
+  SweepCheckpoint renamed = *saved;
+  renamed.cells[0].aggregate[1].first = "alg1_size_renamed";
+  SweepCheckpoint poisoned = *saved;
+  poisoned.cells[0].aggregate[1].second.sum =
+      std::numeric_limits<double>::quiet_NaN();
+  const std::pair<const char*, const SweepCheckpoint*> mutations[] = {
+      {"dropped", &dropped}, {"renamed", &renamed}, {"nan", &poisoned}};
+  for (const auto& [what, doc] : mutations) {
+    ASSERT_TRUE(SaveCheckpoint(path, *doc).ok());
+    if (doc == &poisoned) {  // the sidecar really carries the text "nan"
+      const core::StatusOr<SweepCheckpoint> back = LoadCheckpoint(path);
+      ASSERT_TRUE(back.ok()) << back.status().ToString();
+      EXPECT_TRUE(std::isnan(back->cells[0].aggregate[1].second.sum));
+    }
+    try {
+      (void)SweepRunner(resume).Run(spec);
+      ADD_FAILURE() << "expected StatusError for the " << what << " sidecar";
+    } catch (const core::StatusError& e) {
+      EXPECT_EQ(e.status().code(), core::StatusCode::kFailedPrecondition)
+          << what << ": " << e.status().ToString();
+      EXPECT_NE(e.status().message().find("checkpoint cell 0"),
+                std::string::npos)
+          << what << ": " << e.status().message();
+    }
+  }
+  EXPECT_EQ(std::remove(path.c_str()), 0);
+}
+
 // AggregateHealth: populated summaries must be finite; the +/-inf
 // sentinels of a never-recorded metric are not an error.
 TEST(FaultToleranceTest, AggregateHealthFlagsNonFinitePopulatedMetrics) {
