@@ -341,7 +341,7 @@ void AffectanceAccumulator::Clear() {
 
 SeparationOracle::SeparationOracle(const KernelCache& kernel, double eta,
                                    double zeta)
-    : kernel_(&kernel), eta_(eta), zeta_(zeta) {
+    : kernel_(&kernel), exponents_(eta, zeta) {
   DL_CHECK(eta > 0.0 && zeta > 0.0, "eta and zeta must be positive");
 }
 
@@ -349,7 +349,7 @@ bool SeparationOracle::AllSeparated(double scale, int v,
                                     std::span<const int> L) const {
   const LinkSystem& system = kernel_->system();
   const core::DecaySpace& f = system.space();
-  const SeparationTest test(eta_, zeta_, scale, f.alpha());
+  const SeparationTest test(exponents_, scale, f.alpha());
   // Empty unless coordinate-backed, where f(p, q) would be a pow per call.
   const std::span<const geom::Vec2> pts = f.points();
   const auto at = [pts](int p) { return pts[static_cast<std::size_t>(p)]; };

@@ -327,8 +327,7 @@ class SeparationOracle {
   bool AllSeparated(double scale, int v, std::span<const int> L) const;
 
   const KernelCache* kernel_;
-  double eta_;
-  double zeta_;
+  SeparationExponents exponents_;
 };
 
 }  // namespace decaylib::sinr

@@ -93,13 +93,29 @@ std::vector<int> DecayOrder(const K& kernel, std::span<const int> candidates) {
 // m > thr (1 + 1e-9), below RadiusSqLo() m < thr (1 - 1e-9), and only
 // between them are the four legs evaluated (geom::GeometricDecay, what a
 // geometric space stores), so both forms give the same verdict.
+//
+// SeparationExponents is the pair-invariant part of the threshold (eta^zeta
+// and 1/zeta); a caller testing many pairs at one (eta, zeta) builds it once.
+struct SeparationExponents {
+  SeparationExponents(double eta_in, double zeta_in)
+      : eta(eta_in), eta_pow_zeta(std::pow(eta_in, zeta_in)),
+        inv_zeta(1.0 / zeta_in) {}
+  double eta;
+  double eta_pow_zeta;
+  double inv_zeta;
+};
+
 class SeparationTest {
  public:
   // alpha > 0 sets up the coordinate form (two pows); with alpha = 0 only
   // the matrix form may be used.
   SeparationTest(double eta, double zeta, double scale, double alpha)
-      : eta_(eta), inv_zeta_(1.0 / zeta), scale_(scale), alpha_(alpha) {
-    const double thr = std::pow(eta, zeta) * scale;
+      : SeparationTest(SeparationExponents(eta, zeta), scale, alpha) {}
+  SeparationTest(const SeparationExponents& exponents, double scale,
+                 double alpha)
+      : eta_(exponents.eta), inv_zeta_(exponents.inv_zeta), scale_(scale),
+        alpha_(alpha) {
+    const double thr = exponents.eta_pow_zeta * scale;
     thr_lo_ = thr * (1.0 - kBand);
     thr_hi_ = thr * (1.0 + kBand);
     if (alpha > 0.0) {

@@ -24,14 +24,16 @@
 // the decay-order greedy over these queries at a fixed iteration budget.
 //
 // The fixed-point loop, RunFixedPoint, is throughput-bound, not
-// latency-bound: each sweep computes B p + c four rows at a time, one
-// accumulator per row, instead of one serial add chain per row.  Every row
-// still adds c[i] and then B[i][j] p[j] in j order, and the max folds over
-// the sweep are order-free, so the output is bit-identical to a
-// one-row-at-a-time loop (see docs/performance.md, "Power-control oracle").
+// latency-bound: it reads B from a column-major GainPanel and sums 16 rows
+// per pass over p in eight two-lane vectors, so one broadcast of p[j] feeds
+// eight independent add chains.  Every row (one lane) still starts from
+// c[i] and adds B[i][j] p[j] in j order, and the max folds over the sweep
+// are order-free, so the output is bit-identical to a one-row-at-a-time
+// loop (see docs/performance.md, "Power-control oracle").
 #pragma once
 
 #include <concepts>
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -69,14 +71,47 @@ PowerControlResult FeasibleWithPowerControl(const D& source,
                                             int max_iterations = 10000,
                                             double tol = 1e-9);
 
-// The fixed point FeasibleWithPowerControl runs, on the row-major k x k
-// normalised-gain matrix B (zero diagonal) and the constant term
-// c[i] = beta * N * f_ii.  With noise > 0 it iterates p <- B p + c until the
-// relative change drops below tol (feasible) or max(p) passes 1e30
-// (infeasible); with noise = 0 it runs the shifted power iteration on B + I.
-// At max_iterations the verdict is the last growth rate <= 1 + 10 tol.
-PowerControlResult RunFixedPoint(std::span<const double> B,
-                                 std::span<const double> c, double noise,
+// The fixed-point problem p <- B p + c of k links, laid out for
+// RunFixedPoint: B column-major with an even column stride >= k (B[i][j] at
+// data()[j * stride() + i]) and c padded to the stride.  Every B entry
+// outside the k x k block, and every c entry past the first k, is zero, so
+// for odd k the padding row k sums to a lane the loop never reads.  Border and DropBorder
+// grow and shrink the set by its last link; the stride at least doubles
+// when it runs out, so growing one link at a time copies O(k^2) entries in
+// total.
+class GainPanel {
+ public:
+  // k links, every entry zero.
+  explicit GainPanel(std::size_t k = 0);
+
+  std::size_t size() const noexcept { return k_; }
+  std::size_t stride() const noexcept { return stride_; }
+  double& B(std::size_t i, std::size_t j) { return b_[j * stride_ + i]; }
+  double B(std::size_t i, std::size_t j) const { return b_[j * stride_ + i]; }
+  double& c(std::size_t i) { return c_[i]; }
+  double c(std::size_t i) const { return c_[i]; }
+  const double* data() const noexcept { return b_.data(); }
+  const double* constant() const noexcept { return c_.data(); }
+
+  // Appends link k: a zero row and column k and c[k] = 0.
+  void Border();
+  // Drops link k - 1, zeroing its row, column and c entry.
+  void DropBorder();
+
+ private:
+  std::size_t k_ = 0;
+  std::size_t stride_ = 0;
+  std::vector<double> b_;  // stride_ x stride_, column-major
+  std::vector<double> c_;  // stride_
+};
+
+// The fixed point FeasibleWithPowerControl runs, on the normalised-gain
+// matrix B (zero diagonal) and the constant term c[i] = beta * N * f_ii of
+// `panel`.  With noise > 0 it iterates p <- B p + c until the relative
+// change drops below tol (feasible) or max(p) passes 1e30 (infeasible);
+// with noise = 0 it runs the shifted power iteration on B + I.  At
+// max_iterations the verdict is the last growth rate <= 1 + 10 tol.
+PowerControlResult RunFixedPoint(const GainPanel& panel, double noise,
                                  int max_iterations, double tol);
 
 // The power-invariant pairwise product beta^2 f_vv f_ww / (f_vw f_wv).
@@ -101,8 +136,11 @@ inline constexpr double kGreedyPowerControlTol = 1e-7;
 // Greedy admission in decay order: a link joins when it has no pairwise
 // obstruction with a member (the O(|S|) certificate runs first) and the
 // Foschini-Miljanic iteration on the grown set contracts within the budget
-// above.  The power-control analogue of GreedyFeasible; comparing the two
-// sizes is the uniform-vs-power-control feasibility gap.
+// above.  One GainPanel serves every candidate: it is bordered with the
+// candidate's row and column (2|S| divisions, not |S|^2) and the border is
+// dropped on rejection, so each verdict equals FeasibleWithPowerControl's
+// on the grown set.  The power-control analogue of GreedyFeasible;
+// comparing the two sizes is the uniform-vs-power-control feasibility gap.
 template <DecaySource D>
 std::vector<int> GreedyPowerControlFeasible(const D& source);
 

@@ -219,9 +219,9 @@ TEST(CachedPowerControlTest, CrossedPairInfeasibleThroughCache) {
 //
 // Both front ends share RunFixedPoint, so CachedPowerControlTest cannot see
 // drift inside the loop itself.  ReferenceFixedPoint is the loop as it was
-// before rows were summed in blocks -- one serial add chain per row -- kept
-// here verbatim as the bit-level contract: every output field must match
-// with EXPECT_EQ on doubles.
+// before rows were summed in blocks -- one serial add chain per row over a
+// row-major B -- kept here verbatim as the bit-level contract: every output
+// field must match with EXPECT_EQ on doubles.
 
 PowerControlResult ReferenceFixedPoint(const std::vector<double>& B,
                                        const std::vector<double>& c,
@@ -337,11 +337,36 @@ FixedPointInput RandomInput(std::size_t k, double scale, double noise,
   return in;
 }
 
+// The panel RunFixedPoint reads for the row-major problem (B, c).
+GainPanel ToPanel(const std::vector<double>& B, const std::vector<double>& c) {
+  const std::size_t k = c.size();
+  GainPanel panel(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    for (std::size_t j = 0; j < k; ++j) panel.B(i, j) = B[i * k + j];
+    panel.c(i) = c[i];
+  }
+  return panel;
+}
+
+void ExpectSameResult(const PowerControlResult& got,
+                      const PowerControlResult& want,
+                      const std::string& where) {
+  EXPECT_EQ(got.feasible, want.feasible) << where;
+  EXPECT_EQ(got.iterations, want.iterations) << where;
+  EXPECT_EQ(got.spectral_radius_estimate, want.spectral_radius_estimate)
+      << where;
+  ASSERT_EQ(got.power.size(), want.power.size()) << where;
+  for (std::size_t i = 0; i < want.power.size(); ++i) {
+    EXPECT_EQ(got.power[i], want.power[i]) << where << " entry " << i;
+  }
+}
+
+// k = 1..40 covers every mix of the 16/8/4/2-row blocks, odd k (a padding
+// lane) and even k; 144 runs nine full 16-row blocks.
 TEST(FixedPointTest, MatchesScalarReferenceLoopBitForBit) {
   std::vector<std::size_t> sizes;
-  for (std::size_t k = 1; k <= 13; ++k) sizes.push_back(k);
-  sizes.push_back(64);
-  sizes.push_back(97);
+  for (std::size_t k = 1; k <= 40; ++k) sizes.push_back(k);
+  sizes.push_back(144);
   geom::Rng rng(15);
   int converged = 0;
   int capped = 0;
@@ -356,21 +381,13 @@ TEST(FixedPointTest, MatchesScalarReferenceLoopBitForBit) {
           const double tol = 1e-7;
           const PowerControlResult want =
               ReferenceFixedPoint(in.B, in.c, noise, max_iterations, tol);
-          const PowerControlResult got =
-              RunFixedPoint(in.B, in.c, noise, max_iterations, tol);
-          const std::string where = "k=" + std::to_string(k) +
-                                    " noise=" + std::to_string(noise) +
-                                    " scale=" + std::to_string(scale) +
-                                    " cap=" + std::to_string(max_iterations);
-          EXPECT_EQ(got.feasible, want.feasible) << where;
-          EXPECT_EQ(got.iterations, want.iterations) << where;
-          EXPECT_EQ(got.spectral_radius_estimate,
-                    want.spectral_radius_estimate)
-              << where;
-          ASSERT_EQ(got.power.size(), want.power.size()) << where;
-          for (std::size_t i = 0; i < want.power.size(); ++i) {
-            EXPECT_EQ(got.power[i], want.power[i]) << where << " entry " << i;
-          }
+          const PowerControlResult got = RunFixedPoint(
+              ToPanel(in.B, in.c), noise, max_iterations, tol);
+          ExpectSameResult(got, want,
+                           "k=" + std::to_string(k) +
+                               " noise=" + std::to_string(noise) +
+                               " scale=" + std::to_string(scale) +
+                               " cap=" + std::to_string(max_iterations));
           if (want.feasible) {
             ++feasible;
           } else {
@@ -393,6 +410,150 @@ TEST(FixedPointTest, MatchesScalarReferenceLoopBitForBit) {
   EXPECT_GT(blown_up, 0);
   EXPECT_GT(feasible, 0);
   EXPECT_GT(infeasible, 0);
+}
+
+// One panel grown by Border (past two stride doublings) and shrunk by
+// DropBorder on every third step must hold a freshly built panel's entries,
+// with zeros everywhere outside the k x k block, and the fixed point must
+// read it the same way at its wider stride.
+TEST(FixedPointTest, BorderedPanelMatchesFreshPanel) {
+  geom::Rng rng(21);
+  GainPanel bordered;
+  std::vector<double> B;  // row-major, the set's current problem
+  std::vector<double> c;
+  std::size_t k = 0;
+  for (int step = 0; step < 60; ++step) {
+    bordered.Border();
+    const std::size_t m = k + 1;
+    std::vector<double> grown(m * m, 0.0);
+    for (std::size_t i = 0; i < k; ++i) {
+      for (std::size_t j = 0; j < k; ++j) grown[i * m + j] = B[i * k + j];
+    }
+    for (std::size_t j = 0; j < k; ++j) {
+      grown[k * m + j] = bordered.B(k, j) = rng.Uniform(0.0, 0.05);
+      grown[j * m + k] = bordered.B(j, k) = rng.Uniform(0.0, 0.05);
+    }
+    bordered.c(k) = rng.Uniform(0.0, 1e-3);
+    if (step % 3 == 1) {
+      bordered.DropBorder();
+    } else {
+      B = grown;
+      c.push_back(bordered.c(k));
+      k = m;
+    }
+    const std::string where = "step " + std::to_string(step);
+    ASSERT_EQ(bordered.size(), k) << where;
+    const std::size_t stride = bordered.stride();
+    ASSERT_EQ(stride % 2, 0u) << where;
+    for (std::size_t j = 0; j < stride; ++j) {
+      for (std::size_t i = 0; i < stride; ++i) {
+        const double want = i < k && j < k ? B[i * k + j] : 0.0;
+        ASSERT_EQ(bordered.data()[j * stride + i], want)
+            << where << " entry " << i << "," << j;
+      }
+      ASSERT_EQ(bordered.constant()[j], j < k ? c[j] : 0.0) << where;
+    }
+    const GainPanel fresh = ToPanel(B, c);
+    for (const double noise : {0.0, 1e-3}) {
+      ExpectSameResult(RunFixedPoint(bordered, noise, 40, 1e-7),
+                       RunFixedPoint(fresh, noise, 40, 1e-7), where);
+    }
+  }
+}
+
+// --- the greedy on a bordered panel vs one fresh gather per candidate -------
+//
+// GreedyPowerControlFeasible keeps one panel across candidates, bordering
+// it with each candidate's row and column and dropping the border on
+// rejection.  ReferenceGreedy is the greedy as it was: every candidate
+// re-gathers the whole row-major B of the grown set and runs the scalar
+// ReferenceFixedPoint.  The kept sets must be equal.
+
+struct GreedyCounts {
+  int accepts = 0;
+  int rejects = 0;
+  int capped = 0;
+};
+
+std::vector<int> ReferenceGreedy(const LinkSystem& system,
+                                 GreedyCounts& counts) {
+  const double beta = system.config().beta;
+  const double noise = system.config().noise;
+  std::vector<int> S;
+  for (const int v : system.OrderByDecay()) {
+    const bool obstructed = std::any_of(S.begin(), S.end(), [&](int w) {
+      return PairwiseAffectanceProduct(system, v, w) > beta * beta;
+    });
+    if (obstructed) continue;
+    S.push_back(v);
+    const std::size_t k = S.size();
+    std::vector<double> B(k * k, 0.0);
+    std::vector<double> c(k, 0.0);
+    for (std::size_t i = 0; i < k; ++i) {
+      const double fii = system.LinkDecay(S[i]);
+      for (std::size_t j = 0; j < k; ++j) {
+        if (i != j) B[i * k + j] = beta * fii / system.CrossDecay(S[j], S[i]);
+      }
+      c[i] = beta * noise * fii;
+    }
+    const PowerControlResult r =
+        ReferenceFixedPoint(B, c, noise, kGreedyPowerControlIterations,
+                            kGreedyPowerControlTol);
+    if (r.iterations == kGreedyPowerControlIterations) ++counts.capped;
+    if (r.feasible) {
+      ++counts.accepts;
+    } else {
+      ++counts.rejects;
+      S.pop_back();
+    }
+  }
+  return S;
+}
+
+// Short links (receiver within 1.5 of its sender) whose senders are
+// uniform in a square or drawn around a few cluster centres; link i runs
+// from point 2i to point 2i + 1.
+std::vector<geom::Vec2> ShortLinkPoints(bool clustered, int link_count,
+                                        geom::Rng& rng) {
+  const double side = std::sqrt(static_cast<double>(link_count)) * 2.0;
+  const std::vector<geom::Vec2> senders =
+      clustered ? geom::SampleClusters(link_count, 4, side, side, side / 8.0,
+                                       rng)
+                : geom::SampleUniform(link_count, side, side, rng);
+  std::vector<geom::Vec2> pts;
+  for (const geom::Vec2 s : senders) {
+    pts.push_back(s);
+    pts.push_back({s.x + rng.Uniform(0.2, 1.5), s.y + rng.Uniform(-0.5, 0.5)});
+  }
+  return pts;
+}
+
+TEST(GreedyPowerControlTest, BorderedPanelMatchesFreshGatherPerCandidate) {
+  geom::Rng rng(33);
+  GreedyCounts counts;
+  for (const bool clustered : {false, true}) {
+    for (const double noise : {0.0, 1e-3}) {
+      for (int trial = 0; trial < 2; ++trial) {
+        const int link_count = 60 + 23 * trial;
+        const core::DecaySpace space = core::DecaySpace::Geometric(
+            ShortLinkPoints(clustered, link_count, rng), 3.0);
+        std::vector<Link> links;
+        for (int i = 0; i < link_count; ++i) links.push_back({2 * i, 2 * i + 1});
+        const LinkSystem system(space, links, {1.0, noise});
+        const KernelCache kernel(system, UniformPower(system));
+        const std::vector<int> want = ReferenceGreedy(system, counts);
+        const std::string where = std::string(clustered ? "clustered" : "uniform") +
+                                  " noise=" + std::to_string(noise) +
+                                  " trial " + std::to_string(trial);
+        EXPECT_EQ(GreedyPowerControlFeasible(system), want) << where;
+        EXPECT_EQ(GreedyPowerControlFeasible(kernel), want) << where;
+      }
+    }
+  }
+  // Both verdicts and budget-capped calls were exercised.
+  EXPECT_GT(counts.accepts, 0);
+  EXPECT_GT(counts.rejects, 0);
+  EXPECT_GT(counts.capped, 0);
 }
 
 // A budget that never enters the loop would report even a singleton
