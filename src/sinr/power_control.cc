@@ -9,6 +9,12 @@
 #include <vector>
 
 #include "core/check.h"
+#include "sinr/power_control_kernels.h"
+
+// The four-lane sweep is an AVX2 instance, so it exists on x86 only.
+#if defined(__x86_64__) || defined(__i386__)
+#define DECAYLIB_FOUR_LANE_SWEEP 1
+#endif
 
 namespace decaylib::sinr {
 
@@ -28,86 +34,186 @@ void RequireCrossDecay(const D& source) {
   }
 }
 
-// Two doubles, one row each: a GCC/Clang vector type whose + and * are the
+// L doubles, one row each: a GCC/Clang vector type whose + and * are the
 // element-wise IEEE operations the scalar loop would issue.  Loads and
-// stores go through memcpy, so no alignment is assumed.
-using RowPair = double __attribute__((vector_size(16)));
+// stores go through memcpy, so no alignment is assumed.  The helpers below
+// take vectors by reference (a 32-byte vector passed by value to a
+// default-target function changes its ABI, -Wpsabi) and are always
+// inlined, so the four-lane instance compiles their bodies as AVX2.
+template <int L>
+struct LaneVector;
+template <>
+struct LaneVector<2> {
+  using type = double __attribute__((vector_size(16)));
+};
+template <>
+struct LaneVector<4> {
+  using type = double __attribute__((vector_size(32)));
+};
+template <int L>
+using Lanes = typename LaneVector<L>::type;
+using RowPair = Lanes<2>;
 
-RowPair Load(const double* x) {
-  RowPair v;
+template <int L>
+[[gnu::always_inline]] inline void Load(Lanes<L>& v, const double* x) {
   std::memcpy(&v, x, sizeof v);
-  return v;
 }
 
-void Store(double* x, RowPair v) { std::memcpy(x, &v, sizeof v); }
-
-// One sweep's folds, two lanes each: max(next) and, for the linear
-// iteration, max(next + p), both std::max folds from +0.
-struct SweepFolds {
-  RowPair next = {0.0, 0.0};
-  RowPair shifted = {0.0, 0.0};
-};
+template <int L>
+[[gnu::always_inline]] inline void Store(double* x, const Lanes<L>& v) {
+  std::memcpy(x, &v, sizeof v);
+}
 
 // m = std::max(m, v) lane by lane.
-void FoldInto(RowPair& m, RowPair v) { m = m < v ? v : m; }
+template <int L>
+[[gnu::always_inline]] inline void FoldInto(Lanes<L>& m, const Lanes<L>& v) {
+  m = m < v ? v : m;
+}
 
-// next[r] = c[r] + B[r][0] p[0] + ... + B[r][k-1] p[k-1] for the 2 * V
-// panel rows r starting at row i: V accumulators of two rows each, all fed
+// std::max over the lanes of m, from lane 0.
+template <int L>
+[[gnu::always_inline]] inline double LaneMax(const Lanes<L>& m) {
+  double folded = m[0];
+  for (int e = 1; e < L; ++e) folded = std::max(folded, m[e]);
+  return folded;
+}
+
+// One sweep's folds, L lanes each: max(next) and, for the linear
+// iteration, max(next + p), both std::max folds from +0.
+template <int L>
+struct SweepFolds {
+  Lanes<L> next = {};
+  Lanes<L> shifted = {};
+};
+
+// The same folds reduced over the lanes.  Every lane folds from +0 and so
+// holds +0 or more, and the reduction is again a std::max fold, so the
+// result does not depend on L.
+struct SweepMax {
+  double next = 0.0;
+  double shifted = 0.0;
+};
+
+// Folds v into m, with the lanes of rows >= k (padding) as +0, which moves
+// no fold that starts at +0.  r is the row of lane 0.
+template <int L>
+[[gnu::always_inline]] inline void FoldLiveRows(Lanes<L>& m, const Lanes<L>& v,
+                                                std::size_t r, std::size_t k) {
+  if (r + L <= k) {
+    FoldInto<L>(m, v);
+    return;
+  }
+  Lanes<L> live = v;
+  for (int e = 0; e < L; ++e) {
+    if (r + static_cast<std::size_t>(e) >= k) live[e] = 0.0;
+  }
+  FoldInto<L>(m, live);
+}
+
+// next[r] = c[r] + B[r][0] p[0] + ... + B[r][k-1] p[k-1] for the L * V
+// panel rows r starting at row i: V accumulators of L rows each, all fed
 // by one broadcast of p[j] per column.  Each lane is one row's serial
-// chain, in j order, so the sum does not depend on V.  The store folds
-// next[r] into folds.next and, when shifting, stores and folds next[r] +
-// p[r] instead (into folds.shifted); the padding row folds as +0, which
-// moves no fold that starts at +0.
-template <int V>
-void SumRowBlock(const GainPanel& panel, std::size_t i, const double* p,
-                 bool shift, double* next, SweepFolds& folds) {
+// chain, in j order, so the sum does not depend on L or V.  The store
+// folds next[r] into folds.next and, when shifting, stores and folds
+// next[r] + p[r] instead (into folds.shifted); padding rows fold as +0.
+template <int L, int V>
+[[gnu::always_inline]] inline void SumRowBlock(const GainPanel& panel,
+                                               std::size_t i, const double* p,
+                                               bool shift, double* next,
+                                               SweepFolds<L>& folds) {
   const std::size_t k = panel.size();
   const std::size_t stride = panel.stride();
   const double* b = panel.data() + i;
   const double* c = panel.constant() + i;
-  RowPair acc[V];
-  for (int l = 0; l < V; ++l) acc[l] = Load(c + 2 * l);
+  Lanes<L> acc[V];
+  for (int l = 0; l < V; ++l) Load<L>(acc[l], c + L * l);
   for (std::size_t j = 0; j < k; ++j) {
     const double* col = b + j * stride;
-    const RowPair pj = {p[j], p[j]};
-    for (int l = 0; l < V; ++l) acc[l] += Load(col + 2 * l) * pj;
+    const double pj = p[j];
+    for (int l = 0; l < V; ++l) {
+      Lanes<L> bj;
+      Load<L>(bj, col + L * l);
+      acc[l] += bj * pj;
+    }
   }
   for (int l = 0; l < V; ++l) {
-    const std::size_t r = i + static_cast<std::size_t>(2 * l);
-    const bool padded = r + 1 == k;  // lane 1 is row k, the padding row
-    RowPair v = acc[l];
-    FoldInto(folds.next, padded ? RowPair{v[0], 0.0} : v);
+    const std::size_t r = i + static_cast<std::size_t>(L * l);
+    Lanes<L>& v = acc[l];
+    FoldLiveRows<L>(folds.next, v, r, k);
     if (shift) {
-      v += Load(p + r);
-      FoldInto(folds.shifted, padded ? RowPair{v[0], 0.0} : v);
+      Lanes<L> pr;
+      Load<L>(pr, p + r);
+      v += pr;
+      FoldLiveRows<L>(folds.shifted, v, r, k);
     }
-    Store(next + r, v);
+    Store<L>(next + r, v);
   }
 }
 
-// next = c + B p (+ p when shifting) over the panel's rows, 16 at a time
-// and then 8/4/2, so every row of the even row count is summed once, and
-// the folds of the k live rows.  For odd k the last pair holds the padding
-// row, whose next entry is never read.
-SweepFolds SumPanel(const GainPanel& panel, const double* p, bool shift,
-                    double* next) {
+// next = c + B p (+ p when shifting) over the panel's rows, 8L at a time
+// and then 4L/2L/L, so every row of k rounded up to L is summed once, and
+// the folds of the k live rows.  The padding rows' next entries are never
+// read.
+template <int L>
+[[gnu::always_inline]] inline SweepMax SumPanel(const GainPanel& panel,
+                                                const double* p, bool shift,
+                                                double* next) {
   const std::size_t k = panel.size();
-  const std::size_t rows = k + (k & 1);
-  SweepFolds folds;
+  const std::size_t rows = (k + L - 1) / L * L;
+  SweepFolds<L> folds;
   std::size_t i = 0;
-  for (; i + 16 <= rows; i += 16) {
-    SumRowBlock<8>(panel, i, p, shift, next, folds);
+  for (; i + 8 * L <= rows; i += 8 * L) {
+    SumRowBlock<L, 8>(panel, i, p, shift, next, folds);
   }
-  if (i + 8 <= rows) {
-    SumRowBlock<4>(panel, i, p, shift, next, folds);
-    i += 8;
+  if (i + 4 * L <= rows) {
+    SumRowBlock<L, 4>(panel, i, p, shift, next, folds);
+    i += 4 * L;
   }
-  if (i + 4 <= rows) {
-    SumRowBlock<2>(panel, i, p, shift, next, folds);
-    i += 4;
+  if (i + 2 * L <= rows) {
+    SumRowBlock<L, 2>(panel, i, p, shift, next, folds);
+    i += 2 * L;
   }
-  if (i + 2 <= rows) SumRowBlock<1>(panel, i, p, shift, next, folds);
-  return folds;
+  if (i + L <= rows) SumRowBlock<L, 1>(panel, i, p, shift, next, folds);
+  return {LaneMax<L>(folds.next), LaneMax<L>(folds.shifted)};
+}
+
+// The two instances of SumPanel.  The two-lane one is SSE2 on the baseline
+// x86-64 build and portable elsewhere.  The four-lane one is compiled for
+// "avx2" alone: AVX2 add and multiply are the IEEE operations SSE2 issues,
+// while a target with FMA (fma, avx512f, arch=...) would let the compiler
+// contract acc + b * p into one rounding and change the sums.
+using SweepKernel = SweepMax (*)(const GainPanel&, const double*, bool,
+                                 double*);
+
+SweepMax SumPanelTwoLanes(const GainPanel& panel, const double* p, bool shift,
+                          double* next) {
+  return SumPanel<2>(panel, p, shift, next);
+}
+
+#ifdef DECAYLIB_FOUR_LANE_SWEEP
+[[gnu::target("avx2")]] SweepMax SumPanelFourLanes(const GainPanel& panel,
+                                                   const double* p, bool shift,
+                                                   double* next) {
+  return SumPanel<4>(panel, p, shift, next);
+}
+#endif
+
+SweepKernel KernelFor(internal::SweepLanes lanes) {
+  DL_CHECK(internal::SweepLanesSupported(lanes),
+           "this CPU cannot run the requested sweep kernel");
+#ifdef DECAYLIB_FOUR_LANE_SWEEP
+  if (lanes == internal::SweepLanes::kFour) return &SumPanelFourLanes;
+#endif
+  return &SumPanelTwoLanes;
+}
+
+// The widest kernel this CPU runs, chosen once per process.
+SweepKernel ChosenKernel() {
+  static const SweepKernel kernel = KernelFor(
+      internal::SweepLanesSupported(internal::SweepLanes::kFour)
+          ? internal::SweepLanes::kFour
+          : internal::SweepLanes::kTwo);
+  return kernel;
 }
 
 // The fold m = init; m = std::max(m, x[i]) for i < n, two lanes at a time.
@@ -117,8 +223,12 @@ SweepFolds SumPanel(const GainPanel& panel, const double* p, bool shift,
 double FoldMax(double init, const double* x, std::size_t n) {
   RowPair m = {init, init};
   std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) FoldInto(m, Load(x + i));
-  double folded = std::max(m[0], m[1]);
+  for (; i + 2 <= n; i += 2) {
+    RowPair v;
+    Load<2>(v, x + i);
+    FoldInto<2>(m, v);
+  }
+  double folded = LaneMax<2>(m);
   if (i < n) folded = std::max(folded, x[i]);
   return folded;
 }
@@ -158,7 +268,7 @@ bool DriftBelow(const std::vector<double>& p, const std::vector<double>& next,
 
 PowerControlResult FixedPoint(const GainPanel& panel, double noise,
                               int max_iterations, double tol,
-                              FixedPointWork& work) {
+                              FixedPointWork& work, SweepKernel sweep) {
   CheckIterationBudget(max_iterations, tol);
   PowerControlResult result;
   const std::size_t k = panel.size();
@@ -171,9 +281,8 @@ PowerControlResult FixedPoint(const GainPanel& panel, double noise,
     result.iterations = iter + 1;
     // The linear iteration's shift (next += p, below) is done as the
     // sweep stores next.
-    const SweepFolds folds = SumPanel(panel, p.data(), !affine, next.data());
-    const double max_next = std::max(folds.next[0], folds.next[1]);
-    const double shifted_max = std::max(folds.shifted[0], folds.shifted[1]);
+    const auto [max_next, shifted_max] =
+        sweep(panel, p.data(), !affine, next.data());
     if (max_next == 0.0) {
       // No interference and no noise at all: any positive power works.
       result.feasible = true;
@@ -253,7 +362,7 @@ void GatherBorder(const D& source, std::span<const int> S,
 }  // namespace
 
 GainPanel::GainPanel(std::size_t k)
-    : k_(k), stride_(k + (k & 1)), b_(stride_ * stride_, 0.0),
+    : k_(k), stride_((k + 3) / 4 * 4), b_(stride_ * stride_, 0.0),
       c_(stride_, 0.0) {}
 
 void GainPanel::Border() {
@@ -283,8 +392,29 @@ void GainPanel::DropBorder() {
 PowerControlResult RunFixedPoint(const GainPanel& panel, double noise,
                                  int max_iterations, double tol) {
   FixedPointWork work;
-  return FixedPoint(panel, noise, max_iterations, tol, work);
+  return FixedPoint(panel, noise, max_iterations, tol, work, ChosenKernel());
 }
+
+namespace internal {
+
+bool SweepLanesSupported(SweepLanes lanes) {
+  if (lanes == SweepLanes::kTwo) return true;
+#ifdef DECAYLIB_FOUR_LANE_SWEEP
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2") != 0;
+#else
+  return false;
+#endif
+}
+
+PowerControlResult RunFixedPointWithLanes(SweepLanes lanes,
+                                          const GainPanel& panel, double noise,
+                                          int max_iterations, double tol) {
+  FixedPointWork work;
+  return FixedPoint(panel, noise, max_iterations, tol, work, KernelFor(lanes));
+}
+
+}  // namespace internal
 
 template <DecaySource D>
 PowerControlResult FeasibleWithPowerControl(const D& source,
@@ -338,6 +468,7 @@ std::vector<int> GreedyPowerControlFeasible(const D& source) {
   std::vector<double> link_decay;
   GainPanel panel;
   FixedPointWork work;
+  const SweepKernel sweep = ChosenKernel();
   for (const int v : source.OrderByDecay()) {
     const bool obstructed = std::any_of(S.begin(), S.end(), [&](int w) {
       return PairwiseAffectanceProduct(source, v, w) > beta * beta;
@@ -349,7 +480,7 @@ std::vector<int> GreedyPowerControlFeasible(const D& source) {
     GatherBorder(source, S, link_decay, S.size() - 1, panel);
     if (!FixedPoint(panel, source.config().noise,
                     kGreedyPowerControlIterations, kGreedyPowerControlTol,
-                    work)
+                    work, sweep)
              .feasible) {
       S.pop_back();
       link_decay.pop_back();

@@ -24,12 +24,14 @@
 // the decay-order greedy over these queries at a fixed iteration budget.
 //
 // The fixed-point loop, RunFixedPoint, is throughput-bound, not
-// latency-bound: it reads B from a column-major GainPanel and sums 16 rows
-// per pass over p in eight two-lane vectors, so one broadcast of p[j] feeds
-// eight independent add chains.  Every row (one lane) still starts from
-// c[i] and adds B[i][j] p[j] in j order, and the max folds over the sweep
-// are order-free, so the output is bit-identical to a one-row-at-a-time
-// loop (see docs/performance.md, "Power-control oracle").
+// latency-bound: it reads B from a column-major GainPanel and sums 8L rows
+// per pass over p in eight L-lane vectors, so one broadcast of p[j] feeds
+// eight independent add chains.  L is 4 (AVX2) when the CPU has AVX2 and 2
+// (SSE2 on x86-64) otherwise, chosen once per process.  Every row (one
+// lane) still starts from c[i] and adds B[i][j] p[j] in j order with no
+// fused multiply-add, and the max folds over the sweep are order-free, so
+// the output is bit-identical to a one-row-at-a-time loop on either kernel
+// (see docs/performance.md, "Power-control oracle").
 #pragma once
 
 #include <concepts>
@@ -72,13 +74,14 @@ PowerControlResult FeasibleWithPowerControl(const D& source,
                                             double tol = 1e-9);
 
 // The fixed-point problem p <- B p + c of k links, laid out for
-// RunFixedPoint: B column-major with an even column stride >= k (B[i][j] at
-// data()[j * stride() + i]) and c padded to the stride.  Every B entry
-// outside the k x k block, and every c entry past the first k, is zero, so
-// for odd k the padding row k sums to a lane the loop never reads.  Border and DropBorder
-// grow and shrink the set by its last link; the stride at least doubles
-// when it runs out, so growing one link at a time copies O(k^2) entries in
-// total.
+// RunFixedPoint: B column-major with a column stride >= k that is a
+// multiple of 4 (B[i][j] at data()[j * stride() + i]) and c padded to the
+// stride, so a four-lane sweep reads whole vectors.  Every B entry outside
+// the k x k block, and every c entry past the first k, is zero; the loop
+// masks the padding rows out of its folds and never reads their sums.
+// Border and DropBorder grow and shrink the set by its last link; the
+// stride at least doubles when it runs out, so growing one link at a time
+// copies O(k^2) entries in total.
 class GainPanel {
  public:
   // k links, every entry zero.

@@ -87,9 +87,9 @@ TEST(DecayLint, FixturesMatchTheirManifests) {
           << " is a bad_* fixture but produced no findings";
     }
   }
-  // All five rules are covered by at least one bad_* fixture plus the three
+  // All six rules are covered by at least one bad_* fixture plus the three
   // good_* suppression/allowlist fixtures.
-  EXPECT_GE(fixtures, 8);
+  EXPECT_GE(fixtures, 9);
 }
 
 // The real tree is the product: src/ must lint clean, or the ctest/CI gate
@@ -142,6 +142,13 @@ TEST(DecayLint, InjectedViolationsPerRule) {
        "naked-thread"},
       {"src/io/json.cc",
        "auto f() { return std::chrono::steady_clock::now(); }", "clock-read"},
+      {"src/sinr/power_control.cc",
+       "[[gnu::target(\"avx2,fma\")]] double f(double a, double b) "
+       "{ return a * b + a; }",
+       "fp-contract-target"},
+      {"src/sinr/kernel.cc",
+       "double f(double a, double b) { return std::fma(a, b, a); }",
+       "fp-contract-target"},
   };
   for (const Case& c : cases) {
     const std::vector<decaylint::Finding> findings =
@@ -198,13 +205,13 @@ TEST(DecayLint, LexicalStrippingAndSuppressionGrammar) {
                    .empty());
 }
 
-TEST(DecayLint, RuleCatalogueListsAllFiveRules) {
+TEST(DecayLint, RuleCatalogueListsAllSixRules) {
   const std::vector<decaylint::RuleInfo> rules = decaylint::Rules();
   std::set<std::string> ids;
   for (const decaylint::RuleInfo& r : rules) ids.insert(r.id);
   const std::set<std::string> expected = {
       "exactness-pow", "status-io", "unordered-iteration", "naked-thread",
-      "clock-read"};
+      "clock-read", "fp-contract-target"};
   EXPECT_EQ(ids, expected);
 }
 

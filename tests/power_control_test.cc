@@ -12,6 +12,7 @@
 #include "geom/rng.h"
 #include "geom/samplers.h"
 #include "sinr/power.h"
+#include "sinr/power_control_kernels.h"
 
 namespace decaylib::sinr {
 namespace {
@@ -316,21 +317,24 @@ PowerControlResult ReferenceFixedPoint(const std::vector<double>& B,
 
 // A random non-negative k x k matrix with zero diagonal whose row sums
 // average `scale` (so its spectral radius sits near `scale`), and a
-// positive constant term when noise > 0.
+// positive constant term when noise > 0.  With mixed_sign the entries are
+// drawn from (-hi, hi) instead: no gain matrix has negative entries, but
+// only then can the live rows' max(next + p) fall below a padding lane's,
+// so these inputs pin the mask that keeps padding lanes out of the folds.
 struct FixedPointInput {
   std::vector<double> B;
   std::vector<double> c;
 };
 
 FixedPointInput RandomInput(std::size_t k, double scale, double noise,
-                            geom::Rng& rng) {
+                            bool mixed_sign, geom::Rng& rng) {
   FixedPointInput in;
   in.B.assign(k * k, 0.0);
   in.c.assign(k, 0.0);
   const double hi = k > 1 ? 2.0 * scale / static_cast<double>(k - 1) : 0.0;
   for (std::size_t i = 0; i < k; ++i) {
     for (std::size_t j = 0; j < k; ++j) {
-      if (i != j) in.B[i * k + j] = rng.Uniform(0.0, hi);
+      if (i != j) in.B[i * k + j] = rng.Uniform(mixed_sign ? -hi : 0.0, hi);
     }
     if (noise > 0.0) in.c[i] = noise * rng.Uniform(0.5, 2.0);
   }
@@ -361,9 +365,15 @@ void ExpectSameResult(const PowerControlResult& got,
   }
 }
 
-// k = 1..40 covers every mix of the 16/8/4/2-row blocks, odd k (a padding
-// lane) and even k; 144 runs nine full 16-row blocks.
-TEST(FixedPointTest, MatchesScalarReferenceLoopBitForBit) {
+// RunFixedPoint runs the widest sweep kernel the CPU supports; the tests
+// below run each kernel by name.  The four-lane (AVX2) one is skipped on a
+// CPU without AVX2.
+using internal::SweepLanes;
+
+// k = 1..40 covers every remainder of k mod 4 (up to three padding lanes)
+// and every mix of the tail blocks of either kernel (8/4/2-row blocks of
+// two lanes, 16/8/4-row blocks of four); 144 runs several full blocks.
+void ExpectMatchesScalarReference(SweepLanes lanes) {
   std::vector<std::size_t> sizes;
   for (std::size_t k = 1; k <= 40; ++k) sizes.push_back(k);
   sizes.push_back(144);
@@ -377,28 +387,32 @@ TEST(FixedPointTest, MatchesScalarReferenceLoopBitForBit) {
     for (const double noise : {0.0, 1e-3}) {
       for (const double scale : {0.3, 0.95, 1.02, 3.0}) {
         for (const int max_iterations : {5, 300}) {
-          const FixedPointInput in = RandomInput(k, scale, noise, rng);
-          const double tol = 1e-7;
-          const PowerControlResult want =
-              ReferenceFixedPoint(in.B, in.c, noise, max_iterations, tol);
-          const PowerControlResult got = RunFixedPoint(
-              ToPanel(in.B, in.c), noise, max_iterations, tol);
-          ExpectSameResult(got, want,
-                           "k=" + std::to_string(k) +
-                               " noise=" + std::to_string(noise) +
-                               " scale=" + std::to_string(scale) +
-                               " cap=" + std::to_string(max_iterations));
-          if (want.feasible) {
-            ++feasible;
-          } else {
-            ++infeasible;
-          }
-          if (want.iterations == max_iterations) {
-            ++capped;
-          } else if (noise > 0.0 && !want.feasible) {
-            ++blown_up;
-          } else {
-            ++converged;
+          for (const bool mixed_sign : {false, true}) {
+            const FixedPointInput in =
+                RandomInput(k, scale, noise, mixed_sign, rng);
+            const double tol = 1e-7;
+            const PowerControlResult want =
+                ReferenceFixedPoint(in.B, in.c, noise, max_iterations, tol);
+            const PowerControlResult got = internal::RunFixedPointWithLanes(
+                lanes, ToPanel(in.B, in.c), noise, max_iterations, tol);
+            ExpectSameResult(got, want,
+                             "k=" + std::to_string(k) +
+                                 " noise=" + std::to_string(noise) +
+                                 " scale=" + std::to_string(scale) +
+                                 " cap=" + std::to_string(max_iterations) +
+                                 (mixed_sign ? " mixed sign" : ""));
+            if (want.feasible) {
+              ++feasible;
+            } else {
+              ++infeasible;
+            }
+            if (want.iterations == max_iterations) {
+              ++capped;
+            } else if (noise > 0.0 && !want.feasible) {
+              ++blown_up;
+            } else {
+              ++converged;
+            }
           }
         }
       }
@@ -412,11 +426,23 @@ TEST(FixedPointTest, MatchesScalarReferenceLoopBitForBit) {
   EXPECT_GT(infeasible, 0);
 }
 
+TEST(FixedPointTest, MatchesScalarReferenceLoopBitForBit) {
+  ExpectMatchesScalarReference(SweepLanes::kTwo);
+}
+
+TEST(FixedPointTest, FourLaneMatchesScalarReferenceLoopBitForBit) {
+  if (!internal::SweepLanesSupported(SweepLanes::kFour)) {
+    GTEST_SKIP() << "no AVX2 on this CPU";
+  }
+  ExpectMatchesScalarReference(SweepLanes::kFour);
+}
+
 // One panel grown by Border (past two stride doublings) and shrunk by
 // DropBorder on every third step must hold a freshly built panel's entries,
 // with zeros everywhere outside the k x k block, and the fixed point must
-// read it the same way at its wider stride.
-TEST(FixedPointTest, BorderedPanelMatchesFreshPanel) {
+// read it as the scalar reference reads the row-major problem, at its wider
+// stride as at the fresh panel's.
+void ExpectBorderedPanelMatchesFresh(SweepLanes lanes) {
   geom::Rng rng(21);
   GainPanel bordered;
   std::vector<double> B;  // row-major, the set's current problem
@@ -444,7 +470,7 @@ TEST(FixedPointTest, BorderedPanelMatchesFreshPanel) {
     const std::string where = "step " + std::to_string(step);
     ASSERT_EQ(bordered.size(), k) << where;
     const std::size_t stride = bordered.stride();
-    ASSERT_EQ(stride % 2, 0u) << where;
+    ASSERT_EQ(stride % 4, 0u) << where;
     for (std::size_t j = 0; j < stride; ++j) {
       for (std::size_t i = 0; i < stride; ++i) {
         const double want = i < k && j < k ? B[i * k + j] : 0.0;
@@ -455,10 +481,26 @@ TEST(FixedPointTest, BorderedPanelMatchesFreshPanel) {
     }
     const GainPanel fresh = ToPanel(B, c);
     for (const double noise : {0.0, 1e-3}) {
-      ExpectSameResult(RunFixedPoint(bordered, noise, 40, 1e-7),
-                       RunFixedPoint(fresh, noise, 40, 1e-7), where);
+      const PowerControlResult want = ReferenceFixedPoint(B, c, noise, 40, 1e-7);
+      ExpectSameResult(internal::RunFixedPointWithLanes(lanes, bordered, noise,
+                                                        40, 1e-7),
+                       want, where + " bordered");
+      ExpectSameResult(
+          internal::RunFixedPointWithLanes(lanes, fresh, noise, 40, 1e-7),
+          want, where + " fresh");
     }
   }
+}
+
+TEST(FixedPointTest, BorderedPanelMatchesFreshPanel) {
+  ExpectBorderedPanelMatchesFresh(SweepLanes::kTwo);
+}
+
+TEST(FixedPointTest, FourLaneBorderedPanelMatchesFreshPanel) {
+  if (!internal::SweepLanesSupported(SweepLanes::kFour)) {
+    GTEST_SKIP() << "no AVX2 on this CPU";
+  }
+  ExpectBorderedPanelMatchesFresh(SweepLanes::kFour);
 }
 
 // --- the greedy on a bordered panel vs one fresh gather per candidate -------

@@ -14,12 +14,15 @@ namespace {
 
 // --- lexical preprocessing --------------------------------------------------
 
-// One source line, split into the text the rules match against (`code`) and
-// the text the suppression directives live in (`comment`).  Stripped regions
-// are replaced by single spaces so tokens never merge across them.
+// One source line, split into the text the rules match against (`code`),
+// the text the suppression directives live in (`comment`) and the contents
+// of its string literals (`literals`, one space after each), which only
+// rules about an attribute's string argument read.  Stripped regions are
+// replaced by single spaces so tokens never merge across them.
 struct LineView {
   std::string code;
   std::string comment;
+  std::string literals;
 };
 
 // Strips //, /* */ comments and string/char literals (including basic raw
@@ -96,7 +99,10 @@ std::vector<LineView> Preprocess(const std::string& content) {
         if (c == '\\') {
           ++i;
         } else if (c == '"') {
+          line.literals.push_back(' ');
           state = State::kCode;
+        } else {
+          line.literals.push_back(c);
         }
         break;
       case State::kChar:
@@ -110,7 +116,10 @@ std::vector<LineView> Preprocess(const std::string& content) {
         const std::string close = ")" + raw_delim + "\"";
         if (content.compare(i, close.size(), close) == 0) {
           i += close.size() - 1;
+          line.literals.push_back(' ');
           state = State::kCode;
+        } else {
+          line.literals.push_back(c);
         }
         break;
       }
@@ -162,6 +171,13 @@ const std::vector<RuleDef>& RuleTable() {
        "decay-lint allow annotation",
        {"src/obs/"},
        {}},
+      {"fp-contract-target",
+       "a target(...)/target_clones(...) naming fma, avx512* or arch= lets "
+       "the compiler fuse a*b+c into one rounding, and std::fma rounds once "
+       "by definition; either moves the last bit of sums the golden digests "
+       "pin, so vector instances use target(\"avx2\") alone",
+       {},
+       {}},
   };
   return kRules;
 }
@@ -205,6 +221,24 @@ const std::regex& ClockRe() {
       R"(|\b(?:clock_gettime|gettimeofday|localtime|gmtime|mktime)\b)"
       R"(|\bstd\s*::\s*time\b|\btime\s*\(\s*(?:nullptr|NULL|0)\s*\))"
       R"(|\bclock\s*\(\s*\))");
+  return re;
+}
+
+const std::regex& TargetAttributeRe() {
+  static const std::regex re(R"(\b(?:target|target_clones)\s*\()");
+  return re;
+}
+
+// An ISA in a target string that carries FMA: fma itself, every AVX-512
+// subset (avx512f implies FMA) and any arch= (most name a CPU with FMA).
+const std::regex& FmaTargetRe() {
+  static const std::regex re(R"(fma|avx512|arch=)");
+  return re;
+}
+
+const std::regex& FmaCallRe() {
+  static const std::regex re(
+      R"((?:\bstd\s*::\s*)?\bfma[fl]?\s*\(|\b__builtin_fma[fl]?\b)");
   return re;
 }
 
@@ -327,6 +361,18 @@ std::vector<Finding> LintContent(const std::string& label,
       report(i, "clock-read",
              "clock read outside src/obs/; wall time in algorithm code "
              "breaks checkpoint/resume replay determinism");
+    }
+
+    if (std::regex_search(code, TargetAttributeRe()) &&
+        std::regex_search(lines[i].literals, FmaTargetRe())) {
+      report(i, "fp-contract-target",
+             "target string names an ISA with FMA; a fused multiply-add "
+             "changes pinned sums -- use target(\"avx2\") alone");
+    }
+    if (std::regex_search(code, FmaCallRe())) {
+      report(i, "fp-contract-target",
+             "explicit fused multiply-add; a*b+c must round twice, as the "
+             "scalar reference and the golden digests do");
     }
 
     // unordered-iteration: remember declared names, then flag any loop or
