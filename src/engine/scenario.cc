@@ -2,13 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <numeric>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 
 #include "core/check.h"
 #include "core/metricity.h"
+#include "core/parse.h"
 #include "geom/grid.h"
 #include "geom/rng.h"
 #include "geom/samplers.h"
@@ -122,6 +125,37 @@ sinr::Link OrientPair(const core::DecaySpace& space, int i, int j) {
   return {j, i};
 }
 
+// --- the field table ---------------------------------------------------------
+
+constexpr const char* kKernelModeNames[] = {"dense", "farfield"};
+constexpr double kMaxInt = std::numeric_limits<int>::max();
+constexpr unsigned kSwept = kAxis | kSet;  // every axis is a --set field
+constexpr FieldRange kPositive = {.lo = 0.0, .open_lo = true};
+
+// The row's field: `Path` is a chain of data-member pointers from the spec.
+template <auto... Path>
+FieldPtr At(ScenarioSpec& spec) {
+  return &(spec .* ... .* Path);
+}
+
+// A row's field in a spec that is only read (the accessor serves writes).
+FieldPtr Read(const ScenarioField& field, const ScenarioSpec& spec) {
+  return field.at(const_cast<ScenarioSpec&>(spec));
+}
+
+// The value of an int or double row; nullopt for every other row.
+std::optional<double> NumberAt(const FieldPtr& ptr) {
+  if (int* const* value = std::get_if<int*>(&ptr)) return **value;
+  if (double* const* value = std::get_if<double*>(&ptr)) return **value;
+  return std::nullopt;
+}
+
+bool InRange(const FieldRange& range, double value) {
+  return std::isfinite(value) &&
+         (range.open_lo ? value > range.lo : value >= range.lo) &&
+         (range.open_hi ? value < range.hi : value <= range.hi);
+}
+
 }  // namespace
 
 ScenarioInstance::ScenarioInstance(
@@ -145,17 +179,141 @@ bool IsRegisteredTopology(const std::string& topology) {
 }
 
 const char* KernelModeName(KernelMode mode) {
-  switch (mode) {
-    case KernelMode::kDense: return "dense";
-    case KernelMode::kFarField: return "farfield";
-  }
-  return "unknown";
+  const auto k = static_cast<std::size_t>(mode);
+  return k < std::size(kKernelModeNames) ? kKernelModeNames[k] : "unknown";
 }
 
-std::optional<KernelMode> ParseKernelMode(const std::string& name) {
-  if (name == "dense") return KernelMode::kDense;
-  if (name == "farfield") return KernelMode::kFarField;
-  return std::nullopt;
+std::span<const ScenarioField> ScenarioFields() {
+  using S = ScenarioSpec;
+  using D = DynamicsSpec;
+  static const ScenarioField kFields[] = {
+      {"name", At<&S::name>},
+      {"topology", At<&S::topology>, kGeometry},
+      {"links", At<&S::links>, kGeometry | kSwept | kFlag,
+       {.lo = 1, .hi = kMaxInt / 2}, "links must be in [1, 1073741823]"},
+      {"instances", At<&S::instances>, kSwept | kFlag,
+       {.lo = 1, .hi = kMaxInt}, "instances must be in [1, 2147483647]"},
+      {"alpha", At<&S::alpha>, kGeometry | kSwept | kFlag, kPositive,
+       "alpha must be a positive finite decay exponent"},
+      {"sigma_db", At<&S::sigma_db>, kGeometry | kSwept, {.lo = 0.0},
+       "sigma_db must be a non-negative finite shadowing spread"},
+      {"symmetric_shadowing", At<&S::symmetric_shadowing>, kGeometry},
+      {"power_tau", At<&S::power_tau>, kSwept, {}, "power_tau must be finite"},
+      // The SINR model requires beta >= 1 (LinkSystem's precondition).
+      {"beta", At<&S::beta>, kSwept | kFlag, {.lo = 1.0},
+       "beta must be a finite threshold >= 1"},
+      {"noise", At<&S::noise>, kSwept, {.lo = 0.0},
+       "noise must be a non-negative finite ambient level"},
+      {"zeta", At<&S::zeta>, kSwept, {},
+       "zeta must be finite (> 0 explicit, 0 = alpha, < 0 = measured)"},
+      {"seed", At<&S::seed>, kGeometry | kFlag},
+      {"hotspots", At<&S::hotspots>, kGeometry, {.lo = 1, .hi = kMaxInt},
+       "hotspots must be >= 1"},
+      {"cluster_sigma", At<&S::cluster_sigma>, kGeometry, kPositive,
+       "cluster_sigma must be positive and finite"},
+      {"corridor_width", At<&S::corridor_width>, kGeometry, kPositive,
+       "corridor_width must be positive and finite"},
+      {"kernel_mode", At<&S::kernel_mode>, kSet, {}, nullptr,
+       kKernelModeNames},
+      {"farfield_epsilon", At<&S::farfield_epsilon>, kSwept, {.lo = 0.0},
+       "farfield_epsilon must be non-negative and finite"},
+      {"lambda", At<&S::dynamics, &D::lambda>, kDynamics | kSwept | kFlag,
+       {.lo = 0.0, .hi = 1.0},
+       "lambda is a per-slot Bernoulli probability in [0, 1]"},
+      {"scheduler", At<&S::dynamics, &D::scheduler>, kDynamics | kFlag, {},
+       nullptr, dynamics::SchedulerNames()},
+      {"queue_slots", At<&S::dynamics, &D::queue_slots>, kDynamics,
+       {.lo = 1, .hi = kMaxInt}, "queue_slots must be >= 1"},
+      {"regret_learning_rate", At<&S::dynamics, &D::regret_learning_rate>,
+       kDynamics, {.lo = 0.0, .hi = 1.0, .open_lo = true, .open_hi = true},
+       "regret learning rate must be in (0, 1)"},
+      {"regret_penalty", At<&S::dynamics, &D::regret_penalty>,
+       kDynamics | kSwept, {.lo = 0.0},
+       "regret penalty must be a non-negative finite cost"},
+      {"regret_rounds", At<&S::dynamics, &D::regret_rounds>, kDynamics,
+       {.lo = 1, .hi = kMaxInt}, "regret_rounds must be >= 1"},
+  };
+  return kFields;
+}
+
+const ScenarioField* FindScenarioField(std::string_view name) {
+  for (const ScenarioField& field : ScenarioFields()) {
+    if (name == field.name) return &field;
+  }
+  return nullptr;
+}
+
+std::string FieldText(const ScenarioField& field, const ScenarioSpec& spec) {
+  return std::visit(
+      [](const auto* value) -> std::string {
+        using T = std::remove_cvref_t<decltype(*value)>;
+        if constexpr (std::is_same_v<T, std::string>) {
+          return *value;
+        } else if constexpr (std::is_same_v<T, double>) {
+          char buf[32];
+          std::snprintf(buf, sizeof(buf), "%.17g", *value);
+          return buf;
+        } else {
+          return std::to_string(static_cast<long long>(*value));
+        }
+      },
+      Read(field, spec));
+}
+
+core::Status WriteFieldNumber(ScenarioSpec& spec, const ScenarioField& field,
+                              double value) {
+  const FieldPtr ptr = field.at(spec);
+  int* const* as_int = std::get_if<int*>(&ptr);
+  if (!NumberAt(ptr) || (as_int != nullptr && value != std::floor(value))) {
+    return core::Status::InvalidArgument(
+        std::string(field.name) + (as_int != nullptr
+                                       ? " needs an integral value"
+                                       : " is not a number field"));
+  }
+  if (!InRange(field.range, value)) {
+    return core::Status::InvalidArgument(field.message);
+  }
+  if (as_int != nullptr) {
+    **as_int = static_cast<int>(value);
+  } else {
+    *std::get<double*>(ptr) = value;
+  }
+  return core::Status::Ok();
+}
+
+core::Status WriteFieldText(ScenarioSpec& spec, const ScenarioField& field,
+                            const std::string& text) {
+  const FieldPtr ptr = field.at(spec);
+  double number = 0.0;
+  if (NumberAt(ptr) &&
+      core::ParseDouble(text.c_str(), std::numeric_limits<double>::lowest(),
+                        std::numeric_limits<double>::max(), &number)) {
+    return WriteFieldNumber(spec, field, number);
+  }
+  long long seed = 0;
+  std::uint64_t* const* out = std::get_if<std::uint64_t*>(&ptr);
+  if (out != nullptr &&
+      core::ParseInt(text.c_str(), 0, std::numeric_limits<long long>::max(),
+                     &seed)) {
+    **out = static_cast<std::uint64_t>(seed);
+    return core::Status::Ok();
+  }
+  std::string message =
+      std::string(field.name) + ": cannot take '" + text + "'";
+  for (std::size_t k = 0; k < field.names.size(); ++k) {
+    if (text == field.names[k]) {
+      std::visit(
+          [k](auto* value) {
+            using T = std::remove_pointer_t<decltype(value)>;
+            if constexpr (std::is_enum_v<T>) *value = static_cast<T>(k);
+          },
+          ptr);
+      return core::Status::Ok();
+    }
+    message += (k == 0 ? " (one of " : " | ") + std::string(field.names[k]);
+  }
+  return core::Status::InvalidArgument(
+      field.names.empty() ? message : message + ")");
 }
 
 core::Status ValidateScenarioSpec(const ScenarioSpec& spec) {
@@ -163,55 +321,22 @@ core::Status ValidateScenarioSpec(const ScenarioSpec& spec) {
   if (!IsRegisteredTopology(spec.topology)) {
     return Status::InvalidArgument("unknown topology '" + spec.topology + "'");
   }
-  if (spec.links < 1) {
-    return Status::InvalidArgument("links must be >= 1");
-  }
-  if (spec.instances < 1) {
-    return Status::InvalidArgument("instances must be >= 1");
-  }
-  if (!(std::isfinite(spec.alpha) && spec.alpha > 0.0)) {
-    return Status::InvalidArgument(
-        "alpha must be a positive finite decay exponent");
-  }
-  if (!(std::isfinite(spec.sigma_db) && spec.sigma_db >= 0.0)) {
-    return Status::InvalidArgument(
-        "sigma_db must be a non-negative finite shadowing spread");
-  }
-  if (!std::isfinite(spec.power_tau)) {
-    return Status::InvalidArgument("power_tau must be finite");
-  }
-  // The SINR model requires beta >= 1 (LinkSystem's precondition); catching
-  // it here keeps bad CLI/sweep input out of the constructor's DL_CHECK.
-  if (!(std::isfinite(spec.beta) && spec.beta >= 1.0)) {
-    return Status::InvalidArgument("beta must be a finite threshold >= 1");
-  }
-  if (!(std::isfinite(spec.noise) && spec.noise >= 0.0)) {
-    return Status::InvalidArgument(
-        "noise must be a non-negative finite ambient level");
-  }
-  if (!std::isfinite(spec.zeta)) {
-    return Status::InvalidArgument(
-        "zeta must be finite (> 0 explicit, 0 = alpha, < 0 = measured)");
-  }
-  if (spec.hotspots < 1) {
-    return Status::InvalidArgument("hotspots must be >= 1");
-  }
-  if (!(std::isfinite(spec.cluster_sigma) && spec.cluster_sigma > 0.0)) {
-    return Status::InvalidArgument("cluster_sigma must be positive and finite");
-  }
-  if (!(std::isfinite(spec.corridor_width) && spec.corridor_width > 0.0)) {
-    return Status::InvalidArgument(
-        "corridor_width must be positive and finite");
-  }
-  if (!(std::isfinite(spec.farfield_epsilon) && spec.farfield_epsilon >= 0.0)) {
-    return Status::InvalidArgument(
-        "farfield_epsilon must be non-negative and finite");
-  }
-  // The far-field kernel pools geometric decay contributions per cell; the
-  // certificate needs decays that are a pure function of distance (no
-  // shadowing) and a uniform base power (the pooled factor c_v * f_vv must
-  // not depend on the interferer).
-  if (spec.kernel_mode == KernelMode::kFarField) {
+  // Two passes in table order: the spec's own rows and the far-field rule,
+  // then the kDynamics rows -- validated unconditionally, since a spec is
+  // either valid or it is not, whichever tasks a batch happens to run.
+  for (const bool dynamics : {false, true}) {
+    for (const ScenarioField& field : ScenarioFields()) {
+      const std::optional<double> value = NumberAt(Read(field, spec));
+      if (field.Has(kDynamics) == dynamics && value &&
+          !InRange(field.range, *value)) {
+        return Status::InvalidArgument(field.message);
+      }
+    }
+    if (dynamics || spec.kernel_mode != KernelMode::kFarField) continue;
+    // The far-field kernel pools geometric decay contributions per cell;
+    // the certificate needs decays that are a pure function of distance (no
+    // shadowing) and a uniform base power (the pooled factor c_v * f_vv
+    // must not depend on the interferer).
     if (spec.sigma_db != 0.0) {
       return Status::InvalidArgument(
           "kernel_mode=farfield requires sigma_db == 0 (distance-pure decay)");
@@ -220,26 +345,6 @@ core::Status ValidateScenarioSpec(const ScenarioSpec& spec) {
       return Status::InvalidArgument(
           "kernel_mode=farfield requires uniform power (power_tau == 0)");
     }
-  }
-  // Dynamics knobs are validated unconditionally -- a spec is either valid
-  // or it is not, independent of which tasks a given batch happens to run.
-  const DynamicsSpec& dyn = spec.dynamics;
-  if (!(std::isfinite(dyn.lambda) && dyn.lambda >= 0.0 && dyn.lambda <= 1.0)) {
-    return Status::InvalidArgument(
-        "lambda is a per-slot Bernoulli probability in [0, 1]");
-  }
-  if (dyn.queue_slots < 1) {
-    return Status::InvalidArgument("queue_slots must be >= 1");
-  }
-  if (!(dyn.regret_learning_rate > 0.0 && dyn.regret_learning_rate < 1.0)) {
-    return Status::InvalidArgument("regret learning rate must be in (0, 1)");
-  }
-  if (!(std::isfinite(dyn.regret_penalty) && dyn.regret_penalty >= 0.0)) {
-    return Status::InvalidArgument(
-        "regret penalty must be a non-negative finite cost");
-  }
-  if (dyn.regret_rounds < 1) {
-    return Status::InvalidArgument("regret_rounds must be >= 1");
   }
   return Status::Ok();
 }
@@ -366,15 +471,9 @@ std::vector<sinr::Link> PairLinksByDecayGrid(
 
 GeometryKey GeometryKeyOf(const ScenarioSpec& spec) {
   GeometryKey key;
-  key.topology = spec.topology;
-  key.links = spec.links;
-  key.alpha = spec.alpha;
-  key.sigma_db = spec.sigma_db;
-  key.symmetric_shadowing = spec.symmetric_shadowing;
-  key.seed = spec.seed;
-  key.hotspots = spec.hotspots;
-  key.cluster_sigma = spec.cluster_sigma;
-  key.corridor_width = spec.corridor_width;
+  for (const ScenarioField& field : ScenarioFields()) {
+    if (field.Has(kGeometry)) key += FieldText(field, spec) + '\x1f';
+  }
   return key;
 }
 

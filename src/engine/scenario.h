@@ -52,10 +52,14 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <list>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "core/decay_space.h"
@@ -98,10 +102,9 @@ struct DynamicsSpec {
 //     without a far-field path still build the dense kernel lazily.
 enum class KernelMode { kDense, kFarField };
 
-// Stable name of a kernel mode ("dense" / "farfield"), and its inverse for
-// CLI / sweep-axis input (nullopt on an unknown name).
+// Stable name of a kernel mode: "dense" / "farfield" (the kernel_mode row's
+// names).
 const char* KernelModeName(KernelMode mode);
-std::optional<KernelMode> ParseKernelMode(const std::string& name);
 
 // Pure-data description of a deployment family.  Every field has a sane
 // default so specs can be written as designated initialisers.
@@ -148,6 +151,67 @@ struct ScenarioSpec {
   DynamicsSpec dynamics;
 };
 
+// --- the field table ---------------------------------------------------------
+//
+// One row per ScenarioSpec field, the DynamicsSpec knobs last, in hash
+// order.  ValidateScenarioSpec checks the rows' ranges, GeometryKeyOf reads
+// the kGeometry rows, sweep::SweepSpecHash hashes every row, and sweep axes
+// and CLI flags write the rows whose roles allow it.  Adding a field is one
+// row (docs/scenarios.md).
+
+// A row's field in a spec, typed: a string, int, double, bool, the seed, or
+// an enum (written by name, hashed by value).
+using FieldPtr = std::variant<std::string*, int*, double*, bool*,
+                              std::uint64_t*, KernelMode*,
+                              dynamics::Scheduler*>;
+
+// A row's roles, as a bit set.
+enum FieldRole : unsigned {
+  kGeometry = 1u << 0,  // in GeometryKey: a change re-samples geometry
+  kAxis = 1u << 1,      // a sweep axis may write it
+  kSet = 1u << 2,       // scenario_runner --set FIELD=VALUE may write it
+  kFlag = 1u << 3,      // a CLI tool's own --FIELD flag may write it
+  kDynamics = 1u << 4,  // spec.dynamics.NAME (checked after the far-field rule)
+};
+
+// The valid values of an int or double row: finite and within [lo, hi],
+// an open end excluding its bound.
+struct FieldRange {
+  double lo = -std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+  bool open_lo = false;
+  bool open_hi = false;
+};
+
+struct ScenarioField {
+  const char* name;               // the axis, --set and --FIELD name
+  FieldPtr (*at)(ScenarioSpec&);  // the field in a spec
+  unsigned roles = 0;             // FieldRole bits
+  FieldRange range = {};          // int and double rows, with...
+  const char* message = nullptr;  // ...the message when out of range
+  std::span<const char* const> names = {};  // enum rows: names by value
+
+  bool Has(FieldRole role) const { return (roles & role) != 0; }
+};
+
+std::span<const ScenarioField> ScenarioFields();
+const ScenarioField* FindScenarioField(std::string_view name);  // or nullptr
+
+// The encoding of the checkpoint hash and GeometryKey: a string as is, a
+// double as "%.17g", anything else as a decimal integer (bools 0/1, enums
+// by value, the seed as a signed 64-bit integer).
+std::string FieldText(const ScenarioField& field, const ScenarioSpec& spec);
+
+// Writes a number into an int (integral values only) or double row, or text
+// into a row (a finite number, the seed's non-negative integer, an enum's
+// name).  The range is checked before the write, so before an int's cast;
+// any failure is kInvalidArgument (the row's message when out of range)
+// and leaves the spec untouched.
+core::Status WriteFieldNumber(ScenarioSpec& spec, const ScenarioField& field,
+                              double value);
+core::Status WriteFieldText(ScenarioSpec& spec, const ScenarioField& field,
+                            const std::string& text);
+
 // How link pairing runs inside BuildGeometry / BuildInstance.
 enum class PairingMode {
   // Grid-accelerated mutual-nearest-neighbour rounds when the topology is
@@ -174,22 +238,9 @@ struct ScenarioGeometry {
   bool zeta_measured = false;
 };
 
-// The spec fields whose change invalidates sampled geometry.  Two specs
-// with equal keys produce bit-identical ScenarioGeometry per instance
-// index; power_tau / beta / noise / zeta / instances may differ freely.
-struct GeometryKey {
-  std::string topology;
-  int links = 0;
-  double alpha = 0.0;
-  double sigma_db = 0.0;
-  bool symmetric_shadowing = true;
-  std::uint64_t seed = 0;
-  int hotspots = 0;
-  double cluster_sigma = 0.0;
-  double corridor_width = 0.0;
-
-  friend bool operator==(const GeometryKey&, const GeometryKey&) = default;
-};
+// The FieldText of each kGeometry row, each closed by a 0x1f byte.  Specs
+// with equal keys produce bit-identical ScenarioGeometry per instance index.
+using GeometryKey = std::string;
 
 GeometryKey GeometryKeyOf(const ScenarioSpec& spec);
 
@@ -223,10 +274,11 @@ class ScenarioInstance {
 std::vector<std::string> RegisteredTopologies();
 bool IsRegisteredTopology(const std::string& topology);
 
-// Runtime-input validation of a spec: registered topology, positive sizes,
-// finite decay/SINR knobs in their documented ranges (beta >= 1, the
-// dynamics knobs' probability/positivity constraints, ...).  Returns the
-// first violation as Status::InvalidArgument naming the field; specs are
+// Runtime-input validation of a spec: registered topology, then every
+// row's range in table order, with the far-field rule (kernel_mode=farfield
+// needs sigma_db == 0 and power_tau == 0) before the kDynamics rows.
+// Returns the first violation as Status::InvalidArgument naming the field;
+// specs are
 // user/CLI/sweep input, so rejection is an expected error path, not a
 // DL_CHECK abort (core/status.h).  BatchRunner::RunOne throws the result as
 // core::StatusError; CLI tools and the sweep runner's per-cell isolation

@@ -6,48 +6,21 @@
 // callers still get core::Status from Write()/LoadBenchReport().
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
 
 #include "core/check.h"
+#include "core/parse.h"
 #include "obs/registry.h"
 
 namespace decaylib::obs {
 
 namespace {
-
-// Strict numeric parsing, same contract as tools/tool_args.h (which lives
-// outside the library's include tree): whole token, in range, finite.
-bool ParseLongStrict(const char* text, long long min_value,
-                     long long max_value, long long* out) {
-  if (text == nullptr || *text == '\0') return false;
-  errno = 0;
-  char* end = nullptr;
-  const long long value = std::strtoll(text, &end, 10);
-  if (errno != 0 || end == text || *end != '\0') return false;
-  if (value < min_value || value > max_value) return false;
-  *out = value;
-  return true;
-}
-
-bool ParseDoubleStrict(const char* text, double min_value, double max_value,
-                       double* out) {
-  if (text == nullptr || *text == '\0') return false;
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  if (errno != 0 || end == text || *end != '\0') return false;
-  if (!(value >= min_value && value <= max_value)) return false;
-  *out = value;
-  return true;
-}
 
 double SteadyNowMs() {
   return std::chrono::duration<double, std::milli>(
@@ -301,14 +274,14 @@ void BenchHarness::ParseArgs(int argc, char** argv, const Options& defaults) {
     long long int_value = 0;
     double double_value = 0.0;
     if (std::strcmp(arg, "--reps") == 0) {
-      if (ParseLongStrict(value, 1, kMaxSamplesPerPhase, &int_value)) {
+      if (core::ParseInt(value, 1, kMaxSamplesPerPhase, &int_value)) {
         options_.reps = static_cast<int>(int_value);
         continue;
       }
       std::fprintf(stderr, "--reps: expected an integer in [1, %d], got '%s'\n",
                    kMaxSamplesPerPhase, value == nullptr ? "" : value);
     } else if (std::strcmp(arg, "--warmup") == 0) {
-      if (ParseLongStrict(value, 0, kMaxSamplesPerPhase, &int_value)) {
+      if (core::ParseInt(value, 0, kMaxSamplesPerPhase, &int_value)) {
         options_.warmup = static_cast<int>(int_value);
         continue;
       }
@@ -316,7 +289,7 @@ void BenchHarness::ParseArgs(int argc, char** argv, const Options& defaults) {
                    "--warmup: expected an integer in [0, %d], got '%s'\n",
                    kMaxSamplesPerPhase, value == nullptr ? "" : value);
     } else {  // --min-time-ms
-      if (ParseDoubleStrict(value, 0.0, 1e9, &double_value)) {
+      if (core::ParseDouble(value, 0.0, 1e9, &double_value)) {
         options_.min_time_ms = double_value;
         continue;
       }

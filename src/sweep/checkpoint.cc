@@ -47,30 +47,9 @@ struct Fnv1a {
 std::string SweepSpecHash(const SweepSpec& spec) {
   Fnv1a h;
   h.Str(spec.name);
-  const engine::ScenarioSpec& b = spec.base;
-  h.Str(b.name);
-  h.Str(b.topology);
-  h.Int(b.links);
-  h.Int(b.instances);
-  h.Dbl(b.alpha);
-  h.Dbl(b.sigma_db);
-  h.Int(b.symmetric_shadowing ? 1 : 0);
-  h.Dbl(b.power_tau);
-  h.Dbl(b.beta);
-  h.Dbl(b.noise);
-  h.Dbl(b.zeta);
-  h.Int(static_cast<long long>(b.seed));
-  h.Int(b.hotspots);
-  h.Dbl(b.cluster_sigma);
-  h.Dbl(b.corridor_width);
-  h.Int(static_cast<long long>(b.kernel_mode));
-  h.Dbl(b.farfield_epsilon);
-  h.Dbl(b.dynamics.lambda);
-  h.Int(static_cast<long long>(b.dynamics.scheduler));
-  h.Int(b.dynamics.queue_slots);
-  h.Dbl(b.dynamics.regret_learning_rate);
-  h.Dbl(b.dynamics.regret_penalty);
-  h.Int(b.dynamics.regret_rounds);
+  for (const engine::ScenarioField& field : engine::ScenarioFields()) {
+    h.Str(engine::FieldText(field, spec.base));
+  }
   h.Int(static_cast<long long>(spec.axes.size()));
   for (const SweepAxis& axis : spec.axes) {
     h.Str(axis.field);

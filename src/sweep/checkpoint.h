@@ -50,10 +50,10 @@ struct SweepCheckpoint {
   std::vector<CheckpointCell> cells;  // ascending by index
 };
 
-// Stable 64-bit hex digest over the canonical serialisation of a SweepSpec
-// (name, every base field including dynamics, axes with %.17g values,
-// task list).  Two specs hash equal iff a checkpoint of one is safe to
-// resume under the other.
+// Stable 64-bit hex digest (FNV-1a) over a SweepSpec's name, the
+// engine::FieldText of every row of the base spec's field table, the axes
+// with %.17g values, and the task list.  Two specs hash equal iff a
+// checkpoint of one is safe to resume under the other.
 std::string SweepSpecHash(const SweepSpec& spec);
 
 // Serialises/parses the sidecar document itself (exposed for tests).

@@ -1,6 +1,5 @@
 #include "sweep/sweep.h"
 
-#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <string>
@@ -10,122 +9,7 @@
 
 namespace decaylib::sweep {
 
-namespace {
-
 using core::Status;
-
-struct FieldEntry {
-  const char* name;
-  Status (*apply)(engine::ScenarioSpec&, double);
-};
-
-// Writes an integer field (links, instances): an integral value in
-// [1, INT_MAX], checked before the cast -- converting an out-of-range
-// double to int is undefined behaviour.
-Status ApplyCount(double value, const char* field, int* out) {
-  if (!(std::isfinite(value) && value == std::floor(value))) {
-    return Status::InvalidArgument(std::string(field) +
-                                   ": integer sweep field needs an integral "
-                                   "value, got " +
-                                   FormatAxisValue(value));
-  }
-  if (value < 1.0 || value > std::numeric_limits<int>::max()) {
-    return Status::InvalidArgument(
-        std::string(field) + " must be in [1, " +
-        std::to_string(std::numeric_limits<int>::max()) + "], got " +
-        FormatAxisValue(value));
-  }
-  *out = static_cast<int>(value);
-  return Status::Ok();
-}
-
-const std::vector<FieldEntry>& FieldTable() {
-  static const std::vector<FieldEntry> table = {
-      {"links",
-       [](engine::ScenarioSpec& s, double v) {
-         return ApplyCount(v, "links", &s.links);
-       }},
-      {"instances",
-       [](engine::ScenarioSpec& s, double v) {
-         return ApplyCount(v, "instances", &s.instances);
-       }},
-      {"alpha",
-       [](engine::ScenarioSpec& s, double v) {
-         s.alpha = v;
-         return Status::Ok();
-       }},
-      {"sigma_db",
-       [](engine::ScenarioSpec& s, double v) {
-         s.sigma_db = v;
-         return Status::Ok();
-       }},
-      {"power_tau",
-       [](engine::ScenarioSpec& s, double v) {
-         s.power_tau = v;
-         return Status::Ok();
-       }},
-      {"beta",
-       [](engine::ScenarioSpec& s, double v) {
-         s.beta = v;
-         return Status::Ok();
-       }},
-      {"noise",
-       [](engine::ScenarioSpec& s, double v) {
-         s.noise = v;
-         return Status::Ok();
-       }},
-      {"zeta",
-       [](engine::ScenarioSpec& s, double v) {
-         s.zeta = v;
-         return Status::Ok();
-       }},
-      // Dynamics knobs (TaskKind::kQueue / kRegret).  Both are
-      // non-geometric, so a trailing lambda or penalty axis reuses one
-      // sampled geometry generation across its whole row.
-      {"lambda",
-       [](engine::ScenarioSpec& s, double v) {
-         if (!(v >= 0.0 && v <= 1.0)) {
-           return Status::InvalidArgument(
-               "lambda axis values are per-slot Bernoulli probabilities in "
-               "[0, 1]");
-         }
-         s.dynamics.lambda = v;
-         return Status::Ok();
-       }},
-      {"regret_penalty",
-       [](engine::ScenarioSpec& s, double v) {
-         if (!(v >= 0.0)) {
-           return Status::InvalidArgument(
-               "regret_penalty axis values must be >= 0");
-         }
-         s.dynamics.regret_penalty = v;
-         return Status::Ok();
-       }},
-      // The far-field kernel's pooling switch (kernel_mode is set on the
-      // base spec; 0 means every query exact, any value > 0 pools and no
-      // decision or aggregate reads it).  Non-geometric, like the dynamics
-      // knobs: an epsilon row reuses one sampled geometry.
-      {"farfield_epsilon",
-       [](engine::ScenarioSpec& s, double v) {
-         if (!(std::isfinite(v) && v >= 0.0)) {
-           return Status::InvalidArgument(
-               "farfield_epsilon axis values must be >= 0 and finite");
-         }
-         s.farfield_epsilon = v;
-         return Status::Ok();
-       }},
-  };
-  return table;
-}
-
-const FieldEntry* FindField(const std::string& field) {
-  for (const FieldEntry& entry : FieldTable()) {
-    if (field == entry.name) return &entry;
-  }
-  return nullptr;
-}
-
-}  // namespace
 
 std::string FormatAxisValue(double value) {
   char buf[64];
@@ -135,25 +19,26 @@ std::string FormatAxisValue(double value) {
 
 std::vector<std::string> SweepableFields() {
   std::vector<std::string> names;
-  names.reserve(FieldTable().size());
-  for (const FieldEntry& entry : FieldTable()) names.push_back(entry.name);
+  for (const engine::ScenarioField& field : engine::ScenarioFields()) {
+    if (field.Has(engine::kAxis)) names.emplace_back(field.name);
+  }
   return names;
 }
 
 bool IsSweepableField(const std::string& field) {
-  return FindField(field) != nullptr;
+  const engine::ScenarioField* row = engine::FindScenarioField(field);
+  return row != nullptr && row->Has(engine::kAxis);
 }
 
 core::Status ApplyAxisValue(engine::ScenarioSpec& spec,
                             const std::string& field, double value) {
-  const FieldEntry* entry = FindField(field);
-  if (entry == nullptr) {
+  const engine::ScenarioField* row = engine::FindScenarioField(field);
+  if (row == nullptr || !row->Has(engine::kAxis)) {
     std::string msg = "unknown sweep field '" + field + "' (sweepable:";
     for (const std::string& name : SweepableFields()) msg += " " + name;
-    msg += ")";
-    return Status::InvalidArgument(msg);
+    return Status::InvalidArgument(msg + ")");
   }
-  return entry->apply(spec, value);
+  return engine::WriteFieldNumber(spec, *row, value);
 }
 
 core::Status ValidateSweepSpec(const SweepSpec& spec) {
@@ -171,10 +56,9 @@ core::Status ValidateSweepSpec(const SweepSpec& spec) {
       // applying to a copy of the base catches e.g. beta=0.5 or alpha=-1
       // before a worker ever sees the cell.
       engine::ScenarioSpec probe = spec.base;
-      if (Status st = ApplyAxisValue(probe, axis.field, value); !st.ok()) {
-        return st;
-      }
-      if (Status st = engine::ValidateScenarioSpec(probe); !st.ok()) {
+      Status st = ApplyAxisValue(probe, axis.field, value);
+      if (st.ok()) st = engine::ValidateScenarioSpec(probe);
+      if (!st.ok()) {
         return Status::InvalidArgument("axis '" + axis.field +
                                        "' value " + FormatAxisValue(value) +
                                        ": " + st.message());

@@ -27,7 +27,7 @@
 namespace decaylib::sweep {
 
 // One axis of the grid: a sweepable ScenarioSpec field plus its values, in
-// sweep order.  Integer fields (links, instances) take integral doubles.
+// sweep order.  Int fields (links, instances) take integral doubles.
 struct SweepAxis {
   std::string field;
   std::vector<double> values;
@@ -41,22 +41,15 @@ struct SweepSpec {
   std::vector<engine::TaskKind> tasks = engine::AllTasks();
 };
 
-// The ScenarioSpec fields an axis may name, in canonical order:
-// links, instances, alpha, sigma_db, power_tau, beta, noise, zeta,
-// lambda, regret_penalty (these two write spec.dynamics), and
-// farfield_epsilon (the far-field kernel's pooling switch: any value > 0
-// pools, and no decision or aggregate reads the value itself).
+// The ScenarioSpec fields an axis may name: the engine::ScenarioFields()
+// rows with kAxis, in table order.
 std::vector<std::string> SweepableFields();
 bool IsSweepableField(const std::string& field);
 
-// Writes one axis value into the spec.  Rejects an unknown field, an
-// integer field's value that is not an integer in [1, INT_MAX], or a
-// lambda, regret_penalty or farfield_epsilon value out of its range as
-// kInvalidArgument (the spec is untouched in that case) -- axis bindings
-// are runtime input (CLI flags, sweep files), not programmer state.  The
-// other fields are written as given: engine::ValidateScenarioSpec, which
-// both ValidateSweepSpec and scenario_runner run on every bound spec,
-// checks the composed spec.
+// Writes one axis value into the spec (engine::WriteFieldNumber): an
+// unknown field or a value the field's row rejects is kInvalidArgument and
+// leaves the spec untouched -- axis bindings are runtime input, not
+// programmer state.  Rules spanning fields are ValidateSweepSpec's.
 core::Status ApplyAxisValue(engine::ScenarioSpec& spec,
                             const std::string& field, double value);
 

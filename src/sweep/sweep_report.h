@@ -1,6 +1,7 @@
 // Report sinks for parameter-grid sweeps: per-cell and per-axis frontier
-// tables for humans, CSV (io/csv) for plotting, and BENCH_<id>.json in the
-// bench_util.h-compatible record format for the perf-trajectory tooling.
+// tables for humans, CSV (io/csv) for plotting, and BENCH_<id>.json -- a
+// BENCH schema v2 record via obs::BenchHarness -- for the perf-trajectory
+// tooling.
 #pragma once
 
 #include <span>

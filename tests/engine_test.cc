@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
+#include <map>
 #include <set>
 #include <span>
 #include <string>
@@ -18,6 +20,7 @@
 #include "obs/bench_harness.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
+#include "spec_perturbations.h"
 
 namespace decaylib::engine {
 namespace {
@@ -192,34 +195,48 @@ TEST(ScenarioGeometryTest, ShadowFreeSpaceMemoryIsLinear) {
   EXPECT_LT(geometry.space->MemoryBytes(), 2LL * 1024 * 1024);
 }
 
-// The geometry key collects exactly the sampling-relevant fields.
+// The geometry key is declared by the field table: perturbing a kGeometry
+// row moves the key, and perturbing any other row leaves both the key and
+// the sampled geometry -- points, links and every space entry --
+// bit-identical, over every builtin (the soundness half of the
+// declaration).
 TEST(GeometryKeyTest, NonGeometricFieldsShareAKey) {
-  ScenarioSpec spec = Small(BuiltinScenarios().front(), 10, 2);
-  ScenarioSpec cfg = spec;
-  cfg.power_tau = 1.0;
-  cfg.beta = 2.0;
-  cfg.noise = 0.05;
-  cfg.zeta = 5.0;
-  cfg.instances = 7;
-  cfg.name = "renamed";
-  EXPECT_EQ(GeometryKeyOf(spec), GeometryKeyOf(cfg));
-  cfg.dynamics.lambda = 0.7;  // dynamics knobs are non-geometric too
-  cfg.dynamics.regret_penalty = 2.0;
-  EXPECT_EQ(GeometryKeyOf(spec), GeometryKeyOf(cfg));
-  for (const auto& mutate : std::vector<void (*)(ScenarioSpec&)>{
-           [](ScenarioSpec& s) { s.topology = "grid"; },
-           [](ScenarioSpec& s) { s.links += 1; },
-           [](ScenarioSpec& s) { s.alpha += 0.5; },
-           [](ScenarioSpec& s) { s.sigma_db = 3.0; },
-           [](ScenarioSpec& s) { s.symmetric_shadowing = false; },
-           [](ScenarioSpec& s) { s.seed += 1; },
-           [](ScenarioSpec& s) { s.hotspots += 1; },
-           [](ScenarioSpec& s) { s.cluster_sigma += 0.5; },
-           [](ScenarioSpec& s) { s.corridor_width += 0.5; }}) {
-    ScenarioSpec changed = spec;
-    mutate(changed);
-    EXPECT_FALSE(GeometryKeyOf(spec) == GeometryKeyOf(changed));
+  const std::map<std::string, SpecPerturbation>& perturbations =
+      SpecPerturbations();
+  EXPECT_EQ(perturbations.size(), ScenarioFields().size());
+  for (const ScenarioSpec& builtin : BuiltinScenarios()) {
+    const ScenarioSpec spec = Small(builtin, 10, 2);
+    const ScenarioGeometry base = BuildGeometry(spec, 1);
+    for (const ScenarioField& field : ScenarioFields()) {
+      const auto it = perturbations.find(field.name);
+      ASSERT_NE(it, perturbations.end()) << "no perturbation for row "
+                                         << field.name;
+      ScenarioSpec changed = spec;
+      it->second(changed);
+      const std::string where = spec.name + " / " + field.name;
+      if (field.Has(kGeometry)) {
+        EXPECT_FALSE(GeometryKeyOf(changed) == GeometryKeyOf(spec)) << where;
+        continue;
+      }
+      EXPECT_EQ(GeometryKeyOf(changed), GeometryKeyOf(spec)) << where;
+      const ScenarioGeometry geometry = BuildGeometry(changed, 1);
+      EXPECT_EQ(geometry.points, base.points) << where;
+      EXPECT_EQ(geometry.links, base.links) << where;
+      EXPECT_TRUE(SameEntries(*geometry.space, *base.space)) << where;
+    }
   }
+}
+
+// BuildGeometry samples 2 * links points in an int, so the links row stops
+// at INT_MAX / 2; validation alone decides (no geometry at that size).
+TEST(ScenarioValidationTest, LinksStopAtHalfIntMax) {
+  ScenarioSpec spec;
+  spec.links = std::numeric_limits<int>::max() / 2 + 1;
+  const core::Status status = ValidateScenarioSpec(spec);
+  EXPECT_EQ(status.code(), core::StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(), "links must be in [1, 1073741823]");
+  spec.links = std::numeric_limits<int>::max() / 2;
+  EXPECT_TRUE(ValidateScenarioSpec(spec).ok());
 }
 
 // A cached geometry configures to the bit-identical instance BuildInstance

@@ -794,12 +794,18 @@ TEST(FarFieldEngineTest, KernelModeNamesRoundTrip) {
   EXPECT_STREQ(engine::KernelModeName(engine::KernelMode::kDense), "dense");
   EXPECT_STREQ(engine::KernelModeName(engine::KernelMode::kFarField),
                "farfield");
-  ASSERT_TRUE(engine::ParseKernelMode("dense").has_value());
-  EXPECT_EQ(*engine::ParseKernelMode("dense"), engine::KernelMode::kDense);
-  ASSERT_TRUE(engine::ParseKernelMode("farfield").has_value());
-  EXPECT_EQ(*engine::ParseKernelMode("farfield"),
-            engine::KernelMode::kFarField);
-  EXPECT_FALSE(engine::ParseKernelMode("sparse").has_value());
+  // Names parse back through the kernel_mode row of the field table.
+  const engine::ScenarioField* row = engine::FindScenarioField("kernel_mode");
+  ASSERT_NE(row, nullptr);
+  engine::ScenarioSpec spec;
+  for (const engine::KernelMode mode :
+       {engine::KernelMode::kFarField, engine::KernelMode::kDense}) {
+    ASSERT_TRUE(
+        engine::WriteFieldText(spec, *row, engine::KernelModeName(mode)).ok());
+    EXPECT_EQ(spec.kernel_mode, mode);
+  }
+  EXPECT_FALSE(engine::WriteFieldText(spec, *row, "sparse").ok());
+  EXPECT_EQ(spec.kernel_mode, engine::KernelMode::kDense);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <map>
 #include <span>
 #include <string>
 #include <utility>
@@ -14,6 +15,7 @@
 #include "core/status.h"
 #include "engine/batch_runner.h"
 #include "engine/report.h"
+#include "spec_perturbations.h"
 #include "sweep/checkpoint.h"
 #include "sweep/sweep.h"
 #include "sweep/sweep_runner.h"
@@ -214,32 +216,87 @@ TEST(CheckpointTest, MalformedSidecarIsIoErrorNotAbort) {
   EXPECT_EQ(missing.status().code(), core::StatusCode::kIoError);
 }
 
-// The spec hash pins a checkpoint to its sweep: any change to the base
-// spec, the axes, or the task list must change the digest.
+// The spec hash pins a checkpoint to its sweep: a change to any row of the
+// base spec's field table, the name, the axes or the task list must change
+// the digest.
 TEST(CheckpointTest, SpecHashCoversEveryIdentityField) {
   const SweepSpec spec = TinyGrid();
   const std::string hash = SweepSpecHash(spec);
   EXPECT_EQ(hash.size(), 16u);
   EXPECT_EQ(hash, SweepSpecHash(spec));  // stable
 
-  SweepSpec seed = spec;
-  seed.base.seed += 1;
+  const std::map<std::string, engine::SpecPerturbation>& perturbations =
+      engine::SpecPerturbations();
+  for (const engine::ScenarioField& field : engine::ScenarioFields()) {
+    const auto it = perturbations.find(field.name);
+    ASSERT_NE(it, perturbations.end()) << "no perturbation for row "
+                                       << field.name;
+    SweepSpec other = spec;
+    it->second(other.base);
+    EXPECT_NE(SweepSpecHash(other), hash) << field.name;
+  }
+
+  SweepSpec name = spec;
+  name.name += "_renamed";
   SweepSpec axis_value = spec;
   axis_value.axes[1].values[0] = 2.75;
   SweepSpec axis_field = spec;
   axis_field.axes[1].field = "beta";
   SweepSpec tasks = spec;
   tasks.tasks.push_back(engine::TaskKind::kSchedule);
-  SweepSpec dynamics = spec;
-  dynamics.base.dynamics.lambda = 0.4;
-  SweepSpec kernel_mode = spec;
-  kernel_mode.base.kernel_mode = engine::KernelMode::kFarField;
-  SweepSpec epsilon = spec;
-  epsilon.base.farfield_epsilon *= 2.0;
-  for (const SweepSpec& other : {seed, axis_value, axis_field, tasks, dynamics,
-                                 kernel_mode, epsilon}) {
+  for (const SweepSpec& other : {name, axis_value, axis_field, tasks}) {
     EXPECT_NE(SweepSpecHash(other), hash) << other.name;
   }
+}
+
+// The digests below were computed by the hand-listed hash the field table
+// replaced: the table hashes the same fields, in the same order, with the
+// same encoding, so sidecars saved before it still resume.  A digest that
+// moves here orphans every saved checkpoint.
+TEST(CheckpointTest, SpecHashIsPinned) {
+  const std::map<std::string, std::string> builtin = {
+      {"capacity_vs_alpha", "9391aa68c5a0fa82"},
+      {"power_control_gap", "633e039e75d01559"},
+      {"noise_frontier", "b9e70a1fc55cbffb"},
+      {"stability_region", "a8f17f9865061e3c"},
+  };
+  const std::vector<SweepSpec> sweeps = BuiltinSweeps();
+  ASSERT_EQ(sweeps.size(), builtin.size());
+  for (const SweepSpec& sweep : sweeps) {
+    EXPECT_EQ(SweepSpecHash(sweep), builtin.at(sweep.name)) << sweep.name;
+  }
+  EXPECT_EQ(SweepSpecHash(TinyGrid()), "c532b732a140a9da");
+
+  // Every field off its default, the seed past INT64_MAX (hashed as a
+  // signed integer) and both enums on a non-zero value.
+  SweepSpec every;
+  every.name = "every_field";
+  engine::ScenarioSpec& b = every.base;
+  b.name = "every_field";
+  b.topology = "clustered";
+  b.links = 40;
+  b.instances = 3;
+  b.alpha = 3.25;
+  b.symmetric_shadowing = false;
+  b.beta = 1.5;
+  b.noise = 0.02;
+  b.zeta = -1.0;
+  b.seed = 18446744073709551557ULL;
+  b.hotspots = 7;
+  b.cluster_sigma = 0.75;
+  b.corridor_width = 3.5;
+  b.kernel_mode = engine::KernelMode::kFarField;
+  b.farfield_epsilon = 0.0;
+  b.dynamics.lambda = 0.3;
+  b.dynamics.scheduler = dynamics::Scheduler::kRandomAccess;
+  b.dynamics.queue_slots = 123;
+  b.dynamics.regret_learning_rate = 0.2;
+  b.dynamics.regret_penalty = 0.5;
+  b.dynamics.regret_rounds = 77;
+  every.axes = {{"farfield_epsilon", {0.0, 1e-3}},
+                {"lambda", {0.1, 1.0 / 3.0}}};
+  every.tasks = {engine::TaskKind::kQueue};
+  EXPECT_EQ(SweepSpecHash(every), "3ea5b11c521e9185");
 }
 
 // Halt mid-sweep (the simulated kill), then resume at different thread

@@ -18,6 +18,7 @@
 #include "obs/bench_harness.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
+#include "sweep/checkpoint.h"
 #include "sweep/sweep_report.h"
 #include "sweep/sweep_runner.h"
 
@@ -76,7 +77,7 @@ TEST(SweepSpecTest, OutOfRangeAxisValuesRejectedAsStatus) {
 
   status = ApplyAxisValue(spec, "regret_penalty", -1.0);
   EXPECT_EQ(status.code(), core::StatusCode::kInvalidArgument);
-  EXPECT_NE(status.message().find(">= 0"), std::string::npos);
+  EXPECT_NE(status.message().find("non-negative"), std::string::npos);
 
   status = ApplyAxisValue(spec, "links", 2.5);
   EXPECT_EQ(status.code(), core::StatusCode::kInvalidArgument);
@@ -92,6 +93,9 @@ TEST(SweepSpecTest, OutOfRangeAxisValuesRejectedAsStatus) {
       EXPECT_EQ(status.message().rfind(field, 0), 0u) << status.message();
     }
   }
+  // 2 * links must stay an int (BuildGeometry's node count).
+  status = ApplyAxisValue(spec, "links", 1073741824.0);
+  EXPECT_EQ(status.message(), "links must be in [1, 1073741823]");
   EXPECT_EQ(spec.links, before.links);
   EXPECT_EQ(spec.instances, before.instances);
 
@@ -100,6 +104,12 @@ TEST(SweepSpecTest, OutOfRangeAxisValuesRejectedAsStatus) {
   // The diagnostic lists the sweepable fields, so a CLI typo self-explains.
   EXPECT_NE(status.message().find("links"), std::string::npos);
   EXPECT_NE(status.message().find("regret_penalty"), std::string::npos);
+}
+
+// TinySweep's checkpoint identity, as the hand-listed hash the field table
+// replaced computed it (CheckpointTest.SpecHashIsPinned pins the rest).
+TEST(SweepSpecTest, TinySweepHashIsPinned) {
+  EXPECT_EQ(SweepSpecHash(TinySweep()), "ed92c0f5510f8726");
 }
 
 TEST(SweepSpecTest, ValidateSweepSpecCatchesBadAxesAndBase) {

@@ -10,20 +10,20 @@
 //                  [--halt-after N] [--fail-cell I] [--fail-attempts K]
 //                  [--csv] [--json] [--trace FILE] [--metrics FILE]
 //
-// Without --sweep, every builtin sweep runs.  --instances overrides the
-// per-cell batch size, --alpha / --beta the base spec's decay exponent
-// and SINR threshold, and --lambda (in [0, 1]) / --scheduler (lqf | greedy
-// | random) the dynamics knobs the queue task consumes (strict parses via
-// tool_args.h: garbage, empty or non-finite values -- and unknown scheduler
-// names -- are usage errors); --threads sizes the per-cell worker
-// pool (>= 1); --no-arena disables cross-instance kernel-arena reuse and
-// --no-geometry-cache disables cross-cell geometry reuse (both for A/B
+// Without --sweep, every builtin sweep runs.  --instances / --alpha /
+// --beta / --lambda / --scheduler override the base spec's fields through
+// the engine's field table (engine::ScenarioFields(): parsed by the field's
+// type, range-checked with the library's message); overriding a field the
+// sweep sweeps as an axis is a usage error.  --threads sizes the per-cell
+// worker pool (>= 1); --no-arena disables cross-instance kernel-arena reuse
+// and --no-geometry-cache disables cross-cell geometry reuse (both for A/B
 // timing; results are bit-identical either way);
 // --geometry-generations G deepens the geometry cache's LRU to G key
 // generations (default 1; engine::GeometryCache), which turns interleaved
 // geometry keys into warm hits without changing any result.  --csv writes
 // SWEEP_<name>.csv per sweep (io/csv table format, one row per cell);
-// --json writes BENCH_SWEEP.json over all cells (engine report format).
+// --json writes BENCH_SWEEP.json over all cells (a BENCH schema v2 record
+// via obs::BenchHarness, the engine report format).
 //
 // Robustness flags (docs/robustness.md):
 //  * --axis FIELD=V1,V2,... appends an axis to every selected sweep; an
@@ -50,6 +50,7 @@
 // geometry cache, pairing, obs and kernel tier; fault isolation, retry,
 // halt-then-resume) are gated by tests/sweep_test.cc,
 // tests/fault_tolerance_test.cc and tests/farfield_test.cc.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -57,7 +58,6 @@
 #include <vector>
 
 #include "core/status.h"
-#include "dynamics/queue_system.h"
 #include "obs_output.h"
 #include "sweep/sweep.h"
 #include "sweep/sweep_report.h"
@@ -84,6 +84,10 @@ int Usage(const char* argv0) {
   return 2;
 }
 
+// The base-spec fields with a flag of their own (--instances K, ...).
+constexpr const char* kFieldFlags[] = {"instances", "alpha", "beta", "lambda",
+                                       "scheduler"};
+
 // Parses "FIELD=V1,V2,..." into an axis.  Field/value *semantics* are
 // checked later by ValidateSweepSpec; this only splits the syntax.
 bool ParseAxisFlag(const char* text, sweep::SweepAxis* out) {
@@ -102,7 +106,7 @@ bool ParseAxisFlag(const char* text, sweep::SweepAxis* out) {
     if (comma == std::string::npos) comma = arg.size();
     const std::string token = arg.substr(start, comma - start);
     double value = 0.0;
-    if (!tools::ParseDouble(token.c_str(), -1e300, 1e300, &value)) {
+    if (!core::ParseDouble(token.c_str(), -1e300, 1e300, &value)) {
       std::fprintf(stderr, "--axis: unparseable value '%s' in '%s'\n",
                    token.c_str(), arg.c_str());
       return false;
@@ -113,27 +117,9 @@ bool ParseAxisFlag(const char* text, sweep::SweepAxis* out) {
   return true;
 }
 
-// Clean-CLI-error wrapper: validation failures list the sweepable fields
-// so a typo'd --axis is self-diagnosing.
-bool ValidateOrComplain(const sweep::SweepSpec& spec) {
-  const core::Status status = sweep::ValidateSweepSpec(spec);
-  if (status.ok()) return true;
-  std::fprintf(stderr, "sweep '%s': %s\n", spec.name.c_str(),
-               status.message().c_str());
-  std::fprintf(stderr, "sweepable fields:");
-  for (const std::string& field : sweep::SweepableFields()) {
-    std::fprintf(stderr, " %s", field.c_str());
-  }
-  std::fprintf(stderr, "\n");
-  return false;
-}
-
 int ListSweeps() {
-  std::printf("sweepable fields:");
-  for (const std::string& field : sweep::SweepableFields()) {
-    std::printf(" %s", field.c_str());
-  }
-  std::printf("\n\nbuiltin sweeps:\n");
+  tools::PrintFields(stdout, "sweepable fields", engine::kAxis);
+  std::printf("\nbuiltin sweeps:\n");
   for (const sweep::SweepSpec& spec : sweep::BuiltinSweeps()) {
     std::printf("  %-20s base=%s cells=%lld axes:", spec.name.c_str(),
                 spec.base.topology.c_str(), sweep::GridSize(spec));
@@ -155,12 +141,8 @@ int main(int argc, char** argv) {
   bool no_geometry_cache = false;
   int geometry_generations = 0;  // 0 = keep SweepConfig's default (1)
   std::string sweep_name;
-  int instances = 0;   // 0 = keep each sweep's value
-  int threads = 0;     // 0 = hardware concurrency (explicit values >= 1)
-  double alpha = 0.0;  // 0 = keep each sweep's base value (explicit > 0)
-  double beta = 0.0;   // 0 = keep each sweep's base value (explicit > 0)
-  double lambda = -1.0;  // < 0 = keep each sweep's base value
-  int scheduler = -1;    // < 0 = keep; else index into SchedulerNames()
+  int threads = 0;  // 0 = hardware concurrency (explicit values >= 1)
+  std::vector<tools::FieldBinding> bindings;  // base-spec field flags
   std::vector<sweep::SweepAxis> extra_axes;
   std::string checkpoint_path;
   bool resume = false;
@@ -200,30 +182,11 @@ int main(int argc, char** argv) {
     } else if (tools::MatchStringFlag("--metrics", argc, argv, &i,
                                       &metrics_path, &flag_ok)) {
       if (!flag_ok) return Usage(argv[0]);
-    } else if (std::strcmp(arg, "--instances") == 0 && i + 1 < argc) {
-      if (!tools::ParseIntFlag("--instances", argv[++i], 1, 1 << 20,
-                               &instances)) {
-        return Usage(argv[0]);
-      }
+    } else if (tools::MatchFieldFlag(kFieldFlags, argc, argv, &i,
+                                     &bindings)) {
+      continue;  // bound into each selected sweep's base spec below
     } else if (std::strcmp(arg, "--threads") == 0 && i + 1 < argc) {
       if (!tools::ParseIntFlag("--threads", argv[++i], 1, 1 << 16, &threads)) {
-        return Usage(argv[0]);
-      }
-    } else if (std::strcmp(arg, "--alpha") == 0 && i + 1 < argc) {
-      if (!tools::ParseDoubleFlag("--alpha", argv[++i], 1e-3, 64.0, &alpha)) {
-        return Usage(argv[0]);
-      }
-    } else if (std::strcmp(arg, "--beta") == 0 && i + 1 < argc) {
-      if (!tools::ParseDoubleFlag("--beta", argv[++i], 1e-6, 1e6, &beta)) {
-        return Usage(argv[0]);
-      }
-    } else if (std::strcmp(arg, "--lambda") == 0 && i + 1 < argc) {
-      if (!tools::ParseDoubleFlag("--lambda", argv[++i], 0.0, 1.0, &lambda)) {
-        return Usage(argv[0]);
-      }
-    } else if (std::strcmp(arg, "--scheduler") == 0 && i + 1 < argc) {
-      if (!tools::ParseChoiceFlag("--scheduler", argv[++i],
-                                  dynamics::SchedulerNames(), &scheduler)) {
         return Usage(argv[0]);
       }
     } else if (std::strcmp(arg, "--axis") == 0 && i + 1 < argc) {
@@ -280,49 +243,44 @@ int main(int argc, char** argv) {
     sweeps = sweep::BuiltinSweeps();
   }
   for (sweep::SweepSpec& spec : sweeps) {
-    if (instances > 0) spec.base.instances = instances;
-    // Base overrides for swept fields would be silently erased by the axis
+    const auto sweeps = [&spec](const std::string& field) {
+      return std::ranges::any_of(spec.axes, [&](const sweep::SweepAxis& axis) {
+        return axis.field == field;
+      });
+    };
+    for (const sweep::SweepAxis& extra : extra_axes) {
+      if (sweeps(extra.field)) {
+        std::fprintf(stderr,
+                     "--axis %s: sweep '%s' already sweeps that field\n",
+                     extra.field.c_str(), spec.name.c_str());
+        return 2;
+      }
+      spec.axes.push_back(extra);
+    }
+    // A base override of a swept field would be silently erased by the axis
     // values in every cell; per this tool's flag policy that is a usage
     // error, not something to drop.
-    const struct {
-      const char* flag;
-      bool overridden;
-    } base_overrides[] = {{"alpha", alpha > 0.0},
-                          {"beta", beta > 0.0},
-                          {"lambda", lambda >= 0.0}};
-    for (const auto& [flag, overridden] : base_overrides) {
-      if (!overridden) continue;
-      for (const sweep::SweepAxis& axis : spec.axes) {
-        if (axis.field == flag) {
-          std::fprintf(stderr,
-                       "--%s: sweep '%s' sweeps %s as an axis; the base "
-                       "override would have no effect\n",
-                       flag, spec.name.c_str(), flag);
-          return 2;
-        }
+    for (const tools::FieldBinding& binding : bindings) {
+      if (sweeps(binding.field)) {
+        std::fprintf(stderr,
+                     "--%s: sweep '%s' sweeps %s as an axis; the base "
+                     "override would have no effect\n",
+                     binding.field.c_str(), spec.name.c_str(),
+                     binding.field.c_str());
+        return 2;
       }
+      if (!tools::BindField(spec.base, binding)) return 2;
     }
-    if (alpha > 0.0) spec.base.alpha = alpha;
-    if (beta > 0.0) spec.base.beta = beta;
-    if (lambda >= 0.0) spec.base.dynamics.lambda = lambda;
-    if (scheduler >= 0) {
-      spec.base.dynamics.scheduler =
-          static_cast<dynamics::Scheduler>(scheduler);
-    }
-    for (const sweep::SweepAxis& axis : spec.axes) {
-      for (const sweep::SweepAxis& extra : extra_axes) {
-        if (axis.field == extra.field) {
-          std::fprintf(stderr,
-                       "--axis %s: sweep '%s' already sweeps that field\n",
-                       extra.field.c_str(), spec.name.c_str());
-          return 2;
-        }
-      }
-    }
-    spec.axes.insert(spec.axes.end(), extra_axes.begin(), extra_axes.end());
     // Unknown fields / out-of-range values become a clean exit here (the
-    // runner would reject them too, but via an exception).
-    if (!ValidateOrComplain(spec)) return 2;
+    // runner would reject them too, but via an exception), listing the
+    // sweepable fields so a typo'd --axis is self-diagnosing.
+    if (const core::Status status = sweep::ValidateSweepSpec(spec);
+        !status.ok()) {
+      std::fprintf(stderr, "sweep '%s': %s\n", spec.name.c_str(),
+                   status.message().c_str());
+      tools::PrintFields(stderr, "sweepable fields", engine::kAxis);
+      return 2;
+    }
   }
   if (!checkpoint_path.empty() && sweeps.size() > 1) {
     std::fprintf(stderr,

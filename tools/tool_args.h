@@ -1,44 +1,26 @@
-// Strict numeric flag parsing shared by the CLI tools (scenario_runner,
-// sweep_runner).
-//
-// The tools originally used std::atoi, which silently maps garbage and
-// out-of-range text to 0 -- so "--threads x" or "--threads -2" fell through
-// the <= 0 default and quietly became "hardware concurrency".  These
-// helpers reject anything that is not a whole base-10 integer (ParseInt)
-// or a finite decimal number (ParseDouble) inside the caller's range, and
-// print a diagnostic naming the flag.  "--alpha x", "--alpha ''" and
-// "--alpha nan" are usage errors, not silent zeros.
+// Flag parsing shared by the CLI tools and benches: strict numeric flags
+// (core/parse.h: "--threads x", "--threads -2" or "--rel nan" are usage
+// errors naming the flag, never a silent default), string flags, and
+// spec-field flags bound through the engine's field table
+// (engine::ScenarioFields()).
 #pragma once
 
-#include <cerrno>
-#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <span>
 #include <string>
+#include <vector>
+
+#include "core/parse.h"
+#include "engine/scenario.h"
 
 namespace decaylib::tools {
-
-// Parses a whole base-10 integer in [min_value, max_value]; rejects empty
-// text, trailing junk, and overflow.
-inline bool ParseInt(const char* text, long long min_value,
-                     long long max_value, long long* out) {
-  if (text == nullptr || *text == '\0') return false;
-  errno = 0;
-  char* end = nullptr;
-  const long long value = std::strtoll(text, &end, 10);
-  if (errno != 0 || end == text || *end != '\0') return false;
-  if (value < min_value || value > max_value) return false;
-  *out = value;
-  return true;
-}
 
 // Parses the value of an int flag, printing a diagnostic on failure.
 inline bool ParseIntFlag(const char* flag, const char* text,
                          long long min_value, long long max_value, int* out) {
   long long value = 0;
-  if (!ParseInt(text, min_value, max_value, &value)) {
+  if (!core::ParseInt(text, min_value, max_value, &value)) {
     std::fprintf(stderr, "%s: expected an integer in [%lld, %lld], got '%s'\n",
                  flag, min_value, max_value, text == nullptr ? "" : text);
     return false;
@@ -47,51 +29,17 @@ inline bool ParseIntFlag(const char* flag, const char* text,
   return true;
 }
 
-// Parses a finite decimal double in [min_value, max_value]; rejects empty
-// text, trailing junk, overflow, and NaN/inf (the range comparison is
-// written so NaN fails it).
-inline bool ParseDouble(const char* text, double min_value, double max_value,
-                        double* out) {
-  if (text == nullptr || *text == '\0') return false;
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  if (errno != 0 || end == text || *end != '\0') return false;
-  if (!(value >= min_value && value <= max_value)) return false;
-  *out = value;
-  return true;
-}
-
 // Parses the value of a double flag, printing a diagnostic on failure.
 inline bool ParseDoubleFlag(const char* flag, const char* text,
                             double min_value, double max_value, double* out) {
   double value = 0.0;
-  if (!ParseDouble(text, min_value, max_value, &value)) {
+  if (!core::ParseDouble(text, min_value, max_value, &value)) {
     std::fprintf(stderr, "%s: expected a number in [%g, %g], got '%s'\n",
                  flag, min_value, max_value, text == nullptr ? "" : text);
     return false;
   }
   *out = value;
   return true;
-}
-
-// Parses the value of a fixed-choice string flag (e.g. a scheduler name),
-// writing the matched index into `out` and printing a diagnostic that lists
-// the valid choices on failure.
-inline bool ParseChoiceFlag(const char* flag, const char* text,
-                            std::span<const char* const> choices, int* out) {
-  if (text != nullptr) {
-    for (std::size_t i = 0; i < choices.size(); ++i) {
-      if (std::strcmp(text, choices[i]) == 0) {
-        *out = static_cast<int>(i);
-        return true;
-      }
-    }
-  }
-  std::fprintf(stderr, "%s: expected one of", flag);
-  for (const char* choice : choices) std::fprintf(stderr, " %s", choice);
-  std::fprintf(stderr, ", got '%s'\n", text == nullptr ? "" : text);
-  return false;
 }
 
 // Matches a string-valued flag at argv[*index] in either of its two
@@ -128,17 +76,52 @@ inline bool MatchStringFlag(const char* flag, int argc, char* const* argv,
   return true;
 }
 
-// Non-negative 64-bit flag (seeds).
-inline bool ParseSeedFlag(const char* flag, const char* text,
-                          std::uint64_t* out) {
-  long long value = 0;
-  if (!ParseInt(text, 0, INT64_MAX, &value)) {
-    std::fprintf(stderr, "%s: expected a non-negative integer, got '%s'\n",
-                 flag, text == nullptr ? "" : text);
-    return false;
+// One spec-field binding from the command line: a tool's own --FIELD VALUE
+// flag (role kFlag) or scenario_runner's --set FIELD=VALUE (role kSet).
+struct FieldBinding {
+  engine::FieldRole role;
+  std::string field;
+  std::string text;
+};
+
+// On "--FIELD VALUE" for one of the tool's own field flags, records the
+// binding, moves *index past the value and returns true.
+inline bool MatchFieldFlag(std::span<const char* const> fields, int argc,
+                           char* const* argv, int* index,
+                           std::vector<FieldBinding>* out) {
+  for (const char* field : fields) {
+    if (*index + 1 < argc && argv[*index] == "--" + std::string(field)) {
+      out->push_back({engine::kFlag, field, argv[++*index]});
+      return true;
+    }
   }
-  *out = static_cast<std::uint64_t>(value);
-  return true;
+  return false;
+}
+
+// Writes a binding through its row of the field table; on error prints the
+// row's message after the flag as typed, leaving the spec untouched.
+inline bool BindField(engine::ScenarioSpec& spec, const FieldBinding& binding) {
+  const engine::ScenarioField* field = engine::FindScenarioField(binding.field);
+  const core::Status status =
+      field == nullptr || !field->Has(binding.role)
+          ? core::Status::InvalidArgument("not a settable field")
+          : engine::WriteFieldText(spec, *field, binding.text);
+  if (status.ok()) return true;
+  std::fprintf(stderr, binding.role == engine::kSet ? "--set %s=%s: %s\n"
+                                                    : "--%s %s: %s\n",
+               binding.field.c_str(), binding.text.c_str(),
+               status.message().c_str());
+  return false;
+}
+
+// Prints "<label>: NAME NAME ..." over the field table's rows with `role`.
+inline void PrintFields(std::FILE* out, const char* label,
+                        engine::FieldRole role) {
+  std::fprintf(out, "%s:", label);
+  for (const engine::ScenarioField& field : engine::ScenarioFields()) {
+    if (field.Has(role)) std::fprintf(out, " %s", field.name);
+  }
+  std::fprintf(out, "\n");
 }
 
 }  // namespace decaylib::tools
