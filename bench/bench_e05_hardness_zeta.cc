@@ -23,6 +23,7 @@ int main() {
   bench::Banner("E5", "Theorem 3: capacity == MIS on the decay construction",
                 "2^{zeta(1-o(1))}-inapproximability via MAX-IS, even with "
                 "power control");
+  bool all_match = true;
 
   {
     std::printf("\n(a) Exact correspondence on G(n, 1/2) (exact solvers)\n\n");
@@ -43,6 +44,7 @@ int main() {
                           : cap;  // power-control solver is the slow one
       const double zeta = core::Metricity(instance.space);
       const bool match = cap.size() == mis.size() && pc.size() == mis.size();
+      all_match = all_match && match;
       table.AddRow({bench::FmtInt(n), bench::Fmt(zeta),
                     bench::Fmt(std::log2(2.0 * n)),
                     bench::FmtInt(static_cast<long long>(mis.size())),
@@ -89,5 +91,6 @@ int main() {
       "\nExpected shape: capacity equals MIS on every instance (both power "
       "regimes); zeta\ntracks lg(2n); worst-case gaps grow with n -- "
       "the hardness is structural, not an\nartefact of the solver.\n");
-  return 0;
+  // The exact solvers disagreeing with MIS is a defect, not a result.
+  return all_match ? 0 : 1;
 }

@@ -26,7 +26,6 @@
 // DL_CHECK instrumentation slows the naive path far beyond its honest cost.
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "bench_util.h"
@@ -39,6 +38,7 @@
 #include "sinr/kernel.h"
 #include "sinr/power.h"
 #include "spaces/samplers.h"
+#include "tool_args.h"
 
 using namespace decaylib;
 
@@ -60,14 +60,24 @@ bool SameMetricity(const core::MetricityResult& a,
 int main(int argc, char** argv) {
   int n_links = 512;
   int n_metricity = 512;
-  for (int i = 1; i < argc - 1; ++i) {
-    if (std::strcmp(argv[i], "--n") == 0) n_links = std::atoi(argv[i + 1]);
-    if (std::strcmp(argv[i], "--metricity-n") == 0) {
-      n_metricity = std::atoi(argv[i + 1]);
+  bool parse_ok = true;
+  for (int i = 1; i < argc && parse_ok; ++i) {
+    if (std::strcmp(argv[i], "--n") == 0 && i + 1 < argc) {
+      parse_ok = tools::ParseIntFlag("--n", argv[++i], 2, 1 << 16, &n_links);
+    } else if (std::strcmp(argv[i], "--metricity-n") == 0 && i + 1 < argc) {
+      parse_ok = tools::ParseIntFlag("--metricity-n", argv[++i], 3, 1 << 16,
+                                     &n_metricity);
+    } else {
+      bool harness_flag_value = false;
+      if (obs::BenchHarness::IsHarnessFlag(argv[i], &harness_flag_value)) {
+        if (harness_flag_value) ++i;  // the harness validates the value
+      } else {
+        parse_ok = false;
+      }
     }
   }
   obs::BenchHarness report("E18", argc, argv);
-  if (n_links < 2 || n_metricity < 3 || !report.args_ok()) {
+  if (!parse_ok || !report.args_ok()) {
     std::fprintf(stderr,
                  "usage: %s [--n <links >= 2>] [--metricity-n <nodes >= 3>] "
                  "[--json] [--reps N] [--warmup N] [--min-time-ms T]\n",

@@ -20,7 +20,6 @@
 // Run in a Release build; the Assert build's DL_CHECK instrumentation
 // dominates the kernel builds.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -30,6 +29,7 @@
 #include "engine/report.h"
 #include "engine/scenario.h"
 #include "obs/bench_harness.h"
+#include "tool_args.h"
 
 using namespace decaylib;
 
@@ -37,28 +37,31 @@ int main(int argc, char** argv) {
   int links = 96;
   int instances = 6;
   int threads = 0;
-  for (int i = 1; i < argc; ++i) {
-    bool harness_flag_value = false;
+  bool parse_ok = true;
+  for (int i = 1; i < argc && parse_ok; ++i) {
     if (std::strcmp(argv[i], "--links") == 0 && i + 1 < argc) {
-      links = std::atoi(argv[++i]);
+      parse_ok = tools::ParseIntFlag("--links", argv[++i], 2, 1 << 16, &links);
     } else if (std::strcmp(argv[i], "--instances") == 0 && i + 1 < argc) {
-      instances = std::atoi(argv[++i]);
+      parse_ok = tools::ParseIntFlag("--instances", argv[++i], 1, 1 << 20,
+                                     &instances);
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
-    } else if (obs::BenchHarness::IsHarnessFlag(argv[i],
-                                                &harness_flag_value)) {
-      if (harness_flag_value) ++i;  // the harness validates the value
+      parse_ok =
+          tools::ParseIntFlag("--threads", argv[++i], 1, 1 << 16, &threads);
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--links N] [--instances K] [--threads T] "
-                   "[--json] [--reps N] [--warmup N] [--min-time-ms T]\n",
-                   argv[0]);
-      return 2;
+      bool harness_flag_value = false;
+      if (obs::BenchHarness::IsHarnessFlag(argv[i], &harness_flag_value)) {
+        if (harness_flag_value) ++i;  // the harness validates the value
+      } else {
+        parse_ok = false;
+      }
     }
   }
   obs::BenchHarness report("E19", argc, argv);
-  if (links < 2 || instances < 1 || !report.args_ok()) {
-    std::fprintf(stderr, "need --links >= 2 and --instances >= 1\n");
+  if (!parse_ok || !report.args_ok()) {
+    std::fprintf(stderr,
+                 "usage: %s [--links N] [--instances K] [--threads T] "
+                 "[--json] [--reps N] [--warmup N] [--min-time-ms T]\n",
+                 argv[0]);
     return 2;
   }
 

@@ -36,6 +36,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <span>
 #include <string>
@@ -51,6 +52,7 @@
 #include "sinr/farfield.h"
 #include "sinr/kernel.h"
 #include "sinr/power.h"
+#include "tool_args.h"
 
 using namespace decaylib;
 
@@ -119,19 +121,30 @@ int main(int argc, char** argv) {
   int n_large = 4096;
   int n_xl = 16384;
   double epsilon = 1e-3;
-  for (int i = 1; i < argc - 1; ++i) {
-    if (std::strcmp(argv[i], "--n") == 0) n_small = std::atoi(argv[i + 1]);
-    if (std::strcmp(argv[i], "--n-large") == 0) {
-      n_large = std::atoi(argv[i + 1]);
-    }
-    if (std::strcmp(argv[i], "--n-xl") == 0) n_xl = std::atoi(argv[i + 1]);
-    if (std::strcmp(argv[i], "--epsilon") == 0) {
-      epsilon = std::atof(argv[i + 1]);
+  bool parse_ok = true;
+  for (int i = 1; i < argc && parse_ok; ++i) {
+    if (std::strcmp(argv[i], "--n") == 0 && i + 1 < argc) {
+      parse_ok = tools::ParseIntFlag("--n", argv[++i], 2, 1 << 20, &n_small);
+    } else if (std::strcmp(argv[i], "--n-large") == 0 && i + 1 < argc) {
+      parse_ok =
+          tools::ParseIntFlag("--n-large", argv[++i], 2, 1 << 20, &n_large);
+    } else if (std::strcmp(argv[i], "--n-xl") == 0 && i + 1 < argc) {
+      parse_ok = tools::ParseIntFlag("--n-xl", argv[++i], 2, 1 << 20, &n_xl);
+    } else if (std::strcmp(argv[i], "--epsilon") == 0 && i + 1 < argc) {
+      parse_ok = tools::ParseDoubleFlag("--epsilon", argv[++i], 0.0,
+                                        std::numeric_limits<double>::max(),
+                                        &epsilon);
+    } else {
+      bool harness_flag_value = false;
+      if (obs::BenchHarness::IsHarnessFlag(argv[i], &harness_flag_value)) {
+        if (harness_flag_value) ++i;  // the harness validates the value
+      } else {
+        parse_ok = false;
+      }
     }
   }
   obs::BenchHarness report("E22", argc, argv);
-  if (n_small < 2 || n_large < 2 || n_xl < 2 ||
-      !(epsilon >= 0.0 && std::isfinite(epsilon)) || !report.args_ok()) {
+  if (!parse_ok || !report.args_ok()) {
     std::fprintf(stderr,
                  "usage: %s [--n <links >= 2>] [--n-large <links >= 2>] "
                  "[--n-xl <links >= 2>] [--epsilon <eps >= 0>] [--json] "

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/branch_and_bound.h"
 #include "sinr/kernel.h"
 #include "sinr/power.h"
 #include "sinr/power_control.h"
@@ -10,40 +11,35 @@ namespace decaylib::capacity {
 
 namespace {
 
-// Branch and bound for maximum feasible subset with a monotone (hereditary)
-// feasibility oracle supplied as a callable on the current set.
-template <typename FeasibleFn>
-class Solver {
- public:
-  Solver(std::vector<int> universe, FeasibleFn feasible)
-      : universe_(std::move(universe)), feasible_(std::move(feasible)) {}
-
-  std::vector<int> Solve() {
-    std::vector<int> current;
-    Recurse(0, current);
-    std::sort(best_.begin(), best_.end());
-    return best_;
-  }
-
- private:
-  void Recurse(std::size_t index, std::vector<int>& current) {
-    if (current.size() + (universe_.size() - index) <= best_.size()) return;
-    if (index == universe_.size()) {
-      if (current.size() > best_.size()) best_ = current;
-      return;
+// Largest subset of `universe` (searched in its order) whose pairs pass
+// `compatible` and whose every inclusion prefix passes `feasible` (a
+// predicate on link ids); sorted link ids.
+template <typename CompatibleFn, typename FeasibleFn>
+std::vector<int> LargestFeasible(std::span<const int> universe,
+                                 CompatibleFn compatible, FeasibleFn feasible) {
+  struct Problem {
+    std::span<const int> universe;
+    CompatibleFn compatible;
+    FeasibleFn feasible;
+    mutable std::vector<int> links;  // the chosen set as link ids
+    double Weight(int) const { return 1.0; }
+    std::size_t Pivot(std::span<const int>) const { return 0; }
+    bool Compatible(int i, int j) const { return compatible(i, j); }
+    bool Admits(std::span<const int> chosen) const {
+      links.clear();
+      for (int i : chosen) {
+        links.push_back(universe[static_cast<std::size_t>(i)]);
+      }
+      return feasible(links);
     }
-    // Include universe_[index] if the set stays feasible.
-    current.push_back(universe_[index]);
-    if (feasible_(current)) Recurse(index + 1, current);
-    current.pop_back();
-    // Exclude.
-    Recurse(index + 1, current);
-  }
-
-  std::vector<int> universe_;
-  FeasibleFn feasible_;
-  std::vector<int> best_;
-};
+  };
+  const Problem problem{universe, compatible, feasible, {}};
+  std::vector<int> best =
+      core::MaxWeightSubset(problem, static_cast<int>(universe.size())).members;
+  for (int& i : best) i = universe[static_cast<std::size_t>(i)];
+  std::sort(best.begin(), best.end());
+  return best;
+}
 
 }  // namespace
 
@@ -58,10 +54,9 @@ std::vector<int> ExactCapacity(const sinr::LinkSystem& system,
   for (int v : candidates) {
     if (kernel.CanOvercomeNoise(v)) universe.push_back(v);
   }
-  auto feasible = [&](const std::vector<int>& S) {
-    return kernel.IsFeasible(S);
-  };
-  return Solver(std::move(universe), feasible).Solve();
+  return LargestFeasible(
+      universe, [](int, int) { return true; },
+      [&](std::span<const int> S) { return kernel.IsFeasible(S); });
 }
 
 std::vector<int> ExactCapacityUniform(const sinr::LinkSystem& system) {
@@ -71,35 +66,19 @@ std::vector<int> ExactCapacityUniform(const sinr::LinkSystem& system) {
 
 std::vector<int> ExactCapacityPowerControl(const sinr::LinkSystem& system,
                                            std::span<const int> candidates) {
-  std::vector<int> universe(candidates.begin(), candidates.end());
-  // Precompute pairwise obstructions: pairs that no power assignment can
-  // serve together.  They turn most infeasible branches into O(1) rejections
-  // before the iterative oracle runs.
-  const int n = system.NumLinks();
-  std::vector<std::vector<char>> blocked(
-      static_cast<std::size_t>(n), std::vector<char>(static_cast<std::size_t>(n), 0));
+  // Pairs that no power assignment can serve together are dropped from the
+  // search before the iterative oracle ever sees them.
   const double beta2 = system.config().beta * system.config().beta;
-  for (std::size_t i = 0; i < universe.size(); ++i) {
-    for (std::size_t j = i + 1; j < universe.size(); ++j) {
-      const int v = universe[i];
-      const int w = universe[j];
-      if (sinr::PairwiseAffectanceProduct(system, v, w) > beta2) {
-        blocked[static_cast<std::size_t>(v)][static_cast<std::size_t>(w)] = 1;
-        blocked[static_cast<std::size_t>(w)][static_cast<std::size_t>(v)] = 1;
-      }
-    }
-  }
-  auto feasible = [&](const std::vector<int>& S) {
-    const int last = S.back();
-    for (int v : S) {
-      if (v != last && blocked[static_cast<std::size_t>(v)]
-                              [static_cast<std::size_t>(last)]) {
-        return false;
-      }
-    }
-    return sinr::FeasibleWithPowerControl(system, S).feasible;
-  };
-  return Solver(std::move(universe), feasible).Solve();
+  return LargestFeasible(
+      candidates,
+      [&](int i, int j) {
+        const int v = candidates[static_cast<std::size_t>(std::min(i, j))];
+        const int w = candidates[static_cast<std::size_t>(std::max(i, j))];
+        return !(sinr::PairwiseAffectanceProduct(system, v, w) > beta2);
+      },
+      [&](std::span<const int> S) {
+        return sinr::FeasibleWithPowerControl(system, S).feasible;
+      });
 }
 
 }  // namespace decaylib::capacity

@@ -1,11 +1,12 @@
-// Exact CAPACITY: maximum-cardinality feasible subsets by branch and bound.
+// Exact CAPACITY: maximum-cardinality feasible subsets, searched by
+// core::MaxWeightSubset (core/branch_and_bound.h) with unit weights.
 //
 // Feasibility is hereditary (dropping a link only lowers every in-
-// affectance), so include/exclude branching with a cardinality bound is
-// sound.  Two oracles:
-//   * fixed power assignment (e.g. uniform) -- cheap incremental affectance;
-//   * arbitrary power control -- each candidate set checked with the
-//     Foschini-Miljanic oracle; pairwise obstructions prune most branches.
+// affectance), so it is the search's Admits oracle.  Two oracles:
+//   * fixed power assignment (e.g. uniform) -- the cached kernel's
+//     IsFeasible;
+//   * arbitrary power control -- the Foschini-Miljanic oracle, with pairwise
+//     obstructions as the Compatible filter so most branches never reach it.
 // Both are exponential in the worst case; intended for ground truth on
 // n <= ~24 (fixed power) / ~16 (power control).
 #pragma once

@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "capacity/algorithm1.h"
+#include "core/branch_and_bound.h"
 #include "core/check.h"
 #include "sinr/kernel.h"
 #include "sinr/power.h"
@@ -80,68 +81,51 @@ WeightedResult WeightedAlgorithm1(const sinr::KernelCache& kernel,
   return result;
 }
 
-namespace {
-
-class WeightedSolver {
- public:
-  WeightedSolver(const sinr::LinkSystem& system,
-                 std::span<const double> weights)
-      : kernel_(system, sinr::UniformPower(system)), weights_(weights) {
-    // Heavy-first order makes the remaining-weight bound effective.
-    order_.resize(static_cast<std::size_t>(system.NumLinks()));
-    std::iota(order_.begin(), order_.end(), 0);
-    std::stable_sort(order_.begin(), order_.end(), [&](int a, int b) {
-      return weights_[static_cast<std::size_t>(a)] >
-             weights_[static_cast<std::size_t>(b)];
-    });
-    suffix_weight_.assign(order_.size() + 1, 0.0);
-    for (std::size_t i = order_.size(); i > 0; --i) {
-      suffix_weight_[i - 1] =
-          suffix_weight_[i] +
-          std::max(0.0, weights_[static_cast<std::size_t>(order_[i - 1])]);
-    }
-  }
-
-  WeightedResult Solve() {
-    std::vector<int> current;
-    Recurse(0, current, 0.0);
-    std::sort(best_.selected.begin(), best_.selected.end());
-    return best_;
-  }
-
- private:
-  void Recurse(std::size_t index, std::vector<int>& current, double weight) {
-    if (weight + suffix_weight_[index] <= best_.weight) return;
-    if (index == order_.size()) {
-      if (weight > best_.weight) best_ = {current, weight};
-      return;
-    }
-    const int v = order_[index];
-    const double wv = weights_[static_cast<std::size_t>(v)];
-    if (wv > 0.0 && kernel_.CanOvercomeNoise(v)) {
-      current.push_back(v);
-      if (kernel_.IsFeasible(current)) {
-        Recurse(index + 1, current, weight + wv);
-      }
-      current.pop_back();
-    }
-    Recurse(index + 1, current, weight);
-  }
-
-  sinr::KernelCache kernel_;
-  std::span<const double> weights_;
-  std::vector<int> order_;
-  std::vector<double> suffix_weight_;
-  WeightedResult best_;
-};
-
-}  // namespace
-
 WeightedResult ExactWeightedCapacity(const sinr::LinkSystem& system,
                                      std::span<const double> weights) {
   DL_CHECK(static_cast<int>(weights.size()) == system.NumLinks(),
            "one weight per link");
-  return WeightedSolver(system, weights).Solve();
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+  // Heavy-first order makes the remaining-weight bound effective; links of
+  // no weight, or that cannot overcome noise alone, never join.
+  std::vector<int> universe(static_cast<std::size_t>(system.NumLinks()));
+  std::iota(universe.begin(), universe.end(), 0);
+  std::stable_sort(universe.begin(), universe.end(), [&](int a, int b) {
+    return weights[static_cast<std::size_t>(a)] >
+           weights[static_cast<std::size_t>(b)];
+  });
+  std::erase_if(universe, [&](int v) {
+    return !(weights[static_cast<std::size_t>(v)] > 0.0) ||
+           !kernel.CanOvercomeNoise(v);
+  });
+  struct Problem {
+    const sinr::KernelCache& kernel;
+    std::span<const double> weights;
+    std::span<const int> universe;
+    mutable std::vector<int> links;  // the chosen set as link ids
+    double Weight(int i) const {
+      return weights[static_cast<std::size_t>(
+          universe[static_cast<std::size_t>(i)])];
+    }
+    std::size_t Pivot(std::span<const int>) const { return 0; }
+    bool Compatible(int, int) const { return true; }
+    bool Admits(std::span<const int> chosen) const {
+      links.clear();
+      for (int i : chosen) {
+        links.push_back(universe[static_cast<std::size_t>(i)]);
+      }
+      return kernel.IsFeasible(links);
+    }
+  };
+  const core::WeightedSubset best = core::MaxWeightSubset(
+      Problem{kernel, weights, universe, {}}, static_cast<int>(universe.size()));
+  WeightedResult result;
+  for (int i : best.members) {
+    result.selected.push_back(universe[static_cast<std::size_t>(i)]);
+  }
+  std::sort(result.selected.begin(), result.selected.end());
+  result.weight = best.weight;
+  return result;
 }
 
 }  // namespace decaylib::capacity

@@ -11,8 +11,9 @@
 //   * WeightedAlgorithm1  -- Algorithm 1's admission rule, scanning in
 //                            decreasing weight instead of increasing decay
 //                            within separation classes;
-//   * ExactWeightedCapacity -- branch and bound (hereditary feasibility with
-//                            a weight-sum bound).
+//   * ExactWeightedCapacity -- core::MaxWeightSubset (core/branch_and_bound.h)
+//                            over the links of positive weight, heaviest
+//                            first, with kernel feasibility as the oracle.
 //
 // WeightedGreedy and WeightedAlgorithm1 run on a prebuilt sinr::KernelCache
 // (uniform power for the guarantees above), so one kernel build serves every

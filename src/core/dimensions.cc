@@ -2,88 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
+#include "core/branch_and_bound.h"
 #include "core/check.h"
 
 namespace decaylib::core {
-
-namespace {
-
-// Exact maximum independent set in a conflict graph given as an adjacency
-// matrix (true = conflict), by branch and bound.  Returns indices into the
-// item universe 0..n-1.  Classic include/exclude branching on the
-// highest-degree remaining vertex with a cardinality bound.
-class MaxIndependentSetSolver {
- public:
-  explicit MaxIndependentSetSolver(std::vector<std::vector<bool>> conflict)
-      : conflict_(std::move(conflict)),
-        n_(static_cast<int>(conflict_.size())) {}
-
-  std::vector<int> Solve() {
-    std::vector<int> active(static_cast<std::size_t>(n_));
-    std::iota(active.begin(), active.end(), 0);
-    std::vector<int> current;
-    Recurse(active, current);
-    return best_;
-  }
-
- private:
-  void Recurse(std::vector<int>& active, std::vector<int>& current) {
-    if (current.size() + active.size() <= best_.size()) return;  // bound
-    if (active.empty()) {
-      best_ = current;
-      return;
-    }
-    // Branch on the vertex with the most conflicts among the active set.
-    int pivot_pos = 0;
-    int pivot_deg = -1;
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      int deg = 0;
-      for (int other : active) {
-        if (conflict_[static_cast<std::size_t>(active[i])]
-                     [static_cast<std::size_t>(other)]) {
-          ++deg;
-        }
-      }
-      if (deg > pivot_deg) {
-        pivot_deg = deg;
-        pivot_pos = static_cast<int>(i);
-      }
-    }
-    const int pivot = active[static_cast<std::size_t>(pivot_pos)];
-
-    // Include pivot: drop it and its conflicts.
-    std::vector<int> included;
-    included.reserve(active.size());
-    for (int v : active) {
-      if (v != pivot && !conflict_[static_cast<std::size_t>(pivot)]
-                                  [static_cast<std::size_t>(v)]) {
-        included.push_back(v);
-      }
-    }
-    current.push_back(pivot);
-    Recurse(included, current);
-    current.pop_back();
-
-    // Exclude pivot (only useful if it had conflicts; otherwise include is
-    // always at least as good).
-    if (pivot_deg > 0) {
-      std::vector<int> excluded;
-      excluded.reserve(active.size() - 1);
-      for (int v : active) {
-        if (v != pivot) excluded.push_back(v);
-      }
-      Recurse(excluded, current);
-    }
-  }
-
-  std::vector<std::vector<bool>> conflict_;
-  int n_;
-  std::vector<int> best_;
-};
-
-}  // namespace
 
 std::vector<int> Ball(const DecaySpace& space, int center, double t) {
   DL_CHECK(center >= 0 && center < space.size(), "center out of range");
@@ -107,30 +30,15 @@ bool IsPacking(const DecaySpace& space, std::span<const int> nodes, double t) {
   return true;
 }
 
-namespace {
-
-std::vector<std::vector<bool>> PackingConflicts(const DecaySpace& space,
-                                                std::span<const int> body,
-                                                double t) {
-  const auto k = body.size();
-  std::vector<std::vector<bool>> conflict(k, std::vector<bool>(k, false));
-  for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t j = i + 1; j < k; ++j) {
-      const bool ok = space(body[i], body[j]) > 2.0 * t &&
-                      space(body[j], body[i]) > 2.0 * t;
-      conflict[i][j] = conflict[j][i] = !ok;
-    }
-  }
-  return conflict;
-}
-
-}  // namespace
-
 int PackingNumberExact(const DecaySpace& space, std::span<const int> body,
                        double t) {
-  if (body.empty()) return 0;
-  MaxIndependentSetSolver solver(PackingConflicts(space, body, t));
-  return static_cast<int>(solver.Solve().size());
+  const auto packs = [&](int i, int j) {
+    const int a = body[static_cast<std::size_t>(i)];
+    const int b = body[static_cast<std::size_t>(j)];
+    return space(a, b) > 2.0 * t && space(b, a) > 2.0 * t;
+  };
+  return static_cast<int>(
+      LargestCompatibleSet(static_cast<int>(body.size()), packs).size());
 }
 
 std::vector<int> GreedyPacking(const DecaySpace& space,
@@ -238,20 +146,15 @@ std::vector<int> MaxIndependentWrt(const DecaySpace& space, int x) {
   for (int v = 0; v < n; ++v) {
     if (v != x) universe.push_back(v);
   }
-  const auto k = universe.size();
   // Pair {z, w} is compatible iff neither is strictly closer to the other
-  // than x is: f(w,z) >= f(z,x) and f(z,w) >= f(w,x).
-  std::vector<std::vector<bool>> conflict(k, std::vector<bool>(k, false));
-  for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t j = i + 1; j < k; ++j) {
-      const int z = universe[i];
-      const int w = universe[j];
-      const bool ok = space(w, z) > space(z, x) && space(z, w) > space(w, x);
-      conflict[i][j] = conflict[j][i] = !ok;
-    }
-  }
-  MaxIndependentSetSolver solver(std::move(conflict));
-  std::vector<int> picked = solver.Solve();
+  // than x is: f(w,z) > f(z,x) and f(z,w) > f(w,x).
+  const auto independent = [&](int i, int j) {
+    const int z = universe[static_cast<std::size_t>(i)];
+    const int w = universe[static_cast<std::size_t>(j)];
+    return space(w, z) > space(z, x) && space(z, w) > space(w, x);
+  };
+  std::vector<int> picked = LargestCompatibleSet(
+      static_cast<int>(universe.size()), independent);
   for (int& v : picked) v = universe[static_cast<std::size_t>(v)];
   std::sort(picked.begin(), picked.end());
   return picked;

@@ -18,8 +18,9 @@
 // every other node z has some guard y with f(z,y) <= f(z,x).
 //
 // Exact maximisation problems here (largest packing, largest independent set
-// w.r.t. a point) are solved by branch and bound on the induced conflict
-// graph; greedy variants provide lower-bound estimates for large inputs.
+// w.r.t. a point) are maximum independent sets of the induced conflict graph,
+// solved by core::LargestCompatibleSet (core/branch_and_bound.h); greedy
+// variants provide lower-bound estimates for large inputs.
 #pragma once
 
 #include <span>
@@ -38,7 +39,7 @@ std::vector<int> Ball(const DecaySpace& space, int center, double t);
 // asymmetric spaces; for symmetric spaces this is the paper's condition).
 bool IsPacking(const DecaySpace& space, std::span<const int> nodes, double t);
 
-// Size of the largest t-packing within `body`, exact branch and bound.
+// Size of the largest t-packing within `body`, exact.
 // Intended for |body| <= ~40.
 int PackingNumberExact(const DecaySpace& space, std::span<const int> body,
                        double t);
@@ -78,8 +79,8 @@ AssouadEstimate EstimateAssouadDimension(const DecaySpace& space,
 // more than 60 degrees).  Requires x not in I.
 bool IsIndependentWrt(const DecaySpace& space, int x, std::span<const int> I);
 
-// Largest independent set with respect to x (exact branch and bound over the
-// pairwise-compatibility graph).  Intended for n <= ~48.
+// Largest independent set with respect to x (exact, over the pairwise-
+// compatibility graph).  Intended for n <= ~48.
 std::vector<int> MaxIndependentWrt(const DecaySpace& space, int x);
 
 // The independence dimension: max over x of |MaxIndependentWrt(x)|.

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
+#include "core/branch_and_bound.h"
 #include "core/check.h"
 #include "core/numerics.h"
 
@@ -29,109 +29,15 @@ struct Candidate {
   double weight = 0.0;  // 1 / f(node, z)
 };
 
-// Branch and bound for maximum-weight independent set over candidates with a
-// pairwise compatibility predicate baked into `conflict`.
-class WeightedSolver {
- public:
-  WeightedSolver(std::vector<Candidate> items,
-                 std::vector<std::vector<bool>> conflict)
-      : items_(std::move(items)), conflict_(std::move(conflict)) {
-    // Heavy-first ordering makes the bound effective early.
-    order_.resize(items_.size());
-    std::iota(order_.begin(), order_.end(), 0);
-    std::sort(order_.begin(), order_.end(), [&](std::size_t a, std::size_t b) {
-      return items_[a].weight > items_[b].weight;
-    });
-  }
-
-  void Solve() {
-    std::vector<std::size_t> active = order_;
-    std::vector<std::size_t> current;
-    Recurse(active, current, 0.0);
-  }
-
-  double best_weight() const { return best_weight_; }
-  std::vector<int> best_nodes() const {
-    std::vector<int> nodes;
-    nodes.reserve(best_.size());
-    for (std::size_t i : best_) nodes.push_back(items_[i].node);
-    std::sort(nodes.begin(), nodes.end());
-    return nodes;
-  }
-
- private:
-  void Recurse(const std::vector<std::size_t>& active,
-               std::vector<std::size_t>& current, double weight) {
-    double bound = weight;
-    for (std::size_t i : active) bound += items_[i].weight;
-    if (bound <= best_weight_) return;
-    if (active.empty()) {
-      best_weight_ = weight;
-      best_ = current;
-      return;
-    }
-    const std::size_t pivot = active.front();
-    // Include pivot.
-    std::vector<std::size_t> included;
-    included.reserve(active.size());
-    for (std::size_t i : active) {
-      if (i != pivot && !conflict_[pivot][i]) included.push_back(i);
-    }
-    current.push_back(pivot);
-    Recurse(included, current, weight + items_[pivot].weight);
-    current.pop_back();
-    // Exclude pivot.
-    std::vector<std::size_t> excluded(active.begin() + 1, active.end());
-    Recurse(excluded, current, weight);
-  }
-
-  std::vector<Candidate> items_;
-  std::vector<std::vector<bool>> conflict_;
-  std::vector<std::size_t> order_;
-  double best_weight_ = 0.0;
-  std::vector<std::size_t> best_;
-};
-
 // Candidates must themselves be r-separated from the listener z (X u {z}
 // r-separated; see fading.h).
 bool SeparatedFromListener(const DecaySpace& space, int x, int z, double r) {
   return space(x, z) > r && space(z, x) > r;
 }
 
-std::pair<std::vector<Candidate>, std::vector<std::vector<bool>>>
-BuildProblem(const DecaySpace& space, int z, double r) {
-  std::vector<Candidate> items;
-  for (int x = 0; x < space.size(); ++x) {
-    if (x == z || !SeparatedFromListener(space, x, z, r)) continue;
-    items.push_back({x, 1.0 / space(x, z)});
-  }
-  const auto k = items.size();
-  std::vector<std::vector<bool>> conflict(k, std::vector<bool>(k, false));
-  for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t j = i + 1; j < k; ++j) {
-      const int a = items[i].node;
-      const int b = items[j].node;
-      const bool ok = space(a, b) > r && space(b, a) > r;
-      conflict[i][j] = conflict[j][i] = !ok;
-    }
-  }
-  return {std::move(items), std::move(conflict)};
-}
-
-}  // namespace
-
-FadingValue FadingValueExact(const DecaySpace& space, int z, double r) {
-  DL_CHECK(z >= 0 && z < space.size(), "listener out of range");
-  DL_CHECK(r > 0.0, "separation term must be positive");
-  auto [items, conflict] = BuildProblem(space, z, r);
-  WeightedSolver solver(std::move(items), std::move(conflict));
-  solver.Solve();
-  return {r * solver.best_weight(), solver.best_nodes()};
-}
-
-FadingValue FadingValueGreedy(const DecaySpace& space, int z, double r) {
-  DL_CHECK(z >= 0 && z < space.size(), "listener out of range");
-  DL_CHECK(r > 0.0, "separation term must be positive");
+// The senders that may join listener z's r-separated set, heaviest gain
+// first.
+std::vector<Candidate> Candidates(const DecaySpace& space, int z, double r) {
   std::vector<Candidate> items;
   for (int x = 0; x < space.size(); ++x) {
     if (x == z || !SeparatedFromListener(space, x, z, r)) continue;
@@ -141,9 +47,47 @@ FadingValue FadingValueGreedy(const DecaySpace& space, int z, double r) {
             [](const Candidate& a, const Candidate& b) {
               return a.weight > b.weight;
             });
+  return items;
+}
+
+}  // namespace
+
+FadingValue FadingValueExact(const DecaySpace& space, int z, double r) {
+  DL_CHECK(z >= 0 && z < space.size(), "listener out of range");
+  DL_CHECK(r > 0.0, "separation term must be positive");
+  struct Problem {
+    const DecaySpace& space;
+    double r;
+    std::vector<Candidate> items;
+    double Weight(int i) const {
+      return items[static_cast<std::size_t>(i)].weight;
+    }
+    std::size_t Pivot(std::span<const int>) const { return 0; }
+    bool Compatible(int i, int j) const {
+      const int a = items[static_cast<std::size_t>(i)].node;
+      const int b = items[static_cast<std::size_t>(j)].node;
+      return space(a, b) > r && space(b, a) > r;
+    }
+    bool Admits(std::span<const int>) const { return true; }
+  };
+  // Heavy-first order makes the remaining-weight bound effective early.
+  const Problem problem{space, r, Candidates(space, z, r)};
+  const WeightedSubset best =
+      MaxWeightSubset(problem, static_cast<int>(problem.items.size()));
+  FadingValue value{r * best.weight, {}};
+  for (int i : best.members) {
+    value.witness.push_back(problem.items[static_cast<std::size_t>(i)].node);
+  }
+  std::sort(value.witness.begin(), value.witness.end());
+  return value;
+}
+
+FadingValue FadingValueGreedy(const DecaySpace& space, int z, double r) {
+  DL_CHECK(z >= 0 && z < space.size(), "listener out of range");
+  DL_CHECK(r > 0.0, "separation term must be positive");
   std::vector<int> chosen;
   double total = 0.0;
-  for (const Candidate& c : items) {
+  for (const Candidate& c : Candidates(space, z, r)) {
     bool ok = true;
     for (int existing : chosen) {
       if (!(space(c.node, existing) > r) || !(space(existing, c.node) > r)) {

@@ -22,8 +22,9 @@
 // w.r.t. constant C),  gamma(r) <= C * 2^{A+1} * (zetahat(2 - A) - 1).
 //
 // The exact maximisation is a maximum-weight independent set in the
-// "too close" conflict graph and is solved by branch and bound for small n;
-// a greedy heavy-first estimate serves larger inputs.
+// "too close" conflict graph, solved for small n by core::MaxWeightSubset
+// (core/branch_and_bound.h) over the candidates, heaviest first; a greedy
+// heavy-first estimate serves larger inputs.
 #pragma once
 
 #include <span>
@@ -43,7 +44,7 @@ struct FadingValue {
   std::vector<int> witness;       // the maximising r-separated sender set
 };
 
-// Exact fading value of listener z (branch and bound).  Intended n <= ~48.
+// Exact fading value of listener z.  Intended n <= ~48.
 FadingValue FadingValueExact(const DecaySpace& space, int z, double r);
 
 // Greedy heavy-first estimate (lower bound on gamma_z(r)).

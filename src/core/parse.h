@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 namespace decaylib::core {
@@ -22,14 +23,17 @@ inline bool ParseInt(const char* text, long long min_value,
 }
 
 // A decimal double in [min_value, max_value]: no junk, no overflow, no NaN
-// (the range comparison is written so NaN fails it).
+// (the range comparison is written so NaN fails it).  strtod's ERANGE also
+// marks a subnormal result, which is a number; only overflow and underflow
+// to zero are refused.
 inline bool ParseDouble(const char* text, double min_value, double max_value,
                         double* out) {
   if (text == nullptr || *text == '\0') return false;
   errno = 0;
   char* end = nullptr;
   const double value = std::strtod(text, &end);
-  if (errno != 0 || end == text || *end != '\0') return false;
+  if (end == text || *end != '\0') return false;
+  if (errno != 0 && !(std::isfinite(value) && value != 0.0)) return false;
   if (!(value >= min_value && value <= max_value)) return false;
   *out = value;
   return true;

@@ -1,70 +1,16 @@
 #include "graph/independent_set.h"
 
 #include <algorithm>
-#include <numeric>
+
+#include "core/branch_and_bound.h"
 
 namespace decaylib::graph {
 
-namespace {
-
-class Solver {
- public:
-  explicit Solver(const Graph& g) : g_(g) {}
-
-  std::vector<int> Solve() {
-    std::vector<int> active(static_cast<std::size_t>(g_.size()));
-    std::iota(active.begin(), active.end(), 0);
-    std::vector<int> current;
-    Recurse(active, current);
-    std::sort(best_.begin(), best_.end());
-    return best_;
-  }
-
- private:
-  void Recurse(const std::vector<int>& active, std::vector<int>& current) {
-    if (current.size() + active.size() <= best_.size()) return;
-    if (active.empty()) {
-      best_ = current;
-      return;
-    }
-    int pivot = active.front();
-    int pivot_deg = -1;
-    for (int v : active) {
-      int deg = 0;
-      for (int u : active) {
-        if (g_.HasEdge(v, u)) ++deg;
-      }
-      if (deg > pivot_deg) {
-        pivot_deg = deg;
-        pivot = v;
-      }
-    }
-    std::vector<int> included;
-    included.reserve(active.size());
-    for (int v : active) {
-      if (v != pivot && !g_.HasEdge(pivot, v)) included.push_back(v);
-    }
-    current.push_back(pivot);
-    Recurse(included, current);
-    current.pop_back();
-    if (pivot_deg > 0) {
-      std::vector<int> excluded;
-      excluded.reserve(active.size() - 1);
-      for (int v : active) {
-        if (v != pivot) excluded.push_back(v);
-      }
-      Recurse(excluded, current);
-    }
-  }
-
-  const Graph& g_;
-  std::vector<int> best_;
-};
-
-}  // namespace
-
 std::vector<int> MaxIndependentSet(const Graph& g) {
-  return Solver(g).Solve();
+  std::vector<int> best = core::LargestCompatibleSet(
+      g.size(), [&](int u, int v) { return !g.HasEdge(u, v); });
+  std::sort(best.begin(), best.end());
+  return best;
 }
 
 std::vector<int> GreedyIndependentSet(const Graph& g) {

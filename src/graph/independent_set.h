@@ -11,9 +11,9 @@
 
 namespace decaylib::graph {
 
-// Exact maximum independent set via branch and bound (include/exclude on a
-// max-degree pivot with cardinality bound).  Practical to n ~ 60 on sparse
-// and ~ 40 on dense graphs.
+// Exact maximum independent set: core::LargestCompatibleSet
+// (core/branch_and_bound.h), branching on a max-degree vertex.  Practical to
+// n ~ 60 on sparse and ~ 40 on dense graphs.
 std::vector<int> MaxIndependentSet(const Graph& g);
 
 // Greedy minimum-degree independent set: repeatedly take a vertex of minimum
