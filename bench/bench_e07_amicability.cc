@@ -89,8 +89,7 @@ int main() {
       config.rounds = 3000;
       config.measure_tail = 500;
       geom::Rng game_rng(9);
-      const auto result =
-          distributed::RunRegretGame(system, config, game_rng);
+      const auto result = distributed::RunRegretGame(kernel, config, game_rng);
       table.AddRow({bench::Fmt(alpha, 1),
                     bench::FmtInt(static_cast<long long>(greedy.size())),
                     bench::Fmt(result.average_successes, 2),

@@ -228,35 +228,6 @@ int main(int argc, char** argv) {
     table.AddRow({"regret game", bench::Fmt(naive_ms, 1),
                   bench::Fmt(cached_ms, 1), bench::Fmt(warm_ms, 1),
                   bench::Fmt(naive_ms / cached_ms, 2) + "x"});
-
-    // The LinkSystem entry point builds a cross-decay kernel and runs the
-    // gain rows at every size.  Gate bits first, then that "auto" does not
-    // regress against naive at this size (generous slack: the entry pays an
-    // O(n^2) build the naive path does not, and must still win).
-    distributed::RegretResult auto_res;
-    {
-      geom::Rng rng(kSeed + 13);
-      auto_res = distributed::RunRegretGame(system, config, rng);
-    }
-    if (!(auto_res == naive_res)) {
-      std::printf("ERROR: regret: the LinkSystem entry differs from the "
-                  "naive reference\n");
-      return 1;
-    }
-    const double auto_ms = best_of("regret_auto", [&] {
-      geom::Rng rng(kSeed + 13);
-      volatile double sink =
-          distributed::RunRegretGame(system, config, rng).average_successes;
-      (void)sink;
-    });
-    table.AddRow({"regret auto", bench::Fmt(auto_ms, 1), "-", "-",
-                  bench::Fmt(naive_ms / auto_ms, 2) + "x"});
-    if (auto_ms > naive_ms * 1.3 + 0.2) {
-      std::printf("ERROR: regret auto slower than naive (auto %.2f ms vs "
-                  "naive %.2f ms at n=%d)\n",
-                  auto_ms, naive_ms, links);
-      return 1;
-    }
   }
 
   table.Print();

@@ -12,12 +12,49 @@ namespace decaylib::core {
 
 namespace {
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 // The space's row-major matrix.  A coordinate-backed space is materialised
 // into `copy` first: O(n^2) against the O(n^3) scans that read it.
 const double* DenseEntries(const DecaySpace& space,
                            std::optional<DecaySpace>& copy) {
   if (!space.IsCoordinateBacked()) return space.Raw().data();
   return copy.emplace(space.Materialized()).Raw().data();
+}
+
+// Transposed copy of the n x n row-major matrix m, so that the scans read
+// columns of m contiguously.
+std::vector<double> Transpose(const double* m, std::size_t n) {
+  std::vector<double> t(n * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) t[j * n + i] = m[i * n + j];
+  }
+  return t;
+}
+
+// The exact minimum over k < n of the rounded sums row[k] + col[k].  Four
+// independent accumulators change nothing but the dependency chain (min is
+// associative, the adds elementwise), which lets the compiler run it 4-wide.
+// Forced inline: gcc -O3 keeps it out of line, which slows ComputePhi ~9%.
+[[gnu::always_inline]] inline double MinPlus(const double* row,
+                                             const double* col, std::size_t n) {
+  double d0 = kInf, d1 = kInf, d2 = kInf, d3 = kInf;
+  std::size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    const double e0 = row[k] + col[k];
+    const double e1 = row[k + 1] + col[k + 1];
+    const double e2 = row[k + 2] + col[k + 2];
+    const double e3 = row[k + 3] + col[k + 3];
+    d0 = e0 < d0 ? e0 : d0;
+    d1 = e1 < d1 ? e1 : d1;
+    d2 = e2 < d2 ? e2 : d2;
+    d3 = e3 < d3 ? e3 : d3;
+  }
+  for (; k < n; ++k) {
+    const double e = row[k] + col[k];
+    d0 = e < d0 ? e : d0;
+  }
+  return std::min(std::min(d0, d1), std::min(d2, d3));
 }
 
 // Relative guard of the root-space test: the few ulp of rounding in its
@@ -27,22 +64,20 @@ constexpr double kRootGuard = 1.0 + 1e-12;
 // g is rebuilt once the live exponent falls below this fraction of g's.
 constexpr double kRebuildRatio = 0.9;
 
-// The root space g = f^s of ComputeMetricity's scan at one exponent s, with
-// its row and column minima over off-diagonal entries.
+// The root space g = f^s of ComputeMetricity's scan at one exponent s and
+// its transpose gt, both +inf on the diagonal: no waypoint z = x or z = y.
 struct RootSpace {
-  double s = std::numeric_limits<double>::infinity();
+  double s = kInf;
   // Every off-diagonal entry is a finite normal double, whose relative
   // error the guard covers.  A tiny early incumbent makes s huge and g
   // overflow or underflow; the test is then off until the next rebuild.
   bool usable = false;
-  std::vector<double> g, row_min, col_min;
+  std::vector<double> g, gt;
 
   void Build(const double* f, std::size_t n, double exponent) {
     s = exponent;
     usable = true;
-    g.assign(n * n, 0.0);
-    row_min.assign(n, std::numeric_limits<double>::infinity());
-    col_min.assign(n, std::numeric_limits<double>::infinity());
+    g.assign(n * n, kInf);
     for (std::size_t x = 0; x < n; ++x) {
       for (std::size_t y = 0; y < n; ++y) {
         if (y == x) continue;
@@ -50,10 +85,9 @@ struct RootSpace {
         usable = usable && v >= std::numeric_limits<double>::min() &&
                  v <= std::numeric_limits<double>::max();
         g[x * n + y] = v;
-        row_min[x] = std::min(row_min[x], v);
-        col_min[y] = std::min(col_min[y], v);
       }
     }
+    gt = Transpose(g.data(), n);
   }
 };
 
@@ -121,16 +155,14 @@ MetricityResult ComputeMetricity(const DecaySpace& space, double tol) {
       const double a = row_x[y];
       // Root-space prune: for b, c < a and s <= root.s, (b/a)^s >=
       // (b/a)^root.s, so g_b + g_c >= g_a (beyond the guard) gives
-      // h(s) > 0 and the triple cannot win.  The row minima bound every
-      // g_b + g_c of the row at once.
-      double ga = std::numeric_limits<double>::infinity();
+      // h(s) > 0 and the triple cannot win.  The pair certificate is that
+      // same test at the min-plus waypoint, so it skips the pair exactly
+      // when the per-triple root test below would skip every z.
+      double ga = kInf;
       if (root.usable) {
         ga = root.g[row + static_cast<std::size_t>(y)] * kRootGuard;
-        if (root.row_min[static_cast<std::size_t>(x)] +
-                root.col_min[static_cast<std::size_t>(y)] >=
-            ga) {
-          continue;
-        }
+        const double* col_y = &root.gt[static_cast<std::size_t>(y) * sn];
+        if (MinPlus(&root.g[row], col_y, sn) >= ga) continue;
       }
       for (int z = 0; z < n; ++z) {
         if (z == x || z == y) continue;
@@ -198,15 +230,7 @@ PhiResult ComputePhi(const DecaySpace& space) {
   const double* f = DenseEntries(space, dense_copy);
   const std::size_t sn = static_cast<std::size_t>(n);
 
-  // Transpose copy: the inner loop reads f(y, z) for fixed z over all y,
-  // which is a stride-n walk on the row-major matrix; ft makes it
-  // contiguous.
-  std::vector<double> ft(sn * sn);
-  for (std::size_t y = 0; y < sn; ++y) {
-    for (std::size_t z = 0; z < sn; ++z) {
-      ft[z * sn + y] = f[y * sn + z];
-    }
-  }
+  const std::vector<double> ft = Transpose(f, sn);
 
   // Row/column minima for the per-(x,z) block prune: for every admissible
   // waypoint y, the computed denominator fl(f(x,y) + f(y,z)) is at least
@@ -219,8 +243,7 @@ PhiResult ComputePhi(const DecaySpace& space) {
   // which only weakens the bound -- never unsoundly.)
   std::vector<double> row_min(sn), col_min(sn);
   for (std::size_t x = 0; x < sn; ++x) {
-    double rm = std::numeric_limits<double>::infinity();
-    double cm = std::numeric_limits<double>::infinity();
+    double rm = kInf, cm = kInf;
     const double* row_x = f + x * sn;
     const double* col_x = ft.data() + x * sn;
     for (std::size_t y = 0; y < sn; ++y) {
@@ -232,13 +255,13 @@ PhiResult ComputePhi(const DecaySpace& space) {
     col_min[x] = cm;
   }
 
-  // Two prunes.  The block prune above skips entire (x,z) pairs whose
-  // exact upper bound cannot beat the incumbent.  Inside surviving blocks, a guard-banded multiplication prune drops
-  // candidates clearly below the incumbent (by more than 1e-9 relative,
-  // which dwarfs the few-ulp disagreement between `fxz <= g * denom` and
-  // `fxz / denom <= g`); everything near or above it is decided by the
-  // naive division comparison, so the update sequence -- value and
-  // witness -- matches ComputePhiNaive's exactly.
+  // The block prune above and the exact min-plus bound skip (x,z) pairs
+  // that cannot beat the incumbent.  Inside surviving blocks, a guard-banded
+  // multiplication prune drops candidates clearly below the incumbent (by
+  // more than 1e-9 relative, which dwarfs the few-ulp disagreement between
+  // `fxz <= g * denom` and `fxz / denom <= g`); everything near or above it
+  // is decided by the naive division comparison, so the update sequence --
+  // value and witness -- matches ComputePhiNaive's exactly.
   PhiResult result;
   for (int x = 0; x < n; ++x) {
     const double* row_x = f + static_cast<std::size_t>(x) * sn;
@@ -251,36 +274,11 @@ PhiResult ComputePhi(const DecaySpace& space) {
         continue;
       }
       const double* col_z = ft.data() + static_cast<std::size_t>(z) * sn;
-      // Row-min formulation: the exact denominator minimum for this
-      // (x,z), as a branch-free min-plus reduction over four independent
-      // accumulators (min is exactly associative and the adds are
-      // elementwise, so the split changes nothing but the dependency
-      // chain, which is what lets the compiler run it 4-wide).  The
-      // y == x and y == z entries contribute the value fxz itself (their
-      // other leg is the diagonal 0), i.e. a factor of exactly 1 -- they
-      // can shrink dmin only when every admissible factor is below 1, so
-      // the bound fxz / dmin >= any admissible fl(fxz / denom) still
-      // holds exactly (fl(+), fl(/), min are monotone).  Only blocks
-      // whose bound beats the incumbent fall through to the
-      // witness-exact scalar scan below.
-      double d0 = fxz + fxz, d1 = d0, d2 = d0, d3 = d0;
-      int y4 = 0;
-      for (; y4 + 4 <= n; y4 += 4) {
-        const double e0 = row_x[y4] + col_z[y4];
-        const double e1 = row_x[y4 + 1] + col_z[y4 + 1];
-        const double e2 = row_x[y4 + 2] + col_z[y4 + 2];
-        const double e3 = row_x[y4 + 3] + col_z[y4 + 3];
-        d0 = e0 < d0 ? e0 : d0;
-        d1 = e1 < d1 ? e1 : d1;
-        d2 = e2 < d2 ? e2 : d2;
-        d3 = e3 < d3 ? e3 : d3;
-      }
-      for (; y4 < n; ++y4) {
-        const double e = row_x[y4] + col_z[y4];
-        d0 = e < d0 ? e : d0;
-      }
-      const double dmin = std::min(std::min(d0, d1), std::min(d2, d3));
-      if (fxz / dmin <= result.phi_factor) continue;
+      // fxz / dmin bounds every admissible fl(fxz / denom) exactly, since
+      // fl(+), fl(/) and min are monotone.  The y == x and y == z entries
+      // add fxz itself (their other leg is the diagonal 0), a factor of 1
+      // that shrinks dmin only when every admissible factor is below 1.
+      if (fxz / MinPlus(row_x, col_z, sn) <= result.phi_factor) continue;
       // Stale after an in-loop update, i.e. merely prunes less until the
       // next z iteration; the update test below always uses the live value.
       const double guard = result.phi_factor * (1.0 - 1e-9);

@@ -61,14 +61,17 @@ struct MetricityResult {
 // Most triples are decided without a pow, in the root space g = f^s0 of an
 // earlier exponent s0 >= s = slack/zeta_best: since b/a, c/a < 1,
 // (b/a)^s >= (b/a)^s0, so g(x,z) + g(z,y) >= g(x,y) gives h(s) > 0 and the
-// triple cannot win; a whole (x,y) row is skipped when the row minimum of
-// g at x plus the column minimum at y already clears g(x,y).  The test
+// triple cannot win.  A pair (x,y) is skipped whole when the min-plus
+// certificate min_z g(x,z) + g(z,y) (g is +inf on the diagonal) clears
+// g(x,y): the same test at every waypoint at once, so it skips exactly the
+// pairs in which the per-triple root test would skip every waypoint.  The test
 // carries a 1 + 1e-12 guard, far above the few ulp of rounding in the
 // three pows, the sum and the product, and is off whenever some entry of
-// g leaves the normal double range.  g is rebuilt (n^2 pows) only once s
-// falls below 0.9 s0: rebuilds stay logarithmic in the incumbent's growth
-// while g's exponent stays close enough to the live one to prune nearly as
-// much.  Survivors still take the live two-pow test and TripletZeta.
+// g leaves the normal double range.  g is rebuilt (n^2 pows and a
+// transpose) only once s falls below 0.9 s0: rebuilds stay logarithmic in
+// the incumbent's growth while g's exponent stays close enough to the live
+// one to prune nearly as much.  Survivors still take the per-triple root
+// test, the live two-pow test and TripletZeta.
 MetricityResult ComputeMetricity(const DecaySpace& space, double tol = 1e-12);
 
 // Reference implementation: bisects every constraining triplet in the
@@ -92,12 +95,14 @@ struct PhiResult {
 };
 
 // Computes the variant metricity phi (Sec. 4.2).  One serial O(n^3) scan
-// with a per-(x,z) row-min block prune (fxz / (min_y f(x,y) + min_y f(y,z))
-// bounds every factor of the block exactly, by monotonicity of rounded +
-// and /, so whole inner loops are skipped once the incumbent warms), a
-// multiplication-only per-candidate prune inside surviving blocks, and
-// transposed row access for cache locality; deterministic result,
-// identical to ComputePhiNaive's.
+// that skips a pair (x,z) when fxz over a lower bound on its denominators
+// cannot beat the incumbent -- first the O(1) bound
+// min_y f(x,y) + min_y f(y,z), then the exact min-plus minimum
+// min_y f(x,y) + f(y,z), the same reduction ComputeMetricity's pair
+// certificate runs; both are exact by monotonicity of rounded + and /.
+// Surviving pairs take a multiplication-only per-candidate prune, and
+// columns are read from a transposed copy; deterministic result, identical
+// to ComputePhiNaive's.
 PhiResult ComputePhi(const DecaySpace& space);
 
 // Reference exhaustive scan, for tests and benchmarks.

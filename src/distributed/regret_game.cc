@@ -95,13 +95,6 @@ RegretResult RunRegretGame(const sinr::KernelCache& kernel,
                        });
 }
 
-RegretResult RunRegretGame(const sinr::LinkSystem& system,
-                           const RegretConfig& config, geom::Rng& rng) {
-  const sinr::KernelCache kernel(system, sinr::UniformPower(system),
-                                 sinr::KernelSlabs::kCrossDecay);
-  return RunRegretGame(kernel, config, rng);
-}
-
 RegretResult RunRegretGameNaive(const sinr::LinkSystem& system,
                                 const RegretConfig& config, geom::Rng& rng) {
   const sinr::PowerAssignment power = sinr::UniformPower(system);

@@ -10,13 +10,11 @@
 // The game runs on a sinr::KernelCache built with KernelSlabs::kCrossDecay:
 // each round's success checks read receiver-major gain rows (sinr/
 // gain_rows.h) built once from the cached cross decays, so one O(n^2) build
-// serves the whole game and no check divides per interference term.  The
-// LinkSystem entry point keeps its historical uniform-power semantics and
-// builds such a kernel at every size.  Both routes are bit-identical to the
-// original per-round implementation at a fixed seed (the verdicts equal
-// LinkSystem::Sinr >= beta and every path draws the same randomness
-// stream); that implementation survives as RunRegretGameNaive, the test
-// oracle and bench A/B baseline.
+// serves the whole game and no check divides per interference term.  Under
+// uniform power the game is bit-identical to the original per-round
+// implementation at a fixed seed (the verdicts equal LinkSystem::Sinr >=
+// beta and both draw the same randomness stream); that implementation
+// survives as RunRegretGameNaive, the test oracle and bench A/B baseline.
 #pragma once
 
 #include <vector>
@@ -48,11 +46,6 @@ struct RegretResult {
 // Runs the game against a warm kernel (and its power assignment); the
 // kernel must hold KernelSlabs::kCrossDecay.
 RegretResult RunRegretGame(const sinr::KernelCache& kernel,
-                           const RegretConfig& config, geom::Rng& rng);
-
-// Historical entry point (uniform power): one cross-decay kernel build,
-// then the kernel overload.  Bit-identical to the naive reference.
-RegretResult RunRegretGame(const sinr::LinkSystem& system,
                            const RegretConfig& config, geom::Rng& rng);
 
 // Naive reference (per-round LinkSystem::Sinr under uniform power): kept as

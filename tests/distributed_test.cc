@@ -165,9 +165,10 @@ TEST(ContentionTest, DenseInstanceTakesLonger) {
 TEST(RegretGameTest, ConvergesToPositiveThroughput) {
   const LinkFixture fixture(8, 15.0);
   const sinr::LinkSystem system(fixture.space, fixture.links, {2.0, 0.0});
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   RegretConfig config;
   geom::Rng rng(7);
-  const RegretResult result = RunRegretGame(system, config, rng);
+  const RegretResult result = RunRegretGame(kernel, config, rng);
   EXPECT_GT(result.average_successes, 1.0);  // well-separated: most succeed
   EXPECT_LE(result.average_successes, 8.0);
   ASSERT_EQ(result.final_transmit_probability.size(), 8u);
@@ -193,11 +194,12 @@ TEST(RegretGameTest, CrowdedLinksBackOff) {
   }
   const core::DecaySpace space = core::DecaySpace::Geometric(pts, 3.0);
   const sinr::LinkSystem system(space, links, {2.0, 0.0});
+  const sinr::KernelCache kernel(system, sinr::UniformPower(system));
   RegretConfig config;
   config.rounds = 4000;
   config.measure_tail = 1000;
   geom::Rng rng(9);
-  const RegretResult result = RunRegretGame(system, config, rng);
+  const RegretResult result = RunRegretGame(kernel, config, rng);
   EXPECT_LE(result.average_successes, 2.0);
 }
 
@@ -223,24 +225,18 @@ TEST(RegretGameTest, CachedPathBitIdenticalToNaive) {
     EXPECT_EQ(naive.transmit_rate, cached.transmit_rate);
     EXPECT_EQ(naive.final_transmit_probability,
               cached.final_transmit_probability);
-    // The historical LinkSystem entry point delegates to the same path.
-    geom::Rng rng_entry(31);
-    const RegretResult entry = RunRegretGame(system, config, rng_entry);
-    EXPECT_EQ(naive.average_successes, entry.average_successes);
-    EXPECT_EQ(naive.final_transmit_probability,
-              entry.final_transmit_probability);
   }
 }
 
-// The LinkSystem entry builds a cross-decay kernel at every size -- small,
-// the size it once switched paths at, and large -- and must equal both the
-// naive and the cached paths bit for bit.
-TEST(RegretGameTest, CrossoverSizeEntryMatchesBothPaths) {
+// A cross-decay-only kernel must equal the naive path bit for bit at every
+// size: small, 128 links, and large.
+TEST(RegretGameTest, CrossDecayKernelMatchesNaiveAtEverySize) {
   for (const int links : {24, 128, 288}) {
     const LinkFixture fixture(links, 2.0);
     const sinr::LinkSystem system(fixture.space, fixture.links, {2.0, 0.0});
     ASSERT_EQ(system.NumLinks(), links);
-    const sinr::KernelCache kernel(system, sinr::UniformPower(system));
+    const sinr::KernelCache kernel(system, sinr::UniformPower(system),
+                                   sinr::KernelSlabs::kCrossDecay);
     RegretConfig config;
     config.rounds = 200;
     config.measure_tail = 50;
@@ -250,10 +246,7 @@ TEST(RegretGameTest, CrossoverSizeEntryMatchesBothPaths) {
     const RegretResult naive = RunRegretGameNaive(system, config, rng_naive);
     geom::Rng rng_cached(41);
     const RegretResult cached = RunRegretGame(kernel, config, rng_cached);
-    geom::Rng rng_entry(41);
-    const RegretResult entry = RunRegretGame(system, config, rng_entry);
-    EXPECT_TRUE(entry == naive) << links;
-    EXPECT_TRUE(entry == cached) << links;
+    EXPECT_TRUE(cached == naive) << links;
     EXPECT_GT(naive.average_successes, 0.0) << links;
   }
 }

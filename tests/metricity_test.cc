@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <string>
@@ -275,6 +276,37 @@ TEST(PrunedMetricityEquality, MatchesNaiveWhenRootSpaceLeavesDoubleRange) {
   space.Set(2, 0, 4000.0);
   ExpectMatchesNaive(space);
   EXPECT_NEAR(ComputeMetricity(space).zeta, 2.0, 1e-9);
+}
+
+TEST(PrunedMetricityEquality, MatchesNaiveWhenWitnessWaypointIsInTheTail) {
+  // Both scans skip a pair by one min-plus reduction over its waypoints,
+  // which runs four at a time and then over the last n % 4.  Every decay
+  // is 16 except the chains 0 -> 2 -> 1 (legs 2) and 1 -> w -> 0 (legs 1),
+  // so triple (0,1,2) warms the incumbent (zeta 3, phi factor 4) and w, in
+  // the remainder, is the only waypoint that lets the witness pair (1,0)
+  // beat it (zeta 4, phi factor 8).  A reduction that missed the remainder
+  // would skip (1,0).
+  for (const int n : {3, 5, 6, 7}) {
+    for (int w = std::max(2, n - n % 4); w < n; ++w) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " w=" + std::to_string(w));
+      DecaySpace space(n, 16.0);
+      space.Set(0, 2, 2.0);
+      space.Set(2, 1, 2.0);
+      space.Set(1, w, 1.0);
+      space.Set(w, 0, 1.0);
+      ExpectMatchesNaive(space);
+      const MetricityResult zeta = ComputeMetricity(space);
+      EXPECT_NEAR(zeta.zeta, 4.0, 1e-9);
+      EXPECT_EQ(zeta.arg_x, 1);
+      EXPECT_EQ(zeta.arg_y, 0);
+      EXPECT_EQ(zeta.arg_z, w);
+      const PhiResult phi = ComputePhi(space);
+      EXPECT_EQ(phi.phi_factor, 8.0);
+      EXPECT_EQ(phi.arg_x, 1);
+      EXPECT_EQ(phi.arg_y, w);
+      EXPECT_EQ(phi.arg_z, 0);
+    }
+  }
 }
 
 TEST(PrunedMetricityEquality, PhiBlockPruneMatchesNaiveOnAdversarialSpaces) {
