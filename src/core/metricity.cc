@@ -57,6 +57,21 @@ std::vector<double> Transpose(const double* m, std::size_t n) {
   return std::min(std::min(d0, d1), std::min(d2, d3));
 }
 
+// Whether min_k row[k] + col[k] < bound, i.e. !(MinPlus(row, col, n) >=
+// bound): MinPlus over blocks of kMinPlusBlock waypoints, stopping at the
+// first block whose minimum is below the bound.  The running minimum only
+// falls, so the rest of the row cannot change the answer.
+constexpr std::size_t kMinPlusBlock = 64;
+
+inline bool MinPlusBelow(const double* row, const double* col, std::size_t n,
+                         double bound) {
+  for (std::size_t k = 0; k < n; k += kMinPlusBlock) {
+    const std::size_t len = std::min(kMinPlusBlock, n - k);
+    if (MinPlus(row + k, col + k, len) < bound) return true;
+  }
+  return false;
+}
+
 // Relative guard of the root-space test: the few ulp of rounding in its
 // three pows, sum and product stay far below 1e-12 (see metricity.h).
 constexpr double kRootGuard = 1.0 + 1e-12;
@@ -162,7 +177,7 @@ MetricityResult ComputeMetricity(const DecaySpace& space, double tol) {
       if (root.usable) {
         ga = root.g[row + static_cast<std::size_t>(y)] * kRootGuard;
         const double* col_y = &root.gt[static_cast<std::size_t>(y) * sn];
-        if (MinPlus(&root.g[row], col_y, sn) >= ga) continue;
+        if (!MinPlusBelow(&root.g[row], col_y, sn, ga)) continue;
       }
       for (int z = 0; z < n; ++z) {
         if (z == x || z == y) continue;

@@ -1,12 +1,10 @@
 #include "engine/batch_runner.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <iterator>
 #include <optional>
-#include <thread>
 
 #include "capacity/algorithm1.h"
 #include "capacity/baselines.h"
@@ -133,17 +131,13 @@ sinr::KernelSlabs DenseSlabs(const std::vector<TaskKind>& tasks,
 
 // Builds the instance, warms its kernel once, and runs every configured
 // task against it.  Deterministic in (spec, index, tasks); the arena and
-// geometry cache, when provided, only change where matrices live and
+// geometry lease, when provided, only change where matrices live and
 // whether sampling re-runs -- never the bits of any result.
 InstanceRecord RunInstance(const ScenarioSpec& spec, int index,
-                           const BatchConfig& config,
+                           const std::vector<TaskKind>& tasks,
+                           PairingMode pairing,
+                           const GeometryCache::Lease& geometry,
                            sinr::KernelArena* arena) {
-  const std::vector<TaskKind>& tasks = config.tasks;
-  GeometryCache* geometry = config.geometry;
-  const PairingMode pairing = config.pairing;
-  if (index == config.fault_instance) {
-    throw InjectedFault(config.fault_message);
-  }
   InstanceRecord rec;
   rec.index = index;
 
@@ -158,9 +152,9 @@ InstanceRecord RunInstance(const ScenarioSpec& spec, int index,
   std::optional<ScenarioInstance> built;
   {
     obs::Span span("geometry", &EngineInstruments::Get().geometry_ms);
-    if (geometry != nullptr) {
+    if (geometry) {
       bool sampled = true;
-      geom_ptr = &geometry->Acquire(spec, index, pairing, &sampled);
+      geom_ptr = &geometry.Acquire(spec, index, pairing, &sampled);
       rec.geometry_reused = !sampled;
     } else {
       // Exactly BuildInstance's route, with the geometry retained.
@@ -450,85 +444,186 @@ void MetricSummary::Add(double v) {
   ++count;
 }
 
+BatchPool::BatchPool(const BatchConfig& config, int threads)
+    : config_(config) {
+  EngineInstruments::Get().threads.Set(std::max(1, threads));
+  if (threads <= 1) return;
+  workers_.reserve(static_cast<std::size_t>(threads));
+  for (int t = 0; t < threads; ++t) workers_.emplace_back([this, t] { Work(t); });
+}
+
+BatchPool::~BatchPool() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
+    queue_.clear();
+  }
+  work_cv_.notify_all();
+  for (std::thread& worker : workers_) worker.join();
+}
+
+int BatchPool::Submit(Batch batch, bool urgent) {
+  const int n = batch.spec->instances;
+  std::unique_lock<std::mutex> lock(mu_);
+  const int id = static_cast<int>(jobs_.size());
+  Job& job = jobs_.emplace_back();
+  job.batch = std::move(batch);
+  job.remaining = n;
+  job.records.resize(static_cast<std::size_t>(n));
+  job.errors.resize(static_cast<std::size_t>(n));
+  // A retry goes first, instance 0 first, so its cell finishes soon and
+  // releases what it holds.
+  for (int i = 0; i < n; ++i) {
+    if (urgent) {
+      queue_.push_front({id, n - 1 - i});
+    } else {
+      queue_.push_back({id, i});
+    }
+  }
+  lock.unlock();
+  work_cv_.notify_all();
+  return id;
+}
+
+void BatchPool::Work(int worker) {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    work_cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
+    if (stop_) return;
+    const Unit unit = queue_.front();
+    queue_.pop_front();
+    RunUnit(unit, worker, lock);
+  }
+}
+
+// Runs one unit with `lock` released, then files its record (or failure)
+// under it.  A unit that throws records the failure in its instance's slot;
+// every unit gets its attempt regardless of scheduling, so the lowest
+// failed index is deterministic under any thread count.  The batch's last
+// unit closes its batch.<name> span and hands it to the coordinator.
+void BatchPool::RunUnit(Unit unit, int worker,
+                        std::unique_lock<std::mutex>& lock) {
+  Job& job = jobs_[static_cast<std::size_t>(unit.batch)];
+  const Batch& batch = job.batch;
+  lock.unlock();
+  sinr::KernelArena* arena =
+      worker < static_cast<int>(config_.arenas.size()) ? &config_.arenas[worker]
+                                                       : nullptr;
+  InstanceRecord rec;
+  std::optional<std::string> error;
+  const obs::Instant start = obs::Now();
+  try {
+    if (unit.index == batch.fault_instance) {
+      throw InjectedFault(batch.fault_message);
+    }
+    rec = RunInstance(*batch.spec, unit.index, config_.tasks, config_.pairing,
+                      batch.geometry, arena);
+  } catch (const std::exception& e) {
+    error = e.what();
+  } catch (...) {
+    error = "unknown exception";
+  }
+  const obs::Instant end = obs::Now();
+  lock.lock();
+  const std::size_t slot = static_cast<std::size_t>(unit.index);
+  job.records[slot] = std::move(rec);
+  job.errors[slot] = std::move(error);
+  job.start = std::min(job.start, start);
+  job.end = std::max(job.end, end);
+  if (--job.remaining == 0) {
+    obs::RecordSpan("batch." + batch.spec->name, nullptr, "batch", job.start,
+                    job.end);
+    done_.push_back(unit.batch);
+    done_cv_.notify_one();
+  }
+}
+
+BatchPool::Completion BatchPool::Next() {
+  std::unique_lock<std::mutex> lock(mu_);
+  while (done_.empty()) {
+    if (workers_.empty()) {
+      DL_CHECK(!queue_.empty(), "Next needs a submitted, unreturned batch");
+      const Unit unit = queue_.front();
+      queue_.pop_front();
+      RunUnit(unit, 0, lock);
+    } else {
+      done_cv_.wait(lock);
+    }
+  }
+  Completion done;
+  done.id = done_.front();
+  done_.pop_front();
+  Job& job = jobs_[static_cast<std::size_t>(done.id)];
+  done.start = job.start;
+  done.end = job.end;
+  const ScenarioSpec& spec = *job.batch.spec;
+  std::vector<InstanceRecord> records = std::move(job.records);
+  const std::vector<std::optional<std::string>> errors = std::move(job.errors);
+  job.batch.geometry = {};  // the caller holds the lease if it needs more
+  lock.unlock();
+
+  for (std::size_t i = 0; i < errors.size(); ++i) {
+    if (errors[i]) {
+      done.status = core::Status::Internal("instance " + std::to_string(i) +
+                                           ": " + *errors[i]);
+      return done;
+    }
+  }
+  done.result.spec = spec;
+  done.result.instances = std::move(records);
+  done.result.batch_wall_ms =
+      obs::MillisBetween(done.start, done.end);
+  Aggregate(done.result, config_.tasks);
+  return done;
+}
+
 BatchRunner::BatchRunner(BatchConfig config) : config_(std::move(config)) {}
 
-ScenarioResult BatchRunner::RunOne(const ScenarioSpec& spec) const {
+std::vector<ScenarioResult> BatchRunner::Run(
+    std::span<const ScenarioSpec> specs) const {
   // Runtime input is rejected as a recoverable error before any worker
   // starts; an invalid lambda, say, would otherwise flow straight into
   // Rng::Chance and silently distort the Bernoulli arrival process.
-  core::ThrowIfError(ValidateScenarioSpec(spec));
-  ScenarioResult result;
-  result.spec = spec;
-  result.instances.resize(static_cast<std::size_t>(spec.instances));
-
+  int units = 0;
+  for (const ScenarioSpec& spec : specs) {
+    core::ThrowIfError(ValidateScenarioSpec(spec));
+    units += spec.instances;
+  }
   int threads = ResolveThreads(config_.threads);
   DL_CHECK(config_.arenas.empty() ||
                static_cast<int>(config_.arenas.size()) >= threads,
            "arena span must cover every worker thread");
-  threads = std::min(threads, spec.instances);
+  threads = std::max(1, std::min(threads, units));
 
-  // Adopt the cell's geometry key before workers start: slots invalidate
-  // exactly when a geometry field changed, and the pool join below orders
-  // this against every worker's Acquire.
-  if (config_.geometry != nullptr) config_.geometry->Prepare(spec);
-
-  EngineInstruments::Get().threads.Set(threads);
-  obs::Span batch_span("batch." + spec.name, nullptr, "batch");
-  // Work stealing over instance indices; records land in their own slot, so
-  // nothing about the interleaving survives into the results.  A worker
-  // that throws records the failure in its instance's slot and keeps
-  // stealing -- every instance gets its attempt regardless of scheduling,
-  // so the lowest failed index (the one rethrown below) is deterministic
-  // under any thread count.
-  std::vector<std::string> errors(static_cast<std::size_t>(spec.instances));
-  std::vector<char> failed(static_cast<std::size_t>(spec.instances), 0);
-  std::atomic<int> next{0};
-  const auto worker = [&](int t) {
-    sinr::KernelArena* arena =
-        t < static_cast<int>(config_.arenas.size()) ? &config_.arenas[t]
-                                                    : nullptr;
-    for (int i = next.fetch_add(1); i < spec.instances;
-         i = next.fetch_add(1)) {
-      const std::size_t slot = static_cast<std::size_t>(i);
-      try {
-        result.instances[slot] = RunInstance(spec, i, config_, arena);
-      } catch (const std::exception& e) {
-        failed[slot] = 1;
-        errors[slot] = e.what();
-      } catch (...) {
-        failed[slot] = 1;
-        errors[slot] = "unknown exception";
+  std::vector<ScenarioResult> results(specs.size());
+  std::vector<core::Status> statuses(specs.size());
+  {
+    BatchPool pool(config_, threads);
+    // Keys are adopted in spec order, so the cache's LRU accounting is the
+    // same under any schedule.
+    for (const ScenarioSpec& spec : specs) {
+      BatchPool::Batch batch;
+      batch.spec = &spec;
+      if (config_.geometry != nullptr) {
+        batch.geometry = config_.geometry->Adopt(spec);
       }
+      batch.fault_instance = config_.fault_instance;
+      batch.fault_message = config_.fault_message;
+      pool.Submit(std::move(batch));
     }
-  };
-  if (threads <= 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t) pool.emplace_back(worker, t);
-    for (std::thread& t : pool) t.join();
-  }
-  result.batch_wall_ms = batch_span.Finish();
-
-  for (int i = 0; i < spec.instances; ++i) {
-    if (failed[static_cast<std::size_t>(i)]) {
-      throw core::StatusError(core::Status::Internal(
-          "instance " + std::to_string(i) + ": " +
-          errors[static_cast<std::size_t>(i)]));
+    for (std::size_t left = specs.size(); left > 0; --left) {
+      BatchPool::Completion done = pool.Next();
+      const std::size_t s = static_cast<std::size_t>(done.id);
+      results[s] = std::move(done.result);
+      statuses[s] = std::move(done.status);
     }
   }
-
-  Aggregate(result, config_.tasks);
-  return result;
+  for (const core::Status& status : statuses) core::ThrowIfError(status);
+  return results;
 }
 
-std::vector<ScenarioResult> BatchRunner::Run(
-    std::span<const ScenarioSpec> specs) const {
-  std::vector<ScenarioResult> results;
-  results.reserve(specs.size());
-  for (const ScenarioSpec& spec : specs) results.push_back(RunOne(spec));
-  return results;
+ScenarioResult BatchRunner::RunOne(const ScenarioSpec& spec) const {
+  return std::move(Run(std::span(&spec, 1)).front());
 }
 
 core::Status AggregateHealth(const ScenarioResult& result) {

@@ -5,15 +5,17 @@
 // every family, builds each instance's sinr::KernelCache exactly once, and
 // runs a pluggable set of algorithm tasks (Algorithm 1, the greedy baseline,
 // weighted capacity, the Lemma 4.1 partition, full scheduling, the cached
-// power-control oracle) against the warm cache.  Work items are distributed
-// over a thread pool, but every deterministic statistic is invariant under
-// the thread count:
+// power-control oracle) against the warm cache.  Every (spec, instance)
+// unit of a Run goes to one BatchPool -- one queue, one set of workers, no
+// barrier between specs -- but every deterministic statistic is invariant
+// under the thread count:
 //   * instances are built from (spec, index) alone (see BuildInstance), so
 //     a worker's identity never leaks into an instance;
 //   * per-instance records land in a preallocated slot indexed by instance,
 //     not in arrival order;
-//   * aggregates are reduced sequentially in instance order after the pool
-//     drains, so floating-point sums always associate the same way.
+//   * each spec's aggregates are reduced sequentially in instance order once
+//     its last unit ends, so floating-point sums always associate the same
+//     way.
 // AggregateSignature() serialises exactly the deterministic part of a
 // report; tests and benches assert it is bit-identical between 1-thread and
 // N-thread runs.  Wall-clock fields (stage breakdowns, batch time,
@@ -21,17 +23,22 @@
 // outputs.
 #pragma once
 
+#include <condition_variable>
+#include <deque>
 #include <limits>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/status.h"
 #include "engine/scenario.h"
 #include "obs/stage_stats.h"
+#include "obs/trace.h"
 #include "sinr/kernel.h"
 
 namespace decaylib::engine {
@@ -81,20 +88,21 @@ struct BatchConfig {
   // this to keep matrix slabs warm across an entire parameter grid).
   std::span<sinr::KernelArena> arenas = {};
   // Optional shared geometry cache: instances are configured from warm
-  // ScenarioGeometry slots instead of re-sampled, so consecutive specs
-  // that differ only in non-geometric fields (power_tau, beta, noise,
-  // explicit zeta) skip space sampling and link pairing entirely.  The
-  // cache must outlive every Run and must not be used by two concurrent
-  // Runs; results are bit-identical with or without it (the sweep runner
-  // shares one across a whole grid).
+  // ScenarioGeometry slots instead of re-sampled, so specs that differ only
+  // in non-geometric fields (power_tau, beta, noise, explicit zeta) skip
+  // space sampling and link pairing entirely.  Run adopts every spec's key
+  // in spec order before its units run.  The cache must outlive every Run
+  // and must not be used by two concurrent Runs; results are bit-identical
+  // with or without it (the sweep runner shares one across a whole grid).
   GeometryCache* geometry = nullptr;
   // Link-pairing route inside instance builds; kSortGreedy forces the
   // O(n^2 log n) reference path (A/B baseline).  Result-invisible.
   PairingMode pairing = PairingMode::kAuto;
   // Fault injection: when >= 0, the worker that picks up this instance
-  // index throws InjectedFault{fault_message} instead of running it.  The
-  // sweep runner arms this per cell/attempt to exercise its failure
-  // isolation and retry paths end to end, through the real worker pool.
+  // index of any spec throws InjectedFault{fault_message} instead of
+  // running it.  The sweep runner arms the same mechanism per (cell,
+  // attempt) batch (BatchPool::Batch) to exercise its failure isolation
+  // and retry paths end to end, through the real worker pool.
   int fault_instance = -1;
   std::string fault_message = "injected fault";
 };
@@ -194,8 +202,11 @@ struct ScenarioResult {
   // Deterministic aggregate: (metric name, summary), see AggregateMetrics.
   std::vector<std::pair<std::string, MetricSummary>> aggregate;
 
-  // Non-deterministic timing.
-  double batch_wall_ms = 0.0;  // the batch.<name> span: the pooled section
+  // Non-deterministic timing.  batch_wall_ms is the batch.<name> span: from
+  // the start of the spec's first unit to the end of its last.  Specs of
+  // one Run share the pool, so their spans may overlap and need not sum to
+  // the Run's wall time.
+  double batch_wall_ms = 0.0;
   // Worker-summed per-stage breakdown: every instance record's stages
   // merged in instance order after the pool drains.  Like every *_ms field
   // it is non-deterministic and never enters AggregateSignature.
@@ -212,24 +223,97 @@ class BatchRunner {
  public:
   explicit BatchRunner(BatchConfig config = {});
 
-  // Runs every instance of every spec through the pool; one KernelCache per
-  // instance, all configured tasks against the warm cache.
+  // Runs every instance of every spec through one BatchPool; one
+  // KernelCache per instance, all configured tasks against the warm cache.
   //
   // Runtime-input failures surface as core::StatusError: an invalid spec
-  // (ValidateScenarioSpec) throws before any worker starts, and a worker
-  // that throws -- injected fault or real -- is captured per instance, the
-  // remaining instances still run, and the lowest failed index is rethrown
-  // as kInternal after the pool drains (so the error is deterministic under
-  // any thread count).  Contract violations (short arena span) stay
-  // DL_CHECKs.
+  // (ValidateScenarioSpec, every spec checked in order) throws before any
+  // worker starts, and a worker that throws -- injected fault or real -- is
+  // captured per instance, every other unit still runs, and the lowest
+  // failed (spec, index) is rethrown as kInternal "instance <i>: ..." after
+  // the pool drains (so the error is deterministic under any thread count).
+  // Contract violations (short arena span) stay DL_CHECKs.
   std::vector<ScenarioResult> Run(std::span<const ScenarioSpec> specs) const;
 
+  // Run over one spec.
   ScenarioResult RunOne(const ScenarioSpec& spec) const;
 
   const BatchConfig& config() const noexcept { return config_; }
 
  private:
   BatchConfig config_;
+};
+
+// The one worker pool behind both runners.  Every instance of every
+// submitted batch is one unit; `threads` workers take units from one queue
+// in submission order, across batch boundaries, so a batch never waits for
+// another batch's slowest instance.  The owning thread (the coordinator)
+// submits batches and collects completions through Next(), in completion
+// order, while the workers keep running; at threads <= 1 no thread is
+// spawned and Next() runs the queued units itself.  Worker t rebuilds
+// kernels in config.arenas[t] when arenas are given; config.geometry and
+// config.fault_instance are ignored (each batch carries its own).
+class BatchPool {
+ public:
+  struct Batch {
+    const ScenarioSpec* spec = nullptr;  // must outlive the batch's Next()
+    GeometryCache::Lease geometry;       // empty: instances sample their own
+    int fault_instance = -1;             // as BatchConfig::fault_instance
+    std::string fault_message = "injected fault";
+  };
+
+  // A finished batch.  When `status` is ok, `result` holds every instance
+  // record in index order, its stage breakdown and its reduced aggregate;
+  // otherwise `status` is kInternal naming the lowest failed instance and
+  // `result` is empty.  `start`/`end` bound the batch's units.
+  struct Completion {
+    int id = -1;  // Submit's return value
+    ScenarioResult result;
+    core::Status status;
+    obs::Instant start;
+    obs::Instant end;
+  };
+
+  BatchPool(const BatchConfig& config, int threads);
+  ~BatchPool();  // drops queued units, joins the workers
+  BatchPool(const BatchPool&) = delete;
+  BatchPool& operator=(const BatchPool&) = delete;
+
+  // Queues every instance of the batch (at the back, or at the front of the
+  // queue when `urgent`, as for a retry) and returns its id.
+  int Submit(Batch batch, bool urgent = false);
+
+  // Blocks until a submitted batch not yet returned has finished.
+  Completion Next();
+
+ private:
+  struct Unit {
+    int batch;
+    int index;
+  };
+  static constexpr obs::Instant kNever = obs::Instant::max();
+  struct Job {
+    Batch batch;
+    int remaining = 0;  // units not yet ended
+    std::vector<InstanceRecord> records;  // by instance index
+    // By instance index: the error of each unit that threw.
+    std::vector<std::optional<std::string>> errors;
+    obs::Instant start = kNever;
+    obs::Instant end;
+  };
+
+  void Work(int worker);
+  void RunUnit(Unit unit, int worker, std::unique_lock<std::mutex>& lock);
+
+  const BatchConfig& config_;
+  std::mutex mu_;
+  std::condition_variable work_cv_;
+  std::condition_variable done_cv_;
+  std::deque<Unit> queue_;
+  std::deque<Job> jobs_;  // by id; deque: push_back moves no job
+  std::deque<int> done_;  // finished batch ids, in completion order
+  bool stop_ = false;
+  std::vector<std::thread> workers_;
 };
 
 // Serialises the deterministic part of a report (spec identity + per-metric

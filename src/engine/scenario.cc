@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <mutex>
 #include <numeric>
 #include <tuple>
 #include <type_traits>
@@ -546,6 +547,28 @@ ScenarioInstance BuildInstance(const ScenarioSpec& spec, int index,
   return ConfigureInstance(spec, geometry);
 }
 
+// One key's slots.  `mu` guards the slot table and the claim bookkeeping;
+// each slot's geometry is written once, under its once_flags, outside it.
+struct GeometryCache::Generation {
+  struct Slot {
+    std::once_flag sampled;
+    std::once_flag measured;
+    ScenarioGeometry geometry;
+    int owner = -1;         // the first lease whose Adopt covered the slot
+    bool owner_seen = false;  // that lease has acquired the slot
+  };
+
+  explicit Generation(GeometryKey k) : key(std::move(k)) {}
+
+  const GeometryKey key;
+  std::mutex mu;
+  std::vector<std::unique_ptr<Slot>> slots;  // heap slots: growth moves none
+  int leases = 0;
+};
+
+GeometryCache::GeometryCache() = default;
+GeometryCache::~GeometryCache() = default;
+
 void GeometryCache::SetGenerations(int generations) {
   DL_CHECK(generations >= 1, "geometry cache needs at least one generation");
   capacity_ = generations;
@@ -553,62 +576,88 @@ void GeometryCache::SetGenerations(int generations) {
 }
 
 void GeometryCache::EvictOverCapacity() {
-  while (static_cast<int>(generations_.size()) > capacity_) {
-    generations_.pop_back();
+  while (static_cast<int>(lru_.size()) > capacity_) {
+    lru_.pop_back();
     ++evictions_;
     GenerationEvictionCounter().Add();
   }
 }
 
-void GeometryCache::Prepare(const ScenarioSpec& spec) {
+GeometryCache::Lease GeometryCache::Adopt(const ScenarioSpec& spec) {
   DL_CHECK(spec.instances >= 1, "geometry cache needs at least one instance");
   GeometryKey key = GeometryKeyOf(spec);
-  auto it = std::find_if(
-      generations_.begin(), generations_.end(),
-      [&](const Generation& g) { return g.key == key; });
-  if (it != generations_.end()) {
+  auto it = std::find_if(lru_.begin(), lru_.end(),
+                         [&](const auto& g) { return g->key == key; });
+  if (it != lru_.end()) {
     // A generation's slots always match its key, so nothing invalidates:
     // splice the node to the front (no slot moves, warm references survive).
-    if (it != generations_.begin()) {
-      generations_.splice(generations_.begin(), generations_, it);
-    }
+    lru_.splice(lru_.begin(), lru_, it);
     ++generation_hits_;
     GenerationHitCounter().Add();
   } else {
-    generations_.emplace_front(Generation{std::move(key), {}});
+    lru_.push_front(std::make_shared<Generation>(std::move(key)));
     EvictOverCapacity();
   }
-  std::deque<Slot>& slots = generations_.front().slots;
-  if (static_cast<int>(slots.size()) < spec.instances) {
-    slots.resize(static_cast<std::size_t>(spec.instances));
+  Lease lease;
+  lease.cache_ = this;
+  lease.generation_ = lru_.front();
+  Generation& generation = *lease.generation_;
+  std::lock_guard<std::mutex> lock(generation.mu);
+  lease.claim_ = generation.leases++;
+  while (static_cast<int>(generation.slots.size()) < spec.instances) {
+    generation.slots.push_back(std::make_unique<Generation::Slot>());
   }
+  for (int i = 0; i < spec.instances; ++i) {
+    Generation::Slot& slot = *generation.slots[static_cast<std::size_t>(i)];
+    if (slot.owner < 0) slot.owner = lease.claim_;
+  }
+  return lease;
+}
+
+const ScenarioGeometry& GeometryCache::Lease::Acquire(const ScenarioSpec& spec,
+                                                      int index,
+                                                      PairingMode pairing,
+                                                      bool* built) const {
+  DL_CHECK(generation_ != nullptr && GeometryKeyOf(spec) == generation_->key,
+           "Acquire needs a lease adopted with a key-equal spec");
+  Generation::Slot* slot = nullptr;
+  bool first = false;
+  {
+    std::lock_guard<std::mutex> lock(generation_->mu);
+    DL_CHECK(index >= 0 && index < static_cast<int>(generation_->slots.size()),
+             "instance index outside the adopted slot range");
+    slot = generation_->slots[static_cast<std::size_t>(index)].get();
+    first = slot->owner == claim_ && !slot->owner_seen;
+    if (first) slot->owner_seen = true;
+  }
+  if (built != nullptr) *built = first;
+  bool sampled = false;
+  std::call_once(slot->sampled, [&] {
+    slot->geometry = BuildGeometry(spec, index, pairing);
+    sampled = true;
+  });
+  (sampled ? cache_->builds_ : cache_->reuses_)
+      .fetch_add(1, std::memory_order_relaxed);
+  // The measurement is a geometry property; memoise it in the slot so a
+  // grid that sweeps zeta across negative and explicit values pays the
+  // O(n^3) scan once per geometry, not once per cell.
+  if (spec.zeta < 0.0) {
+    std::call_once(slot->measured,
+                   [&] { EnsureMeasuredZeta(slot->geometry); });
+  }
+  return slot->geometry;
+}
+
+void GeometryCache::Prepare(const ScenarioSpec& spec) {
+  prepared_ = Adopt(spec);
 }
 
 const ScenarioGeometry& GeometryCache::Acquire(const ScenarioSpec& spec,
                                                int index, PairingMode pairing,
                                                bool* built) {
-  DL_CHECK(!generations_.empty() &&
-               GeometryKeyOf(spec) == generations_.front().key,
+  DL_CHECK(static_cast<bool>(prepared_),
            "Acquire needs a Prepare with a key-equal spec first");
-  std::deque<Slot>& slots = generations_.front().slots;
-  DL_CHECK(index >= 0 && index < static_cast<int>(slots.size()),
-           "instance index outside the prepared slot range");
-  Slot& slot = slots[static_cast<std::size_t>(index)];
-  if (built != nullptr) *built = !slot.valid;
-  if (!slot.valid) {
-    slot.geometry = BuildGeometry(spec, index, pairing);
-    slot.valid = true;
-    builds_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    reuses_.fetch_add(1, std::memory_order_relaxed);
-  }
-  // The measurement is a geometry property; memoise it in the slot so a
-  // grid that sweeps zeta across negative and explicit values pays the
-  // O(n^3) scan once per geometry, not once per cell.
-  if (spec.zeta < 0.0 && !slot.geometry.zeta_measured) {
-    EnsureMeasuredZeta(slot.geometry);
-  }
-  return slot.geometry;
+  return prepared_.Acquire(spec, index, pairing, built);
 }
 
 std::vector<ScenarioSpec> BuiltinScenarios() {

@@ -51,7 +51,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <list>
 #include <memory>
@@ -335,70 +334,105 @@ std::vector<sinr::Link> PairLinksByDecayGrid(const core::DecaySpace& space,
                                              double alpha);
 
 // Warm geometries, kept per GeometryKey *generation*: within a generation,
-// slot i holds the geometry of instance i.  Prepare(spec) -- called between
-// batches, single-threaded -- moves the spec's generation to the front of
-// an LRU list, creating it when absent and evicting the least recently
-// used generation beyond the capacity (default 1: exactly the historical
-// single-generation behaviour and memory bound); Acquire(spec, i) then
-// returns slot i of the front generation, building it (and measuring
+// slot i holds the geometry of instance i.  Adopt(spec) moves the spec's
+// generation to the front of an LRU list, creating it when absent and
+// dropping the least recently used generation beyond the capacity
+// (default 1: the single-generation memory bound), and returns a Lease on
+// it; Lease::Acquire(spec, i) returns slot i, building it (and measuring
 // metricity, when the spec's zeta policy needs it) on first touch.  More
 // generations pay memory for reuse across *interleaved* keys -- the access
 // pattern of a sweep whose geometric axis is not the slowest, where a
-// single generation thrashes (docs/sweeps.md).  Thread contract: concurrent
-// Acquire calls must use distinct instance indices (the batch runner's
-// work-stealing pool claims each index exactly once), and Prepare /
-// SetGenerations must not race with Acquire; the runners' pool joins give
-// the needed ordering.
+// single generation thrashes (docs/sweeps.md).
+//
+// Thread contract (the pooled runners' one work queue runs several cells
+// of a grid at once):
+//  * Adopt, SetGenerations and the LRU accounting run on one thread -- the
+//    runner's coordinator, in spec/grid order -- so generation hits and
+//    evictions are deterministic in the sequence of Adopt calls;
+//  * Lease::Acquire is safe from any number of workers at once.  Each slot
+//    is built exactly once: a second cell asking for the same (key, index)
+//    while the first builds waits for it instead of rebuilding, and a
+//    measured zeta is computed once per slot the same way;
+//  * a lease keeps its generation alive, so a generation dropped by the LRU
+//    while a cell still holds it is released when that last lease goes.
+// `built` reports a slot as built only to the first Acquire of the lease
+// whose Adopt first covered it (leases are numbered in Adopt order), and
+// as warm to every other -- whichever worker physically samples it -- so
+// the per-instance cache-hit fact does not depend on the schedule.
+//
+// Prepare(spec) / Acquire(spec, i) are the single-threaded form of the
+// same path: Prepare adopts and holds the lease, Acquire reads through it.
 class GeometryCache {
+  struct Generation;
+
  public:
-  // LRU capacity in generations (>= 1).  Shrinking evicts the excess least
+  GeometryCache();
+  ~GeometryCache();
+  GeometryCache(const GeometryCache&) = delete;
+  GeometryCache& operator=(const GeometryCache&) = delete;
+
+  // One cell's hold on its generation (empty when default-constructed).
+  // The cache must outlive every Acquire through the lease.
+  class Lease {
+   public:
+    Lease() = default;
+    explicit operator bool() const noexcept { return generation_ != nullptr; }
+
+    // The geometry of instance `index` under the adopted key; builds into
+    // the slot when cold.  The reference stays valid as long as some lease
+    // on the generation lives or the LRU keeps it.  `built` (optional)
+    // reports the per-instance cache-hit fact described above, which the
+    // batch runner's stage breakdown and the obs registry record.
+    const ScenarioGeometry& Acquire(const ScenarioSpec& spec, int index,
+                                    PairingMode pairing = PairingMode::kAuto,
+                                    bool* built = nullptr) const;
+
+   private:
+    friend class GeometryCache;
+    GeometryCache* cache_ = nullptr;
+    std::shared_ptr<Generation> generation_;
+    int claim_ = -1;  // this lease's number within its generation
+  };
+
+  // LRU capacity in generations (>= 1).  Shrinking drops the excess least
   // recently used generations immediately.
   void SetGenerations(int generations);
   int generations() const noexcept { return capacity_; }
 
   // Adopts the spec's key: splices its generation to the front when cached
   // (a generation hit), creates a fresh front generation otherwise
-  // (evicting beyond capacity), and ensures at least spec.instances slots
-  // exist in it.
-  void Prepare(const ScenarioSpec& spec);
+  // (evicting beyond capacity), ensures at least spec.instances slots
+  // exist in it, and returns a lease that claims the slots no earlier
+  // lease covered.
+  Lease Adopt(const ScenarioSpec& spec);
 
-  // The geometry of instance `index` under the prepared key; builds into
-  // the slot when cold.  The reference stays valid until the slot's
-  // generation is evicted (generations are list nodes and slots live in
-  // deques, so neither splices nor growth move warm slots).  `built`
-  // (optional) reports whether this call sampled the slot fresh (true) or
-  // served it warm (false) -- the per-instance cache-hit fact the batch
-  // runner's stage breakdown and the obs registry record.
+  // Single-threaded form: Prepare adopts and keeps the lease (releasing the
+  // previous one); Acquire goes through it and needs a key-equal spec.
+  void Prepare(const ScenarioSpec& spec);
   const ScenarioGeometry& Acquire(const ScenarioSpec& spec, int index,
                                   PairingMode pairing = PairingMode::kAuto,
                                   bool* built = nullptr);
 
-  // Accounting (deterministic in the sequence of Prepare/Acquire calls).
+  // Accounting.  builds() counts slots sampled, reuses() the Acquire calls
+  // that sampled nothing; both are deterministic in the set of (generation,
+  // index) pairs acquired.  Generation hits / evictions count Adopts served
+  // by an already-cached generation / generations dropped by LRU pressure,
+  // mirrored into the obs registry as engine.geometry_generation_hits /
+  // engine.geometry_evictions.
   long long builds() const noexcept { return builds_.load(); }
   long long reuses() const noexcept { return reuses_.load(); }
-  // Prepares served by an already-cached generation / generations dropped
-  // by LRU pressure.  Mirrored into the obs registry as
-  // engine.geometry_generation_hits / engine.geometry_evictions.
   long long generation_hits() const noexcept { return generation_hits_; }
   long long evictions() const noexcept { return evictions_; }
 
  private:
-  struct Slot {
-    ScenarioGeometry geometry;
-    bool valid = false;
-  };
-  struct Generation {
-    GeometryKey key;
-    std::deque<Slot> slots;  // deque: growth never moves warm slots
-  };
-
   void EvictOverCapacity();
 
-  std::list<Generation> generations_;  // front = most recently used
+  std::list<std::shared_ptr<Generation>> lru_;  // front = most recently used
+  Lease prepared_;  // the single-threaded form's current lease
   int capacity_ = 1;
   std::atomic<long long> builds_{0};
   std::atomic<long long> reuses_{0};
-  long long generation_hits_ = 0;  // mutated only in Prepare (single-threaded)
+  long long generation_hits_ = 0;  // mutated only by Adopt / SetGenerations
   long long evictions_ = 0;
 };
 

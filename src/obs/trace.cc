@@ -102,26 +102,47 @@ Span::Span(std::string name, Histogram* histogram, const char* category)
       histogram_(histogram),
       category_(category),
       observed_(Enabled()),
-      start_(std::chrono::steady_clock::now()) {}
+      start_(Now()) {}
 
-double Span::Finish() {
-  if (finished_) return 0.0;
-  finished_ = true;
-  const auto end = std::chrono::steady_clock::now();
-  const double dur_ms =
-      std::chrono::duration<double, std::milli>(end - start_).count();
-  if (!observed_) return dur_ms;
-  if (histogram_ != nullptr) histogram_->Observe(dur_ms);
+namespace {
+
+// The emission half of a span: histogram + trace event, for an interval
+// that was observed (obs::Enabled()) when it began.
+void Emit(std::string name, Histogram* histogram, const char* category,
+          Instant start, double dur_ms) {
+  if (histogram != nullptr) histogram->Observe(dur_ms);
   TraceSink& sink = TraceSink::Global();
   if (sink.active()) {
     TraceEvent event;
-    event.name = std::move(name_);
-    event.category = category_;
-    event.ts_us = MicrosSinceEpoch(start_);
+    event.name = std::move(name);
+    event.category = category;
+    event.ts_us = MicrosSinceEpoch(start);
     event.dur_us = 1e3 * dur_ms;
     event.tid = CurrentThreadId();
     sink.Record(std::move(event));
   }
+}
+
+}  // namespace
+
+Instant Now() { return std::chrono::steady_clock::now(); }
+
+double MillisBetween(Instant start, Instant end) {
+  return std::chrono::duration<double, std::milli>(end - start).count();
+}
+
+double RecordSpan(std::string name, Histogram* histogram, const char* category,
+                  Instant start, Instant end) {
+  const double dur_ms = MillisBetween(start, end);
+  if (Enabled()) Emit(std::move(name), histogram, category, start, dur_ms);
+  return dur_ms;
+}
+
+double Span::Finish() {
+  if (finished_) return 0.0;
+  finished_ = true;
+  const double dur_ms = MillisBetween(start_, Now());
+  if (observed_) Emit(std::move(name_), histogram_, category_, start_, dur_ms);
   return dur_ms;
 }
 

@@ -80,6 +80,19 @@ class TraceSink {
   std::vector<TraceEvent> events_;
 };
 
+// A reading of the span clock (steady).  Now() and MillisBetween() are the
+// clock surface for intervals that no single scope covers -- the pooled
+// runners time a batch from its first unit's start to its last unit's end
+// -- and RecordSpan emits such an interval exactly as a Span that lived
+// over [start, end]: when obs::Enabled(), it observes the duration into
+// `histogram` (if any) and appends a trace event on the calling thread's
+// tid.  RecordSpan returns the duration in ms either way.
+using Instant = std::chrono::steady_clock::time_point;
+Instant Now();
+double MillisBetween(Instant start, Instant end);
+double RecordSpan(std::string name, Histogram* histogram, const char* category,
+                  Instant start, Instant end);
+
 // RAII scoped timer; see the file comment for the emission rules.
 class Span {
  public:
@@ -100,7 +113,7 @@ class Span {
   const char* category_;
   bool observed_;  // obs::Enabled() at construction: histogram + trace
   bool finished_ = false;
-  std::chrono::steady_clock::time_point start_;
+  Instant start_;
 };
 
 }  // namespace decaylib::obs

@@ -5,6 +5,7 @@
 #include <ranges>
 #include <utility>
 
+#include "engine/batch_runner.h"
 #include "engine/report.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
@@ -107,6 +108,7 @@ SweepResult SweepRunner::Run(const SweepSpec& spec) const {
   SweepCheckpoint restored_doc;
   // The restored cells by grid index (nullptr = not restored).
   std::vector<const CheckpointCell*> restored(cells.size(), nullptr);
+  bool loaded_sidecar = false;
   if (config_.resume && !config_.checkpoint_path.empty() &&
       FileExists(config_.checkpoint_path)) {
     obs::Span restore_span("resume_restore", nullptr, "sweep");
@@ -135,17 +137,25 @@ SweepResult SweepRunner::Run(const SweepSpec& spec) const {
         restored[i] = &cell;
       }
     }
+    loaded_sidecar = true;
     out.stage_stats.Record("resume_restore", restore_span.Finish());
   }
 
-  // The checkpoint being (re)written this run: starts from the restored
-  // cells so a resume-of-a-resume keeps accumulating.
+  // The checkpoint being (re)written this run: the restored cells plus
+  // every fresh healthy cell as it completes, kept in cell-index order
+  // whatever order the cells finish in, so a resume-of-a-resume keeps
+  // accumulating and a halted resume keeps every restored cell.
   SweepCheckpoint save_doc;
   save_doc.sweep = spec.name;
   save_doc.spec_hash = hash;
   save_doc.grid = static_cast<long long>(cells.size());
+  for (const CheckpointCell* rc : restored) {
+    if (rc != nullptr) save_doc.cells.push_back(*rc);
+  }
   const bool checkpointing = !config_.checkpoint_path.empty();
-  // Saved after every completed cell and once more at the end.
+  // Whether the sidecar on disk lags save_doc: a loaded sidecar already
+  // holds the restored cells, and every fresh cell is written as it lands.
+  bool unsaved = !loaded_sidecar;
   const auto save = [&] {
     if (!checkpointing) return;
     // Timed separately from cell attempts (CellOutcome::attempt_ms), so
@@ -155,18 +165,155 @@ SweepResult SweepRunner::Run(const SweepSpec& spec) const {
     core::ThrowIfError(SaveCheckpoint(config_.checkpoint_path, save_doc));
     out.stage_stats.Record("checkpoint_write", save_span.Finish());
     SweepInstruments::Get().checkpoint_writes.Add();
+    unsaved = false;
   };
 
-  out.cells.reserve(cells.size());
-  int fresh_cells = 0;  // executed (non-restored) cells, for halt_after
-  bool halted = false;
-  for (SweepCell& cell : cells) {
-    const int index = cell.index;
+  // The cells this run executes: the fresh ones in grid order, only the
+  // first halt_after_cells of them when halting.  The result lists the grid
+  // prefix before the first fresh cell left out (a simulated kill).
+  std::vector<int> fresh;
+  std::size_t listed = cells.size();
+  for (const SweepCell& cell : cells) {
+    if (restored[static_cast<std::size_t>(cell.index)] != nullptr) continue;
+    if (config_.halt_after_cells > 0 &&
+        static_cast<int>(fresh.size()) >= config_.halt_after_cells) {
+      listed = static_cast<std::size_t>(cell.index);
+      break;
+    }
+    fresh.push_back(cell.index);
+  }
+  int units = 0;
+  for (const int c : fresh) units += cells[static_cast<std::size_t>(c)].spec.instances;
 
+  // Per-cell progress of the fresh cells.
+  struct Progress {
+    CellOutcome outcome;
+    engine::ScenarioResult result;
+    engine::GeometryCache::Lease geometry;  // held until the cell is final
+    obs::Instant start;  // attempt 1's first unit
+  };
+  std::vector<Progress> progress(cells.size());
+  {
+    engine::BatchConfig batch;
+    batch.tasks = spec.tasks;
+    batch.arenas = std::span<sinr::KernelArena>(arenas);
+    batch.pairing = config_.pairing;
+    // One pool for every (cell, instance) unit of the grid: cells overlap,
+    // and this thread coordinates -- it collects completions, re-queues a
+    // failed cell's units for its next attempt and writes the sidecar while
+    // the workers keep running.  Arenas and the geometry cache are
+    // overwrite-on-use and once-built, so a half-run attempt is invisible.
+    engine::BatchPool pool(batch, std::max(1, std::min(threads, units)));
+    std::vector<int> cell_of_batch;
+    const auto submit = [&](int c) {
+      Progress& p = progress[static_cast<std::size_t>(c)];
+      const int attempt = p.outcome.attempts;
+      SweepInstruments::Get().cell_attempts.Add();
+      engine::BatchPool::Batch unit_batch;
+      unit_batch.spec = &cells[static_cast<std::size_t>(c)].spec;
+      unit_batch.geometry = p.geometry;
+      if (config_.fault.Trips(c, attempt)) {
+        unit_batch.fault_instance = 0;
+        unit_batch.fault_message = "injected fault: cell " + std::to_string(c) +
+                                   " attempt " + std::to_string(attempt);
+      }
+      cell_of_batch.push_back(c);
+      pool.Submit(std::move(unit_batch), /*urgent=*/attempt > 1);
+    };
+    // A cell is final: trace it, free its geometry, checkpoint it.
+    const auto finish = [&](int c, obs::Instant end) {
+      Progress& p = progress[static_cast<std::size_t>(c)];
+      const SweepCell& cell = cells[static_cast<std::size_t>(c)];
+      obs::RecordSpan("cell." + cell.spec.name,
+                      &SweepInstruments::Get().cell_ms, "cell", p.start, end);
+      p.geometry = {};
+      if (p.outcome.attempts > 1) {
+        ++out.cells_retried;
+        SweepInstruments::Get().cells_retried.Add();
+      }
+      if (!p.outcome.ok) {
+        ++out.cells_failed;
+        SweepInstruments::Get().cells_failed.Add();
+        p.result = engine::ScenarioResult{};
+        p.result.spec = cell.spec;
+      } else if (checkpointing) {
+        CheckpointCell saved;
+        saved.index = c;
+        saved.attempts = p.outcome.attempts;
+        saved.instances = static_cast<int>(p.result.instances.size());
+        saved.aggregate = p.result.aggregate;
+        const auto at = std::ranges::lower_bound(save_doc.cells, c, {},
+                                                 &CheckpointCell::index);
+        save_doc.cells.insert(at, std::move(saved));
+        save();
+      }
+    };
+
+    // Dispatch in grid order: keys are adopted in that order, so the
+    // cache's LRU accounting is the same under any schedule.
+    int open = 0;
+    for (const int c : fresh) {
+      Progress& p = progress[static_cast<std::size_t>(c)];
+      const engine::ScenarioSpec& cell_spec = cells[static_cast<std::size_t>(c)].spec;
+      SweepInstruments::Get().cells.Add();
+      // Invalid runtime input is a permanent failure: retrying a bad spec
+      // cannot help.
+      const Status valid = engine::ValidateScenarioSpec(cell_spec);
+      if (!valid.ok()) {
+        SweepInstruments::Get().cell_attempts.Add();
+        p.outcome.ok = false;
+        p.outcome.error = valid.ToString();
+        p.start = obs::Now();
+        finish(c, p.start);
+        continue;
+      }
+      if (config_.reuse_geometry) p.geometry = geometry.Adopt(cell_spec);
+      submit(c);
+      ++open;
+    }
+    while (open > 0) {
+      engine::BatchPool::Completion done = pool.Next();
+      const int c = cell_of_batch[static_cast<std::size_t>(done.id)];
+      Progress& p = progress[static_cast<std::size_t>(c)];
+      CellOutcome& outcome = p.outcome;
+      if (outcome.attempts == 1) p.start = done.start;
+      // attempt_ms is the *final* attempt's first-unit-start to last-unit-
+      // end: overwritten each round, so a retried cell reports the run that
+      // produced its result.  Checkpoint writes happen outside it.
+      outcome.attempt_ms = obs::RecordSpan("cell_attempt", nullptr, "cell",
+                                           done.start, done.end);
+      outcome.total_attempt_ms += outcome.attempt_ms;
+      bool permanent = false;
+      if (done.status.ok()) {
+        const Status health = engine::AggregateHealth(done.result);
+        outcome.ok = health.ok();
+        outcome.error = health.ok() ? std::string() : health.ToString();
+        // A poisoned aggregate is deterministic in the cell's inputs;
+        // retrying replays the same NaN.
+        permanent = !health.ok();
+        p.result = std::move(done.result);
+      } else {
+        outcome.ok = false;
+        outcome.error = done.status.ToString();
+      }
+      if (!outcome.ok && !permanent &&
+          outcome.attempts < std::max(1, config_.max_attempts)) {
+        ++outcome.attempts;
+        submit(c);
+        continue;
+      }
+      finish(c, done.end);
+      --open;
+    }
+  }
+
+  out.cells.reserve(listed);
+  for (std::size_t i = 0; i < listed; ++i) {
+    SweepCell& cell = cells[i];
     // Restored cell: rebuild its ScenarioResult from the sidecar.  Only
     // the aggregate and instance count are stored -- exactly the
     // deterministic surface SweepSignature reads.
-    if (const CheckpointCell* rc = restored[static_cast<std::size_t>(index)]) {
+    if (const CheckpointCell* rc = restored[i]) {
       engine::ScenarioResult result;
       result.spec = cell.spec;
       result.instances.resize(static_cast<std::size_t>(rc->instances));
@@ -177,103 +324,14 @@ SweepResult SweepRunner::Run(const SweepSpec& spec) const {
       ++out.cells_resumed;
       SweepInstruments::Get().cells_resumed.Add();
       if (rc->attempts > 1) ++out.cells_retried;
-      save_doc.cells.push_back(*rc);
       out.cells.push_back({std::move(cell), std::move(result), outcome});
       continue;
     }
-
-    if (halted) break;
-
-    CellOutcome outcome;
-    engine::ScenarioResult result;
-    obs::Span cell_span("cell." + cell.spec.name,
-                        &SweepInstruments::Get().cell_ms, "cell");
-    SweepInstruments::Get().cells.Add();
-    for (int attempt = 1;; ++attempt) {
-      outcome.attempts = attempt;
-      obs::Span attempt_span("cell_attempt", nullptr, "cell");
-      SweepInstruments::Get().cell_attempts.Add();
-      // Per-cell BatchRunner: the fault plan arms instance 0 of the
-      // targeted cell for this attempt only, and a throwing cell cannot
-      // leave state behind in the runner (arenas and the geometry cache
-      // are overwrite-on-use, so a half-run attempt is invisible).
-      engine::BatchConfig batch;
-      batch.threads = threads;
-      batch.tasks = spec.tasks;
-      batch.arenas = std::span<sinr::KernelArena>(arenas);
-      batch.geometry = config_.reuse_geometry ? &geometry : nullptr;
-      batch.pairing = config_.pairing;
-      if (config_.fault.Trips(index, attempt)) {
-        batch.fault_instance = 0;
-        batch.fault_message = "injected fault: cell " + std::to_string(index) +
-                              " attempt " + std::to_string(attempt);
-      }
-      bool permanent = false;
-      try {
-        result = engine::BatchRunner(batch).RunOne(cell.spec);
-        const Status health = engine::AggregateHealth(result);
-        if (health.ok()) {
-          outcome.ok = true;
-          outcome.error.clear();
-        } else {
-          // A poisoned aggregate is deterministic in the cell's inputs;
-          // retrying replays the same NaN.
-          outcome.ok = false;
-          outcome.error = health.ToString();
-          permanent = true;
-        }
-      } catch (const StatusError& e) {
-        outcome.ok = false;
-        outcome.error = e.status().ToString();
-        permanent = e.status().code() == core::StatusCode::kInvalidArgument;
-      } catch (const std::exception& e) {
-        outcome.ok = false;
-        outcome.error = e.what();
-      } catch (...) {
-        outcome.ok = false;
-        outcome.error = "unknown exception";
-      }
-      // attempt_ms is the *final* attempt's wall time: overwritten each
-      // round, so a retried cell reports the run that produced its result.
-      // Checkpoint writes happen outside this window (see save).
-      outcome.attempt_ms = attempt_span.Finish();
-      outcome.total_attempt_ms += outcome.attempt_ms;
-      if (outcome.ok || permanent ||
-          attempt >= std::max(1, config_.max_attempts)) {
-        break;
-      }
-    }
-
-    if (outcome.attempts > 1) {
-      ++out.cells_retried;
-      SweepInstruments::Get().cells_retried.Add();
-    }
-    if (outcome.ok) out.stage_stats.Merge(result.stage_stats);
-    if (!outcome.ok) {
-      ++out.cells_failed;
-      SweepInstruments::Get().cells_failed.Add();
-      result = engine::ScenarioResult{};
-      result.spec = cell.spec;
-    } else if (checkpointing) {
-      CheckpointCell saved;
-      saved.index = index;
-      saved.attempts = outcome.attempts;
-      saved.instances = static_cast<int>(result.instances.size());
-      saved.aggregate = result.aggregate;
-      save_doc.cells.push_back(std::move(saved));
-      save();
-    }
-    out.cells.push_back({std::move(cell), std::move(result), outcome});
-
-    ++fresh_cells;
-    if (config_.halt_after_cells > 0 &&
-        fresh_cells >= config_.halt_after_cells) {
-      // Simulated kill: later restored cells still append (they cost
-      // nothing), but no further cell executes.
-      halted = true;
-    }
+    Progress& p = progress[i];
+    if (p.outcome.ok) out.stage_stats.Merge(p.result.stage_stats);
+    out.cells.push_back({std::move(cell), std::move(p.result), p.outcome});
   }
-  save();
+  if (unsaved) save();
 
   out.wall_ms = sweep_span.Finish();
   for (const sinr::KernelArena& arena : arenas) {

@@ -1,9 +1,13 @@
 // Drives a parameter grid through the batch engine over shared kernel
 // arenas.
 //
-// SweepRunner expands a SweepSpec into its cell grid and runs each cell's
-// batch through one engine::BatchRunner.  Two kinds of expensive per-cell
-// state live above the grid and are reused across it:
+// SweepRunner expands a SweepSpec into its cell grid and runs every
+// (cell, instance) unit of the grid on one engine::BatchPool -- one queue,
+// one set of workers, so cells overlap and none waits for another's
+// slowest instance; the calling thread coordinates (geometry keys adopted
+// in grid order, retries re-queued, the sidecar written while the workers
+// run).  Two kinds of expensive per-cell state live above the grid and
+// are reused across it:
 //  * kernels -- per-instance KernelCache matrices are rebuilt inside
 //    per-worker sinr::KernelArena slabs that live for the *whole sweep*:
 //    same-shape cells (and every instance within a cell) reuse warm storage
@@ -73,7 +77,9 @@ struct FaultPlan {
 };
 
 struct SweepConfig {
-  int threads = 0;          // per-cell worker pool; 0 = hardware concurrency
+  // Size of the one worker pool that runs every (cell, instance) unit of
+  // the grid; 0 = hardware concurrency.
+  int threads = 0;
   bool reuse_arena = true;  // rebuild kernels in per-worker arenas
   // Share sampled instance geometry (decay space, points, link pairing,
   // measured metricity) across cells whose engine::GeometryKey matches --
@@ -106,10 +112,11 @@ struct CellOutcome {
   std::string error;   // status/exception text of the *last* attempt
   int attempts = 1;    // attempts consumed (1 = first try succeeded)
   bool resumed = false;  // restored from a checkpoint, not executed
-  // Wall time of the *final* attempt alone (its cell_attempt span) --
-  // batch execution only, with checkpoint writes excluded, so a retried or
-  // checkpointed cell reports what the surviving run actually cost.
-  // Resumed cells report 0.
+  // Wall time of the *final* attempt alone (its cell_attempt span: first
+  // unit start to last unit end) -- batch execution only, with checkpoint
+  // writes excluded, so a retried or checkpointed cell reports what the
+  // surviving run actually cost.  Cells share the worker pool, so the
+  // attempt spans of concurrent cells may overlap.  Resumed cells report 0.
   double attempt_ms = 0.0;
   // Wall time summed over every attempt (failed ones included).
   double total_attempt_ms = 0.0;
@@ -136,7 +143,7 @@ struct SweepResult {
   long long arena_warm_skips = 0; // rebuilds into an already-right-sized slab
   long long geometry_builds = 0; // instance geometries sampled fresh
   long long geometry_reuses = 0; // instance geometries served from cache
-  long long geometry_generation_hits = 0;  // Prepares served by a warm key
+  long long geometry_generation_hits = 0;  // Adopts served by a warm key
   long long geometry_evictions = 0;        // generations dropped by LRU
   // Per-stage breakdown merged from every ok cell's batch, plus the
   // sweep-level checkpoint_write (time in SaveCheckpoint) and

@@ -13,7 +13,9 @@
 //     fails here under TSan, and the stable-handle assertions fail anywhere.
 //   * engine::GeometryCache cold Acquire -- workers fill distinct instance
 //     slots of one prepared generation concurrently; slots must neither
-//     move (deque growth contract) nor share accounting non-atomically.
+//     move (heap-slot contract) nor share accounting non-atomically.  And
+//     two cells that share a key (the pooled sweep runs them at once)
+//     acquire the same cold slot concurrently: it is built exactly once.
 //   * BatchRunner error capture -- a worker that throws records its failure
 //     while siblings keep stealing; the rethrown error must be the lowest
 //     failed index regardless of schedule (thread-count-deterministic
@@ -121,7 +123,7 @@ TEST_F(ConcurrencyRegressionTest, GeometryCacheColdAcquireFillsSlotsRaceFree) {
   EXPECT_EQ(cache.reuses(), 0);
 
   // Second concurrent round: every slot is warm, references must be stable
-  // (the deque-backed slots may never move under growth or reuse).
+  // (heap-allocated slots may never move under growth or reuse).
   std::barrier gate2(kThreads);
   std::vector<std::thread> pool2;
   for (int t = 0; t < kThreads; ++t) {
@@ -137,6 +139,57 @@ TEST_F(ConcurrencyRegressionTest, GeometryCacheColdAcquireFillsSlotsRaceFree) {
   for (std::thread& t : pool2) t.join();
   EXPECT_EQ(cache.builds(), kThreads);
   EXPECT_EQ(cache.reuses(), kThreads);
+}
+
+TEST_F(ConcurrencyRegressionTest, GeometryCacheSharedSlotIsBuiltOnce) {
+  // Two cells of one key: they differ in beta only.  A measured zeta makes
+  // the slot's metricity scan a second once-only step.
+  engine::ScenarioSpec first;
+  first.name = "conc_shared_slot";
+  first.links = 16;
+  first.instances = 1;
+  first.seed = 31;
+  first.zeta = -1.0;
+  engine::ScenarioSpec second = first;
+  second.beta = 1.5;
+  ASSERT_EQ(engine::GeometryKeyOf(first), engine::GeometryKeyOf(second));
+
+  engine::GeometryCache cache;
+  const engine::GeometryCache::Lease a = cache.Adopt(first);
+  const engine::GeometryCache::Lease b = cache.Adopt(second);
+  EXPECT_EQ(cache.generation_hits(), 1);
+
+  std::barrier gate(kThreads);
+  std::vector<const engine::ScenarioGeometry*> seen(kThreads, nullptr);
+  std::vector<char> built(kThreads, 0);
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      gate.arrive_and_wait();
+      // Odd threads acquire through the second cell's lease.
+      const engine::GeometryCache::Lease& lease = t % 2 == 0 ? a : b;
+      const engine::ScenarioSpec& spec = t % 2 == 0 ? first : second;
+      bool fresh = false;
+      seen[static_cast<std::size_t>(t)] =
+          &lease.Acquire(spec, 0, engine::PairingMode::kAuto, &fresh);
+      built[static_cast<std::size_t>(t)] = fresh ? 1 : 0;
+    });
+  }
+  for (std::thread& t : pool) t.join();
+  EXPECT_EQ(cache.builds(), 1);
+  EXPECT_EQ(cache.reuses(), kThreads - 1);
+  // The first cell's lease owns the slot, so it alone reports the build,
+  // once -- whichever worker sampled the slot.
+  int built_first = 0;
+  int built_second = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(seen[static_cast<std::size_t>(t)], seen[0]) << t;
+    (t % 2 == 0 ? built_first : built_second) +=
+        built[static_cast<std::size_t>(t)];
+  }
+  EXPECT_EQ(built_first, 1);
+  EXPECT_EQ(built_second, 0);
+  EXPECT_TRUE(seen[0]->zeta_measured);
 }
 
 TEST_F(ConcurrencyRegressionTest, PooledErrorCaptureIsScheduleDeterministic) {

@@ -375,6 +375,31 @@ TEST(GeometryCacheTest, WarmSlotReferencesSurviveSplices) {
 
 // The engine's core contract: the deterministic aggregate report of a batch
 // does not depend on the worker-pool size.
+// Every spec is validated before any unit runs: an invalid last spec
+// throws before the valid specs ahead of it touch the geometry cache.
+TEST(BatchRunnerTest, InvalidLastSpecThrowsBeforeAnyWorkerStarts) {
+  std::vector<ScenarioSpec> specs;
+  for (const ScenarioSpec& spec : BuiltinScenarios()) {
+    specs.push_back(Small(spec, 12, 2));
+  }
+  specs.back().beta = 0.25;
+  GeometryCache geometry;
+  for (const int threads : {1, 4}) {
+    BatchConfig config;
+    config.threads = threads;
+    config.geometry = &geometry;
+    try {
+      (void)BatchRunner(config).Run(specs);
+      FAIL() << "expected StatusError at threads=" << threads;
+    } catch (const core::StatusError& e) {
+      EXPECT_EQ(e.status().code(), core::StatusCode::kInvalidArgument)
+          << threads;
+    }
+    EXPECT_EQ(geometry.builds(), 0) << threads;
+    EXPECT_EQ(geometry.reuses(), 0) << threads;
+  }
+}
+
 TEST(BatchRunnerTest, AggregateBitIdenticalAcrossThreadCounts) {
   std::vector<ScenarioSpec> specs;
   for (const ScenarioSpec& spec : BuiltinScenarios()) {

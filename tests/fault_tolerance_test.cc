@@ -5,9 +5,11 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <limits>
 #include <map>
 #include <span>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -104,6 +106,67 @@ TEST(FaultToleranceTest, PermanentFaultIsolatedAndDeterministic) {
               one(reference.cells[static_cast<std::size_t>(i)]))
         << i;
   }
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// One work queue for the whole grid: with a first cell far larger than the
+// rest, four workers finish and retry cells out of grid order, yet the
+// outcome -- signature, failure and retry counts, the sidecar's bytes --
+// equals the serial run's, for a transient fault on one cell and for a
+// permanent fault on another.
+TEST(FaultToleranceTest, SkewedGridWithFaultsMatchesSerialRun) {
+  SweepSpec spec = TinyGrid();
+  spec.axes = {{"links", {160, 10, 12, 14, 16, 18}}};
+  const std::string path = "FT_TEST_skewed_checkpoint.json";
+  struct Outcome {
+    SweepResult result;
+    std::string sidecar;
+  };
+  const auto run = [&](int threads, int fail_cell, int fail_attempts) {
+    std::remove(path.c_str());
+    SweepConfig config;
+    config.threads = threads;
+    config.checkpoint_path = path;
+    config.fault.fail_cell = fail_cell;
+    config.fault.fail_attempts = fail_attempts;
+    Outcome outcome{SweepRunner(config).Run(spec), ""};
+    outcome.sidecar = ReadFile(path);
+    return outcome;
+  };
+
+  // Cell 2 fails its first attempt only; cell 4 fails every attempt.
+  for (const auto& [fail_cell, fail_attempts] : {std::pair{2, 1}, std::pair{4, -1}}) {
+    const Outcome serial = run(1, fail_cell, fail_attempts);
+    const Outcome pooled = run(4, fail_cell, fail_attempts);
+    const bool permanent = fail_attempts < 0;
+    ASSERT_EQ(serial.result.cells.size(), 6u) << fail_cell;
+    EXPECT_EQ(serial.result.cells_failed, permanent ? 1 : 0) << fail_cell;
+    EXPECT_EQ(serial.result.cells_retried, 1) << fail_cell;
+    EXPECT_EQ(serial.result.cells[static_cast<std::size_t>(fail_cell)]
+                  .outcome.ok,
+              !permanent);
+    EXPECT_EQ(SweepSignature(pooled.result), SweepSignature(serial.result))
+        << fail_cell;
+    EXPECT_EQ(pooled.result.cells_failed, serial.result.cells_failed);
+    EXPECT_EQ(pooled.result.cells_retried, serial.result.cells_retried);
+    // Every healthy cell is in the sidecar, in grid order, either way.
+    EXPECT_EQ(pooled.sidecar, serial.sidecar) << fail_cell;
+    const core::StatusOr<SweepCheckpoint> doc = LoadCheckpoint(path);
+    ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+    std::vector<int> indices;
+    for (const CheckpointCell& cell : doc->cells) indices.push_back(cell.index);
+    const std::vector<int> healthy =
+        permanent ? std::vector<int>{0, 1, 2, 3, 5}
+                  : std::vector<int>{0, 1, 2, 3, 4, 5};
+    EXPECT_EQ(indices, healthy);
+  }
+  EXPECT_EQ(std::remove(path.c_str()), 0);
 }
 
 // Whole-sweep input problems do not get per-cell treatment: an invalid
@@ -310,11 +373,21 @@ TEST(FaultToleranceTest, HaltThenResumeReproducesFreshSignature) {
   clean.threads = 2;
   const std::string sig = SweepSignature(SweepRunner(clean).Run(spec));
 
+  // The halted run stops the work queue after two fresh cells; at threads
+  // = 4 they still come first in grid order.
   SweepConfig halted = clean;
   halted.checkpoint_path = path;
   halted.halt_after_cells = 2;
+  halted.threads = 4;
+  const std::string pooled_half = [&] {
+    const SweepResult partial = SweepRunner(halted).Run(spec);
+    EXPECT_EQ(partial.cells.size(), 2u);
+    return ReadFile(path);
+  }();
+  halted.threads = clean.threads;
   const SweepResult partial = SweepRunner(halted).Run(spec);
   ASSERT_EQ(partial.cells.size(), 2u);
+  EXPECT_EQ(ReadFile(path), pooled_half);
 
   // Snapshot the half-grid sidecar: each resume below rewrites the file to
   // the full grid, so it is restored between iterations.

@@ -309,6 +309,34 @@ TEST(PrunedMetricityEquality, MatchesNaiveWhenWitnessWaypointIsInTheTail) {
   }
 }
 
+TEST(PrunedMetricityEquality, MatchesNaiveWhenWitnessWaypointIsInALaterBlock) {
+  // ComputeMetricity's pair certificate stops at the first 64-waypoint
+  // block whose min-plus falls below the bound.  The same chains as above,
+  // with the lone useful waypoint w of the witness pair (1,0) in a later
+  // block: at a block's first lane, in its four-wide body, or in the
+  // remainder lanes of a short last block.  A scan that stopped too early
+  // -- or skipped a block or its remainder -- would miss (1,0).
+  for (const int n : {66, 67, 131}) {
+    for (const int w : {63, 64, 65, 128, n - 2, n - 1}) {
+      if (w < 3 || w >= n) continue;
+      SCOPED_TRACE("n=" + std::to_string(n) + " w=" + std::to_string(w));
+      DecaySpace space(n, 16.0);
+      space.Set(0, 2, 2.0);
+      space.Set(2, 1, 2.0);
+      space.Set(1, w, 1.0);
+      space.Set(w, 0, 1.0);
+      const MetricityResult zeta = ComputeMetricity(space);
+      const MetricityResult naive = ComputeMetricityNaive(space);
+      EXPECT_EQ(zeta.zeta, naive.zeta);
+      EXPECT_EQ(zeta.arg_x, naive.arg_x);
+      EXPECT_EQ(zeta.arg_y, naive.arg_y);
+      EXPECT_EQ(zeta.arg_z, naive.arg_z);
+      EXPECT_NEAR(zeta.zeta, 4.0, 1e-9);
+      EXPECT_EQ(zeta.arg_z, w);
+    }
+  }
+}
+
 TEST(PrunedMetricityEquality, PhiBlockPruneMatchesNaiveOnAdversarialSpaces) {
   // Spaces engineered around the block prune's edge: (a) a space where the
   // first (x,z) blocks dominate and everything later prunes, (b) one where

@@ -568,6 +568,72 @@ TEST(SweepRunnerTest, AttemptTimingExcludesCheckpointAndResume) {
   EXPECT_EQ(SweepSignature(resumed), SweepSignature(SweepRunner(plain).Run(spec)));
 }
 
+// One sidecar write per fresh checkpointed cell: a clean run does not
+// rewrite the unchanged document once more at the end.
+TEST(SweepRunnerTest, CleanRunWritesTheSidecarOncePerCell) {
+  const SweepSpec spec = TinySweep();
+  const std::string path = "SWEEP_TEST_WRITES_CKPT.json";
+  std::remove(path.c_str());
+  const auto writes = [] {
+    return obs::Registry::Global().CounterValues()["sweep.checkpoint_writes"];
+  };
+  obs::SetEnabled(true);
+  const long long before = writes();
+  SweepConfig config;
+  config.threads = 4;
+  config.checkpoint_path = path;
+  const SweepResult result = SweepRunner(config).Run(spec);
+  const long long after = writes();
+  obs::SetEnabled(false);
+  ASSERT_EQ(result.cells.size(), 4u);
+  EXPECT_EQ(after - before, 4);
+  const obs::StageStats::Stage* write =
+      result.stage_stats.Find("checkpoint_write");
+  ASSERT_NE(write, nullptr);
+  EXPECT_EQ(write->count, 4);
+  const core::StatusOr<SweepCheckpoint> saved = LoadCheckpoint(path);
+  ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+  EXPECT_EQ(saved->cells.size(), 4u);
+  EXPECT_EQ(std::remove(path.c_str()), 0);
+}
+
+// A resume that halts before reaching a restored cell still keeps that
+// cell in the sidecar, and the sidecar lists cells in grid order.
+TEST(SweepRunnerTest, HaltedResumeKeepsEveryRestoredCell) {
+  const SweepSpec spec = TinySweep();
+  const std::string path = "SWEEP_TEST_GAPPED_CKPT.json";
+  SweepConfig full;
+  full.threads = 2;
+  full.checkpoint_path = path;
+  const std::string sig = SweepSignature(SweepRunner(full).Run(spec));
+
+  // Keep cells 0 and 3 only: the halted resume runs cell 1 and stops at 2.
+  core::StatusOr<SweepCheckpoint> doc = LoadCheckpoint(path);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  ASSERT_EQ(doc->cells.size(), 4u);
+  doc->cells.erase(doc->cells.begin() + 1, doc->cells.begin() + 3);
+  ASSERT_TRUE(SaveCheckpoint(path, *doc).ok());
+
+  SweepConfig halted = full;
+  halted.threads = 4;
+  halted.resume = true;
+  halted.halt_after_cells = 1;
+  const SweepResult partial = SweepRunner(halted).Run(spec);
+  EXPECT_EQ(partial.cells.size(), 2u);
+  const core::StatusOr<SweepCheckpoint> kept = LoadCheckpoint(path);
+  ASSERT_TRUE(kept.ok()) << kept.status().ToString();
+  std::vector<int> indices;
+  for (const CheckpointCell& cell : kept->cells) indices.push_back(cell.index);
+  EXPECT_EQ(indices, (std::vector<int>{0, 1, 3}));
+
+  SweepConfig resume = full;
+  resume.resume = true;
+  const SweepResult finished = SweepRunner(resume).Run(spec);
+  EXPECT_EQ(finished.cells_resumed, 3);
+  EXPECT_EQ(SweepSignature(finished), sig);
+  EXPECT_EQ(std::remove(path.c_str()), 0);
+}
+
 // A retried cell's final-attempt time excludes the failed attempt, which
 // still shows up in the all-attempts total.
 TEST(SweepRunnerTest, RetriedCellAccumulatesTotalAttemptTime) {
