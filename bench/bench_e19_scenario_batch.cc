@@ -14,8 +14,8 @@
 // Flags: --links <n per instance> (default 96), --instances <per scenario>
 //        (default 6), --threads <pool size> (default hardware), plus the
 //        obs::BenchHarness flags --json (write BENCH_E19.json, schema v2:
-//        per-scenario batch/build_total/tasks phases, pooled/serial walls,
-//        and a "scenarios" aggregate block), --reps/--warmup/--min-time-ms.
+//        per-scenario build_total/tasks phases, pooled/serial walls, and
+//        a "scenarios" aggregate block), --reps/--warmup/--min-time-ms.
 //
 // Run in a Release build; the Assert build's DL_CHECK instrumentation
 // dominates the kernel builds.
@@ -144,10 +144,10 @@ int main(int argc, char** argv) {
         "determinism check skipped: --threads 1 makes both runs serial\n");
   }
 
-  // Three phases per scenario (batch wall / worker-summed build time -- the
-  // geometry, metricity and kernel stages together -- / task time, the
-  // longitudinal throughput record), plus the deterministic aggregates as
-  // the "scenarios" extra member.
+  // Two phases per scenario (worker-summed build time -- the geometry,
+  // metricity and kernel stages together -- and task time), plus the
+  // deterministic aggregates and batch walls as the "scenarios" extra
+  // member.
   engine::RecordScenarioPhases(report, results);
   return report.Close();
 }

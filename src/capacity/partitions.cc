@@ -5,8 +5,9 @@
 
 #include "core/check.h"
 
-// (Lemma B.3's colouring is implemented directly below rather than through
-// graph::DegeneracyColoring, because the conflict test needs link geometry.)
+// (Lemma B.3's first-fit colouring is implemented directly below, over
+// in-affectance rather than a conflict graph, because the conflict test
+// needs link geometry.)
 
 namespace decaylib::capacity {
 

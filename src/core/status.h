@@ -71,6 +71,12 @@ class Status {
   // "<code name>: <message>" ("ok" when OK).
   std::string ToString() const;
 
+  // Keeps the first error: adopts `other` only while this is OK, so a
+  // parser can run a list of reads and report the first that failed.
+  void Update(const Status& other) {
+    if (ok()) *this = other;
+  }
+
   friend bool operator==(const Status&, const Status&) = default;
 
  private:

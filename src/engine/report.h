@@ -51,12 +51,13 @@ void PrintReport(std::span<const ScenarioResult> results);
 // means an algorithm produced an infeasible set or an invalid schedule.
 long long ViolationCount(std::span<const ScenarioResult> results);
 
-// Records three phases per scenario into `harness` -- <name>.batch (batch
-// wall time), <name>.build_total (worker-summed geometry and kernel stages)
-// and <name>.tasks (worker-summed task.<kind> stages) -- and attaches the
-// "scenarios" extra member: per scenario its name, topology, links,
-// instances, throughput, non-empty metric summaries and stage wall-time
-// totals.
+// Records two phases per scenario into `harness` -- <name>.build_total
+// (worker-summed geometry and kernel stages) and <name>.tasks
+// (worker-summed task.<kind> stages) -- and attaches the "scenarios" extra
+// member: per scenario its name, topology, links, instances, batch wall
+// time, throughput, non-empty metric summaries and stage wall-time totals.
+// The batch wall time is no phase: in a shared pool a spec's span overlaps
+// the other specs' work, so it does not time the spec's own work.
 void RecordScenarioPhases(obs::BenchHarness& harness,
                           std::span<const ScenarioResult> results);
 

@@ -1,10 +1,12 @@
 #include "io/csv.h"
 
-#include <cmath>
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <limits>
 #include <vector>
+
+#include "core/parse.h"
 
 namespace decaylib::io {
 
@@ -19,7 +21,11 @@ std::string Trim(const std::string& s) {
 
 }  // namespace
 
-ParseResult ReadDecayCsv(std::istream& in) {
+core::StatusOr<core::DecaySpace> ReadDecayCsv(std::istream& in) {
+  const auto error = [](int line_number, const std::string& what) {
+    return core::Status::InvalidArgument(
+        "line " + std::to_string(line_number) + ": " + what);
+  };
   std::vector<std::vector<double>> rows;
   std::string line;
   int line_number = 0;
@@ -27,39 +33,31 @@ ParseResult ReadDecayCsv(std::istream& in) {
     ++line_number;
     const std::string trimmed = Trim(line);
     if (trimmed.empty() || trimmed.front() == '#') continue;
-    // getline drops an empty final field, so a trailing comma never reaches
-    // the per-cell check below.
-    if (trimmed.back() == ',') {
-      return {std::nullopt,
-              "line " + std::to_string(line_number) + ": empty cell"};
-    }
     std::vector<double> row;
-    std::stringstream ss(trimmed);
-    std::string cell;
-    while (std::getline(ss, cell, ',')) {
-      const std::string value = Trim(cell);
-      if (value.empty()) {
-        return {std::nullopt, "line " + std::to_string(line_number) +
-                                  ": empty cell"};
-      }
-      char* end = nullptr;
-      const double parsed = std::strtod(value.c_str(), &end);
-      if (end == value.c_str() || *end != '\0') {
-        return {std::nullopt, "line " + std::to_string(line_number) +
-                                  ": unparsable cell '" + value + "'"};
+    // Every comma ends a cell, so a trailing one leaves an empty last cell.
+    for (std::size_t begin = 0; begin <= trimmed.size();) {
+      const auto end = std::min(trimmed.find(',', begin), trimmed.size());
+      const std::string value = Trim(trimmed.substr(begin, end - begin));
+      begin = end + 1;
+      if (value.empty()) return error(line_number, "empty cell");
+      // Every cell, the ignored diagonal included, is a finite number.
+      constexpr double kMax = std::numeric_limits<double>::max();
+      double parsed = 0.0;
+      if (!core::ParseDouble(value.c_str(), -kMax, kMax, &parsed)) {
+        return error(line_number, "unparsable cell '" + value + "'");
       }
       row.push_back(parsed);
     }
     rows.push_back(std::move(row));
   }
-  if (rows.empty()) return {std::nullopt, "no data rows"};
+  if (rows.empty()) return core::Status::InvalidArgument("no data rows");
   const std::size_t n = rows.size();
   for (std::size_t i = 0; i < n; ++i) {
     if (rows[i].size() != n) {
-      return {std::nullopt,
-              "matrix is not square: row " + std::to_string(i + 1) + " has " +
-                  std::to_string(rows[i].size()) + " cells, expected " +
-                  std::to_string(n)};
+      return core::Status::InvalidArgument(
+          "matrix is not square: row " + std::to_string(i + 1) + " has " +
+          std::to_string(rows[i].size()) + " cells, expected " +
+          std::to_string(n));
     }
   }
   core::DecaySpace space(static_cast<int>(n));
@@ -67,21 +65,20 @@ ParseResult ReadDecayCsv(std::istream& in) {
     for (std::size_t j = 0; j < n; ++j) {
       if (i == j) continue;  // diagonal ignored
       const double v = rows[i][j];
-      if (!(v > 0.0) || !std::isfinite(v)) {
-        return {std::nullopt,
-                "entry (" + std::to_string(i) + "," + std::to_string(j) +
-                    ") must be a positive finite decay, got " +
-                    std::to_string(v)};
+      if (!(v > 0.0)) {
+        return core::Status::InvalidArgument(
+            "entry (" + std::to_string(i) + "," + std::to_string(j) +
+            ") must be a positive finite decay, got " + std::to_string(v));
       }
       space.Set(static_cast<int>(i), static_cast<int>(j), v);
     }
   }
-  return {std::move(space), ""};
+  return space;
 }
 
-ParseResult ReadDecayCsvFile(const std::string& path) {
+core::StatusOr<core::DecaySpace> ReadDecayCsvFile(const std::string& path) {
   std::ifstream in(path);
-  if (!in) return {std::nullopt, "cannot open '" + path + "'"};
+  if (!in) return core::Status::IoError("cannot open '" + path + "'");
   return ReadDecayCsv(in);
 }
 

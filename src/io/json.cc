@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
+
+#include "core/parse.h"
 
 namespace decaylib::io {
 
@@ -93,6 +95,21 @@ const Json* Json::Find(const std::string& key) const {
     if (member.first == key) return &member.second;
   }
   return nullptr;
+}
+
+core::StatusOr<const Json*> Json::Get(const std::string& key,
+                                      Kind want) const {
+  static constexpr const char* kKindNames[] = {
+      "null", "a bool", "a number", "a string", "an array", "an object"};
+  const Json* member = kind_ == Kind::kObject ? Find(key) : nullptr;
+  if (member == nullptr) {
+    return core::Status::IoError("missing field '" + key + "'");
+  }
+  if (member->kind_ != want) {
+    return core::Status::IoError("field '" + key + "': expected " +
+                                 kKindNames[static_cast<int>(want)]);
+  }
+  return member;
 }
 
 namespace {
@@ -295,9 +312,9 @@ class Parser {
     }
     if (pos_ == start) return Error("expected a value");
     const std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0' || !std::isfinite(value)) {
+    constexpr double kMax = std::numeric_limits<double>::max();
+    double value = 0.0;
+    if (!core::ParseDouble(token.c_str(), -kMax, kMax, &value)) {
       pos_ = start;
       return Error("invalid number '" + token + "'");
     }
@@ -309,12 +326,8 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
-}  // namespace
-
-core::StatusOr<Json> Json::Parse(const std::string& text) {
-  return Parser(text).Run();
-}
-
+// Escapes a string for embedding inside a JSON string literal (quotes,
+// backslashes, control characters; no surrounding quotes added).
 std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -339,6 +352,12 @@ std::string JsonEscape(const std::string& s) {
     }
   }
   return out;
+}
+
+}  // namespace
+
+core::StatusOr<Json> Json::Parse(const std::string& text) {
+  return Parser(text).Run();
 }
 
 std::string Json::Dump() const {

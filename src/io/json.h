@@ -1,24 +1,29 @@
 // Minimal JSON document model: parse, navigate, serialise.
 //
-// The checkpoint/resume layer of the sweep runner (sweep/checkpoint.h)
-// needs to read back the JSON sidecars it writes; the existing report
-// writers (engine/report.cc, sweep/sweep_report.cc) only ever emit.  This
+// decaylib persists three records as JSON -- the sweep checkpoint sidecar
+// (sweep/checkpoint.h), the BENCH v2 timing record and its provenance
+// (obs/bench_harness.h) -- and reads them back as foreign input, possibly
+// truncated by the very crash a checkpoint is there to survive.  This
 // module provides the round trip: a small value type over the six JSON
 // kinds, a strict recursive-descent parser that returns core::Status
-// diagnostics (with character offsets) instead of aborting on malformed
-// input -- a checkpoint file is runtime input, possibly truncated by the
-// very crash it is there to survive -- and a writer whose number format
-// (%.17g) round-trips doubles bit-exactly through the parser.
+// diagnostics (with byte offsets) instead of aborting, a writer whose
+// number format (%.17g) round-trips doubles bit-exactly through the
+// parser, and one checked member read (Get, typed as Read) with its write
+// half (Put).  Each record lists its fields once; its writer walks that
+// list with Put and its reader with Read.
 //
-// Deliberate limits, fine for sidecar-sized documents: numbers are doubles
-// (integers above 2^53 lose precision), object keys keep insertion order
-// and may repeat (lookup returns the first), nesting depth is capped, and
-// non-finite numbers are *not* emitted by Dump -- callers that need
-// inf/nan round trips store them as strings (checkpoint.cc does, for empty
-// MetricSummary min/max sentinels).
+// Deliberate limits, fine for sidecar-sized documents: numbers are finite
+// doubles parsed by core::ParseDouble (integers above 2^53 lose
+// precision), object keys keep insertion order and may repeat (lookup
+// returns the first), nesting depth is capped, and non-finite numbers are
+// *not* emitted by Dump -- callers that need inf round trips store them as
+// strings (checkpoint.cc does, for empty MetricSummary min/max sentinels).
 #pragma once
 
+#include <algorithm>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -64,6 +69,23 @@ class Json {
   // First member named `key`, or nullptr (object kind required).
   const Json* Find(const std::string& key) const;
 
+  // The checked member read for foreign input: the first member named
+  // `key` if it is of kind `want`, else an IoError naming the key (a
+  // non-object has no members).
+  core::StatusOr<const Json*> Get(const std::string& key, Kind want) const;
+
+  // Get typed for a record field: a std::string, bool, double or integer
+  // from a string, bool or number member; an integer passes
+  // AsInteger(lo, its type's max), so narrowing it is defined.  On failure
+  // *out keeps its value.
+  template <typename T>
+  core::Status Read(const std::string& key, T* out,
+                    long long lo = std::numeric_limits<long long>::min()) const;
+
+  // Read's write half (object kind required).
+  template <typename T>
+  void Put(std::string key, T value);
+
   // Strict parse of a complete document (trailing junk is an error).
   static core::StatusOr<Json> Parse(const std::string& text);
 
@@ -80,8 +102,42 @@ class Json {
   std::vector<Member> members_;
 };
 
-// Escapes a string for embedding inside a JSON string literal (quotes,
-// backslashes, control characters; no surrounding quotes added).
-std::string JsonEscape(const std::string& s);
+template <typename T>
+core::Status Json::Read(const std::string& key, T* out, long long lo) const {
+  constexpr Kind kWant = std::is_same_v<T, bool>    ? Kind::kBool
+                         : std::is_arithmetic_v<T> ? Kind::kNumber
+                                                   : Kind::kString;
+  const core::StatusOr<const Json*> member = Get(key, kWant);
+  if (!member.ok()) return member.status();
+  const Json& value = **member;
+  if constexpr (kWant == Kind::kBool) {
+    *out = value.bool_;
+  } else if constexpr (std::is_integral_v<T>) {
+    using Limits = std::numeric_limits<T>;
+    const core::StatusOr<long long> integer =
+        value.AsInteger(std::max<long long>(lo, Limits::min()), Limits::max());
+    if (!integer.ok()) {
+      return core::Status::IoError("field '" + key +
+                                   "': " + integer.status().message());
+    }
+    *out = static_cast<T>(*integer);
+  } else if constexpr (kWant == Kind::kNumber) {
+    *out = value.number_;
+  } else {
+    *out = value.string_;
+  }
+  return core::Status::Ok();
+}
+
+template <typename T>
+void Json::Put(std::string key, T value) {
+  if constexpr (std::is_same_v<T, bool>) {
+    Set(std::move(key), Bool(value));
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    Set(std::move(key), Number(static_cast<double>(value)));
+  } else {
+    Set(std::move(key), String(std::move(value)));
+  }
+}
 
 }  // namespace decaylib::io

@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <sstream>
 
 #include "core/check.h"
@@ -28,9 +27,20 @@ double SteadyNowMs() {
       .count();
 }
 
-core::Status SchemaError(const std::string& context, const char* what) {
-  return core::Status::InvalidArgument("BENCH v2: " + context + ": " + what);
-}
+// The six stored statistics of a phase, in document order: ToJson writes
+// them, and ParseBenchReport reads them and checks each against its
+// recomputation from samples_ms.
+constexpr struct {
+  const char* key;
+  double SampleStats::*member;
+} kStatFields[] = {
+    {"total_ms", &SampleStats::total_ms},
+    {"min_ms", &SampleStats::min_ms},
+    {"mean_ms", &SampleStats::mean_ms},
+    {"median_ms", &SampleStats::median_ms},
+    {"p90_ms", &SampleStats::p90_ms},
+    {"stddev_ms", &SampleStats::stddev_ms},
+};
 
 // Stored stats vs a recomputation from samples_ms: harness-written records
 // round-trip doubles exactly (io::Json dumps %.17g and FromSamples sums in
@@ -42,26 +52,78 @@ bool StatMatches(double stored, double recomputed) {
   return std::abs(stored - recomputed) <= tolerance;
 }
 
-const io::Json* RequireKind(const io::Json& obj, const char* key,
-                            io::Json::Kind want) {
-  const io::Json* member = obj.Find(key);
-  if (member == nullptr || member->kind() != want) return nullptr;
-  return member;
+// One phase entry.  Errors carry no prefix; the caller names the phase.
+core::Status ReadPhase(const io::Json& entry, BenchPhaseRecord& phase) {
+  core::Status status = entry.Read("name", &phase.name);
+  status.Update(entry.Read("n", &phase.n));
+  status.Update(entry.Read("reps", &phase.stats.reps, 1));
+  for (const auto& [key, member] : kStatFields) {
+    status.Update(entry.Read(key, &(phase.stats.*member)));
+  }
+  const core::StatusOr<const io::Json*> samples =
+      entry.Get("samples_ms", io::Json::Kind::kArray);
+  const core::StatusOr<const io::Json*> counters =
+      entry.Get("counters", io::Json::Kind::kObject);
+  status.Update(samples.status());
+  status.Update(counters.status());
+  if (!status.ok()) return status;
+  for (const io::Json& sample : (*samples)->Items()) {
+    if (sample.kind() != io::Json::Kind::kNumber) {
+      return core::Status::InvalidArgument(
+          "'samples_ms' entries must be numbers");
+    }
+    phase.samples_ms.push_back(sample.AsNumber());
+  }
+  if (phase.samples_ms.empty()) {
+    return core::Status::InvalidArgument("'samples_ms' must be non-empty");
+  }
+  // Consistency gate: the stored stats must be derivable from samples_ms,
+  // or bench_compare would trust dispersion numbers the samples do not
+  // support (a hand-edited min_ms, a truncated sample list, ...).
+  if (phase.stats.reps != static_cast<int>(phase.samples_ms.size())) {
+    return core::Status::InvalidArgument(
+        "'reps' does not match the samples_ms count");
+  }
+  const SampleStats recomputed = SampleStats::FromSamples(phase.samples_ms);
+  for (const auto& [key, member] : kStatFields) {
+    if (!StatMatches(phase.stats.*member, recomputed.*member)) {
+      return core::Status::InvalidArgument(
+          std::string("'") + key + "' is inconsistent with samples_ms");
+    }
+  }
+  for (const auto& [key, value] : (*counters)->Members()) {
+    status.Update((*counters)->Read(key, &phase.counters[key]));
+  }
+  return status;
 }
 
-constexpr long long kIntMax = std::numeric_limits<int>::max();
-
-// The field `key` (`value`, null when absent) as an integer in [lo, hi].
-core::StatusOr<long long> RequireInteger(
-    const io::Json* value, const std::string& context, const std::string& key,
-    long long lo = std::numeric_limits<long long>::min(),
-    long long hi = std::numeric_limits<long long>::max()) {
-  core::StatusOr<long long> out =
-      value != nullptr ? value->AsInteger(lo, hi)
-                       : core::Status::IoError("missing number field");
-  if (out.ok()) return out;
-  return SchemaError(context,
-                     ("'" + key + "': " + out.status().message()).c_str());
+// The whole document.  Errors carry no prefix; ParseBenchReport adds
+// "BENCH v2: " and `context`, the part being read when it failed.
+core::Status ReadReport(const io::Json& doc, BenchReportData& data,
+                        std::string& context) {
+  if (core::Status s = doc.Read("bench", &data.bench); !s.ok()) return s;
+  context = data.bench;
+  core::Status status = doc.Read("schema", &data.schema);
+  if (status.ok() && data.schema != 2) {
+    return core::Status::InvalidArgument("unsupported schema version (want 2)");
+  }
+  const core::StatusOr<const io::Json*> provenance =
+      doc.Get("provenance", io::Json::Kind::kObject);
+  const core::StatusOr<const io::Json*> phases =
+      doc.Get("phases", io::Json::Kind::kArray);
+  status.Update(provenance.status());
+  status.Update(phases.status());
+  if (!status.ok()) return status;
+  core::StatusOr<Provenance> parsed = Provenance::FromJson(**provenance);
+  if (!parsed.ok()) return parsed.status();
+  data.provenance = std::move(*parsed);
+  for (const io::Json& entry : (*phases)->Items()) {
+    BenchPhaseRecord& phase = data.phases.emplace_back();
+    status = ReadPhase(entry, phase);
+    context = data.bench + " phase '" + phase.name + "'";
+    if (!status.ok()) return status;
+  }
+  return core::Status::Ok();
 }
 
 }  // namespace
@@ -94,125 +156,11 @@ const BenchPhaseRecord* BenchReportData::Find(const std::string& name) const {
 }
 
 core::StatusOr<BenchReportData> ParseBenchReport(const io::Json& doc) {
-  if (!doc.is_object()) return SchemaError("document", "expected an object");
   BenchReportData data;
-  const io::Json* bench = RequireKind(doc, "bench", io::Json::Kind::kString);
-  if (bench == nullptr) {
-    return SchemaError("document", "missing string field 'bench'");
-  }
-  data.bench = bench->AsString();
-  const core::StatusOr<long long> schema =
-      RequireInteger(doc.Find("schema"), data.bench, "schema", 0, kIntMax);
-  if (!schema.ok()) return schema.status();
-  data.schema = static_cast<int>(*schema);
-  if (data.schema != 2) {
-    return SchemaError(data.bench, "unsupported schema version (want 2)");
-  }
-  const io::Json* provenance = doc.Find("provenance");
-  if (provenance == nullptr) {
-    return SchemaError(data.bench, "missing field 'provenance'");
-  }
-  core::StatusOr<Provenance> parsed_provenance =
-      Provenance::FromJson(*provenance);
-  if (!parsed_provenance.ok()) return parsed_provenance.status();
-  data.provenance = std::move(*parsed_provenance);
-  const io::Json* phases = RequireKind(doc, "phases", io::Json::Kind::kArray);
-  if (phases == nullptr) {
-    return SchemaError(data.bench, "missing array field 'phases'");
-  }
-  for (const io::Json& entry : phases->Items()) {
-    if (!entry.is_object()) {
-      return SchemaError(data.bench, "phase entries must be objects");
-    }
-    BenchPhaseRecord phase;
-    const io::Json* name = RequireKind(entry, "name", io::Json::Kind::kString);
-    if (name == nullptr) {
-      return SchemaError(data.bench, "phase missing string field 'name'");
-    }
-    phase.name = name->AsString();
-    const std::string context = data.bench + " phase '" + phase.name + "'";
-    const core::StatusOr<long long> n =
-        RequireInteger(entry.Find("n"), context, "n");
-    if (!n.ok()) return n.status();
-    phase.n = *n;
-    const core::StatusOr<long long> reps =
-        RequireInteger(entry.Find("reps"), context, "reps", 1, kIntMax);
-    if (!reps.ok()) return reps.status();
-    phase.stats.reps = static_cast<int>(*reps);
-    const struct {
-      const char* key;
-      double* out;
-    } stat_fields[] = {
-        {"total_ms", &phase.stats.total_ms}, {"min_ms", &phase.stats.min_ms},
-        {"mean_ms", &phase.stats.mean_ms},
-        {"median_ms", &phase.stats.median_ms},
-        {"p90_ms", &phase.stats.p90_ms},
-        {"stddev_ms", &phase.stats.stddev_ms},
-    };
-    for (const auto& field : stat_fields) {
-      const io::Json* value =
-          RequireKind(entry, field.key, io::Json::Kind::kNumber);
-      if (value == nullptr) {
-        return SchemaError(context, (std::string("missing number field '") +
-                                     field.key + "'")
-                                        .c_str());
-      }
-      *field.out = value->AsNumber();
-    }
-    const io::Json* samples =
-        RequireKind(entry, "samples_ms", io::Json::Kind::kArray);
-    if (samples == nullptr) {
-      return SchemaError(context, "missing array field 'samples_ms'");
-    }
-    for (const io::Json& sample : samples->Items()) {
-      if (sample.kind() != io::Json::Kind::kNumber) {
-        return SchemaError(context, "'samples_ms' entries must be numbers");
-      }
-      phase.samples_ms.push_back(sample.AsNumber());
-    }
-    if (phase.samples_ms.empty()) {
-      return SchemaError(context, "'samples_ms' must be non-empty");
-    }
-    // Consistency gate: the stored stats must be derivable from samples_ms,
-    // or bench_compare would trust dispersion numbers the samples do not
-    // support (a hand-edited min_ms, a truncated sample list, ...).
-    if (phase.stats.reps != static_cast<int>(phase.samples_ms.size())) {
-      return SchemaError(context,
-                         "'reps' does not match the samples_ms count");
-    }
-    const SampleStats recomputed = SampleStats::FromSamples(phase.samples_ms);
-    const struct {
-      const char* key;
-      double stored;
-      double recomputed;
-    } consistency[] = {
-        {"total_ms", phase.stats.total_ms, recomputed.total_ms},
-        {"min_ms", phase.stats.min_ms, recomputed.min_ms},
-        {"mean_ms", phase.stats.mean_ms, recomputed.mean_ms},
-        {"median_ms", phase.stats.median_ms, recomputed.median_ms},
-        {"p90_ms", phase.stats.p90_ms, recomputed.p90_ms},
-        {"stddev_ms", phase.stats.stddev_ms, recomputed.stddev_ms},
-    };
-    for (const auto& check : consistency) {
-      if (!StatMatches(check.stored, check.recomputed)) {
-        return SchemaError(context,
-                           (std::string("'") + check.key +
-                            "' is inconsistent with samples_ms")
-                               .c_str());
-      }
-    }
-    const io::Json* counters =
-        RequireKind(entry, "counters", io::Json::Kind::kObject);
-    if (counters == nullptr) {
-      return SchemaError(context, "missing object field 'counters'");
-    }
-    for (const auto& [key, value] : counters->Members()) {
-      const core::StatusOr<long long> count =
-          RequireInteger(&value, context, key);
-      if (!count.ok()) return count.status();
-      phase.counters[key] = *count;
-    }
-    data.phases.push_back(std::move(phase));
+  std::string context = "document";
+  if (core::Status s = ReadReport(doc, data, context); !s.ok()) {
+    return core::Status::InvalidArgument("BENCH v2: " + context + ": " +
+                                         s.message());
   }
   return data;
 }
@@ -351,17 +299,14 @@ io::Json BenchHarness::ToJson() const {
   io::Json phases = io::Json::Array();
   for (const BenchPhaseRecord& phase : phases_) {
     io::Json entry = io::Json::Object();
-    entry.Set("name", io::Json::String(phase.name));
-    entry.Set("n", io::Json::Number(static_cast<double>(phase.n)));
-    entry.Set("reps", io::Json::Number(phase.stats.reps));
+    entry.Put("name", phase.name);
+    entry.Put("n", phase.n);
+    entry.Put("reps", phase.stats.reps);
     // v1 compatibility: "wall_ms" stays the headline (minimum) sample.
-    entry.Set("wall_ms", io::Json::Number(phase.stats.min_ms));
-    entry.Set("total_ms", io::Json::Number(phase.stats.total_ms));
-    entry.Set("min_ms", io::Json::Number(phase.stats.min_ms));
-    entry.Set("mean_ms", io::Json::Number(phase.stats.mean_ms));
-    entry.Set("median_ms", io::Json::Number(phase.stats.median_ms));
-    entry.Set("p90_ms", io::Json::Number(phase.stats.p90_ms));
-    entry.Set("stddev_ms", io::Json::Number(phase.stats.stddev_ms));
+    entry.Put("wall_ms", phase.stats.min_ms);
+    for (const auto& [key, member] : kStatFields) {
+      entry.Put(key, phase.stats.*member);
+    }
     io::Json samples = io::Json::Array();
     for (const double sample : phase.samples_ms) {
       samples.Append(io::Json::Number(sample));
@@ -369,7 +314,7 @@ io::Json BenchHarness::ToJson() const {
     entry.Set("samples_ms", std::move(samples));
     io::Json counters = io::Json::Object();
     for (const auto& [counter, delta] : phase.counters) {
-      counters.Set(counter, io::Json::Number(static_cast<double>(delta)));
+      counters.Put(counter, delta);
     }
     entry.Set("counters", std::move(counters));
     phases.Append(std::move(entry));

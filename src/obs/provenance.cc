@@ -69,20 +69,19 @@ std::string SanitizerList() {
   return out.empty() ? "none" : out;
 }
 
-// Requires kind `want` under `key`; writes the member pointer or an error.
-core::Status Require(const io::Json& json, const char* key,
-                     io::Json::Kind want, const io::Json** out) {
-  const io::Json* member = json.Find(key);
-  if (member == nullptr) {
-    return core::Status::InvalidArgument(
-        std::string("provenance: missing field '") + key + "'");
-  }
-  if (member->kind() != want) {
-    return core::Status::InvalidArgument(
-        std::string("provenance: field '") + key + "' has the wrong kind");
-  }
-  *out = member;
-  return core::Status::Ok();
+// The record's nine fields in document order: ToJson and FromJson both
+// walk this list.  `P` is Provenance or const Provenance.
+template <typename P, typename Visit>
+void ForEachField(P& p, Visit&& visit) {
+  visit("git_sha", p.git_sha);
+  visit("git_dirty", p.git_dirty);
+  visit("build_type", p.build_type);
+  visit("compiler", p.compiler);
+  visit("ndebug", p.ndebug);
+  visit("sanitizers", p.sanitizers);
+  visit("hardware_threads", p.hardware_threads);
+  visit("hostname", p.hostname);
+  visit("timestamp_utc", p.timestamp_utc);
 }
 
 }  // namespace
@@ -122,78 +121,21 @@ Provenance Provenance::Collect() {
 
 io::Json Provenance::ToJson() const {
   io::Json out = io::Json::Object();
-  out.Set("git_sha", io::Json::String(git_sha));
-  out.Set("git_dirty", io::Json::Bool(git_dirty));
-  out.Set("build_type", io::Json::String(build_type));
-  out.Set("compiler", io::Json::String(compiler));
-  out.Set("ndebug", io::Json::Bool(ndebug));
-  out.Set("sanitizers", io::Json::String(sanitizers));
-  out.Set("hardware_threads",
-          io::Json::Number(static_cast<double>(hardware_threads)));
-  out.Set("hostname", io::Json::String(hostname));
-  out.Set("timestamp_utc", io::Json::String(timestamp_utc));
+  ForEachField(*this, [&out](const char* key, const auto& value) {
+    out.Put(key, value);
+  });
   return out;
 }
 
 core::StatusOr<Provenance> Provenance::FromJson(const io::Json& json) {
-  if (!json.is_object()) {
-    return core::Status::InvalidArgument("provenance: expected an object");
-  }
   Provenance p;
-  const io::Json* field = nullptr;
-  if (core::Status s = Require(json, "git_sha", io::Json::Kind::kString,
-                               &field);
-      !s.ok()) {
-    return s;
+  core::Status status;
+  ForEachField(p, [&](const char* key, auto& value) {
+    status.Update(json.Read(key, &value));
+  });
+  if (!status.ok()) {
+    return core::Status::InvalidArgument("provenance: " + status.message());
   }
-  p.git_sha = field->AsString();
-  if (core::Status s = Require(json, "git_dirty", io::Json::Kind::kBool,
-                               &field);
-      !s.ok()) {
-    return s;
-  }
-  p.git_dirty = field->AsBool();
-  if (core::Status s = Require(json, "build_type", io::Json::Kind::kString,
-                               &field);
-      !s.ok()) {
-    return s;
-  }
-  p.build_type = field->AsString();
-  if (core::Status s = Require(json, "compiler", io::Json::Kind::kString,
-                               &field);
-      !s.ok()) {
-    return s;
-  }
-  p.compiler = field->AsString();
-  if (core::Status s = Require(json, "ndebug", io::Json::Kind::kBool, &field);
-      !s.ok()) {
-    return s;
-  }
-  p.ndebug = field->AsBool();
-  if (core::Status s = Require(json, "sanitizers", io::Json::Kind::kString,
-                               &field);
-      !s.ok()) {
-    return s;
-  }
-  p.sanitizers = field->AsString();
-  if (core::Status s = Require(json, "hardware_threads",
-                               io::Json::Kind::kNumber, &field);
-      !s.ok()) {
-    return s;
-  }
-  p.hardware_threads = static_cast<int>(field->AsNumber());
-  if (core::Status s = Require(json, "hostname", io::Json::Kind::kString,
-                               &field);
-      !s.ok()) {
-    return s;
-  }
-  p.hostname = field->AsString();
-  if (core::Status s = Require(json, "timestamp_utc", io::Json::Kind::kString,
-                               &field);
-      !s.ok()) {
-    return s;
-  }
-  p.timestamp_utc = field->AsString();
   return p;
 }
 

@@ -45,7 +45,8 @@ struct Provenance {
   io::Json ToJson() const;
 
   // Strict inverse of ToJson: every field present with the right JSON kind
-  // or kInvalidArgument.
+  // and hardware_threads an integer within int, or kInvalidArgument naming
+  // the field.
   static core::StatusOr<Provenance> FromJson(const io::Json& json);
 
   friend bool operator==(const Provenance&, const Provenance&) = default;

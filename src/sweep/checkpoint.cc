@@ -1,11 +1,11 @@
 #include "sweep/checkpoint.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
 
+#include "core/parse.h"
 #include "io/json.h"
 
 namespace decaylib::sweep {
@@ -42,6 +42,70 @@ struct Fnv1a {
   void Dbl(double v) { Str(Fmt17(v)); }
 };
 
+// A cell's fields, in sidecar order, with their lower bounds (a saved cell
+// ran at least once); CheckpointToJson and CheckpointFromJson both walk
+// this list and the next.
+constexpr struct {
+  const char* key;
+  int CheckpointCell::*member;
+  long long lo;
+} kCellFields[] = {{"index", &CheckpointCell::index, 0},
+                   {"attempts", &CheckpointCell::attempts, 1},
+                   {"instances", &CheckpointCell::instances, 0}};
+
+// An aggregate entry's doubles, in sidecar order between "name" and
+// "count".  They travel as %.17g strings (see the header).
+constexpr struct {
+  const char* key;
+  double engine::MetricSummary::*member;
+} kSummaryFields[] = {{"sum", &engine::MetricSummary::sum},
+                      {"min", &engine::MetricSummary::min},
+                      {"max", &engine::MetricSummary::max}};
+
+// A %.17g string member: any double or infinity.  NaN never belongs to a
+// healthy cell.
+Status ReadExact(const Json& object, const char* key, double* out) {
+  std::string text;
+  if (Status s = object.Read(key, &text); !s.ok()) return s;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  if (core::ParseDouble(text.c_str(), -kInf, kInf, out)) return Status::Ok();
+  return Status::IoError("field '" + std::string(key) +
+                         "': not a number or infinity: '" + text + "'");
+}
+
+// Errors carry no prefix; CheckpointFromJson adds "checkpoint: ".
+Status ReadCheckpoint(const std::string& text, SweepCheckpoint& out) {
+  StatusOr<Json> parsed = Json::Parse(text);
+  if (!parsed.ok()) return parsed.status();
+  const Json& doc = *parsed;
+  Status status = doc.Read("sweep", &out.sweep);
+  status.Update(doc.Read("spec_hash", &out.spec_hash));
+  status.Update(doc.Read("grid", &out.grid, 0));
+  const StatusOr<const Json*> cells = doc.Get("cells", Json::Kind::kArray);
+  status.Update(cells.status());
+  if (!status.ok()) return status;
+  for (const Json& c : (*cells)->Items()) {
+    CheckpointCell& cell = out.cells.emplace_back();
+    for (const auto& [key, member, lo] : kCellFields) {
+      status.Update(c.Read(key, &(cell.*member), lo));
+    }
+    const StatusOr<const Json*> aggregate =
+        c.Get("aggregate", Json::Kind::kArray);
+    status.Update(aggregate.status());
+    if (!status.ok()) return status;
+    for (const Json& e : (*aggregate)->Items()) {
+      auto& [name, m] = cell.aggregate.emplace_back();
+      status.Update(e.Read("name", &name));
+      for (const auto& [key, member] : kSummaryFields) {
+        status.Update(ReadExact(e, key, &(m.*member)));
+      }
+      status.Update(e.Read("count", &m.count, 0));
+      if (!status.ok()) return status;
+    }
+  }
+  return status;
+}
+
 }  // namespace
 
 std::string SweepSpecHash(const SweepSpec& spec) {
@@ -68,25 +132,21 @@ std::string SweepSpecHash(const SweepSpec& spec) {
 
 std::string CheckpointToJson(const SweepCheckpoint& checkpoint) {
   Json doc = Json::Object();
-  doc.Set("sweep", Json::String(checkpoint.sweep));
-  doc.Set("spec_hash", Json::String(checkpoint.spec_hash));
-  doc.Set("grid", Json::Number(static_cast<double>(checkpoint.grid)));
+  doc.Put("sweep", checkpoint.sweep);
+  doc.Put("spec_hash", checkpoint.spec_hash);
+  doc.Put("grid", checkpoint.grid);
   Json cells = Json::Array();
   for (const CheckpointCell& cell : checkpoint.cells) {
     Json c = Json::Object();
-    c.Set("index", Json::Number(cell.index));
-    c.Set("attempts", Json::Number(cell.attempts));
-    c.Set("instances", Json::Number(cell.instances));
+    for (const auto& [key, member, lo] : kCellFields) c.Put(key, cell.*member);
     Json aggregate = Json::Array();
     for (const auto& [name, m] : cell.aggregate) {
       Json entry = Json::Object();
-      entry.Set("name", Json::String(name));
-      // %.17g strings, not JSON numbers: strtod restores every double
-      // bit-exactly, including the +/-inf sentinels of count-0 summaries.
-      entry.Set("sum", Json::String(Fmt17(m.sum)));
-      entry.Set("min", Json::String(Fmt17(m.min)));
-      entry.Set("max", Json::String(Fmt17(m.max)));
-      entry.Set("count", Json::Number(static_cast<double>(m.count)));
+      entry.Put("name", name);
+      for (const auto& [key, member] : kSummaryFields) {
+        entry.Put(key, Fmt17(m.*member));
+      }
+      entry.Put("count", m.count);
       aggregate.Append(std::move(entry));
     }
     c.Set("aggregate", std::move(aggregate));
@@ -96,112 +156,10 @@ std::string CheckpointToJson(const SweepCheckpoint& checkpoint) {
   return doc.Dump();
 }
 
-namespace {
-
-constexpr long long kMaxInt = std::numeric_limits<int>::max();
-
-Status FieldError(const std::string& what) {
-  return Status::IoError("checkpoint: " + what);
-}
-
-StatusOr<double> ReadDouble17(const Json& obj, const std::string& key) {
-  const Json* v = obj.Find(key);
-  if (v == nullptr || v->kind() != Json::Kind::kString) {
-    return FieldError("missing string field '" + key + "'");
-  }
-  const std::string& s = v->AsString();
-  char* end = nullptr;
-  const double value = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0') {
-    return FieldError("unparseable double '" + s + "' in '" + key + "'");
-  }
-  return value;
-}
-
-StatusOr<long long> ReadInteger(
-    const Json& obj, const std::string& key, long long lo,
-    long long hi = std::numeric_limits<long long>::max()) {
-  const Json* v = obj.Find(key);
-  if (v == nullptr) return FieldError("missing number field '" + key + "'");
-  StatusOr<long long> value = v->AsInteger(lo, hi);
-  if (!value.ok()) {
-    return FieldError("field '" + key + "': " + value.status().message());
-  }
-  return value;
-}
-
-StatusOr<std::string> ReadString(const Json& obj, const std::string& key) {
-  const Json* v = obj.Find(key);
-  if (v == nullptr || v->kind() != Json::Kind::kString) {
-    return FieldError("missing string field '" + key + "'");
-  }
-  return v->AsString();
-}
-
-}  // namespace
-
 StatusOr<SweepCheckpoint> CheckpointFromJson(const std::string& text) {
-  StatusOr<Json> parsed = Json::Parse(text);
-  if (!parsed.ok()) return parsed.status();
-  const Json& doc = *parsed;
-  if (!doc.is_object()) return FieldError("document is not an object");
-
   SweepCheckpoint out;
-  for (const auto& [key, field] : {std::pair{"sweep", &out.sweep},
-                                   std::pair{"spec_hash", &out.spec_hash}}) {
-    StatusOr<std::string> s = ReadString(doc, key);
-    if (!s.ok()) return s.status();
-    *field = *s;
-  }
-  const StatusOr<long long> grid = ReadInteger(doc, "grid", 0);
-  if (!grid.ok()) return grid.status();
-  out.grid = *grid;
-  const Json* cells = doc.Find("cells");
-  if (cells == nullptr || !cells->is_array()) {
-    return FieldError("missing 'cells' array");
-  }
-  for (const Json& c : cells->Items()) {
-    if (!c.is_object()) return FieldError("cell is not an object");
-    CheckpointCell cell;
-    // Saved cells completed, so each took at least one attempt.
-    const struct {
-      const char* key;
-      long long lo;
-      int* out;
-    } int_fields[] = {{"index", 0, &cell.index},
-                      {"attempts", 1, &cell.attempts},
-                      {"instances", 0, &cell.instances}};
-    for (const auto& field : int_fields) {
-      StatusOr<long long> v = ReadInteger(c, field.key, field.lo, kMaxInt);
-      if (!v.ok()) return v.status();
-      *field.out = static_cast<int>(*v);
-    }
-    const Json* aggregate = c.Find("aggregate");
-    if (aggregate == nullptr || !aggregate->is_array()) {
-      return FieldError("cell missing 'aggregate' array");
-    }
-    for (const Json& e : aggregate->Items()) {
-      if (!e.is_object()) return FieldError("aggregate entry not an object");
-      std::string name;
-      engine::MetricSummary m;
-      if (StatusOr<std::string> s = ReadString(e, "name"); s.ok()) {
-        name = *s;
-      } else {
-        return s.status();
-      }
-      for (const auto& [key, field] :
-           {std::pair{"sum", &m.sum}, std::pair{"min", &m.min},
-            std::pair{"max", &m.max}}) {
-        StatusOr<double> v = ReadDouble17(e, key);
-        if (!v.ok()) return v.status();
-        *field = *v;
-      }
-      const StatusOr<long long> count = ReadInteger(e, "count", 0);
-      if (!count.ok()) return count.status();
-      m.count = *count;
-      cell.aggregate.emplace_back(std::move(name), m);
-    }
-    out.cells.push_back(std::move(cell));
+  if (Status s = ReadCheckpoint(text, out); !s.ok()) {
+    return Status::IoError("checkpoint: " + s.message());
   }
   return out;
 }

@@ -11,10 +11,11 @@
 // is byte-identical to an uninterrupted one at any thread count.
 //
 // Bit-exactness rests on two choices: sum/min/max are serialised as %.17g
-// *strings* (strtod round-trips every double exactly, including the
-// +/-inf sentinels of a count-0 summary, which JSON numbers cannot carry),
-// and only cells whose AggregateHealth passed are stored, so a restore can
-// never resurrect a poisoned aggregate.  Failed cells are deliberately not
+// *strings* (core::ParseDouble reads every double back exactly, including
+// the +/-inf sentinels of a count-0 summary, which JSON numbers cannot
+// carry; a "nan" is a parse error), and only cells whose AggregateHealth
+// passed are stored, so a restore can never resurrect a poisoned
+// aggregate.  Failed cells are deliberately not
 // recorded: a resume retries them from scratch.
 //
 // Writes are atomic (tmp file + rename): the sidecar is either the old

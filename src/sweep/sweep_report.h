@@ -28,7 +28,7 @@ std::vector<std::string> SweepCsvHeader(const SweepResult& result);
 std::vector<std::vector<std::string>> SweepCsvRows(const SweepResult& result);
 bool WriteSweepCsvFile(const SweepResult& result, const std::string& path);
 
-// Writes BENCH_<id>.json over the flattened cell results (one phase triple
+// Writes BENCH_<id>.json over the flattened cell results (one phase pair
 // per cell, plus the "scenarios" aggregate array), exactly the
 // engine::WriteJsonReport schema-v2 format (obs/bench_harness.h).
 bool WriteSweepJsonReport(const std::string& id,

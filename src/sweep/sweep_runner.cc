@@ -1,6 +1,7 @@
 #include "sweep/sweep_runner.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <ranges>
 #include <utility>
@@ -55,8 +56,8 @@ struct SweepInstruments {
 // Why a restored cell cannot enter the grid ("" when it can).  A fresh run
 // saves only completed, healthy cells: every instance of the spec ran, and
 // the aggregate lists zeta and then the engine's metric table, finite
-// wherever populated.  Anything else would splice in a signature no run
-// produces.
+// wherever populated and the empty summary wherever not.  Anything else
+// would splice in a signature no run produces.
 std::string RestoreFault(const CheckpointCell& cell, int instances) {
   if (cell.instances != instances) {
     return "does not hold its spec's instance count";
@@ -70,6 +71,13 @@ std::string RestoreFault(const CheckpointCell& cell, int instances) {
             return entry.first == metric.name;
           })) {
     return "does not list zeta and the engine's aggregate metrics in order";
+  }
+  for (const auto& [name, m] : result.aggregate) {
+    // == takes -0 for 0, but the signature prints "sum=-0".
+    if (m.count == 0 &&
+        (!(m == engine::MetricSummary{}) || std::signbit(m.sum))) {
+      return "holds a count-0 summary of " + name + " that is not empty";
+    }
   }
   return engine::AggregateHealth(result).message();
 }

@@ -173,6 +173,28 @@ TEST_F(BenchHarnessTest, ProvenanceFromJsonRejectsMissingAndWrongKind) {
   EXPECT_FALSE(Provenance::FromJson(wrong_kind).ok());
 }
 
+// A thread count beyond int's range is refused, naming the field, instead
+// of being cast (an undefined float-to-int conversion that read back as
+// INT_MIN); so is a fractional one.
+TEST_F(BenchHarnessTest, ProvenanceRejectsOutOfRangeThreadCount) {
+  for (const double threads : {1e300, -1e300, 4.5, 2147483648.0}) {
+    const core::StatusOr<Provenance> parsed = Provenance::FromJson(
+        WithMember(Provenance().ToJson(), "hardware_threads",
+                   io::Json::Number(threads)));
+    ASSERT_FALSE(parsed.ok()) << threads;
+    EXPECT_EQ(parsed.status().code(), core::StatusCode::kInvalidArgument);
+    EXPECT_EQ(parsed.status().message().rfind("provenance: ", 0), 0u)
+        << parsed.status().message();
+    EXPECT_NE(parsed.status().message().find("hardware_threads"),
+              std::string::npos)
+        << parsed.status().message();
+  }
+  ASSERT_TRUE(Provenance::FromJson(
+                  WithMember(Provenance().ToJson(), "hardware_threads",
+                             io::Json::Number(2147483647.0)))
+                  .ok());
+}
+
 TEST_F(BenchHarnessTest, WrittenRecordReparsesAsSchemaV2) {
   BenchHarness harness("HARNESS_TEST",
                        BenchHarness::Options{.write_json = true});

@@ -752,16 +752,17 @@ TEST(ReportTest, JsonReportRoundTrips) {
   const std::vector<ScenarioResult> results = {BatchRunner(config).RunOne(spec)};
   ASSERT_TRUE(WriteJsonReport("ENGINE_TEST", results));
   // The file is a valid BENCH v2 record: strict re-parse, provenance, one
-  // batch/kernel_build/tasks phase triple for the scenario.
+  // build_total/tasks phase pair for the scenario.
   const core::StatusOr<obs::BenchReportData> parsed =
       obs::LoadBenchReport("BENCH_ENGINE_TEST.json");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->bench, "ENGINE_TEST");
   EXPECT_EQ(parsed->schema, 2);
-  EXPECT_EQ(parsed->phases.size(), 3u);
+  EXPECT_EQ(parsed->phases.size(), 2u);
   EXPECT_NE(parsed->provenance.git_sha, "");
-  ASSERT_NE(parsed->Find(spec.name + ".batch"), nullptr);
-  EXPECT_EQ(parsed->Find(spec.name + ".batch")->n, spec.links);
+  ASSERT_NE(parsed->Find(spec.name + ".build_total"), nullptr);
+  EXPECT_EQ(parsed->Find(spec.name + ".build_total")->n, spec.links);
+  EXPECT_EQ(parsed->Find(spec.name + ".batch"), nullptr);
   EXPECT_EQ(std::remove("BENCH_ENGINE_TEST.json"), 0);
 }
 

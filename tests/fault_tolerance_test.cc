@@ -3,6 +3,7 @@
 // numeric health, and the DL_CHECK backstops that stay aborts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -279,6 +280,34 @@ TEST(CheckpointTest, MalformedSidecarIsIoErrorNotAbort) {
   EXPECT_EQ(missing.status().code(), core::StatusCode::kIoError);
 }
 
+// sum/min/max are the only doubles a sidecar carries; each must be a
+// number or an infinity.  A "nan" (or other text) is a parse error, not a
+// value for the restore check to catch.
+TEST(CheckpointTest, NonNumericSummaryIsIoError) {
+  const std::string good = SidecarWith("", "");
+  const std::string quoted_one = R"("sum":"1")";
+  ASSERT_NE(good.find(quoted_one), std::string::npos);
+  for (const char* bad : {"nan", "-nan", "1x", "", "0x"}) {
+    std::string text = good;
+    text.replace(text.find(quoted_one), quoted_one.size(),
+                 std::string(R"("sum":")") + bad + "\"");
+    const core::StatusOr<SweepCheckpoint> doc = CheckpointFromJson(text);
+    ASSERT_FALSE(doc.ok()) << bad;
+    EXPECT_EQ(doc.status().code(), core::StatusCode::kIoError) << bad;
+    EXPECT_EQ(doc.status().message().rfind("checkpoint: ", 0), 0u)
+        << doc.status().message();
+    EXPECT_NE(doc.status().message().find("'sum'"), std::string::npos)
+        << doc.status().message();
+  }
+  std::string infinite = good;
+  infinite.replace(infinite.find(quoted_one), quoted_one.size(),
+                   R"("sum":"-inf")");
+  const core::StatusOr<SweepCheckpoint> doc = CheckpointFromJson(infinite);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  EXPECT_EQ(doc->cells[0].aggregate[0].second.sum,
+            -std::numeric_limits<double>::infinity());
+}
+
 // The spec hash pins a checkpoint to its sweep: a change to any row of the
 // base spec's field table, the name, the axes or the task list must change
 // the digest.
@@ -488,8 +517,9 @@ TEST(FaultToleranceTest, ResumeRejectsMismatchedInstanceCount) {
 // A restored cell's aggregate must be one a fresh run saves: zeta and then
 // the engine's metric table, in order, finite wherever populated.  A
 // sidecar with the right spec hash but a dropped or renamed metric, or a
-// "nan" sum that parses through strtod, is refused before any cell runs
-// instead of splicing a signature no run produces into the grid.
+// "nan" sum, is refused before any cell runs instead of splicing a
+// signature no run produces into the grid.  The "nan" never gets as far as
+// the restore check: the sidecar parser refuses it.
 TEST(FaultToleranceTest, ResumeRejectsMutatedAggregate) {
   const SweepSpec spec = TinyGrid();
   const std::string path = "FT_TEST_mutated_checkpoint.json";
@@ -522,10 +552,14 @@ TEST(FaultToleranceTest, ResumeRejectsMutatedAggregate) {
       {"dropped", &dropped}, {"renamed", &renamed}, {"nan", &poisoned}};
   for (const auto& [what, doc] : mutations) {
     ASSERT_TRUE(SaveCheckpoint(path, *doc).ok());
-    if (doc == &poisoned) {  // the sidecar really carries the text "nan"
+    // The sidecar really carries the text "nan", which does not load.
+    const bool nan_sum = doc == &poisoned;
+    if (nan_sum) {
       const core::StatusOr<SweepCheckpoint> back = LoadCheckpoint(path);
-      ASSERT_TRUE(back.ok()) << back.status().ToString();
-      EXPECT_TRUE(std::isnan(back->cells[0].aggregate[1].second.sum));
+      ASSERT_FALSE(back.ok());
+      EXPECT_EQ(back.status().code(), core::StatusCode::kIoError);
+      EXPECT_NE(back.status().message().find("'sum'"), std::string::npos)
+          << back.status().message();
     }
     try {
       (void)SweepRunner(resume).Run(spec);
@@ -533,9 +567,66 @@ TEST(FaultToleranceTest, ResumeRejectsMutatedAggregate) {
     } catch (const core::StatusError& e) {
       EXPECT_EQ(e.status().code(), core::StatusCode::kFailedPrecondition)
           << what << ": " << e.status().ToString();
-      EXPECT_NE(e.status().message().find("checkpoint cell 0"),
+      EXPECT_NE(e.status().message().find(nan_sum ? "'sum'"
+                                                  : "checkpoint cell 0"),
                 std::string::npos)
           << what << ": " << e.status().message();
+    }
+  }
+  EXPECT_EQ(std::remove(path.c_str()), 0);
+}
+
+// A count-0 summary is restored only as the empty summary a fresh run
+// saves (sum 0, min +inf, max -inf).  AggregateHealth skips count-0
+// entries, so without this check a sidecar entry with count 0 but a
+// finite min would resume into a signature the fresh run never produced.
+TEST(FaultToleranceTest, ResumeRejectsNonEmptyCountZeroSummary) {
+  const SweepSpec spec = TinyGrid();
+  const std::string path = "FT_TEST_count0_checkpoint.json";
+  SweepConfig halted;
+  halted.threads = 1;
+  halted.checkpoint_path = path;
+  halted.halt_after_cells = 1;
+  (void)SweepRunner(halted).Run(spec);
+  const core::StatusOr<SweepCheckpoint> saved = LoadCheckpoint(path);
+  ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+  ASSERT_EQ(saved->cells.size(), 1u);
+  const auto& aggregate = saved->cells[0].aggregate;
+  const auto empty = std::find_if(
+      aggregate.begin(), aggregate.end(),
+      [](const auto& entry) { return entry.second.count == 0; });
+  ASSERT_NE(empty, aggregate.end()) << "TinyGrid leaves no metric empty";
+  const std::size_t k = static_cast<std::size_t>(empty - aggregate.begin());
+  ASSERT_EQ(empty->second, engine::MetricSummary{});
+
+  SweepConfig resume = halted;
+  resume.halt_after_cells = 0;
+  resume.resume = true;
+  // A finite min, and a sum of -0: == takes it for 0, the signature
+  // prints "sum=-0".
+  engine::MetricSummary finite_min;
+  finite_min.min = 7.0;
+  engine::MetricSummary zero_min;
+  zero_min.min = 0.0;
+  engine::MetricSummary negative_zero_sum;
+  negative_zero_sum.sum = -0.0;
+  for (const engine::MetricSummary& bad :
+       {finite_min, zero_min, negative_zero_sum}) {
+    SweepCheckpoint doc = *saved;
+    doc.cells[0].aggregate[k].second = bad;
+    ASSERT_TRUE(SaveCheckpoint(path, doc).ok());
+    try {
+      (void)SweepRunner(resume).Run(spec);
+      ADD_FAILURE() << "expected StatusError for sum " << bad.sum << " min "
+                    << bad.min;
+    } catch (const core::StatusError& e) {
+      EXPECT_EQ(e.status().code(), core::StatusCode::kFailedPrecondition)
+          << e.status().ToString();
+      EXPECT_NE(e.status().message().find("checkpoint cell 0"),
+                std::string::npos)
+          << e.status().message();
+      EXPECT_NE(e.status().message().find(empty->first), std::string::npos)
+          << e.status().message();
     }
   }
   EXPECT_EQ(std::remove(path.c_str()), 0);

@@ -2,11 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <tuple>
 
 #include "geom/rng.h"
-#include "graph/coloring.h"
 #include "graph/generators.h"
 #include "graph/independent_set.h"
 
@@ -121,58 +119,6 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, GreedyVsExact,
     ::testing::Combine(::testing::Values(8, 14, 20),
                        ::testing::Values(0.1, 0.3, 0.6)));
-
-TEST(DegeneracyTest, PathHasDegeneracyOne) {
-  EXPECT_EQ(DegeneracyOrder(Path(8)).degeneracy, 1);
-}
-
-TEST(DegeneracyTest, CompleteGraph) {
-  EXPECT_EQ(DegeneracyOrder(Complete(5)).degeneracy, 4);
-}
-
-TEST(DegeneracyTest, OrderIsAPermutation) {
-  geom::Rng rng(3);
-  const Graph g = RandomGnp(15, 0.4, rng);
-  auto order = DegeneracyOrder(g).order;
-  std::sort(order.begin(), order.end());
-  for (int v = 0; v < 15; ++v) EXPECT_EQ(order[static_cast<std::size_t>(v)], v);
-}
-
-TEST(ColoringTest, ProperOnRandomGraphs) {
-  geom::Rng rng(4);
-  for (int trial = 0; trial < 5; ++trial) {
-    const Graph g = RandomGnp(25, 0.3, rng);
-    const auto colors = DegeneracyColoring(g);
-    for (int u = 0; u < g.size(); ++u) {
-      for (int v : g.Neighbors(u)) {
-        EXPECT_NE(colors[static_cast<std::size_t>(u)],
-                  colors[static_cast<std::size_t>(v)]);
-      }
-    }
-    const int used = 1 + *std::max_element(colors.begin(), colors.end());
-    EXPECT_LE(used, DegeneracyOrder(g).degeneracy + 1);
-  }
-}
-
-TEST(ColoringTest, ColorClassesPartition) {
-  geom::Rng rng(5);
-  const Graph g = RandomGnp(12, 0.5, rng);
-  const auto colors = DegeneracyColoring(g);
-  const auto classes = ColorClasses(colors);
-  std::size_t total = 0;
-  for (const auto& cls : classes) {
-    total += cls.size();
-    EXPECT_TRUE(g.IsIndependentSet(cls));
-  }
-  EXPECT_EQ(total, 12u);
-}
-
-TEST(ColoringTest, BipartiteUsesTwoColors) {
-  // Path graphs are bipartite; degeneracy colouring uses at most 2 colours.
-  const auto colors = DegeneracyColoring(Path(10));
-  const int used = 1 + *std::max_element(colors.begin(), colors.end());
-  EXPECT_LE(used, 2);
-}
 
 }  // namespace
 }  // namespace decaylib::graph

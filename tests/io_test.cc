@@ -16,12 +16,12 @@ TEST(CsvTest, RoundTripPreservesEveryEntry) {
   const core::DecaySpace space = spaces::LogUniformSpace(9, 1e6, rng, false);
   std::stringstream buffer;
   WriteDecayCsv(space, buffer);
-  const ParseResult parsed = ReadDecayCsv(buffer);
-  ASSERT_TRUE(parsed.space.has_value()) << parsed.error;
-  ASSERT_EQ(parsed.space->size(), 9);
+  const core::StatusOr<core::DecaySpace> parsed = ReadDecayCsv(buffer);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  ASSERT_EQ(parsed->size(), 9);
   for (int i = 0; i < 9; ++i) {
     for (int j = 0; j < 9; ++j) {
-      EXPECT_DOUBLE_EQ((*parsed.space)(i, j), space(i, j));
+      EXPECT_DOUBLE_EQ((*parsed)(i, j), space(i, j));
     }
   }
 }
@@ -34,30 +34,30 @@ TEST(CsvTest, AcceptsCommentsAndBlankLines) {
       "2.5, 0, 1.25\n"
       "# trailing comment\n"
       "300, 1.25, 0\n");
-  const ParseResult parsed = ReadDecayCsv(in);
-  ASSERT_TRUE(parsed.space.has_value()) << parsed.error;
-  EXPECT_DOUBLE_EQ((*parsed.space)(0, 2), 300.0);
-  EXPECT_DOUBLE_EQ((*parsed.space)(1, 2), 1.25);
+  const core::StatusOr<core::DecaySpace> parsed = ReadDecayCsv(in);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  EXPECT_DOUBLE_EQ((*parsed)(0, 2), 300.0);
+  EXPECT_DOUBLE_EQ((*parsed)(1, 2), 1.25);
 }
 
 TEST(CsvTest, DiagonalValuesIgnored) {
   std::stringstream in("7, 1\n1, 9\n");
-  const ParseResult parsed = ReadDecayCsv(in);
-  ASSERT_TRUE(parsed.space.has_value()) << parsed.error;
-  EXPECT_DOUBLE_EQ((*parsed.space)(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ((*parsed.space)(1, 1), 0.0);
+  const core::StatusOr<core::DecaySpace> parsed = ReadDecayCsv(in);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  EXPECT_DOUBLE_EQ((*parsed)(0, 0), 0.0);
+  EXPECT_DOUBLE_EQ((*parsed)(1, 1), 0.0);
 }
 
 TEST(CsvTest, RejectsNonSquare) {
   std::stringstream in("0, 1, 2\n1, 0, 1\n");
-  const ParseResult parsed = ReadDecayCsv(in);
-  EXPECT_FALSE(parsed.space.has_value());
-  EXPECT_NE(parsed.error.find("square"), std::string::npos);
+  const core::StatusOr<core::DecaySpace> parsed = ReadDecayCsv(in);
+  EXPECT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().message().find("square"), std::string::npos);
 }
 
 TEST(CsvTest, RejectsRaggedRow) {
   std::stringstream in("0, 1\n1\n");
-  EXPECT_FALSE(ReadDecayCsv(in).space.has_value());
+  EXPECT_FALSE(ReadDecayCsv(in).ok());
 }
 
 TEST(CsvTest, RejectsEmptyCell) {
@@ -65,41 +65,58 @@ TEST(CsvTest, RejectsEmptyCell) {
   // not parse as a square matrix of the remaining cells.
   for (const char* text : {"0,,1\n1,0,1\n1,1,0\n", "0,1,\n1,0,\n"}) {
     std::stringstream in(text);
-    const ParseResult parsed = ReadDecayCsv(in);
-    EXPECT_FALSE(parsed.space.has_value()) << text;
-    EXPECT_NE(parsed.error.find("empty cell"), std::string::npos) << text;
+    const core::StatusOr<core::DecaySpace> parsed = ReadDecayCsv(in);
+    EXPECT_FALSE(parsed.ok()) << text;
+    EXPECT_NE(parsed.status().message().find("empty cell"), std::string::npos)
+        << text;
   }
 }
 
 TEST(CsvTest, RejectsGarbageCell) {
   std::stringstream in("0, banana\n1, 0\n");
-  const ParseResult parsed = ReadDecayCsv(in);
-  EXPECT_FALSE(parsed.space.has_value());
-  EXPECT_NE(parsed.error.find("banana"), std::string::npos);
+  const core::StatusOr<core::DecaySpace> parsed = ReadDecayCsv(in);
+  EXPECT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().message().find("banana"), std::string::npos);
 }
 
 TEST(CsvTest, RejectsNegativeDecay) {
   std::stringstream in("0, -1\n1, 0\n");
-  const ParseResult parsed = ReadDecayCsv(in);
-  EXPECT_FALSE(parsed.space.has_value());
-  EXPECT_NE(parsed.error.find("positive"), std::string::npos);
+  const core::StatusOr<core::DecaySpace> parsed = ReadDecayCsv(in);
+  EXPECT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().message().find("positive"), std::string::npos);
 }
 
 TEST(CsvTest, RejectsZeroOffDiagonal) {
   std::stringstream in("0, 0\n1, 0\n");
-  EXPECT_FALSE(ReadDecayCsv(in).space.has_value());
+  EXPECT_FALSE(ReadDecayCsv(in).ok());
 }
 
 TEST(CsvTest, RejectsEmptyInput) {
   std::stringstream in("# only a comment\n");
-  const ParseResult parsed = ReadDecayCsv(in);
-  EXPECT_FALSE(parsed.space.has_value());
+  const core::StatusOr<core::DecaySpace> parsed = ReadDecayCsv(in);
+  EXPECT_FALSE(parsed.ok());
+}
+
+TEST(CsvTest, RejectsNonFiniteCells) {
+  // The diagonal is ignored but must still be a number: "nan" there used
+  // to parse.  Off the diagonal, inf and overflow are refused as well.
+  for (const char* text : {"nan, 1\n1, 0\n", "0, 1\n1, -nan\n",
+                           "0, inf\n1, 0\n", "0, 1e400\n1, 0\n"}) {
+    std::stringstream in(text);
+    const core::StatusOr<core::DecaySpace> parsed = ReadDecayCsv(in);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.status().code(), core::StatusCode::kInvalidArgument)
+        << text;
+    EXPECT_NE(parsed.status().message().find("line "), std::string::npos)
+        << parsed.status().message();
+  }
 }
 
 TEST(CsvTest, RejectsMissingFile) {
-  const ParseResult parsed = ReadDecayCsvFile("/nonexistent/path.csv");
-  EXPECT_FALSE(parsed.space.has_value());
-  EXPECT_NE(parsed.error.find("cannot open"), std::string::npos);
+  const core::StatusOr<core::DecaySpace> parsed =
+      ReadDecayCsvFile("/nonexistent/path.csv");
+  EXPECT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().message().find("cannot open"), std::string::npos);
 }
 
 TEST(CsvTest, FileRoundTrip) {
@@ -107,9 +124,9 @@ TEST(CsvTest, FileRoundTrip) {
   const core::DecaySpace space = spaces::LogUniformSpace(6, 100.0, rng);
   const std::string path = ::testing::TempDir() + "/decay_roundtrip.csv";
   ASSERT_TRUE(WriteDecayCsvFile(space, path));
-  const ParseResult parsed = ReadDecayCsvFile(path);
-  ASSERT_TRUE(parsed.space.has_value()) << parsed.error;
-  EXPECT_NEAR(core::Metricity(*parsed.space), core::Metricity(space), 1e-12);
+  const core::StatusOr<core::DecaySpace> parsed = ReadDecayCsvFile(path);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  EXPECT_NEAR(core::Metricity(*parsed), core::Metricity(space), 1e-12);
 }
 
 }  // namespace

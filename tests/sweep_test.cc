@@ -693,8 +693,8 @@ TEST(SweepReportTest, JsonReportWritesEngineCompatibleFile) {
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->bench, "SWEEP_TEST");
   EXPECT_EQ(parsed->schema, 2);
-  // One batch/kernel_build/tasks phase triple per ok cell.
-  EXPECT_EQ(parsed->phases.size(), 3 * result.cells.size());
+  // One build_total/tasks phase pair per ok cell.
+  EXPECT_EQ(parsed->phases.size(), 2 * result.cells.size());
   EXPECT_EQ(std::remove("BENCH_SWEEP_TEST.json"), 0);
 }
 

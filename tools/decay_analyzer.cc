@@ -54,13 +54,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  io::ParseResult parsed = path == "-" ? io::ReadDecayCsv(std::cin)
-                                       : io::ReadDecayCsvFile(path);
-  if (!parsed.space.has_value()) {
-    std::fprintf(stderr, "error: %s\n", parsed.error.c_str());
+  const core::StatusOr<core::DecaySpace> parsed =
+      path == "-" ? io::ReadDecayCsv(std::cin) : io::ReadDecayCsvFile(path);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "error: %s\n", parsed.status().message().c_str());
     return 1;
   }
-  const core::DecaySpace& space = *parsed.space;
+  const core::DecaySpace& space = *parsed;
   if (space.size() < 2) {
     // Every parameter below is defined over pairs of distinct nodes.
     std::fprintf(stderr, "error: need at least two nodes, got %d\n",
